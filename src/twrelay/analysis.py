@@ -2,6 +2,13 @@
 lower-bound (noise-term-dropped) SNR forms, and the sum-BER lower bound via
 numerical quadrature and via the termwise closed form.
 
+One expansion serves every antenna configuration: the end-to-end CDF and
+the closed form both run over the product of the two Wishart largest-
+eigenvalue tables (`_general_terms`); a single relay antenna is the case
+where each table has one entry.  The special functions are scipy's `kv` and
+`hyp2f1` and the math module's `lgamma`; each closed-form summand is a
+Bessel moment (Gradshteyn & Ryzhik 6.621.3).
+
 The closed form is assembled in the log domain because its summands span
 hundreds of orders of magnitude at high SNR.  When the final subtraction
 from the zero-SNR ceiling a/log2(M) cancels almost completely (sum-BER far
@@ -12,14 +19,13 @@ re-evaluated with mpmath at elevated precision.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
 
 from scipy import integrate
-from scipy.special import gammainc
+from scipy.special import gammainc, hyp2f1, kv
 
 from .errors import ConfigurationError, NumericalError
 from .scenario import AntennaConfig, CoefficientSet, Modulation, PowerProfile
-from .specfun import bessel_k, gauss_2f1, ln_gamma, wishart_max_eig_coeffs
+from .specfun import wishart_max_eig_coeffs
 
 _DIRECTIONS = ("arb", "bra")
 
@@ -75,7 +81,7 @@ def link_pdf(x: float, m_s: int, m_r: int, rho: float) -> float:
         if u == 0.0:
             term = 1.0 if m == 0 else 0.0
         else:
-            term = (n * u) ** m / math.exp(ln_gamma(m + 1.0))
+            term = (n * u) ** m / math.factorial(m)
         dens += d * (n / rho) * term * math.exp(-n * u)
     return dens
 
@@ -95,71 +101,39 @@ def _general_terms(m_src: int, m_far: int, m_r: int):
                     yield n, m, k, i, j, p, d_nm, d_ij
 
 
-def _e2e_cdf_general(x: float, m_src: int, m_far: int, m_r: int,
-                     rho_src: float, rho_rel: float,
-                     a: float, b: float, c: float) -> float:
-    tail_terms = []
-    for n, m, k, i, j, p, d_nm, d_ij in _general_terms(m_src, m_far, m_r):
-        ln_mag = (math.log(2.0)
-                  + math.log(math.comb(k + j, p))
-                  - ln_gamma(k + 1.0) - ln_gamma(j + 1.0)
-                  + 0.5 * (p + k + 1) * (math.log(c * n) - math.log(rho_src))
-                  + 0.5 * (2 * j + k - p + 1) * (math.log(b * i) - math.log(rho_rel))
-                  - (k + j + 1) * math.log(a)
-                  + (k + j + 1) * math.log(x))
+def _summands(direction: str, coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile):
+    """The summands of the end-to-end CDF tail in one direction, shared by
+    the CDF and the closed form: tuples (d, ln_coef, q, nu, rate, beta) such
+    that the summand at x is d * exp(ln_coef - rate x) * x^q * K_nu(beta x)."""
+    m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
+    for n, m, k, i, j, p, d_nm, d_ij in _general_terms(m_src, m_far, ant.m_r):
+        ln_coef = (math.log(2.0)
+                   + math.log(math.comb(k + j, p))
+                   - math.lgamma(k + 1.0) - math.lgamma(j + 1.0)
+                   + 0.5 * (p + k + 1) * (math.log(c * n) - math.log(rho_src))
+                   + 0.5 * (2 * j + k - p + 1) * (math.log(b * i) - math.log(rho_rel))
+                   - (k + j + 1) * math.log(a))
         rate = (c * n / rho_src + b * i / rho_rel) / a
-        bessel_arg = (2.0 * x / a) * math.sqrt(b * c * n * i / (rho_src * rho_rel))
-        kv = bessel_k(p - k + 1, bessel_arg)
-        if kv == 0.0:
-            continue
-        term = d_nm * d_ij * math.exp(ln_mag - rate * x) * kv
-        tail_terms.append(term)
-    return 1.0 - math.fsum(tail_terms)
-
-
-def _e2e_cdf_mr1(x: float, m_src: int, m_far: int,
-                 rho_src: float, rho_rel: float,
-                 a: float, b: float, c: float) -> float:
-    # single-relay-antenna specialization: the far-side count drives the
-    # inner sum and the polynomial order, the source count the outer sum
-    tail_terms = []
-    for p in range(0, m_src):
-        for k in range(0, m_far + p):
-            ln_mag = (math.log(2.0)
-                      + math.log(math.comb(m_far + p - 1, k))
-                      - ln_gamma(p + 1.0) - ln_gamma(float(m_far))
-                      + 0.5 * (2 * m_far + p - k - 1) * (math.log(b) - math.log(rho_rel))
-                      + 0.5 * (k + p + 1) * (math.log(c) - math.log(rho_src))
-                      - (m_far + p) * math.log(a)
-                      + (m_far + p) * math.log(x))
-            rate = (c / rho_src + b / rho_rel) / a
-            bessel_arg = (2.0 * x / a) * math.sqrt(b * c / (rho_src * rho_rel))
-            kv = bessel_k(k - p + 1, bessel_arg)
-            if kv == 0.0:
-                continue
-            tail_terms.append(math.exp(ln_mag - rate * x) * kv)
-    return 1.0 - math.fsum(tail_terms)
+        beta = (2.0 / a) * math.sqrt(b * c * n * i / (rho_src * rho_rel))
+        yield d_nm * d_ij, ln_coef, k + j + 1, abs(p - k + 1), rate, beta
 
 
 def e2e_cdf(direction: str, x: float, coeffs: CoefficientSet, ant: AntennaConfig,
-            pw: PowerProfile, path: str = "auto") -> float:
-    """CDF of the lower-bound end-to-end SNR in one direction.
-
-    path selects the expansion used: "auto" picks the single-relay-antenna
-    specialization when it applies, "general" forces the multi-antenna
-    expansion (the two agree exactly when m_r is 1).
-    """
+            pw: PowerProfile) -> float:
+    """CDF of the lower-bound end-to-end SNR in one direction, summed over
+    the product of the source-side and far-side eigenvalue tables."""
     ant.require_analytic()
     if x <= 0.0:
         return 0.0
-    m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
-    if path not in ("auto", "general", "single_antenna"):
-        raise ConfigurationError(f"unknown cdf path {path!r}")
-    if path == "single_antenna" and ant.m_r != 1:
-        raise ConfigurationError("single_antenna path requires m_r == 1")
-    if ant.m_r == 1 and path != "general":
-        return _e2e_cdf_mr1(x, m_src, m_far, rho_src, rho_rel, a, b, c)
-    return _e2e_cdf_general(x, m_src, m_far, ant.m_r, rho_src, rho_rel, a, b, c)
+    tail_terms = []
+    for d, ln_coef, q, nu, rate, beta in _summands(direction, coeffs, ant, pw):
+        k_val = kv(nu, beta * x)
+        if k_val == 0.0:
+            continue
+        if math.isinf(k_val):
+            raise NumericalError(f"Bessel K overflow at order {nu}, x={beta * x}")
+        tail_terms.append(d * math.exp(ln_coef + q * math.log(x) - rate * x) * k_val)
+    return 1.0 - math.fsum(tail_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +141,17 @@ def e2e_cdf(direction: str, x: float, coeffs: CoefficientSet, ant: AntennaConfig
 # ---------------------------------------------------------------------------
 
 def sum_ber_quadrature(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,
-                       mod: Modulation,
-                       _cdf_pair: Optional[Callable[[float], float]] = None) -> float:
+                       mod: Modulation) -> float:
     """Lower-bound sum-BER by adaptive quadrature of the CDF-weighted
     Gaussian-tail integral, with the square-root substitution removing the
-    endpoint singularity.  _cdf_pair overrides the integrand's CDF sum (the
-    degenerate-sanity test hook)."""
-    if _cdf_pair is None:
-        ant.require_analytic()
-
-        def cdf_pair(u: float) -> float:
-            return (e2e_cdf("bra", u, coeffs, ant, pw)
-                    + e2e_cdf("arb", u, coeffs, ant, pw))
-    else:
-        cdf_pair = _cdf_pair
+    endpoint singularity."""
+    ant.require_analytic()
     pref = mod.a * math.sqrt(mod.b) / (2.0 * math.sqrt(math.pi) * mod.bits_per_symbol)
 
     def integrand(t: float) -> float:
-        return 2.0 * math.exp(-mod.b * t * t) * cdf_pair(t * t)
+        u = t * t
+        return 2.0 * math.exp(-mod.b * t * t) * (e2e_cdf("bra", u, coeffs, ant, pw)
+                                                 + e2e_cdf("arb", u, coeffs, ant, pw))
 
     upper = math.sqrt(700.0 / mod.b)
     out = integrate.quad(integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-9,
@@ -205,7 +172,7 @@ def bessel_moment(mu: float, nu: int, alpha: float, beta: float) -> float:
     """The weighted Bessel moment
     int_0^inf x^(mu-1) exp(-alpha x) K_nu(beta x) dx
     for 0 < beta < alpha and mu > |nu|, evaluated through its Gamma and
-    Gauss-hypergeometric closed form."""
+    Gauss-hypergeometric closed form (Gradshteyn & Ryzhik 6.621.3)."""
     nu = abs(int(nu))
     if not 0.0 < beta < alpha:
         raise ConfigurationError(f"bessel_moment requires 0 < beta < alpha, got {beta}, {alpha}")
@@ -215,69 +182,29 @@ def bessel_moment(mu: float, nu: int, alpha: float, beta: float) -> float:
 
 
 def _ln_bessel_moment(mu: float, nu: int, alpha: float, beta: float) -> float:
-    z = (alpha - beta) / (alpha + beta)
-    hyp = gauss_2f1(mu + nu, nu + 0.5, mu + 0.5, z)
-    return (0.5 * math.log(math.pi) + nu * math.log(2.0 * beta)
-            - (mu + nu) * math.log(alpha + beta)
-            + ln_gamma(mu + nu) + ln_gamma(mu - nu) - ln_gamma(mu + 0.5)
+    # G&R 6.621.3 has F(mu+nu, nu+1/2; mu+1/2; z) with z = (alpha-beta)/(alpha+beta).
+    # At high SNR z comes within 1/rho of the singular point z = 1, where F
+    # grows like (1-z)^(-2 nu) and rounding z alone costs digits.  The Pfaff
+    # transformation moves the argument to z/(z-1) = -(alpha-beta)/(2 beta),
+    # computed from alpha and beta directly.
+    hyp = hyp2f1(0.5 - nu, 0.5 + nu, mu + 0.5, -(alpha - beta) / (2.0 * beta))
+    return (0.5 * math.log(math.pi) - 0.5 * math.log(2.0 * beta)
+            - (mu - 0.5) * math.log(alpha + beta)
+            + math.lgamma(mu + nu) + math.lgamma(mu - nu) - math.lgamma(mu + 0.5)
             + math.log(hyp))
-
-
-def _closed_direction_terms_mr1(m_src, m_far, rho_src, rho_rel, a, b, c, mod):
-    """(sign, ln magnitude) of every closed-form summand, one direction,
-    single relay antenna."""
-    rate = (c / rho_src + b / rho_rel) / a
-    beta_arg = (2.0 / a) * math.sqrt(b * c / (rho_src * rho_rel))
-    alpha_arg = mod.b + rate
-    for p in range(0, m_src):
-        for k in range(0, m_far + p):
-            mu = m_far + p + 0.5
-            nu = abs(k - p + 1)
-            ln_mag = (math.log(2.0)
-                      + math.log(math.comb(m_far + p - 1, k))
-                      - ln_gamma(p + 1.0) - ln_gamma(float(m_far))
-                      + 0.5 * (2 * m_far + p - k - 1) * (math.log(b) - math.log(rho_rel))
-                      + 0.5 * (k + p + 1) * (math.log(c) - math.log(rho_src))
-                      - (m_far + p) * math.log(a)
-                      + _ln_bessel_moment(mu, nu, alpha_arg, beta_arg))
-            yield 1.0, ln_mag
-
-
-def _closed_direction_terms_general(m_src, m_far, m_r, rho_src, rho_rel, a, b, c, mod):
-    """(sign, ln magnitude) of every closed-form summand, one direction,
-    general relay antenna count."""
-    for n, m, k, i, j, p, d_nm, d_ij in _general_terms(m_src, m_far, m_r):
-        mu = k + j + 1.5
-        nu = abs(p - k + 1)
-        rate = (c * n / rho_src + b * i / rho_rel) / a
-        beta_arg = (2.0 / a) * math.sqrt(b * c * n * i / (rho_src * rho_rel))
-        alpha_arg = mod.b + rate
-        d_prod = d_nm * d_ij
-        ln_mag = (math.log(2.0)
-                  + math.log(abs(d_prod))
-                  + math.log(math.comb(k + j, p))
-                  - ln_gamma(k + 1.0) - ln_gamma(j + 1.0)
-                  + 0.5 * (p + k + 1) * (math.log(c * n) - math.log(rho_src))
-                  + 0.5 * (2 * j + k - p + 1) * (math.log(b * i) - math.log(rho_rel))
-                  - (k + j + 1) * math.log(a)
-                  + _ln_bessel_moment(mu, nu, alpha_arg, beta_arg))
-        yield math.copysign(1.0, d_prod), ln_mag
 
 
 def _closed_form_f64(coeffs, ant, pw, mod) -> float:
     ln_pref = (math.log(mod.a) + 0.5 * math.log(mod.b)
                - math.log(2.0) - 0.5 * math.log(math.pi)
                - math.log(mod.bits_per_symbol))
+    # each summand integrates x^(q - 1/2) exp(-(b + rate) x) K_nu(beta x)
     terms = [mod.a / mod.bits_per_symbol]
     for direction in _DIRECTIONS:
-        m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
-        if ant.m_r == 1:
-            gen = _closed_direction_terms_mr1(m_src, m_far, rho_src, rho_rel, a, b, c, mod)
-        else:
-            gen = _closed_direction_terms_general(m_src, m_far, ant.m_r, rho_src, rho_rel,
-                                                  a, b, c, mod)
-        for sign, ln_mag in gen:
-            terms.append(-sign * math.exp(ln_pref + ln_mag))
+        for d, ln_coef, q, nu, rate, beta in _summands(direction, coeffs, ant, pw):
+            ln_mag = (ln_pref + math.log(abs(d)) + ln_coef
+                      + _ln_bessel_moment(q + 0.5, nu, mod.b + rate, beta))
+            terms.append(-math.copysign(math.exp(ln_mag), d))
     return math.fsum(terms)
 
 
@@ -299,28 +226,19 @@ def _closed_form_mp(coeffs, ant, pw, mod, dps: int = 60) -> float:
             m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
             a = mp.mpf(a); b = mp.mpf(b); c = mp.mpf(c)
             rho_s = mp.mpf(rho_src); rho_r = mp.mpf(rho_rel)
-            if ant.m_r == 1:
-                src = {(1, m_src - 1): 1.0}
-                far = {(1, m_far - 1): 1.0}
-            else:
-                src = wishart_max_eig_coeffs(m_src, ant.m_r).entries
-                far = wishart_max_eig_coeffs(m_far, ant.m_r).entries
-            for (n, m), d_nm in src.items():
-                for k in range(0, m + 1):
-                    for (i, j), d_ij in far.items():
-                        for p in range(0, k + j + 1):
-                            mu = k + j + mp.mpf(1.5)
-                            nu = abs(p - k + 1)
-                            alpha = mp.mpf(mod.b) + (c * n / rho_s + b * i / rho_r) / a
-                            beta = (2 / a) * mp.sqrt(b * c * n * i / (rho_s * rho_r))
-                            coef = (2 * mp.mpf(d_nm) * mp.mpf(d_ij) * mp.binomial(k + j, p)
-                                    / (mp.factorial(k) * mp.factorial(j))
-                                    * (c * n) ** (mp.mpf(p + k + 1) / 2)
-                                    * (b * i) ** (mp.mpf(2 * j + k - p + 1) / 2)
-                                    / (a ** (k + j + 1)
-                                       * rho_s ** (mp.mpf(p + k + 1) / 2)
-                                       * rho_r ** (mp.mpf(2 * j + k - p + 1) / 2)))
-                            total -= pref * coef * moment(mu, nu, alpha, beta)
+            for n, m, k, i, j, p, d_nm, d_ij in _general_terms(m_src, m_far, ant.m_r):
+                mu = k + j + mp.mpf(1.5)
+                nu = abs(p - k + 1)
+                alpha = mp.mpf(mod.b) + (c * n / rho_s + b * i / rho_r) / a
+                beta = (2 / a) * mp.sqrt(b * c * n * i / (rho_s * rho_r))
+                coef = (2 * mp.mpf(d_nm) * mp.mpf(d_ij) * mp.binomial(k + j, p)
+                        / (mp.factorial(k) * mp.factorial(j))
+                        * (c * n) ** (mp.mpf(p + k + 1) / 2)
+                        * (b * i) ** (mp.mpf(2 * j + k - p + 1) / 2)
+                        / (a ** (k + j + 1)
+                           * rho_s ** (mp.mpf(p + k + 1) / 2)
+                           * rho_r ** (mp.mpf(2 * j + k - p + 1) / 2)))
+                total -= pref * coef * moment(mu, nu, alpha, beta)
         return float(total)
 
 
@@ -377,16 +295,16 @@ def min_pair_cdf(direction: str, x: float, coeffs: CoefficientSet, ant: AntennaC
             for p in range(0, j + 1):
                 q = m + p
                 coef = (d_nm * d_ij * n ** (m + 1) * i ** p
-                        / (math.exp(ln_gamma(m + 1.0) + ln_gamma(p + 1.0))
+                        / (math.factorial(m) * math.factorial(p)
                            * s_b ** (m + 1) * s_c ** p))
-                total.append(coef * math.exp(ln_gamma(q + 1.0)) / rate ** (q + 1)
+                total.append(coef * math.factorial(q) / rate ** (q + 1)
                              * gammainc(q + 1, rate * x))
             # tail-of-first times density-of-second
             for k in range(0, m + 1):
                 q = k + j
                 coef = (d_nm * d_ij * n ** k * i ** (j + 1)
-                        / (math.exp(ln_gamma(k + 1.0) + ln_gamma(j + 1.0))
+                        / (math.factorial(k) * math.factorial(j)
                            * s_b ** k * s_c ** (j + 1)))
-                total.append(coef * math.exp(ln_gamma(q + 1.0)) / rate ** (q + 1)
+                total.append(coef * math.factorial(q) / rate ** (q + 1)
                              * gammainc(q + 1, rate * x))
     return math.fsum(total)

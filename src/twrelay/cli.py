@@ -28,11 +28,6 @@ from .validate import run_validation
 _SWEEP_HEADER = "rho_ar_db,protocol,mode,sum_ber,std_error"
 
 
-def _default_seed() -> int:
-    env = os.environ.get("TWRELAY_SEED")
-    return int(env) if env else 12345
-
-
 def _write_csv(path, header: str, rows) -> None:
     text = header + "\n" + "".join(line + "\n" for line in rows)
     if path in (None, "-"):
@@ -79,7 +74,9 @@ def _add_scenario_flags(sub, with_beta: bool = True):
     sub.add_argument("--pl-exponent", dest="pl_exponent", type=float)
     sub.add_argument("--relay-rho-db", dest="relay_rho_db", type=float)
     sub.add_argument("--trials", dest="trials", type=int)
-    sub.add_argument("--seed", dest="seed", type=int)
+    env_seed = os.environ.get("TWRELAY_SEED")
+    sub.add_argument("--seed", dest="seed", type=int, default=int(env_seed) if env_seed else None,
+                     help="random seed (default: $TWRELAY_SEED, else the scenario's)")
     if with_beta:
         sub.add_argument("--beta", dest="beta", type=float,
                          help="relay weight for B's signal (amplitude, not squared)")
@@ -113,8 +110,7 @@ def cmd_sweep(args) -> int:
     n_above = 0
     for step in range(n_steps):
         rho_db = args.rho_start + step * args.rho_step
-        relay_db = sc.relay_rho_db if sc.relay_rho_db is not None else None
-        pw = power_profile(rho_db, sc.d0, sc.pl_exponent, relay_db)
+        pw = power_profile(rho_db, sc.d0, sc.pl_exponent, sc.relay_rho_db)
         for p in protocols:
             w = sc.weights()
             if w is None and p.uses_weights:
@@ -183,8 +179,7 @@ def cmd_beta(args) -> int:
         for d0 in values:
             pw = power_profile(sc.rho_ar_db, d0, sc.pl_exponent, sc.relay_rho_db)
             closed = beta_closed_form(p, pw).beta ** 2
-            numeric = beta_numeric(p, AntennaConfig(1, 1, 1), pw).beta ** 2 \
-                if ant == AntennaConfig(1, 1, 1) else beta_numeric(p, ant, pw).beta ** 2
+            numeric = beta_numeric(p, ant, pw).beta ** 2
             rows.append(f"{d0:.6f},{_fmt(closed)},{_fmt(numeric)}")
     elif args.sweep == "rho":
         values = [args.start + i * args.step for i in
@@ -285,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed() if os.environ.get("TWRELAY_SEED") else None
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -12,7 +12,7 @@ from .errors import ConfigurationError
 from .scenario import (AntennaConfig, CoefficientSet, DFactors, Modulation,
                        PowerProfile, Protocol, WeightPair, coefficient_set,
                        protocol_modulation)
-from .specfun import ln_gamma, wishart_max_eig_coeffs
+from .specfun import wishart_max_eig_coeffs
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class HighSnrProfile:
 
     def _gain(self, eta: float) -> float:
         ln_g = -(math.log(self.mod.a) + (self.d - 1) * math.log(2.0) + math.log(eta)
-                 + ln_gamma(self.d + 0.5) - 0.5 * math.log(math.pi)
+                 + math.lgamma(self.d + 0.5) - 0.5 * math.log(math.pi)
                  - math.log(self.d)) / self.d
         return math.exp(ln_g)
 
@@ -98,7 +98,7 @@ def eta_pair(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile) -> tu
     else:
         num_arb, num_bra = f.f_ar + f.f_rb, f.f_br + f.f_ra
     d = ant.m_r * min(ant.m_a, ant.m_b)
-    norm = math.exp(ln_gamma(float(d)))
+    norm = math.factorial(d - 1)
     return num_arb / norm, num_bra / norm
 
 

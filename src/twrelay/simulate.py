@@ -199,12 +199,21 @@ def end_to_end_snrs(p: Protocol, s: InstantaneousSnrs,
         if w is None:
             raise ConfigurationError(f"{p.value} requires a WeightPair")
         a2, b2 = w.alpha ** 2, w.beta ** 2
+    arb1, arb2, bra1, bra2 = _dual_branches(s, a2, b2, n1)
+    return arb1 + arb2, bra1 + bra2
+
+
+def _dual_branches(s: InstantaneousSnrs, a2, b2, n1: float = 1.0):
+    """Primary (matched) and secondary (non-matched) branch SNRs per
+    direction of a dual-reception protocol with squared relay weights a2 and
+    b2: (arb1, arb2, bra1, bra2).  n1 is the unit noise term of each
+    denominator, 0 for the lower-bound form."""
     base = a2 * s.g_ar + b2 * s.g_br
-    g_arb = (_ratio(a2 * s.g_ar * (s.g_rb / 2), base + s.g_rb / 2 + n1)
-             + _ratio(a2 * s.g_ar * (s.g_rb_x / 2), base + s.g_rb_x / 2 + n1))
-    g_bra = (_ratio(b2 * s.g_br * (s.g_ra / 2), base + s.g_ra / 2 + n1)
-             + _ratio(b2 * s.g_br * (s.g_ra_x / 2), base + s.g_ra_x / 2 + n1))
-    return g_arb, g_bra
+    arb1 = _ratio(a2 * s.g_ar * (s.g_rb / 2), base + s.g_rb / 2 + n1)
+    arb2 = _ratio(a2 * s.g_ar * (s.g_rb_x / 2), base + s.g_rb_x / 2 + n1)
+    bra1 = _ratio(b2 * s.g_br * (s.g_ra / 2), base + s.g_ra / 2 + n1)
+    bra2 = _ratio(b2 * s.g_br * (s.g_ra_x / 2), base + s.g_ra_x / 2 + n1)
+    return arb1, arb2, bra1, bra2
 
 
 def _q_vec(x):
@@ -288,16 +297,6 @@ def semi_analytic_sum_ber(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
     return BerEstimate(mean=mean, std_error=se, trials=trials)
 
 
-def _dual_branches(p: Protocol, s: InstantaneousSnrs, a2: float, b2: float):
-    # primary (matched) and secondary (non-matched) branch SNRs per direction
-    base = a2 * s.g_ar + b2 * s.g_br
-    arb1 = _ratio(a2 * s.g_ar * (s.g_rb / 2), base + s.g_rb / 2 + 1.0)
-    arb2 = _ratio(a2 * s.g_ar * (s.g_rb_x / 2), base + s.g_rb_x / 2 + 1.0)
-    bra1 = _ratio(b2 * s.g_br * (s.g_ra / 2), base + s.g_ra / 2 + 1.0)
-    bra2 = _ratio(b2 * s.g_br * (s.g_ra_x / 2), base + s.g_ra_x / 2 + 1.0)
-    return arb1, arb2, bra1, bra2
-
-
 def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000_000,
                        seed: int = 12345, return_std_errors: bool = False):
     """Dual-reception factors 1 + E[secondary branch]/E[primary branch] for
@@ -316,8 +315,8 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     for b, n in _iter_blocks(trials):
         h_ar, h_br = stream.draw_block(ant, b)
         s = link_snrs_block(h_ar[:n], h_br[:n], pw)
-        arb1, arb2, bra1, bra2 = _dual_branches(Protocol.SECOND_THREE_SLOT, s, 1.0, 1.0)
-        qrb1, qrb2, qra1, qra2 = _dual_branches(Protocol.SECOND_FOUR_SLOT, s, 0.5, 0.5)
+        arb1, arb2, bra1, bra2 = _dual_branches(s, 1.0, 1.0)
+        qrb1, qrb2, qra1, qra2 = _dual_branches(s, 0.5, 0.5)
         for key, arr in (("a1", arb1), ("a2", arb2), ("b1", bra1), ("b2", bra2),
                          ("c1", qrb1), ("c2", qrb2), ("d1", qra1), ("d2", qra2)):
             acc[key].append(math.fsum(arr))
@@ -366,11 +365,8 @@ def brute_force_beta(s: InstantaneousSnrs, p: Protocol, mod: Modulation,
         g_arb = _ratio(a2 * s.g_ar * s.g_rb, den + s.g_rb + 1.0)
         g_bra = _ratio(b2 * s.g_br * s.g_ra, den + s.g_ra + 1.0)
     else:
-        base = a2 * s.g_ar + b2 * s.g_br
-        g_arb = (_ratio(a2 * s.g_ar * (s.g_rb / 2), base + s.g_rb / 2 + 1.0)
-                 + _ratio(a2 * s.g_ar * (s.g_rb_x / 2), base + s.g_rb_x / 2 + 1.0))
-        g_bra = (_ratio(b2 * s.g_br * (s.g_ra / 2), base + s.g_ra / 2 + 1.0)
-                 + _ratio(b2 * s.g_br * (s.g_ra_x / 2), base + s.g_ra_x / 2 + 1.0))
+        arb1, arb2, bra1, bra2 = _dual_branches(s, a2, b2)
+        g_arb, g_bra = arb1 + arb2, bra1 + bra2
     obj = mod.a * (_q_vec(2.0 * mod.b * g_arb) + _q_vec(2.0 * mod.b * g_bra))
     best = int(np.argmin(obj))
     return WeightPair.from_beta_squared(float(b2[best]))

@@ -1,310 +1,15 @@
-"""Self-contained special functions used by the analytic SNR/BER machinery.
-
-Everything here is scalar, pure, and thread-safe: log-gamma, the Gaussian
-tail probability, the modified Bessel function of the second kind for
-integer orders, the Gauss hypergeometric function on (-1, 1), and the
-expansion-coefficient tables for the largest eigenvalue of a complex
-Wishart matrix.
+"""Expansion-coefficient tables for the largest eigenvalue of a complex
+Wishart matrix, the one ingredient of the analytic SNR/BER machinery that no
+library provides.  The Gamma, Bessel K and Gauss 2F1 functions come from
+math and scipy.special.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, NumericalError, UnsupportedConfigError
+from .errors import ConfigurationError, UnsupportedConfigError
 
-_EULER_GAMMA = 0.5772156649015328606
-
-# Lanczos approximation, g = 7, 9 coefficients (double precision).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0.0:
-        raise ConfigurationError(f"ln_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.918938533204672742 + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def _digamma(x: float) -> float:
-    # real non-pole x; shift upward then use the Bernoulli asymptotic series
-    if x <= 0.0 and x == math.floor(x):
-        raise NumericalError(f"digamma pole at {x}")
-    acc = 0.0
-    while x < 8.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (1.0 / 240 - inv2 / 132))))
-    return acc + math.log(x) - 0.5 / x - tail
-
-
-def q_function(x: float) -> float:
-    """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-# ---------------------------------------------------------------------------
-# Modified Bessel function of the second kind, integer order
-# ---------------------------------------------------------------------------
-
-def _bessel_i0_i1(x: float) -> tuple[float, float]:
-    # ascending series; only used for x <= 2 where it converges in ~12 terms
-    q = 0.25 * x * x
-    t0 = 1.0
-    t1 = 1.0
-    i0 = 1.0
-    i1 = 1.0
-    for k in range(1, 40):
-        t0 *= q / (k * k)
-        t1 *= q / (k * (k + 1))
-        i0 += t0
-        i1 += t1
-        if t0 < 1e-18 * i0:
-            break
-    return i0, 0.5 * x * i1
-
-
-def _bessel_k01_series(x: float) -> tuple[float, float]:
-    # small-argument expansions built from the I-series and harmonic sums
-    i0, i1 = _bessel_i0_i1(x)
-    lhalf = math.log(0.5 * x)
-    q = 0.25 * x * x
-    # K0 = -(log(x/2) + gamma) I0 + sum_{k>=1} H_k q^k / (k!)^2
-    term = 1.0
-    hk = 0.0
-    s0 = 0.0
-    for k in range(1, 40):
-        term *= q / (k * k)
-        hk += 1.0 / k
-        s0 += term * hk
-        if term * hk < 1e-18 * max(s0, 1.0):
-            break
-    k0 = -(lhalf + _EULER_GAMMA) * i0 + s0
-    # K1 = 1/x + log(x/2) I1 - (x/4) sum_{k>=0} (psi(k+1)+psi(k+2)) q^k / (k! (k+1)!)
-    term = 1.0
-    s1 = (_digamma(1.0) + _digamma(2.0)) * term
-    for k in range(1, 40):
-        term *= q / (k * (k + 1))
-        add = (_digamma(k + 1.0) + _digamma(k + 2.0)) * term
-        s1 += add
-        if abs(add) < 1e-18 * max(abs(s1), 1.0):
-            break
-    k1 = 1.0 / x + lhalf * i1 - 0.25 * x * s1
-    return k0, k1
-
-
-def _bessel_k01_cf(x: float) -> tuple[float, float]:
-    # Thompson-Barnett continued fraction, stable for x >= 2
-    eps = 1e-16
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = d
-    delh = d
-    q1 = 0.0
-    q2 = 1.0
-    a1 = 0.25
-    q = a1
-    c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 30001):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) <= eps:
-            break
-    else:
-        raise NumericalError(f"bessel_k continued fraction failed to converge at x={x}")
-    h = a1 * h
-    k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-    k1 = k0 * (x + 0.5 - h) / x
-    return k0, k1
-
-
-def bessel_k(order: int, x: float, return_underflow: bool = False):
-    """K_nu(x) for integer nu and x > 0.
-
-    Negative orders are folded with K_{-nu} = K_nu.  Results that underflow
-    double precision are returned as 0.0; pass return_underflow=True to get
-    an (value, underflowed) pair.
-    """
-    if not x > 0.0:
-        raise ConfigurationError(f"bessel_k requires x > 0, got {x!r}")
-    n = abs(int(order))
-    if order != int(order):
-        raise ConfigurationError(f"bessel_k supports integer orders only, got {order!r}")
-    if x > 705.0:
-        # exp(-x) prefactor is below the double-precision floor
-        return (0.0, True) if return_underflow else 0.0
-    if x <= 2.0:
-        k0, k1 = _bessel_k01_series(x)
-    else:
-        k0, k1 = _bessel_k01_cf(x)
-    if n == 0:
-        val = k0
-    elif n == 1:
-        val = k1
-    else:
-        # upward recurrence K_{m+1} = K_{m-1} + (2m/x) K_m (stable for K)
-        km, k = k0, k1
-        for m in range(1, n):
-            km, k = k, km + (2.0 * m / x) * k
-            if math.isinf(k):
-                raise NumericalError(f"bessel_k overflow at order {n}, x={x}")
-        val = k
-    if return_underflow:
-        return val, (val == 0.0)
-    return val
-
-
-# ---------------------------------------------------------------------------
-# Gauss hypergeometric function 2F1 on z in (-1, 1)
-# ---------------------------------------------------------------------------
-
-_SERIES_MAX_TERMS = 3000
-
-
-def _hyp_series(a: float, b: float, c: float, z: float) -> float:
-    term = 1.0
-    total = 1.0
-    for k in range(_SERIES_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            return total
-    raise NumericalError(f"2F1 series did not converge for ({a},{b};{c};{z})")
-
-
-def _signed_gamma(x: float) -> tuple[float, float]:
-    # (log|Gamma(x)|, sign) for real non-integer x of either sign
-    if x > 0.0:
-        return ln_gamma(x), 1.0
-    # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    s = math.sin(math.pi * x)
-    if s == 0.0:
-        raise NumericalError(f"gamma pole at {x}")
-    return math.log(math.pi / abs(s)) - ln_gamma(1.0 - x), math.copysign(1.0, s)
-
-
-def _hyp_near_one_noninteger(a: float, b: float, c: float, z: float) -> float:
-    # connection formula in w = 1 - z, valid when c-a-b is not an integer
-    w = 1.0 - z
-    s = c - a - b
-    lg_c, sg_c = _signed_gamma(c)
-    lg1, sg1 = _signed_gamma(s)
-    lg2, sg2 = _signed_gamma(c - a)
-    lg3, sg3 = _signed_gamma(c - b)
-    lg4, sg4 = _signed_gamma(-s)
-    lg5, sg5 = _signed_gamma(a)
-    lg6, sg6 = _signed_gamma(b)
-    t1 = (sg_c * sg1 * sg2 * sg3) * math.exp(lg_c + lg1 - lg2 - lg3) * _hyp_series(a, b, a + b - c + 1.0, w)
-    t2 = (sg_c * sg4 * sg5 * sg6) * math.exp(lg_c + lg4 - lg5 - lg6 + s * math.log(w)) \
-        * _hyp_series(c - a, c - b, s + 1.0, w)
-    return t1 + t2
-
-
-def _hyp_near_one_integer(a: float, b: float, c: float, z: float, m: int) -> float:
-    # c = a + b + m with integer m; the m < 0 case is lifted to m >= 0 via
-    # the Euler transformation, then the logarithmic connection series in
-    # w = 1 - z applies.  After the lift, a or b may be a negative
-    # non-integer; only the reciprocal-gamma prefactor sees them.
-    w = 1.0 - z
-    if m < 0:
-        return w ** m * _hyp_near_one_integer(c - a, c - b, c, z, -m)
-    lnw = math.log(w)
-    s1 = 0.0
-    if m >= 1:
-        t = 1.0
-        s1 = t
-        for k in range(1, m):
-            t *= (a + k - 1.0) * (b + k - 1.0) / (k * (k - m)) * w
-            s1 += t
-        s1 *= math.exp(ln_gamma(float(m)) - ln_gamma(a + m) - ln_gamma(b + m))
-    s2 = 0.0
-    t = 1.0 / math.gamma(m + 1.0)
-    for k in range(2000):
-        if k > 0:
-            t *= (a + m + k - 1.0) * (b + m + k - 1.0) / (k * (m + k)) * w
-        bracket = lnw - _digamma(k + 1.0) - _digamma(m + k + 1.0) \
-            + _digamma(a + m + k) + _digamma(b + m + k)
-        add = t * bracket
-        s2 += add
-        if k > 4 and abs(add) < 1e-17 * abs(s2):
-            break
-    else:
-        raise NumericalError(f"2F1 log-series did not converge for ({a},{b};{c};{z})")
-    lg_a, sg_a = _signed_gamma(a)
-    lg_b, sg_b = _signed_gamma(b)
-    s2 *= -((-1.0) ** m) * (w ** m) * sg_a * sg_b * math.exp(-lg_a - lg_b)
-    return math.exp(ln_gamma(a + b + m)) * (s1 + s2)
-
-
-def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """2F1(a, b; c; z) for real parameters and -1 < z < 1.
-
-    Arguments above 0.5 are routed through the 1-z connection formulas so
-    that the series argument never exceeds 0.5; this keeps the evaluation
-    accurate arbitrarily close to z = 1.
-    """
-    if c <= 0.0 and c == math.floor(c):
-        raise ConfigurationError(f"2F1 undefined for non-positive integer c={c}")
-    if not -1.0 < z < 1.0:
-        raise ConfigurationError(f"2F1 requires |z| < 1, got z={z!r}")
-    if z == 0.0:
-        return 1.0
-    if (a <= 0.0 and a == math.floor(a)) or (b <= 0.0 and b == math.floor(b)):
-        # terminating polynomial case, converges for any z
-        return _hyp_series(a, b, c, z)
-    if z < 0.0:
-        # Pfaff transformation maps (-1, 0) into (0, 1/2)
-        return (1.0 - z) ** (-a) * _hyp_series(a, c - b, c, z / (z - 1.0))
-    if z <= 0.5:
-        return _hyp_series(a, b, c, z)
-    s = c - a - b
-    m = round(s)
-    if abs(s - m) < 1e-12:
-        # the connection formula needs its logarithmic limit form here;
-        # parameters from the Bessel-moment identity always land in this case
-        return _hyp_near_one_integer(a, b, c, z, int(m))
-    if abs(s - m) < 1e-7:
-        raise NumericalError(
-            f"2F1 parameters nearly degenerate (c-a-b={s}); evaluation would be ill-conditioned")
-    return _hyp_near_one_noninteger(a, b, c, z)
-
-
-# ---------------------------------------------------------------------------
-# Largest-eigenvalue expansion coefficients for complex Wishart matrices
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EigCoeffTable:

@@ -3,20 +3,23 @@ and construction, the quadrature/closed-form pair, and precision paths."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
-from twrelay.analysis import (e2e_cdf, link_cdf, link_pdf, min_pair_cdf,
+import twrelay.analysis
+from twrelay.analysis import (bessel_moment, e2e_cdf, link_cdf, link_pdf, min_pair_cdf,
                               sum_ber_closed_form, sum_ber_quadrature)
-from twrelay.errors import ConfigurationError
+from twrelay.errors import ConfigurationError, NumericalError
 from twrelay.highsnr import high_snr_profile, high_snr_sum_ber
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
                               Protocol, coefficient_set, modulation_constants,
                               protocol_modulation)
 from twrelay.simulate import semi_analytic_sum_ber
 from twrelay.validate import (check_bessel_moment_identity,
-                              check_construction_integral, check_ks_suite)
+                              check_construction_integral, check_ks_suite,
+                              single_antenna_e2e_cdf)
 
 ANT = AntennaConfig(2, 1, 2)
 
@@ -56,9 +59,17 @@ class TestEndToEndCdf:
             w = BALANCED_WEIGHTS if p.uses_weights else None
             coeffs = coefficient_set(p, ANT, pw, w)
             for x in np.geomspace(0.01 * pw.rho_ar, 20 * pw.rho_ar, 40):
-                one = e2e_cdf("arb", float(x), coeffs, ANT, pw, path="single_antenna")
-                gen = e2e_cdf("arb", float(x), coeffs, ANT, pw, path="general")
+                one = single_antenna_e2e_cdf("arb", float(x), coeffs, ANT, pw)
+                gen = e2e_cdf("arb", float(x), coeffs, ANT, pw)
                 assert gen == pytest.approx(one, abs=1e-12)
+
+    def test_bessel_overflow_raises(self):
+        # K_nu of an argument near 1e-300 overflows; the CDF must not turn it into NaN
+        pw = PowerProfile.balanced(20.0)
+        ant = AntennaConfig(4, 4, 4)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        with pytest.raises(NumericalError, match="overflow"):
+            e2e_cdf("arb", 1e-300, coeffs, ant, pw)
 
     def test_antenna_precondition_names_remedy(self):
         pw = PowerProfile.balanced(10.0)
@@ -82,13 +93,14 @@ class TestEndToEndCdf:
 
 
 class TestSumBerQuadrature:
-    def test_degenerate_unit_cdf(self):
-        # with the CDF sum pinned to its x -> inf limit the integral
+    def test_degenerate_unit_cdf(self, monkeypatch):
+        # with both CDFs pinned to their x -> inf limit the integral
         # collapses to the zero-SNR ceiling
         mod = modulation_constants("mqam", 16)
         pw = PowerProfile.balanced(10.0)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ANT, pw)
-        val = sum_ber_quadrature(coeffs, ANT, pw, mod, _cdf_pair=lambda x: 2.0)
+        monkeypatch.setattr(twrelay.analysis, "e2e_cdf", lambda *args: 1.0)
+        val = sum_ber_quadrature(coeffs, ANT, pw, mod)
         assert val == pytest.approx(mod.a / mod.bits_per_symbol, rel=1e-9)
 
     def test_monotone_in_snr(self):
@@ -101,6 +113,36 @@ class TestSumBerQuadrature:
             if prev is not None:
                 assert v < prev
             prev = v
+
+
+def _moment_oracle(mu, nu, alpha, beta):
+    # Gradshteyn & Ryzhik 6.621.3 as printed (c - a - b = -2 nu), at 50 digits
+    with mp.workdps(50):
+        mu, alpha, beta = mp.mpf(mu), mp.mpf(alpha), mp.mpf(beta)
+        z = (alpha - beta) / (alpha + beta)
+        return (mp.sqrt(mp.pi) * (2 * beta) ** nu / (alpha + beta) ** (mu + nu)
+                * mp.gamma(mu + nu) * mp.gamma(mu - nu) / mp.gamma(mu + 0.5)
+                * mp.hyp2f1(mu + nu, nu + 0.5, mu + 0.5, z))
+
+
+class TestBesselMoment:
+    # the closed form's moments have mu = k + j + 3/2 <= 17.5 and nu <= 9 up
+    # to 4x4x4; z = (alpha - beta)/(alpha + beta) approaches 1 as 1/rho
+    @pytest.mark.parametrize("one_minus_z", [0.9, 0.5, 0.1, 1e-2, 1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("nu", [0, 1, 4, 9, 17])
+    def test_matches_mpmath(self, nu, one_minus_z):
+        z = 1.0 - one_minus_z
+        for mu in (nu + 0.5, nu + 2.5, nu + 8.5):
+            for alpha in (0.37, 1.0, 2.9):
+                beta = alpha * (1.0 - z) / (1.0 + z)
+                ref = float(_moment_oracle(mu, nu, alpha, beta))
+                assert bessel_moment(mu, nu, alpha, beta) == pytest.approx(ref, rel=1e-12)
+
+    def test_domain(self):
+        with pytest.raises(ConfigurationError):
+            bessel_moment(2.5, 1, 1.0, 1.0)
+        with pytest.raises(ConfigurationError):
+            bessel_moment(1.5, 2, 2.0, 1.0)
 
 
 class TestSumBerClosedForm:

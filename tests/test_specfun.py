@@ -1,154 +1,13 @@
-"""Special-function accuracy against independent oracles, identities, and
-the eigenvalue-coefficient tables against Monte-Carlo eigenvalue draws."""
+"""The largest-eigenvalue coefficient tables: entries, index bounds, CDF
+shape, and agreement with Monte-Carlo eigenvalue draws."""
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from twrelay.errors import ConfigurationError, UnsupportedConfigError
-from twrelay.specfun import (bessel_k, gauss_2f1, ln_gamma, q_function,
-                             wishart_max_eig_coeffs)
-
-mp.mp.dps = 40
-
-
-class TestLnGamma:
-    def test_half_integer(self):
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-    def test_factorial(self):
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_recurrence_oracle(self):
-        # build Gamma(7.5) from Gamma(1.5) = sqrt(pi)/2 by the recurrence
-        val = math.sqrt(math.pi) / 2.0
-        for k in range(6):
-            val *= 1.5 + k
-        assert ln_gamma(7.5) == pytest.approx(math.log(val), rel=1e-13)
-
-    def test_accuracy_sweep(self):
-        for x in np.geomspace(0.5, 200.0, 60):
-            ref = float(mp.loggamma(float(x)))
-            assert ln_gamma(float(x)) == pytest.approx(ref, rel=1e-12, abs=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(ConfigurationError):
-            ln_gamma(0.0)
-        with pytest.raises(ConfigurationError):
-            ln_gamma(-2.5)
-
-
-class TestBesselK:
-    def test_negative_order_symmetry(self):
-        assert bessel_k(3, 2.0) == bessel_k(-3, 2.0)
-
-    def test_k0_integral_representation(self):
-        # oracle: trapezoid rule on the doubly-exponentially decaying
-        # integrand exp(-x cosh t), accurate far beyond the tolerance here
-        x = 1.0
-        h = 0.02
-        ts = np.arange(0.0, 40.0, h)
-        vals = np.exp(-x * np.cosh(ts))
-        oracle = h * (0.5 * vals[0] + vals[1:].sum())
-        assert bessel_k(0, x) == pytest.approx(oracle, rel=1e-10)
-        assert bessel_k(0, 1.0) == pytest.approx(0.4210244382, rel=1e-9)
-
-    @pytest.mark.parametrize("x", [0.5, 2.0, 10.0])
-    def test_recurrence_identity(self, x):
-        for nu in range(1, 9):
-            lhs = bessel_k(nu + 1, x)
-            rhs = bessel_k(nu - 1, x) + (2.0 * nu / x) * bessel_k(nu, x)
-            assert lhs == pytest.approx(rhs, rel=1e-9)
-
-    def test_accuracy_sweep(self):
-        for nu in range(0, 7):
-            for x in np.geomspace(1e-6, 690.0, 50):
-                ref = float(mp.besselk(nu, mp.mpf(float(x))))
-                if ref == 0.0:
-                    continue
-                assert bessel_k(nu, float(x)) == pytest.approx(ref, rel=1e-10)
-
-    def test_monotone_decreasing(self):
-        grid = np.geomspace(0.05, 50.0, 200)
-        for nu in (0, 1, 4):
-            vals = [bessel_k(nu, float(x)) for x in grid]
-            assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_underflow_flag(self):
-        val, under = bessel_k(0, 750.0, return_underflow=True)
-        assert val == 0.0 and under
-        val, under = bessel_k(0, 1.0, return_underflow=True)
-        assert val > 0.0 and not under
-
-    def test_domain(self):
-        with pytest.raises(ConfigurationError):
-            bessel_k(0, 0.0)
-        with pytest.raises(ConfigurationError):
-            bessel_k(0, -1.0)
-
-
-class TestGauss2F1:
-    def test_unit_at_zero(self):
-        assert gauss_2f1(2.5, 1.5, 3.0, 0.0) == 1.0
-
-    def test_log_closed_form(self):
-        assert gauss_2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(-math.log(0.5) / 0.5, rel=1e-12)
-
-    def test_near_one_transformed(self):
-        ref = float(mp.hyp2f1(3.5, 1.5, 4.0, mp.mpf("0.95")))
-        assert gauss_2f1(3.5, 1.5, 4.0, 0.95) == pytest.approx(ref, rel=1e-9)
-
-    @pytest.mark.parametrize("params", [
-        (4.5, 1.5, 4.0, 0.999999),   # parameter difference a negative even integer
-        (6.5, 3.5, 4.0, 0.9999),
-        (2.5, 1.5, 3.0, 0.95),       # odd integer difference
-        (2.2, 0.4, 3.7, 0.85),       # non-integer difference
-        (2.0, 3.0, 4.5, -0.8),       # negative argument
-        (1.1, 2.3, 0.9, 0.6),
-        (-2.0, 1.5, 3.3, 0.9),       # terminating series
-    ])
-    def test_accuracy(self, params):
-        a, b, c, z = params
-        ref = float(mp.hyp2f1(a, b, c, mp.mpf(z)))
-        assert gauss_2f1(a, b, c, z) == pytest.approx(ref, rel=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(ConfigurationError):
-            gauss_2f1(1.0, 1.0, 2.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            gauss_2f1(1.0, 1.0, 2.0, -1.5)
-        with pytest.raises(ConfigurationError):
-            gauss_2f1(1.0, 1.0, 0.0, 0.5)
-        with pytest.raises(ConfigurationError):
-            gauss_2f1(1.0, 1.0, -3.0, 0.5)
-
-
-class TestQFunction:
-    def test_half_at_zero(self):
-        assert q_function(0.0) == 0.5
-
-    def test_erfc_oracle(self):
-        assert q_function(1.0) == pytest.approx(0.1586552539, abs=1e-10)
-        for x in [0.3, 2.0, 5.0, 11.0, 20.0, 37.0]:
-            ref = float(mp.erfc(x / mp.sqrt(2)) / 2)
-            # beyond x ~ 37.5 the true value is subnormal and double
-            # precision cannot hold 1e-12 relative accuracy at all
-            assert q_function(x) == pytest.approx(ref, rel=1e-12)
-
-    @given(st.floats(min_value=0.0, max_value=6.0))
-    def test_symmetry(self, x):
-        assert q_function(x) + q_function(-x) == pytest.approx(1.0, abs=1e-14)
-
-    def test_monotone(self):
-        # widest grid on which consecutive decrements stay above the float64
-        # spacing near 1.0
-        grid = np.linspace(-7.0, 7.0, 1000)
-        vals = [q_function(float(x)) for x in grid]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+from twrelay.specfun import wishart_max_eig_coeffs
 
 
 def _table_cdf(table, x, rho=1.0):
