@@ -1,13 +1,105 @@
-"""The largest-eigenvalue coefficient tables: entries, index bounds, CDF
-shape, and agreement with Monte-Carlo eigenvalue draws."""
+"""Accuracy of the library special functions the closed-form engine
+evaluates (math.lgamma, scipy.special.kv, scipy.special.hyp2f1) against
+independent oracles and identities, and the largest-eigenvalue coefficient
+tables: entries, index bounds, CDF shape, and agreement with Monte-Carlo
+eigenvalue draws."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import hyp2f1, kv
 
 from twrelay.errors import ConfigurationError, UnsupportedConfigError
 from twrelay.specfun import wishart_max_eig_coeffs
+
+
+class TestLnGamma:
+    def test_half_integer(self):
+        assert math.lgamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
+
+    def test_factorial(self):
+        assert math.lgamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
+
+    def test_recurrence_oracle(self):
+        # build Gamma(7.5) from Gamma(1.5) = sqrt(pi)/2 by the recurrence
+        val = math.sqrt(math.pi) / 2.0
+        for k in range(6):
+            val *= 1.5 + k
+        assert math.lgamma(7.5) == pytest.approx(math.log(val), rel=1e-13)
+
+    def test_accuracy_sweep(self):
+        with mp.workdps(40):
+            for x in np.geomspace(0.5, 200.0, 60):
+                ref = float(mp.loggamma(float(x)))
+                assert math.lgamma(float(x)) == pytest.approx(ref, rel=1e-12, abs=1e-13)
+
+
+class TestBesselK:
+    def test_negative_order_symmetry(self):
+        assert kv(3, 2.0) == kv(-3, 2.0)
+
+    def test_k0_integral_representation(self):
+        # oracle: trapezoid rule on the doubly-exponentially decaying
+        # integrand exp(-x cosh t), accurate far beyond the tolerance here
+        x = 1.0
+        h = 0.02
+        ts = np.arange(0.0, 40.0, h)
+        vals = np.exp(-x * np.cosh(ts))
+        oracle = h * (0.5 * vals[0] + vals[1:].sum())
+        assert kv(0, x) == pytest.approx(oracle, rel=1e-10)
+        assert kv(0, 1.0) == pytest.approx(0.4210244382, rel=1e-9)
+
+    @pytest.mark.parametrize("x", [0.5, 2.0, 10.0])
+    def test_recurrence_identity(self, x):
+        for nu in range(1, 9):
+            lhs = kv(nu + 1, x)
+            rhs = kv(nu - 1, x) + (2.0 * nu / x) * kv(nu, x)
+            assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    def test_accuracy_sweep(self):
+        with mp.workdps(40):
+            for nu in range(0, 7):
+                for x in np.geomspace(1e-6, 690.0, 50):
+                    ref = float(mp.besselk(nu, mp.mpf(float(x))))
+                    if ref == 0.0:
+                        continue
+                    assert kv(nu, float(x)) == pytest.approx(ref, rel=1e-10)
+
+    def test_monotone_decreasing(self):
+        grid = np.geomspace(0.05, 50.0, 200)
+        for nu in (0, 1, 4):
+            vals = [kv(nu, float(x)) for x in grid]
+            assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestGauss2F1:
+    def test_unit_at_zero(self):
+        assert hyp2f1(2.5, 1.5, 3.0, 0.0) == 1.0
+
+    def test_log_closed_form(self):
+        assert hyp2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(-math.log(0.5) / 0.5, rel=1e-12)
+
+    def test_near_one_transformed(self):
+        with mp.workdps(40):
+            ref = float(mp.hyp2f1(3.5, 1.5, 4.0, mp.mpf("0.95")))
+        assert hyp2f1(3.5, 1.5, 4.0, 0.95) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("params", [
+        (4.5, 1.5, 4.0, 0.999999),   # parameter difference a negative even integer
+        (6.5, 3.5, 4.0, 0.9999),
+        (2.5, 1.5, 3.0, 0.95),       # odd integer difference
+        (2.2, 0.4, 3.7, 0.85),       # non-integer difference
+        (2.0, 3.0, 4.5, -0.8),       # negative argument
+        (1.1, 2.3, 0.9, 0.6),
+        (-2.0, 1.5, 3.3, 0.9),       # terminating series
+    ])
+    def test_accuracy(self, params):
+        a, b, c, z = params
+        with mp.workdps(40):
+            ref = float(mp.hyp2f1(a, b, c, mp.mpf(z)))
+        assert hyp2f1(a, b, c, z) == pytest.approx(ref, rel=1e-9)
 
 
 def _table_cdf(table, x, rho=1.0):
