@@ -9,25 +9,35 @@ where each table has one entry.  The special functions are scipy's `kv` and
 `hyp2f1` and the math module's `lgamma`; each closed-form summand is a
 Bessel moment (Gradshteyn & Ryzhik 6.621.3).
 
-The closed form is assembled in the log domain because its summands span
-hundreds of orders of magnitude at high SNR.  When the final subtraction
-from the zero-SNR ceiling a/log2(M) cancels almost completely (sum-BER far
-below double-precision resolution of the ceiling), the assembly is
-re-evaluated with mpmath at elevated precision.
+The closed form groups its summands by moment (`_moment_groups`): the
+rational parts of the coefficients that share a moment are summed exactly,
+and each distinct moment is evaluated once.  It is assembled in the log
+domain because its terms span hundreds of orders of magnitude at high SNR.
+The final subtraction from the zero-SNR ceiling a/log2(M) loses about
+log10(ceiling / sum-BER) digits.  When the double-precision result falls
+below 1e-5 of the ceiling, the assembly is redone with mpmath at a
+precision sized from that loss, estimated by the high-SNR power law, and
+reading the eigenvalue tables as exact rationals.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
+import sys
+from typing import NamedTuple
 
 from scipy import integrate
 from scipy.special import gammainc, hyp2f1, kv
 
 from .errors import ConfigurationError, NumericalError
+from .highsnr import HighSnrProfile, eta_pair, high_snr_sum_ber
 from .scenario import AntennaConfig, CoefficientSet, Modulation, PowerProfile
 from .specfun import wishart_max_eig_coeffs
 
 _DIRECTIONS = ("arb", "bra")
+_log = logging.getLogger(__name__)
 
 
 def _direction_params(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
@@ -90,10 +100,12 @@ def link_pdf(x: float, m_s: int, m_r: int, rho: float) -> float:
 # End-to-end lower-bound SNR CDF
 # ---------------------------------------------------------------------------
 
-def _general_terms(m_src: int, m_far: int, m_r: int):
-    """Index tuples (n, m, k, i, j, p, d_nm, d_ij) of the general expansion."""
-    src = wishart_max_eig_coeffs(m_src, m_r).entries
-    far = wishart_max_eig_coeffs(m_far, m_r).entries
+def _general_terms(m_src: int, m_far: int, m_r: int, exact: bool = False):
+    """Index tuples (n, m, k, i, j, p, d_nm, d_ij) of the general expansion,
+    with the table coefficients as floats or, if exact, as Fractions."""
+    src = wishart_max_eig_coeffs(m_src, m_r)
+    far = wishart_max_eig_coeffs(m_far, m_r)
+    src, far = (src.exact, far.exact) if exact else (src.entries, far.entries)
     for (n, m), d_nm in src.items():
         for k in range(0, m + 1):
             for (i, j), d_ij in far.items():
@@ -102,9 +114,10 @@ def _general_terms(m_src: int, m_far: int, m_r: int):
 
 
 def _summands(direction: str, coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile):
-    """The summands of the end-to-end CDF tail in one direction, shared by
-    the CDF and the closed form: tuples (d, ln_coef, q, nu, rate, beta) such
-    that the summand at x is d * exp(ln_coef - rate x) * x^q * K_nu(beta x)."""
+    """The summands of the end-to-end CDF tail in one direction: tuples
+    (d, ln_coef, q, nu, rate, beta) such that the summand at x is
+    d * exp(ln_coef - rate x) * x^q * K_nu(beta x).  The closed form
+    integrates the same summands, grouped by moment (`_moment_groups`)."""
     m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
     for n, m, k, i, j, p, d_nm, d_ij in _general_terms(m_src, m_far, ant.m_r):
         ln_coef = (math.log(2.0)
@@ -194,68 +207,158 @@ def _ln_bessel_moment(mu: float, nu: int, alpha: float, beta: float) -> float:
             + math.log(hyp))
 
 
+class _MomentGroup(NamedTuple):
+    """The closed-form summands of one direction that share a Bessel moment.
+
+    The moment depends only on (n, i, s = k + j, nu = |p - k + 1|): alpha
+    and beta come from (n, i), mu = s + 3/2.  The group's coefficient is
+    sum over (e, r) in `powers` of r * X^(e/2) * Y^(s + 1 - e/2) / A^(s + 1),
+    with X = C n / rho_src, Y = B i / rho_rel and r an exact rational.
+    """
+
+    n: int
+    i: int
+    s: int
+    nu: int
+    powers: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_groups(m_src: int, m_far: int, m_r: int) -> tuple:
+    """The closed form's summands in one direction, grouped by moment, with
+    the rational part of each coefficient summed exactly.  Groups whose
+    coefficients cancel exactly are left out.  Code that edits the
+    eigenvalue tables must clear this cache."""
+    groups: dict = {}
+    for n, m, k, i, j, p, d_nm, d_ij in _general_terms(m_src, m_far, m_r, exact=True):
+        powers = groups.setdefault((n, i, k + j, abs(p - k + 1)), {})
+        r = 2 * d_nm * d_ij * math.comb(k + j, p) / (math.factorial(k) * math.factorial(j))
+        powers[p + k + 1] = powers.get(p + k + 1, 0) + r
+    out = []
+    for key, powers in sorted(groups.items()):
+        nonzero = tuple((e, r) for e, r in sorted(powers.items()) if r != 0)
+        if nonzero:
+            out.append(_MomentGroup(*key, nonzero))
+    return tuple(out)
+
+
 def _closed_form_f64(coeffs, ant, pw, mod) -> float:
     ln_pref = (math.log(mod.a) + 0.5 * math.log(mod.b)
                - math.log(2.0) - 0.5 * math.log(math.pi)
                - math.log(mod.bits_per_symbol))
-    # each summand integrates x^(q - 1/2) exp(-(b + rate) x) K_nu(beta x)
     terms = [mod.a / mod.bits_per_symbol]
     for direction in _DIRECTIONS:
-        for d, ln_coef, q, nu, rate, beta in _summands(direction, coeffs, ant, pw):
-            ln_mag = (ln_pref + math.log(abs(d)) + ln_coef
-                      + _ln_bessel_moment(q + 0.5, nu, mod.b + rate, beta))
-            terms.append(-math.copysign(math.exp(ln_mag), d))
+        m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
+        for g in _moment_groups(m_src, m_far, ant.m_r):
+            x, y = c * g.n / rho_src, b * g.i / rho_rel
+            ln_x, ln_y = math.log(x), math.log(y)
+            # the group's coefficient, scaled by its largest part
+            ln_parts = [math.log(abs(r)) + 0.5 * e * ln_x + (g.s + 1 - 0.5 * e) * ln_y
+                        for e, r in g.powers]
+            top = max(ln_parts)
+            coef = math.fsum(math.copysign(math.exp(ln - top), r)
+                             for ln, (_, r) in zip(ln_parts, g.powers))
+            # the moment integrates x^(s + 1/2) exp(-(b + rate) x) K_nu(beta x)
+            ln_moment = _ln_bessel_moment(g.s + 1.5, g.nu, mod.b + (x + y) / a,
+                                          2.0 * math.sqrt(x * y) / a)
+            terms.append(-coef * math.exp(ln_pref + top - (g.s + 1) * math.log(a) + ln_moment))
     return math.fsum(terms)
 
 
-def _closed_form_mp(coeffs, ant, pw, mod, dps: int = 60) -> float:
-    # arbitrary-precision rescue path for the near-total cancellation regime
+def _closed_form_mp(coeffs, ant, pw, mod, dps: int) -> float:
+    """The closed form assembled with mpmath at dps significant digits, one
+    Gamma-2F1 moment per `_MomentGroup`.  The result is not checked; see
+    `_closed_form_rescue`."""
     import mpmath as mp
 
     with mp.workdps(dps):
         pref = mp.mpf(mod.a) * mp.sqrt(mod.b) / (2 * mp.sqrt(mp.pi) * mp.mpf(mod.bits_per_symbol))
 
+        half = mp.mpf(0.5)
+
         def moment(mu, nu, alpha, beta):
+            gammas = mp.gamma(mu + nu) * mp.gamma(mu - nu) / mp.gamma(mu + half)
             z = (alpha - beta) / (alpha + beta)
-            return (mp.sqrt(mp.pi) * (2 * beta) ** nu / (alpha + beta) ** (mu + nu)
-                    * mp.gamma(mu + nu) * mp.gamma(mu - nu) / mp.gamma(mu + 0.5)
-                    * mp.hyp2f1(mu + nu, nu + 0.5, mu + 0.5, z))
+            if z <= 0.8:
+                # G&R 6.621.3 as printed; mpmath sums this 2F1 directly here
+                return (mp.sqrt(mp.pi) * (2 * beta) ** nu / (alpha + beta) ** (mu + nu) * gammas
+                        * mp.hyp2f1(mu + nu, nu + half, mu + half, z))
+            # nearer z = 1 the Pfaff form, as in _ln_bessel_moment: rounding z
+            # would cost digits, and mpmath transforms either form alike
+            return (mp.sqrt(mp.pi / (2 * beta)) / (alpha + beta) ** (mu - half) * gammas
+                    * mp.hyp2f1(half - nu, half + nu, mu + half, -(alpha - beta) / (2 * beta)))
 
         total = mp.mpf(mod.a) / mp.mpf(mod.bits_per_symbol)
         for direction in _DIRECTIONS:
             m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
-            a = mp.mpf(a); b = mp.mpf(b); c = mp.mpf(c)
-            rho_s = mp.mpf(rho_src); rho_r = mp.mpf(rho_rel)
-            for n, m, k, i, j, p, d_nm, d_ij in _general_terms(m_src, m_far, ant.m_r):
-                mu = k + j + mp.mpf(1.5)
-                nu = abs(p - k + 1)
-                alpha = mp.mpf(mod.b) + (c * n / rho_s + b * i / rho_r) / a
-                beta = (2 / a) * mp.sqrt(b * c * n * i / (rho_s * rho_r))
-                coef = (2 * mp.mpf(d_nm) * mp.mpf(d_ij) * mp.binomial(k + j, p)
-                        / (mp.factorial(k) * mp.factorial(j))
-                        * (c * n) ** (mp.mpf(p + k + 1) / 2)
-                        * (b * i) ** (mp.mpf(2 * j + k - p + 1) / 2)
-                        / (a ** (k + j + 1)
-                           * rho_s ** (mp.mpf(p + k + 1) / 2)
-                           * rho_r ** (mp.mpf(2 * j + k - p + 1) / 2)))
-                total -= pref * coef * moment(mu, nu, alpha, beta)
+            a = mp.mpf(a)
+            for g in _moment_groups(m_src, m_far, ant.m_r):
+                x = mp.mpf(c) * g.n / mp.mpf(rho_src)
+                y = mp.mpf(b) * g.i / mp.mpf(rho_rel)
+                sx, sy = mp.sqrt(x), mp.sqrt(y)
+                coef = mp.fsum(mp.mpf(r.numerator) / r.denominator
+                               * sx ** e * sy ** (2 * g.s + 2 - e) for e, r in g.powers)
+                coef /= a ** (g.s + 1)
+                total -= pref * coef * moment(g.s + 1 + half, g.nu, mod.b + (x + y) / a,
+                                              2 * sx * sy / a)
         return float(total)
+
+
+# Digits carried beyond the estimated cancellation, and the precision past
+# which the rescue gives up.
+_MP_GUARD_DIGITS = 20
+_MP_MAX_DPS = 400
+
+
+def _closed_form_rescue(coeffs, ant, pw, mod) -> float:
+    """The closed form at the precision its final cancellation needs.
+
+    The subtraction from the ceiling a/log2 M loses about
+    log10(ceiling / value) digits; the value is estimated by the high-SNR
+    power law with the same coefficients.  A result at or below
+    ceiling * 10^-(dps - 16), or above the ceiling, has lost (nearly) all
+    its digits and is recomputed at twice the precision."""
+    ceiling = mod.a / mod.bits_per_symbol
+    d = ant.m_r * min(ant.m_a, ant.m_b)
+    est = high_snr_sum_ber(HighSnrProfile(d, *eta_pair(coeffs, ant, pw), mod), pw.rho_ar)
+    lost = max(0.0, math.log10(ceiling) - math.log10(max(est, sys.float_info.min)))
+    moments = sum(len(_moment_groups(*_direction_params(direction, coeffs, ant, pw)[:2], ant.m_r))
+                  for direction in _DIRECTIONS)
+    dps = min(_MP_GUARD_DIGITS + math.ceil(lost), _MP_MAX_DPS)
+    tried, resolved = [], False
+    while dps <= _MP_MAX_DPS and not resolved:
+        tried.append(dps)
+        value = _closed_form_mp(coeffs, ant, pw, mod, dps)
+        resolved = 0.0 < value <= ceiling and math.log10(value / ceiling) > 16 - dps
+        dps *= 2
+    _log.debug("closed-form rescue%s: %.1f digits lost (estimated), dps tried %s, "
+               "%d moments evaluated", "" if resolved else " failed", lost, tried,
+               moments * len(tried))
+    if not resolved:
+        raise NumericalError(f"closed-form sum-BER did not resolve at up to {tried[-1]} digits "
+                             f"(last value {value!r}, ceiling {ceiling!r})")
+    return value
 
 
 def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,
                         mod: Modulation, method: str = "auto") -> float:
-    """Lower-bound sum-BER assembled termwise from Gamma-function and Gauss
-    hypergeometric factors.
+    """Lower-bound sum-BER assembled from one Gamma-function and Gauss
+    hypergeometric moment per distinct (n, i, s, nu) group of summands.
 
     method "auto" uses the double-precision log-domain assembly and escalates
-    to the arbitrary-precision path when the result is too small to survive
-    the final cancellation against the zero-SNR ceiling.
+    to mpmath when the result is too small to survive the final cancellation
+    against the zero-SNR ceiling; "mp" always uses mpmath.  The mpmath path
+    sizes its precision from the digits the cancellation costs, and never
+    returns a value at or below 0 or above the ceiling: it raises
+    NumericalError instead.  A debug record on the "twrelay.analysis"
+    logger reports the digits lost, the precisions tried and the moments
+    evaluated.
     """
     ant.require_analytic()
     if method not in ("auto", "float64", "mp"):
         raise ConfigurationError(f"unknown closed-form method {method!r}")
     if method == "mp":
-        return _closed_form_mp(coeffs, ant, pw, mod)
+        return _closed_form_rescue(coeffs, ant, pw, mod)
     value = _closed_form_f64(coeffs, ant, pw, mod)
     ceiling = mod.a / mod.bits_per_symbol
     if method == "float64":
@@ -264,9 +367,8 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
         raise NumericalError("closed-form assembly produced a non-finite value")
     if value <= ceiling * 1e-5:
         # the assembly subtracts terms summing to ~ceiling, so a result this
-        # small has lost too many digits to cancellation; redo in extended
-        # precision
-        return _closed_form_mp(coeffs, ant, pw, mod)
+        # small has lost too many digits to cancellation
+        return _closed_form_rescue(coeffs, ant, pw, mod)
     return value
 
 

@@ -6,7 +6,11 @@ math and scipy.special.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from fractions import Fraction as F
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import ConfigurationError, UnsupportedConfigError
 
@@ -21,14 +25,18 @@ class EigCoeffTable:
         P(L > x) = sum_n sum_m d[n, m] * sum_{k<=m} (n x)^k e^{-n x} / k!
 
     with n in 1..m_r and m in [m_s - m_r, (m_s + m_r) n - 2 n^2].
+
+    `exact` holds the coefficients as Fractions, for assemblies that run at
+    more than double precision; `entries` holds the same values as floats.
     """
 
     m_s: int
     m_r: int
-    entries: dict
+    exact: Mapping
+    entries: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for (n, m) in self.entries:
+        for (n, m) in self.exact:
             if not 1 <= n <= self.m_r:
                 raise ConfigurationError(f"eigenvalue table index n={n} outside 1..{self.m_r}")
             lo = self.m_s - self.m_r
@@ -36,44 +44,51 @@ class EigCoeffTable:
             if not lo <= m <= hi:
                 raise ConfigurationError(
                     f"eigenvalue table index m={m} outside [{lo}, {hi}] for n={n}")
+        object.__setattr__(self, "exact", MappingProxyType(dict(self.exact)))
+        object.__setattr__(self, "entries",
+                           MappingProxyType({key: float(d) for key, d in self.exact.items()}))
 
 
 # Derived symbolically from the determinant form of the largest-eigenvalue
 # CDF (Gram determinant of lower incomplete gamma functions) and validated
 # against Monte-Carlo eigenvalue draws in the test suite.  Keys: (m_s, m_r).
+# The entries are exact rationals: the closed form cancels the tail sum
+# against 1 at the origin to far below double precision, which only works
+# if 1 - sum d[n, m] is exactly 0 (and so are the CDF's Taylor coefficients
+# below the diversity order m_s * m_r).
 _EIG_TABLES = {
-    (1, 1): {(1, 0): 1.0},
-    (2, 1): {(1, 1): 1.0},
-    (3, 1): {(1, 2): 1.0},
-    (4, 1): {(1, 3): 1.0},
-    (2, 2): {(1, 0): 2.0, (1, 1): -2.0, (1, 2): 2.0, (2, 0): -1.0},
+    (1, 1): {(1, 0): F(1)},
+    (2, 1): {(1, 1): F(1)},
+    (3, 1): {(1, 2): F(1)},
+    (4, 1): {(1, 3): F(1)},
+    (2, 2): {(1, 0): F(2), (1, 1): F(-2), (1, 2): F(2), (2, 0): F(-1)},
     (3, 2): {
-        (1, 1): 3.0, (1, 2): -4.0, (1, 3): 3.0,
-        (2, 1): -0.75, (2, 2): -0.25,
+        (1, 1): F(3), (1, 2): F(-4), (1, 3): F(3),
+        (2, 1): F(-3, 4), (2, 2): F(-1, 4),
     },
     (4, 2): {
-        (1, 2): 4.0, (1, 3): -6.0, (1, 4): 4.0,
-        (2, 2): -0.5, (2, 3): -0.375, (2, 4): -0.125,
+        (1, 2): F(4), (1, 3): F(-6), (1, 4): F(4),
+        (2, 2): F(-1, 2), (2, 3): F(-3, 8), (2, 4): F(-1, 8),
     },
     (3, 3): {
-        (1, 0): 3.0, (1, 1): -6.0, (1, 2): 12.0, (1, 3): -12.0, (1, 4): 6.0,
-        (2, 0): -3.0, (2, 1): 1.5, (2, 2): -0.75, (2, 3): -0.375, (2, 4): -0.375,
-        (3, 0): 1.0,
+        (1, 0): F(3), (1, 1): F(-6), (1, 2): F(12), (1, 3): F(-12), (1, 4): F(6),
+        (2, 0): F(-3), (2, 1): F(3, 2), (2, 2): F(-3, 4), (2, 3): F(-3, 8), (2, 4): F(-3, 8),
+        (3, 0): F(1),
     },
     (4, 3): {
-        (1, 1): 6.0, (1, 2): -16.0, (1, 3): 27.0, (1, 4): -24.0, (1, 5): 10.0,
-        (2, 1): -3.0, (2, 2): 1.0, (2, 3): 0.375, (2, 4): -0.75,
-        (2, 5): -0.15625, (2, 6): -0.46875,
-        (3, 1): 2.0 / 3.0, (3, 2): 8.0 / 27.0, (3, 3): 1.0 / 27.0,
+        (1, 1): F(6), (1, 2): F(-16), (1, 3): F(27), (1, 4): F(-24), (1, 5): F(10),
+        (2, 1): F(-3), (2, 2): F(1), (2, 3): F(3, 8), (2, 4): F(-3, 4),
+        (2, 5): F(-5, 32), (2, 6): F(-15, 32),
+        (3, 1): F(2, 3), (3, 2): F(8, 27), (3, 3): F(1, 27),
     },
     (4, 4): {
-        (1, 0): 4.0, (1, 1): -12.0, (1, 2): 36.0, (1, 3): -68.0,
-        (1, 4): 84.0, (1, 5): -60.0, (1, 6): 20.0,
-        (2, 0): -6.0, (2, 1): 6.0, (2, 2): -6.0, (2, 3): 1.0, (2, 4): -1.0,
-        (2, 5): 2.5, (2, 6): -2.5, (2, 7): 35.0 / 32.0, (2, 8): -35.0 / 32.0,
-        (3, 0): 4.0, (3, 1): -4.0 / 3.0, (3, 2): 4.0 / 9.0, (3, 3): 28.0 / 81.0,
-        (3, 4): 92.0 / 243.0, (3, 5): 100.0 / 729.0, (3, 6): 20.0 / 729.0,
-        (4, 0): -1.0,
+        (1, 0): F(4), (1, 1): F(-12), (1, 2): F(36), (1, 3): F(-68),
+        (1, 4): F(84), (1, 5): F(-60), (1, 6): F(20),
+        (2, 0): F(-6), (2, 1): F(6), (2, 2): F(-6), (2, 3): F(1), (2, 4): F(-1),
+        (2, 5): F(5, 2), (2, 6): F(-5, 2), (2, 7): F(35, 32), (2, 8): F(-35, 32),
+        (3, 0): F(4), (3, 1): F(-4, 3), (3, 2): F(4, 9), (3, 3): F(28, 81),
+        (3, 4): F(92, 243), (3, 5): F(100, 729), (3, 6): F(20, 729),
+        (4, 0): F(-1),
     },
 }
 
@@ -89,4 +104,10 @@ def wishart_max_eig_coeffs(m_s: int, m_r: int) -> EigCoeffTable:
     if not (1 <= m_r and m_s <= MAX_TABLE_DIM):
         raise UnsupportedConfigError(
             f"eigenvalue coefficient tables cover dimensions up to {MAX_TABLE_DIM}, got ({m_s}, {m_r})")
-    return EigCoeffTable(m_s=m_s, m_r=m_r, entries=dict(_EIG_TABLES[(m_s, m_r)]))
+    return _table(m_s, m_r)
+
+
+@functools.lru_cache(maxsize=None)
+def _table(m_s: int, m_r: int) -> EigCoeffTable:
+    # built once per shape; code that edits _EIG_TABLES must clear this cache
+    return EigCoeffTable(m_s=m_s, m_r=m_r, exact=_EIG_TABLES[(m_s, m_r)])

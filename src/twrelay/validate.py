@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -17,8 +18,8 @@ from scipy import integrate
 from scipy.special import kv
 
 from . import specfun
-from .analysis import (_direction_params, bessel_moment, e2e_cdf, link_cdf, link_pdf,
-                       min_pair_cdf, sum_ber_closed_form, sum_ber_quadrature)
+from .analysis import (_direction_params, _moment_groups, bessel_moment, e2e_cdf, link_cdf,
+                       link_pdf, min_pair_cdf, sum_ber_closed_form, sum_ber_quadrature)
 from .errors import ConfigurationError
 from .highsnr import eta_pair, high_snr_profile, high_snr_sum_ber
 from .scenario import (AntennaConfig, BALANCED_WEIGHTS, CoefficientSet, PowerProfile,
@@ -67,11 +68,18 @@ def corrupted_eig_table():
     distribution checks must fail."""
     key, idx = (2, 2), (1, 2)
     original = specfun._EIG_TABLES[key][idx]
-    specfun._EIG_TABLES[key][idx] = original + 0.05
+    specfun._EIG_TABLES[key][idx] = original + Fraction(1, 20)
+    _clear_table_caches()
     try:
         yield
     finally:
         specfun._EIG_TABLES[key][idx] = original
+        _clear_table_caches()
+
+
+def _clear_table_caches():
+    specfun._table.cache_clear()
+    _moment_groups.cache_clear()
 
 
 def check_bessel_moment_identity() -> CheckResult:

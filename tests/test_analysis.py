@@ -1,6 +1,7 @@
 """Distribution and sum-BER analysis: link laws, end-to-end CDF reduction
 and construction, the quadrature/closed-form pair, and precision paths."""
 
+import logging
 import math
 
 import mpmath as mp
@@ -9,8 +10,8 @@ import pytest
 from scipy import integrate
 
 import twrelay.analysis
-from twrelay.analysis import (bessel_moment, e2e_cdf, link_cdf, link_pdf, min_pair_cdf,
-                              sum_ber_closed_form, sum_ber_quadrature)
+from twrelay.analysis import (_closed_form_mp, bessel_moment, e2e_cdf, link_cdf, link_pdf,
+                              min_pair_cdf, sum_ber_closed_form, sum_ber_quadrature)
 from twrelay.errors import ConfigurationError, NumericalError
 from twrelay.highsnr import high_snr_profile, high_snr_sum_ber
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
@@ -185,6 +186,84 @@ class TestSumBerClosedForm:
         prof = high_snr_profile(Protocol.TWO_SLOT, ANT, pw)
         asym = high_snr_sum_ber(prof, pw.rho_ar)
         assert closed / asym == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("dims,rho_db,protocol", [
+        ((2, 2, 2), 30.0, Protocol.TWO_SLOT),
+        ((2, 2, 2), 60.0, Protocol.TWO_SLOT),
+        ((3, 3, 3), 20.0, Protocol.FIRST_FOUR_SLOT),
+    ])
+    def test_rescue_precision_is_sufficient(self, dims, rho_db, protocol):
+        # the precision sized from the estimated cancellation gives the
+        # value a 100-digit assembly gives
+        ant = AntennaConfig(*dims)
+        pw = PowerProfile.balanced(rho_db)
+        coeffs = coefficient_set(protocol, ant, pw)
+        mod = protocol_modulation(protocol)
+        closed = sum_ber_closed_form(coeffs, ant, pw, mod)
+        assert closed == pytest.approx(_closed_form_mp(coeffs, ant, pw, mod, dps=100), rel=1e-12)
+
+    def test_rescue_escalates_past_impossible_values(self, monkeypatch, caplog):
+        pw = PowerProfile.balanced(30.0)
+        ant = AntennaConfig(2, 2, 2)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        ceiling = mod.a / mod.bits_per_symbol
+        true_value = _closed_form_mp(coeffs, ant, pw, mod, dps=60)
+        # results a too-low precision could give: too small to have kept any
+        # digit at 30 digits, negative, and above the ceiling
+        bad = iter([ceiling * 1e-20, -1e-20, 2.0 * ceiling])
+        tried = []
+
+        def fake_mp(coeffs, ant, pw, mod, dps):
+            tried.append(dps)
+            return next(bad, true_value)
+
+        monkeypatch.setattr(twrelay.analysis, "_closed_form_mp", fake_mp)
+        caplog.set_level(logging.DEBUG, logger="twrelay.analysis")
+        assert sum_ber_closed_form(coeffs, ant, pw, mod) == true_value
+        assert tried == [30, 60, 120, 240]
+        assert len(caplog.records) == 1
+        assert str(tried) in caplog.records[0].getMessage()
+
+    @pytest.mark.parametrize("bad", [-1e-20, 0.0, 2.0])
+    def test_rescue_raises_rather_than_return_impossible(self, monkeypatch, bad):
+        # bad is in units of the ceiling a / log2 M
+        pw = PowerProfile.balanced(30.0)
+        ant = AntennaConfig(2, 2, 2)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        value = bad * mod.a / mod.bits_per_symbol
+        monkeypatch.setattr(twrelay.analysis, "_closed_form_mp", lambda *args, **kw: value)
+        for method in ("auto", "mp"):
+            with pytest.raises(NumericalError):
+                sum_ber_closed_form(coeffs, ant, pw, mod, method=method)
+
+    def test_rescue_debug_record(self, caplog):
+        # one record per rescue: digits lost, precisions tried, moments
+        pw = PowerProfile.balanced(30.0)
+        ant = AntennaConfig(2, 2, 2)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        sum_ber_closed_form(coeffs, ant, pw, mod)
+        assert not caplog.records     # silent by default
+        caplog.set_level(logging.DEBUG, logger="twrelay.analysis")
+        sum_ber_closed_form(coeffs, ant, pw, mod)
+        sum_ber_closed_form(coeffs, ant, pw, mod, method="float64")
+        assert len(caplog.records) == 1
+        msg = caplog.records[0].getMessage()
+        assert "digits lost" in msg and "dps tried [30]" in msg and "48 moments" in msg
+
+    def test_exact_tables_rescue_4x3x4(self):
+        # with float-rounded table entries the cancellation at the origin
+        # failed at ~1e-17 and this point came out ~9e10 times the power law
+        ant = AntennaConfig(4, 3, 4)
+        pw = PowerProfile.balanced(30.0)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        closed = sum_ber_closed_form(coeffs, ant, pw, mod)
+        asym = high_snr_sum_ber(high_snr_profile(Protocol.TWO_SLOT, ant, pw), pw.rho_ar)
+        assert closed > 0.0
+        assert 0.9 < closed / asym <= 1.0
 
     def test_bessel_moment_identity_suite(self):
         res = check_bessel_moment_identity()

@@ -5,6 +5,7 @@ tables: entries, index bounds, CDF shape, and agreement with Monte-Carlo
 eigenvalue draws."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from scipy.special import hyp2f1, kv
 
 from twrelay.errors import ConfigurationError, UnsupportedConfigError
-from twrelay.specfun import wishart_max_eig_coeffs
+from twrelay.specfun import MAX_TABLE_DIM, wishart_max_eig_coeffs
+
+ALL_TABLE_DIMS = [(m_s, m_r) for m_s in range(1, MAX_TABLE_DIM + 1) for m_r in range(1, m_s + 1)]
 
 
 class TestLnGamma:
@@ -169,6 +172,33 @@ class TestEigCoeffTables:
         xs = np.quantile(lam, qs)
         worst = max(abs(_table_cdf(table, float(x)) - q) for x, q in zip(xs, qs))
         assert worst <= tol
+
+    def test_floats_mirror_exact_entries(self):
+        for dims in ALL_TABLE_DIMS:
+            table = wishart_max_eig_coeffs(*dims)
+            assert all(isinstance(d, Fraction) for d in table.exact.values())
+            assert all(type(d) is float for d in table.entries.values())
+            assert table.entries == {key: float(d) for key, d in table.exact.items()}
+
+    @pytest.mark.parametrize("dims", ALL_TABLE_DIMS)
+    def test_exact_origin_conditions(self, dims):
+        # in exact arithmetic the CCDF is 1 at the origin, and the CDF's
+        # Taylor coefficients vanish below the diversity order m_s m_r; the
+        # closed form's cancellation at high SNR relies on both
+        m_s, m_r = dims
+        exact = wishart_max_eig_coeffs(m_s, m_r).exact
+        assert sum(exact.values()) == 1
+
+        def ccdf_taylor(t):
+            # x^t coefficient of sum d * sum_{k<=m} (n x)^k / k! * e^(-n x)
+            return sum(d * Fraction(n ** k * (-n) ** (t - k),
+                                    math.factorial(k) * math.factorial(t - k))
+                       for (n, m), d in exact.items() for k in range(min(m, t) + 1))
+
+        order = m_s * m_r
+        for t in range(1, order):
+            assert ccdf_taylor(t) == 0, t
+        assert -ccdf_taylor(order) > 0
 
     def test_dimension_contract(self):
         with pytest.raises(ConfigurationError):
