@@ -355,14 +355,12 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
     evaluated.
     """
     ant.require_analytic()
-    if method not in ("auto", "float64", "mp"):
+    if method not in ("auto", "mp"):
         raise ConfigurationError(f"unknown closed-form method {method!r}")
     if method == "mp":
         return _closed_form_rescue(coeffs, ant, pw, mod)
     value = _closed_form_f64(coeffs, ant, pw, mod)
     ceiling = mod.a / mod.bits_per_symbol
-    if method == "float64":
-        return value
     if not math.isfinite(value):
         raise NumericalError("closed-form assembly produced a non-finite value")
     if value <= ceiling * 1e-5:

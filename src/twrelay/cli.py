@@ -21,7 +21,7 @@ from .highsnr import beta_closed_form, beta_numeric, gap_table, high_snr_profile
 from .scenario import (AntennaConfig, PowerProfile, Protocol, Scenario,
                        coefficient_set, load_scenario, parse_protocol,
                        power_profile, protocol_modulation)
-from .simulate import estimate_d_factors, semi_analytic_sum_ber
+from .simulate import SweepPoint, estimate_d_factors, semi_analytic_sweep
 from .analysis import sum_ber_closed_form
 from .validate import run_validation
 
@@ -59,9 +59,21 @@ def _scenario_from_args(args) -> Scenario:
     for key in ("m_a", "m_r", "m_b", "rho_ar_db", "d0", "pl_exponent",
                 "relay_rho_db", "trials", "seed", "beta"):
         val = getattr(args, key, None)
+        if key == "seed" and val is None:
+            val = _env_seed()
         if val is not None:
             setattr(sc, key, val)
     return sc
+
+
+def _env_seed():
+    raw = os.environ.get("TWRELAY_SEED")
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigurationError(f"TWRELAY_SEED must be an integer, got {raw!r}") from None
 
 
 def _add_scenario_flags(sub, with_beta: bool = True):
@@ -74,8 +86,7 @@ def _add_scenario_flags(sub, with_beta: bool = True):
     sub.add_argument("--pl-exponent", dest="pl_exponent", type=float)
     sub.add_argument("--relay-rho-db", dest="relay_rho_db", type=float)
     sub.add_argument("--trials", dest="trials", type=int)
-    env_seed = os.environ.get("TWRELAY_SEED")
-    sub.add_argument("--seed", dest="seed", type=int, default=int(env_seed) if env_seed else None,
+    sub.add_argument("--seed", dest="seed", type=int,
                      help="random seed (default: $TWRELAY_SEED, else the scenario's)")
     if with_beta:
         sub.add_argument("--beta", dest="beta", type=float,
@@ -107,6 +118,7 @@ def cmd_sweep(args) -> int:
                                       seed=sc.seed)
 
     rows = []
+    mc_points = []      # (rho_db, SweepPoint)
     n_above = 0
     for step in range(n_steps):
         rho_db = args.rho_start + step * args.rho_step
@@ -118,10 +130,7 @@ def cmd_sweep(args) -> int:
             mod = protocol_modulation(p)
             for mode in modes:
                 if mode == "mc":
-                    est = semi_analytic_sum_ber(p, ant, pw, w, mod, trials=sc.trials,
-                                                seed=sc.seed, snr_form="exact",
-                                                dfactors=dfactors)
-                    rows.append((rho_db, p.value, mode, est.mean, est.std_error))
+                    mc_points.append((rho_db, SweepPoint(p, pw, w, mod)))
                 elif mode == "closed":
                     ant.require_analytic()
                     coeffs = coefficient_set(p, ant, pw, w, dfactors)
@@ -136,6 +145,12 @@ def cmd_sweep(args) -> int:
                         n_above += 1
                 else:
                     raise ConfigurationError(f"unknown sweep mode {mode!r}")
+    if mc_points:
+        # one pass over the channel draws serves every mc row
+        ests = semi_analytic_sweep([pt for _, pt in mc_points], ant, trials=sc.trials,
+                                   seed=sc.seed, snr_form="exact", dfactors=dfactors)
+        rows.extend((rho_db, pt.protocol.value, "mc", est.mean, est.std_error)
+                    for (rho_db, pt), est in zip(mc_points, ests))
     if n_above:
         print(f"sweep: left out {n_above} asymptote row(s) where the power law exceeds "
               f"the zero-SNR ceiling a / log2 M (below the high-SNR regime)", file=sys.stderr)

@@ -1,17 +1,19 @@
-"""Monte-Carlo engine: Rayleigh channel draws, matched beamformers, exact
-per-realization end-to-end SNRs for each protocol, semi-analytic sum-BER
-estimation, and the dual-reception mean-ratio factors.
+"""Monte-Carlo engine: Rayleigh channel draws, power-free link gains from
+the top eigenpair of each side's Gram matrix, exact per-realization
+end-to-end SNRs for each protocol, semi-analytic sum-BER estimation, and
+the dual-reception mean-ratio factors.
 
 Trials are drawn from counter-partitioned Philox substreams in fixed-size
 blocks, so results depend only on (seed, trial index) and are identical no
-matter how trials are batched or distributed.
+matter how trials are batched or distributed.  A sweep draws and decomposes
+each block once and evaluates every point of the sweep on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import erfc
@@ -22,16 +24,6 @@ from .scenario import (AntennaConfig, CoefficientSet, DFactors, Modulation,
                        protocol_modulation)
 
 _BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One fading realization: the A-side and B-side uplink matrices.
-    Downlink matrices are their Hermitian transposes (reciprocity) and are
-    never stored."""
-
-    h_ar: np.ndarray   # (m_r, m_a)
-    h_br: np.ndarray   # (m_r, m_b)
 
 
 @dataclass(frozen=True)
@@ -77,83 +69,87 @@ class ChannelStream:
         return h_ar, h_br
 
 
-def draw_channels(ant: AntennaConfig, stream: ChannelStream, index: int) -> ChannelDraw:
-    """The channel realization of one trial; deterministic in (seed, index)."""
-    if index < 0:
-        raise ConfigurationError(f"trial index must be non-negative, got {index!r}")
-    h_ar, h_br = stream.draw_block(ant, index // _BLOCK)
-    off = index % _BLOCK
-    return ChannelDraw(h_ar=h_ar[off].copy(), h_br=h_br[off].copy())
-
-
-def matched_beamformer(h: np.ndarray) -> np.ndarray:
-    """Unit-norm vector maximizing ||h f||: the strongest right singular
-    vector, found by power iteration on the Gram matrix."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim == 1:
-        h = h[None, :]
-    if np.linalg.norm(h) == 0.0:
-        raise ConfigurationError("matched_beamformer: zero channel matrix")
-    g = h.conj().T @ h
-    n = g.shape[0]
-    # deterministic start: unit vector at the largest-norm column (first on ties)
-    start = int(np.argmax(np.linalg.norm(h, axis=0)))
-    v = np.zeros(n, dtype=complex)
-    v[start] = 1.0
-    lam = 0.0
-    for _ in range(500):
-        w = g @ v
-        new_lam = np.linalg.norm(w)
-        if new_lam == 0.0:
-            break
-        v = w / new_lam
-        if abs(new_lam - lam) <= 1e-12 * max(new_lam, 1.0):
-            break
-        lam = new_lam
-    return v
-
-
 def _top_eig(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue and a unit eigenvector of each Hermitian matrix
+    in a batch of shape (B, m, m)."""
+    if gram.shape[-1] == 2:
+        return _top_eig_2x2(gram)
     # batched Hermitian eigendecomposition; eigh orders eigenvalues ascending
     w, v = np.linalg.eigh(gram)
     return w[:, -1], v[:, :, -1]
 
 
-def link_snrs_block(h_ar: np.ndarray, h_br: np.ndarray, pw: PowerProfile) -> InstantaneousSnrs:
-    """Vectorized link SNRs for a batch of channel draws."""
+def _top_eig_2x2(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # G = [[a, b], [conj(b), d]] has top eigenvalue (a+d)/2 + r with
+    # r = sqrt(h^2 + |b|^2), h = (a-d)/2.  The eigenvector's entry on the
+    # larger diagonal entry's axis is t = |h| + r (= lam - min(a, d)), a sum
+    # of non-negative terms: [t, conj(b)] if a >= d, else [b, t].
+    a = gram[:, 0, 0].real
+    d = gram[:, 1, 1].real
+    b = gram[:, 0, 1]
+    h = 0.5 * (a - d)
+    b2 = b.real * b.real + b.imag * b.imag
+    r = np.sqrt(h * h + b2)
+    lam = 0.5 * (a + d) + r
+    # t == 0 only for G = a I (b == 0), where every vector is an eigenvector
+    t = np.abs(h) + r
+    t[t == 0.0] = 1.0
+    norm = np.sqrt(t * t + b2)
+    first = h >= 0.0
+    v = np.empty(b.shape + (2,), dtype=complex)
+    v[:, 0] = np.where(first, t, b) / norm
+    v[:, 1] = np.where(first, b.conj(), t) / norm
+    return lam, v
+
+
+@dataclass(frozen=True)
+class LinkGains:
+    """Power-free link gains of a batch of channel draws: the top Gram
+    eigenvalues of each side, lam_a and lam_b, and the cross gains lam_a_x
+    and lam_b_x, received through the opposite side's matched beamformer.
+    Every link SNR is one of them scaled by a link's average SNR."""
+
+    lam_a: np.ndarray
+    lam_b: np.ndarray
+    lam_a_x: np.ndarray
+    lam_b_x: np.ndarray
+
+    def snrs(self, pw: PowerProfile) -> InstantaneousSnrs:
+        return InstantaneousSnrs(
+            g_ar=pw.rho_ar * self.lam_a,
+            g_br=pw.rho_br * self.lam_b,
+            g_ra=pw.rho_ra * self.lam_a,
+            g_rb=pw.rho_rb * self.lam_b,
+            g_ra_x=pw.rho_ra * self.lam_a_x,
+            g_rb_x=pw.rho_rb * self.lam_b_x,
+        )
+
+
+def link_gains_block(h_ar: np.ndarray, h_br: np.ndarray) -> LinkGains:
+    """Vectorized link gains for a batch of channel draws, shapes
+    (B, m_r, m_a) and (B, m_r, m_b)."""
     m_r = h_ar.shape[1]
     if m_r == 1:
         lam_a = np.sum(np.abs(h_ar[:, 0, :]) ** 2, axis=1)
         lam_b = np.sum(np.abs(h_br[:, 0, :]) ** 2, axis=1)
         # a single relay antenna has a scalar transmit weight, so the
         # non-matched reception coincides with the matched one
-        lam_a_x = lam_a
-        lam_b_x = lam_b
-    else:
-        gram_a = h_ar @ h_ar.conj().transpose(0, 2, 1)
-        gram_b = h_br @ h_br.conj().transpose(0, 2, 1)
-        lam_a, f_ra = _top_eig(gram_a)
-        lam_b, f_rb = _top_eig(gram_b)
-        # H_RA f_RB = H_AR^H f_RB, an (m_a,)-vector per draw
-        proj_a = np.einsum("nra,nr->na", h_ar.conj(), f_rb)
-        proj_b = np.einsum("nrb,nr->nb", h_br.conj(), f_ra)
-        lam_a_x = np.sum(np.abs(proj_a) ** 2, axis=1)
-        lam_b_x = np.sum(np.abs(proj_b) ** 2, axis=1)
-    return InstantaneousSnrs(
-        g_ar=pw.rho_ar * lam_a,
-        g_br=pw.rho_br * lam_b,
-        g_ra=pw.rho_ra * lam_a,
-        g_rb=pw.rho_rb * lam_b,
-        g_ra_x=pw.rho_ra * lam_a_x,
-        g_rb_x=pw.rho_rb * lam_b_x,
-    )
+        return LinkGains(lam_a, lam_b, lam_a, lam_b)
+    gram_a = h_ar @ h_ar.conj().transpose(0, 2, 1)
+    gram_b = h_br @ h_br.conj().transpose(0, 2, 1)
+    lam_a, f_ra = _top_eig(gram_a)
+    lam_b, f_rb = _top_eig(gram_b)
+    # H_RA f_RB = H_AR^H f_RB, an (m_a,)-vector per draw
+    proj_a = np.einsum("nra,nr->na", h_ar.conj(), f_rb)
+    proj_b = np.einsum("nrb,nr->nb", h_br.conj(), f_ra)
+    lam_a_x = np.sum(np.abs(proj_a) ** 2, axis=1)
+    lam_b_x = np.sum(np.abs(proj_b) ** 2, axis=1)
+    return LinkGains(lam_a, lam_b, lam_a_x, lam_b_x)
 
 
-def link_snrs(draw: ChannelDraw, pw: PowerProfile) -> InstantaneousSnrs:
-    """Link SNRs for a single channel draw."""
-    s = link_snrs_block(draw.h_ar[None, ...], draw.h_br[None, ...], pw)
-    return InstantaneousSnrs(*(float(getattr(s, f)[0]) for f in
-                               ("g_ar", "g_br", "g_ra", "g_rb", "g_ra_x", "g_rb_x")))
+def link_snrs_block(h_ar: np.ndarray, h_br: np.ndarray, pw: PowerProfile) -> InstantaneousSnrs:
+    """Vectorized link SNRs for a batch of channel draws."""
+    return link_gains_block(h_ar, h_br).snrs(pw)
 
 
 def _ratio(num, den):
@@ -254,47 +250,74 @@ def sample_end_to_end_snrs(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
     return arb, bra
 
 
+class SweepPoint(NamedTuple):
+    """One sum-BER point of a Monte-Carlo sweep; mod defaults to the
+    protocol's modulation."""
+
+    protocol: Protocol
+    power: PowerProfile
+    weights: Optional[WeightPair] = None
+    mod: Optional[Modulation] = None
+
+
+def semi_analytic_sweep(points, ant: AntennaConfig, mode: str = "auto",
+                        trials: int = 100_000, seed: int = 12345,
+                        snr_form: str = "exact",
+                        dfactors: Optional[DFactors] = None) -> list[BerEstimate]:
+    """Sum-BER estimates of every SweepPoint on the same channel draws.
+
+    Each estimate is the sample average over channel draws of the exact
+    conditional error rate a Q(sqrt(2 b g)) summed over both directions,
+    scaled by 1/log2(M).  Averaging the conditional error rate needs no
+    symbol-level detection and has far lower variance than bit counting.
+
+    Blocks are the outer loop: each is drawn and decomposed once, and every
+    point is evaluated on its power-free gains, so a point's estimate equals
+    its one-point estimate bit for bit.  Each block is reduced with np.sum
+    and the block partials are combined with math.fsum, so results depend
+    only on (seed, trials), not on how blocks are scheduled.
+    """
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
+    evals = []
+    for p, pw, w, mod in points:
+        if mod is None:
+            mod = protocol_modulation(p)
+        p_mode = _resolve_mode(p, mode)
+        coeffs = coefficient_set(p, ant, pw, w, dfactors) if p_mode == "unified" else None
+        evals.append((p, pw, w, p_mode, coeffs, mod.a / mod.bits_per_symbol, 2.0 * mod.b))
+    stream = ChannelStream(seed)
+    parts = [[] for _ in evals]     # per point: (sum y, sum y^2) of each block
+    for b, n in _iter_blocks(trials):
+        h_ar, h_br = stream.draw_block(ant, b)
+        gains = link_gains_block(h_ar[:n], h_br[:n])
+        for (p, pw, w, p_mode, coeffs, scale, two_b), part in zip(evals, parts):
+            g_arb, g_bra = end_to_end_snrs(p, gains.snrs(pw), w, p_mode, coeffs, snr_form)
+            y = scale * (_q_vec(two_b * g_arb) + _q_vec(two_b * g_bra))
+            part.append((np.sum(y), np.sum(y * y)))
+    return [_mean_estimate(part, trials) for part in parts]
+
+
+def _mean_estimate(part, trials: int) -> BerEstimate:
+    mean = math.fsum(s for s, _ in part) / trials
+    if trials > 1:
+        total_sq = math.fsum(sq for _, sq in part)
+        var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+        se = math.sqrt(var / trials)
+    else:
+        se = 0.0
+    return BerEstimate(mean=mean, std_error=se, trials=trials)
+
+
 def semi_analytic_sum_ber(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
                           w: Optional[WeightPair] = None,
                           mod: Optional[Modulation] = None,
                           mode: str = "auto", trials: int = 100_000,
                           seed: int = 12345, snr_form: str = "exact",
                           dfactors: Optional[DFactors] = None) -> BerEstimate:
-    """Sum-BER estimate: the sample average over channel draws of the exact
-    conditional error rate a Q(sqrt(2 b g)) summed over both directions,
-    scaled by 1/log2(M).
-
-    Averaging the conditional error rate needs no symbol-level detection and
-    has far lower variance than bit counting.  Accumulation is compensated
-    (exact block sums combined with math.fsum), so results do not depend on
-    how blocks are scheduled.
-    """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
-    if mod is None:
-        mod = protocol_modulation(p)
-    mode = _resolve_mode(p, mode)
-    coeffs = coefficient_set(p, ant, pw, w, dfactors) if mode == "unified" else None
-    stream = ChannelStream(seed)
-    scale = mod.a / mod.bits_per_symbol
-    part_sum = []
-    part_sq = []
-    for b, n in _iter_blocks(trials):
-        h_ar, h_br = stream.draw_block(ant, b)
-        s = link_snrs_block(h_ar[:n], h_br[:n], pw)
-        g_arb, g_bra = end_to_end_snrs(p, s, w, mode, coeffs, snr_form)
-        y = scale * (_q_vec(2.0 * mod.b * g_arb) + _q_vec(2.0 * mod.b * g_bra))
-        part_sum.append(math.fsum(y))
-        part_sq.append(math.fsum(y * y))
-    total = math.fsum(part_sum)
-    total_sq = math.fsum(part_sq)
-    mean = total / trials
-    if trials > 1:
-        var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-        se = math.sqrt(var / trials)
-    else:
-        se = 0.0
-    return BerEstimate(mean=mean, std_error=se, trials=trials)
+    """Sum-BER estimate of one point: semi_analytic_sweep of one SweepPoint."""
+    return semi_analytic_sweep([SweepPoint(p, pw, w, mod)], ant, mode, trials, seed,
+                               snr_form, dfactors)[0]
 
 
 def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000_000,
@@ -304,49 +327,41 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
 
     The weighted protocol is evaluated at balanced weights; the ratio is
     insensitive to the average SNRs.  With one relay antenna every factor is
-    exactly 2.
+    exactly 2.  Block sums are combined as in semi_analytic_sweep.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
     stream = ChannelStream(seed)
-    acc = {k: [] for k in ("a1", "a2", "b1", "b2", "a1sq", "a2sq", "b1sq", "b2sq",
-                           "a12", "b12", "c1", "c2", "d1", "d2", "c1sq", "c2sq",
-                           "d1sq", "d2sq", "c12", "d12")}
+    # per block, for (arb, bra) of the unweighted and then the balanced
+    # weighted protocol: sums of x1, x2, x1^2, x2^2 and x1 x2, where x1 is
+    # the primary and x2 the secondary branch SNR
+    parts = []
     for b, n in _iter_blocks(trials):
         h_ar, h_br = stream.draw_block(ant, b)
         s = link_snrs_block(h_ar[:n], h_br[:n], pw)
         arb1, arb2, bra1, bra2 = _dual_branches(s, 1.0, 1.0)
         qrb1, qrb2, qra1, qra2 = _dual_branches(s, 0.5, 0.5)
-        for key, arr in (("a1", arb1), ("a2", arb2), ("b1", bra1), ("b2", bra2),
-                         ("c1", qrb1), ("c2", qrb2), ("d1", qra1), ("d2", qra2)):
-            acc[key].append(math.fsum(arr))
-            acc[key + "sq"].append(math.fsum(arr * arr))
-        acc["a12"].append(math.fsum(arb1 * arb2))
-        acc["b12"].append(math.fsum(bra1 * bra2))
-        acc["c12"].append(math.fsum(qrb1 * qrb2))
-        acc["d12"].append(math.fsum(qra1 * qra2))
+        parts.append([np.sum(v) for x1, x2 in ((arb1, arb2), (bra1, bra2),
+                                                (qrb1, qrb2), (qra1, qra2))
+                      for v in (x1, x2, x1 * x1, x2 * x2, x1 * x2)])
+    totals = [math.fsum(col) / trials for col in zip(*parts)]
 
-    def ratio_and_se(k1, k2, k12):
-        m1 = math.fsum(acc[k1]) / trials
-        m2 = math.fsum(acc[k2]) / trials
+    def ratio_and_se(m1, m2, sq1, sq2, cross):
         r = m2 / m1
         if trials > 1:
-            v1 = max(0.0, math.fsum(acc[k1 + "sq"]) / trials - m1 * m1)
-            v2 = max(0.0, math.fsum(acc[k2 + "sq"]) / trials - m2 * m2)
-            c = math.fsum(acc[k12]) / trials - m1 * m2
+            v1 = max(0.0, sq1 - m1 * m1)
+            v2 = max(0.0, sq2 - m2 * m2)
+            c = cross - m1 * m2
             var_r = (v2 - 2.0 * r * c + r * r * v1) / (m1 * m1 * trials)
             se = math.sqrt(max(0.0, var_r))
         else:
             se = 0.0
         return r, se
 
-    r_arb3, se_arb3 = ratio_and_se("a1", "a2", "a12")
-    r_bra3, se_bra3 = ratio_and_se("b1", "b2", "b12")
-    r_arb4, se_arb4 = ratio_and_se("c1", "c2", "c12")
-    r_bra4, se_bra4 = ratio_and_se("d1", "d2", "d12")
-    d = DFactors(1.0 + r_arb3, 1.0 + r_bra3, 1.0 + r_arb4, 1.0 + r_bra4)
+    r, se = zip(*(ratio_and_se(*totals[k:k + 5]) for k in range(0, 20, 5)))
+    d = DFactors(*(1.0 + x for x in r))
     if return_std_errors:
-        return d, (se_arb3, se_bra3, se_arb4, se_bra4)
+        return d, se
     return d
 
 

@@ -10,8 +10,9 @@ import pytest
 from scipy import integrate
 
 import twrelay.analysis
-from twrelay.analysis import (_closed_form_mp, bessel_moment, e2e_cdf, link_cdf, link_pdf,
-                              min_pair_cdf, sum_ber_closed_form, sum_ber_quadrature)
+from twrelay.analysis import (_closed_form_f64, _closed_form_mp, bessel_moment, e2e_cdf,
+                              link_cdf, link_pdf, min_pair_cdf, sum_ber_closed_form,
+                              sum_ber_quadrature)
 from twrelay.errors import ConfigurationError, NumericalError
 from twrelay.highsnr import high_snr_profile, high_snr_sum_ber
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
@@ -163,9 +164,12 @@ class TestSumBerClosedForm:
         for ant in (ANT, AntennaConfig(2, 2, 2)):
             coeffs = coefficient_set(Protocol.FIRST_FOUR_SLOT, ant, pw)
             mod = protocol_modulation(Protocol.FIRST_FOUR_SLOT)
-            f64 = sum_ber_closed_form(coeffs, ant, pw, mod, method="float64")
+            f64 = _closed_form_f64(coeffs, ant, pw, mod)
             mp_ = sum_ber_closed_form(coeffs, ant, pw, mod, method="mp")
             assert f64 == pytest.approx(mp_, rel=1e-9)
+        # the unchecked double-precision assembly is not a public method
+        with pytest.raises(ConfigurationError):
+            sum_ber_closed_form(coeffs, ant, pw, mod, method="float64")
 
     def test_lower_bounds_simulation(self):
         p = Protocol.SECOND_THREE_SLOT
@@ -248,7 +252,6 @@ class TestSumBerClosedForm:
         assert not caplog.records     # silent by default
         caplog.set_level(logging.DEBUG, logger="twrelay.analysis")
         sum_ber_closed_form(coeffs, ant, pw, mod)
-        sum_ber_closed_form(coeffs, ant, pw, mod, method="float64")
         assert len(caplog.records) == 1
         msg = caplog.records[0].getMessage()
         assert "digits lost" in msg and "dps tried [30]" in msg and "48 moments" in msg

@@ -9,7 +9,9 @@ from collections import Counter
 import pytest
 
 from twrelay.cli import main
-from twrelay.scenario import Protocol, parse_protocol, protocol_modulation
+from twrelay.scenario import (AntennaConfig, Protocol, parse_protocol, power_profile,
+                              protocol_modulation)
+from twrelay.simulate import semi_analytic_sum_ber
 
 SCENARIO = (
     "m_a = 2\nm_r = 1\nm_b = 2\n"
@@ -84,6 +86,25 @@ class TestSweep:
         assert main(args + ["--out", str(out2)]) == 0
         assert _read(out1) == _read(out2)
 
+    def test_mc_row_equals_library_call(self, tmp_path):
+        # the sweep's one pass over the draws gives each row the value of a
+        # one-point call; neither protocol here reads the d-factors
+        out = tmp_path / "mc.csv"
+        code = main(["sweep", "--m-a", "2", "--m-r", "2", "--m-b", "2", "--d0", "0.3",
+                     "--protocols", "two_slot,second_three_slot", "--rho-start", "5",
+                     "--rho-stop", "15", "--rho-step", "10", "--mode", "mc",
+                     "--trials", "20000", "--seed", "17", "--out", str(out)])
+        assert code == 0
+        lines = _read(out).splitlines()[1:]
+        assert len(lines) == 4
+        ant = AntennaConfig(2, 2, 2)
+        for line in lines:
+            rho_db, protocol, mode, mean, se = line.split(",")
+            p = parse_protocol(protocol)
+            est = semi_analytic_sum_ber(p, ant, power_profile(float(rho_db), 0.3), trials=20_000,
+                                        seed=17)
+            assert (mode, mean, se) == ("mc", f"{est.mean:.10e}", f"{est.std_error:.10e}")
+
     def test_config_error_exit(self, scenario_file):
         code = main(["sweep", scenario_file, "--rho-start", "0", "--rho-stop", "10",
                      "--rho-step", "-1"])
@@ -156,6 +177,16 @@ class TestValidate:
         monkeypatch.setenv("TWRELAY_SEED", "2")
         assert main(args + ["--out", str(out2)]) == 0
         assert _read(out1) != _read(out2)
+
+
+    def test_malformed_env_seed(self, scenario_file, monkeypatch, capsys):
+        args = ["sweep", scenario_file, "--protocols", "two_slot", "--rho-start", "10",
+                "--rho-stop", "10", "--rho-step", "5", "--mode", "mc"]
+        monkeypatch.setenv("TWRELAY_SEED", "abc")
+        assert main(args) == 2
+        assert "configuration error: TWRELAY_SEED" in capsys.readouterr().err
+        # an explicit --seed does not read the environment
+        assert main(args + ["--seed", "5"]) == 0
 
 
 class TestEntryPoint:

@@ -1,6 +1,6 @@
-"""Monte-Carlo engine: draw statistics and determinism, beamformer
-maximality, per-realization SNR identities, estimator contracts, the
-dual-reception factors, and the instantaneous weight search."""
+"""Monte-Carlo engine: draw statistics and determinism, the top Gram
+eigenpair, per-realization SNR identities, estimator contracts and sweep
+batching, the dual-reception factors, and the instantaneous weight search."""
 
 import math
 
@@ -11,10 +11,10 @@ from twrelay.errors import ConfigurationError
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
                               Protocol, WeightPair, coefficient_set,
                               modulation_constants, protocol_modulation)
-from twrelay.simulate import (ChannelStream, InstantaneousSnrs, brute_force_beta,
-                              draw_channels, end_to_end_snrs, estimate_d_factors,
-                              link_snrs, link_snrs_block, matched_beamformer,
-                              semi_analytic_sum_ber)
+from twrelay.simulate import (ChannelStream, InstantaneousSnrs, SweepPoint, _top_eig,
+                              brute_force_beta, end_to_end_snrs, estimate_d_factors,
+                              link_snrs_block, semi_analytic_sum_ber,
+                              semi_analytic_sweep)
 
 ANT = AntennaConfig(2, 1, 2)
 PW = PowerProfile.balanced(20.0)
@@ -22,12 +22,13 @@ PW = PowerProfile.balanced(20.0)
 
 class TestDraws:
     def test_determinism(self):
-        d1 = draw_channels(ANT, ChannelStream(42), 123456)
-        d2 = draw_channels(ANT, ChannelStream(42), 123456)
-        assert np.array_equal(d1.h_ar, d2.h_ar)
-        assert np.array_equal(d1.h_br, d2.h_br)
-        d3 = draw_channels(ANT, ChannelStream(43), 123456)
-        assert not np.array_equal(d1.h_ar, d3.h_ar)
+        # a block's channels are a pure function of (seed, block index)
+        a1, b1 = ChannelStream(42).draw_block(ANT, 7)
+        a2, b2 = ChannelStream(42).draw_block(ANT, 7)
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(b1, b2)
+        a3, _ = ChannelStream(43).draw_block(ANT, 7)
+        assert not np.array_equal(a1, a3)
 
     def test_unit_variance(self):
         stream = ChannelStream(7)
@@ -59,61 +60,67 @@ class TestDraws:
         assert abs(corr) < 0.005
 
 
-class TestMatchedBeamformer:
-    def test_row_vector(self):
-        h = np.array([[1.0 + 1.0j, 2.0 - 0.5j]])
-        f = matched_beamformer(h)
-        expected = h.conj().ravel() / np.linalg.norm(h)
-        # equality up to a global phase
-        phase = f[np.argmax(np.abs(expected))] / expected[np.argmax(np.abs(expected))]
-        assert np.allclose(f, expected * phase, atol=1e-10)
-        assert np.linalg.norm(h @ f) ** 2 == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
+def _gram(h):
+    return h @ h.conj().transpose(0, 2, 1)
 
-    def test_diagonal(self):
-        h = np.diag([2.0, 1.0]).astype(complex)
-        f = matched_beamformer(h)
-        assert abs(f[0]) == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.norm(h @ f) ** 2 == pytest.approx(4.0, rel=1e-10)
 
-    def test_maximality(self):
+class TestTopEigenpair:
+    def test_closed_form_2x2_matches_eigh(self):
         rng = np.random.default_rng(5)
-        h = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)
-        f = matched_beamformer(h)
-        gain = np.linalg.norm(h @ f) ** 2
-        top = np.linalg.eigvalsh(h.conj().T @ h)[-1]
-        assert gain == pytest.approx(top, rel=1e-10)
-        for _ in range(100):
-            v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            assert gain >= np.linalg.norm(h @ v) ** 2 - 1e-9
+        for m_a in (1, 2, 4):
+            h_ar, _ = ChannelStream(m_a).draw_block(AntennaConfig(m_a, 2, m_a), 0)
+            gram = _gram(h_ar[:4000])
+            lam, v = _top_eig(gram)
+            ref = np.linalg.eigvalsh(gram)[:, -1]
+            assert np.max(np.abs(lam - ref) / ref) <= 1e-13
+            assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-14
+            rayleigh = np.einsum("ni,nij,nj->n", v.conj(), gram, v)
+            assert np.max(np.abs(rayleigh - lam) / lam) <= 1e-13
+            # maximality: no unit vector gathers more than the top eigenvalue
+            u = rng.standard_normal((4000, 2)) + 1j * rng.standard_normal((4000, 2))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            gain = np.einsum("ni,nij,nj->n", u.conj(), gram, u).real
+            assert np.all(gain <= lam * (1.0 + 1e-13))
 
-    def test_zero_matrix(self):
-        with pytest.raises(ConfigurationError):
-            matched_beamformer(np.zeros((2, 2), dtype=complex))
+    def test_closed_form_2x2_degenerate(self):
+        gram = np.array([
+            np.zeros((2, 2)),                       # zero matrix
+            3.0 * np.eye(2),                        # equal diagonal, b = 0
+            np.diag([1.0, 5.0]),                    # a < d, b = 0
+            [[1.0, 2.0 - 1.0j], [2.0 + 1.0j, 4.0]],  # a < d
+            [[2.0, 1.0j], [-1.0j, 2.0]],            # purely imaginary b
+            [[2.0, 1e-200j], [-1e-200j, 2.0]],      # |b|^2 underflows
+        ], dtype=complex)
+        lam, v = _top_eig(gram)
+        assert np.all(np.isfinite(lam)) and np.all(np.isfinite(v))
+        assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(lam, np.linalg.eigvalsh(gram)[:, -1], rtol=1e-15, atol=0.0)
+        assert np.allclose(np.einsum("nij,nj->ni", gram, v), lam[:, None] * v,
+                           rtol=0.0, atol=1e-14)
 
 
 class TestLinkSnrs:
     def test_known_row(self):
-        from twrelay.simulate import ChannelDraw
-        draw = ChannelDraw(h_ar=np.array([[1.0 + 0j, 1.0 + 0j]]),
-                           h_br=np.array([[1.0 + 0j, 0.0 + 0j]]))
-        s = link_snrs(draw, PW)
-        assert s.g_ar == pytest.approx(2.0 * PW.rho_ar, rel=1e-12)
-        assert s.g_br == pytest.approx(1.0 * PW.rho_br, rel=1e-12)
+        h_ar = np.array([[[1.0 + 0j, 1.0 + 0j]]])
+        h_br = np.array([[[1.0 + 0j, 0.0 + 0j]]])
+        s = link_snrs_block(h_ar, h_br, PW)
+        assert s.g_ar[0] == pytest.approx(2.0 * PW.rho_ar, rel=1e-12)
+        assert s.g_br[0] == pytest.approx(1.0 * PW.rho_br, rel=1e-12)
 
     def test_reciprocity_identity(self):
         pw = PowerProfile(100.0, 50.0, 400.0, 400.0)
-        for idx in range(20):
-            s = link_snrs(draw_channels(ANT, ChannelStream(3), idx), pw)
-            assert s.g_ar * pw.rho_ra == pytest.approx(s.g_ra * pw.rho_ar, rel=1e-12)
+        h_ar, h_br = ChannelStream(3).draw_block(ANT, 0)
+        s = link_snrs_block(h_ar[:20], h_br[:20], pw)
+        np.testing.assert_allclose(s.g_ar * pw.rho_ra, s.g_ra * pw.rho_ar, rtol=1e-12)
 
     def test_nonmatched_dominated(self):
-        ant = AntennaConfig(3, 2, 2)
-        stream = ChannelStream(11)
-        h_ar, h_br = stream.draw_block(ant, 0)
-        s = link_snrs_block(h_ar[:5000], h_br[:5000], PW)
-        assert np.all(s.g_ra_x <= s.g_ra + 1e-9)
-        assert np.all(s.g_rb_x <= s.g_rb + 1e-9)
+        # m_r = 2 takes the closed-form eigenpair, m_r = 3 the batched eigh
+        for ant in (AntennaConfig(3, 2, 2), AntennaConfig(2, 3, 3)):
+            stream = ChannelStream(11)
+            h_ar, h_br = stream.draw_block(ant, 0)
+            s = link_snrs_block(h_ar[:5000], h_br[:5000], PW)
+            assert np.all(s.g_ra_x <= s.g_ra + 1e-9)
+            assert np.all(s.g_rb_x <= s.g_rb + 1e-9)
 
     def test_mean_matches_eigenvalue_oracle(self):
         # top-eigenvalue mean of the square two-antenna channel is 3.5
@@ -219,6 +226,25 @@ class TestSemiAnalytic:
     def test_trials_contract(self):
         with pytest.raises(ConfigurationError):
             semi_analytic_sum_ber(Protocol.TWO_SLOT, ANT, PW, trials=0)
+
+    def test_sweep_equals_one_point_calls(self):
+        # one pass over the draws gives every point its one-point estimate
+        # bit for bit; 20000 trials end in a partial block
+        ant = AntennaConfig(2, 2, 2)
+        w = WeightPair.from_beta_squared(0.3)
+        points = []
+        for pw in (PowerProfile.balanced(5.0), PowerProfile(40.0, 10.0, 30.0, 30.0)):
+            points += [SweepPoint(Protocol.TWO_SLOT, pw),
+                       SweepPoint(Protocol.FIRST_THREE_SLOT, pw, w),
+                       SweepPoint(Protocol.SECOND_THREE_SLOT, pw),
+                       SweepPoint(Protocol.SECOND_FOUR_SLOT, pw, w,
+                                  modulation_constants("mqam", 16))]
+        kw = dict(trials=20_000, seed=29)
+        ests = semi_analytic_sweep(points, ant, **kw)
+        assert len(ests) == len(points)
+        for pt, est in zip(points, ests):
+            one = semi_analytic_sum_ber(pt.protocol, ant, pt.power, pt.weights, pt.mod, **kw)
+            assert (est.mean, est.std_error, est.trials) == (one.mean, one.std_error, 20_000)
 
 
 class TestDFactors:
