@@ -1,23 +1,24 @@
 """Exact-analysis engine: per-link and end-to-end SNR distributions for the
-lower-bound (noise-term-dropped) SNR forms, and the sum-BER lower bound via
-numerical quadrature and via the termwise closed form.
+lower-bound (noise-term-dropped) SNR forms, and the sum-BER lower bound, by
+numerical integration and by the paper's termwise closed form.
 
-One expansion serves every antenna configuration: the end-to-end CDF and
-the closed form both run over the product of the two Wishart largest-
-eigenvalue tables (`_general_terms`); a single relay antenna is the case
-where each table has one entry.  The special functions are scipy's `kv` and
-`hyp2f1` and the math module's `lgamma`; each closed-form summand is a
-Bessel moment (Gradshteyn & Ryzhik 6.621.3).
+The distributions and the integral come from `lowerbound`: the per-link
+largest-eigenvalue CDF in its determinant form (Kang & Alouini 2003; Chiani,
+Win & Zanella 2003), the end-to-end CDF by conditioning on the far link, and
+the sum-BER as the Gaussian-weighted integral of the two direction CDFs.
+Every term there is non-negative, so nothing cancels; the trapezoid rules
+are refined until their error estimate is below 1e-13 of the value, and a
+NumericalError is raised rather than return a value they cannot back.
 
-The closed form groups its summands by moment (`_moment_groups`): the
-rational parts of the coefficients that share a moment are summed exactly,
-and each distinct moment is evaluated once.  It is assembled in the log
-domain because its terms span hundreds of orders of magnitude at high SNR.
-The final subtraction from the zero-SNR ceiling a/log2(M) loses about
-log10(ceiling / sum-BER) digits.  When the double-precision result falls
-below 1e-5 of the ceiling, the assembly is redone with mpmath at a
-precision sized from that loss, estimated by the high-SNR power law, and
-reading the eigenvalue tables as exact rationals.
+The closed form runs over the product of the two Wishart largest-eigenvalue
+tables; each summand is a Bessel moment (Gradshteyn & Ryzhik 6.621.3) with
+scipy's `hyp2f1` and the math module's `lgamma`.  Summands that share a
+moment are grouped (`_moment_groups`), the rational parts of their
+coefficients summed exactly, and each distinct moment evaluated once, in
+the log domain because the terms span hundreds of orders of magnitude at
+high SNR.  The final subtraction from the zero-SNR ceiling a/log2(M) loses
+about log10(ceiling / sum-BER) digits, so below 1e-5 of the ceiling the
+sum-BER comes from the integral instead.
 """
 
 from __future__ import annotations
@@ -25,16 +26,15 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import sys
 from typing import NamedTuple
 
-from scipy import integrate
-from scipy.special import gammainc, hyp2f1, kv
+import numpy as np
+from scipy.special import gammainc, hyp2f1
 
-from .errors import ConfigurationError, NumericalError
-from .highsnr import HighSnrProfile, eta_pair, high_snr_sum_ber
+from . import lowerbound
+from .errors import ConfigurationError, NumericalError, UnsupportedConfigError
 from .scenario import AntennaConfig, CoefficientSet, Modulation, PowerProfile
-from .specfun import wishart_max_eig_coeffs
+from .specfun import MAX_TABLE_DIM, wishart_max_eig_coeffs
 
 _DIRECTIONS = ("arb", "bra")
 _log = logging.getLogger(__name__)
@@ -56,25 +56,23 @@ def _direction_params(direction: str, coeffs: CoefficientSet, ant: AntennaConfig
 # Per-link largest-eigenvalue distributions
 # ---------------------------------------------------------------------------
 
+def _check_link(m_s: int, m_r: int, rho: float) -> None:
+    if m_s < m_r:
+        raise ConfigurationError(f"link laws take m_s >= m_r; swap the dimensions (got {m_s} < {m_r})")
+    if not (1 <= m_r and m_s <= MAX_TABLE_DIM):
+        raise UnsupportedConfigError(
+            f"link laws cover dimensions up to {MAX_TABLE_DIM}, got ({m_s}, {m_r})")
+    if rho <= 0.0:
+        raise ConfigurationError(f"rho must be positive, got {rho!r}")
+
+
 def link_cdf(x: float, m_s: int, m_r: int, rho: float) -> float:
     """CDF of rho times the largest eigenvalue of an m_s x m_r Wishart
     channel at x."""
     if x <= 0.0:
         return 0.0
-    if rho <= 0.0:
-        raise ConfigurationError(f"rho must be positive, got {rho!r}")
-    table = wishart_max_eig_coeffs(m_s, m_r)
-    u = x / rho
-    tail = 0.0
-    for (n, m), d in table.entries.items():
-        nu = n * u
-        term = 1.0
-        partial = term
-        for k in range(1, m + 1):
-            term *= nu / k
-            partial += term
-        tail += d * partial * math.exp(-nu)
-    return 1.0 - tail
+    _check_link(m_s, m_r, rho)
+    return float(lowerbound.link_cdf_pdf(np.array([x / rho]), m_s, m_r)[0][0])
 
 
 def link_pdf(x: float, m_s: int, m_r: int, rho: float) -> float:
@@ -82,99 +80,60 @@ def link_pdf(x: float, m_s: int, m_r: int, rho: float) -> float:
     channel at x."""
     if x < 0.0:
         return 0.0
-    if rho <= 0.0:
-        raise ConfigurationError(f"rho must be positive, got {rho!r}")
-    table = wishart_max_eig_coeffs(m_s, m_r)
-    u = x / rho
-    dens = 0.0
-    for (n, m), d in table.entries.items():
-        if u == 0.0:
-            term = 1.0 if m == 0 else 0.0
-        else:
-            term = (n * u) ** m / math.factorial(m)
-        dens += d * (n / rho) * term * math.exp(-n * u)
-    return dens
+    _check_link(m_s, m_r, rho)
+    return float(lowerbound.link_cdf_pdf(np.array([x / rho]), m_s, m_r)[1][0]) / rho
 
 
 # ---------------------------------------------------------------------------
-# End-to-end lower-bound SNR CDF
+# End-to-end lower-bound SNR CDF and the sum-BER integral
 # ---------------------------------------------------------------------------
 
-def _general_terms(m_src: int, m_far: int, m_r: int, exact: bool = False):
-    """Index tuples (n, m, k, i, j, p, d_nm, d_ij) of the general expansion,
-    with the table coefficients as floats or, if exact, as Fractions."""
-    src = wishart_max_eig_coeffs(m_src, m_r)
-    far = wishart_max_eig_coeffs(m_far, m_r)
-    src, far = (src.exact, far.exact) if exact else (src.entries, far.entries)
-    for (n, m), d_nm in src.items():
-        for k in range(0, m + 1):
-            for (i, j), d_ij in far.items():
-                for p in range(0, k + j + 1):
-                    yield n, m, k, i, j, p, d_nm, d_ij
-
-
-def _summands(direction: str, coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile):
-    """The summands of the end-to-end CDF tail in one direction: tuples
-    (d, ln_coef, q, nu, rate, beta) such that the summand at x is
-    d * exp(ln_coef - rate x) * x^q * K_nu(beta x).  The closed form
-    integrates the same summands, grouped by moment (`_moment_groups`)."""
+def _direction(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
+               pw: PowerProfile) -> lowerbound.Direction:
+    """One direction's lower-bound SNR for the integration engine."""
+    ant.require_analytic()
     m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
-    for n, m, k, i, j, p, d_nm, d_ij in _general_terms(m_src, m_far, ant.m_r):
-        ln_coef = (math.log(2.0)
-                   + math.log(math.comb(k + j, p))
-                   - math.lgamma(k + 1.0) - math.lgamma(j + 1.0)
-                   + 0.5 * (p + k + 1) * (math.log(c * n) - math.log(rho_src))
-                   + 0.5 * (2 * j + k - p + 1) * (math.log(b * i) - math.log(rho_rel))
-                   - (k + j + 1) * math.log(a))
-        rate = (c * n / rho_src + b * i / rho_rel) / a
-        beta = (2.0 / a) * math.sqrt(b * c * n * i / (rho_src * rho_rel))
-        yield d_nm * d_ij, ln_coef, k + j + 1, abs(p - k + 1), rate, beta
+    _check_link(m_src, ant.m_r, rho_src)
+    _check_link(m_far, ant.m_r, rho_rel)
+    return lowerbound.Direction(lowerbound.Link(m_src, ant.m_r, rho_src),
+                                lowerbound.Link(m_far, ant.m_r, rho_rel), a, b, c)
 
 
 def e2e_cdf(direction: str, x: float, coeffs: CoefficientSet, ant: AntennaConfig,
             pw: PowerProfile) -> float:
-    """CDF of the lower-bound end-to-end SNR in one direction, summed over
-    the product of the source-side and far-side eigenvalue tables."""
-    ant.require_analytic()
+    """CDF of the lower-bound end-to-end SNR in one direction at x, refined
+    to an estimated relative error below 1e-13 (NumericalError otherwise)."""
+    d = _direction(direction, coeffs, ant, pw)
     if x <= 0.0:
         return 0.0
-    tail_terms = []
-    for d, ln_coef, q, nu, rate, beta in _summands(direction, coeffs, ant, pw):
-        k_val = kv(nu, beta * x)
-        if k_val == 0.0:
-            continue
-        if math.isinf(k_val):
-            raise NumericalError(f"Bessel K overflow at order {nu}, x={beta * x}")
-        tail_terms.append(d * math.exp(ln_coef + q * math.log(x) - rate * x) * k_val)
-    return 1.0 - math.fsum(tail_terms)
+    return float(lowerbound.e2e_cdf(np.array([x]), *d)[0][0])
 
 
-# ---------------------------------------------------------------------------
-# Sum-BER lower bound: numerical quadrature route
-# ---------------------------------------------------------------------------
+def _sum_ber_integral(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,
+                      mod: Modulation, path: str) -> float:
+    """The sum-BER lower bound from the integration engine, checked to lie
+    in (0, a/log2 M] within its tolerance; one debug record on the
+    "twrelay.analysis" logger gives the path, the nodes and the error
+    estimate."""
+    est = lowerbound.sum_ber([_direction(d, coeffs, ant, pw) for d in _DIRECTIONS],
+                             mod.a, mod.b, mod.bits_per_symbol)
+    _log.debug("sum-BER by the lower-bound integral (%s): %.6e, error estimate %.1e, "
+               "%d outer nodes, %d inner nodes", path, est.value, est.error,
+               est.outer_nodes, est.inner_nodes)
+    ceiling = mod.a / mod.bits_per_symbol
+    # where every CDF is near 1 the value rounds to within the tolerance of
+    # the ceiling, on either side
+    if not 0.0 < est.value <= ceiling * (1.0 + lowerbound.REL_TOL):
+        raise NumericalError(f"sum-BER integral gave {est.value!r} outside (0, {ceiling!r}]")
+    return min(est.value, ceiling)
+
 
 def sum_ber_quadrature(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,
                        mod: Modulation) -> float:
-    """Lower-bound sum-BER by adaptive quadrature of the CDF-weighted
-    Gaussian-tail integral, with the square-root substitution removing the
-    endpoint singularity."""
-    ant.require_analytic()
-    pref = mod.a * math.sqrt(mod.b) / (2.0 * math.sqrt(math.pi) * mod.bits_per_symbol)
-
-    def integrand(t: float) -> float:
-        u = t * t
-        return 2.0 * math.exp(-mod.b * t * t) * (e2e_cdf("bra", u, coeffs, ant, pw)
-                                                 + e2e_cdf("arb", u, coeffs, ant, pw))
-
-    upper = math.sqrt(700.0 / mod.b)
-    out = integrate.quad(integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-9,
-                         limit=500, full_output=1)
-    if len(out) > 3:
-        raise NumericalError(f"sum-BER quadrature did not converge: {out[3]}")
-    value, abserr = out[0], out[1]
-    if not math.isfinite(value):
-        raise NumericalError("sum-BER quadrature produced a non-finite value")
-    return pref * value
+    """Lower-bound sum-BER as the integral of the Gaussian tail weighted by
+    the two direction CDFs (`lowerbound.sum_ber`), refined to an estimated
+    relative error below 1e-13."""
+    return _sum_ber_integral(coeffs, ant, pw, mod, "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +182,25 @@ class _MomentGroup(NamedTuple):
     powers: tuple
 
 
+def _general_terms(m_src: int, m_far: int, m_r: int):
+    """Index tuples (n, m, k, i, j, p, d_nm, d_ij) of the closed form's
+    expansion in one direction, with the exact table coefficients."""
+    src = wishart_max_eig_coeffs(m_src, m_r).exact
+    far = wishart_max_eig_coeffs(m_far, m_r).exact
+    for (n, m), d_nm in src.items():
+        for k in range(0, m + 1):
+            for (i, j), d_ij in far.items():
+                for p in range(0, k + j + 1):
+                    yield n, m, k, i, j, p, d_nm, d_ij
+
+
 @functools.lru_cache(maxsize=None)
 def _moment_groups(m_src: int, m_far: int, m_r: int) -> tuple:
     """The closed form's summands in one direction, grouped by moment, with
     the rational part of each coefficient summed exactly.  Groups whose
-    coefficients cancel exactly are left out.  Code that edits the
-    eigenvalue tables must clear this cache."""
+    coefficients cancel exactly are left out."""
     groups: dict = {}
-    for n, m, k, i, j, p, d_nm, d_ij in _general_terms(m_src, m_far, m_r, exact=True):
+    for n, m, k, i, j, p, d_nm, d_ij in _general_terms(m_src, m_far, m_r):
         powers = groups.setdefault((n, i, k + j, abs(p - k + 1)), {})
         r = 2 * d_nm * d_ij * math.comb(k + j, p) / (math.factorial(k) * math.factorial(j))
         powers[p + k + 1] = powers.get(p + k + 1, 0) + r
@@ -265,108 +235,28 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> float:
     return math.fsum(terms)
 
 
-def _closed_form_mp(coeffs, ant, pw, mod, dps: int) -> float:
-    """The closed form assembled with mpmath at dps significant digits, one
-    Gamma-2F1 moment per `_MomentGroup`.  The result is not checked; see
-    `_closed_form_rescue`."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        pref = mp.mpf(mod.a) * mp.sqrt(mod.b) / (2 * mp.sqrt(mp.pi) * mp.mpf(mod.bits_per_symbol))
-
-        half = mp.mpf(0.5)
-
-        def moment(mu, nu, alpha, beta):
-            gammas = mp.gamma(mu + nu) * mp.gamma(mu - nu) / mp.gamma(mu + half)
-            z = (alpha - beta) / (alpha + beta)
-            if z <= 0.8:
-                # G&R 6.621.3 as printed; mpmath sums this 2F1 directly here
-                return (mp.sqrt(mp.pi) * (2 * beta) ** nu / (alpha + beta) ** (mu + nu) * gammas
-                        * mp.hyp2f1(mu + nu, nu + half, mu + half, z))
-            # nearer z = 1 the Pfaff form, as in _ln_bessel_moment: rounding z
-            # would cost digits, and mpmath transforms either form alike
-            return (mp.sqrt(mp.pi / (2 * beta)) / (alpha + beta) ** (mu - half) * gammas
-                    * mp.hyp2f1(half - nu, half + nu, mu + half, -(alpha - beta) / (2 * beta)))
-
-        total = mp.mpf(mod.a) / mp.mpf(mod.bits_per_symbol)
-        for direction in _DIRECTIONS:
-            m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
-            a = mp.mpf(a)
-            for g in _moment_groups(m_src, m_far, ant.m_r):
-                x = mp.mpf(c) * g.n / mp.mpf(rho_src)
-                y = mp.mpf(b) * g.i / mp.mpf(rho_rel)
-                sx, sy = mp.sqrt(x), mp.sqrt(y)
-                coef = mp.fsum(mp.mpf(r.numerator) / r.denominator
-                               * sx ** e * sy ** (2 * g.s + 2 - e) for e, r in g.powers)
-                coef /= a ** (g.s + 1)
-                total -= pref * coef * moment(g.s + 1 + half, g.nu, mod.b + (x + y) / a,
-                                              2 * sx * sy / a)
-        return float(total)
-
-
-# Digits carried beyond the estimated cancellation, and the precision past
-# which the rescue gives up.
-_MP_GUARD_DIGITS = 20
-_MP_MAX_DPS = 400
-
-
-def _closed_form_rescue(coeffs, ant, pw, mod) -> float:
-    """The closed form at the precision its final cancellation needs.
-
-    The subtraction from the ceiling a/log2 M loses about
-    log10(ceiling / value) digits; the value is estimated by the high-SNR
-    power law with the same coefficients.  A result at or below
-    ceiling * 10^-(dps - 16), or above the ceiling, has lost (nearly) all
-    its digits and is recomputed at twice the precision."""
-    ceiling = mod.a / mod.bits_per_symbol
-    d = ant.m_r * min(ant.m_a, ant.m_b)
-    est = high_snr_sum_ber(HighSnrProfile(d, *eta_pair(coeffs, ant, pw), mod), pw.rho_ar)
-    lost = max(0.0, math.log10(ceiling) - math.log10(max(est, sys.float_info.min)))
-    moments = sum(len(_moment_groups(*_direction_params(direction, coeffs, ant, pw)[:2], ant.m_r))
-                  for direction in _DIRECTIONS)
-    dps = min(_MP_GUARD_DIGITS + math.ceil(lost), _MP_MAX_DPS)
-    tried, resolved = [], False
-    while dps <= _MP_MAX_DPS and not resolved:
-        tried.append(dps)
-        value = _closed_form_mp(coeffs, ant, pw, mod, dps)
-        resolved = 0.0 < value <= ceiling and math.log10(value / ceiling) > 16 - dps
-        dps *= 2
-    _log.debug("closed-form rescue%s: %.1f digits lost (estimated), dps tried %s, "
-               "%d moments evaluated", "" if resolved else " failed", lost, tried,
-               moments * len(tried))
-    if not resolved:
-        raise NumericalError(f"closed-form sum-BER did not resolve at up to {tried[-1]} digits "
-                             f"(last value {value!r}, ceiling {ceiling!r})")
-    return value
-
-
 def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,
                         mod: Modulation, method: str = "auto") -> float:
     """Lower-bound sum-BER assembled from one Gamma-function and Gauss
     hypergeometric moment per distinct (n, i, s, nu) group of summands.
 
-    method "auto" uses the double-precision log-domain assembly and escalates
-    to mpmath when the result is too small to survive the final cancellation
-    against the zero-SNR ceiling; "mp" always uses mpmath.  The mpmath path
-    sizes its precision from the digits the cancellation costs, and never
-    returns a value at or below 0 or above the ceiling: it raises
-    NumericalError instead.  A debug record on the "twrelay.analysis"
-    logger reports the digits lost, the precisions tried and the moments
-    evaluated.
+    The double-precision assembly subtracts terms that sum to about the
+    zero-SNR ceiling a/log2 M, so a result below 1e-5 of the ceiling has
+    lost too many digits; there the value comes from the integral of
+    non-negative terms (`lowerbound.sum_ber`: the determinant form of the
+    per-link CDF, conditioned on the far link), refined until its error
+    estimate is below 1e-13 relative, checked to lie in (0, ceiling] and
+    reported in one debug record on the "twrelay.analysis" logger.  "auto"
+    is the only method.
     """
     ant.require_analytic()
-    if method not in ("auto", "mp"):
+    if method != "auto":
         raise ConfigurationError(f"unknown closed-form method {method!r}")
-    if method == "mp":
-        return _closed_form_rescue(coeffs, ant, pw, mod)
     value = _closed_form_f64(coeffs, ant, pw, mod)
-    ceiling = mod.a / mod.bits_per_symbol
     if not math.isfinite(value):
         raise NumericalError("closed-form assembly produced a non-finite value")
-    if value <= ceiling * 1e-5:
-        # the assembly subtracts terms summing to ~ceiling, so a result this
-        # small has lost too many digits to cancellation
-        return _closed_form_rescue(coeffs, ant, pw, mod)
+    if value <= mod.a / mod.bits_per_symbol * 1e-5:
+        return _sum_ber_integral(coeffs, ant, pw, mod, "closed form below 1e-5 of the ceiling")
     return value
 
 

@@ -363,25 +363,3 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     if return_std_errors:
         return d, se
     return d
-
-
-def brute_force_beta(s: InstantaneousSnrs, p: Protocol, mod: Modulation,
-                     grid_size: int = 101) -> WeightPair:
-    """Weight pair minimizing the instantaneous two-direction error sum over
-    a uniform grid of beta^2 values."""
-    if not p.uses_weights:
-        raise ConfigurationError(f"{p.value} has no relay weights to optimize")
-    if grid_size < 3:
-        raise ConfigurationError(f"grid_size must be >= 3, got {grid_size!r}")
-    b2 = np.linspace(0.0, 1.0, grid_size)
-    a2 = 1.0 - b2
-    if p is Protocol.FIRST_THREE_SLOT:
-        den = a2 * s.g_ar + b2 * s.g_br
-        g_arb = _ratio(a2 * s.g_ar * s.g_rb, den + s.g_rb + 1.0)
-        g_bra = _ratio(b2 * s.g_br * s.g_ra, den + s.g_ra + 1.0)
-    else:
-        arb1, arb2, bra1, bra2 = _dual_branches(s, a2, b2)
-        g_arb, g_bra = arb1 + arb2, bra1 + bra2
-    obj = mod.a * (_q_vec(2.0 * mod.b * g_arb) + _q_vec(2.0 * mod.b * g_bra))
-    best = int(np.argmin(obj))
-    return WeightPair.from_beta_squared(float(b2[best]))

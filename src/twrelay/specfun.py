@@ -1,7 +1,9 @@
 """Expansion-coefficient tables for the largest eigenvalue of a complex
-Wishart matrix, the one ingredient of the analytic SNR/BER machinery that no
-library provides.  The Gamma, Bessel K and Gauss 2F1 functions come from
-math and scipy.special.
+Wishart matrix, the ingredient of the paper's closed form, the high-SNR
+origin derivatives and the min-of-links law that no library provides.  The
+Gamma and Gauss 2F1 functions come from math and scipy.special; the
+distributions themselves are evaluated from the determinant form in
+`lowerbound`.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ class EigCoeffTable:
 
     with n in 1..m_r and m in [m_s - m_r, (m_s + m_r) n - 2 n^2].
 
-    `exact` holds the coefficients as Fractions, for assemblies that run at
-    more than double precision; `entries` holds the same values as floats.
+    `exact` holds the coefficients as Fractions, which the closed form's
+    moment grouping sums exactly; `entries` holds the same values as floats.
     """
 
     m_s: int
@@ -52,10 +54,9 @@ class EigCoeffTable:
 # Derived symbolically from the determinant form of the largest-eigenvalue
 # CDF (Gram determinant of lower incomplete gamma functions) and validated
 # against Monte-Carlo eigenvalue draws in the test suite.  Keys: (m_s, m_r).
-# The entries are exact rationals: the closed form cancels the tail sum
-# against 1 at the origin to far below double precision, which only works
-# if 1 - sum d[n, m] is exactly 0 (and so are the CDF's Taylor coefficients
-# below the diversity order m_s * m_r).
+# The entries are exact rationals, so that 1 - sum d[n, m] is exactly 0 (and
+# so are the CDF's Taylor coefficients below the diversity order m_s * m_r)
+# and the closed form's moment groups that cancel drop out exactly.
 _EIG_TABLES = {
     (1, 1): {(1, 0): F(1)},
     (2, 1): {(1, 1): F(1)},
@@ -109,5 +110,5 @@ def wishart_max_eig_coeffs(m_s: int, m_r: int) -> EigCoeffTable:
 
 @functools.lru_cache(maxsize=None)
 def _table(m_s: int, m_r: int) -> EigCoeffTable:
-    # built once per shape; code that edits _EIG_TABLES must clear this cache
+    # built once per shape
     return EigCoeffTable(m_s=m_s, m_r=m_r, exact=_EIG_TABLES[(m_s, m_r)])

@@ -165,6 +165,14 @@ class TestValidate:
         assert code == 0
         assert "underpowered" in captured.out + captured.err
 
+    def test_corrupted_table_hook_fails_ks(self, scenario_file, capsys):
+        # the hook perturbs the CDF the 2x2x2 KS check compares against
+        code = main(["validate", scenario_file, "--trials", "20000", "--corrupt-eig-table"])
+        out = capsys.readouterr().out
+        assert code == 4
+        line = next(row for row in out.splitlines() if "ks_first_four_slot_2x2x2" in row)
+        assert line.startswith("FAIL") and "corrupted-table hook active" in line
+
     def test_env_seed_override(self, scenario_file, tmp_path, monkeypatch):
         # the env var must change MC output when the file carries no seed
         f = tmp_path / "noseed.scenario"

@@ -1,6 +1,6 @@
 """Monte-Carlo engine: draw statistics and determinism, the top Gram
 eigenpair, per-realization SNR identities, estimator contracts and sweep
-batching, the dual-reception factors, and the instantaneous weight search."""
+batching, and the dual-reception factors."""
 
 import math
 
@@ -10,11 +10,10 @@ import pytest
 from twrelay.errors import ConfigurationError
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
                               Protocol, WeightPair, coefficient_set,
-                              modulation_constants, protocol_modulation)
+                              modulation_constants)
 from twrelay.simulate import (ChannelStream, InstantaneousSnrs, SweepPoint, _top_eig,
-                              brute_force_beta, end_to_end_snrs, estimate_d_factors,
-                              link_snrs_block, semi_analytic_sum_ber,
-                              semi_analytic_sweep)
+                              end_to_end_snrs, estimate_d_factors, link_snrs_block,
+                              semi_analytic_sum_ber, semi_analytic_sweep)
 
 ANT = AntennaConfig(2, 1, 2)
 PW = PowerProfile.balanced(20.0)
@@ -267,46 +266,3 @@ class TestDFactors:
                 (d1.d_arb_3, d1.d_bra_3, d1.d_arb_4, d1.d_bra_4),
                 (d2.d_arb_3, d2.d_bra_3, d2.d_arb_4, d2.d_bra_4), se1, se2):
             assert abs(a - b) <= 3.0 * math.hypot(sa, sb)
-
-
-class TestBruteForceBeta:
-    def _snrs(self, g_ar, g_br, g_ra, g_rb):
-        return InstantaneousSnrs(np.float64(g_ar), np.float64(g_br),
-                                 np.float64(g_ra), np.float64(g_rb),
-                                 np.float64(g_ra), np.float64(g_rb))
-
-    def test_symmetric(self):
-        s = self._snrs(10.0, 10.0, 12.0, 12.0)
-        mod = protocol_modulation(Protocol.FIRST_THREE_SLOT)
-        w = brute_force_beta(s, Protocol.FIRST_THREE_SLOT, mod, grid_size=101)
-        assert w.beta ** 2 == pytest.approx(0.5, abs=0.5 / 100)
-
-    def test_stronger_a_side(self):
-        s = self._snrs(200.0, 10.0, 150.0, 12.0)
-        mod = protocol_modulation(Protocol.SECOND_FOUR_SLOT)
-        w = brute_force_beta(s, Protocol.SECOND_FOUR_SLOT, mod, grid_size=201)
-        assert w.beta ** 2 > 0.5
-
-    def test_refinement_stability(self):
-        s = self._snrs(30.0, 12.0, 25.0, 20.0)
-        p = Protocol.FIRST_THREE_SLOT
-        mod = protocol_modulation(p)
-
-        def objective(w):
-            den = w.alpha ** 2 * s.g_ar + w.beta ** 2 * s.g_br
-            g_arb = w.alpha ** 2 * s.g_ar * s.g_rb / (den + s.g_rb + 1.0)
-            g_bra = w.beta ** 2 * s.g_br * s.g_ra / (den + s.g_ra + 1.0)
-            q = lambda v: 0.5 * math.erfc(math.sqrt(v / 2.0))
-            return mod.a * (q(2 * mod.b * g_arb) + q(2 * mod.b * g_bra))
-
-        coarse = objective(brute_force_beta(s, p, mod, grid_size=101))
-        fine = objective(brute_force_beta(s, p, mod, grid_size=1001))
-        assert abs(coarse - fine) / fine < 1e-4
-
-    def test_contracts(self):
-        s = self._snrs(1.0, 1.0, 1.0, 1.0)
-        mod = protocol_modulation(Protocol.TWO_SLOT)
-        with pytest.raises(ConfigurationError):
-            brute_force_beta(s, Protocol.TWO_SLOT, mod)
-        with pytest.raises(ConfigurationError):
-            brute_force_beta(s, Protocol.FIRST_THREE_SLOT, mod, grid_size=2)
