@@ -13,9 +13,7 @@ from .simulate import (BerEstimate, ChannelStream, InstantaneousSnrs, SweepPoint
                        semi_analytic_sum_ber, semi_analytic_sweep)
 from .analysis import (bessel_moment, e2e_cdf, link_cdf, link_pdf,
                        sum_ber_closed_form, sum_ber_quadrature)
-from .highsnr import (GapRow, GapTable, HighSnrProfile, OriginDerivatives,
-                      beta_closed_form, beta_numeric, eta_pair, gap_table,
-                      high_snr_gap, high_snr_profile, high_snr_sum_ber,
-                      origin_derivatives)
+from .highsnr import (GapRow, GapTable, HighSnrProfile, beta_closed_form, beta_numeric,
+                      eta_pair, gap_table, high_snr_gap, high_snr_profile, high_snr_sum_ber)
 
 __version__ = "0.1.0"

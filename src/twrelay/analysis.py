@@ -29,7 +29,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, hyp2f1
+from scipy.special import hyp2f1
 
 from . import lowerbound
 from .errors import ConfigurationError, NumericalError, UnsupportedConfigError
@@ -38,18 +38,6 @@ from .specfun import MAX_TABLE_DIM, wishart_max_eig_coeffs
 
 _DIRECTIONS = ("arb", "bra")
 _log = logging.getLogger(__name__)
-
-
-def _direction_params(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
-                      pw: PowerProfile):
-    """Per-direction bundle: (source antennas, far-side antennas, source
-    rho, relay rho toward the destination, A, B, C).  The source side is the
-    one whose uplink CCDF enters the first-hop factor."""
-    if direction == "arb":
-        return ant.m_a, ant.m_b, pw.rho_ar, pw.rho_rb, coeffs.a_arb, coeffs.b_arb, coeffs.c_arb
-    if direction == "bra":
-        return ant.m_b, ant.m_a, pw.rho_br, pw.rho_ra, coeffs.a_bra, coeffs.b_bra, coeffs.c_bra
-    raise ConfigurationError(f"direction must be 'arb' or 'bra', got {direction!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +76,31 @@ def link_pdf(x: float, m_s: int, m_r: int, rho: float) -> float:
 # End-to-end lower-bound SNR CDF and the sum-BER integral
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
+def _link(m: int, n: int, rho: float) -> lowerbound.Link:
+    # reused: eta_pair rebuilds both directions at every trial weight of the
+    # optimizer, and four fresh Links cost about as much as its arithmetic
+    return lowerbound.Link(m, n, rho)
+
+
 def _direction(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
                pw: PowerProfile) -> lowerbound.Direction:
-    """One direction's lower-bound SNR for the integration engine."""
+    """One direction's lower-bound SNR A g_s g_f / (B g_s + C g_f): the
+    source link, whose gain enters the first hop, the far link from the
+    relay to the destination, and the direction's (A, B, C)."""
     ant.require_analytic()
-    m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
-    _check_link(m_src, ant.m_r, rho_src)
-    _check_link(m_far, ant.m_r, rho_rel)
-    return lowerbound.Direction(lowerbound.Link(m_src, ant.m_r, rho_src),
-                                lowerbound.Link(m_far, ant.m_r, rho_rel), a, b, c)
+    if ant.m_a > MAX_TABLE_DIM or ant.m_b > MAX_TABLE_DIM:
+        raise UnsupportedConfigError(
+            f"link laws cover dimensions up to {MAX_TABLE_DIM}, got {ant.m_a}x{ant.m_r}x{ant.m_b}")
+    if direction == "arb":
+        return lowerbound.Direction(_link(ant.m_a, ant.m_r, pw.rho_ar),
+                                    _link(ant.m_b, ant.m_r, pw.rho_rb),
+                                    coeffs.a_arb, coeffs.b_arb, coeffs.c_arb)
+    if direction == "bra":
+        return lowerbound.Direction(_link(ant.m_b, ant.m_r, pw.rho_br),
+                                    _link(ant.m_a, ant.m_r, pw.rho_ra),
+                                    coeffs.a_bra, coeffs.b_bra, coeffs.c_bra)
+    raise ConfigurationError(f"direction must be 'arb' or 'bra', got {direction!r}")
 
 
 def e2e_cdf(direction: str, x: float, coeffs: CoefficientSet, ant: AntennaConfig,
@@ -218,9 +222,9 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> float:
                - math.log(mod.bits_per_symbol))
     terms = [mod.a / mod.bits_per_symbol]
     for direction in _DIRECTIONS:
-        m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
-        for g in _moment_groups(m_src, m_far, ant.m_r):
-            x, y = c * g.n / rho_src, b * g.i / rho_rel
+        src, far, a, b, c = _direction(direction, coeffs, ant, pw)
+        for g in _moment_groups(src.m, far.m, ant.m_r):
+            x, y = c * g.n / src.rho, b * g.i / far.rho
             ln_x, ln_y = math.log(x), math.log(y)
             # the group's coefficient, scaled by its largest part
             ln_parts = [math.log(abs(r)) + 0.5 * e * ln_x + (g.s + 1 - 0.5 * e) * ln_y
@@ -236,7 +240,7 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> float:
 
 
 def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,
-                        mod: Modulation, method: str = "auto") -> float:
+                        mod: Modulation) -> float:
     """Lower-bound sum-BER assembled from one Gamma-function and Gauss
     hypergeometric moment per distinct (n, i, s, nu) group of summands.
 
@@ -246,12 +250,9 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
     non-negative terms (`lowerbound.sum_ber`: the determinant form of the
     per-link CDF, conditioned on the far link), refined until its error
     estimate is below 1e-13 relative, checked to lie in (0, ceiling] and
-    reported in one debug record on the "twrelay.analysis" logger.  "auto"
-    is the only method.
+    reported in one debug record on the "twrelay.analysis" logger.
     """
     ant.require_analytic()
-    if method != "auto":
-        raise ConfigurationError(f"unknown closed-form method {method!r}")
     value = _closed_form_f64(coeffs, ant, pw, mod)
     if not math.isfinite(value):
         raise NumericalError("closed-form assembly produced a non-finite value")
@@ -264,37 +265,16 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
 # High-SNR min-of-links distribution (approximation diagnostics)
 # ---------------------------------------------------------------------------
 
-def min_pair_cdf(direction: str, x: float, coeffs: CoefficientSet, ant: AntennaConfig,
-                 pw: PowerProfile) -> float:
-    """CDF of min(B g_src, C g_rel) assembled termwise from the two-link
-    product-rule density (the high-SNR surrogate for the lower-bound SNR
-    scaled by A / (B C))."""
-    ant.require_analytic()
-    if x <= 0.0:
-        return 0.0
-    m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
-    src = wishart_max_eig_coeffs(m_src, ant.m_r).entries
-    far = wishart_max_eig_coeffs(m_far, ant.m_r).entries
-    s_b = b * rho_src    # scale of B g_src
-    s_c = c * rho_rel    # scale of C g_rel
-    total = []
-    for (n, m), d_nm in src.items():
-        for (i, j), d_ij in far.items():
-            rate = n / s_b + i / s_c
-            # density-of-first times tail-of-second
-            for p in range(0, j + 1):
-                q = m + p
-                coef = (d_nm * d_ij * n ** (m + 1) * i ** p
-                        / (math.factorial(m) * math.factorial(p)
-                           * s_b ** (m + 1) * s_c ** p))
-                total.append(coef * math.factorial(q) / rate ** (q + 1)
-                             * gammainc(q + 1, rate * x))
-            # tail-of-first times density-of-second
-            for k in range(0, m + 1):
-                q = k + j
-                coef = (d_nm * d_ij * n ** k * i ** (j + 1)
-                        / (math.factorial(k) * math.factorial(j)
-                           * s_b ** k * s_c ** (j + 1)))
-                total.append(coef * math.factorial(q) / rate ** (q + 1)
-                             * gammainc(q + 1, rate * x))
-    return math.fsum(total)
+def min_pair_cdf(direction: str, x: float | np.ndarray, coeffs: CoefficientSet,
+                 ant: AntennaConfig, pw: PowerProfile) -> float | np.ndarray:
+    """CDF of min(B g_src, C g_far) at x (a float, or an array of
+    thresholds), the high-SNR surrogate for the lower-bound SNR scaled by
+    A / (B C).  The links are independent, so it is F_s + F_f (1 - F_s)
+    with the determinant-form link CDFs F_s of B g_src and F_f of C g_far:
+    non-negative terms only."""
+    src, far, _, b, c = _direction(direction, coeffs, ant, pw)
+    xs = np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), 0.0)
+    f_s = lowerbound.link_cdf_pdf(xs / (b * src.rho), src.m, src.n)[0]
+    f_f = lowerbound.link_cdf_pdf(xs / (c * far.rho), far.m, far.n)[0]
+    cdf = f_s + f_f * (1.0 - f_s)
+    return cdf if np.ndim(x) else float(cdf[0])

@@ -43,6 +43,13 @@ def _fmt(x) -> str:
     return f"{x:.10e}"
 
 
+def _grid(start: float, stop: float, step: float, flag: str) -> list:
+    """start, start + step, ... up to stop; empty when stop < start."""
+    if step <= 0:
+        raise ConfigurationError(f"{flag} must be positive")
+    return [start + i * step for i in range(int(math.floor((stop - start) / step + 1e-9)) + 1)]
+
+
 def _parse_protocols(arg, fallback) -> list:
     if arg:
         return [parse_protocol(tok) for tok in arg.split(",") if tok.strip()]
@@ -102,12 +109,10 @@ def cmd_sweep(args) -> int:
     on stderr so that a CSV on stdout stays clean.
     """
     sc = _scenario_from_args(args)
-    if args.rho_step <= 0:
-        raise ConfigurationError("--rho-step must be positive")
+    rho_grid = _grid(args.rho_start, args.rho_stop, args.rho_step, "--rho-step")
     protocols = _parse_protocols(args.protocols, sc.protocol)
     modes = ["mc", "closed", "asymptote"] if args.mode == "all" else [args.mode]
-    n_steps = int(math.floor((args.rho_stop - args.rho_start) / args.rho_step + 1e-9)) + 1
-    if n_steps < 1:
+    if not rho_grid:
         raise ConfigurationError("empty sweep range")
     ant = sc.antennas
 
@@ -120,8 +125,7 @@ def cmd_sweep(args) -> int:
     rows = []
     mc_points = []      # (rho_db, SweepPoint)
     n_above = 0
-    for step in range(n_steps):
-        rho_db = args.rho_start + step * args.rho_step
+    for rho_db in rho_grid:
         pw = power_profile(rho_db, sc.d0, sc.pl_exponent, sc.relay_rho_db)
         for p in protocols:
             w = sc.weights()
@@ -186,29 +190,18 @@ def cmd_beta(args) -> int:
     if not p.uses_weights:
         raise ConfigurationError(f"{p.value} has no relay weights")
     ant = sc.antennas
-    if args.sweep == "d0":
-        values = [args.start + i * args.step for i in
-                  range(int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1)]
-        header = "d0,beta_sq_closed_form,beta_sq_numeric"
-        rows = []
-        for d0 in values:
-            pw = power_profile(sc.rho_ar_db, d0, sc.pl_exponent, sc.relay_rho_db)
-            closed = beta_closed_form(p, pw).beta ** 2
-            numeric = beta_numeric(p, ant, pw).beta ** 2
-            rows.append(f"{d0:.6f},{_fmt(closed)},{_fmt(numeric)}")
-    elif args.sweep == "rho":
-        values = [args.start + i * args.step for i in
-                  range(int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1)]
-        header = "rho_ar_db,beta_sq_closed_form,beta_sq_numeric"
-        rows = []
-        for rho_db in values:
-            pw = power_profile(rho_db, sc.d0, sc.pl_exponent, sc.relay_rho_db)
-            closed = beta_closed_form(p, pw).beta ** 2
-            numeric = beta_numeric(p, ant, pw).beta ** 2
-            rows.append(f"{rho_db:.4f},{_fmt(closed)},{_fmt(numeric)}")
-    else:
+    if args.sweep not in ("d0", "rho"):
         raise ConfigurationError(f"--sweep must be d0 or rho, got {args.sweep!r}")
-    _write_csv(args.out, header, rows)
+    # the swept scenario field, which names the CSV column, and its format
+    column, fmt = ("d0", "{:.6f}") if args.sweep == "d0" else ("rho_ar_db", "{:.4f}")
+    rows = []
+    for v in _grid(args.start, args.stop, args.step, "--step"):
+        setattr(sc, column, v)
+        pw = sc.powers
+        closed = beta_closed_form(p, pw).beta ** 2
+        numeric = beta_numeric(p, ant, pw).beta ** 2
+        rows.append(f"{fmt.format(v)},{_fmt(closed)},{_fmt(numeric)}")
+    _write_csv(args.out, f"{column},beta_sq_closed_form,beta_sq_numeric", rows)
     return 0
 
 

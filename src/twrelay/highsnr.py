@@ -1,29 +1,24 @@
 """High-SNR engine: diversity orders, density derivatives at the origin,
 array gains, the power-law sum-BER asymptote, relay-weight optimization
-against that asymptote, and the rate-normalized inter-protocol gap."""
+against that asymptote, and the rate-normalized inter-protocol gap.
+
+The derivatives come from the exact leading coefficient of each link's
+largest-eigenvalue CDF in its determinant form
+(`lowerbound.leading_coefficient`); no eigenvalue expansion table is read."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from .analysis import _DIRECTIONS, _direction
 from .errors import ConfigurationError
+from .lowerbound import leading_coefficient
 from .scenario import (AntennaConfig, CoefficientSet, DFactors, Modulation,
                        PowerProfile, Protocol, WeightPair, coefficient_set,
                        protocol_modulation)
-from .specfun import wishart_max_eig_coeffs
-
-
-@dataclass(frozen=True)
-class OriginDerivatives:
-    """First nonzero derivatives at the origin of the normalized per-link
-    SNR densities, one per link."""
-
-    f_ar: float
-    f_rb: float
-    f_br: float
-    f_ra: float
 
 
 @dataclass(frozen=True)
@@ -55,51 +50,38 @@ class HighSnrProfile:
         return self.eta_arb + self.eta_bra
 
 
-def _table_weight(m_s: int, m_r: int, t: int) -> float:
-    # alternating binomial-weighted sum over the eigenvalue expansion table
-    total = 0.0
-    for (n, m), d in wishart_max_eig_coeffs(m_s, m_r).entries.items():
-        if m > t:
-            raise ConfigurationError(
-                f"table degree {m} exceeds derivative order {t} for dims ({m_s},{m_r})")
-        total += d * math.comb(t, m) * (-1.0) ** (t + m) * n ** (t + 1)
-    return total
-
-
-def origin_derivatives(coeffs: CoefficientSet, ant: AntennaConfig,
-                       pw: PowerProfile) -> OriginDerivatives:
-    """Derivative values of the four normalized link densities at zero, in
-    the order (A-to-R, R-to-B, B-to-R, R-to-A).  All are positive."""
-    ant.require_analytic()
-    t_a = ant.m_a * ant.m_r - 1
-    t_b = ant.m_b * ant.m_r - 1
-    s_a = _table_weight(ant.m_a, ant.m_r, t_a)
-    s_b = _table_weight(ant.m_b, ant.m_r, t_b)
-    f_ar = s_a * (coeffs.c_arb / coeffs.a_arb) ** (t_a + 1)
-    f_rb = s_b * (coeffs.b_arb * pw.rho_ar / (coeffs.a_arb * pw.rho_rb)) ** (t_b + 1)
-    f_br = s_b * (coeffs.c_bra * pw.rho_ar / (coeffs.a_bra * pw.rho_br)) ** (t_b + 1)
-    f_ra = s_a * (coeffs.b_bra * pw.rho_ar / (coeffs.a_bra * pw.rho_ra)) ** (t_a + 1)
-    out = OriginDerivatives(f_ar=f_ar, f_rb=f_rb, f_br=f_br, f_ra=f_ra)
-    for name in ("f_ar", "f_rb", "f_br", "f_ra"):
-        if not getattr(out, name) > 0.0:
-            raise ConfigurationError(f"origin derivative {name} must be positive")
-    return out
+@functools.cache
+def _link_weight(m: int, n: int) -> float:
+    # m n c: the (mn - 1)-th derivative at 0 of the density of an m x n
+    # link's largest eigenvalue, over (mn - 1)!
+    return float(m * n * leading_coefficient(m, n))
 
 
 def eta_pair(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile) -> tuple[float, float]:
-    """Direction weights of the asymptote: the end-to-end origin derivative
-    (the slower-decaying link dominates; both contribute when the source
-    antenna counts tie) normalized by Gamma of the diversity order."""
-    f = origin_derivatives(coeffs, ant, pw)
-    if ant.m_a > ant.m_b:
-        num_arb, num_bra = f.f_rb, f.f_br
-    elif ant.m_a < ant.m_b:
-        num_arb, num_bra = f.f_ar, f.f_ra
-    else:
-        num_arb, num_bra = f.f_ar + f.f_rb, f.f_br + f.f_ra
-    d = ant.m_r * min(ant.m_a, ant.m_b)
-    norm = math.factorial(d - 1)
-    return num_arb / norm, num_bra / norm
+    """Direction weights of the asymptote: the end-to-end density's first
+    nonzero derivative at the origin, normalized by Gamma of the diversity
+    order d = m_r min(m_a, m_b).  Only the links with m n = d contribute
+    (the slower-decaying link dominates; both do when the source antenna
+    counts tie), each d c (rho_ar k / (A rho_link))^d, where F(u) = c u^d
+    + ... is the link CDF (`lowerbound.leading_coefficient`), k = C for the
+    source link and B for the far link."""
+    m = min(ant.m_a, ant.m_b)
+    d = m * ant.m_r
+    weight = _link_weight(m, ant.m_r)   # every link with m n = d is m x m_r
+    rho_ar = pw.rho_ar
+    out = []
+    for direction in _DIRECTIONS:
+        src, far, a, b, c = _direction(direction, coeffs, ant, pw)
+        total = 0.0
+        if src.m * src.n == d:
+            total += (c * rho_ar / (a * src.rho)) ** d
+        if far.m * far.n == d:
+            total += (b * rho_ar / (a * far.rho)) ** d
+        if not total > 0.0:
+            raise ConfigurationError(
+                f"direction weight of {direction} must be positive, got {total!r}")
+        out.append(weight * total)
+    return out[0], out[1]
 
 
 def high_snr_profile(p: Protocol, ant: AntennaConfig, pw: PowerProfile,

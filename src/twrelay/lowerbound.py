@@ -9,6 +9,11 @@ IEEE JSAC 21(3), 2003; Chiani, Win & Zanella, IEEE Trans. IT 49(10), 2003)
     F(u) = det[gamma(a_ij, u)] / K,  a_ij = t - s + i + j + 1,
     K = prod_{k=1..s} (t - k)! (s - k)!.
 
+Since gamma(a, u) = u^a / a + O(u^(a+1)), F(u) = c u^(st) + O(u^(st+1)) with
+c = det[1 / a_ij] / K, a Cauchy determinant: the exact rational
+c = prod_{i<j<s} (j - i)^2 / (K prod_{i,j<s} a_ij) sets the link's weight in
+the high-SNR asymptote.
+
 The matrix is a Gram matrix (of 1, y, ..., y^(s-1) under the weight
 y^(t-s) e^(-u y) on [0, 1], scaled by u^a_ij), so it is positive definite:
 its determinant is the product of the squared Cholesky pivots, and the
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -151,13 +157,30 @@ def _det_and_quad(entry: dict, q: list):
     return det, quad
 
 
+@functools.cache
+def _norm(s: int, t: int) -> int:
+    # K of the determinant form for s = min, t = max
+    return math.prod(math.factorial(t - k) * math.factorial(s - k) for k in range(1, s + 1))
+
+
+@functools.cache
+def leading_coefficient(m: int, n: int) -> Fraction:
+    """The exact c in F(u) = c u^(st) + O(u^(st+1)) of the largest
+    eigenvalue of an m x n complex Wishart matrix, s = min(m, n),
+    t = max(m, n): the Cauchy determinant det[1 / a_ij] over K."""
+    s, t = min(m, n), max(m, n)
+    vandermonde = math.prod((j - i) ** 2 for j in range(s) for i in range(j))
+    return Fraction(vandermonde,
+                    _norm(s, t) * math.prod(t - s + i + j + 1 for i in range(s) for j in range(s)))
+
+
 def link_cdf_pdf(u, m: int, n: int):
     """(F, f) of the largest eigenvalue of an m x n complex Wishart matrix
     with unit-variance entries at u >= 0 (array); f is the density in u."""
     s, t = min(m, n), max(m, n)
     c = t - s + 1
     u = np.asarray(u, dtype=float)
-    k_norm = math.prod(math.factorial(t - k) * math.factorial(s - k) for k in range(1, s + 1))
+    k_norm = _norm(s, t)
     cdf, pdf = np.empty_like(u), np.empty_like(u)
     # Jacobi's formula: d/du gamma(a_ij, u) = e^(-u) u^(c-1) u^i u^j is rank
     # one, so f = F e^(-u) u^(c-1) w' G^-1 w with w_i = u^i, G = [gamma(a_ij, u)]

@@ -1,15 +1,14 @@
 """Expansion-coefficient tables for the largest eigenvalue of a complex
-Wishart matrix, the ingredient of the paper's closed form, the high-SNR
-origin derivatives and the min-of-links law that no library provides.  The
-Gamma and Gauss 2F1 functions come from math and scipy.special; the
-distributions themselves are evaluated from the determinant form in
-`lowerbound`.
+Wishart matrix, the ingredient of the paper's closed-form sum-BER
+(`analysis._moment_groups`) that no library provides.  The Gamma and Gauss
+2F1 functions come from math and scipy.special; the distributions and the
+high-SNR weights come from the determinant form in `lowerbound`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as F
 from types import MappingProxyType
 from typing import Mapping
@@ -29,13 +28,12 @@ class EigCoeffTable:
     with n in 1..m_r and m in [m_s - m_r, (m_s + m_r) n - 2 n^2].
 
     `exact` holds the coefficients as Fractions, which the closed form's
-    moment grouping sums exactly; `entries` holds the same values as floats.
+    moment grouping sums exactly.
     """
 
     m_s: int
     m_r: int
     exact: Mapping
-    entries: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for (n, m) in self.exact:
@@ -47,8 +45,6 @@ class EigCoeffTable:
                 raise ConfigurationError(
                     f"eigenvalue table index m={m} outside [{lo}, {hi}] for n={n}")
         object.__setattr__(self, "exact", MappingProxyType(dict(self.exact)))
-        object.__setattr__(self, "entries",
-                           MappingProxyType({key: float(d) for key, d in self.exact.items()}))
 
 
 # Derived symbolically from the determinant form of the largest-eigenvalue

@@ -16,7 +16,7 @@ from scipy import integrate
 from scipy.special import kv
 
 from . import lowerbound
-from .analysis import (_closed_form_f64, _direction, _direction_params, bessel_moment, e2e_cdf,
+from .analysis import (_closed_form_f64, _direction, bessel_moment, e2e_cdf,
                        link_cdf, link_pdf, min_pair_cdf, sum_ber_closed_form,
                        sum_ber_quadrature)
 from .errors import ConfigurationError
@@ -106,7 +106,8 @@ def single_antenna_e2e_cdf(direction: str, x: float, coeffs: CoefficientSet,
         raise ConfigurationError("the single-antenna CDF requires m_r == 1")
     if x <= 0.0:
         return 0.0
-    m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
+    src, far, a, b, c = _direction(direction, coeffs, ant, pw)
+    m_src, m_far, rho_src, rho_rel = src.m, far.m, src.rho, far.rho
     rate = (c / rho_src + b / rho_rel) / a
     bessel_arg = (2.0 * x / a) * math.sqrt(b * c / (rho_src * rho_rel))
     tail_terms = []
@@ -134,8 +135,8 @@ def check_mr1_reduction(pw: PowerProfile) -> CheckResult:
                 f1 = single_antenna_e2e_cdf(direction, float(x), coeffs, ant, pw)
                 f2 = e2e_cdf(direction, float(x), coeffs, ant, pw)
                 worst = max(worst, abs(f1 - f2))
-        # the general-table origin-derivative weights must collapse to the
-        # direct single-antenna power laws
+        # the determinant-form origin weights must collapse to the direct
+        # single-antenna power laws
         eta = eta_pair(coeffs, ant, pw)
         direct_arb = ((coeffs.c_arb / coeffs.a_arb) ** 2
                       + (coeffs.b_arb * pw.rho_ar / (coeffs.a_arb * pw.rho_rb)) ** 2)
@@ -271,8 +272,7 @@ def check_min_approx_ks(trials: int, seed: int) -> CheckResult:
         vals[pos:pos + take] = np.minimum(coeffs.b_arb * s.g_ar, coeffs.c_arb * s.g_rb)
         pos += take
         b += 1
-    ks = _ks_statistic(vals, lambda xs: np.array([min_pair_cdf("arb", float(x), coeffs, ant, pw)
-                                                  for x in xs]))
+    ks = _ks_statistic(vals, lambda xs: min_pair_cdf("arb", xs, coeffs, ant, pw))
     return CheckResult("min_of_links_ks", ks <= 0.01, ks, 0.01)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import mpmath as mp
 
-from twrelay.analysis import _DIRECTIONS, _direction_params, _moment_groups
+from twrelay.analysis import _DIRECTIONS, _direction, _moment_groups
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile, Protocol,
                               coefficient_set, parse_protocol, protocol_modulation)
 
@@ -41,11 +41,11 @@ def closed_form_mp(coeffs, ant, pw, mod, dps: int) -> float:
 
         total = mp.mpf(mod.a) / mp.mpf(mod.bits_per_symbol)
         for direction in _DIRECTIONS:
-            m_src, m_far, rho_src, rho_rel, a, b, c = _direction_params(direction, coeffs, ant, pw)
+            src, far, a, b, c = _direction(direction, coeffs, ant, pw)
             a = mp.mpf(a)
-            for g in _moment_groups(m_src, m_far, ant.m_r):
-                x = mp.mpf(c) * g.n / mp.mpf(rho_src)
-                y = mp.mpf(b) * g.i / mp.mpf(rho_rel)
+            for g in _moment_groups(src.m, far.m, ant.m_r):
+                x = mp.mpf(c) * g.n / mp.mpf(src.rho)
+                y = mp.mpf(b) * g.i / mp.mpf(far.rho)
                 sx, sy = mp.sqrt(x), mp.sqrt(y)
                 coef = mp.fsum(mp.mpf(r.numerator) / r.denominator
                                * sx ** e * sy ** (2 * g.s + 2 - e) for e, r in g.powers)

@@ -19,9 +19,9 @@ from mp_oracle import (ORACLE_DPS, ORACLE_FILE, closed_form_mp, link_cdf_pdf_mp,
 from twrelay.analysis import (_closed_form_f64, bessel_moment, e2e_cdf, link_cdf, link_pdf,
                               min_pair_cdf, sum_ber_closed_form, sum_ber_quadrature)
 from twrelay.errors import ConfigurationError, NumericalError
-from twrelay.highsnr import high_snr_profile, high_snr_sum_ber
+from twrelay.highsnr import eta_pair, gap_table, high_snr_profile, high_snr_sum_ber
 from twrelay.lowerbound import Estimate
-from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
+from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile,
                               Protocol, coefficient_set, modulation_constants,
                               protocol_modulation)
 from twrelay.simulate import semi_analytic_sum_ber
@@ -196,10 +196,6 @@ class TestSumBerClosedForm:
             mod = protocol_modulation(Protocol.FIRST_FOUR_SLOT)
             f64 = _closed_form_f64(coeffs, ant, pw, mod)
             assert f64 == pytest.approx(closed_form_mp(coeffs, ant, pw, mod, dps=40), rel=1e-9)
-        # "auto" is the only method
-        for method in ("float64", "mp"):
-            with pytest.raises(ConfigurationError):
-                sum_ber_closed_form(coeffs, ant, pw, mod, method=method)
 
     def test_lower_bounds_simulation(self):
         p = Protocol.SECOND_THREE_SLOT
@@ -316,6 +312,36 @@ class TestSumBerClosedForm:
         assert 0.0 < sum_ber_quadrature(coeffs, ant, pw, mod) < 1e-20
         assert 0.0 < e2e_cdf("arb", pw.rho_ar, coeffs, ant, pw) < 1.0
 
+    def test_tables_serve_only_the_closed_form(self, monkeypatch):
+        # the Wishart expansion tables feed the paper's closed form alone;
+        # the link laws, the integrals and the high-SNR weights come from
+        # the determinant form
+        ant = AntennaConfig(2, 2, 2)
+        pw = PowerProfile.balanced(20.0)
+        dfactors = DFactors(1.6, 1.6, 1.7, 1.7)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+
+        def values():
+            return (eta_pair(coeffs, ant, pw),
+                    gap_table(ant, pw, dfactors=dfactors),
+                    min_pair_cdf("arb", 0.3 * pw.rho_ar, coeffs, ant, pw),
+                    e2e_cdf("arb", 0.3 * pw.rho_ar, coeffs, ant, pw),
+                    sum_ber_quadrature(coeffs, ant, pw, mod))
+
+        before = values()
+
+        def no_tables(*args):
+            raise AssertionError("eigenvalue table read")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("twrelay") and hasattr(module, "wishart_max_eig_coeffs"):
+                monkeypatch.setattr(module, "wishart_max_eig_coeffs", no_tables)
+        assert values() == before
+        twrelay.analysis._moment_groups.cache_clear()
+        with pytest.raises(AssertionError, match="eigenvalue table read"):
+            sum_ber_closed_form(coeffs, ant, pw, mod)
+
     def test_exact_tables_rescue_4x3x4(self):
         # the unbalanced array at 30 dB, 2e-28 of the ceiling, sits just below
         # its high-SNR asymptote
@@ -346,3 +372,16 @@ class TestDistributionAgreement:
         vals = [min_pair_cdf("arb", float(x), coeffs, ANT, pw) for x in grid]
         assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(1.0, abs=1e-8)
+        assert np.array_equal(min_pair_cdf("arb", grid, coeffs, ANT, pw), vals)
+        # non-negative and the law of the minimum of the two independent
+        # links, 1 - (1 - F_s)(1 - F_f), with 60-digit link CDFs; the
+        # termwise table sum gave -2e-17 at 3x3x3 where the value is 1e-31
+        for dims in ((2, 1, 2), (2, 2, 2), (3, 3, 3), (4, 3, 4), (4, 4, 4)):
+            ant = AntennaConfig(*dims)
+            coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+            for x in np.geomspace(1e-3 * pw.rho_ar, 30 * pw.rho_ar, 13):
+                got = min_pair_cdf("arb", float(x), coeffs, ant, pw)
+                f_s = link_cdf_pdf_mp(x / (coeffs.b_arb * pw.rho_ar), ant.m_a, ant.m_r)[0]
+                f_f = link_cdf_pdf_mp(x / (coeffs.c_arb * pw.rho_rb), ant.m_b, ant.m_r)[0]
+                assert got >= 0.0
+                assert got == pytest.approx(f_s + f_f * (1.0 - f_s), rel=1e-12), (dims, x)

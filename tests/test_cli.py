@@ -142,6 +142,17 @@ class TestBeta:
         for closed, numeric in table.values():
             assert abs(closed - numeric) <= 1e-4
 
+    def test_rho_sweep_header_and_rows(self, tmp_path):
+        out = tmp_path / "beta.csv"
+        code = main(["beta", "--m-a", "1", "--m-r", "1", "--m-b", "1", "--d0", "0.3",
+                     "--protocol", "second_four_slot", "--sweep", "rho", "--start", "10",
+                     "--stop", "30", "--step", "5", "--out", str(out)])
+        assert code == 0
+        lines = _read(out).splitlines()
+        assert lines[0] == "rho_ar_db,beta_sq_closed_form,beta_sq_numeric"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "10.0000", "15.0000", "20.0000", "25.0000", "30.0000"]
+
 
 class TestKappa:
     def test_factors_vs_relay_antennas(self, tmp_path):

@@ -2,37 +2,48 @@
 asymptote, weight optimization, and the rate-normalized gap."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from twrelay.errors import ConfigurationError
 from twrelay.highsnr import (beta_closed_form, beta_numeric, eta_pair, gap_table,
-                             high_snr_gap, high_snr_profile, high_snr_sum_ber,
-                             origin_derivatives)
+                             high_snr_gap, high_snr_profile, high_snr_sum_ber)
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
                               Protocol, WeightPair, coefficient_set,
                               power_profile, protocol_modulation)
+from twrelay.specfun import wishart_max_eig_coeffs
 
 UNBALANCED = power_profile(40.0, 0.3, 3.0, relay_rho_db=40.0)
 
 
 class TestOriginDerivatives:
+    # the direction weight is the end-to-end origin derivative over (d - 1)!;
+    # where a single link has the diversity order d = m n, it is that link's
+    # derivative alone
+
     def test_two_slot_balanced_2x1x2(self):
-        ant = AntennaConfig(2, 1, 2)
+        # the links of 2x1x2, each alone: A-R in 2x1x3, R-B in 3x1x2
         pw = PowerProfile.balanced(30.0)
-        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
-        f = origin_derivatives(coeffs, ant, pw)
-        assert f.f_ar == pytest.approx(4.0, rel=1e-12)   # (C/A)^2 with C = 2
-        assert f.f_rb == pytest.approx(1.0, rel=1e-12)
+        ant = AntennaConfig(2, 1, 3)
+        eta = eta_pair(coefficient_set(Protocol.TWO_SLOT, ant, pw), ant, pw)
+        assert eta[0] == pytest.approx(4.0, rel=1e-12)   # (C/A)^2 with C = 2
+        ant = AntennaConfig(3, 1, 2)
+        eta = eta_pair(coefficient_set(Protocol.TWO_SLOT, ant, pw), ant, pw)
+        assert eta[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_general_reduces_to_direct_power(self):
-        ant = AntennaConfig(3, 1, 2)
         pw = power_profile(25.0, 0.4, 3.0)
+        ant = AntennaConfig(3, 1, 4)       # the 3x1 A-R link alone, d = 3
         coeffs = coefficient_set(Protocol.SECOND_THREE_SLOT, ant, pw)
-        f = origin_derivatives(coeffs, ant, pw)
-        assert f.f_ar == pytest.approx((coeffs.c_arb / coeffs.a_arb) ** 3, rel=1e-12)
-        assert f.f_br == pytest.approx(
+        eta = eta_pair(coeffs, ant, pw)
+        assert eta[0] * math.factorial(2) == pytest.approx(
+            (coeffs.c_arb / coeffs.a_arb) ** 3, rel=1e-12)
+        ant = AntennaConfig(3, 1, 2)       # the 2x1 B-R link alone, d = 2
+        coeffs = coefficient_set(Protocol.SECOND_THREE_SLOT, ant, pw)
+        eta = eta_pair(coeffs, ant, pw)
+        assert eta[1] == pytest.approx(
             (coeffs.c_bra * pw.rho_ar / (coeffs.a_bra * pw.rho_br)) ** 2, rel=1e-12)
 
     def test_all_positive(self):
@@ -43,8 +54,7 @@ class TestOriginDerivatives:
                 from twrelay.simulate import estimate_d_factors
                 d = estimate_d_factors(ant, pw, trials=20_000, seed=1) if ant.m_r > 1 else None
                 coeffs = coefficient_set(p, ant, pw, w, d)
-                f = origin_derivatives(coeffs, ant, pw)
-                assert min(f.f_ar, f.f_rb, f.f_br, f.f_ra) > 0.0
+                assert min(eta_pair(coeffs, ant, pw)) > 0.0
 
 
 class TestEtaPair:
@@ -64,12 +74,41 @@ class TestEtaPair:
 
     def test_asymmetric_uses_slower_link(self):
         pw = PowerProfile.balanced(30.0)
-        coeffs = coefficient_set(Protocol.TWO_SLOT, AntennaConfig(1, 1, 3), pw)
-        f = origin_derivatives(coeffs, AntennaConfig(1, 1, 3), pw)
-        eta = eta_pair(coeffs, AntennaConfig(1, 1, 3), pw)
+        ant = AntennaConfig(1, 1, 3)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        eta = eta_pair(coeffs, ant, pw)
         # with fewer antennas at A, only the A-side links limit diversity
-        assert eta[0] == pytest.approx(f.f_ar, rel=1e-12)
-        assert eta[1] == pytest.approx(f.f_ra, rel=1e-12)
+        assert eta[0] == pytest.approx(coeffs.c_arb / coeffs.a_arb, rel=1e-12)
+        assert eta[1] == pytest.approx(
+            coeffs.b_bra * pw.rho_ar / (coeffs.a_bra * pw.rho_ra), rel=1e-12)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 2), (3, 1, 3), (4, 1, 4), (2, 2, 2),
+                                      (3, 2, 3), (4, 2, 4), (3, 3, 3), (4, 3, 4), (4, 4, 4)])
+    def test_exact_for_every_table_shape(self, dims):
+        # against the exact rational of the same float inputs, with the
+        # link's (d-1)-th density derivative at 0 summed from the exact
+        # eigenvalue tables (summed in floats it was 2e-10 off at 4x4x4)
+        ant = AntennaConfig(*dims)
+        m, m_r = dims[0], dims[1]
+        d = m * m_r
+        table = wishart_max_eig_coeffs(m, m_r).exact
+        deriv = sum(c * math.comb(d - 1, k) * (-1) ** (d - 1 + k) * n ** d
+                    for (n, k), c in table.items())
+        pw = power_profile(40.0, 0.3, 3.0)
+        for p, w in ((Protocol.TWO_SLOT, None),
+                     (Protocol.FIRST_THREE_SLOT, WeightPair.from_beta_squared(0.37))):
+            coeffs = coefficient_set(p, ant, pw, w)
+            rho_ar = Fraction(pw.rho_ar)
+            exact = []
+            for a, b, c, rho_src, rho_far in (
+                    (coeffs.a_arb, coeffs.b_arb, coeffs.c_arb, pw.rho_ar, pw.rho_rb),
+                    (coeffs.a_bra, coeffs.b_bra, coeffs.c_bra, pw.rho_br, pw.rho_ra)):
+                ratios = (Fraction(c) * rho_ar / (Fraction(a) * Fraction(rho_src)),
+                          Fraction(b) * rho_ar / (Fraction(a) * Fraction(rho_far)))
+                exact.append(deriv * sum(r ** d for r in ratios) / math.factorial(d - 1))
+            eta = eta_pair(coeffs, ant, pw)
+            assert eta == (pytest.approx(float(exact[0]), rel=1e-14),
+                           pytest.approx(float(exact[1]), rel=1e-14)), p
 
 
 class TestAsymptote:

@@ -13,6 +13,7 @@ import pytest
 from scipy.special import hyp2f1, kv
 
 from twrelay.errors import ConfigurationError, UnsupportedConfigError
+from twrelay.lowerbound import leading_coefficient
 from twrelay.specfun import MAX_TABLE_DIM, wishart_max_eig_coeffs
 
 ALL_TABLE_DIMS = [(m_s, m_r) for m_s in range(1, MAX_TABLE_DIM + 1) for m_r in range(1, m_s + 1)]
@@ -107,7 +108,8 @@ class TestGauss2F1:
 
 def _table_cdf(table, x, rho=1.0):
     tail = 0.0
-    for (n, m), d in table.entries.items():
+    for (n, m), d in table.exact.items():
+        d = float(d)
         nu = n * x / rho
         s, t = 1.0, 1.0
         for k in range(1, m + 1):
@@ -119,12 +121,12 @@ def _table_cdf(table, x, rho=1.0):
 
 class TestEigCoeffTables:
     def test_single_relay_antenna_entries(self):
-        assert wishart_max_eig_coeffs(3, 1).entries == {(1, 2): 1.0}
-        assert wishart_max_eig_coeffs(1, 1).entries == {(1, 0): 1.0}
+        assert wishart_max_eig_coeffs(3, 1).exact == {(1, 2): 1}
+        assert wishart_max_eig_coeffs(1, 1).exact == {(1, 0): 1}
 
     def test_two_by_two_entries(self):
-        expected = {(1, 0): 2.0, (1, 1): -2.0, (1, 2): 2.0, (2, 0): -1.0}
-        assert wishart_max_eig_coeffs(2, 2).entries == expected
+        expected = {(1, 0): 2, (1, 1): -2, (1, 2): 2, (2, 0): -1}
+        assert wishart_max_eig_coeffs(2, 2).exact == expected
 
     def test_erlang_reduction(self):
         # with one relay antenna the assembled CDF must be the Erlang CDF
@@ -137,7 +139,7 @@ class TestEigCoeffTables:
         for m_s in range(1, 5):
             for m_r in range(1, m_s + 1):
                 table = wishart_max_eig_coeffs(m_s, m_r)
-                for (n, m) in table.entries:
+                for (n, m) in table.exact:
                     assert 1 <= n <= m_r
                     assert m_s - m_r <= m <= (m_s + m_r) * n - 2 * n * n
 
@@ -173,13 +175,6 @@ class TestEigCoeffTables:
         worst = max(abs(_table_cdf(table, float(x)) - q) for x, q in zip(xs, qs))
         assert worst <= tol
 
-    def test_floats_mirror_exact_entries(self):
-        for dims in ALL_TABLE_DIMS:
-            table = wishart_max_eig_coeffs(*dims)
-            assert all(isinstance(d, Fraction) for d in table.exact.values())
-            assert all(type(d) is float for d in table.entries.values())
-            assert table.entries == {key: float(d) for key, d in table.exact.items()}
-
     @pytest.mark.parametrize("dims", ALL_TABLE_DIMS)
     def test_exact_origin_conditions(self, dims):
         # in exact arithmetic the CCDF is 1 at the origin, and the CDF's
@@ -187,6 +182,7 @@ class TestEigCoeffTables:
         # closed form's cancellation at high SNR relies on both
         m_s, m_r = dims
         exact = wishart_max_eig_coeffs(m_s, m_r).exact
+        assert all(isinstance(d, Fraction) for d in exact.values())
         assert sum(exact.values()) == 1
 
         def ccdf_taylor(t):
@@ -199,6 +195,8 @@ class TestEigCoeffTables:
         for t in range(1, order):
             assert ccdf_taylor(t) == 0, t
         assert -ccdf_taylor(order) > 0
+        # the determinant form's exact leading coefficient is the same number
+        assert leading_coefficient(m_s, m_r) == -ccdf_taylor(order)
 
     def test_dimension_contract(self):
         with pytest.raises(ConfigurationError):
