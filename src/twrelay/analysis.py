@@ -37,6 +37,9 @@ from .scenario import AntennaConfig, CoefficientSet, Modulation, PowerProfile
 from .specfun import MAX_TABLE_DIM, wishart_max_eig_coeffs
 
 _DIRECTIONS = ("arb", "bra")
+# share of the zero-SNR ceiling a/log2 M at or below which the closed form
+# has lost too many digits and sum_ber_closed_form takes the integral
+FALLBACK_SHARE = 1e-5
 _log = logging.getLogger(__name__)
 
 
@@ -103,14 +106,14 @@ def _direction(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
     raise ConfigurationError(f"direction must be 'arb' or 'bra', got {direction!r}")
 
 
-def e2e_cdf(direction: str, x: float, coeffs: CoefficientSet, ant: AntennaConfig,
-            pw: PowerProfile) -> float:
-    """CDF of the lower-bound end-to-end SNR in one direction at x, refined
-    to an estimated relative error below 1e-13 (NumericalError otherwise)."""
+def e2e_cdf(direction: str, x: float | np.ndarray, coeffs: CoefficientSet,
+            ant: AntennaConfig, pw: PowerProfile) -> float | np.ndarray:
+    """CDF of the lower-bound end-to-end SNR in one direction at x (a float,
+    or an array of thresholds), refined to an estimated relative error
+    below 1e-13 (NumericalError otherwise)."""
     d = _direction(direction, coeffs, ant, pw)
-    if x <= 0.0:
-        return 0.0
-    return float(lowerbound.e2e_cdf(np.array([x]), *d)[0][0])
+    cdf = lowerbound.e2e_cdf(np.atleast_1d(np.asarray(x, dtype=float)), *d)[0]
+    return cdf if np.ndim(x) else float(cdf[0])
 
 
 def _sum_ber_integral(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,
@@ -245,19 +248,20 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
     hypergeometric moment per distinct (n, i, s, nu) group of summands.
 
     The double-precision assembly subtracts terms that sum to about the
-    zero-SNR ceiling a/log2 M, so a result below 1e-5 of the ceiling has
-    lost too many digits; there the value comes from the integral of
-    non-negative terms (`lowerbound.sum_ber`: the determinant form of the
-    per-link CDF, conditioned on the far link), refined until its error
-    estimate is below 1e-13 relative, checked to lie in (0, ceiling] and
+    zero-SNR ceiling a/log2 M, so a result at or below FALLBACK_SHARE (1e-5)
+    of the ceiling has lost too many digits; there the value comes from the
+    integral of non-negative terms (`lowerbound.sum_ber`: the determinant
+    form of the per-link CDF, conditioned on the far link), refined until its
+    error estimate is below 1e-13 relative, checked to lie in (0, ceiling] and
     reported in one debug record on the "twrelay.analysis" logger.
     """
     ant.require_analytic()
     value = _closed_form_f64(coeffs, ant, pw, mod)
     if not math.isfinite(value):
         raise NumericalError("closed-form assembly produced a non-finite value")
-    if value <= mod.a / mod.bits_per_symbol * 1e-5:
-        return _sum_ber_integral(coeffs, ant, pw, mod, "closed form below 1e-5 of the ceiling")
+    if value <= mod.a / mod.bits_per_symbol * FALLBACK_SHARE:
+        return _sum_ber_integral(coeffs, ant, pw, mod,
+                                 f"closed form at or below {FALLBACK_SHARE:g} of the ceiling")
     return value
 
 

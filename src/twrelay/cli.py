@@ -18,9 +18,8 @@ import sys
 
 from .errors import ConfigurationError, NumericalError
 from .highsnr import beta_closed_form, beta_numeric, gap_table, high_snr_profile, high_snr_sum_ber
-from .scenario import (AntennaConfig, PowerProfile, Protocol, Scenario,
-                       coefficient_set, load_scenario, parse_protocol,
-                       power_profile, protocol_modulation)
+from .scenario import (AntennaConfig, Protocol, Scenario, coefficient_set, load_scenario,
+                       parse_protocol, power_profile, protocol_modulation)
 from .simulate import SweepPoint, estimate_d_factors, semi_analytic_sweep
 from .analysis import sum_ber_closed_form
 from .validate import run_validation
@@ -152,7 +151,7 @@ def cmd_sweep(args) -> int:
     if mc_points:
         # one pass over the channel draws serves every mc row
         ests = semi_analytic_sweep([pt for _, pt in mc_points], ant, trials=sc.trials,
-                                   seed=sc.seed, snr_form="exact", dfactors=dfactors)
+                                   seed=sc.seed, snr_form="exact")
         rows.extend((rho_db, pt.protocol.value, "mc", est.mean, est.std_error)
                     for (rho_db, pt), est in zip(mc_points, ests))
     if n_above:

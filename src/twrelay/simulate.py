@@ -5,8 +5,12 @@ the dual-reception mean-ratio factors.
 
 Trials are drawn from counter-partitioned Philox substreams in fixed-size
 blocks, so results depend only on (seed, trial index) and are identical no
-matter how trials are batched or distributed.  A sweep draws and decomposes
-each block once and evaluates every point of the sweep on it.
+matter how trials are batched or distributed.  One generator,
+`_gain_blocks`, draws each block, trims it to the trial count and
+decomposes it; every sampler iterates it.  A sweep evaluates every point
+of the sweep on each block's gains.  The protocol picks the SNR form: the
+exact two-branch sums for dual reception, the unified three-constant form
+otherwise.
 """
 
 from __future__ import annotations
@@ -147,9 +151,16 @@ def link_gains_block(h_ar: np.ndarray, h_br: np.ndarray) -> LinkGains:
     return LinkGains(lam_a, lam_b, lam_a_x, lam_b_x)
 
 
-def link_snrs_block(h_ar: np.ndarray, h_br: np.ndarray, pw: PowerProfile) -> InstantaneousSnrs:
-    """Vectorized link SNRs for a batch of channel draws."""
-    return link_gains_block(h_ar, h_br).snrs(pw)
+def _gain_blocks(ant: AntennaConfig, trials: int, seed: int):
+    """LinkGains of the first `trials` draws of the seed's stream, one per
+    block, the last block trimmed to the trial count."""
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
+    stream = ChannelStream(seed)
+    for b in range((trials + _BLOCK - 1) // _BLOCK):
+        h_ar, h_br = stream.draw_block(ant, b)
+        n = min(_BLOCK, trials - b * _BLOCK)
+        yield link_gains_block(h_ar[:n], h_br[:n])
 
 
 def _ratio(num, den):
@@ -216,38 +227,25 @@ def _q_vec(x):
     return 0.5 * erfc(np.sqrt(x / 2.0))
 
 
-def _resolve_mode(p: Protocol, mode: str) -> str:
-    if mode == "auto":
-        return "dual_reception" if p.dual_reception else "unified"
-    return mode
-
-
-def _iter_blocks(trials: int):
-    n_blocks = (trials + _BLOCK - 1) // _BLOCK
-    for b in range(n_blocks):
-        yield b, min(_BLOCK, trials - b * _BLOCK)
+def _sampler_form(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
+                  w: Optional[WeightPair]):
+    """(mode, coeffs) of end_to_end_snrs for the samplers: the exact
+    two-branch sums for the dual-reception protocols, the unified form
+    otherwise."""
+    if p.dual_reception:
+        return "dual_reception", None
+    return "unified", coefficient_set(p, ant, pw, w)
 
 
 def sample_end_to_end_snrs(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
-                           w: Optional[WeightPair] = None, mode: str = "auto",
-                           snr_form: str = "exact", trials: int = 100_000,
-                           seed: int = 12345,
-                           dfactors: Optional[DFactors] = None):
-    """Arrays of (g_arb, g_bra) over Monte-Carlo trials."""
-    mode = _resolve_mode(p, mode)
-    coeffs = coefficient_set(p, ant, pw, w, dfactors) if mode == "unified" else None
-    stream = ChannelStream(seed)
-    arb = np.empty(trials)
-    bra = np.empty(trials)
-    pos = 0
-    for b, n in _iter_blocks(trials):
-        h_ar, h_br = stream.draw_block(ant, b)
-        s = link_snrs_block(h_ar[:n], h_br[:n], pw)
-        g_arb, g_bra = end_to_end_snrs(p, s, w, mode, coeffs, snr_form)
-        arb[pos:pos + n] = g_arb
-        bra[pos:pos + n] = g_bra
-        pos += n
-    return arb, bra
+                           w: Optional[WeightPair] = None, snr_form: str = "exact",
+                           trials: int = 100_000, seed: int = 12345):
+    """Arrays of (g_arb, g_bra) over Monte-Carlo trials: the exact two-branch
+    sums for the dual-reception protocols, the unified form otherwise."""
+    mode, coeffs = _sampler_form(p, ant, pw, w)
+    arb, bra = zip(*(end_to_end_snrs(p, gains.snrs(pw), w, mode, coeffs, snr_form)
+                     for gains in _gain_blocks(ant, trials, seed)))
+    return np.concatenate(arb), np.concatenate(bra)
 
 
 class SweepPoint(NamedTuple):
@@ -260,10 +258,8 @@ class SweepPoint(NamedTuple):
     mod: Optional[Modulation] = None
 
 
-def semi_analytic_sweep(points, ant: AntennaConfig, mode: str = "auto",
-                        trials: int = 100_000, seed: int = 12345,
-                        snr_form: str = "exact",
-                        dfactors: Optional[DFactors] = None) -> list[BerEstimate]:
+def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
+                        seed: int = 12345, snr_form: str = "exact") -> list[BerEstimate]:
     """Sum-BER estimates of every SweepPoint on the same channel draws.
 
     Each estimate is the sample average over channel draws of the exact
@@ -277,22 +273,16 @@ def semi_analytic_sweep(points, ant: AntennaConfig, mode: str = "auto",
     and the block partials are combined with math.fsum, so results depend
     only on (seed, trials), not on how blocks are scheduled.
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
     evals = []
     for p, pw, w, mod in points:
         if mod is None:
             mod = protocol_modulation(p)
-        p_mode = _resolve_mode(p, mode)
-        coeffs = coefficient_set(p, ant, pw, w, dfactors) if p_mode == "unified" else None
-        evals.append((p, pw, w, p_mode, coeffs, mod.a / mod.bits_per_symbol, 2.0 * mod.b))
-    stream = ChannelStream(seed)
+        evals.append((p, pw, w, *_sampler_form(p, ant, pw, w),
+                      mod.a / mod.bits_per_symbol, 2.0 * mod.b))
     parts = [[] for _ in evals]     # per point: (sum y, sum y^2) of each block
-    for b, n in _iter_blocks(trials):
-        h_ar, h_br = stream.draw_block(ant, b)
-        gains = link_gains_block(h_ar[:n], h_br[:n])
-        for (p, pw, w, p_mode, coeffs, scale, two_b), part in zip(evals, parts):
-            g_arb, g_bra = end_to_end_snrs(p, gains.snrs(pw), w, p_mode, coeffs, snr_form)
+    for gains in _gain_blocks(ant, trials, seed):
+        for (p, pw, w, mode, coeffs, scale, two_b), part in zip(evals, parts):
+            g_arb, g_bra = end_to_end_snrs(p, gains.snrs(pw), w, mode, coeffs, snr_form)
             y = scale * (_q_vec(two_b * g_arb) + _q_vec(two_b * g_bra))
             part.append((np.sum(y), np.sum(y * y)))
     return [_mean_estimate(part, trials) for part in parts]
@@ -309,17 +299,6 @@ def _mean_estimate(part, trials: int) -> BerEstimate:
     return BerEstimate(mean=mean, std_error=se, trials=trials)
 
 
-def semi_analytic_sum_ber(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
-                          w: Optional[WeightPair] = None,
-                          mod: Optional[Modulation] = None,
-                          mode: str = "auto", trials: int = 100_000,
-                          seed: int = 12345, snr_form: str = "exact",
-                          dfactors: Optional[DFactors] = None) -> BerEstimate:
-    """Sum-BER estimate of one point: semi_analytic_sweep of one SweepPoint."""
-    return semi_analytic_sweep([SweepPoint(p, pw, w, mod)], ant, mode, trials, seed,
-                               snr_form, dfactors)[0]
-
-
 def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000_000,
                        seed: int = 12345, return_std_errors: bool = False):
     """Dual-reception factors 1 + E[secondary branch]/E[primary branch] for
@@ -329,16 +308,15 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     insensitive to the average SNRs.  With one relay antenna every factor is
     exactly 2.  Block sums are combined as in semi_analytic_sweep.
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
-    stream = ChannelStream(seed)
     # per block, for (arb, bra) of the unweighted and then the balanced
     # weighted protocol: sums of x1, x2, x1^2, x2^2 and x1 x2, where x1 is
     # the primary and x2 the secondary branch SNR
     parts = []
-    for b, n in _iter_blocks(trials):
-        h_ar, h_br = stream.draw_block(ant, b)
-        s = link_snrs_block(h_ar[:n], h_br[:n], pw)
+    for gains in _gain_blocks(ant, trials, seed):
+        s = gains.snrs(pw)
+        # released before the next block is decomposed, which sets the peak
+        # memory of a 4x4x4 pass
+        del gains
         arb1, arb2, bra1, bra2 = _dual_branches(s, 1.0, 1.0)
         qrb1, qrb2, qra1, qra2 = _dual_branches(s, 0.5, 0.5)
         parts.append([np.sum(v) for x1, x2 in ((arb1, arb2), (bra1, bra2),

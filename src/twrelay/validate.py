@@ -7,25 +7,23 @@ warning) when the trial budget is too small to give them power.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import integrate
 from scipy.special import kv
 
-from . import lowerbound
-from .analysis import (_closed_form_f64, _direction, bessel_moment, e2e_cdf,
-                       link_cdf, link_pdf, min_pair_cdf, sum_ber_closed_form,
+from .analysis import (FALLBACK_SHARE, _closed_form_f64, _direction, bessel_moment,
+                       e2e_cdf, link_cdf, link_pdf, min_pair_cdf, sum_ber_closed_form,
                        sum_ber_quadrature)
 from .errors import ConfigurationError
-from .highsnr import eta_pair, high_snr_profile, high_snr_sum_ber
+from .highsnr import eta_pair
 from .scenario import (AntennaConfig, BALANCED_WEIGHTS, CoefficientSet, PowerProfile,
-                       Protocol, WeightPair, coefficient_set, protocol_modulation)
-from .simulate import (ChannelStream, estimate_d_factors, link_snrs_block,
-                       end_to_end_snrs, sample_end_to_end_snrs,
-                       semi_analytic_sum_ber)
+                       Protocol, coefficient_set, protocol_modulation)
+from .simulate import (_BLOCK, SweepPoint, _gain_blocks, end_to_end_snrs,
+                       estimate_d_factors, sample_end_to_end_snrs, semi_analytic_sweep)
 
 _MIN_STATISTICAL_TRIALS = 10_000
 
@@ -73,11 +71,11 @@ def _corrupted(cdf, rho: float):
     return wrong
 
 
-def _e2e_cdf_curve(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
-                   pw: PowerProfile):
-    """The end-to-end CDF as a function of an array of thresholds."""
-    d = _direction(direction, coeffs, ant, pw)
-    return lambda xs: lowerbound.e2e_cdf(xs, *d)[0]
+def _block_snrs(pw: PowerProfile, seed: int, block: int, n: int):
+    """Link SNRs of the first n draws of the given block of the seed's 2x1x2
+    stream (the blocks before it are drawn, decomposed and skipped)."""
+    gains = _gain_blocks(AntennaConfig(2, 1, 2), block * _BLOCK + n, seed)
+    return next(itertools.islice(gains, block, None)).snrs(pw)
 
 
 def check_bessel_moment_identity() -> CheckResult:
@@ -149,9 +147,7 @@ def check_mr1_reduction(pw: PowerProfile) -> CheckResult:
 
 def check_unified_dual_mr1(pw: PowerProfile, seed: int) -> CheckResult:
     ant = AntennaConfig(2, 1, 2)
-    stream = ChannelStream(seed)
-    h_ar, h_br = stream.draw_block(ant, 0)
-    s = link_snrs_block(h_ar[:2000], h_br[:2000], pw)
+    s = _block_snrs(pw, seed, 0, 2000)
     worst = 0.0
     for p in (Protocol.SECOND_THREE_SLOT, Protocol.SECOND_FOUR_SLOT):
         w = BALANCED_WEIGHTS if p.uses_weights else None
@@ -171,14 +167,13 @@ def check_lower_bound_ordering(pw: PowerProfile, trials: int, seed: int) -> Chec
         return CheckResult("lower_bound_ordering", True, 0.0, 0.0,
                            note="underpowered at this trial budget", skipped=True)
     ant = AntennaConfig(2, 1, 2)
+    points = [SweepPoint(p, pw, BALANCED_WEIGHTS if p.uses_weights else None)
+              for p in Protocol]
+    estimates = semi_analytic_sweep(points, ant, trials=trials, seed=seed, snr_form="exact")
     worst_margin = -math.inf
-    for p in Protocol:
-        w = BALANCED_WEIGHTS if p.uses_weights else None
-        mod = protocol_modulation(p)
-        exact = semi_analytic_sum_ber(p, ant, pw, w, mod, trials=trials, seed=seed,
-                                      snr_form="exact")
+    for (p, _, w, _), exact in zip(points, estimates):
         coeffs = coefficient_set(p, ant, pw, w)
-        closed = sum_ber_closed_form(coeffs, ant, pw, mod)
+        closed = sum_ber_closed_form(coeffs, ant, pw, protocol_modulation(p))
         # the closed form bounds the exact-metric estimate from below
         margin = (closed - exact.mean) / max(exact.std_error, 1e-300)
         worst_margin = max(worst_margin, margin)
@@ -188,9 +183,7 @@ def check_lower_bound_ordering(pw: PowerProfile, trials: int, seed: int) -> Chec
 
 def check_gamma_form_dominates(pw: PowerProfile, seed: int) -> CheckResult:
     ant = AntennaConfig(2, 1, 2)
-    stream = ChannelStream(seed)
-    h_ar, h_br = stream.draw_block(ant, 1)
-    s = link_snrs_block(h_ar[:4000], h_br[:4000], pw)
+    s = _block_snrs(pw, seed, 1, 4000)
     worst = 0.0
     for p in Protocol:
         w = BALANCED_WEIGHTS if p.uses_weights else None
@@ -205,9 +198,7 @@ def check_gamma_form_dominates(pw: PowerProfile, seed: int) -> CheckResult:
 def check_harmonic_mean_sandwich(pw: PowerProfile, seed: int) -> CheckResult:
     ant = AntennaConfig(2, 1, 2)
     coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
-    stream = ChannelStream(seed)
-    h_ar, h_br = stream.draw_block(ant, 2)
-    s = link_snrs_block(h_ar[:4000], h_br[:4000], pw)
+    s = _block_snrs(pw, seed, 2, 4000)
     u = coeffs.b_arb * s.g_ar
     v = coeffs.c_arb * s.g_rb
     w = u * v / (u + v)
@@ -221,10 +212,11 @@ def check_harmonic_mean_sandwich(pw: PowerProfile, seed: int) -> CheckResult:
 def _ks_case(p: Protocol, ant: AntennaConfig, pw: PowerProfile, trials, seed,
              dfactors=None, corrupt: bool = False) -> float:
     w = BALANCED_WEIGHTS if p.uses_weights else None
-    arb, _ = sample_end_to_end_snrs(p, ant, pw, w, mode="auto", snr_form="lower",
-                                    trials=trials, seed=seed, dfactors=dfactors)
+    arb, _ = sample_end_to_end_snrs(p, ant, pw, w, snr_form="lower", trials=trials, seed=seed)
     coeffs = coefficient_set(p, ant, pw, w, dfactors)
-    cdf = _e2e_cdf_curve("arb", coeffs, ant, pw)
+
+    def cdf(xs):
+        return e2e_cdf("arb", xs, coeffs, ant, pw)
     return _ks_statistic(arb, _corrupted(cdf, pw.rho_ar) if corrupt else cdf)
 
 
@@ -260,18 +252,9 @@ def check_min_approx_ks(trials: int, seed: int) -> CheckResult:
     ant = AntennaConfig(2, 1, 2)
     pw = PowerProfile.balanced(40.0)
     coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
-    stream = ChannelStream(seed)
-    n = min(trials, 100_000)
-    vals = np.empty(n)
-    pos = 0
-    b = 0
-    while pos < n:
-        h_ar, h_br = stream.draw_block(ant, b)
-        take = min(n - pos, h_ar.shape[0])
-        s = link_snrs_block(h_ar[:take], h_br[:take], pw)
-        vals[pos:pos + take] = np.minimum(coeffs.b_arb * s.g_ar, coeffs.c_arb * s.g_rb)
-        pos += take
-        b += 1
+    snrs = (gains.snrs(pw) for gains in _gain_blocks(ant, min(trials, 100_000), seed))
+    vals = np.concatenate([np.minimum(coeffs.b_arb * s.g_ar, coeffs.c_arb * s.g_rb)
+                           for s in snrs])
     ks = _ks_statistic(vals, lambda xs: min_pair_cdf("arb", xs, coeffs, ant, pw))
     return CheckResult("min_of_links_ks", ks <= 0.01, ks, 0.01)
 
@@ -298,8 +281,8 @@ def check_slopes() -> list:
 
 def check_closed_vs_quadrature() -> CheckResult:
     """The double-precision closed form against the integral, at the points
-    where the closed form keeps its own value (at or above 1e-5 of the
-    ceiling; below it sum_ber_closed_form takes the integral itself)."""
+    where the closed form keeps its own value (above FALLBACK_SHARE of the
+    ceiling; at or below it sum_ber_closed_form takes the integral itself)."""
     worst, compared = 0.0, 0
     cases = [(AntennaConfig(2, 1, 2), (Protocol.TWO_SLOT, Protocol.SECOND_THREE_SLOT,
                                        Protocol.FIRST_FOUR_SLOT), (10.0, 17.5, 25.0, 32.5, 40.0)),
@@ -312,7 +295,7 @@ def check_closed_vs_quadrature() -> CheckResult:
                 pw = PowerProfile.balanced(rho_db)
                 coeffs = coefficient_set(p, ant, pw)
                 c = _closed_form_f64(coeffs, ant, pw, mod)
-                if c <= mod.a / mod.bits_per_symbol * 1e-5:
+                if c <= mod.a / mod.bits_per_symbol * FALLBACK_SHARE:
                     continue
                 q = sum_ber_quadrature(coeffs, ant, pw, mod)
                 worst = max(worst, abs(c - q) / q)
@@ -356,7 +339,7 @@ def check_monotonicity(pw: PowerProfile) -> CheckResult:
     for p in Protocol:
         w = BALANCED_WEIGHTS if p.uses_weights else None
         coeffs = coefficient_set(p, ant, pw, w)
-        vals = _e2e_cdf_curve("bra", coeffs, ant, pw)(grid)
+        vals = e2e_cdf("bra", grid, coeffs, ant, pw)
         worst = max(worst, float(np.max(np.diff(vals) * -1.0)))
         worst = max(worst, abs(vals[0]), abs(1.0 - e2e_cdf("bra", 1e4 * coeffs.a_bra * min(pw.rho_br, pw.rho_ra), coeffs, ant, pw)))
     return CheckResult("e2e_cdf_shape", worst <= 1e-6, worst, 1e-6,

@@ -11,7 +11,7 @@ import pytest
 from twrelay.cli import main
 from twrelay.scenario import (AntennaConfig, Protocol, parse_protocol, power_profile,
                               protocol_modulation)
-from twrelay.simulate import semi_analytic_sum_ber
+from twrelay.simulate import SweepPoint, semi_analytic_sweep
 
 SCENARIO = (
     "m_a = 2\nm_r = 1\nm_b = 2\n"
@@ -101,8 +101,8 @@ class TestSweep:
         for line in lines:
             rho_db, protocol, mode, mean, se = line.split(",")
             p = parse_protocol(protocol)
-            est = semi_analytic_sum_ber(p, ant, power_profile(float(rho_db), 0.3), trials=20_000,
-                                        seed=17)
+            pt = SweepPoint(p, power_profile(float(rho_db), 0.3))
+            est = semi_analytic_sweep([pt], ant, trials=20_000, seed=17)[0]
             assert (mode, mean, se) == ("mc", f"{est.mean:.10e}", f"{est.std_error:.10e}")
 
     def test_config_error_exit(self, scenario_file):

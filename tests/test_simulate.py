@@ -12,8 +12,8 @@ from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
                               Protocol, WeightPair, coefficient_set,
                               modulation_constants)
 from twrelay.simulate import (ChannelStream, InstantaneousSnrs, SweepPoint, _top_eig,
-                              end_to_end_snrs, estimate_d_factors, link_snrs_block,
-                              semi_analytic_sum_ber, semi_analytic_sweep)
+                              end_to_end_snrs, estimate_d_factors, link_gains_block,
+                              sample_end_to_end_snrs, semi_analytic_sweep)
 
 ANT = AntennaConfig(2, 1, 2)
 PW = PowerProfile.balanced(20.0)
@@ -102,14 +102,14 @@ class TestLinkSnrs:
     def test_known_row(self):
         h_ar = np.array([[[1.0 + 0j, 1.0 + 0j]]])
         h_br = np.array([[[1.0 + 0j, 0.0 + 0j]]])
-        s = link_snrs_block(h_ar, h_br, PW)
+        s = link_gains_block(h_ar, h_br).snrs(PW)
         assert s.g_ar[0] == pytest.approx(2.0 * PW.rho_ar, rel=1e-12)
         assert s.g_br[0] == pytest.approx(1.0 * PW.rho_br, rel=1e-12)
 
     def test_reciprocity_identity(self):
         pw = PowerProfile(100.0, 50.0, 400.0, 400.0)
         h_ar, h_br = ChannelStream(3).draw_block(ANT, 0)
-        s = link_snrs_block(h_ar[:20], h_br[:20], pw)
+        s = link_gains_block(h_ar[:20], h_br[:20]).snrs(pw)
         np.testing.assert_allclose(s.g_ar * pw.rho_ra, s.g_ra * pw.rho_ar, rtol=1e-12)
 
     def test_nonmatched_dominated(self):
@@ -117,7 +117,7 @@ class TestLinkSnrs:
         for ant in (AntennaConfig(3, 2, 2), AntennaConfig(2, 3, 3)):
             stream = ChannelStream(11)
             h_ar, h_br = stream.draw_block(ant, 0)
-            s = link_snrs_block(h_ar[:5000], h_br[:5000], PW)
+            s = link_gains_block(h_ar[:5000], h_br[:5000]).snrs(PW)
             assert np.all(s.g_ra_x <= s.g_ra + 1e-9)
             assert np.all(s.g_rb_x <= s.g_rb + 1e-9)
 
@@ -129,7 +129,7 @@ class TestLinkSnrs:
         n = 0
         for b in range(62):
             h_ar, h_br = stream.draw_block(ant, b)
-            s = link_snrs_block(h_ar, h_br, PW)
+            s = link_gains_block(h_ar, h_br).snrs(PW)
             means.append(np.mean(s.g_ar) / PW.rho_ar)
             n += h_ar.shape[0]
             if n >= 1_000_000:
@@ -191,40 +191,44 @@ class TestEndToEnd:
 class TestSemiAnalytic:
     def test_determinism(self):
         kw = dict(trials=30_000, seed=123)
-        a = semi_analytic_sum_ber(Protocol.TWO_SLOT, ANT, PW, **kw)
-        b = semi_analytic_sum_ber(Protocol.TWO_SLOT, ANT, PW, **kw)
+        a = semi_analytic_sweep([SweepPoint(Protocol.TWO_SLOT, PW)], ANT, **kw)[0]
+        b = semi_analytic_sweep([SweepPoint(Protocol.TWO_SLOT, PW)], ANT, **kw)[0]
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_bounds(self):
         mod = modulation_constants("mqam", 16)
-        est = semi_analytic_sum_ber(Protocol.FIRST_FOUR_SLOT, ANT, PW, mod=mod,
-                                    trials=20_000, seed=5)
+        est = semi_analytic_sweep([SweepPoint(Protocol.FIRST_FOUR_SLOT, PW, mod=mod)], ANT,
+                                  trials=20_000, seed=5)[0]
         assert 0.0 <= est.mean <= 2.0 * mod.a / mod.bits_per_symbol
         assert est.std_error >= 0.0
 
     def test_lower_form_below_exact(self):
         for p in Protocol:
             w = BALANCED_WEIGHTS if p.uses_weights else None
-            lo = semi_analytic_sum_ber(p, ANT, PW, w, trials=50_000, seed=17,
-                                       snr_form="lower")
-            ex = semi_analytic_sum_ber(p, ANT, PW, w, trials=50_000, seed=17,
-                                       snr_form="exact")
+            lo = semi_analytic_sweep([SweepPoint(p, PW, w)], ANT, trials=50_000, seed=17,
+                                     snr_form="lower")[0]
+            ex = semi_analytic_sweep([SweepPoint(p, PW, w)], ANT, trials=50_000, seed=17,
+                                     snr_form="exact")[0]
             assert lo.mean <= ex.mean
 
     def test_diversity_drop(self):
         # +10 dB on the power-law slope divides the error rate by about
         # 10^2; SNRs kept where this trial budget resolves both estimates
         mod = modulation_constants("bpsk")
-        hi = semi_analytic_sum_ber(Protocol.TWO_SLOT, ANT, PowerProfile.balanced(15.0),
-                                   mod=mod, trials=400_000, seed=31, snr_form="lower")
-        lo = semi_analytic_sum_ber(Protocol.TWO_SLOT, ANT, PowerProfile.balanced(25.0),
-                                   mod=mod, trials=400_000, seed=31, snr_form="lower")
+        hi = semi_analytic_sweep([SweepPoint(Protocol.TWO_SLOT, PowerProfile.balanced(15.0),
+                                             mod=mod)], ANT, trials=400_000, seed=31,
+                                 snr_form="lower")[0]
+        lo = semi_analytic_sweep([SweepPoint(Protocol.TWO_SLOT, PowerProfile.balanced(25.0),
+                                             mod=mod)], ANT, trials=400_000, seed=31,
+                                 snr_form="lower")[0]
         assert lo.std_error / lo.mean < 0.15
         assert hi.mean / lo.mean == pytest.approx(100.0, rel=0.25)
 
     def test_trials_contract(self):
         with pytest.raises(ConfigurationError):
-            semi_analytic_sum_ber(Protocol.TWO_SLOT, ANT, PW, trials=0)
+            semi_analytic_sweep([SweepPoint(Protocol.TWO_SLOT, PW)], ANT, trials=0)
+        with pytest.raises(ConfigurationError):
+            sample_end_to_end_snrs(Protocol.TWO_SLOT, ANT, PW, trials=0)
 
     def test_sweep_equals_one_point_calls(self):
         # one pass over the draws gives every point its one-point estimate
@@ -242,7 +246,7 @@ class TestSemiAnalytic:
         ests = semi_analytic_sweep(points, ant, **kw)
         assert len(ests) == len(points)
         for pt, est in zip(points, ests):
-            one = semi_analytic_sum_ber(pt.protocol, ant, pt.power, pt.weights, pt.mod, **kw)
+            one = semi_analytic_sweep([pt], ant, **kw)[0]
             assert (est.mean, est.std_error, est.trials) == (one.mean, one.std_error, 20_000)
 
 
