@@ -20,7 +20,8 @@ from .errors import ConfigurationError, NumericalError
 from .highsnr import beta_closed_form, beta_numeric, gap_table, high_snr_profile, high_snr_sum_ber
 from .scenario import (AntennaConfig, Protocol, Scenario, coefficient_set, load_scenario,
                        parse_protocol, power_profile, protocol_modulation)
-from .simulate import SweepPoint, estimate_d_factors, semi_analytic_sweep
+from .simulate import (SweepPoint, _gain_blocks, _keep_leading, estimate_d_factors,
+                       semi_analytic_sweep)
 from .analysis import sum_ber_closed_form
 from .validate import run_validation
 
@@ -116,10 +117,16 @@ def cmd_sweep(args) -> int:
     ant = sc.antennas
 
     dfactors = None
+    mc_gains = None     # the mc rows' LinkGains blocks, if the pre-pass made them
     if ant.m_r > 1 and any(p.dual_reception for p in protocols):
         pw_ref = power_profile(args.rho_stop, sc.d0, sc.pl_exponent, sc.relay_rho_db)
-        dfactors = estimate_d_factors(ant, pw_ref, trials=max(sc.trials, 200_000),
-                                      seed=sc.seed)
+        d_trials = max(sc.trials, 200_000)
+        blocks = _gain_blocks(ant, d_trials, sc.seed)
+        if "mc" in modes:
+            # the mc rows use the first sc.trials of the same draws
+            mc_gains = []
+            blocks = _keep_leading(blocks, sc.trials, mc_gains)
+        dfactors = estimate_d_factors(ant, pw_ref, trials=d_trials, gains=blocks)
 
     rows = []
     mc_points = []      # (rho_db, SweepPoint)
@@ -151,7 +158,7 @@ def cmd_sweep(args) -> int:
     if mc_points:
         # one pass over the channel draws serves every mc row
         ests = semi_analytic_sweep([pt for _, pt in mc_points], ant, trials=sc.trials,
-                                   seed=sc.seed, snr_form="exact")
+                                   seed=sc.seed, snr_form="exact", gains=mc_gains)
         rows.extend((rho_db, pt.protocol.value, "mc", est.mean, est.std_error)
                     for (rho_db, pt), est in zip(mc_points, ests))
     if n_above:

@@ -7,16 +7,35 @@ Trials are drawn from counter-partitioned Philox substreams in fixed-size
 blocks, so results depend only on (seed, trial index) and are identical no
 matter how trials are batched or distributed.  One generator,
 `_gain_blocks`, draws each block, trims it to the trial count and
-decomposes it; every sampler iterates it.  A sweep evaluates every point
-of the sweep on each block's gains.  The protocol picks the SNR form: the
-exact two-branch sums for dual reception, the unified three-constant form
-otherwise.
+decomposes it; every sampler iterates it, or takes blocks that a longer
+pass over the same stream decomposed (`_keep_leading`).  A sweep evaluates
+every point of the sweep on each block's gains.  The protocol picks the
+SNR form: the exact two-branch sums for dual reception, the unified
+three-constant form otherwise.
+
+The Gram entries are summed straight from the channel rows.  The top
+eigenpair of each m_r x m_r Gram G takes its route from m_r alone, never
+from a setting:
+
+- m_r = 2: a closed form.
+- m_r = 3, 4: Newton on det(x I - G), whose coefficients are sums of
+  principal minors, from the Samuelson upper bound; the eigenvector is the
+  column of adj(G - x I) through its diagonal entry of largest modulus, x
+  is polished once by that column's Rayleigh quotient, and the column is
+  taken again at the polished value (after Kopp, arXiv:physics/0610206,
+  for 3x3).  A row is accepted only if Newton converged, the column is
+  longer than _ADJ_FLOOR = 1e-3 times lam^(m-1) (shorter means a
+  near-degenerate top eigenvalue), and |G v - lam v| <= _RESIDUAL_ULPS eps
+  m lam with _RESIDUAL_ULPS = 4, a backward error like LAPACK's; each
+  other row is decomposed by LAPACK (`np.linalg.eigh`).
+- m_r >= 5: LAPACK.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,6 +47,14 @@ from .scenario import (AntennaConfig, CoefficientSet, DFactors, Modulation,
                        protocol_modulation)
 
 _BLOCK = 1 << 14
+# the 3x3 and 4x4 top-eigenpair kernel: rows per sub-block, Newton step
+# cap, and its guard's adjugate-column floor and residual bound in units
+# of eps m lam (see the module docstring)
+_EIG_ROWS = 1 << 11
+_NEWTON_MAX = 64
+_ADJ_FLOOR = 1e-3
+_RESIDUAL_ULPS = 4.0
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -73,14 +100,220 @@ class ChannelStream:
         return h_ar, h_br
 
 
+def _gram(h: np.ndarray) -> np.ndarray:
+    """Gram matrices h h^H of a batch of shape (B, m, k), each entry summed
+    straight from two rows of h, _EIG_ROWS draws at a time.  The result is
+    a (B, m, m) view of an entry-major array, so that each entry's B values
+    are contiguous."""
+    m = h.shape[1]
+    g = np.empty((m, m, h.shape[0]), dtype=complex)
+    for s in range(0, h.shape[0], _EIG_ROWS):
+        rows = h[s:s + _EIG_ROWS].transpose(1, 2, 0)
+        part = g[:, :, s:s + _EIG_ROWS]
+        for i in range(m):
+            part[i, i] = sum(x.real * x.real + x.imag * x.imag for x in rows[i])
+            for j in range(i + 1, m):
+                part[i, j] = sum(x * y.conj() for x, y in zip(rows[i], rows[j]))
+                np.conjugate(part[i, j], out=part[j, i])
+    return g.transpose(2, 0, 1)
+
+
 def _top_eig(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest eigenvalue and a unit eigenvector of each Hermitian matrix
-    in a batch of shape (B, m, m)."""
-    if gram.shape[-1] == 2:
+    in a batch of shape (B, m, m); for m = 3 and 4 the matrices must be
+    positive semi-definite, as Grams are.
+
+    m = 2 takes the closed form.  m = 3 and 4 take the guarded kernel: the
+    characteristic polynomial (`_char_poly`), its top root (`_top_root`),
+    and the eigenvector from the adjugate with the guard (`_top_eigvec`),
+    the first and last in sub-blocks of _EIG_ROWS rows, which bounds their
+    temporaries.  A row goes to LAPACK's `eigh` when Newton did not
+    converge within _NEWTON_MAX steps, its adjugate column is no longer
+    than _ADJ_FLOOR lam^(m-1), or its residual |G v - lam v| exceeds
+    _RESIDUAL_ULPS eps m lam; so does every matrix with m >= 5.  Each row's
+    result depends on that row alone.
+    """
+    m = gram.shape[-1]
+    if m == 2:
         return _top_eig_2x2(gram)
-    # batched Hermitian eigendecomposition; eigh orders eigenvalues ascending
-    w, v = np.linalg.eigh(gram)
-    return w[:, -1], v[:, :, -1]
+    if m > 4:
+        # eigh orders eigenvalues ascending
+        w, v = np.linalg.eigh(gram)
+        return w[:, -1], v[:, :, -1]
+    n = gram.shape[0]
+    entries = gram.transpose(1, 2, 0)
+    parts = [slice(s, s + _EIG_ROWS) for s in range(0, n, _EIG_ROWS)]
+    coef = np.empty((m + 1, n))
+    lam = np.empty(n)
+    vec = np.empty((n, m), dtype=complex)
+    # a degenerate row divides by zero on its way to failing its guard
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for part in parts:
+            coef[:, part] = _char_poly(entries[:, :, part])
+        root, ok = _top_root(coef[:m], coef[m])
+        for part in parts:
+            lam[part], vec[part], held = _top_eigvec(entries[:, :, part], root[part])
+            ok[part] &= held
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        w, v = np.linalg.eigh(gram[rest])
+        lam[rest], vec[rest] = w[:, -1], v[:, :, -1]
+    return lam, vec
+
+
+def _minor(a, rows: tuple, cols: tuple, memo: dict):
+    """Determinant of the submatrix of a (a list of rows of equal-shape
+    arrays) on the given rows and columns, in that order, by Laplace
+    expansion along the last row.  Every minor is formed once per memo, so
+    minors on the same rows share their smaller minors."""
+    key = (rows, cols)
+    if key not in memo:
+        if len(rows) == 1:
+            memo[key] = a[rows[0]][cols[0]]
+        else:
+            # the last row's k-th term has the sign (-1)^(len - 1 + k)
+            val = None
+            for k, c in enumerate(cols):
+                term = a[rows[-1]][c] * _minor(a, rows[:-1], cols[:k] + cols[k + 1:], memo)
+                val = term if k == 0 else (val - term if k % 2 else val + term)
+            memo[key] = val if len(cols) % 2 else -val
+    return memo[key]
+
+
+def _principal_minor(diag, q, r, s):
+    """Principal minor on the index tuple s (at most 3 long) of a Hermitian
+    matrix with real diagonal diag, squared off-diagonal moduli q[i, j] and
+    cubic terms r[i, j, k] = 2 Re(m_ij m_jk m_ki)."""
+    if len(s) == 1:
+        return diag[s[0]]
+    if len(s) == 2:
+        return diag[s[0]] * diag[s[1]] - q[s]
+    i, j, k = s
+    return (diag[i] * (diag[j] * diag[k] - q[j, k]) - diag[j] * q[i, k]
+            - diag[k] * q[i, j] + r[s])
+
+
+def _top_root(c: np.ndarray, fro2: np.ndarray):
+    """Largest root of x^m - c1 x^(m-1) + c2 x^(m-2) - ... (all roots real
+    and non-negative) and whether Newton converged, per row.
+
+    Newton starts from the Samuelson bound c1/m + sqrt((m-1)/m (fro2 -
+    c1^2/m)), which no root exceeds when fro2 is the sum of the squared
+    roots, and descends onto the root.  A row stops, keeping its iterate,
+    at the first step that is no shorter than the one before (rounding has
+    taken over); a row still stepping after _NEWTON_MAX steps has not
+    converged.
+    """
+    m = len(c)
+    # signed so that p(x) = x^m + coef[0] x^(m-1) + ... + coef[m-1]
+    coef = c * ((-1.0) ** np.arange(1, m + 1))[:, None]
+    x = c[0] / m + np.sqrt((m - 1) / m * np.maximum(fro2 - c[0] * c[0] / m, 0.0))
+    root = x.copy()
+    done = np.zeros(x.shape, dtype=bool)
+    live = np.arange(x.size)
+    prev = np.full(x.shape, np.inf)
+    for _ in range(_NEWTON_MAX):
+        # Horner for p and p'
+        p, dp = x + coef[0], 1.0
+        for k in range(1, m):
+            dp = dp * x + p
+            p = p * x + coef[k]
+        step = p / dp
+        size = np.abs(step)
+        go = size < prev
+        if go.all():
+            x, prev = x - step, size
+            continue
+        stop = ~go
+        root[live[stop]] = x[stop]
+        done[live[stop]] = True
+        live, x, prev, coef = live[go], (x - step)[go], size[go], coef[:, go]
+        if not live.size:
+            break
+    return root, done
+
+
+def _hermitian_terms(g: np.ndarray):
+    """Real diagonal d, squared off-diagonal moduli q[i, j] and cubic terms
+    r[i, j, k] = 2 Re(g_ij g_jk g_ki) of an entry-major batch g of shape
+    (m, m, n), the parts of its principal minors up to 3x3."""
+    idx = range(g.shape[0])
+    d = [g[i, i].real.copy() for i in idx]
+    q = {(i, j): g[i, j].real ** 2 + g[i, j].imag ** 2 for i, j in combinations(idx, 2)}
+    r = {(i, j, k): 2.0 * (g[i, j] * g[j, k] * g[k, i]).real
+         for i, j, k in combinations(idx, 3)}
+    return d, q, r
+
+
+def _char_poly(g: np.ndarray) -> np.ndarray:
+    """Coefficients c1..cm of det(x I - G) = x^m - c1 x^(m-1) + c2 x^(m-2)
+    - ..., c_k the sum of the k x k principal minors of G, and the squared
+    Frobenius norm of G, as rows of an (m + 1, n) array, for an entry-major
+    batch g of shape (m, m, n), m = 3 or 4."""
+    m = g.shape[0]
+    idx = tuple(range(m))
+    d, q, r = _hermitian_terms(g)
+    out = [sum(_principal_minor(d, q, r, s) for s in combinations(idx, k))
+           for k in range(1, 4)]
+    if m == 4:
+        out.append(_minor(g, idx, idx, {}).real)
+    out.append(sum(di * di for di in d) + 2.0 * sum(q.values()))
+    return np.array(out)
+
+
+def _top_eigvec(g: np.ndarray, x: np.ndarray):
+    """Top eigenpair (lam, v) of each Hermitian positive semi-definite
+    matrix G of an entry-major batch of shape (m, m, n), m = 3 or 4, given
+    its top eigenvalue x to a few ulps, and whether the row's guard holds.
+
+    At the top eigenvalue every column of adj(G - x I) is a multiple of the
+    eigenvector, the one through the diagonal entry of largest modulus the
+    longest.  Its Rayleigh quotient is the returned lam, and the same
+    column taken again at that lam, normalised, is v.  The guard holds when
+    the column is longer than _ADJ_FLOOR lam^(m-1) (shorter means a
+    near-degenerate top eigenvalue) and the residual |G v - lam v| is at
+    most _RESIDUAL_ULPS eps m lam, a backward error like LAPACK's.
+    """
+    m, n = g.shape[0], g.shape[2]
+    idx = tuple(range(m))
+    d, q, r = _hermitian_terms(g)
+    # adj(G - x I)_jj is the principal minor of G - x I without index j
+    diag = [di - x for di in d]
+    adj_diag = np.array([_principal_minor(diag, q, r, idx[:j] + idx[j + 1:]) for j in idx])
+    # each row's indices cycled to start at its longest column, so that
+    # the column wanted is column 0 of the reordered matrix
+    order = (np.argmax(np.abs(adj_diag), axis=0) + np.arange(m)[:, None]) % m
+    rows = np.arange(n)
+    gp = g[order[:, None], order[None, :], rows]
+
+    def column(shift):
+        # column 0 of the Hermitian adj: (-1)^i times the minor of
+        # G - shift I without row 0 and column i
+        a = [[np.subtract(gp[i, i], shift) if i == j else gp[i, j] for j in idx] for i in idx]
+        memo = {}
+        col = [_minor(a, idx[1:], idx[:i] + idx[i + 1:], memo) for i in idx]
+        return [-c if i % 2 else c for i, c in enumerate(col)]
+
+    def times_g(v):
+        return [sum(gp[i, j] * v[j] for j in idx) for i in idx]
+
+    col = column(x)
+    gc = times_g(col)
+    lam = (sum((c.conj() * y).real for c, y in zip(col, gc))
+           / sum(c.real ** 2 + c.imag ** 2 for c in col))
+    col = column(lam)
+    norm2 = sum(c.real ** 2 + c.imag ** 2 for c in col)
+    scale = 1.0 / np.sqrt(norm2)
+    vp = [c * scale for c in col]
+    res2 = 0.0
+    for vi, y in zip(vp, times_g(vp)):
+        e = y - lam * vi
+        res2 = res2 + e.real ** 2 + e.imag ** 2
+    tol = _RESIDUAL_ULPS * _EPS * m * lam
+    ok = (norm2 > (_ADJ_FLOOR * lam ** (m - 1)) ** 2) & (res2 <= tol * tol)
+    v = np.empty((n, m), dtype=complex)
+    v[rows, order] = vp
+    return lam, v, ok
 
 
 def _top_eig_2x2(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,6 +351,10 @@ class LinkGains:
     lam_a_x: np.ndarray
     lam_b_x: np.ndarray
 
+    def head(self, n: int) -> "LinkGains":
+        """The gains of the first n draws."""
+        return LinkGains(self.lam_a[:n], self.lam_b[:n], self.lam_a_x[:n], self.lam_b_x[:n])
+
     def snrs(self, pw: PowerProfile) -> InstantaneousSnrs:
         return InstantaneousSnrs(
             g_ar=pw.rho_ar * self.lam_a,
@@ -139,10 +376,8 @@ def link_gains_block(h_ar: np.ndarray, h_br: np.ndarray) -> LinkGains:
         # a single relay antenna has a scalar transmit weight, so the
         # non-matched reception coincides with the matched one
         return LinkGains(lam_a, lam_b, lam_a, lam_b)
-    gram_a = h_ar @ h_ar.conj().transpose(0, 2, 1)
-    gram_b = h_br @ h_br.conj().transpose(0, 2, 1)
-    lam_a, f_ra = _top_eig(gram_a)
-    lam_b, f_rb = _top_eig(gram_b)
+    lam_a, f_ra = _top_eig(_gram(h_ar))
+    lam_b, f_rb = _top_eig(_gram(h_br))
     # H_RA f_RB = H_AR^H f_RB, an (m_a,)-vector per draw
     proj_a = np.einsum("nra,nr->na", h_ar.conj(), f_rb)
     proj_b = np.einsum("nrb,nr->nb", h_br.conj(), f_ra)
@@ -151,16 +386,33 @@ def link_gains_block(h_ar: np.ndarray, h_br: np.ndarray) -> LinkGains:
     return LinkGains(lam_a, lam_b, lam_a_x, lam_b_x)
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
+
+
 def _gain_blocks(ant: AntennaConfig, trials: int, seed: int):
     """LinkGains of the first `trials` draws of the seed's stream, one per
     block, the last block trimmed to the trial count."""
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
+    _require_trials(trials)
     stream = ChannelStream(seed)
     for b in range((trials + _BLOCK - 1) // _BLOCK):
         h_ar, h_br = stream.draw_block(ant, b)
         n = min(_BLOCK, trials - b * _BLOCK)
         yield link_gains_block(h_ar[:n], h_br[:n])
+
+
+def _keep_leading(blocks, trials: int, kept: list):
+    """Yield the LinkGains blocks of a `_gain_blocks` pass, appending to
+    `kept` the blocks of its first `trials` draws, trimmed as
+    `_gain_blocks(ant, trials, seed)` trims them.  A pass over at least
+    `trials` draws thus hands a shorter pass over the same stream its
+    decomposed blocks; `kept` holds no other block."""
+    for b, gains in enumerate(blocks):
+        n = trials - b * _BLOCK
+        if n > 0:
+            kept.append(gains.head(n))
+        yield gains
 
 
 def _ratio(num, den):
@@ -259,7 +511,8 @@ class SweepPoint(NamedTuple):
 
 
 def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
-                        seed: int = 12345, snr_form: str = "exact") -> list[BerEstimate]:
+                        seed: int = 12345, snr_form: str = "exact",
+                        gains=None) -> list[BerEstimate]:
     """Sum-BER estimates of every SweepPoint on the same channel draws.
 
     Each estimate is the sample average over channel draws of the exact
@@ -272,7 +525,11 @@ def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
     its one-point estimate bit for bit.  Each block is reduced with np.sum
     and the block partials are combined with math.fsum, so results depend
     only on (seed, trials), not on how blocks are scheduled.
+
+    gains, if given, are the LinkGains blocks of those draws, decomposed
+    already by the caller (see `_keep_leading`); by default they are drawn.
     """
+    _require_trials(trials)
     evals = []
     for p, pw, w, mod in points:
         if mod is None:
@@ -280,9 +537,9 @@ def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
         evals.append((p, pw, w, *_sampler_form(p, ant, pw, w),
                       mod.a / mod.bits_per_symbol, 2.0 * mod.b))
     parts = [[] for _ in evals]     # per point: (sum y, sum y^2) of each block
-    for gains in _gain_blocks(ant, trials, seed):
+    for block in _gain_blocks(ant, trials, seed) if gains is None else gains:
         for (p, pw, w, mode, coeffs, scale, two_b), part in zip(evals, parts):
-            g_arb, g_bra = end_to_end_snrs(p, gains.snrs(pw), w, mode, coeffs, snr_form)
+            g_arb, g_bra = end_to_end_snrs(p, block.snrs(pw), w, mode, coeffs, snr_form)
             y = scale * (_q_vec(two_b * g_arb) + _q_vec(two_b * g_bra))
             part.append((np.sum(y), np.sum(y * y)))
     return [_mean_estimate(part, trials) for part in parts]
@@ -300,23 +557,25 @@ def _mean_estimate(part, trials: int) -> BerEstimate:
 
 
 def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000_000,
-                       seed: int = 12345, return_std_errors: bool = False):
+                       seed: int = 12345, return_std_errors: bool = False, gains=None):
     """Dual-reception factors 1 + E[secondary branch]/E[primary branch] for
     both dual-reception protocols and both directions.
 
     The weighted protocol is evaluated at balanced weights; the ratio is
     insensitive to the average SNRs.  With one relay antenna every factor is
-    exactly 2.  Block sums are combined as in semi_analytic_sweep.
+    exactly 2.  Block sums are combined as in semi_analytic_sweep, and
+    gains, if given, replaces the draw as there.
     """
+    _require_trials(trials)
     # per block, for (arb, bra) of the unweighted and then the balanced
     # weighted protocol: sums of x1, x2, x1^2, x2^2 and x1 x2, where x1 is
     # the primary and x2 the secondary branch SNR
     parts = []
-    for gains in _gain_blocks(ant, trials, seed):
-        s = gains.snrs(pw)
+    for block in _gain_blocks(ant, trials, seed) if gains is None else gains:
+        s = block.snrs(pw)
         # released before the next block is decomposed, which sets the peak
         # memory of a 4x4x4 pass
-        del gains
+        del block
         arb1, arb2, bra1, bra2 = _dual_branches(s, 1.0, 1.0)
         qrb1, qrb2, qra1, qra2 = _dual_branches(s, 0.5, 0.5)
         parts.append([np.sum(v) for x1, x2 in ((arb1, arb2), (bra1, bra2),

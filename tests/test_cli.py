@@ -8,10 +8,11 @@ from collections import Counter
 
 import pytest
 
+from twrelay import cli
 from twrelay.cli import main
 from twrelay.scenario import (AntennaConfig, Protocol, parse_protocol, power_profile,
                               protocol_modulation)
-from twrelay.simulate import SweepPoint, semi_analytic_sweep
+from twrelay.simulate import ChannelStream, SweepPoint, semi_analytic_sweep
 
 SCENARIO = (
     "m_a = 2\nm_r = 1\nm_b = 2\n"
@@ -104,6 +105,31 @@ class TestSweep:
             pt = SweepPoint(p, power_profile(float(rho_db), 0.3))
             est = semi_analytic_sweep([pt], ant, trials=20_000, seed=17)[0]
             assert (mode, mean, se) == ("mc", f"{est.mean:.10e}", f"{est.std_error:.10e}")
+
+    def test_mc_rows_reuse_prepass_blocks(self, tmp_path, monkeypatch):
+        # the d-factor pre-pass draws 13 blocks of the seed's stream; the mc
+        # rows take their 2 blocks from it instead of drawing them again
+        draw = ChannelStream.draw_block
+        calls = []
+
+        def counting_draw(stream, ant, block):
+            calls.append(block)
+            return draw(stream, ant, block)
+        monkeypatch.setattr(ChannelStream, "draw_block", counting_draw)
+        args = ["sweep", "--m-a", "2", "--m-r", "2", "--m-b", "2", "--rho-start", "0",
+                "--rho-stop", "10", "--rho-step", "10", "--mode", "mc",
+                "--trials", "32768", "--seed", "8"]
+        shared, unshared = tmp_path / "shared.csv", tmp_path / "unshared.csv"
+        assert main(args + ["--out", str(shared)]) == 0
+        assert len(calls) == 13
+        # the same sweep with the mc rows drawing their own blocks
+        calls.clear()
+        sweep = cli.semi_analytic_sweep
+        monkeypatch.setattr(cli, "semi_analytic_sweep",
+                            lambda *a, gains=None, **kw: sweep(*a, **kw))
+        assert main(args + ["--out", str(unshared)]) == 0
+        assert len(calls) == 15
+        assert _read(shared) == _read(unshared)
 
     def test_config_error_exit(self, scenario_file):
         code = main(["sweep", scenario_file, "--rho-start", "0", "--rho-stop", "10",

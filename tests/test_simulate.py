@@ -3,10 +3,12 @@ eigenpair, per-realization SNR identities, estimator contracts and sweep
 batching, and the dual-reception factors."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from twrelay import simulate
 from twrelay.errors import ConfigurationError
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
                               Protocol, WeightPair, coefficient_set,
@@ -63,23 +65,29 @@ def _gram(h):
     return h @ h.conj().transpose(0, 2, 1)
 
 
+def _check_against_eigvalsh(m, m_a_values, seed):
+    """_top_eig on 4000 Grams of each source antenna count: the eigenvalue
+    against LAPACK, unit norm, the Rayleigh quotient, and maximality."""
+    rng = np.random.default_rng(seed)
+    for m_a in m_a_values:
+        h_ar, _ = ChannelStream(m_a).draw_block(AntennaConfig(m_a, m, m_a), 0)
+        gram = _gram(h_ar[:4000])
+        lam, v = _top_eig(gram)
+        ref = np.linalg.eigvalsh(gram)[:, -1]
+        assert np.max(np.abs(lam - ref) / ref) <= 1e-13
+        assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-14
+        rayleigh = np.einsum("ni,nij,nj->n", v.conj(), gram, v)
+        assert np.max(np.abs(rayleigh - lam) / lam) <= 1e-13
+        # maximality: no unit vector gathers more than the top eigenvalue
+        u = rng.standard_normal((4000, m)) + 1j * rng.standard_normal((4000, m))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        gain = np.einsum("ni,nij,nj->n", u.conj(), gram, u).real
+        assert np.all(gain <= lam * (1.0 + 1e-13))
+
+
 class TestTopEigenpair:
     def test_closed_form_2x2_matches_eigh(self):
-        rng = np.random.default_rng(5)
-        for m_a in (1, 2, 4):
-            h_ar, _ = ChannelStream(m_a).draw_block(AntennaConfig(m_a, 2, m_a), 0)
-            gram = _gram(h_ar[:4000])
-            lam, v = _top_eig(gram)
-            ref = np.linalg.eigvalsh(gram)[:, -1]
-            assert np.max(np.abs(lam - ref) / ref) <= 1e-13
-            assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-14
-            rayleigh = np.einsum("ni,nij,nj->n", v.conj(), gram, v)
-            assert np.max(np.abs(rayleigh - lam) / lam) <= 1e-13
-            # maximality: no unit vector gathers more than the top eigenvalue
-            u = rng.standard_normal((4000, 2)) + 1j * rng.standard_normal((4000, 2))
-            u /= np.linalg.norm(u, axis=1)[:, None]
-            gain = np.einsum("ni,nij,nj->n", u.conj(), gram, u).real
-            assert np.all(gain <= lam * (1.0 + 1e-13))
+        _check_against_eigvalsh(2, (1, 2, 4), seed=5)
 
     def test_closed_form_2x2_degenerate(self):
         gram = np.array([
@@ -97,6 +105,62 @@ class TestTopEigenpair:
         assert np.allclose(np.einsum("nij,nj->ni", gram, v), lam[:, None] * v,
                            rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_guarded_kernel_matches_eigh(self, m):
+        _check_against_eigvalsh(m, (1, 2, m, 5), seed=m)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_guarded_kernel_degenerate(self, m, monkeypatch):
+        # a multiple top eigenvalue leaves no adjugate column to take, so
+        # these rows must reach LAPACK; the rank-1 Gram of one source
+        # antenna has a simple top eigenvalue and needs no fallback
+        fallback = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            fallback.append(len(a))
+            return eigh(a)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        degenerate = np.array([
+            np.zeros((m, m)),
+            2.0 * np.eye(m),
+            np.diag([5.0, 5.0, 1.0, 0.0][:m]),
+        ], dtype=complex)
+        h1, _ = ChannelStream(21).draw_block(AntennaConfig(1, m, 1), 0)
+        rank1 = _gram(h1[:500])
+        for gram, fallback_rows in ((degenerate, 3), (rank1, 0)):
+            fallback.clear()
+            lam, v = _top_eig(gram)
+            assert sum(fallback) == fallback_rows
+            assert np.all(np.isfinite(lam)) and np.all(np.isfinite(v))
+            assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0, atol=1e-15)
+            ref = eigh(gram)[0][:, -1]
+            assert np.allclose(lam, ref, rtol=1e-14, atol=0.0)
+            residual = np.linalg.norm(np.einsum("nij,nj->ni", gram, v) - lam[:, None] * v,
+                                      axis=1)
+            assert np.all(residual <= 1e-14 * lam)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_gains_independent_of_batch(self, m):
+        # every row's gains are a function of that row alone
+        h_ar, h_br = ChannelStream(17).draw_block(AntennaConfig(m, m, m), 0)
+        full = link_gains_block(h_ar, h_br)
+        for n in (1, 1000, 16384):
+            part = link_gains_block(h_ar[:n], h_br[:n])
+            for name in ("lam_a", "lam_b", "lam_a_x", "lam_b_x"):
+                assert np.array_equal(getattr(part, name), getattr(full, name)[:n])
+
+    def test_d_factors_match_eigh_route(self, monkeypatch):
+        ant = AntennaConfig(4, 4, 4)
+        kernel = estimate_d_factors(ant, PW, trials=40_000, seed=19)
+
+        def eigh_top(gram):
+            w, v = np.linalg.eigh(gram)
+            return w[:, -1], v[:, :, -1]
+        monkeypatch.setattr(simulate, "_top_eig", eigh_top)
+        lapack = estimate_d_factors(ant, PW, trials=40_000, seed=19)
+        np.testing.assert_allclose(astuple(kernel), astuple(lapack), rtol=1e-12, atol=0.0)
+
 
 class TestLinkSnrs:
     def test_known_row(self):
@@ -113,7 +177,7 @@ class TestLinkSnrs:
         np.testing.assert_allclose(s.g_ar * pw.rho_ra, s.g_ra * pw.rho_ar, rtol=1e-12)
 
     def test_nonmatched_dominated(self):
-        # m_r = 2 takes the closed-form eigenpair, m_r = 3 the batched eigh
+        # m_r = 2 takes the closed-form eigenpair, m_r = 3 the guarded kernel
         for ant in (AntennaConfig(3, 2, 2), AntennaConfig(2, 3, 3)):
             stream = ChannelStream(11)
             h_ar, h_br = stream.draw_block(ant, 0)
