@@ -200,12 +200,21 @@ def cmd_beta(args) -> int:
         raise ConfigurationError(f"--sweep must be d0 or rho, got {args.sweep!r}")
     # the swept scenario field, which names the CSV column, and its format
     column, fmt = ("d0", "{:.6f}") if args.sweep == "d0" else ("rho_ar_db", "{:.4f}")
+    blocks = None
+    if ant.m_r > 1 and p.dual_reception:
+        # one pass draws and decomposes the channels; each step takes its
+        # dual-reception factors from these draws at its own powers
+        d_trials = max(sc.trials, 200_000)
+        blocks = list(_gain_blocks(ant, d_trials, sc.seed))
     rows = []
     for v in _grid(args.start, args.stop, args.step, "--step"):
         setattr(sc, column, v)
         pw = sc.powers
+        dfactors = None
+        if blocks is not None:
+            dfactors = estimate_d_factors(ant, pw, trials=d_trials, gains=blocks)
         closed = beta_closed_form(p, pw).beta ** 2
-        numeric = beta_numeric(p, ant, pw).beta ** 2
+        numeric = beta_numeric(p, ant, pw, dfactors=dfactors).beta ** 2
         rows.append(f"{fmt.format(v)},{_fmt(closed)},{_fmt(numeric)}")
     _write_csv(args.out, f"{column},beta_sq_closed_form,beta_sq_numeric", rows)
     return 0

@@ -22,7 +22,8 @@ is F times a positive quadratic form.  For small u the monomial Gram matrix
 is as ill-conditioned as the Hilbert matrix; the Gram matrix of the Jacobi
 polynomials orthogonal under y^(t-s) is near-diagonal instead.  Against
 60-digit references for u in [1e-6, 30] the relative error is at most
-3e-14 (4 x 4) and 1e-14 (4 x 3).
+1.2e-13 (4 x 4, just above u = 4, where the monomial basis takes over) and
+1.1e-14 (4 x 3).
 
 End to end, gamma = A g_s g_f / (B g_s + C g_f) with independent link gains;
 conditioning on the far link, with g_f = (w + B x) / A,
@@ -61,10 +62,11 @@ from .errors import NumericalError
 REL_TOL = 1e-13
 MAX_INTERVALS = 1 << 13
 
-# Outer nodes whose inner integrals are evaluated together, and arguments
-# per block of the per-link quadrature: they bound the temporaries.
+# Outer nodes whose inner integrals are evaluated together, which bounds
+# the temporaries, and arguments per block of the per-link quadrature,
+# which bounds its node buffer (at most 24 x 4096 doubles, 786 kB).
 _CHUNK = 64
-_BLOCK = 256
+_BLOCK = 4096
 
 # Both integrals decay like a power of their variable below their scale
 # and double-exponentially above it.  The substitution v = v0 + s - e^(-s)
@@ -193,30 +195,44 @@ def link_cdf_pdf(u, m: int, n: int):
     # with (C 1)_i = P_i(1) = 1.
     limit, y, pairs, prods, lead = _jacobi_gram(s, c)
     small = u < limit
-    us = u[small]
-    gram = np.empty((us.size, len(pairs)))
-    for k in range(0, us.size, _BLOCK):
-        gram[k:k + _BLOCK] = np.einsum("nq,qk->nk", np.exp(-np.multiply.outer(us[k:k + _BLOCK], y)),
-                                       prods)
-    det, quad = _det_and_quad({p: gram[:, k] for k, p in enumerate(pairs)},
-                              [np.exp(-0.5 * us)] * s)
-    det = det / (lead * k_norm)
-    cdf[small] = det * us ** (s * t)
-    pdf[small] = det * us ** (s * t - 1) * quad
+    us, ub = u[small], u[~small]
+    ns = us.size
+    # entry-major: row k holds Gram entry pairs[k], small u in the first ns
+    # columns and larger u after them, so that one Cholesky serves both
+    entries = np.empty((len(pairs), u.size))
+    vec = np.empty((s, u.size))
+    # The node values e^(-u y_q) fill a (nodes x arguments) buffer, and the
+    # contraction sums each argument's nodes in node order.  The block is a
+    # view of a buffer at least 2 columns wide, so that a lone argument is
+    # a strided operand too: on a contiguous one, einsum takes a dot-product
+    # path with other rounding, and a call's values would depend on its batch.
+    nodes = np.empty((y.size, max(2, min(_BLOCK, ns))))
+    for k in range(0, ns, _BLOCK):
+        block = nodes[:, :min(_BLOCK, ns - k)]
+        np.multiply.outer(-y, us[k:k + _BLOCK], out=block)
+        np.exp(block, out=block)
+        entries[:, k:k + block.shape[1]] = np.einsum("qn,qk->kn", block, prods)
+    vec[:, :ns] = np.exp(-0.5 * us)
 
     # larger u: the entries gamma(a, u) themselves, from the top one down by
     # gamma(a, u) = (gamma(a + 1, u) + u^a e^(-u)) / a, all terms positive
-    ub = u[~small]
     ln_ub = np.log(ub)
     top = c + 2 * s - 2
     e = {top: math.gamma(top) * gammainc(top, ub)}
     for a in range(top - 1, c - 1, -1):
         e[a] = (np.exp(a * ln_ub - ub) + e[a + 1]) / a
-    det, quad = _det_and_quad({(i, j): e[c + i + j] for i, j in pairs},
-                              [np.exp((i + 0.5 * (c - 1)) * ln_ub - 0.5 * ub) for i in range(s)])
-    det = det / k_norm
-    cdf[~small] = det
-    pdf[~small] = det * quad
+    for k, (i, j) in enumerate(pairs):
+        entries[k, ns:] = e[c + i + j]
+    for i in range(s):
+        vec[i, ns:] = np.exp((i + 0.5 * (c - 1)) * ln_ub - 0.5 * ub)
+
+    det, quad = _det_and_quad(dict(zip(pairs, entries)), list(vec))
+    det[:ns] /= lead * k_norm
+    det[ns:] /= k_norm
+    cdf[small] = det[:ns] * us ** (s * t)
+    pdf[small] = det[:ns] * us ** (s * t - 1) * quad[:ns]
+    cdf[~small] = det[ns:]
+    pdf[~small] = det[ns:] * quad[ns:]
     return np.minimum(cdf, 1.0), pdf
 
 

@@ -55,15 +55,32 @@ class TestLinkLaws:
                                 epsabs=1e-12, epsrel=1e-10, limit=300)
         assert val == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 3), (4, 4)])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 3), (4, 4), (2, 1), (4, 1)])
     def test_determinant_form_matches_mpmath(self, dims):
         # 60-digit determinant of lower incomplete gammas and its Jacobi
-        # derivative; rho = 1.7 exercises the scaling of x and of the density
+        # derivative; rho = 1.7 exercises the scaling of x and of the density.
+        # The array form is checked over the same grid in one call.
         rho = 1.7
-        for u in np.geomspace(1e-6, 30.0, 49):
+        grid = np.geomspace(1e-6, 30.0, 49)
+        cdf, pdf = twrelay.lowerbound.link_cdf_pdf(grid, *dims)
+        for k, u in enumerate(grid):
             ref_cdf, ref_pdf = link_cdf_pdf_mp(float(u), *dims)
             assert link_cdf(rho * u, *dims, rho) == pytest.approx(ref_cdf, rel=1e-12)
             assert link_pdf(rho * u, *dims, rho) == pytest.approx(ref_pdf / rho, rel=1e-12)
+            assert cdf[k] == pytest.approx(ref_cdf, rel=1e-12)
+            assert pdf[k] == pytest.approx(ref_pdf, rel=1e-12)
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (4, 1), (1, 3), (3, 2), (3, 3), (4, 3),
+                                      (4, 4)])
+    def test_link_values_independent_of_batch(self, dims):
+        # one call over more arguments than a quadrature block, on both sides
+        # of the u = 1 and u = 4 limits, gives each argument the bits of a
+        # call of its own
+        u = np.geomspace(1e-6, 80.0, 5000)
+        cdf, pdf = twrelay.lowerbound.link_cdf_pdf(u, *dims)
+        single = [twrelay.lowerbound.link_cdf_pdf(u[k:k + 1], *dims) for k in range(u.size)]
+        assert np.array_equal(cdf, np.concatenate([f for f, _ in single]))
+        assert np.array_equal(pdf, np.concatenate([f for _, f in single]))
 
 
 class TestEndToEndCdf:

@@ -179,6 +179,20 @@ class TestBeta:
         assert [line.split(",")[0] for line in lines[1:]] == [
             "10.0000", "15.0000", "20.0000", "25.0000", "30.0000"]
 
+    def test_dual_reception_with_relay_array(self, tmp_path):
+        # second_four_slot with m_r > 1 needs the Monte-Carlo dual-reception
+        # factors, which a pre-pass estimates
+        out = tmp_path / "beta.csv"
+        code = main(["beta", "--m-a", "2", "--m-r", "2", "--m-b", "2",
+                     "--protocol", "second_four_slot", "--sweep", "rho", "--start", "10",
+                     "--stop", "30", "--step", "10", "--out", str(out)])
+        assert code == 0
+        lines = _read(out).splitlines()
+        assert lines[0] == "rho_ar_db,beta_sq_closed_form,beta_sq_numeric"
+        assert [line.split(",")[0] for line in lines[1:]] == ["10.0000", "20.0000", "30.0000"]
+        for line in lines[1:]:
+            assert 0.0 < float(line.split(",")[2]) < 1.0
+
 
 class TestKappa:
     def test_factors_vs_relay_antennas(self, tmp_path):
