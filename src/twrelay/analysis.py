@@ -10,12 +10,13 @@ Every term there is non-negative, so nothing cancels; the trapezoid rules
 are refined until their error estimate is below 1e-13 of the value, and a
 NumericalError is raised rather than return a value they cannot back.
 
-The closed form runs over the product of the two Wishart largest-eigenvalue
-tables; each summand is a Bessel moment (Gradshteyn & Ryzhik 6.621.3) with
-scipy's `hyp2f1` and the math module's `lgamma`.  Summands that share a
-moment are grouped (`_moment_groups`), the rational parts of their
-coefficients summed exactly, and each distinct moment evaluated once, in
-the log domain because the terms span hundreds of orders of magnitude at
+The closed form runs over the product of the two links' exact
+largest-eigenvalue expansions, which `lowerbound.ccdf_expansion` reads off
+the same determinant; each summand is a Bessel moment (Gradshteyn & Ryzhik
+6.621.3) with scipy's `hyp2f1` and the math module's `lgamma`.  Summands
+that share a moment are grouped (`_moment_groups`), the rational parts of
+their coefficients summed exactly, and each distinct moment evaluated once,
+in the log domain because the terms span hundreds of orders of magnitude at
 high SNR.  The final subtraction from the zero-SNR ceiling a/log2(M) loses
 about log10(ceiling / sum-BER) digits, so below 1e-5 of the ceiling the
 sum-BER comes from the integral instead.
@@ -34,9 +35,11 @@ from scipy.special import hyp2f1
 from . import lowerbound
 from .errors import ConfigurationError, NumericalError, UnsupportedConfigError
 from .scenario import AntennaConfig, CoefficientSet, Modulation, PowerProfile
-from .specfun import MAX_TABLE_DIM, wishart_max_eig_coeffs
 
 _DIRECTIONS = ("arb", "bra")
+# the most antennas at any node that the link laws and the closed form are
+# tested for
+MAX_TABLE_DIM = 4
 # share of the zero-SNR ceiling a/log2 M at or below which the closed form
 # has lost too many digits and sum_ber_closed_form takes the integral
 FALLBACK_SHARE = 1e-5
@@ -191,12 +194,13 @@ class _MomentGroup(NamedTuple):
 
 def _general_terms(m_src: int, m_far: int, m_r: int):
     """Index tuples (n, m, k, i, j, p, d_nm, d_ij) of the closed form's
-    expansion in one direction, with the exact table coefficients."""
-    src = wishart_max_eig_coeffs(m_src, m_r).exact
-    far = wishart_max_eig_coeffs(m_far, m_r).exact
-    for (n, m), d_nm in src.items():
+    expansion in one direction, with the exact coefficients of the two
+    links' largest-eigenvalue laws."""
+    src = lowerbound.ccdf_expansion(m_src, m_r)
+    far = lowerbound.ccdf_expansion(m_far, m_r)
+    for (n, m), d_nm in src:
         for k in range(0, m + 1):
-            for (i, j), d_ij in far.items():
+            for (i, j), d_ij in far:
                 for p in range(0, k + j + 1):
                     yield n, m, k, i, j, p, d_nm, d_ij
 
@@ -255,7 +259,6 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
     error estimate is below 1e-13 relative, checked to lie in (0, ceiling] and
     reported in one debug record on the "twrelay.analysis" logger.
     """
-    ant.require_analytic()
     value = _closed_form_f64(coeffs, ant, pw, mod)
     if not math.isfinite(value):
         raise NumericalError("closed-form assembly produced a non-finite value")

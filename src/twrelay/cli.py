@@ -20,8 +20,8 @@ from .errors import ConfigurationError, NumericalError
 from .highsnr import beta_closed_form, beta_numeric, gap_table, high_snr_profile, high_snr_sum_ber
 from .scenario import (AntennaConfig, Protocol, Scenario, coefficient_set, load_scenario,
                        parse_protocol, power_profile, protocol_modulation)
-from .simulate import (SweepPoint, _gain_blocks, _keep_leading, estimate_d_factors,
-                       semi_analytic_sweep)
+from .simulate import (D_FACTOR_TRIALS, SweepPoint, _gain_blocks, _keep_leading,
+                       estimate_d_factors, semi_analytic_sweep)
 from .analysis import sum_ber_closed_form
 from .validate import run_validation
 
@@ -120,7 +120,7 @@ def cmd_sweep(args) -> int:
     mc_gains = None     # the mc rows' LinkGains blocks, if the pre-pass made them
     if ant.m_r > 1 and any(p.dual_reception for p in protocols):
         pw_ref = power_profile(args.rho_stop, sc.d0, sc.pl_exponent, sc.relay_rho_db)
-        d_trials = max(sc.trials, 200_000)
+        d_trials = max(sc.trials, D_FACTOR_TRIALS)
         blocks = _gain_blocks(ant, d_trials, sc.seed)
         if "mc" in modes:
             # the mc rows use the first sc.trials of the same draws
@@ -142,7 +142,6 @@ def cmd_sweep(args) -> int:
                 if mode == "mc":
                     mc_points.append((rho_db, SweepPoint(p, pw, w, mod)))
                 elif mode == "closed":
-                    ant.require_analytic()
                     coeffs = coefficient_set(p, ant, pw, w, dfactors)
                     val = sum_ber_closed_form(coeffs, ant, pw, mod)
                     rows.append((rho_db, p.value, mode, val, None))
@@ -174,7 +173,7 @@ def cmd_gaps(args) -> int:
     sc = _scenario_from_args(args)
     ant = sc.antennas
     pw = sc.powers
-    table = gap_table(ant, pw, d_trials=max(sc.trials, 200_000), seed=sc.seed)
+    table = gap_table(ant, pw, d_trials=max(sc.trials, D_FACTOR_TRIALS), seed=sc.seed)
     rows = [f"{row.protocol.value},{_fmt(row.gap_db)},{_fmt(row.eta_sum)},"
             f"{_fmt(row.beta_sq)},{int(row.protocol is table.best)}"
             for row in table.rows]
@@ -204,7 +203,7 @@ def cmd_beta(args) -> int:
     if ant.m_r > 1 and p.dual_reception:
         # one pass draws and decomposes the channels; each step takes its
         # dual-reception factors from these draws at its own powers
-        d_trials = max(sc.trials, 200_000)
+        d_trials = max(sc.trials, D_FACTOR_TRIALS)
         blocks = list(_gain_blocks(ant, d_trials, sc.seed))
     rows = []
     for v in _grid(args.start, args.stop, args.step, "--step"):
@@ -241,8 +240,7 @@ def cmd_kappa(args) -> int:
 
 def cmd_validate(args) -> int:
     sc = _scenario_from_args(args)
-    results, code = run_validation(trials=sc.trials, seed=sc.seed,
-                                   corrupt_eig_table=args.corrupt_eig_table)
+    results, code = run_validation(trials=sc.trials, seed=sc.seed)
     for r in results:
         print(r.line())
     n_skip = sum(1 for r in results if r.skipped)
@@ -295,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="run the invariant suite, exit 4 on failure")
     _add_scenario_flags(val, with_beta=False)
-    val.add_argument("--corrupt-eig-table", action="store_true", help=argparse.SUPPRESS)
     val.set_defaults(func=cmd_validate)
     return ap
 

@@ -1,6 +1,7 @@
 """Double-precision engine for the lower-bound (noise-term-dropped) SNR law:
 per-link largest-eigenvalue CDF and density, the end-to-end CDF, and the
-sum-BER, each computed from non-negative terms only.
+sum-BER, each computed from non-negative terms only; and the exact forms
+of the per-link law that the high-SNR and closed-form engines use.
 
 Per link, the largest eigenvalue of an m x n complex Wishart matrix with
 s = min(m, n), t = max(m, n) has the determinant CDF (Kang & Alouini,
@@ -12,7 +13,9 @@ IEEE JSAC 21(3), 2003; Chiani, Win & Zanella, IEEE Trans. IT 49(10), 2003)
 Since gamma(a, u) = u^a / a + O(u^(a+1)), F(u) = c u^(st) + O(u^(st+1)) with
 c = det[1 / a_ij] / K, a Cauchy determinant: the exact rational
 c = prod_{i<j<s} (j - i)^2 / (K prod_{i,j<s} a_ij) sets the link's weight in
-the high-SNR asymptote.
+the high-SNR asymptote.  Expanded exactly in e^(-u) and u, the same
+determinant gives the coefficients of 1 - F as a sum of Erlang tails
+(`ccdf_expansion`), on which the paper's closed form is built.
 
 The matrix is a Gram matrix (of 1, y, ..., y^(s-1) under the weight
 y^(t-s) e^(-u y) on [0, 1], scaled by u^a_ij), so it is positive definite:
@@ -174,6 +177,65 @@ def leading_coefficient(m: int, n: int) -> Fraction:
     vandermonde = math.prod((j - i) ** 2 for j in range(s) for i in range(j))
     return Fraction(vandermonde,
                     _norm(s, t) * math.prod(t - s + i + j + 1 for i in range(s) for j in range(s)))
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    # product of polynomials in e^(-u) and u, keyed by (power of e^(-u), power of u)
+    out = {}
+    for (e1, k1), c1 in p.items():
+        for (e2, k2), c2 in q.items():
+            out[e1 + e2, k1 + k2] = out.get((e1 + e2, k1 + k2), 0) + c1 * c2
+    return out
+
+
+@functools.cache
+def ccdf_expansion(m: int, n: int) -> tuple:
+    """The exact expansion of the largest eigenvalue L of an m x n complex
+    Wishart matrix, s = min(m, n), t = max(m, n),
+
+        P(L > u) = sum_(i, k) d[i, k] sum_(j <= k) (i u)^j e^(-i u) / j!,
+
+    as the pairs ((i, k), d[i, k]) with d[i, k] != 0 in sorted order, each
+    d a Fraction, 1 <= i <= s and t - s <= k <= (t + s) i - 2 i^2.
+
+    det[gamma(a_ij, u)] is expanded by minors along its rows as a
+    polynomial in e^(-u) and u with integer coefficients, from
+    gamma(a, u) = (a - 1)! (1 - e^(-u) sum_(j < a) u^j / j!).  With c_ik its
+    coefficient of e^(-i u) u^k, the tail sums are
+    S_k = sum_(k' >= k) d[i, k'] = -c_ik k! / (K i^k), and
+    d[i, k] = S_k - S_(k+1)."""
+    s, t = min(m, n), max(m, n)
+
+    def gamma(a):
+        f = math.factorial(a - 1)
+        poly = {(1, j): -(f // math.factorial(j)) for j in range(a)}
+        poly[0, 0] = f
+        return poly
+
+    @functools.cache
+    def minor(cols):
+        # determinant of the last len(cols) rows over the columns cols
+        if not cols:
+            return {(0, 0): 1}
+        i = s - len(cols)
+        out = {}
+        for pos, j in enumerate(cols):
+            term = _poly_mul(gamma(t - s + i + j + 1), minor(cols[:pos] + cols[pos + 1:]))
+            for key, c in term.items():
+                out[key] = out.get(key, 0) + (-c if pos % 2 else c)
+        return out
+
+    det = minor(tuple(range(s)))
+    k_norm = _norm(s, t)
+    table = []
+    for i in range(1, s + 1):
+        tail = {k: Fraction(-c * math.factorial(k), k_norm * i ** k)
+                for (e, k), c in det.items() if e == i}
+        for k in range(max(tail) + 1):
+            d = tail.get(k, 0) - tail.get(k + 1, 0)
+            if d:
+                table.append(((i, k), d))
+    return tuple(table)
 
 
 def link_cdf_pdf(u, m: int, n: int):

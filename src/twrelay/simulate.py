@@ -47,6 +47,9 @@ from .scenario import (AntennaConfig, CoefficientSet, DFactors, Modulation,
                        protocol_modulation)
 
 _BLOCK = 1 << 14
+# the fewest trials of the Monte-Carlo pre-pass that estimates the
+# dual-reception factors for the analytic rows (sweep, gaps, beta, validate)
+D_FACTOR_TRIALS = 200_000
 # the 3x3 and 4x4 top-eigenpair kernel: rows per sub-block, Newton step
 # cap, and its guard's adjugate-column floor and residual bound in units
 # of eps m lam (see the module docstring)
@@ -85,6 +88,8 @@ class ChannelStream:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if not 0 <= self.seed < 1 << 128:     # a Philox key
+            raise ConfigurationError(f"seed must be in [0, 2**128), got {seed!r}")
 
     def _rng(self, block: int) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.seed, counter=[0, 0, 0, block]))

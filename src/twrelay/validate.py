@@ -22,8 +22,9 @@ from .errors import ConfigurationError
 from .highsnr import eta_pair
 from .scenario import (AntennaConfig, BALANCED_WEIGHTS, CoefficientSet, PowerProfile,
                        Protocol, coefficient_set, protocol_modulation)
-from .simulate import (_BLOCK, SweepPoint, _gain_blocks, end_to_end_snrs,
-                       estimate_d_factors, sample_end_to_end_snrs, semi_analytic_sweep)
+from .simulate import (_BLOCK, D_FACTOR_TRIALS, SweepPoint, _gain_blocks,
+                       end_to_end_snrs, estimate_d_factors, sample_end_to_end_snrs,
+                       semi_analytic_sweep)
 
 _MIN_STATISTICAL_TRIALS = 10_000
 
@@ -60,17 +61,6 @@ def _ks_statistic(samples: np.ndarray, cdf, grid_points: int = 1500) -> float:
     return float(max(np.max(np.abs(F - lo)), np.max(np.abs(F - hi))))
 
 
-def _corrupted(cdf, rho: float):
-    """Test hook: the CDF under test off by the term that an eigenvalue-
-    expansion coefficient wrong by 1/20 adds to a link CDF,
-    -(1/20) (1 + u + u^2 / 2) e^(-u) at u = x / rho, so that distribution
-    checks must fail."""
-    def wrong(xs):
-        u = np.asarray(xs) / rho
-        return cdf(xs) - 0.05 * (1.0 + u + 0.5 * u * u) * np.exp(-u)
-    return wrong
-
-
 def _block_snrs(pw: PowerProfile, seed: int, block: int, n: int):
     """Link SNRs of the first n draws of the given block of the seed's 2x1x2
     stream (the blocks before it are drawn, decomposed and skipped)."""
@@ -97,9 +87,9 @@ def check_bessel_moment_identity() -> CheckResult:
 def single_antenna_e2e_cdf(direction: str, x: float, coeffs: CoefficientSet,
                            ant: AntennaConfig, pw: PowerProfile) -> float:
     """Oracle for `e2e_cdf` with one relay antenna, written without the
-    eigenvalue tables: both link gains are then Erlang (Gamma with integer
-    shape m_src and m_far), and the end-to-end CDF is a finite double sum of
-    Bessel K terms indexed by the two Erlang shapes."""
+    largest-eigenvalue law: both link gains are then Erlang (Gamma with
+    integer shape m_src and m_far), and the end-to-end CDF is a finite
+    double sum of Bessel K terms indexed by the two Erlang shapes."""
     if ant.m_r != 1:
         raise ConfigurationError("the single-antenna CDF requires m_r == 1")
     if x <= 0.0:
@@ -210,18 +200,17 @@ def check_harmonic_mean_sandwich(pw: PowerProfile, seed: int) -> CheckResult:
 
 
 def _ks_case(p: Protocol, ant: AntennaConfig, pw: PowerProfile, trials, seed,
-             dfactors=None, corrupt: bool = False) -> float:
+             dfactors=None) -> float:
     w = BALANCED_WEIGHTS if p.uses_weights else None
     arb, _ = sample_end_to_end_snrs(p, ant, pw, w, snr_form="lower", trials=trials, seed=seed)
     coeffs = coefficient_set(p, ant, pw, w, dfactors)
 
     def cdf(xs):
         return e2e_cdf("arb", xs, coeffs, ant, pw)
-    return _ks_statistic(arb, _corrupted(cdf, pw.rho_ar) if corrupt else cdf)
+    return _ks_statistic(arb, cdf)
 
 
-def check_ks_suite(pw: PowerProfile, trials: int, seed: int,
-                   corrupt: bool = False) -> list:
+def check_ks_suite(pw: PowerProfile, trials: int, seed: int) -> list:
     if trials < _MIN_STATISTICAL_TRIALS:
         return [CheckResult("ks_distribution_suite", True, 0.0, 0.0,
                             note="underpowered at this trial budget", skipped=True)]
@@ -234,11 +223,10 @@ def check_ks_suite(pw: PowerProfile, trials: int, seed: int,
     results.append(CheckResult("ks_all_protocols_2x1x2", worst <= 0.01, worst, 0.01))
 
     ant2 = AntennaConfig(2, 2, 2)
-    ks_exact = _ks_case(Protocol.FIRST_FOUR_SLOT, ant2, pw, n, seed + 1, corrupt=corrupt)
-    results.append(CheckResult("ks_first_four_slot_2x2x2", ks_exact <= 0.01, ks_exact, 0.01,
-                               note="corrupted-table hook active" if corrupt else ""))
+    ks_exact = _ks_case(Protocol.FIRST_FOUR_SLOT, ant2, pw, n, seed + 1)
+    results.append(CheckResult("ks_first_four_slot_2x2x2", ks_exact <= 0.01, ks_exact, 0.01))
 
-    d = estimate_d_factors(ant2, pw, trials=max(trials, 200_000), seed=seed + 2)
+    d = estimate_d_factors(ant2, pw, trials=max(trials, D_FACTOR_TRIALS), seed=seed + 2)
     ks_approx = _ks_case(Protocol.SECOND_THREE_SLOT, ant2, pw, n, seed + 3, dfactors=d)
     results.append(CheckResult("ks_second_three_slot_2x2x2", ks_approx <= 0.03,
                                ks_approx, 0.03, note="mean-ratio approximate form"))
@@ -346,8 +334,7 @@ def check_monotonicity(pw: PowerProfile) -> CheckResult:
                        note="max CDF decrease / endpoint deviation")
 
 
-def run_validation(trials: int = 100_000, seed: int = 12345,
-                   corrupt_eig_table: bool = False) -> tuple[list, int]:
+def run_validation(trials: int = 100_000, seed: int = 12345) -> tuple[list, int]:
     """Run the full invariant suite; returns (results, exit_code)."""
     pw = PowerProfile.balanced(30.0)
     results = [check_bessel_moment_identity(),
@@ -359,7 +346,7 @@ def run_validation(trials: int = 100_000, seed: int = 12345,
                check_construction_integral(pw),
                check_closed_vs_quadrature()]
     results.extend(check_slopes())
-    results.extend(check_ks_suite(pw, trials, seed, corrupt=corrupt_eig_table))
+    results.extend(check_ks_suite(pw, trials, seed))
     results.append(check_min_approx_ks(trials, seed))
     results.append(check_lower_bound_ordering(pw, trials, seed))
     failed = [r for r in results if not r.skipped and not r.passed]

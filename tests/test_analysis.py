@@ -19,7 +19,7 @@ from mp_oracle import (ORACLE_DPS, ORACLE_FILE, closed_form_mp, link_cdf_pdf_mp,
 from twrelay.analysis import (FALLBACK_SHARE, _closed_form_f64, bessel_moment, e2e_cdf,
                               link_cdf, link_pdf, min_pair_cdf, sum_ber_closed_form,
                               sum_ber_quadrature)
-from twrelay.errors import ConfigurationError, NumericalError
+from twrelay.errors import ConfigurationError, NumericalError, UnsupportedConfigError
 from twrelay.highsnr import eta_pair, gap_table, high_snr_profile, high_snr_sum_ber
 from twrelay.lowerbound import Estimate
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile,
@@ -337,9 +337,9 @@ class TestSumBerClosedForm:
         assert 0.0 < e2e_cdf("arb", pw.rho_ar, coeffs, ant, pw) < 1.0
 
     def test_tables_serve_only_the_closed_form(self, monkeypatch):
-        # the Wishart expansion tables feed the paper's closed form alone;
+        # the exact Wishart expansion feeds the paper's closed form alone;
         # the link laws, the integrals and the high-SNR weights come from
-        # the determinant form
+        # the determinant form in floating point or its Cauchy coefficient
         ant = AntennaConfig(2, 2, 2)
         pw = PowerProfile.balanced(20.0)
         dfactors = DFactors(1.6, 1.6, 1.7, 1.7)
@@ -359,12 +359,24 @@ class TestSumBerClosedForm:
             raise AssertionError("eigenvalue table read")
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("twrelay") and hasattr(module, "wishart_max_eig_coeffs"):
-                monkeypatch.setattr(module, "wishart_max_eig_coeffs", no_tables)
+            if name.startswith("twrelay") and hasattr(module, "ccdf_expansion"):
+                monkeypatch.setattr(module, "ccdf_expansion", no_tables)
         assert values() == before
         twrelay.analysis._moment_groups.cache_clear()
         with pytest.raises(AssertionError, match="eigenvalue table read"):
             sum_ber_closed_form(coeffs, ant, pw, mod)
+
+    def test_dimension_contract(self):
+        # _direction, which every closed-form call passes first, is the one
+        # gate on the antenna counts
+        pw = PowerProfile.balanced(10.0)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        big = AntennaConfig(5, 2, 5)
+        with pytest.raises(UnsupportedConfigError):
+            sum_ber_closed_form(coefficient_set(Protocol.TWO_SLOT, big, pw), big, pw, mod)
+        swapped = AntennaConfig(1, 2, 2)
+        with pytest.raises(ConfigurationError, match="swap"):
+            sum_ber_closed_form(coefficient_set(Protocol.TWO_SLOT, swapped, pw), swapped, pw, mod)
 
     def test_exact_tables_rescue_4x3x4(self):
         # the unbalanced array at 30 dB, 2e-28 of the ceiling, sits just below

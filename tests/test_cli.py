@@ -6,9 +6,10 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from twrelay import cli
+from twrelay import cli, validate
 from twrelay.cli import main
 from twrelay.scenario import (AntennaConfig, Protocol, parse_protocol, power_profile,
                               protocol_modulation)
@@ -131,10 +132,24 @@ class TestSweep:
         assert len(calls) == 15
         assert _read(shared) == _read(unshared)
 
-    def test_config_error_exit(self, scenario_file):
+    def test_config_error_exit(self, scenario_file, tmp_path, capsys):
         code = main(["sweep", scenario_file, "--rho-start", "0", "--rho-stop", "10",
                      "--rho-step", "-1"])
         assert code == 2
+        # a seed outside Philox's 128-bit key range, on the command line or
+        # in a scenario file (at m_r = 2, where gaps draws channels)
+        bad_file = tmp_path / "bad_seed.scenario"
+        bad_file.write_text(SCENARIO.replace("m_r = 1", "m_r = 2")
+                            .replace("seed = 99", "seed = -4"))
+        mc = ["sweep", scenario_file, "--rho-start", "10", "--rho-stop", "10",
+              "--rho-step", "5", "--mode", "mc"]
+        for args in (mc + ["--seed", "-3"],
+                     mc + ["--seed", str(2 ** 128)],
+                     ["kappa", scenario_file, "--m-r-list", "2", "--seed", "-3"],
+                     ["gaps", str(bad_file)]):
+            capsys.readouterr()
+            assert main(args) == 2, args
+            assert "configuration error" in capsys.readouterr().err, args
 
 
 class TestGaps:
@@ -216,13 +231,30 @@ class TestValidate:
         assert code == 0
         assert "underpowered" in captured.out + captured.err
 
-    def test_corrupted_table_hook_fails_ks(self, scenario_file, capsys):
-        # the hook perturbs the CDF the 2x2x2 KS check compares against
-        code = main(["validate", scenario_file, "--trials", "20000", "--corrupt-eig-table"])
+    def test_full_budget_passes(self, monkeypatch, capsys):
+        # the default budget, 100 000 trials at seed 12345, runs every
+        # statistical check
+        monkeypatch.delenv("TWRELAY_SEED", raising=False)
+        assert main(["validate"]) == 0
+        assert "15 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+
+    def test_perturbed_cdf_fails_ks(self, scenario_file, capsys, monkeypatch):
+        # the CDF under test off by the term that an expansion coefficient
+        # wrong by 1/20 adds to a link CDF, -(1/20) (1 + u + u^2 / 2) e^(-u)
+        # at u = x / rho_ar
+        e2e_cdf = validate.e2e_cdf
+
+        def wrong(direction, xs, coeffs, ant, pw):
+            u = np.asarray(xs) / pw.rho_ar
+            return (e2e_cdf(direction, xs, coeffs, ant, pw)
+                    - 0.05 * (1.0 + u + 0.5 * u * u) * np.exp(-u))
+
+        monkeypatch.setattr(validate, "e2e_cdf", wrong)
+        code = main(["validate", scenario_file, "--trials", "20000"])
         out = capsys.readouterr().out
         assert code == 4
         line = next(row for row in out.splitlines() if "ks_first_four_slot_2x2x2" in row)
-        assert line.startswith("FAIL") and "corrupted-table hook active" in line
+        assert line.startswith("FAIL")
 
     def test_env_seed_override(self, scenario_file, tmp_path, monkeypatch):
         # the env var must change MC output when the file carries no seed
@@ -244,6 +276,11 @@ class TestValidate:
         monkeypatch.setenv("TWRELAY_SEED", "abc")
         assert main(args) == 2
         assert "configuration error: TWRELAY_SEED" in capsys.readouterr().err
+        # a well-formed seed outside the key range
+        monkeypatch.setenv("TWRELAY_SEED", "-2")
+        assert main(["validate", scenario_file]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        monkeypatch.setenv("TWRELAY_SEED", "abc")
         # an explicit --seed does not read the environment
         assert main(args + ["--seed", "5"]) == 0
 

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from twrelay.errors import ConfigurationError
+from twrelay.lowerbound import ccdf_expansion
 from twrelay.highsnr import (beta_closed_form, beta_numeric, eta_pair, gap_table,
                              high_snr_gap, high_snr_profile, high_snr_sum_ber)
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
                               Protocol, WeightPair, coefficient_set,
                               power_profile, protocol_modulation)
-from twrelay.specfun import wishart_max_eig_coeffs
 
 UNBALANCED = power_profile(40.0, 0.3, 3.0, relay_rho_db=40.0)
 
@@ -87,13 +87,13 @@ class TestEtaPair:
     def test_exact_for_every_table_shape(self, dims):
         # against the exact rational of the same float inputs, with the
         # link's (d-1)-th density derivative at 0 summed from the exact
-        # eigenvalue tables (summed in floats it was 2e-10 off at 4x4x4)
+        # eigenvalue expansion (summed in floats it was 2e-10 off at 4x4x4)
         ant = AntennaConfig(*dims)
         m, m_r = dims[0], dims[1]
         d = m * m_r
-        table = wishart_max_eig_coeffs(m, m_r).exact
+        table = ccdf_expansion(m, m_r)
         deriv = sum(c * math.comb(d - 1, k) * (-1) ** (d - 1 + k) * n ** d
-                    for (n, k), c in table.items())
+                    for (n, k), c in table)
         pw = power_profile(40.0, 0.3, 3.0)
         for p, w in ((Protocol.TWO_SLOT, None),
                      (Protocol.FIRST_THREE_SLOT, WeightPair.from_beta_squared(0.37))):

@@ -1,7 +1,8 @@
 """Accuracy of the library special functions the closed-form engine
 evaluates (math.lgamma, scipy.special.kv, scipy.special.hyp2f1) against
-independent oracles and identities, and the largest-eigenvalue coefficient
-tables: entries, index bounds, CDF shape, and agreement with Monte-Carlo
+independent oracles and identities, and the exact largest-eigenvalue
+expansion derived from the determinant form: entries, index bounds, CDF
+shape, and agreement with the mpmath determinant and with Monte-Carlo
 eigenvalue draws."""
 
 import math
@@ -12,9 +13,9 @@ import numpy as np
 import pytest
 from scipy.special import hyp2f1, kv
 
-from twrelay.errors import ConfigurationError, UnsupportedConfigError
-from twrelay.lowerbound import leading_coefficient
-from twrelay.specfun import MAX_TABLE_DIM, wishart_max_eig_coeffs
+from mp_oracle import link_cdf_pdf_mp
+from twrelay.analysis import MAX_TABLE_DIM
+from twrelay.lowerbound import ccdf_expansion, leading_coefficient
 
 ALL_TABLE_DIMS = [(m_s, m_r) for m_s in range(1, MAX_TABLE_DIM + 1) for m_r in range(1, m_s + 1)]
 
@@ -108,7 +109,7 @@ class TestGauss2F1:
 
 def _table_cdf(table, x, rho=1.0):
     tail = 0.0
-    for (n, m), d in table.exact.items():
+    for (n, m), d in table:
         d = float(d)
         nu = n * x / rho
         s, t = 1.0, 1.0
@@ -121,16 +122,16 @@ def _table_cdf(table, x, rho=1.0):
 
 class TestEigCoeffTables:
     def test_single_relay_antenna_entries(self):
-        assert wishart_max_eig_coeffs(3, 1).exact == {(1, 2): 1}
-        assert wishart_max_eig_coeffs(1, 1).exact == {(1, 0): 1}
+        assert dict(ccdf_expansion(3, 1)) == {(1, 2): 1}
+        assert dict(ccdf_expansion(1, 1)) == {(1, 0): 1}
 
     def test_two_by_two_entries(self):
         expected = {(1, 0): 2, (1, 1): -2, (1, 2): 2, (2, 0): -1}
-        assert wishart_max_eig_coeffs(2, 2).exact == expected
+        assert dict(ccdf_expansion(2, 2)) == expected
 
     def test_erlang_reduction(self):
         # with one relay antenna the assembled CDF must be the Erlang CDF
-        table = wishart_max_eig_coeffs(3, 1)
+        table = ccdf_expansion(3, 1)
         for x in (0.3, 1.0, 4.0):
             erlang = 1.0 - math.exp(-x) * (1.0 + x + x * x / 2.0)
             assert _table_cdf(table, x) == pytest.approx(erlang, abs=1e-14)
@@ -138,15 +139,14 @@ class TestEigCoeffTables:
     def test_index_bounds(self):
         for m_s in range(1, 5):
             for m_r in range(1, m_s + 1):
-                table = wishart_max_eig_coeffs(m_s, m_r)
-                for (n, m) in table.exact:
+                for (n, m), _ in ccdf_expansion(m_s, m_r):
                     assert 1 <= n <= m_r
                     assert m_s - m_r <= m <= (m_s + m_r) * n - 2 * n * n
 
     def test_cdf_limits_and_monotone(self):
         for m_s in range(1, 5):
             for m_r in range(1, m_s + 1):
-                table = wishart_max_eig_coeffs(m_s, m_r)
+                table = ccdf_expansion(m_s, m_r)
                 rho = 3.7
                 assert _table_cdf(table, 1e-12, rho) == pytest.approx(0.0, abs=1e-9)
                 assert _table_cdf(table, 50.0 * rho, rho) == pytest.approx(1.0, abs=1e-6)
@@ -169,7 +169,7 @@ class TestEigCoeffTables:
              + 1j * rng.standard_normal((draws, m_r, m_s))) / np.sqrt(2.0)
         lam = np.linalg.eigvalsh(h @ h.conj().transpose(0, 2, 1))[:, -1]
         lam.sort()
-        table = wishart_max_eig_coeffs(m_s, m_r)
+        table = ccdf_expansion(m_s, m_r)
         qs = np.linspace(0.01, 0.99, 60)
         xs = np.quantile(lam, qs)
         worst = max(abs(_table_cdf(table, float(x)) - q) for x, q in zip(xs, qs))
@@ -181,7 +181,7 @@ class TestEigCoeffTables:
         # Taylor coefficients vanish below the diversity order m_s m_r; the
         # closed form's cancellation at high SNR relies on both
         m_s, m_r = dims
-        exact = wishart_max_eig_coeffs(m_s, m_r).exact
+        exact = dict(ccdf_expansion(m_s, m_r))
         assert all(isinstance(d, Fraction) for d in exact.values())
         assert sum(exact.values()) == 1
 
@@ -198,8 +198,21 @@ class TestEigCoeffTables:
         # the determinant form's exact leading coefficient is the same number
         assert leading_coefficient(m_s, m_r) == -ccdf_taylor(order)
 
-    def test_dimension_contract(self):
-        with pytest.raises(ConfigurationError):
-            wishart_max_eig_coeffs(2, 3)
-        with pytest.raises(UnsupportedConfigError):
-            wishart_max_eig_coeffs(5, 2)
+    @pytest.mark.parametrize("dims", ALL_TABLE_DIMS)
+    def test_matches_mpmath_determinant(self, dims):
+        # the expansion against det[gamma(a_ij, u)] / K from mpmath's
+        # gammainc at 60 digits, a route that shares no code with the exact
+        # expansion; the sum runs in mpmath so that only the coefficients
+        # are tested, and its CDF, 1 - CCDF, keeps the digits that cancel
+        # where the CDF is small
+        m_s, m_r = dims
+        table = ccdf_expansion(m_s, m_r)
+        for u in (0.05, 0.5, 2.0, 8.0):
+            cdf = link_cdf_pdf_mp(u, m_s, m_r)[0]
+            with mp.workdps(60):
+                ccdf = mp.fsum(mp.mpf(d.numerator) / d.denominator
+                               * mp.fsum((n * mp.mpf(u)) ** k / mp.factorial(k)
+                                         for k in range(m + 1)) * mp.exp(-n * mp.mpf(u))
+                               for (n, m), d in table)
+                assert float(ccdf) == pytest.approx(1.0 - cdf, rel=1e-12), u
+                assert float(1 - ccdf) == pytest.approx(cdf, rel=1e-12), u
