@@ -5,6 +5,11 @@ A sweep writes an asymptote row only where the power law is at or below the
 zero-SNR sum-BER ceiling a / log2 M of the protocol's modulation; below that
 crossover SNR the power law is not a sum-BER, and the row is left out.
 
+The dual-reception factors are Monte-Carlo estimates with control variates
+of exactly known mean (`simulate.estimate_d_factors`): over at least
+D_FACTOR_TRIALS draws in sweep, gaps and beta, over --trials in kappa,
+whose se_* columns are the standard errors of these estimates.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation failure.
 """
@@ -284,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     beta.add_argument("--out", help="output CSV path (default stdout)")
     beta.set_defaults(func=cmd_beta)
 
-    kappa = sub.add_parser("kappa", help="dual-reception factors vs relay antennas (CSV)")
+    kappa = sub.add_parser("kappa", help="dual-reception factors vs relay antennas, with "
+                                          "their control-variate standard errors (CSV)")
     _add_scenario_flags(kappa, with_beta=False)
     kappa.add_argument("--m-r-list", default="1,2,3,4",
                        help="comma-separated relay antenna counts")

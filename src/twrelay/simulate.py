@@ -39,17 +39,20 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import digamma, erfc, gammainccinv
 
 from .errors import ConfigurationError
+from .lowerbound import _gauss_legendre, link_cdf_pdf
 from .scenario import (AntennaConfig, CoefficientSet, DFactors, Modulation,
                        PowerProfile, Protocol, WeightPair, coefficient_set,
                        protocol_modulation)
 
 _BLOCK = 1 << 14
 # the fewest trials of the Monte-Carlo pre-pass that estimates the
-# dual-reception factors for the analytic rows (sweep, gaps, beta, validate)
-D_FACTOR_TRIALS = 200_000
+# dual-reception factors for the analytic rows (sweep, gaps, beta, validate):
+# two blocks, whose control-variate standard errors are below those of a
+# plain estimate from 200 000 draws
+D_FACTOR_TRIALS = 1 << 15
 # the 3x3 and 4x4 top-eigenpair kernel: rows per sub-block, Newton step
 # cap, and its guard's adjugate-column floor and residual bound in units
 # of eps m lam (see the module docstring)
@@ -95,14 +98,22 @@ class ChannelStream:
         return np.random.Generator(np.random.Philox(key=self.seed, counter=[0, 0, 0, block]))
 
     def draw_block(self, ant: AntennaConfig, block: int) -> tuple[np.ndarray, np.ndarray]:
-        """All channel matrices of one block, shapes (B, m_r, m_a) and (B, m_r, m_b)."""
+        """All channel matrices of one block, shapes (B, m_r, m_a) and (B, m_r, m_b).
+
+        The stream fills the A side's real parts, its imaginary parts, then
+        the B side's, each scaled by 1/sqrt(2) into its complex array."""
         rng = self._rng(block)
         scale = 1.0 / math.sqrt(2.0)
-        h_ar = scale * (rng.standard_normal((_BLOCK, ant.m_r, ant.m_a))
-                        + 1j * rng.standard_normal((_BLOCK, ant.m_r, ant.m_a)))
-        h_br = scale * (rng.standard_normal((_BLOCK, ant.m_r, ant.m_b))
-                        + 1j * rng.standard_normal((_BLOCK, ant.m_r, ant.m_b)))
-        return h_ar, h_br
+        buf = np.empty(_BLOCK * ant.m_r * max(ant.m_a, ant.m_b))
+        out = []
+        for m in (ant.m_a, ant.m_b):
+            h = np.empty((_BLOCK, ant.m_r, m), dtype=complex)
+            normals = buf[:h.size].reshape(h.shape)
+            for part in (h.real, h.imag):
+                rng.standard_normal(out=normals)
+                np.multiply(normals, scale, out=part)
+            out.append(h)
+        return tuple(out)
 
 
 def _gram(h: np.ndarray) -> np.ndarray:
@@ -561,46 +572,132 @@ def _mean_estimate(part, trials: int) -> BerEstimate:
     return BerEstimate(mean=mean, std_error=se, trials=trials)
 
 
+def _mean_top_eig(m: int, n: int) -> float:
+    """Mean of the largest eigenvalue of an m x n complex Wishart matrix,
+    int_0^inf (1 - F(u)) du with the determinant-form F of
+    `lowerbound.link_cdf_pdf`, by 24-point Gauss-Legendre panels of width 4
+    on [0, U].  1 - F lies below the Gamma(mn) tail of the trace, so the
+    part past U is at most mn Q(mn + 1, U), which U sets to 1e-17."""
+    k = m * n
+    upper = gammainccinv(k + 1, 1e-17 / k)
+    x, w = _gauss_legendre(24)
+    left = np.arange(0.0, upper, 4.0)
+    cdf, _ = link_cdf_pdf((left[:, None] + 2.0 * (x + 1.0)).ravel(), m, n)
+    return math.fsum((1.0 - cdf) * np.tile(2.0 * w, left.size))
+
+
+def _solve_psd(a: list, bs: list, most: int):
+    """The solutions x of a x = b for each b in bs, for a symmetric positive
+    semi-definite a (lists of floats), by Cholesky in Python floats, and the
+    number of indices that enter.  Pivots are taken in index order, at most
+    `most` of them; an index past those, or whose pivot falls to 1e-9 of its
+    diagonal entry (a variable that the earlier ones span), gets x = 0."""
+    p = len(a)
+    low = [[0.0] * p for _ in range(p)]
+    rank = 0
+    for j in range(p):
+        pivot = a[j][j] - math.fsum(v * v for v in low[j][:j])
+        if rank == most or pivot <= 1e-9 * a[j][j]:
+            continue        # row and column j of low stay 0
+        rank += 1
+        low[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, p):
+            low[i][j] = (a[i][j] - math.fsum(u * v for u, v in zip(low[i][:j], low[j][:j]))) / low[j][j]
+    used = [i for i in range(p) if low[i][i]]
+    xs = []
+    for b in bs:
+        y = [0.0] * p
+        for i in used:
+            y[i] = (b[i] - math.fsum(low[i][k] * y[k] for k in range(i))) / low[i][i]
+        x = [0.0] * p
+        for i in reversed(used):
+            x[i] = (y[i] - math.fsum(low[k][i] * x[k] for k in range(i + 1, p))) / low[i][i]
+        xs.append(x)
+    return xs, rank
+
+
 def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000_000,
                        seed: int = 12345, return_std_errors: bool = False, gains=None):
-    """Dual-reception factors 1 + E[secondary branch]/E[primary branch] for
-    both dual-reception protocols and both directions.
+    """Dual-reception factors d = 1 + E[x2]/E[x1] for both dual-reception
+    protocols and both directions, x1 the primary (matched) and x2 the
+    secondary (non-matched) branch SNR, and, with return_std_errors, their
+    standard errors.
 
     The weighted protocol is evaluated at balanced weights; the ratio is
     insensitive to the average SNRs.  With one relay antenna every factor is
-    exactly 2.  Block sums are combined as in semi_analytic_sweep, and
-    gains, if given, replaces the draw as there.
+    exactly 2 with standard error 0, and nothing is drawn.
+
+    Each mean is a regression control-variate estimate.  The six controls C
+    have exactly known means mu: the cross gains lam_a_x and lam_b_x are
+    Gamma(m_a) and Gamma(m_b) (the beamformer of one side is independent of
+    the other side's channel), so E lam_x = m and E ln lam_x = psi(m); and
+    E lam_a, E lam_b is the mean of the top eigenvalue of an m_r x m_a and
+    an m_r x m_b Wishart matrix (`_mean_top_eig`).  With sample means,
+    sample covariances S and n trials,
+
+        m_j = mean(x_j) - beta_j' (mean(C) - mu),  beta_j = S_CC^-1 S_Cj,
+        d = 1 + m_2 / m_1,
+        SE = sqrt(s_e^2 / n) / m_1,
+        s_e^2 = (S_zz - S_zC S_CC^-1 S_Cz) (n - 1) / (n - 1 - p),
+
+    where z = x2 - (m_2 / m_1) x1 is the ratio's delta-method residual and
+    p the number of controls that enter: those that the earlier ones do not
+    span in the sample, at most n - 2 (`_solve_psd`).  Each block
+    contributes the sums of x1, x2 and C - mu and of the products that
+    these formulas read, each with np.sum; the block sums are combined with
+    math.fsum, so results depend only on (seed, trials).  gains, if given, replaces the draw as in
+    semi_analytic_sweep.
     """
     _require_trials(trials)
-    # per block, for (arb, bra) of the unweighted and then the balanced
-    # weighted protocol: sums of x1, x2, x1^2, x2^2 and x1 x2, where x1 is
-    # the primary and x2 the secondary branch SNR
+    if ant.m_r == 1:
+        # a scalar relay weight: the secondary branch equals the primary
+        return DFactors(2.0, 2.0, 2.0, 2.0), (0.0, 0.0, 0.0, 0.0)
+    top = {m: _mean_top_eig(ant.m_r, m) for m in {ant.m_a, ant.m_b}}
+    mu = np.array([ant.m_a, ant.m_b, digamma(ant.m_a), digamma(ant.m_b),
+                   top[ant.m_a], top[ant.m_b]])
+    # rows: x1, x2 of arb and bra of the unweighted, then of the balanced
+    # weighted protocol, then C - mu; per block, the sums of the rows and of
+    # the products that the estimate reads: each x with C, C with C, and
+    # each x1, x2 pair with itself
+    nrow = len(mu) + 8
+    pairs = [(i, j) for i in range(nrow) for j in range(i, nrow)
+             if j >= 8 or j == i or (j == i + 1 and i % 2 == 0)]
     parts = []
     for block in _gain_blocks(ant, trials, seed) if gains is None else gains:
         s = block.snrs(pw)
+        controls = (block.lam_a_x, block.lam_b_x, np.log(block.lam_a_x),
+                    np.log(block.lam_b_x), block.lam_a, block.lam_b)
         # released before the next block is decomposed, which sets the peak
         # memory of a 4x4x4 pass
         del block
-        arb1, arb2, bra1, bra2 = _dual_branches(s, 1.0, 1.0)
-        qrb1, qrb2, qra1, qra2 = _dual_branches(s, 0.5, 0.5)
-        parts.append([np.sum(v) for x1, x2 in ((arb1, arb2), (bra1, bra2),
-                                                (qrb1, qrb2), (qra1, qra2))
-                      for v in (x1, x2, x1 * x1, x2 * x2, x1 * x2)])
-    totals = [math.fsum(col) / trials for col in zip(*parts)]
+        rows = (_dual_branches(s, 1.0, 1.0) + _dual_branches(s, 0.5, 0.5)
+                + tuple(c - m for c, m in zip(controls, mu)))
+        del s, controls
+        parts.append([np.sum(v) for v in rows] + [np.sum(rows[i] * rows[j]) for i, j in pairs])
+    totals = [math.fsum(col) for col in zip(*parts)]
+    mean = [t / trials for t in totals[:nrow]]
+    den = max(trials - 1, 1)
+    cov = [[0.0] * nrow for _ in range(nrow)]
+    for (i, j), t in zip(pairs, totals[nrow:]):
+        cov[i][j] = cov[j][i] = (t - trials * mean[i] * mean[j]) / den
+    ctrl = range(8, nrow)
+    s_cc = [[cov[i][j] for j in ctrl] for i in ctrl]
+    # at most trials - 2 controls, which leaves the residual a degree of freedom
+    beta, rank = _solve_psd(s_cc, [[cov[i][j] for i in ctrl] for j in range(8)], trials - 2)
+    adjusted = [mean[j] - math.fsum(b * mean[i] for b, i in zip(beta[j], ctrl))
+                for j in range(8)]
+    dof = max(trials - 1 - rank, 1)
 
-    def ratio_and_se(m1, m2, sq1, sq2, cross):
-        r = m2 / m1
-        if trials > 1:
-            v1 = max(0.0, sq1 - m1 * m1)
-            v2 = max(0.0, sq2 - m2 * m2)
-            c = cross - m1 * m2
-            var_r = (v2 - 2.0 * r * c + r * r * v1) / (m1 * m1 * trials)
-            se = math.sqrt(max(0.0, var_r))
-        else:
-            se = 0.0
-        return r, se
+    def ratio_and_se(j):
+        # x1 is row j, x2 row j + 1
+        r = adjusted[j + 1] / adjusted[j]
+        s_zz = cov[j + 1][j + 1] - 2.0 * r * cov[j][j + 1] + r * r * cov[j][j]
+        explained = math.fsum((cov[i][j + 1] - r * cov[i][j]) * (b2 - r * b1)
+                              for i, b1, b2 in zip(ctrl, beta[j], beta[j + 1]))
+        var = max(0.0, s_zz - explained) * den / dof
+        return r, math.sqrt(var / trials) / abs(adjusted[j])
 
-    r, se = zip(*(ratio_and_se(*totals[k:k + 5]) for k in range(0, 20, 5)))
+    r, se = zip(*(ratio_and_se(j) for j in range(0, 8, 2)))
     d = DFactors(*(1.0 + x for x in r))
     if return_std_errors:
         return d, se

@@ -210,6 +210,12 @@ def _ks_case(p: Protocol, ant: AntennaConfig, pw: PowerProfile, trials, seed,
     return _ks_statistic(arb, cdf)
 
 
+def _sub_seed(seed: int, k: int) -> int:
+    """The seed of a check's k-th own stream, wrapped into the Philox key
+    range [0, 2**128), so that every valid seed has its sub-streams."""
+    return (seed + k) % (1 << 128)
+
+
 def check_ks_suite(pw: PowerProfile, trials: int, seed: int) -> list:
     if trials < _MIN_STATISTICAL_TRIALS:
         return [CheckResult("ks_distribution_suite", True, 0.0, 0.0,
@@ -223,11 +229,12 @@ def check_ks_suite(pw: PowerProfile, trials: int, seed: int) -> list:
     results.append(CheckResult("ks_all_protocols_2x1x2", worst <= 0.01, worst, 0.01))
 
     ant2 = AntennaConfig(2, 2, 2)
-    ks_exact = _ks_case(Protocol.FIRST_FOUR_SLOT, ant2, pw, n, seed + 1)
+    ks_exact = _ks_case(Protocol.FIRST_FOUR_SLOT, ant2, pw, n, _sub_seed(seed, 1))
     results.append(CheckResult("ks_first_four_slot_2x2x2", ks_exact <= 0.01, ks_exact, 0.01))
 
-    d = estimate_d_factors(ant2, pw, trials=max(trials, D_FACTOR_TRIALS), seed=seed + 2)
-    ks_approx = _ks_case(Protocol.SECOND_THREE_SLOT, ant2, pw, n, seed + 3, dfactors=d)
+    d = estimate_d_factors(ant2, pw, trials=max(trials, D_FACTOR_TRIALS), seed=_sub_seed(seed, 2))
+    ks_approx = _ks_case(Protocol.SECOND_THREE_SLOT, ant2, pw, n, _sub_seed(seed, 3),
+                          dfactors=d)
     results.append(CheckResult("ks_second_three_slot_2x2x2", ks_approx <= 0.03,
                                ks_approx, 0.03, note="mean-ratio approximate form"))
     return results

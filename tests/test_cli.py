@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twrelay import cli, validate
+from twrelay import cli, simulate, validate
 from twrelay.cli import main
 from twrelay.scenario import (AntennaConfig, Protocol, parse_protocol, power_profile,
                               protocol_modulation)
@@ -108,8 +108,9 @@ class TestSweep:
             assert (mode, mean, se) == ("mc", f"{est.mean:.10e}", f"{est.std_error:.10e}")
 
     def test_mc_rows_reuse_prepass_blocks(self, tmp_path, monkeypatch):
-        # the d-factor pre-pass draws 13 blocks of the seed's stream; the mc
-        # rows take their 2 blocks from it instead of drawing them again
+        # the d-factor pre-pass draws the seed's stream; the mc rows take
+        # their 2 blocks from it instead of drawing them again
+        prepass = -(-max(32768, simulate.D_FACTOR_TRIALS) // simulate._BLOCK)
         draw = ChannelStream.draw_block
         calls = []
 
@@ -122,14 +123,14 @@ class TestSweep:
                 "--trials", "32768", "--seed", "8"]
         shared, unshared = tmp_path / "shared.csv", tmp_path / "unshared.csv"
         assert main(args + ["--out", str(shared)]) == 0
-        assert len(calls) == 13
+        assert len(calls) == prepass
         # the same sweep with the mc rows drawing their own blocks
         calls.clear()
         sweep = cli.semi_analytic_sweep
         monkeypatch.setattr(cli, "semi_analytic_sweep",
                             lambda *a, gains=None, **kw: sweep(*a, **kw))
         assert main(args + ["--out", str(unshared)]) == 0
-        assert len(calls) == 15
+        assert len(calls) == prepass + 2
         assert _read(shared) == _read(unshared)
 
     def test_config_error_exit(self, scenario_file, tmp_path, capsys):
@@ -237,6 +238,16 @@ class TestValidate:
         monkeypatch.delenv("TWRELAY_SEED", raising=False)
         assert main(["validate"]) == 0
         assert "15 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+
+    def test_top_seed_keeps_its_sub_streams(self, capsys):
+        # the checks' own streams wrap around the Philox key range, so the
+        # largest seed runs every check
+        code = main(["validate", "--seed", str(2 ** 128 - 1), "--trials", "10000"])
+        captured = capsys.readouterr()
+        assert code != 2
+        assert "configuration error" not in captured.err
+        assert ", 0 skipped" in captured.out
+        assert sum(line.startswith(("PASS", "FAIL")) for line in captured.out.splitlines()) == 15
 
     def test_perturbed_cdf_fails_ks(self, scenario_file, capsys, monkeypatch):
         # the CDF under test off by the term that an expansion coefficient

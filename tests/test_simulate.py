@@ -4,15 +4,17 @@ batching, and the dual-reception factors."""
 
 import math
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from twrelay import simulate
 from twrelay.errors import ConfigurationError
+from twrelay.lowerbound import ccdf_expansion
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
                               Protocol, WeightPair, coefficient_set,
-                              modulation_constants)
+                              modulation_constants, power_profile)
 from twrelay.simulate import (ChannelStream, InstantaneousSnrs, SweepPoint, _top_eig,
                               end_to_end_snrs, estimate_d_factors, link_gains_block,
                               sample_end_to_end_snrs, semi_analytic_sweep)
@@ -30,6 +32,19 @@ class TestDraws:
         assert np.array_equal(b1, b2)
         a3, _ = ChannelStream(43).draw_block(ANT, 7)
         assert not np.array_equal(a1, a3)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4), (2, 3, 4)])
+    def test_stream_order(self, dims):
+        # A's real parts, A's imaginary parts, then B's, each scaled by 1/sqrt(2)
+        ant = AntennaConfig(*dims)
+        stream = ChannelStream(12345)
+        h_ar, h_br = stream.draw_block(ant, 3)
+        rng = stream._rng(3)
+        for h, m in ((h_ar, ant.m_a), (h_br, ant.m_b)):
+            shape = (simulate._BLOCK, ant.m_r, m)
+            ref = (1.0 / math.sqrt(2.0)) * (rng.standard_normal(shape)
+                                            + 1j * rng.standard_normal(shape))
+            assert h.tobytes() == ref.tobytes()
 
     def test_unit_variance(self):
         stream = ChannelStream(7)
@@ -315,9 +330,64 @@ class TestSemiAnalytic:
 
 
 class TestDFactors:
-    def test_single_relay_antenna_exact(self):
-        d = estimate_d_factors(ANT, PW, trials=20_000, seed=3)
+    def test_single_relay_antenna_exact(self, monkeypatch):
+        # exact without a draw
+        draws = []
+        draw_block = ChannelStream.draw_block
+        monkeypatch.setattr(ChannelStream, "draw_block",
+                            lambda self, *a: draws.append(a) or draw_block(self, *a))
+        d, se = estimate_d_factors(ANT, PW, trials=20_000, seed=3, return_std_errors=True)
         assert (d.d_arb_3, d.d_bra_3, d.d_arb_4, d.d_bra_4) == (2.0, 2.0, 2.0, 2.0)
+        assert se == (0.0, 0.0, 0.0, 0.0)
+        assert draws == []
+        estimate_d_factors(AntennaConfig(2, 2, 2), PW, trials=20_000, seed=3)
+        assert len(draws) == 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_top_eig_mean_matches_expansion(self, m, n):
+        # E L = int_0^inf P(L > u) du = sum d[i, k] (k + 1) / i over the
+        # Erlang tails of the exact expansion
+        exact = sum(d * Fraction(k + 1, i) for (i, k), d in ccdf_expansion(m, n))
+        assert simulate._mean_top_eig(m, n) == pytest.approx(float(exact), rel=1e-13)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4)])
+    def test_control_variates_beat_plain_200k(self, dims):
+        # at D_FACTOR_TRIALS the control-variate SE is at most the plain
+        # delta-method SE of 200 000 draws of the same stream
+        ant = AntennaConfig(*dims)
+        pw = power_profile(10.0, 0.5)
+        blocks = list(simulate._gain_blocks(ant, 200_000, 5))
+        branches = [np.concatenate(x) for x in zip(*(
+            simulate._dual_branches(b.snrs(pw), 1.0, 1.0)
+            + simulate._dual_branches(b.snrs(pw), 0.5, 0.5) for b in blocks))]
+        plain = []
+        for x1, x2 in zip(branches[::2], branches[1::2]):
+            z = x2 - (x2.mean() / x1.mean()) * x1
+            plain.append(z.std(ddof=1) / math.sqrt(z.size) / x1.mean())
+        kept = []
+        for _ in simulate._keep_leading(blocks, simulate.D_FACTOR_TRIALS, kept):
+            pass
+        _, se = estimate_d_factors(ant, pw, trials=simulate.D_FACTOR_TRIALS,
+                                   return_std_errors=True, gains=kept)
+        for cv, ref in zip(se, plain):
+            assert 0.0 < cv <= ref
+
+    def test_given_gains_equal_drawn(self):
+        ant = AntennaConfig(2, 3, 4)
+        drawn = estimate_d_factors(ant, PW, trials=20_000, seed=8, return_std_errors=True)
+        given = estimate_d_factors(ant, PW, trials=20_000, seed=8, return_std_errors=True,
+                                   gains=list(simulate._gain_blocks(ant, 20_000, 8)))
+        assert given == drawn
+
+    @pytest.mark.parametrize("trials", [2, 3, 7, 8])
+    def test_few_trials_keep_a_degree_of_freedom(self, trials):
+        # at most trials - 2 controls enter, so the residual variance is
+        # estimated, never fitted away
+        ant = AntennaConfig(2, 2, 2)
+        d, se = estimate_d_factors(ant, PW, trials=trials, seed=1, return_std_errors=True)
+        assert all(math.isfinite(v) for v in astuple(d))
+        assert all(1e-4 < v < math.inf for v in se)
 
     def test_multi_antenna_shrinks(self):
         d = estimate_d_factors(AntennaConfig(2, 2, 2), PW, trials=100_000, seed=3)
