@@ -82,13 +82,6 @@ def link_pdf(x: float, m_s: int, m_r: int, rho: float) -> float:
 # End-to-end lower-bound SNR CDF and the sum-BER integral
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
-def _link(m: int, n: int, rho: float) -> lowerbound.Link:
-    # reused: eta_pair rebuilds both directions at every trial weight of the
-    # optimizer, and four fresh Links cost about as much as its arithmetic
-    return lowerbound.Link(m, n, rho)
-
-
 def _direction(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
                pw: PowerProfile) -> lowerbound.Direction:
     """One direction's lower-bound SNR A g_s g_f / (B g_s + C g_f): the
@@ -99,12 +92,12 @@ def _direction(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
         raise UnsupportedConfigError(
             f"link laws cover dimensions up to {MAX_TABLE_DIM}, got {ant.m_a}x{ant.m_r}x{ant.m_b}")
     if direction == "arb":
-        return lowerbound.Direction(_link(ant.m_a, ant.m_r, pw.rho_ar),
-                                    _link(ant.m_b, ant.m_r, pw.rho_rb),
+        return lowerbound.Direction(lowerbound.Link(ant.m_a, ant.m_r, pw.rho_ar),
+                                    lowerbound.Link(ant.m_b, ant.m_r, pw.rho_rb),
                                     coeffs.a_arb, coeffs.b_arb, coeffs.c_arb)
     if direction == "bra":
-        return lowerbound.Direction(_link(ant.m_b, ant.m_r, pw.rho_br),
-                                    _link(ant.m_a, ant.m_r, pw.rho_ra),
+        return lowerbound.Direction(lowerbound.Link(ant.m_b, ant.m_r, pw.rho_br),
+                                    lowerbound.Link(ant.m_a, ant.m_r, pw.rho_ra),
                                     coeffs.a_bra, coeffs.b_bra, coeffs.c_bra)
     raise ConfigurationError(f"direction must be 'arb' or 'bra', got {direction!r}")
 

@@ -6,9 +6,12 @@ zero-SNR sum-BER ceiling a / log2 M of the protocol's modulation; below that
 crossover SNR the power law is not a sum-BER, and the row is left out.
 
 The dual-reception factors are Monte-Carlo estimates with control variates
-of exactly known mean (`simulate.estimate_d_factors`): over at least
-D_FACTOR_TRIALS draws in sweep, gaps and beta, over --trials in kappa,
-whose se_* columns are the standard errors of these estimates.
+of exactly known mean (`simulate.estimate_d_factors`): over --trials in
+kappa, whose se_* columns are the standard errors of these estimates.
+sweep, gaps and beta run that estimate here, as a pre-pass over at least
+D_FACTOR_TRIALS draws of the seed's stream, and hand the factors to the
+analytic and high-SNR engines, which draw nothing themselves; an mc sweep
+takes its leading blocks from the same pass.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation failure.
@@ -25,7 +28,7 @@ from .errors import ConfigurationError, NumericalError
 from .highsnr import beta_closed_form, beta_numeric, gap_table, high_snr_profile, high_snr_sum_ber
 from .scenario import (AntennaConfig, Protocol, Scenario, coefficient_set, load_scenario,
                        parse_protocol, power_profile, protocol_modulation)
-from .simulate import (D_FACTOR_TRIALS, SweepPoint, _gain_blocks, _keep_leading,
+from .simulate import (_BLOCK, D_FACTOR_TRIALS, SweepPoint, _gain_blocks,
                        estimate_d_factors, semi_analytic_sweep)
 from .analysis import sum_ber_closed_form
 from .validate import run_validation
@@ -129,9 +132,10 @@ def cmd_sweep(args) -> int:
         blocks = _gain_blocks(ant, d_trials, sc.seed)
         if "mc" in modes:
             # the mc rows use the first sc.trials of the same draws
-            mc_gains = []
-            blocks = _keep_leading(blocks, sc.trials, mc_gains)
-        dfactors = estimate_d_factors(ant, pw_ref, trials=d_trials, gains=blocks)
+            blocks = list(blocks)
+            mc_gains = [g.head(sc.trials - b * _BLOCK) for b, g in enumerate(blocks)
+                        if b * _BLOCK < sc.trials]
+        dfactors, _ = estimate_d_factors(ant, pw_ref, trials=d_trials, gains=blocks)
 
     rows = []
     mc_points = []      # (rho_db, SweepPoint)
@@ -178,7 +182,10 @@ def cmd_gaps(args) -> int:
     sc = _scenario_from_args(args)
     ant = sc.antennas
     pw = sc.powers
-    table = gap_table(ant, pw, d_trials=max(sc.trials, D_FACTOR_TRIALS), seed=sc.seed)
+    ant.require_analytic()      # before the pre-pass draws
+    dfactors, _ = estimate_d_factors(ant, pw, trials=max(sc.trials, D_FACTOR_TRIALS),
+                                     seed=sc.seed)
+    table = gap_table(ant, pw, dfactors)
     rows = [f"{row.protocol.value},{_fmt(row.gap_db)},{_fmt(row.eta_sum)},"
             f"{_fmt(row.beta_sq)},{int(row.protocol is table.best)}"
             for row in table.rows]
@@ -216,7 +223,7 @@ def cmd_beta(args) -> int:
         pw = sc.powers
         dfactors = None
         if blocks is not None:
-            dfactors = estimate_d_factors(ant, pw, trials=d_trials, gains=blocks)
+            dfactors, _ = estimate_d_factors(ant, pw, trials=d_trials, gains=blocks)
         closed = beta_closed_form(p, pw).beta ** 2
         numeric = beta_numeric(p, ant, pw, dfactors=dfactors).beta ** 2
         rows.append(f"{fmt.format(v)},{_fmt(closed)},{_fmt(numeric)}")
@@ -235,8 +242,7 @@ def cmd_kappa(args) -> int:
     pw = sc.powers
     for m_r in m_r_values:
         ant = AntennaConfig(sc.m_a, m_r, sc.m_b)
-        d, se = estimate_d_factors(ant, pw, trials=sc.trials, seed=sc.seed,
-                                   return_std_errors=True)
+        d, se = estimate_d_factors(ant, pw, trials=sc.trials, seed=sc.seed)
         rows.append(f"{m_r},{_fmt(d.d_arb_3)},{_fmt(d.d_bra_3)},{_fmt(d.d_arb_4)},"
                     f"{_fmt(d.d_bra_4)},{_fmt(se[0])},{_fmt(se[1])},{_fmt(se[2])},{_fmt(se[3])}")
     _write_csv(args.out, header, rows)

@@ -104,10 +104,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 def power_profile(rho_ar_db: float, d0: float, pl_exponent: float = 3.0,
                   relay_rho_db: Optional[float] = None) -> PowerProfile:
     """Build a power profile from relay placement.

@@ -8,8 +8,8 @@ blocks, so results depend only on (seed, trial index) and are identical no
 matter how trials are batched or distributed.  One generator,
 `_gain_blocks`, draws each block, trims it to the trial count and
 decomposes it; every sampler iterates it, or takes blocks that a longer
-pass over the same stream decomposed (`_keep_leading`).  A sweep evaluates
-every point of the sweep on each block's gains.  The protocol picks the
+pass over the same stream decomposed, trimmed with `LinkGains.head`.  A
+sweep evaluates every point of the sweep on each block's gains.  The protocol picks the
 SNR form: the exact two-branch sums for dual reception, the unified
 three-constant form otherwise.
 
@@ -418,19 +418,6 @@ def _gain_blocks(ant: AntennaConfig, trials: int, seed: int):
         yield link_gains_block(h_ar[:n], h_br[:n])
 
 
-def _keep_leading(blocks, trials: int, kept: list):
-    """Yield the LinkGains blocks of a `_gain_blocks` pass, appending to
-    `kept` the blocks of its first `trials` draws, trimmed as
-    `_gain_blocks(ant, trials, seed)` trims them.  A pass over at least
-    `trials` draws thus hands a shorter pass over the same stream its
-    decomposed blocks; `kept` holds no other block."""
-    for b, gains in enumerate(blocks):
-        n = trials - b * _BLOCK
-        if n > 0:
-            kept.append(gains.head(n))
-        yield gains
-
-
 def _ratio(num, den):
     # 0/0 -> 0 covers the all-zero-channel corner in the lower-bound form
     num = np.asarray(num, dtype=float)
@@ -543,7 +530,7 @@ def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
     only on (seed, trials), not on how blocks are scheduled.
 
     gains, if given, are the LinkGains blocks of those draws, decomposed
-    already by the caller (see `_keep_leading`); by default they are drawn.
+    already by the caller; by default they are drawn.
     """
     _require_trials(trials)
     evals = []
@@ -617,11 +604,14 @@ def _solve_psd(a: list, bs: list, most: int):
 
 
 def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000_000,
-                       seed: int = 12345, return_std_errors: bool = False, gains=None):
+                       seed: int = 12345, return_std_errors: bool = True, gains=None):
     """Dual-reception factors d = 1 + E[x2]/E[x1] for both dual-reception
     protocols and both directions, x1 the primary (matched) and x2 the
-    secondary (non-matched) branch SNR, and, with return_std_errors, their
-    standard errors.
+    secondary (non-matched) branch SNR, and their standard errors, as
+    (DFactors, (se_arb_3, se_bra_3, se_arb_4, se_bra_4)).
+    return_std_errors is ignored: the standard errors are always returned,
+    and the argument stays only because perfbench/make_reference.py
+    passes it.
 
     The weighted protocol is evaluated at balanced weights; the ratio is
     insensitive to the average SNRs.  With one relay antenna every factor is
@@ -698,7 +688,4 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
         return r, math.sqrt(var / trials) / abs(adjusted[j])
 
     r, se = zip(*(ratio_and_se(j) for j in range(0, 8, 2)))
-    d = DFactors(*(1.0 + x for x in r))
-    if return_std_errors:
-        return d, se
-    return d
+    return DFactors(*(1.0 + x for x in r)), se

@@ -232,7 +232,8 @@ def check_ks_suite(pw: PowerProfile, trials: int, seed: int) -> list:
     ks_exact = _ks_case(Protocol.FIRST_FOUR_SLOT, ant2, pw, n, _sub_seed(seed, 1))
     results.append(CheckResult("ks_first_four_slot_2x2x2", ks_exact <= 0.01, ks_exact, 0.01))
 
-    d = estimate_d_factors(ant2, pw, trials=max(trials, D_FACTOR_TRIALS), seed=_sub_seed(seed, 2))
+    d, _ = estimate_d_factors(ant2, pw, trials=max(trials, D_FACTOR_TRIALS),
+                              seed=_sub_seed(seed, 2))
     ks_approx = _ks_case(Protocol.SECOND_THREE_SLOT, ant2, pw, n, _sub_seed(seed, 3),
                           dfactors=d)
     results.append(CheckResult("ks_second_three_slot_2x2x2", ks_approx <= 0.03,

@@ -166,6 +166,26 @@ class TestGaps:
         best = [r for r in rows[1:] if r.endswith(",1")]
         assert len(best) == 1 and best[0].startswith("two_slot")
 
+    def test_multi_antenna_draws_only_the_prepass(self, tmp_path, monkeypatch):
+        # the d-factor pre-pass is the only Monte Carlo behind the gap table
+        prepass = -(-simulate.D_FACTOR_TRIALS // simulate._BLOCK)
+        draw = ChannelStream.draw_block
+        calls = []
+
+        def counting_draw(stream, ant, block):
+            calls.append(block)
+            return draw(stream, ant, block)
+        monkeypatch.setattr(ChannelStream, "draw_block", counting_draw)
+        out = tmp_path / "gaps.csv"
+        assert main(["gaps", "--m-a", "2", "--m-r", "2", "--m-b", "2", "--trials", "1000",
+                     "--seed", "4", "--out", str(out)]) == 0
+        assert calls == list(range(prepass))
+        assert len(_read(out).splitlines()) == 1 + len(Protocol)
+        # a configuration the analytic engine rejects fails before any draw
+        calls.clear()
+        assert main(["gaps", "--m-a", "1", "--m-r", "2", "--m-b", "2"]) == 2
+        assert calls == []
+
 
 class TestBeta:
     def test_balanced_point_and_agreement(self, tmp_path):

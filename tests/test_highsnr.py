@@ -11,7 +11,7 @@ from twrelay.errors import ConfigurationError
 from twrelay.lowerbound import ccdf_expansion
 from twrelay.highsnr import (beta_closed_form, beta_numeric, eta_pair, gap_table,
                              high_snr_gap, high_snr_profile, high_snr_sum_ber)
-from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
+from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile,
                               Protocol, WeightPair, coefficient_set,
                               power_profile, protocol_modulation)
 
@@ -52,7 +52,7 @@ class TestOriginDerivatives:
             for p in Protocol:
                 w = BALANCED_WEIGHTS if p.uses_weights else None
                 from twrelay.simulate import estimate_d_factors
-                d = estimate_d_factors(ant, pw, trials=20_000, seed=1) if ant.m_r > 1 else None
+                d, _ = estimate_d_factors(ant, pw, trials=20_000, seed=1)
                 coeffs = coefficient_set(p, ant, pw, w, d)
                 assert min(eta_pair(coeffs, ant, pw)) > 0.0
 
@@ -123,7 +123,6 @@ class TestAsymptote:
         prof = high_snr_profile(Protocol.TWO_SLOT, AntennaConfig(2, 1, 2),
                                 PowerProfile.balanced(40.0))
         assert prof.eta_arb == prof.eta_bra
-        assert prof.g_arb == prof.g_bra
 
     def test_matches_closed_form_at_40db(self):
         from twrelay.analysis import sum_ber_closed_form
@@ -189,8 +188,8 @@ class TestBetaNumeric:
         ant = AntennaConfig(1, 1, 1)
         for p in (Protocol.FIRST_THREE_SLOT, Protocol.SECOND_FOUR_SLOT):
             closed = beta_closed_form(p, UNBALANCED).beta ** 2
-            numeric = beta_numeric(p, ant, UNBALANCED, tolerance=1e-8).beta ** 2
-            assert numeric == pytest.approx(closed, abs=1e-6)
+            numeric = beta_numeric(p, ant, UNBALANCED).beta ** 2
+            assert numeric == pytest.approx(closed, abs=1e-8)
 
     def test_stationarity_of_closed_form(self):
         # the closed-form weight is a stationary point of the asymptote
@@ -224,6 +223,30 @@ class TestBetaNumeric:
 
         for probe in (0.25, 0.5, 0.75):
             assert obj(best) <= obj(probe)
+
+    @pytest.mark.parametrize("d0", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 2), (3, 2, 3)])
+    def test_global_minimum_of_convex_eta_sum(self, dims, d0):
+        # the eta sum is convex in beta^2, and the optimizer's value lies at
+        # or below every inner point of a fine grid, up to rounding, and its
+        # beta^2 within one grid step of the grid's best point.  The grid's
+        # ends are the ends of the search interval, which the golden section
+        # approaches only to its final width 1e-8: at 2x1x3 only the A-R link
+        # sets the diversity order, and the minimum is at an end.
+        ant = AntennaConfig(*dims)
+        pw = power_profile(30.0, d0, 3.0)
+        dfactors = DFactors(1.55, 1.6, 1.65, 1.7) if ant.m_r > 1 else None
+        xs = np.linspace(1e-9, 1.0 - 1e-9, 1001)
+        for p in (Protocol.FIRST_THREE_SLOT, Protocol.SECOND_FOUR_SLOT):
+            def eta_sum(w):
+                return sum(eta_pair(coefficient_set(p, ant, pw, w, dfactors), ant, pw))
+
+            w = beta_numeric(p, ant, pw, dfactors=dfactors)
+            grid = np.array([eta_sum(WeightPair.from_beta_squared(x)) for x in xs])
+            assert eta_sum(w) <= grid[1:-1].min() * (1.0 + 1e-13), p
+            assert abs(w.beta ** 2 - xs[grid.argmin()]) <= xs[1] - xs[0], p
+            second = grid[:-2] - 2.0 * grid[1:-1] + grid[2:]
+            assert (second >= 0.0).all(), p
 
 
 class TestGap:
@@ -285,8 +308,7 @@ class TestGapTable:
         ranked = sorted(tab.rows, key=lambda r: r.gap_db)
         assert ranked[1].protocol is Protocol.TWO_SLOT
 
-    def test_single_protocol(self):
-        tab = gap_table(AntennaConfig(2, 1, 2), PowerProfile.balanced(40.0),
-                        protocols=[Protocol.TWO_SLOT])
-        assert tab.best is Protocol.TWO_SLOT
-        assert len(tab.rows) == 1 and tab.rows[0].gap_db == 0.0
+    def test_dual_reception_needs_dfactors(self):
+        # the engine draws nothing: at m_r = 2 the caller supplies the factors
+        with pytest.raises(ConfigurationError, match="dual-reception factors"):
+            gap_table(AntennaConfig(2, 2, 2), PowerProfile.balanced(40.0))

@@ -1,6 +1,9 @@
-"""Package hygiene: every name a program module imports is used there."""
+"""Package hygiene: every name a program module imports is used there, and
+importing the package loads no heavy scipy subpackage."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import twrelay
@@ -31,3 +34,14 @@ def test_no_unused_imports():
     assert MODULES
     unused = {p.name: _unused_imports(p.read_text()) for p in MODULES}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_import_loads_no_scipy_optimize_or_integrate():
+    # importing scipy.optimize alone takes over half as long as importing
+    # the package; the high-SNR weights use a hand-written golden section
+    probe = ("import sys, twrelay; print(sorted(m for m in ('scipy.optimize', 'scipy.integrate')"
+             " if m in sys.modules))")
+    src = str(Path(twrelay.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=src, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -167,13 +167,13 @@ class TestTopEigenpair:
 
     def test_d_factors_match_eigh_route(self, monkeypatch):
         ant = AntennaConfig(4, 4, 4)
-        kernel = estimate_d_factors(ant, PW, trials=40_000, seed=19)
+        kernel, _ = estimate_d_factors(ant, PW, trials=40_000, seed=19)
 
         def eigh_top(gram):
             w, v = np.linalg.eigh(gram)
             return w[:, -1], v[:, :, -1]
         monkeypatch.setattr(simulate, "_top_eig", eigh_top)
-        lapack = estimate_d_factors(ant, PW, trials=40_000, seed=19)
+        lapack, _ = estimate_d_factors(ant, PW, trials=40_000, seed=19)
         np.testing.assert_allclose(astuple(kernel), astuple(lapack), rtol=1e-12, atol=0.0)
 
 
@@ -336,7 +336,7 @@ class TestDFactors:
         draw_block = ChannelStream.draw_block
         monkeypatch.setattr(ChannelStream, "draw_block",
                             lambda self, *a: draws.append(a) or draw_block(self, *a))
-        d, se = estimate_d_factors(ANT, PW, trials=20_000, seed=3, return_std_errors=True)
+        d, se = estimate_d_factors(ANT, PW, trials=20_000, seed=3)
         assert (d.d_arb_3, d.d_bra_3, d.d_arb_4, d.d_bra_4) == (2.0, 2.0, 2.0, 2.0)
         assert se == (0.0, 0.0, 0.0, 0.0)
         assert draws == []
@@ -365,18 +365,14 @@ class TestDFactors:
         for x1, x2 in zip(branches[::2], branches[1::2]):
             z = x2 - (x2.mean() / x1.mean()) * x1
             plain.append(z.std(ddof=1) / math.sqrt(z.size) / x1.mean())
-        kept = []
-        for _ in simulate._keep_leading(blocks, simulate.D_FACTOR_TRIALS, kept):
-            pass
-        _, se = estimate_d_factors(ant, pw, trials=simulate.D_FACTOR_TRIALS,
-                                   return_std_errors=True, gains=kept)
+        _, se = estimate_d_factors(ant, pw, trials=simulate.D_FACTOR_TRIALS, gains=blocks[:2])
         for cv, ref in zip(se, plain):
             assert 0.0 < cv <= ref
 
     def test_given_gains_equal_drawn(self):
         ant = AntennaConfig(2, 3, 4)
-        drawn = estimate_d_factors(ant, PW, trials=20_000, seed=8, return_std_errors=True)
-        given = estimate_d_factors(ant, PW, trials=20_000, seed=8, return_std_errors=True,
+        drawn = estimate_d_factors(ant, PW, trials=20_000, seed=8)
+        given = estimate_d_factors(ant, PW, trials=20_000, seed=8,
                                    gains=list(simulate._gain_blocks(ant, 20_000, 8)))
         assert given == drawn
 
@@ -385,21 +381,19 @@ class TestDFactors:
         # at most trials - 2 controls enter, so the residual variance is
         # estimated, never fitted away
         ant = AntennaConfig(2, 2, 2)
-        d, se = estimate_d_factors(ant, PW, trials=trials, seed=1, return_std_errors=True)
+        d, se = estimate_d_factors(ant, PW, trials=trials, seed=1)
         assert all(math.isfinite(v) for v in astuple(d))
         assert all(1e-4 < v < math.inf for v in se)
 
     def test_multi_antenna_shrinks(self):
-        d = estimate_d_factors(AntennaConfig(2, 2, 2), PW, trials=100_000, seed=3)
+        d, _ = estimate_d_factors(AntennaConfig(2, 2, 2), PW, trials=100_000, seed=3)
         for v in (d.d_arb_3, d.d_bra_3, d.d_arb_4, d.d_bra_4):
             assert 1.0 < v < 2.0
 
     def test_self_consistency(self):
         ant = AntennaConfig(2, 2, 2)
-        d1, se1 = estimate_d_factors(ant, PW, trials=50_000, seed=1,
-                                     return_std_errors=True)
-        d2, se2 = estimate_d_factors(ant, PW, trials=200_000, seed=2,
-                                     return_std_errors=True)
+        d1, se1 = estimate_d_factors(ant, PW, trials=50_000, seed=1)
+        d2, se2 = estimate_d_factors(ant, PW, trials=200_000, seed=2)
         for a, b, sa, sb in zip(
                 (d1.d_arb_3, d1.d_bra_3, d1.d_arb_4, d1.d_bra_4),
                 (d2.d_arb_3, d2.d_bra_3, d2.d_arb_4, d2.d_bra_4), se1, se2):
