@@ -46,16 +46,27 @@ FALLBACK_SHARE = 1e-5
 _log = logging.getLogger(__name__)
 
 
+def _require_link(m_s: int, m_r: int) -> None:
+    if m_s < m_r:
+        raise ConfigurationError(f"link laws take m_s >= m_r; swap the dimensions (got {m_s}x{m_r})")
+    if not (1 <= m_r and m_s <= MAX_TABLE_DIM):
+        raise UnsupportedConfigError(f"link laws cover dimensions up to {MAX_TABLE_DIM}, got {m_s}x{m_r}")
+
+
+def require_analytic(ant: AntennaConfig) -> None:
+    """The antenna counts that the analytic and high-SNR engines serve: m_r
+    to MAX_TABLE_DIM at each source (ConfigurationError below m_r, naming the
+    swap; UnsupportedConfigError above the limit).  Monte Carlo takes any."""
+    for m_s in (ant.m_a, ant.m_b):
+        _require_link(m_s, ant.m_r)
+
+
 # ---------------------------------------------------------------------------
 # Per-link largest-eigenvalue distributions
 # ---------------------------------------------------------------------------
 
 def _check_link(m_s: int, m_r: int, rho: float) -> None:
-    if m_s < m_r:
-        raise ConfigurationError(f"link laws take m_s >= m_r; swap the dimensions (got {m_s} < {m_r})")
-    if not (1 <= m_r and m_s <= MAX_TABLE_DIM):
-        raise UnsupportedConfigError(
-            f"link laws cover dimensions up to {MAX_TABLE_DIM}, got ({m_s}, {m_r})")
+    _require_link(m_s, m_r)
     if rho <= 0.0:
         raise ConfigurationError(f"rho must be positive, got {rho!r}")
 
@@ -87,10 +98,7 @@ def _direction(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
     """One direction's lower-bound SNR A g_s g_f / (B g_s + C g_f): the
     source link, whose gain enters the first hop, the far link from the
     relay to the destination, and the direction's (A, B, C)."""
-    ant.require_analytic()
-    if ant.m_a > MAX_TABLE_DIM or ant.m_b > MAX_TABLE_DIM:
-        raise UnsupportedConfigError(
-            f"link laws cover dimensions up to {MAX_TABLE_DIM}, got {ant.m_a}x{ant.m_r}x{ant.m_b}")
+    require_analytic(ant)
     if direction == "arb":
         return lowerbound.Direction(lowerbound.Link(ant.m_a, ant.m_r, pw.rho_ar),
                                     lowerbound.Link(ant.m_b, ant.m_r, pw.rho_rb),
@@ -123,7 +131,7 @@ def _sum_ber_integral(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfi
     _log.debug("sum-BER by the lower-bound integral (%s): %.6e, error estimate %.1e, "
                "%d outer nodes, %d inner nodes", path, est.value, est.error,
                est.outer_nodes, est.inner_nodes)
-    ceiling = mod.a / mod.bits_per_symbol
+    ceiling = mod.ceiling
     # where every CDF is near 1 the value rounds to within the tolerance of
     # the ceiling, on either side
     if not 0.0 < est.value <= ceiling * (1.0 + lowerbound.REL_TOL):
@@ -220,7 +228,7 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> float:
     ln_pref = (math.log(mod.a) + 0.5 * math.log(mod.b)
                - math.log(2.0) - 0.5 * math.log(math.pi)
                - math.log(mod.bits_per_symbol))
-    terms = [mod.a / mod.bits_per_symbol]
+    terms = [mod.ceiling]
     for direction in _DIRECTIONS:
         src, far, a, b, c = _direction(direction, coeffs, ant, pw)
         for g in _moment_groups(src.m, far.m, ant.m_r):
@@ -255,7 +263,7 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
     value = _closed_form_f64(coeffs, ant, pw, mod)
     if not math.isfinite(value):
         raise NumericalError("closed-form assembly produced a non-finite value")
-    if value <= mod.a / mod.bits_per_symbol * FALLBACK_SHARE:
+    if value <= mod.ceiling * FALLBACK_SHARE:
         return _sum_ber_integral(coeffs, ant, pw, mod,
                                  f"closed form at or below {FALLBACK_SHARE:g} of the ceiling")
     return value

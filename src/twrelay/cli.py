@@ -13,6 +13,11 @@ D_FACTOR_TRIALS draws of the seed's stream, and hand the factors to the
 analytic and high-SNR engines, which draw nothing themselves; an mc sweep
 takes its leading blocks from the same pass.
 
+Each command takes flags only for the scenario fields it reads (any other
+is an argparse error, exit 2), and checks its whole configuration, with
+`analysis.require_analytic` for the analytic engines, before any draw.  A
+scenario file may carry every key, since several commands share it.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation failure.
 """
@@ -20,21 +25,19 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .errors import ConfigurationError, NumericalError
 from .highsnr import beta_closed_form, beta_numeric, gap_table, high_snr_profile, high_snr_sum_ber
-from .scenario import (AntennaConfig, Protocol, Scenario, coefficient_set, load_scenario,
-                       parse_protocol, power_profile, protocol_modulation)
+from .scenario import (SCENARIO_FIELDS, AntennaConfig, Protocol, Scenario, coefficient_set,
+                       load_scenario, parse_protocol, power_profile, protocol_modulation)
 from .simulate import (_BLOCK, D_FACTOR_TRIALS, SweepPoint, _gain_blocks,
                        estimate_d_factors, semi_analytic_sweep)
-from .analysis import sum_ber_closed_form
-from .validate import run_validation
-
-_SWEEP_HEADER = "rho_ar_db,protocol,mode,sum_ber,std_error"
-
+from .analysis import require_analytic, sum_ber_closed_form
 
 def _write_csv(path, header: str, rows) -> None:
     text = header + "\n" + "".join(line + "\n" for line in rows)
@@ -61,18 +64,21 @@ def _grid(start: float, stop: float, step: float, flag: str) -> list:
 def _parse_protocols(arg, fallback) -> list:
     if arg:
         return [parse_protocol(tok) for tok in arg.split(",") if tok.strip()]
-    if fallback is not None:
-        return [fallback]
-    return list(Protocol)
+    return list(Protocol) if fallback is None else [fallback]
+
+
+_FLAG_HELP = {"seed": "random seed (default: $TWRELAY_SEED, else the scenario's)",
+              "beta": "relay weight for B's signal (amplitude, not squared)"}
+
+
+def _fields_but(*unread) -> list:
+    # the protocol has flags of its own, --protocols and --protocol
+    return [key for key in SCENARIO_FIELDS if key not in ("protocol", *unread)]
 
 
 def _scenario_from_args(args) -> Scenario:
-    if getattr(args, "scenario", None):
-        sc = load_scenario(args.scenario)
-    else:
-        sc = Scenario()
-    for key in ("m_a", "m_r", "m_b", "rho_ar_db", "d0", "pl_exponent",
-                "relay_rho_db", "trials", "seed", "beta"):
+    sc = load_scenario(args.scenario) if args.scenario else Scenario()
+    for key in _fields_but():
         val = getattr(args, key, None)
         if key == "seed" and val is None:
             val = _env_seed()
@@ -91,21 +97,12 @@ def _env_seed():
         raise ConfigurationError(f"TWRELAY_SEED must be an integer, got {raw!r}") from None
 
 
-def _add_scenario_flags(sub, with_beta: bool = True):
+def _add_scenario_flags(sub, fields) -> None:
+    """The scenario file and a flag for each field in fields, those the command reads."""
     sub.add_argument("scenario", nargs="?", help="scenario file (key = value lines)")
-    sub.add_argument("--m-a", dest="m_a", type=int)
-    sub.add_argument("--m-r", dest="m_r", type=int)
-    sub.add_argument("--m-b", dest="m_b", type=int)
-    sub.add_argument("--rho-ar-db", dest="rho_ar_db", type=float)
-    sub.add_argument("--d0", dest="d0", type=float)
-    sub.add_argument("--pl-exponent", dest="pl_exponent", type=float)
-    sub.add_argument("--relay-rho-db", dest="relay_rho_db", type=float)
-    sub.add_argument("--trials", dest="trials", type=int)
-    sub.add_argument("--seed", dest="seed", type=int,
-                     help="random seed (default: $TWRELAY_SEED, else the scenario's)")
-    if with_beta:
-        sub.add_argument("--beta", dest="beta", type=float,
-                         help="relay weight for B's signal (amplitude, not squared)")
+    for key in fields:
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=SCENARIO_FIELDS[key],
+                         help=_FLAG_HELP.get(key))
 
 
 def cmd_sweep(args) -> int:
@@ -123,10 +120,15 @@ def cmd_sweep(args) -> int:
     if not rho_grid:
         raise ConfigurationError("empty sweep range")
     ant = sc.antennas
+    weights = sc.weights()
+    # the protocols that reach the analytic engines (in mc rows, for beta_numeric)
+    analytic = [p for p in protocols if modes != ["mc"] or (weights is None and p.uses_weights)]
+    if analytic:
+        require_analytic(ant)
 
     dfactors = None
     mc_gains = None     # the mc rows' LinkGains blocks, if the pre-pass made them
-    if ant.m_r > 1 and any(p.dual_reception for p in protocols):
+    if ant.m_r > 1 and any(p.dual_reception for p in analytic):
         pw_ref = power_profile(args.rho_stop, sc.d0, sc.pl_exponent, sc.relay_rho_db)
         d_trials = max(sc.trials, D_FACTOR_TRIALS)
         blocks = _gain_blocks(ant, d_trials, sc.seed)
@@ -143,7 +145,7 @@ def cmd_sweep(args) -> int:
     for rho_db in rho_grid:
         pw = power_profile(rho_db, sc.d0, sc.pl_exponent, sc.relay_rho_db)
         for p in protocols:
-            w = sc.weights()
+            w = weights
             if w is None and p.uses_weights:
                 w = beta_numeric(p, ant, pw, dfactors=dfactors)
             mod = protocol_modulation(p)
@@ -154,15 +156,13 @@ def cmd_sweep(args) -> int:
                     coeffs = coefficient_set(p, ant, pw, w, dfactors)
                     val = sum_ber_closed_form(coeffs, ant, pw, mod)
                     rows.append((rho_db, p.value, mode, val, None))
-                elif mode == "asymptote":
-                    prof = high_snr_profile(p, ant, pw, mod, w, dfactors)
+                else:   # asymptote
+                    prof = high_snr_profile(p, ant, pw, w, dfactors)
                     val = high_snr_sum_ber(prof, pw.rho_ar)
-                    if val <= mod.a / mod.bits_per_symbol:
+                    if val <= mod.ceiling:
                         rows.append((rho_db, p.value, mode, val, None))
                     else:
                         n_above += 1
-                else:
-                    raise ConfigurationError(f"unknown sweep mode {mode!r}")
     if mc_points:
         # one pass over the channel draws serves every mc row
         ests = semi_analytic_sweep([pt for _, pt in mc_points], ant, trials=sc.trials,
@@ -173,7 +173,7 @@ def cmd_sweep(args) -> int:
         print(f"sweep: left out {n_above} asymptote row(s) where the power law exceeds "
               f"the zero-SNR ceiling a / log2 M (below the high-SNR regime)", file=sys.stderr)
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    _write_csv(args.out, _SWEEP_HEADER,
+    _write_csv(args.out, "rho_ar_db,protocol,mode,sum_ber,std_error",
                (f"{r[0]:.4f},{r[1]},{r[2]},{_fmt(r[3])},{_fmt(r[4])}" for r in rows))
     return 0
 
@@ -182,7 +182,7 @@ def cmd_gaps(args) -> int:
     sc = _scenario_from_args(args)
     ant = sc.antennas
     pw = sc.powers
-    ant.require_analytic()      # before the pre-pass draws
+    require_analytic(ant)
     dfactors, _ = estimate_d_factors(ant, pw, trials=max(sc.trials, D_FACTOR_TRIALS),
                                      seed=sc.seed)
     table = gap_table(ant, pw, dfactors)
@@ -206,11 +206,15 @@ def cmd_beta(args) -> int:
     p = parse_protocol(args.protocol)
     if not p.uses_weights:
         raise ConfigurationError(f"{p.value} has no relay weights")
-    ant = sc.antennas
-    if args.sweep not in ("d0", "rho"):
-        raise ConfigurationError(f"--sweep must be d0 or rho, got {args.sweep!r}")
     # the swept scenario field, which names the CSV column, and its format
     column, fmt = ("d0", "{:.6f}") if args.sweep == "d0" else ("rho_ar_db", "{:.4f}")
+    if getattr(args, column) is not None:
+        flag = "--" + column.replace("_", "-")
+        raise ConfigurationError(f"--sweep {args.sweep} sets {flag} at each step; leave out {flag}")
+    ant = sc.antennas
+    require_analytic(ant)
+    grid = _grid(args.start, args.stop, args.step, "--step")
+    powers = [replace(sc, **{column: v}).powers for v in grid]
     blocks = None
     if ant.m_r > 1 and p.dual_reception:
         # one pass draws and decomposes the channels; each step takes its
@@ -218,13 +222,12 @@ def cmd_beta(args) -> int:
         d_trials = max(sc.trials, D_FACTOR_TRIALS)
         blocks = list(_gain_blocks(ant, d_trials, sc.seed))
     rows = []
-    for v in _grid(args.start, args.stop, args.step, "--step"):
-        setattr(sc, column, v)
-        pw = sc.powers
+    for v, pw in zip(grid, powers):
         dfactors = None
         if blocks is not None:
             dfactors, _ = estimate_d_factors(ant, pw, trials=d_trials, gains=blocks)
-        closed = beta_closed_form(p, pw).beta ** 2
+        # the closed form holds only with one antenna at every node
+        closed = beta_closed_form(p, pw).beta ** 2 if ant == AntennaConfig(1, 1, 1) else None
         numeric = beta_numeric(p, ant, pw, dfactors=dfactors).beta ** 2
         rows.append(f"{fmt.format(v)},{_fmt(closed)},{_fmt(numeric)}")
     _write_csv(args.out, f"{column},beta_sq_closed_form,beta_sq_numeric", rows)
@@ -233,23 +236,24 @@ def cmd_beta(args) -> int:
 
 def cmd_kappa(args) -> int:
     sc = _scenario_from_args(args)
-    m_r_values = [int(tok) for tok in args.m_r_list.split(",") if tok.strip()]
-    if not m_r_values:
+    ants = [AntennaConfig(sc.m_a, int(tok), sc.m_b) for tok in args.m_r_list.split(",")
+            if tok.strip()]
+    if not ants:
         raise ConfigurationError("--m-r-list must name at least one relay antenna count")
-    header = ("m_r,d_arb_3,d_bra_3,d_arb_4,d_bra_4,"
-              "se_arb_3,se_bra_3,se_arb_4,se_bra_4")
     rows = []
     pw = sc.powers
-    for m_r in m_r_values:
-        ant = AntennaConfig(sc.m_a, m_r, sc.m_b)
+    for ant in ants:
         d, se = estimate_d_factors(ant, pw, trials=sc.trials, seed=sc.seed)
-        rows.append(f"{m_r},{_fmt(d.d_arb_3)},{_fmt(d.d_bra_3)},{_fmt(d.d_arb_4)},"
+        rows.append(f"{ant.m_r},{_fmt(d.d_arb_3)},{_fmt(d.d_bra_3)},{_fmt(d.d_arb_4)},"
                     f"{_fmt(d.d_bra_4)},{_fmt(se[0])},{_fmt(se[1])},{_fmt(se[2])},{_fmt(se[3])}")
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, "m_r,d_arb_3,d_bra_3,d_arb_4,d_bra_4,se_arb_3,se_bra_3,se_arb_4,se_bra_4",
+               rows)
     return 0
 
 
 def cmd_validate(args) -> int:
+    # imported here: validate loads scipy.integrate, which no other command needs
+    from .validate import run_validation
     sc = _scenario_from_args(args)
     results, code = run_validation(trials=sc.trials, seed=sc.seed)
     for r in results:
@@ -267,9 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="twrelay",
                                  description="Two-way relay beamforming performance toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: a flag that a command does not take must not pass
+    # as the prefix of one it does (--m-r of --m-r-list)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sweep = sub.add_parser("sweep", help="sum-BER vs average SNR curves (CSV)")
-    _add_scenario_flags(sweep)
+    sweep = add("sweep", help="sum-BER vs average SNR curves (CSV)")
+    _add_scenario_flags(sweep, _fields_but("rho_ar_db"))
     sweep.add_argument("--protocols", help="comma-separated protocol list")
     sweep.add_argument("--rho-start", type=float, required=True)
     sweep.add_argument("--rho-stop", type=float, required=True)
@@ -280,31 +287,33 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", help="output CSV path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
 
-    gaps = sub.add_parser("gaps", help="ranked high-SNR gap table across protocols")
-    _add_scenario_flags(gaps)
+    gaps = add("gaps", help="ranked high-SNR gap table across protocols")
+    _add_scenario_flags(gaps, _fields_but("beta"))
     gaps.add_argument("--out", help="optional CSV path")
     gaps.set_defaults(func=cmd_gaps)
 
-    beta = sub.add_parser("beta", help="optimal relay weight vs placement or SNR (CSV)")
-    _add_scenario_flags(beta)
+    beta = add("beta", help="optimal relay weight vs placement or SNR (CSV)")
+    _add_scenario_flags(beta, _fields_but("beta"))
     beta.add_argument("--protocol", required=True)
-    beta.add_argument("--sweep", choices=["d0", "rho"], required=True)
+    beta.add_argument("--sweep", choices=["d0", "rho"], required=True,
+                      help="the swept field: d0, the relay placement (refuses --d0), or "
+                           "rho, the A-side SNR in dB (refuses --rho-ar-db)")
     beta.add_argument("--start", type=float, required=True)
     beta.add_argument("--stop", type=float, required=True)
     beta.add_argument("--step", type=float, required=True)
     beta.add_argument("--out", help="output CSV path (default stdout)")
     beta.set_defaults(func=cmd_beta)
 
-    kappa = sub.add_parser("kappa", help="dual-reception factors vs relay antennas, with "
-                                          "their control-variate standard errors (CSV)")
-    _add_scenario_flags(kappa, with_beta=False)
+    kappa = add("kappa", help="dual-reception factors vs relay antennas, with "
+                              "their control-variate standard errors (CSV)")
+    _add_scenario_flags(kappa, _fields_but("m_r", "beta"))
     kappa.add_argument("--m-r-list", default="1,2,3,4",
                        help="comma-separated relay antenna counts")
     kappa.add_argument("--out", help="output CSV path (default stdout)")
     kappa.set_defaults(func=cmd_kappa)
 
-    val = sub.add_parser("validate", help="run the invariant suite, exit 4 on failure")
-    _add_scenario_flags(val, with_beta=False)
+    val = add("validate", help="run the invariant suite, exit 4 on failure")
+    _add_scenario_flags(val, ("trials", "seed"))
     val.set_defaults(func=cmd_validate)
     return ap
 

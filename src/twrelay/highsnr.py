@@ -86,17 +86,13 @@ def eta_pair(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile) -> tu
 
 
 def high_snr_profile(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
-                     mod: Optional[Modulation] = None,
                      w: Optional[WeightPair] = None,
                      dfactors: Optional[DFactors] = None) -> HighSnrProfile:
-    """Asymptote parameters for one protocol under its rate-normalized
-    modulation (overridable)."""
-    if mod is None:
-        mod = protocol_modulation(p)
+    """Asymptote parameters for one protocol under its rate-normalized modulation."""
     coeffs = coefficient_set(p, ant, pw, w, dfactors)
     eta_arb, eta_bra = eta_pair(coeffs, ant, pw)
     d = ant.m_r * min(ant.m_a, ant.m_b)
-    return HighSnrProfile(d=d, eta_arb=eta_arb, eta_bra=eta_bra, mod=mod)
+    return HighSnrProfile(d=d, eta_arb=eta_arb, eta_bra=eta_bra, mod=protocol_modulation(p))
 
 
 def high_snr_sum_ber(profile: HighSnrProfile, rho_ar: float) -> float:
@@ -121,15 +117,11 @@ def high_snr_sum_ber(profile: HighSnrProfile, rho_ar: float) -> float:
                     - math.log(mod.bits_per_symbol) - d * math.log(2.0 * mod.b * rho_ar))
 
 
-def beta_closed_form(p: Protocol, pw: PowerProfile,
-                     ant: Optional[AntennaConfig] = None) -> WeightPair:
+def beta_closed_form(p: Protocol, pw: PowerProfile) -> WeightPair:
     """Closed-form high-SNR-optimal relay weights for the weighted
-    protocols, exact for the single-antenna-everywhere configuration."""
+    protocols, exact in the 1x1x1 configuration only (else `beta_numeric`)."""
     if not p.uses_weights:
         raise ConfigurationError(f"{p.value} has no relay weights")
-    if ant is not None and (ant.m_a, ant.m_r, ant.m_b) != (1, 1, 1):
-        raise ConfigurationError(
-            "closed-form weights hold for the 1x1x1 configuration; use beta_numeric instead")
     half = 0.5 if p is Protocol.SECOND_FOUR_SLOT else 1.0
     s_a = math.sqrt(pw.rho_ar * (pw.rho_ar + half * pw.rho_ra) / (half * pw.rho_ra))
     s_b = math.sqrt(pw.rho_br * (pw.rho_br + half * pw.rho_rb) / (half * pw.rho_rb))
@@ -224,7 +216,6 @@ def gap_table(ant: AntennaConfig, pw: PowerProfile,
     matched-beamformer bound, the only closed-form regime they admit with
     multiple relay antennas.
     """
-    ant.require_analytic()
     protocols = list(Protocol)
     profiles = {}
     betas = {}

@@ -36,12 +36,6 @@ class Protocol(enum.Enum):
         return self in (Protocol.FIRST_THREE_SLOT, Protocol.SECOND_FOUR_SLOT)
 
     @property
-    def relay_transmits_twice(self) -> bool:
-        """True when the relay broadcast is split over two slots (half power)."""
-        return self in (Protocol.SECOND_THREE_SLOT, Protocol.FIRST_FOUR_SLOT,
-                        Protocol.SECOND_FOUR_SLOT)
-
-    @property
     def dual_reception(self) -> bool:
         """True when each destination combines two relay transmissions."""
         return self in (Protocol.SECOND_THREE_SLOT, Protocol.SECOND_FOUR_SLOT)
@@ -67,13 +61,6 @@ class AntennaConfig:
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 1):
                 raise ConfigurationError(f"antenna count {name} must be a positive integer, got {v!r}")
-
-    def require_analytic(self) -> None:
-        """Analytic formulas need at least as many antennas at A and B as at R."""
-        if self.m_a < self.m_r or self.m_b < self.m_r:
-            raise ConfigurationError(
-                f"analytic forms require m_a >= m_r and m_b >= m_r (got {self.m_a}x{self.m_r}x{self.m_b}); "
-                "swap the roles of the dimensions before calling")
 
 
 @dataclass(frozen=True)
@@ -170,6 +157,11 @@ class Modulation:
     @property
     def bits_per_symbol(self) -> float:
         return math.log2(self.m)
+
+    @property
+    def ceiling(self) -> float:
+        """The zero-SNR sum-BER ceiling a / log2 M."""
+        return self.a / self.bits_per_symbol
 
 
 def modulation_constants(family: str, m: int = 2) -> Modulation:
@@ -273,8 +265,10 @@ def coefficient_set(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
 # Scenario files: flat key = value text
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = ("protocol", "m_a", "m_r", "m_b", "rho_ar_db", "d0",
-                  "pl_exponent", "relay_rho_db", "beta", "trials", "seed")
+# each scenario key, for files and command lines, with the parser of its value
+SCENARIO_FIELDS = {"protocol": parse_protocol, "m_a": int, "m_r": int, "m_b": int,
+                   "rho_ar_db": float, "d0": float, "pl_exponent": float,
+                   "relay_rho_db": float, "beta": float, "trials": int, "seed": int}
 
 
 @dataclass
@@ -322,15 +316,10 @@ def load_scenario(path) -> Scenario:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _SCENARIO_KEYS:
+        if key not in SCENARIO_FIELDS:
             raise ConfigurationError(f"{path}:{lineno}: unknown scenario key {key!r}")
         try:
-            if key == "protocol":
-                sc.protocol = parse_protocol(value)
-            elif key in ("m_a", "m_r", "m_b", "trials", "seed"):
-                setattr(sc, key, int(value))
-            else:
-                setattr(sc, key, float(value))
+            setattr(sc, key, SCENARIO_FIELDS[key](value))
         except ConfigurationError:
             raise
         except ValueError:

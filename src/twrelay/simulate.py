@@ -538,7 +538,7 @@ def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
         if mod is None:
             mod = protocol_modulation(p)
         evals.append((p, pw, w, *_sampler_form(p, ant, pw, w),
-                      mod.a / mod.bits_per_symbol, 2.0 * mod.b))
+                      mod.ceiling, 2.0 * mod.b))
     parts = [[] for _ in evals]     # per point: (sum y, sum y^2) of each block
     for block in _gain_blocks(ant, trials, seed) if gains is None else gains:
         for (p, pw, w, mode, coeffs, scale, two_b), part in zip(evals, parts):

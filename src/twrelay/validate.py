@@ -291,7 +291,7 @@ def check_closed_vs_quadrature() -> CheckResult:
                 pw = PowerProfile.balanced(rho_db)
                 coeffs = coefficient_set(p, ant, pw)
                 c = _closed_form_f64(coeffs, ant, pw, mod)
-                if c <= mod.a / mod.bits_per_symbol * FALLBACK_SHARE:
+                if c <= mod.ceiling * FALLBACK_SHARE:
                     continue
                 q = sum_ber_quadrature(coeffs, ant, pw, mod)
                 worst = max(worst, abs(c - q) / q)

@@ -17,8 +17,8 @@ import twrelay.lowerbound
 from mp_oracle import (ORACLE_DPS, ORACLE_FILE, closed_form_mp, link_cdf_pdf_mp,
                        oracle_inputs, oracle_key, oracle_points)
 from twrelay.analysis import (FALLBACK_SHARE, _closed_form_f64, bessel_moment, e2e_cdf,
-                              link_cdf, link_pdf, min_pair_cdf, sum_ber_closed_form,
-                              sum_ber_quadrature)
+                              link_cdf, link_pdf, min_pair_cdf, require_analytic,
+                              sum_ber_closed_form, sum_ber_quadrature)
 from twrelay.errors import ConfigurationError, NumericalError, UnsupportedConfigError
 from twrelay.highsnr import eta_pair, gap_table, high_snr_profile, high_snr_sum_ber
 from twrelay.lowerbound import Estimate
@@ -367,16 +367,21 @@ class TestSumBerClosedForm:
             sum_ber_closed_form(coeffs, ant, pw, mod)
 
     def test_dimension_contract(self):
-        # _direction, which every closed-form call passes first, is the one
-        # gate on the antenna counts
+        # require_analytic states the rule on the antenna counts, and
+        # _direction, which every closed-form call passes first, applies it
         pw = PowerProfile.balanced(10.0)
         mod = protocol_modulation(Protocol.TWO_SLOT)
         big = AntennaConfig(5, 2, 5)
         with pytest.raises(UnsupportedConfigError):
+            require_analytic(big)
+        with pytest.raises(UnsupportedConfigError):
             sum_ber_closed_form(coefficient_set(Protocol.TWO_SLOT, big, pw), big, pw, mod)
         swapped = AntennaConfig(1, 2, 2)
         with pytest.raises(ConfigurationError, match="swap"):
+            require_analytic(swapped)
+        with pytest.raises(ConfigurationError, match="swap"):
             sum_ber_closed_form(coefficient_set(Protocol.TWO_SLOT, swapped, pw), swapped, pw, mod)
+        require_analytic(AntennaConfig(4, 4, 4))
 
     def test_exact_tables_rescue_4x3x4(self):
         # the unbalanced array at 30 dB, 2e-28 of the ceiling, sits just below

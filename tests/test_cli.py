@@ -33,6 +33,19 @@ def _read(path):
         return fh.read()
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """The block index of every ChannelStream.draw_block call, in order."""
+    draw = ChannelStream.draw_block
+    calls = []
+
+    def counting_draw(stream, ant, block):
+        calls.append(block)
+        return draw(stream, ant, block)
+    monkeypatch.setattr(ChannelStream, "draw_block", counting_draw)
+    return calls
+
+
 class TestSweep:
     def test_row_count_and_schema(self, scenario_file, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -107,17 +120,11 @@ class TestSweep:
             est = semi_analytic_sweep([pt], ant, trials=20_000, seed=17)[0]
             assert (mode, mean, se) == ("mc", f"{est.mean:.10e}", f"{est.std_error:.10e}")
 
-    def test_mc_rows_reuse_prepass_blocks(self, tmp_path, monkeypatch):
+    def test_mc_rows_reuse_prepass_blocks(self, tmp_path, monkeypatch, draws):
         # the d-factor pre-pass draws the seed's stream; the mc rows take
         # their 2 blocks from it instead of drawing them again
         prepass = -(-max(32768, simulate.D_FACTOR_TRIALS) // simulate._BLOCK)
-        draw = ChannelStream.draw_block
-        calls = []
-
-        def counting_draw(stream, ant, block):
-            calls.append(block)
-            return draw(stream, ant, block)
-        monkeypatch.setattr(ChannelStream, "draw_block", counting_draw)
+        calls = draws
         args = ["sweep", "--m-a", "2", "--m-r", "2", "--m-b", "2", "--rho-start", "0",
                 "--rho-stop", "10", "--rho-step", "10", "--mode", "mc",
                 "--trials", "32768", "--seed", "8"]
@@ -166,16 +173,10 @@ class TestGaps:
         best = [r for r in rows[1:] if r.endswith(",1")]
         assert len(best) == 1 and best[0].startswith("two_slot")
 
-    def test_multi_antenna_draws_only_the_prepass(self, tmp_path, monkeypatch):
+    def test_multi_antenna_draws_only_the_prepass(self, tmp_path, draws):
         # the d-factor pre-pass is the only Monte Carlo behind the gap table
         prepass = -(-simulate.D_FACTOR_TRIALS // simulate._BLOCK)
-        draw = ChannelStream.draw_block
-        calls = []
-
-        def counting_draw(stream, ant, block):
-            calls.append(block)
-            return draw(stream, ant, block)
-        monkeypatch.setattr(ChannelStream, "draw_block", counting_draw)
+        calls = draws
         out = tmp_path / "gaps.csv"
         assert main(["gaps", "--m-a", "2", "--m-r", "2", "--m-b", "2", "--trials", "1000",
                      "--seed", "4", "--out", str(out)]) == 0
@@ -214,6 +215,23 @@ class TestBeta:
         assert lines[0] == "rho_ar_db,beta_sq_closed_form,beta_sq_numeric"
         assert [line.split(",")[0] for line in lines[1:]] == [
             "10.0000", "15.0000", "20.0000", "25.0000", "30.0000"]
+
+    def test_closed_form_only_for_one_antenna_per_node(self, tmp_path):
+        # the closed-form weight is the 1x1x1 optimum; here, where only the
+        # A-R link sets the diversity order, the optimum sits at an end of
+        # the interval, and the closed-form field stays empty
+        out = tmp_path / "beta.csv"
+        code = main(["beta", "--m-a", "2", "--m-r", "1", "--m-b", "3",
+                     "--protocol", "first_three_slot", "--sweep", "rho", "--start", "0",
+                     "--stop", "40", "--step", "20", "--out", str(out)])
+        assert code == 0
+        lines = _read(out).splitlines()
+        assert lines[0] == "rho_ar_db,beta_sq_closed_form,beta_sq_numeric"
+        assert len(lines) == 4
+        for line in lines[1:]:
+            _, closed, numeric = line.split(",")
+            assert closed == ""
+            assert 0.0 < float(numeric) < 1e-6
 
     def test_dual_reception_with_relay_array(self, tmp_path):
         # second_four_slot with m_r > 1 needs the Monte-Carlo dual-reception
@@ -314,6 +332,71 @@ class TestValidate:
         monkeypatch.setenv("TWRELAY_SEED", "abc")
         # an explicit --seed does not read the environment
         assert main(args + ["--seed", "5"]) == 0
+
+
+GEOMETRY = ("--m-a", "--m-r", "--m-b", "--rho-ar-db", "--d0", "--pl-exponent",
+            "--relay-rho-db")
+SWEEP_ARGS = ["--rho-start", "10", "--rho-stop", "10", "--rho-step", "10"]
+BETA_ARGS = ["--protocol", "first_three_slot", "--sweep", "d0", "--start", "0.3",
+             "--stop", "0.5", "--step", "0.1"]
+
+
+class TestCommandInputs:
+    """Each command takes only the flags it reads, and checks its whole
+    configuration before it draws a channel."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", *SWEEP_ARGS], "--rho-ar-db"),
+        (["gaps"], "--beta"),
+        (["beta", *BETA_ARGS], "--beta"),
+        (["kappa"], "--m-r"),
+        *((["validate"], flag) for flag in GEOMETRY),
+    ])
+    def test_unread_flag_is_refused(self, argv, flag):
+        # the command line parses without the flag, and with it exits 2; the
+        # value 1 is of the type of every scenario flag
+        cli.build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("sweep, flag", [("d0", "--d0"), ("rho", "--rho-ar-db")])
+    def test_beta_refuses_the_swept_field(self, sweep, flag, capsys, draws):
+        code = main(["beta", "--m-a", "2", "--m-r", "2", "--m-b", "2",
+                     "--protocol", "second_four_slot", "--sweep", sweep, "--start", "0.3",
+                     "--stop", "0.5", "--step", "0.1", flag, "0.7"])
+        assert code == 2
+        assert f"leave out {flag}" in capsys.readouterr().err
+        assert draws == []
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--m-a", "1", "--m-r", "2", "--m-b", "2", "--mode", "closed", *SWEEP_ARGS],
+        ["sweep", "--m-a", "5", "--m-r", "2", "--m-b", "5", "--mode", "asymptote", *SWEEP_ARGS],
+        # the weighted protocols' beta comes from the analytic engines
+        ["sweep", "--m-a", "1", "--m-r", "2", "--m-b", "2", "--mode", "mc", *SWEEP_ARGS],
+        ["sweep", "--m-a", "2", "--m-r", "2", "--m-b", "2", "--beta", "1.5", *SWEEP_ARGS],
+        ["beta", "--m-a", "1", "--m-r", "2", "--m-b", "2", "--protocol", "second_four_slot",
+         "--sweep", "rho", "--start", "10", "--stop", "30", "--step", "10"],
+        # d0 = 1 at the last step
+        ["beta", "--m-a", "2", "--m-r", "2", "--m-b", "2", "--protocol", "second_four_slot",
+         "--sweep", "d0", "--start", "0.5", "--stop", "1.0", "--step", "0.25"],
+        ["gaps", "--m-a", "5", "--m-r", "2", "--m-b", "5"],
+        ["kappa", "--m-r-list", "2,0"],
+    ])
+    def test_configuration_error_before_any_draw(self, argv, capsys, draws):
+        assert main(argv + ["--trials", "1000"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert draws == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--m-a", "1", "--m-r", "2", "--m-b", "2", "--beta", "0.6"],
+        ["--m-a", "6", "--m-r", "5", "--m-b", "6", "--protocols", "two_slot"],
+    ])
+    def test_mc_sweep_outside_the_analytic_range(self, argv, capsys):
+        # Monte Carlo alone serves these: no weight is optimised
+        assert main(["sweep", *argv, *SWEEP_ARGS, "--mode", "mc", "--trials", "1000"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and all(row.split(",")[2] == "mc" for row in rows)
 
 
 class TestEntryPoint:

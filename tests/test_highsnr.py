@@ -145,7 +145,7 @@ class TestAsymptote:
                 pw = PowerProfile.balanced(rho_db)
                 coeffs = coefficient_set(p, ant, pw, w)
                 closed = sum_ber_closed_form(coeffs, ant, pw, mod)
-                prof = high_snr_profile(p, ant, pw, mod, w)
+                prof = high_snr_profile(p, ant, pw, w)
                 ratios.append(closed / high_snr_sum_ber(prof, pw.rho_ar))
             devs = [abs(r - 1.0) for r in ratios]
             assert all(b < a for a, b in zip(devs, devs[1:])), (p, ratios)
@@ -179,8 +179,6 @@ class TestBetaClosedForm:
         pw = PowerProfile.balanced(25.0)
         with pytest.raises(ConfigurationError):
             beta_closed_form(Protocol.TWO_SLOT, pw)
-        with pytest.raises(ConfigurationError, match="beta_numeric"):
-            beta_closed_form(Protocol.FIRST_THREE_SLOT, pw, AntennaConfig(2, 1, 2))
 
 
 class TestBetaNumeric:
@@ -200,10 +198,9 @@ class TestBetaNumeric:
             pw = PowerProfile(rho_ar, rho_br, rho_r, rho_r)
             for p in (Protocol.FIRST_THREE_SLOT, Protocol.SECOND_FOUR_SLOT):
                 b2 = beta_closed_form(p, pw).beta ** 2
-                mod = protocol_modulation(p)
 
                 def obj(v):
-                    prof = high_snr_profile(p, ant, pw, mod, WeightPair.from_beta_squared(v))
+                    prof = high_snr_profile(p, ant, pw, WeightPair.from_beta_squared(v))
                     return high_snr_sum_ber(prof, pw.rho_ar)
 
                 h = 1e-5
@@ -214,11 +211,10 @@ class TestBetaNumeric:
     def test_optimality_spot_check(self):
         ant = AntennaConfig(2, 1, 2)
         p = Protocol.SECOND_FOUR_SLOT
-        mod = protocol_modulation(p)
         best = beta_numeric(p, ant, UNBALANCED).beta ** 2
 
         def obj(v):
-            prof = high_snr_profile(p, ant, UNBALANCED, mod, WeightPair.from_beta_squared(v))
+            prof = high_snr_profile(p, ant, UNBALANCED, WeightPair.from_beta_squared(v))
             return high_snr_sum_ber(prof, UNBALANCED.rho_ar)
 
         for probe in (0.25, 0.5, 0.75):

@@ -38,10 +38,13 @@ def test_no_unused_imports():
 
 def test_import_loads_no_scipy_optimize_or_integrate():
     # importing scipy.optimize alone takes over half as long as importing
-    # the package; the high-SNR weights use a hand-written golden section
-    probe = ("import sys, twrelay; print(sorted(m for m in ('scipy.optimize', 'scipy.integrate')"
-             " if m in sys.modules))")
+    # the package; the high-SNR weights use a hand-written golden section,
+    # and the CLI imports validate, the one user of scipy.integrate, only
+    # for the validate command
     src = str(Path(twrelay.__file__).parent.parent)
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          cwd=src, check=True)
-    assert proc.stdout.strip() == "[]"
+    for module in ("twrelay", "twrelay.cli"):
+        probe = (f"import sys, {module}; print(sorted(m for m in ('scipy.optimize', "
+                 "'scipy.integrate') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              cwd=src, check=True)
+        assert proc.stdout.strip() == "[]", module

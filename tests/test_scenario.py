@@ -23,10 +23,6 @@ class TestProtocol:
         assert {p for p in Protocol if p.uses_weights} == {
             Protocol.FIRST_THREE_SLOT, Protocol.SECOND_FOUR_SLOT}
 
-    def test_double_transmit_flags(self):
-        assert {p for p in Protocol if p.relay_transmits_twice} == {
-            Protocol.SECOND_THREE_SLOT, Protocol.FIRST_FOUR_SLOT, Protocol.SECOND_FOUR_SLOT}
-
     def test_parse(self):
         assert parse_protocol("Second-Three-Slot") is Protocol.SECOND_THREE_SLOT
         with pytest.raises(ConfigurationError):
