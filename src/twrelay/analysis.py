@@ -8,7 +8,10 @@ Win & Zanella 2003), the end-to-end CDF by conditioning on the far link, and
 the sum-BER as the Gaussian-weighted integral of the two direction CDFs.
 Every term there is non-negative, so nothing cancels; the trapezoid rules
 are refined until their error estimate is below 1e-13 of the value, and a
-NumericalError is raised rather than return a value they cannot back.
+NumericalError is raised rather than return a value they cannot back.  A
+symmetric network (the same antennas at both sources, equal link SNRs and
+equal constants in both directions) has two equal directions, and its
+sum-BER integrates one of them.
 
 The closed form runs over the product of the two links' exact
 largest-eigenvalue expansions, which `lowerbound.ccdf_expansion` reads off
@@ -129,8 +132,8 @@ def _sum_ber_integral(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfi
     est = lowerbound.sum_ber([_direction(d, coeffs, ant, pw) for d in _DIRECTIONS],
                              mod.a, mod.b, mod.bits_per_symbol)
     _log.debug("sum-BER by the lower-bound integral (%s): %.6e, error estimate %.1e, "
-               "%d outer nodes, %d inner nodes", path, est.value, est.error,
-               est.outer_nodes, est.inner_nodes)
+               "%d outer nodes, %d inner nodes, %d inner values settled by the link bounds",
+               path, est.value, est.error, est.outer_nodes, est.inner_nodes, est.settled)
     ceiling = mod.ceiling
     # where every CDF is near 1 the value rounds to within the tolerance of
     # the ceiling, on either side

@@ -236,8 +236,12 @@ def cmd_beta(args) -> int:
 
 def cmd_kappa(args) -> int:
     sc = _scenario_from_args(args)
-    ants = [AntennaConfig(sc.m_a, int(tok), sc.m_b) for tok in args.m_r_list.split(",")
-            if tok.strip()]
+    try:
+        m_rs = [int(tok) for tok in args.m_r_list.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigurationError(f"--m-r-list takes comma-separated integers, "
+                                 f"got {args.m_r_list!r}") from None
+    ants = [AntennaConfig(sc.m_a, m_r, sc.m_b) for m_r in m_rs]
     if not ants:
         raise ConfigurationError("--m-r-list must name at least one relay antenna count")
     rows = []

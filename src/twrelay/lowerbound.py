@@ -35,8 +35,20 @@ conditioning on the far link, with g_f = (w + B x) / A,
     1 - F(x) = int_0^inf (1 - F_s(x C g_f / w)) f_f(g_f) dw / A;
 
 the first form serves F <= 1/2, the second the rest, so neither cancels
-and F stays in [0, 1].  The sum-BER is
-pref * int_0^inf 2 e^(-b t^2) (F_arb + F_bra)(t^2) dt.
+and F stays in [0, 1].  Since 1/gamma = B / (A g_f) + C / (A g_s), gamma <= x
+holds where g_f <= B x / A or g_s <= C x / A, and requires g_f <= 2 B x / A
+or g_s <= 2 C x / A, so the link CDFs bound F on both sides:
+
+    L = max(F_f(B x / A), F_s(C x / A)) <= F(x)
+      <= min(1, F_f(2 B x / A) + F_s(2 C x / A)) = U.
+
+A value whose bounds lie within twice its absolute tolerance of each
+other is settled as their midpoint without an integral.  The sum-BER is
+pref * int_0^inf 2 e^(-b t^2) (F_arb + F_bra)(t^2) dt; its absolute
+tolerance per CDF value grows like e^(b t^2) against the weight, so the
+bounds settle both tails of the inner integrals.  Equal directions (the
+two of a symmetric network) have equal CDFs, so each distinct direction
+is integrated once and counted as often as it occurs.
 
 Both integrals run over a logarithmic variable (ln w, ln t) with the
 trapezoid rule, whose error falls like e^(-2 pi d / h) in the step h for
@@ -52,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -308,13 +321,15 @@ class Link(NamedTuple):
 
 
 class Estimate(NamedTuple):
-    """An integral's value, its error estimate, and the trapezoid nodes it
-    took (outer, and inner summed over the outer nodes)."""
+    """An integral's value, its error estimate, the trapezoid nodes it took
+    (outer, and inner summed over the outer nodes), and the inner CDF values
+    that the link bounds settled without a node."""
 
     value: float
     error: float
     outer_nodes: int
     inner_nodes: int
+    settled: int
 
 
 class _Trapezoid:
@@ -372,9 +387,31 @@ def _extrapolated(last, before):
     return last * ratio
 
 
-def _e2e_chunk(xs, src: Link, far: Link, a: float, b: float, c: float, rtol: float,
-               atol: float):
-    """(F, error estimate, intervals) of the end-to-end CDF at xs > 0."""
+def _same_shape(src: Link, far: Link) -> bool:
+    # links of one shape share a kernel call (half the per-call work)
+    return sorted(src[:2]) == sorted(far[:2])
+
+
+def _cdf_bounds(xs, src: Link, far: Link, a: float, b: float, c: float):
+    """(F_f(B x / A), L, U) at xs: the far link's CDF at B x / A and the
+    bounds L <= F(x) <= U of the end-to-end CDF (module docstring)."""
+    u_f = b * xs / (a * far.rho)
+    u_s = c * xs / (a * src.rho)
+    if _same_shape(src, far):
+        f_f, f_f2, f_s, f_s2 = link_cdf_pdf(np.stack([u_f, 2.0 * u_f, u_s, 2.0 * u_s]),
+                                            src.m, src.n)[0]
+    else:
+        f_f, f_f2 = link_cdf_pdf(np.stack([u_f, 2.0 * u_f]), far.m, far.n)[0]
+        f_s, f_s2 = link_cdf_pdf(np.stack([u_s, 2.0 * u_s]), src.m, src.n)[0]
+    lower = np.maximum(f_f, f_s)
+    # the clip keeps U >= L where rounding in the kernel would invert them
+    return f_f, lower, np.clip(f_f2 + f_s2, lower, 1.0)
+
+
+def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float,
+               rtol: float, atol: float):
+    """(F, error estimate, intervals) of the end-to-end CDF at xs > 0, given
+    f_first = F_f(B x / A)."""
     base = far.rho * a          # w scale where the far gain reaches its mean
     v1 = np.log(_FAR_SPAN * base + b * xs)
     # below w ~ x^2 B C / (A rho_s) the source link saturates, F_s -> 1; the
@@ -382,10 +419,7 @@ def _e2e_chunk(xs, src: Link, far: Link, a: float, b: float, c: float, rtol: flo
     # double) and the range below its upper end
     v0 = np.clip(2.0 * np.log(xs) + math.log(b * c / (a * src.rho)) - _INNER_SHIFT,
                  -650.0, v1)
-    f_first = link_cdf_pdf(b * xs / base, far.m, far.n)[0]
-
-    # links of one shape share a call (half the per-call work)
-    same_shape = sorted(src[:2]) == sorted(far[:2])
+    same_shape = _same_shape(src, far)
 
     def integrand(v, rows):
         x = xs[rows, None]
@@ -440,19 +474,33 @@ def _e2e_chunk(xs, src: Link, far: Link, a: float, b: float, c: float, rtol: flo
 def e2e_cdf(xs, src: Link, far: Link, a: float, b: float, c: float,
             rtol: float = REL_TOL, atol: float = 0.0) -> tuple:
     """CDF of A g_s g_f / (B g_s + C g_f) at each x in xs (array), with a
-    per-point error estimate: (values, errors, inner intervals summed).
-    Each point is refined until its estimate is at most rtol times its
-    value plus atol (a scalar, or one bound per point)."""
+    per-point error estimate: (values, errors, inner intervals summed,
+    points settled by the bounds).  Each point is refined until its
+    estimate is at most rtol times its value plus atol (a scalar, or one
+    bound per point).
+
+    The link bounds L <= F(x) <= U come first, for all points at once.  A
+    point where (U - L) / 2 <= atol (at atol = 0, where U == L) is settled:
+    its value is (L + U) / 2 and its error (U - L) / 2 (the distance from
+    the rounded midpoint to the farther bound), without a node.  Only the
+    other points are integrated, _CHUNK at a time."""
     xs = np.asarray(xs, dtype=float)
     atol = np.broadcast_to(atol, xs.shape)
     values, errors = np.zeros_like(xs), np.zeros_like(xs)
-    nodes = 0
     pos = np.flatnonzero(xs > 0.0)
-    for k in range(0, pos.size, _CHUNK):
-        idx = pos[k:k + _CHUNK]
-        values[idx], errors[idx], n = _e2e_chunk(xs[idx], src, far, a, b, c, rtol, atol[idx])
+    f_first, lower, upper = _cdf_bounds(xs[pos], src, far, a, b, c)
+    mid = 0.5 * (lower + upper)
+    half_gap = np.maximum(mid - lower, upper - mid)
+    settled = half_gap <= atol[pos]
+    values[pos[settled]], errors[pos[settled]] = mid[settled], half_gap[settled]
+    live, f_first = pos[~settled], f_first[~settled]
+    nodes = 0
+    for k in range(0, live.size, _CHUNK):
+        idx = live[k:k + _CHUNK]
+        values[idx], errors[idx], n = _e2e_chunk(xs[idx], f_first[k:k + _CHUNK], src, far,
+                                                 a, b, c, rtol, atol[idx])
         nodes += n
-    return values, errors, nodes
+    return values, errors, nodes, int(settled.sum())
 
 
 class Direction(NamedTuple):
@@ -469,22 +517,22 @@ class Direction(NamedTuple):
 def sum_ber(directions, mod_a: float, mod_b: float, bits: float) -> Estimate:
     """Sum over the directions of E[mod_a Q(sqrt(2 mod_b gamma))] / bits,
     by the outer trapezoid rule in ln t of
-    pref int 2 e^(-b t^2) sum F(t^2) dt, pref = a sqrt(b) / (2 sqrt(pi) bits)."""
+    pref int 2 e^(-b t^2) sum F(t^2) dt, pref = a sqrt(b) / (2 sqrt(pi) bits).
+    Equal directions (a symmetric network's two) have equal CDFs, so each
+    distinct direction is integrated once and counted as often as it occurs."""
     pref = mod_a * math.sqrt(mod_b) / (2.0 * math.sqrt(math.pi) * bits)
+    distinct = Counter(directions)
     # the CDFs rise where x reaches the smallest scale of A g_s / C or A g_f / B
     x_scale = min(min(d.a * d.far.rho / d.b, d.a * d.src.rho / d.c) for d in directions)
     v0 = np.array([0.5 * math.log(min(x_scale, 1.0 / mod_b)) - 1.0])
     v1 = np.array([0.5 * math.log(_GAUSS_SPAN / mod_b)])
-    inner_nodes = 0
+    inner_nodes = settled = 0
 
     def lower_bound(v, rows):
-        # F(x) >= F_f(B x / A) and F(x) >= F_s(C x / A): the SNR is at most
-        # A g_f / B and at most A g_s / C
+        # the link bound L of each direction's CDF
         t = np.exp(v)
         x = t * t
-        cdf = sum(np.maximum(link_cdf_pdf(d.b * x / (d.a * d.far.rho), d.far.m, d.far.n)[0],
-                             link_cdf_pdf(d.c * x / (d.a * d.src.rho), d.src.m, d.src.n)[0])
-                  for d in directions)
+        cdf = sum(k * _cdf_bounds(x, *d)[1] for d, k in distinct.items())
         return 2.0 * np.exp(-mod_b * x) * t * cdf
 
     # an absolute error per CDF value, growing like e^(b t^2) against the
@@ -496,16 +544,17 @@ def sum_ber(directions, mod_a: float, mod_b: float, bits: float) -> Estimate:
     atol = REL_TOL * low / (16.0 * len(directions) * math.exp(v1[0] + 1.0))
 
     def integrand(v, rows):
-        nonlocal inner_nodes
+        nonlocal inner_nodes, settled
         t = np.exp(v[0])
         x = t * t
         cdf, err = np.zeros_like(x), np.zeros_like(x)
         bound = atol * np.exp(np.minimum(mod_b * x, 700.0))
-        for d in directions:
-            f, e, n = e2e_cdf(x, *d, rtol=REL_TOL / 4, atol=bound)
-            cdf += f
-            err += e
+        for d, k in distinct.items():
+            f, e, n, s = e2e_cdf(x, *d, rtol=REL_TOL / 4, atol=bound)
+            cdf += k * f
+            err += k * e
             inner_nodes += n
+            settled += s
         weight = 2.0 * np.exp(-mod_b * x) * t
         return np.stack([weight * cdf, weight * err])[:, None, :]
 
@@ -519,7 +568,8 @@ def sum_ber(directions, mod_a: float, mod_b: float, bits: float) -> Estimate:
             if diff is not None:
                 err = float(_extrapolated(last, diff)) + rule.ends[0, 0] + inner_err
                 if err <= REL_TOL * total and rule.h[0] <= _OUTER_H:
-                    return Estimate(float(pref * total), float(pref * err), rule.n + 1, inner_nodes)
+                    return Estimate(float(pref * total), float(pref * err), rule.n + 1,
+                                    inner_nodes, settled)
                 status = f"(estimate {pref * err:.1e} of {pref * total:.6e})"
             diff = last
         prev = total

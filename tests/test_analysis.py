@@ -16,14 +16,14 @@ from scipy import integrate
 import twrelay.lowerbound
 from mp_oracle import (ORACLE_DPS, ORACLE_FILE, closed_form_mp, link_cdf_pdf_mp,
                        oracle_inputs, oracle_key, oracle_points)
-from twrelay.analysis import (FALLBACK_SHARE, _closed_form_f64, bessel_moment, e2e_cdf,
-                              link_cdf, link_pdf, min_pair_cdf, require_analytic,
+from twrelay.analysis import (FALLBACK_SHARE, _closed_form_f64, _direction, bessel_moment,
+                              e2e_cdf, link_cdf, link_pdf, min_pair_cdf, require_analytic,
                               sum_ber_closed_form, sum_ber_quadrature)
 from twrelay.errors import ConfigurationError, NumericalError, UnsupportedConfigError
 from twrelay.highsnr import eta_pair, gap_table, high_snr_profile, high_snr_sum_ber
-from twrelay.lowerbound import Estimate
+from twrelay.lowerbound import REL_TOL, Direction, Estimate, _cdf_bounds
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile,
-                              Protocol, coefficient_set, modulation_constants,
+                              Protocol, coefficient_set, modulation_constants, power_profile,
                               protocol_modulation)
 from twrelay.simulate import SweepPoint, semi_analytic_sweep
 from twrelay.validate import (check_bessel_moment_identity,
@@ -31,6 +31,13 @@ from twrelay.validate import (check_bessel_moment_identity,
                               single_antenna_e2e_cdf)
 
 ANT = AntennaConfig(2, 1, 2)
+# the worst relative error of the link kernel against 60-digit references
+# on test_determinant_form_matches_mpmath's grid, measured per shape, is
+# 1.21e-13 at (4, 4) (u = 4.99, just above the switch to the monomial Gram
+# matrix), 5.7e-15 at (4, 3) and at most 2.5e-15 elsewhere; each tolerance
+# is at most 3 times its shape's figure
+KERNEL_REL = {(2, 2): 6e-15, (3, 3): 7e-15, (4, 3): 1.5e-14, (4, 4): 3e-13, (2, 1): 6e-15,
+              (4, 1): 5e-15}
 
 
 class TestLinkLaws:
@@ -60,15 +67,15 @@ class TestLinkLaws:
         # 60-digit determinant of lower incomplete gammas and its Jacobi
         # derivative; rho = 1.7 exercises the scaling of x and of the density.
         # The array form is checked over the same grid in one call.
-        rho = 1.7
+        rho, rel = 1.7, KERNEL_REL[dims]
         grid = np.geomspace(1e-6, 30.0, 49)
         cdf, pdf = twrelay.lowerbound.link_cdf_pdf(grid, *dims)
         for k, u in enumerate(grid):
             ref_cdf, ref_pdf = link_cdf_pdf_mp(float(u), *dims)
-            assert link_cdf(rho * u, *dims, rho) == pytest.approx(ref_cdf, rel=1e-12)
-            assert link_pdf(rho * u, *dims, rho) == pytest.approx(ref_pdf / rho, rel=1e-12)
-            assert cdf[k] == pytest.approx(ref_cdf, rel=1e-12)
-            assert pdf[k] == pytest.approx(ref_pdf, rel=1e-12)
+            assert link_cdf(rho * u, *dims, rho) == pytest.approx(ref_cdf, rel=rel)
+            assert link_pdf(rho * u, *dims, rho) == pytest.approx(ref_pdf / rho, rel=rel)
+            assert cdf[k] == pytest.approx(ref_cdf, rel=rel)
+            assert pdf[k] == pytest.approx(ref_pdf, rel=rel)
 
     @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (4, 1), (1, 3), (3, 2), (3, 3), (4, 3),
                                       (4, 4)])
@@ -145,6 +152,40 @@ class TestEndToEndCdf:
             assert np.all((v >= 0.0) & (v <= 1.0))
             assert np.all(np.diff(v) >= 0.0)
 
+    @pytest.mark.parametrize("rho_db", [20.0, 40.0])
+    @pytest.mark.parametrize("dims", [(2, 1, 2), (2, 2, 2), (3, 3, 3), (4, 3, 4)])
+    def test_link_bounds(self, dims, rho_db):
+        # L = max(F_f(B x / A), F_s(C x / A)) <= F(x) <= U = F_f(2 B x / A) +
+        # F_s(2 C x / A), each value within its own error estimate; the relay
+        # off the midpoint gives the two directions different links
+        ant = AntennaConfig(*dims)
+        pw = power_profile(rho_db, 0.3)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        xs = np.geomspace(1e-4 * pw.rho_ar, 1e2 * pw.rho_ar, 61)
+        for direction in ("arb", "bra"):
+            d = _direction(direction, coeffs, ant, pw)
+            values, errors, _, _ = twrelay.lowerbound.e2e_cdf(xs, *d)
+            _, lower, upper = _cdf_bounds(xs, *d)
+            assert np.all(lower <= values + errors), direction
+            assert np.all(values - errors <= upper), direction
+            assert np.any(upper - lower > 0.1), direction
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 3, 4)])
+    def test_settled_values_within_their_error(self, dims):
+        # with an absolute tolerance the tails are settled by the bounds
+        # without nodes, each within its reported error of the value
+        # integrated at atol = 0
+        ant = AntennaConfig(*dims)
+        pw = power_profile(20.0, 0.3)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        xs = np.geomspace(1e-4 * pw.rho_ar, 1e2 * pw.rho_ar, 61)
+        d = _direction("arb", coeffs, ant, pw)
+        exact, _, exact_nodes, _ = twrelay.lowerbound.e2e_cdf(xs, *d)
+        values, errors, nodes, settled = twrelay.lowerbound.e2e_cdf(xs, *d, atol=1e-12)
+        assert np.all(np.abs(values - exact) <= errors)
+        assert np.all(errors <= REL_TOL * values + 1e-12)
+        assert settled > 0 and nodes < exact_nodes
+
 
 class TestSumBerQuadrature:
     def test_degenerate_unit_cdf(self, monkeypatch):
@@ -154,7 +195,7 @@ class TestSumBerQuadrature:
         pw = PowerProfile.balanced(10.0)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ANT, pw)
         monkeypatch.setattr(twrelay.lowerbound, "e2e_cdf",
-                            lambda xs, *args, **kw: (np.ones_like(xs), np.zeros_like(xs), 0))
+                            lambda xs, *args, **kw: (np.ones_like(xs), np.zeros_like(xs), 0, 0))
         val = sum_ber_quadrature(coeffs, ANT, pw, mod)
         assert val == pytest.approx(mod.a / mod.bits_per_symbol, rel=1e-9)
 
@@ -168,6 +209,41 @@ class TestSumBerQuadrature:
             if prev is not None:
                 assert v < prev
             prev = v
+
+    def test_equal_directions_integrated_once(self, monkeypatch):
+        # a symmetric network's two directions are equal: one e2e_cdf call
+        # per outer level, so the calls take each outer node once
+        ant = AntennaConfig(2, 2, 2)
+        pw = PowerProfile.balanced(30.0)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        d = _direction("arb", coeffs, ant, pw)
+        assert _direction("bra", coeffs, ant, pw) == d
+        calls = []
+        e2e = twrelay.lowerbound.e2e_cdf
+
+        def counting(xs, *args, **kw):
+            calls.append((xs.size, Direction(*args)))
+            return e2e(xs, *args, **kw)
+        monkeypatch.setattr(twrelay.lowerbound, "e2e_cdf", counting)
+        est = twrelay.lowerbound.sum_ber([d, d], mod.a, mod.b, mod.bits_per_symbol)
+        assert sum(n for n, _ in calls) == est.outer_nodes
+        assert all(direction == d for _, direction in calls)
+
+    @pytest.mark.parametrize("dims, rho_db, d0", [((2, 2, 2), 30.0, 0.5), ((2, 1, 3), 20.0, 0.3),
+                                                  ((4, 3, 4), 30.0, 0.5)])
+    def test_equal_directions_match_mirrored(self, dims, rho_db, d0):
+        # mirror(d) swaps the links and B with C: the same law, integrated
+        # by conditioning on the other link, and so twice
+        ant = AntennaConfig(*dims)
+        pw = power_profile(rho_db, d0)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        d = _direction("arb", coeffs, ant, pw)
+        mirror = Direction(d.far, d.src, d.a, d.c, d.b)
+        once = twrelay.lowerbound.sum_ber([d, d], mod.a, mod.b, mod.bits_per_symbol)
+        twice = twrelay.lowerbound.sum_ber([d, mirror], mod.a, mod.b, mod.bits_per_symbol)
+        assert once.value == pytest.approx(twice.value, rel=2 * REL_TOL, abs=0.0)
 
 
 def _moment_oracle(mu, nu, alpha, beta):
@@ -285,7 +361,7 @@ class TestSumBerClosedForm:
         mod = protocol_modulation(Protocol.TWO_SLOT)
         value = bad * mod.a / mod.bits_per_symbol
         monkeypatch.setattr(twrelay.lowerbound, "sum_ber",
-                            lambda *args: Estimate(value, 0.0, 1, 1))
+                            lambda *args: Estimate(value, 0.0, 1, 1, 0))
         with pytest.raises(NumericalError):
             sum_ber_closed_form(coeffs, ant, pw, mod)
         with pytest.raises(NumericalError):
@@ -317,6 +393,7 @@ class TestSumBerClosedForm:
         assert f"closed form at or below {FALLBACK_SHARE:g} of the ceiling" in msg
         assert f"{value:.6e}" in msg and "error estimate" in msg
         assert "outer nodes" in msg and "inner nodes" in msg
+        assert "inner values settled by the link bounds" in msg
         err = float(msg.split("error estimate ")[1].split(",")[0])
         assert 0.0 <= err <= 1e-13 * value
         # above the threshold the closed form logs nothing

@@ -382,6 +382,7 @@ class TestCommandInputs:
          "--sweep", "d0", "--start", "0.5", "--stop", "1.0", "--step", "0.25"],
         ["gaps", "--m-a", "5", "--m-r", "2", "--m-b", "5"],
         ["kappa", "--m-r-list", "2,0"],
+        ["kappa", "--m-r-list", "2,x"],
     ])
     def test_configuration_error_before_any_draw(self, argv, capsys, draws):
         assert main(argv + ["--trials", "1000"]) == 2
