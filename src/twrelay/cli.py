@@ -217,7 +217,7 @@ def cmd_beta(args) -> int:
     powers = [replace(sc, **{column: v}).powers for v in grid]
     blocks = None
     if ant.m_r > 1 and p.dual_reception:
-        # one pass draws and decomposes the channels; each step takes its
+        # one pass draws the link gains; each step takes its
         # dual-reception factors from these draws at its own powers
         d_trials = max(sc.trials, D_FACTOR_TRIALS)
         blocks = list(_gain_blocks(ant, d_trials, sc.seed))

@@ -1,41 +1,71 @@
-"""Monte-Carlo engine: Rayleigh channel draws, power-free link gains from
-the top eigenpair of each side's Gram matrix, exact per-realization
-end-to-end SNRs for each protocol, semi-analytic sum-BER estimation, and
-the dual-reception mean-ratio factors.
+"""Monte-Carlo engine: link gains sampled from their exact joint law under
+Rayleigh fading, exact per-realization end-to-end SNRs for each protocol,
+semi-analytic sum-BER estimation, and the dual-reception mean-ratio
+factors.
 
 Trials are drawn from counter-partitioned Philox substreams in fixed-size
 blocks, so results depend only on (seed, trial index) and are identical no
 matter how trials are batched or distributed.  One generator,
-`_gain_blocks`, draws each block, trims it to the trial count and
-decomposes it; every sampler iterates it, or takes blocks that a longer
-pass over the same stream decomposed, trimmed with `LinkGains.head`.  A
-sweep evaluates every point of the sweep on each block's gains.  The protocol picks the
-SNR form: the exact two-branch sums for dual reception, the unified
-three-constant form otherwise.
+`_gain_blocks`, draws each block, trims it to the trial count and turns it
+into link gains; every sampler iterates it, or takes blocks that a longer
+pass over the same stream produced, trimmed with `LinkGains.head`.  A
+sweep evaluates every point of the sweep on each block's gains.  The
+protocol picks the SNR form: the exact two-branch sums for dual reception,
+the unified three-constant form otherwise.
 
-The Gram entries are summed straight from the channel rows.  The top
-eigenpair of each m_r x m_r Gram G takes its route from m_r alone, never
-from a setting:
+The engine reads four gains per trial.  With W = H H^H the relay-side Gram
+of a side's m_r x m channel and f its top unit eigenvector (that side's
+matched beamformer), they are lam_a = lam_max(W_A), lam_b = lam_max(W_B),
+lam_a_x = f_B^H W_A f_B and lam_b_x = f_A^H W_B f_A.  They are sampled from
+their joint law, with no channel matrix:
 
-- m_r = 2: a closed form.
-- m_r = 3, 4: Newton on det(x I - G), whose coefficients are sums of
-  principal minors, from the Samuelson upper bound; the eigenvector is the
-  column of adj(G - x I) through its diagonal entry of largest modulus, x
-  is polished once by that column's Rayleigh quotient, and the column is
-  taken again at the polished value (after Kopp, arXiv:physics/0610206,
-  for 3x3).  A row is accepted only if Newton converged, the column is
-  longer than _ADJ_FLOOR = 1e-3 times lam^(m-1) (shorter means a
-  near-degenerate top eigenvalue), and |G v - lam v| <= _RESIDUAL_ULPS eps
-  m lam with _RESIDUAL_ULPS = 4, a backward error like LAPACK's; each
-  other row is decomposed by LAPACK (`np.linalg.eigh`).
-- m_r >= 5: LAPACK.
+- The Householder reduction of H to lower-bidiagonal form that keeps the
+  first coordinate gives W = U T U^H with U e_1 = e_1 and T = B B^T, where
+  B is real lower-bidiagonal with independent B_ii^2 ~ Gamma(m - i) and
+  B_(i+1,i)^2 ~ Gamma(m_r - 1 - i), 0-based (the beta = 2 Laguerre model of
+  Dumitriu & Edelman, "Matrix models for beta ensembles", J. Math. Phys.
+  43, 2002).  With m_r > m the reduction runs out of columns after m
+  steps, so rows past m are zero and T is its leading n = min(m_r, m + 1)
+  rows and columns.
+- So T_00 is W's quadratic form at a fixed unit vector, and the first
+  components of T's eigenvectors are those of W's in a basis that starts
+  with that vector.  The law of W is unitarily invariant and the other
+  side's beamformer is independent of W, so that vector may be taken to
+  be the beamformer: lam_a = lam_max(T_A), lam_a_x = T_A[0, 0] = B_00^2,
+  which is exactly Gamma(m_a) (a control of `estimate_d_factors`), and
+  c = |f_A^H f_B|^2 = q_A^2, the squared first component of T_A's top
+  eigenvector.
+- lam_b_x = lam_b c + (1 - c) R_B.  R_B is the mean of W_B's other
+  eigenvalues under weights that are Dirichlet(1, ..., 1) and independent
+  of everything else (the rest of a Haar unitary's first row, given its
+  first column).  The other squared first components of T_B's
+  eigenvectors, divided by 1 - q_B^2, have that law, so
+  R_B = (T_B[0, 0] - lam_b q_B^2) / (1 - q_B^2).
+- q^2 = p_1(lam) / p'(lam), with p T's characteristic polynomial and p_1
+  that of T without its first row and column (Golub & Welsch, "Calculation
+  of Gauss quadrature rules", Math. Comp. 23, 1969).
+
+Each side's top eigenpair takes its route from n alone, never from a
+setting (`_top_gains`):
+
+- n = 2: closed forms, with R_B = det T / lam.
+- n >= 3: Newton on p and p', evaluated by T's bottom-up three-term
+  recurrence, from the Samuelson upper bound, which falls monotonically
+  onto the top root; a row stops, keeping its iterate, at its first step
+  that is no shorter than the one before.  A row still stepping after
+  _NEWTON_MAX steps (a near-tie at the top) is finished by bisection on
+  the Sturm count.  One more pass of the recurrence at lam gives q^2 and
+  R_B through the Christoffel-Darboux sum p_1 p' = sum of squares, so
+  neither loses digits as q^2 -> 1.
+
+With one relay antenna the gains are |h|^2 of each side's channel row,
+drawn as complex normals, and each cross gain equals the matched one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -53,14 +83,10 @@ _BLOCK = 1 << 14
 # two blocks, whose control-variate standard errors are below those of a
 # plain estimate from 200 000 draws
 D_FACTOR_TRIALS = 1 << 15
-# the 3x3 and 4x4 top-eigenpair kernel: rows per sub-block, Newton step
-# cap, and its guard's adjugate-column floor and residual bound in units
-# of eps m lam (see the module docstring)
-_EIG_ROWS = 1 << 11
-_NEWTON_MAX = 64
-_ADJ_FLOOR = 1e-3
-_RESIDUAL_ULPS = 4.0
-_EPS = np.finfo(float).eps
+# Newton steps before a row is left to bisection: a top eigenvalue of a
+# random draw takes at most about 13 from the Samuelson bound, a near-tie
+# about one more per halving of its gap
+_NEWTON_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -83,10 +109,17 @@ class BerEstimate:
     trials: int
 
 
+def _variate_shapes(m_r: int, m: int) -> list:
+    """Gamma shapes of one side's bidiagonal: B_ii^2 for i < n, then
+    B_(i+1,i)^2 for i < n - 1, n = min(m_r, m + 1)."""
+    n = min(m_r, m + 1)
+    return [m - i for i in range(n)] + [m_r - 1 - i for i in range(n - 1)]
+
+
 class ChannelStream:
     """Counter-based random stream: block b of trials is generated from a
     Philox generator keyed by the seed with the block index in the top
-    counter word, so any trial's channels are a pure function of
+    counter word, so any trial's draws are a pure function of
     (seed, index)."""
 
     def __init__(self, seed: int):
@@ -98,269 +131,181 @@ class ChannelStream:
         return np.random.Generator(np.random.Philox(key=self.seed, counter=[0, 0, 0, block]))
 
     def draw_block(self, ant: AntennaConfig, block: int) -> tuple[np.ndarray, np.ndarray]:
-        """All channel matrices of one block, shapes (B, m_r, m_a) and (B, m_r, m_b).
+        """The A side's and the B side's draws of one block, trial axis first.
 
-        The stream fills the A side's real parts, its imaginary parts, then
-        the B side's, each scaled by 1/sqrt(2) into its complex array."""
+        With m_r = 1 they are the channel rows, complex arrays of shapes
+        (B, 1, m_a) and (B, 1, m_b): the stream fills the A side's real
+        parts, its imaginary parts, then the B side's, each scaled by
+        1/sqrt(2) into its complex array.
+
+        With m_r >= 2 they are the squared bidiagonal entries of each side
+        (see the module docstring), arrays of shape (B, 2 n - 1) with
+        n = min(m_r, m + 1): columns B_00^2, ..., B_(n-1,n-1)^2, then
+        B_10^2, ..., B_(n-1,n-2)^2.  The stream fills them column by column,
+        the A side first, each column with `standard_gamma` at its shape
+        (`_variate_shapes`); a column of shape 0 (B_mm with m_r > m) is all
+        zero and takes nothing from the stream."""
         rng = self._rng(block)
-        scale = 1.0 / math.sqrt(2.0)
-        buf = np.empty(_BLOCK * ant.m_r * max(ant.m_a, ant.m_b))
         out = []
+        if ant.m_r == 1:
+            scale = 1.0 / math.sqrt(2.0)
+            buf = np.empty(_BLOCK * max(ant.m_a, ant.m_b))
+            for m in (ant.m_a, ant.m_b):
+                h = np.empty((_BLOCK, 1, m), dtype=complex)
+                normals = buf[:h.size].reshape(h.shape)
+                for part in (h.real, h.imag):
+                    rng.standard_normal(out=normals)
+                    np.multiply(normals, scale, out=part)
+                out.append(h)
+            return tuple(out)
         for m in (ant.m_a, ant.m_b):
-            h = np.empty((_BLOCK, ant.m_r, m), dtype=complex)
-            normals = buf[:h.size].reshape(h.shape)
-            for part in (h.real, h.imag):
-                rng.standard_normal(out=normals)
-                np.multiply(normals, scale, out=part)
-            out.append(h)
+            shapes = _variate_shapes(ant.m_r, m)
+            g = np.empty((len(shapes), _BLOCK))
+            for row, shape in zip(g, shapes):
+                rng.standard_gamma(shape, out=row)
+            out.append(g.T)
         return tuple(out)
 
 
-def _gram(h: np.ndarray) -> np.ndarray:
-    """Gram matrices h h^H of a batch of shape (B, m, k), each entry summed
-    straight from two rows of h, _EIG_ROWS draws at a time.  The result is
-    a (B, m, m) view of an entry-major array, so that each entry's B values
-    are contiguous."""
-    m = h.shape[1]
-    g = np.empty((m, m, h.shape[0]), dtype=complex)
-    for s in range(0, h.shape[0], _EIG_ROWS):
-        rows = h[s:s + _EIG_ROWS].transpose(1, 2, 0)
-        part = g[:, :, s:s + _EIG_ROWS]
-        for i in range(m):
-            part[i, i] = sum(x.real * x.real + x.imag * x.imag for x in rows[i])
-            for j in range(i + 1, m):
-                part[i, j] = sum(x * y.conj() for x, y in zip(rows[i], rows[j]))
-                np.conjugate(part[i, j], out=part[j, i])
-    return g.transpose(2, 0, 1)
+def _samuelson(a: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Samuelson's upper bound on the largest eigenvalue, tr/n +
+    sqrt((n - 1)/n (|T|_F^2 - tr^2/n)), of each symmetric tridiagonal with
+    diagonal a (n, rows) and squared off-diagonal b2 (n - 1, rows)."""
+    n = len(a)
+    tr = a.sum(axis=0)
+    fro2 = (a * a).sum(axis=0) + 2.0 * b2.sum(axis=0)
+    return tr / n + np.sqrt((n - 1) / n * np.maximum(fro2 - tr * tr / n, 0.0))
 
 
-def _top_eig(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector of each Hermitian matrix
-    in a batch of shape (B, m, m); for m = 3 and 4 the matrices must be
-    positive semi-definite, as Grams are.
+def _some_eig_at_least(a: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether each tridiagonal has an eigenvalue >= x: whether T - x I is
+    not negative definite, from the signs of its LDL^T pivots (the Sturm
+    count).  A row is settled at its first pivot that is not negative."""
+    d = a[0] - x
+    neg = d < 0.0
+    for ai, bi in zip(a[1:], b2):
+        d = ai - x - bi / np.where(neg, d, -1.0)
+        neg &= d < 0.0
+    return ~neg
 
-    m = 2 takes the closed form.  m = 3 and 4 take the guarded kernel: the
-    characteristic polynomial (`_char_poly`), its top root (`_top_root`),
-    and the eigenvector from the adjugate with the guard (`_top_eigvec`),
-    the first and last in sub-blocks of _EIG_ROWS rows, which bounds their
-    temporaries.  A row goes to LAPACK's `eigh` when Newton did not
-    converge within _NEWTON_MAX steps, its adjugate column is no longer
-    than _ADJ_FLOOR lam^(m-1), or its residual |G v - lam v| exceeds
-    _RESIDUAL_ULPS eps m lam; so does every matrix with m >= 5.  Each row's
-    result depends on that row alone.
+
+def _bisect_top(a: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each tridiagonal by bisection on the Sturm
+    count, between its largest diagonal entry and the Samuelson bound,
+    until the interval is one ulp wide."""
+    lo = a.max(axis=0)
+    hi = np.maximum(_samuelson(a, b2), lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        wide = (lo < mid) & (mid < hi)
+        if not wide.any():
+            return hi
+        up = _some_eig_at_least(a, b2, mid)
+        lo = np.where(wide & up, mid, lo)
+        hi = np.where(wide & ~up, mid, hi)
+
+
+def _top_eig(a: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each real symmetric tridiagonal with diagonal
+    a (n, rows) and squared off-diagonal b2 (n - 1, rows), n >= 2.
+
+    Newton from the Samuelson bound on p(x) = P_0(x), where P_i is the
+    characteristic polynomial of T without its first i rows and columns:
+    P_n = 1, P_(n-1) = x - a_(n-1), P_i = (x - a_i) P_(i+1) - b2_i P_(i+2),
+    and P_i' by the derived recurrence.  A row stops, keeping its iterate,
+    at its first step that is no shorter than the one before (rounding has
+    taken over); rows that stopped are dropped from the arrays once they
+    are half of them.  A row still stepping after _NEWTON_MAX steps goes to
+    `_bisect_top`.  Each row's result depends on that row alone.
     """
-    m = gram.shape[-1]
-    if m == 2:
-        return _top_eig_2x2(gram)
-    if m > 4:
-        # eigh orders eigenvalues ascending
-        w, v = np.linalg.eigh(gram)
-        return w[:, -1], v[:, :, -1]
-    n = gram.shape[0]
-    entries = gram.transpose(1, 2, 0)
-    parts = [slice(s, s + _EIG_ROWS) for s in range(0, n, _EIG_ROWS)]
-    coef = np.empty((m + 1, n))
-    lam = np.empty(n)
-    vec = np.empty((n, m), dtype=complex)
-    # a degenerate row divides by zero on its way to failing its guard
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for part in parts:
-            coef[:, part] = _char_poly(entries[:, :, part])
-        root, ok = _top_root(coef[:m], coef[m])
-        for part in parts:
-            lam[part], vec[part], held = _top_eigvec(entries[:, :, part], root[part])
-            ok[part] &= held
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        w, v = np.linalg.eigh(gram[rest])
-        lam[rest], vec[rest] = w[:, -1], v[:, :, -1]
-    return lam, vec
-
-
-def _minor(a, rows: tuple, cols: tuple, memo: dict):
-    """Determinant of the submatrix of a (a list of rows of equal-shape
-    arrays) on the given rows and columns, in that order, by Laplace
-    expansion along the last row.  Every minor is formed once per memo, so
-    minors on the same rows share their smaller minors."""
-    key = (rows, cols)
-    if key not in memo:
-        if len(rows) == 1:
-            memo[key] = a[rows[0]][cols[0]]
-        else:
-            # the last row's k-th term has the sign (-1)^(len - 1 + k)
-            val = None
-            for k, c in enumerate(cols):
-                term = a[rows[-1]][c] * _minor(a, rows[:-1], cols[:k] + cols[k + 1:], memo)
-                val = term if k == 0 else (val - term if k % 2 else val + term)
-            memo[key] = val if len(cols) % 2 else -val
-    return memo[key]
-
-
-def _principal_minor(diag, q, r, s):
-    """Principal minor on the index tuple s (at most 3 long) of a Hermitian
-    matrix with real diagonal diag, squared off-diagonal moduli q[i, j] and
-    cubic terms r[i, j, k] = 2 Re(m_ij m_jk m_ki)."""
-    if len(s) == 1:
-        return diag[s[0]]
-    if len(s) == 2:
-        return diag[s[0]] * diag[s[1]] - q[s]
-    i, j, k = s
-    return (diag[i] * (diag[j] * diag[k] - q[j, k]) - diag[j] * q[i, k]
-            - diag[k] * q[i, j] + r[s])
-
-
-def _top_root(c: np.ndarray, fro2: np.ndarray):
-    """Largest root of x^m - c1 x^(m-1) + c2 x^(m-2) - ... (all roots real
-    and non-negative) and whether Newton converged, per row.
-
-    Newton starts from the Samuelson bound c1/m + sqrt((m-1)/m (fro2 -
-    c1^2/m)), which no root exceeds when fro2 is the sum of the squared
-    roots, and descends onto the root.  A row stops, keeping its iterate,
-    at the first step that is no shorter than the one before (rounding has
-    taken over); a row still stepping after _NEWTON_MAX steps has not
-    converged.
-    """
-    m = len(c)
-    # signed so that p(x) = x^m + coef[0] x^(m-1) + ... + coef[m-1]
-    coef = c * ((-1.0) ** np.arange(1, m + 1))[:, None]
-    x = c[0] / m + np.sqrt((m - 1) / m * np.maximum(fro2 - c[0] * c[0] / m, 0.0))
-    root = x.copy()
-    done = np.zeros(x.shape, dtype=bool)
-    live = np.arange(x.size)
+    x = _samuelson(a, b2)
+    lam = np.empty_like(x)
+    rows = np.arange(x.size)
     prev = np.full(x.shape, np.inf)
-    for _ in range(_NEWTON_MAX):
-        # Horner for p and p'
-        p, dp = x + coef[0], 1.0
-        for k in range(1, m):
-            dp = dp * x + p
-            p = p * x + coef[k]
-        step = p / dp
-        size = np.abs(step)
-        go = size < prev
-        if go.all():
-            x, prev = x - step, size
-            continue
-        stop = ~go
-        root[live[stop]] = x[stop]
-        done[live[stop]] = True
-        live, x, prev, coef = live[go], (x - step)[go], size[go], coef[:, go]
-        if not live.size:
-            break
-    return root, done
+    # a row whose p' vanishes takes an infinite or NaN step, and stops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX):
+            p, p_next, dp, dp_next = x - a[-1], 1.0, 1.0, 0.0
+            for ai, bi in zip(a[-2::-1], b2[::-1]):
+                t = x - ai
+                p, p_next, dp, dp_next = t * p - bi * p_next, p, p + t * dp - bi * dp_next, dp
+            step = p / dp
+            size = np.abs(step)
+            go = size < prev
+            x = np.where(go, x - step, x)
+            prev = np.where(go, size, -1.0)     # -1: no later step is shorter
+            live = np.count_nonzero(go)
+            if 2 * live < go.size:
+                lam[rows] = x
+                rows, x, prev, a, b2 = rows[go], x[go], prev[go], a[:, go], b2[:, go]
+                if not live:
+                    break
+    lam[rows] = x
+    left = prev >= 0.0
+    if left.any():
+        lam[rows[left]] = _bisect_top(a[:, left], b2[:, left])
+    return lam
 
 
-def _hermitian_terms(g: np.ndarray):
-    """Real diagonal d, squared off-diagonal moduli q[i, j] and cubic terms
-    r[i, j, k] = 2 Re(g_ij g_jk g_ki) of an entry-major batch g of shape
-    (m, m, n), the parts of its principal minors up to 3x3."""
-    idx = range(g.shape[0])
-    d = [g[i, i].real.copy() for i in idx]
-    q = {(i, j): g[i, j].real ** 2 + g[i, j].imag ** 2 for i, j in combinations(idx, 2)}
-    r = {(i, j, k): 2.0 * (g[i, j] * g[j, k] * g[k, i]).real
-         for i, j, k in combinations(idx, 3)}
-    return d, q, r
+def _top_weights(a: np.ndarray, b2: np.ndarray, lam: np.ndarray):
+    """(q2, rest) of each tridiagonal at its top eigenvalue lam (n >= 2):
+    q2 the squared first component of the top unit eigenvector, rest the
+    mean of the other eigenvalues weighted by their eigenvectors' squared
+    first components.
+
+    The top eigenvector is v_i = (b_0 ... b_(i-1)) P_(i+1)(lam), so with
+    U_i = P_(i+1)^2 + b2_i U_(i+1), U_(n-1) = 1, its squared norm is
+    U_0 = P_1 p'(lam) (Christoffel-Darboux), q2 = P_1^2 / U_0 (Golub-Welsch)
+    and rest = a_0 - P_1 P_2 / U_1; U_i is a sum of squares.  Where the top
+    eigenvector lies in T without its first row, and that row is nearly
+    decoupled (b2_0 below about 1e-18 lam^2, which a draw reaches with
+    probability below 1e-16), the rounding error of P_1, of order
+    eps lam^(n-1), leaves q2 resolved to about eps^2 lam^2 / b2_0 only."""
+    p_next, p, u = 1.0, lam - a[-1], 1.0
+    for ai, bi in zip(a[-2:0:-1], b2[:0:-1]):
+        u = p * p + bi * u
+        p, p_next = (lam - ai) * p - bi * p_next, p
+    return p * p / (p * p + b2[0] * u), a[0] - p * p_next / u
 
 
-def _char_poly(g: np.ndarray) -> np.ndarray:
-    """Coefficients c1..cm of det(x I - G) = x^m - c1 x^(m-1) + c2 x^(m-2)
-    - ..., c_k the sum of the k x k principal minors of G, and the squared
-    Frobenius norm of G, as rows of an (m + 1, n) array, for an entry-major
-    batch g of shape (m, m, n), m = 3 or 4."""
-    m = g.shape[0]
-    idx = tuple(range(m))
-    d, q, r = _hermitian_terms(g)
-    out = [sum(_principal_minor(d, q, r, s) for s in combinations(idx, k))
-           for k in range(1, 4)]
-    if m == 4:
-        out.append(_minor(g, idx, idx, {}).real)
-    out.append(sum(di * di for di in d) + 2.0 * sum(q.values()))
-    return np.array(out)
-
-
-def _top_eigvec(g: np.ndarray, x: np.ndarray):
-    """Top eigenpair (lam, v) of each Hermitian positive semi-definite
-    matrix G of an entry-major batch of shape (m, m, n), m = 3 or 4, given
-    its top eigenvalue x to a few ulps, and whether the row's guard holds.
-
-    At the top eigenvalue every column of adj(G - x I) is a multiple of the
-    eigenvector, the one through the diagonal entry of largest modulus the
-    longest.  Its Rayleigh quotient is the returned lam, and the same
-    column taken again at that lam, normalised, is v.  The guard holds when
-    the column is longer than _ADJ_FLOOR lam^(m-1) (shorter means a
-    near-degenerate top eigenvalue) and the residual |G v - lam v| is at
-    most _RESIDUAL_ULPS eps m lam, a backward error like LAPACK's.
-    """
-    m, n = g.shape[0], g.shape[2]
-    idx = tuple(range(m))
-    d, q, r = _hermitian_terms(g)
-    # adj(G - x I)_jj is the principal minor of G - x I without index j
-    diag = [di - x for di in d]
-    adj_diag = np.array([_principal_minor(diag, q, r, idx[:j] + idx[j + 1:]) for j in idx])
-    # each row's indices cycled to start at its longest column, so that
-    # the column wanted is column 0 of the reordered matrix
-    order = (np.argmax(np.abs(adj_diag), axis=0) + np.arange(m)[:, None]) % m
-    rows = np.arange(n)
-    gp = g[order[:, None], order[None, :], rows]
-
-    def column(shift):
-        # column 0 of the Hermitian adj: (-1)^i times the minor of
-        # G - shift I without row 0 and column i
-        a = [[np.subtract(gp[i, i], shift) if i == j else gp[i, j] for j in idx] for i in idx]
-        memo = {}
-        col = [_minor(a, idx[1:], idx[:i] + idx[i + 1:], memo) for i in idx]
-        return [-c if i % 2 else c for i, c in enumerate(col)]
-
-    def times_g(v):
-        return [sum(gp[i, j] * v[j] for j in idx) for i in idx]
-
-    col = column(x)
-    gc = times_g(col)
-    lam = (sum((c.conj() * y).real for c, y in zip(col, gc))
-           / sum(c.real ** 2 + c.imag ** 2 for c in col))
-    col = column(lam)
-    norm2 = sum(c.real ** 2 + c.imag ** 2 for c in col)
-    scale = 1.0 / np.sqrt(norm2)
-    vp = [c * scale for c in col]
-    res2 = 0.0
-    for vi, y in zip(vp, times_g(vp)):
-        e = y - lam * vi
-        res2 = res2 + e.real ** 2 + e.imag ** 2
-    tol = _RESIDUAL_ULPS * _EPS * m * lam
-    ok = (norm2 > (_ADJ_FLOOR * lam ** (m - 1)) ** 2) & (res2 <= tol * tol)
-    v = np.empty((n, m), dtype=complex)
-    v[rows, order] = vp
-    return lam, v, ok
-
-
-def _top_eig_2x2(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # G = [[a, b], [conj(b), d]] has top eigenvalue (a+d)/2 + r with
-    # r = sqrt(h^2 + |b|^2), h = (a-d)/2.  The eigenvector's entry on the
-    # larger diagonal entry's axis is t = |h| + r (= lam - min(a, d)), a sum
-    # of non-negative terms: [t, conj(b)] if a >= d, else [b, t].
-    a = gram[:, 0, 0].real
-    d = gram[:, 1, 1].real
-    b = gram[:, 0, 1]
-    h = 0.5 * (a - d)
-    b2 = b.real * b.real + b.imag * b.imag
-    r = np.sqrt(h * h + b2)
-    lam = 0.5 * (a + d) + r
-    # t == 0 only for G = a I (b == 0), where every vector is an eigenvector
-    t = np.abs(h) + r
-    t[t == 0.0] = 1.0
-    norm = np.sqrt(t * t + b2)
-    first = h >= 0.0
-    v = np.empty(b.shape + (2,), dtype=complex)
-    v[:, 0] = np.where(first, t, b) / norm
-    v[:, 1] = np.where(first, b.conj(), t) / norm
-    return lam, v
+def _top_gains(g: np.ndarray):
+    """(lam, t00, q2, rest) of one side's T from its squared bidiagonal
+    entries g, of shape (2 n - 1, rows) as `ChannelStream.draw_block` lays
+    them out: the top eigenvalue, T[0, 0], the top eigenvector's squared
+    first component and the weighted mean of the other eigenvalues (see
+    `_top_weights`)."""
+    n = (len(g) + 1) // 2
+    d, e = g[:n], g[n:]
+    if n == 2:
+        # T = [[d0, b], [b, d1 + e0]], b^2 = d0 e0: lam = (a0 + a1)/2 + r with
+        # h = (a0 - a1)/2 and r = sqrt(h^2 + b^2); the top eigenvector is
+        # [t, b] with t = lam - a1 = h + r, taken as b^2 / (r - h) when h < 0,
+        # so q2 = t / (2 r); the other eigenvalue is det T / lam = d0 d1 / lam
+        a1 = d[1] + e[0]
+        b2 = d[0] * e[0]
+        h = 0.5 * (d[0] - a1)
+        r = np.sqrt(h * h + b2)
+        lam = 0.5 * (d[0] + a1) + r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(h >= 0.0, h + r, b2 / (r - h))
+            # r = 0 only for T = a I, where every vector is an eigenvector
+            q2 = np.where(r > 0.0, t / (2.0 * r), 1.0)
+            rest = np.where(lam > 0.0, d[0] * d[1] / lam, 0.0)
+        return lam, d[0], q2, rest
+    a = d.copy()
+    a[1:] += e
+    b2 = d[:-1] * e
+    lam = _top_eig(a, b2)
+    q2, rest = _top_weights(a, b2, lam)
+    return lam, d[0], q2, rest
 
 
 @dataclass(frozen=True)
 class LinkGains:
-    """Power-free link gains of a batch of channel draws: the top Gram
-    eigenvalues of each side, lam_a and lam_b, and the cross gains lam_a_x
-    and lam_b_x, received through the opposite side's matched beamformer.
-    Every link SNR is one of them scaled by a link's average SNR."""
+    """Power-free link gains of a batch of draws: the top Gram eigenvalues
+    of each side, lam_a and lam_b, and the cross gains lam_a_x and lam_b_x,
+    received through the opposite side's matched beamformer.  Every link
+    SNR is one of them scaled by a link's average SNR."""
 
     lam_a: np.ndarray
     lam_b: np.ndarray
@@ -382,24 +327,21 @@ class LinkGains:
         )
 
 
-def link_gains_block(h_ar: np.ndarray, h_br: np.ndarray) -> LinkGains:
-    """Vectorized link gains for a batch of channel draws, shapes
-    (B, m_r, m_a) and (B, m_r, m_b)."""
-    m_r = h_ar.shape[1]
+def link_gains(m_r: int, side_a: np.ndarray, side_b: np.ndarray) -> LinkGains:
+    """LinkGains of the draws of `ChannelStream.draw_block` (or their first
+    rows)."""
     if m_r == 1:
-        lam_a = np.sum(np.abs(h_ar[:, 0, :]) ** 2, axis=1)
-        lam_b = np.sum(np.abs(h_br[:, 0, :]) ** 2, axis=1)
+        lam_a = np.sum(np.abs(side_a[:, 0, :]) ** 2, axis=1)
+        lam_b = np.sum(np.abs(side_b[:, 0, :]) ** 2, axis=1)
         # a single relay antenna has a scalar transmit weight, so the
         # non-matched reception coincides with the matched one
         return LinkGains(lam_a, lam_b, lam_a, lam_b)
-    lam_a, f_ra = _top_eig(_gram(h_ar))
-    lam_b, f_rb = _top_eig(_gram(h_br))
-    # H_RA f_RB = H_AR^H f_RB, an (m_a,)-vector per draw
-    proj_a = np.einsum("nra,nr->na", h_ar.conj(), f_rb)
-    proj_b = np.einsum("nrb,nr->nb", h_br.conj(), f_ra)
-    lam_a_x = np.sum(np.abs(proj_a) ** 2, axis=1)
-    lam_b_x = np.sum(np.abs(proj_b) ** 2, axis=1)
-    return LinkGains(lam_a, lam_b, lam_a_x, lam_b_x)
+    lam_a, t00, c, _ = _top_gains(side_a.T)
+    lam_b, _, _, rest = _top_gains(side_b.T)
+    # rest lies in [0, lam_b] but for rounding
+    lam_b_x = lam_b * c + (1.0 - c) * np.clip(rest, 0.0, lam_b)
+    # a copy, which does not keep the whole block of variates alive
+    return LinkGains(lam_a, lam_b, t00.copy(), lam_b_x)
 
 
 def _require_trials(trials: int) -> None:
@@ -413,9 +355,9 @@ def _gain_blocks(ant: AntennaConfig, trials: int, seed: int):
     _require_trials(trials)
     stream = ChannelStream(seed)
     for b in range((trials + _BLOCK - 1) // _BLOCK):
-        h_ar, h_br = stream.draw_block(ant, b)
+        side_a, side_b = stream.draw_block(ant, b)
         n = min(_BLOCK, trials - b * _BLOCK)
-        yield link_gains_block(h_ar[:n], h_br[:n])
+        yield link_gains(ant.m_r, side_a[:n], side_b[:n])
 
 
 def _ratio(num, den):
@@ -523,14 +465,14 @@ def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
     scaled by 1/log2(M).  Averaging the conditional error rate needs no
     symbol-level detection and has far lower variance than bit counting.
 
-    Blocks are the outer loop: each is drawn and decomposed once, and every
+    Blocks are the outer loop: each is drawn once, and every
     point is evaluated on its power-free gains, so a point's estimate equals
     its one-point estimate bit for bit.  Each block is reduced with np.sum
     and the block partials are combined with math.fsum, so results depend
     only on (seed, trials), not on how blocks are scheduled.
 
-    gains, if given, are the LinkGains blocks of those draws, decomposed
-    already by the caller; by default they are drawn.
+    gains, if given, are the LinkGains blocks of those draws, made already
+    by the caller; by default they are drawn.
     """
     _require_trials(trials)
     evals = []
@@ -632,7 +574,9 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
 
     where z = x2 - (m_2 / m_1) x1 is the ratio's delta-method residual and
     p the number of controls that enter: those that the earlier ones do not
-    span in the sample, at most n - 2 (`_solve_psd`).  Each block
+    span in the sample, at most n - 2 (`_solve_psd`).  A ratio m_2 / m_1
+    outside (0, 1], where the plain ratio of sums always lies, is replaced
+    by that plain ratio and its delta-method SE (p = 0).  Each block
     contributes the sums of x1, x2 and C - mu and of the products that
     these formulas read, each with np.sum; the block sums are combined with
     math.fsum, so results depend only on (seed, trials).  gains, if given, replaces the draw as in
@@ -657,8 +601,8 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
         s = block.snrs(pw)
         controls = (block.lam_a_x, block.lam_b_x, np.log(block.lam_a_x),
                     np.log(block.lam_b_x), block.lam_a, block.lam_b)
-        # released before the next block is decomposed, which sets the peak
-        # memory of a 4x4x4 pass
+        # released before the next block is drawn, which sets the peak
+        # memory of a pass
         del block
         rows = (_dual_branches(s, 1.0, 1.0) + _dual_branches(s, 0.5, 0.5)
                 + tuple(c - m for c, m in zip(controls, mu)))
@@ -673,19 +617,25 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     ctrl = range(8, nrow)
     s_cc = [[cov[i][j] for j in ctrl] for i in ctrl]
     # at most trials - 2 controls, which leaves the residual a degree of freedom
-    beta, rank = _solve_psd(s_cc, [[cov[i][j] for i in ctrl] for j in range(8)], trials - 2)
-    adjusted = [mean[j] - math.fsum(b * mean[i] for b, i in zip(beta[j], ctrl))
-                for j in range(8)]
-    dof = max(trials - 1 - rank, 1)
+    fitted = _solve_psd(s_cc, [[cov[i][j] for i in ctrl] for j in range(8)], trials - 2)
+    plain = ([[0.0] * len(ctrl)] * 8, 0)
 
-    def ratio_and_se(j):
+    def ratio_and_se(j, beta, rank):
         # x1 is row j, x2 row j + 1
-        r = adjusted[j + 1] / adjusted[j]
+        m_1, m_2 = (mean[k] - math.fsum(b * mean[i] for b, i in zip(beta[k], ctrl))
+                    for k in (j, j + 1))
+        r = m_2 / m_1
         s_zz = cov[j + 1][j + 1] - 2.0 * r * cov[j][j + 1] + r * r * cov[j][j]
         explained = math.fsum((cov[i][j + 1] - r * cov[i][j]) * (b2 - r * b1)
                               for i, b1, b2 in zip(ctrl, beta[j], beta[j + 1]))
-        var = max(0.0, s_zz - explained) * den / dof
-        return r, math.sqrt(var / trials) / abs(adjusted[j])
+        var = max(0.0, s_zz - explained) * den / max(trials - 1 - rank, 1)
+        return r, math.sqrt(var / trials) / abs(m_1)
 
-    r, se = zip(*(ratio_and_se(j) for j in range(0, 8, 2)))
+    def estimate(j):
+        # x2 <= x1 in every draw, so the plain ratio lies in (0, 1]; with a
+        # handful of trials the fitted controls can carry it out of there
+        r, se = ratio_and_se(j, *fitted)
+        return (r, se) if 0.0 < r <= 1.0 else ratio_and_se(j, *plain)
+
+    r, se = zip(*(estimate(j) for j in range(0, 8, 2)))
     return DFactors(*(1.0 + x for x in r)), se

@@ -63,7 +63,7 @@ def _ks_statistic(samples: np.ndarray, cdf, grid_points: int = 1500) -> float:
 
 def _block_snrs(pw: PowerProfile, seed: int, block: int, n: int):
     """Link SNRs of the first n draws of the given block of the seed's 2x1x2
-    stream (the blocks before it are drawn, decomposed and skipped)."""
+    stream (the blocks before it are drawn and skipped)."""
     gains = _gain_blocks(AntennaConfig(2, 1, 2), block * _BLOCK + n, seed)
     return next(itertools.islice(gains, block, None)).snrs(pw)
 

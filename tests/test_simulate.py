@@ -1,50 +1,65 @@
-"""Monte-Carlo engine: draw statistics and determinism, the top Gram
-eigenpair, per-realization SNR identities, estimator contracts and sweep
-batching, and the dual-reception factors."""
+"""Monte-Carlo engine: draw statistics and determinism, the tridiagonal
+top-eigenpair kernel, the joint law of the link gains against a
+channel-matrix oracle, per-realization SNR identities, estimator contracts
+and sweep batching, and the dual-reception factors."""
 
+import hashlib
 import math
 from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from channel_oracle import channel_gains, tridiagonal_top_mp
 from twrelay import simulate
 from twrelay.errors import ConfigurationError
 from twrelay.lowerbound import ccdf_expansion
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
                               Protocol, WeightPair, coefficient_set,
                               modulation_constants, power_profile)
-from twrelay.simulate import (ChannelStream, InstantaneousSnrs, SweepPoint, _top_eig,
-                              end_to_end_snrs, estimate_d_factors, link_gains_block,
+from twrelay.simulate import (ChannelStream, InstantaneousSnrs, SweepPoint,
+                              end_to_end_snrs, estimate_d_factors,
                               sample_end_to_end_snrs, semi_analytic_sweep)
 
 ANT = AntennaConfig(2, 1, 2)
 PW = PowerProfile.balanced(20.0)
+EPS = np.finfo(float).eps
+GAINS = ("lam_a", "lam_b", "lam_a_x", "lam_b_x")
 
 
 class TestDraws:
     def test_determinism(self):
-        # a block's channels are a pure function of (seed, block index)
-        a1, b1 = ChannelStream(42).draw_block(ANT, 7)
-        a2, b2 = ChannelStream(42).draw_block(ANT, 7)
-        assert np.array_equal(a1, a2)
-        assert np.array_equal(b1, b2)
-        a3, _ = ChannelStream(43).draw_block(ANT, 7)
-        assert not np.array_equal(a1, a3)
+        # a block's draws are a pure function of (seed, block index)
+        for ant in (ANT, AntennaConfig(3, 3, 2)):
+            a1, b1 = ChannelStream(42).draw_block(ant, 7)
+            a2, b2 = ChannelStream(42).draw_block(ant, 7)
+            assert np.array_equal(a1, a2)
+            assert np.array_equal(b1, b2)
+            a3, _ = ChannelStream(43).draw_block(ant, 7)
+            assert not np.array_equal(a1, a3)
 
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4), (2, 3, 4), (2, 4, 1), (2, 1, 2)])
     def test_stream_order(self, dims):
-        # A's real parts, A's imaginary parts, then B's, each scaled by 1/sqrt(2)
+        # m_r >= 2: the A side's Gamma columns, then the B side's, in the
+        # order of _variate_shapes, each filled over the whole block; a
+        # shape-0 column is zero and draws nothing.  m_r = 1: A's real
+        # parts, A's imaginary parts, then B's, each scaled by 1/sqrt(2)
         ant = AntennaConfig(*dims)
         stream = ChannelStream(12345)
-        h_ar, h_br = stream.draw_block(ant, 3)
+        sides = stream.draw_block(ant, 3)
         rng = stream._rng(3)
-        for h, m in ((h_ar, ant.m_a), (h_br, ant.m_b)):
-            shape = (simulate._BLOCK, ant.m_r, m)
-            ref = (1.0 / math.sqrt(2.0)) * (rng.standard_normal(shape)
-                                            + 1j * rng.standard_normal(shape))
-            assert h.tobytes() == ref.tobytes()
+        for side, m in zip(sides, (ant.m_a, ant.m_b)):
+            assert len(side) == simulate._BLOCK
+            if ant.m_r == 1:
+                shape = (simulate._BLOCK, 1, m)
+                ref = (1.0 / math.sqrt(2.0)) * (rng.standard_normal(shape)
+                                                + 1j * rng.standard_normal(shape))
+            else:
+                ref = np.stack([rng.standard_gamma(s, simulate._BLOCK)
+                                for s in simulate._variate_shapes(ant.m_r, m)], axis=1)
+            assert side.tobytes() == ref.tobytes()
 
     def test_unit_variance(self):
         stream = ChannelStream(7)
@@ -75,145 +90,283 @@ class TestDraws:
         corr = float(np.corrcoef(x, y)[0, 1])
         assert abs(corr) < 0.005
 
+    def test_single_relay_antenna_gains_pinned(self):
+        # the m_r = 1 draw and arithmetic are those of the channel-matrix
+        # engine that preceded the tridiagonal one: its gains, bit for bit
+        digest = hashlib.sha256()
+        blocks = list(simulate._gain_blocks(ANT, 20_000, 12345))
+        for g in blocks:
+            for name in GAINS:
+                digest.update(getattr(g, name).tobytes())
+        assert digest.hexdigest() == "8ab2b852f03176b959e540bf4bc489e7260c40ea6bc71d5ecdef046ce99046e9"
+        assert (blocks[0].lam_a[0], blocks[0].lam_b[0]) == (2.8004682720001624, 0.32448973109768836)
+        assert blocks[-1].lam_a_x[-1] == blocks[-1].lam_a[-1] == 2.164852492266928
 
-def _gram(h):
-    return h @ h.conj().transpose(0, 2, 1)
+
+def _sides(ant, rows, seed=0):
+    """The first rows of each side's squared bidiagonal entries, as
+    _top_gains takes them."""
+    return [s[:rows].T for s in ChannelStream(seed).draw_block(ant, 0)]
 
 
-def _check_against_eigvalsh(m, m_a_values, seed):
-    """_top_eig on 4000 Grams of each source antenna count: the eigenvalue
-    against LAPACK, unit norm, the Rayleigh quotient, and maximality."""
-    rng = np.random.default_rng(seed)
-    for m_a in m_a_values:
-        h_ar, _ = ChannelStream(m_a).draw_block(AntennaConfig(m_a, m, m_a), 0)
-        gram = _gram(h_ar[:4000])
-        lam, v = _top_eig(gram)
-        ref = np.linalg.eigvalsh(gram)[:, -1]
-        assert np.max(np.abs(lam - ref) / ref) <= 1e-13
-        assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-14
-        rayleigh = np.einsum("ni,nij,nj->n", v.conj(), gram, v)
-        assert np.max(np.abs(rayleigh - lam) / lam) <= 1e-13
-        # maximality: no unit vector gathers more than the top eigenvalue
-        u = rng.standard_normal((4000, m)) + 1j * rng.standard_normal((4000, m))
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        gain = np.einsum("ni,nij,nj->n", u.conj(), gram, u).real
-        assert np.all(gain <= lam * (1.0 + 1e-13))
+def _tridiagonal(g, m_r):
+    """Diagonal and squared off-diagonal of the full m_r x m_r T of a side's
+    squared bidiagonal entries g, zero past its leading block."""
+    n = (len(g) + 1) // 2
+    a = np.zeros((m_r, g.shape[1]))
+    b2 = np.zeros((m_r - 1, g.shape[1]))
+    a[:n] = g[:n]
+    a[1:n] += g[n:]
+    b2[:n - 1] = g[:n - 1] * g[n:]
+    return a, b2
+
+
+def _dense(a, b2):
+    n = len(a)
+    t = np.zeros((a.shape[1], n, n))
+    t[:, range(n), range(n)] = a.T
+    t[:, range(n - 1), range(1, n)] = t[:, range(1, n), range(n - 1)] = np.sqrt(b2).T
+    return t
+
+
+def _eigh_top(a, b2):
+    """(lam, q2, rest) of each tridiagonal by LAPACK."""
+    w, v = np.linalg.eigh(_dense(a, b2))
+    first = v[:, 0, :] ** 2
+    return w[:, -1], first[:, -1], np.sum(w[:, :-1] * first[:, :-1], axis=1) / np.sum(first[:, :-1], axis=1)
 
 
 class TestTopEigenpair:
+    @staticmethod
+    def _check(g, m_r, rest_tol):
+        # the draw's T against LAPACK on the full m_r x m_r T; where the full
+        # T is reducible (m_r > m + 1), the kernel must also take it whole
+        a, b2 = _tridiagonal(g, m_r)
+        ref_lam, ref_q2, ref_rest = _eigh_top(a, b2)
+        lam, t00, q2, rest = simulate._top_gains(g)
+        assert np.array_equal(t00, a[0])
+        results = [(lam, q2, rest)]
+        if len(g) < 2 * m_r - 1:
+            lam = simulate._top_eig(a, b2)
+            results.append((lam, *simulate._top_weights(a, b2, lam)))
+        for lam, q2, rest in results:
+            assert np.max(np.abs(lam - ref_lam) / ref_lam) <= 4 * m_r * EPS
+            assert np.max(np.abs(q2 - ref_q2)) <= 1e-14
+            assert np.max(np.abs(rest - ref_rest) / ref_lam) <= rest_tol
+
     def test_closed_form_2x2_matches_eigh(self):
-        _check_against_eigvalsh(2, (1, 2, 4), seed=5)
+        # n = 2: two relay antennas, or one source antenna (a rank-1 T)
+        for m_a, m_r in ((1, 2), (2, 2), (4, 2), (1, 4)):
+            g = _sides(AntennaConfig(m_a, m_r, m_a), 4000, seed=m_a)[0]
+            self._check(g, m_r, 4 * m_r * EPS)
 
     def test_closed_form_2x2_degenerate(self):
-        gram = np.array([
-            np.zeros((2, 2)),                       # zero matrix
-            3.0 * np.eye(2),                        # equal diagonal, b = 0
-            np.diag([1.0, 5.0]),                    # a < d, b = 0
-            [[1.0, 2.0 - 1.0j], [2.0 + 1.0j, 4.0]],  # a < d
-            [[2.0, 1.0j], [-1.0j, 2.0]],            # purely imaginary b
-            [[2.0, 1e-200j], [-1e-200j, 2.0]],      # |b|^2 underflows
-        ], dtype=complex)
-        lam, v = _top_eig(gram)
-        assert np.all(np.isfinite(lam)) and np.all(np.isfinite(v))
-        assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0, atol=1e-15)
-        assert np.allclose(lam, np.linalg.eigvalsh(gram)[:, -1], rtol=1e-15, atol=0.0)
-        assert np.allclose(np.einsum("nij,nj->ni", gram, v), lam[:, None] * v,
-                           rtol=0.0, atol=1e-14)
+        # columns: d0, d1, e0 (T = [[d0, b], [b, d1 + e0]], b^2 = d0 e0)
+        g = np.array([[0.0, 0.0, 0.0],        # zero matrix
+                      [2.0, 2.0, 0.0],        # 2 I
+                      [1.0, 4.0, 0.0],        # a0 < a1, b = 0
+                      [4.0, 1.0, 0.0],        # a0 > a1, b = 0
+                      [0.0, 3.0, 1.0],        # b = 0 through d0
+                      [1.0, 0.0, 1.0],        # rank 1
+                      [1e-200, 1.0, 1e-200]]).T
+        lam, _, q2, rest = simulate._top_gains(g)
+        a, b2 = _tridiagonal(g, 2)
+        w = np.linalg.eigvalsh(_dense(a, b2))
+        assert np.all(np.isfinite(lam)) and np.all(np.isfinite(q2)) and np.all(np.isfinite(rest))
+        assert np.allclose(lam, w[:, -1], rtol=1e-15, atol=0.0)
+        assert np.allclose(rest, w[:, 0], rtol=1e-15, atol=0.0)
+        assert np.all((0.0 <= q2) & (q2 <= 1.0))
+        assert list(q2[2:5]) == [0.0, 1.0, 0.0]
 
-    @pytest.mark.parametrize("m", [3, 4])
-    def test_guarded_kernel_matches_eigh(self, m):
-        _check_against_eigvalsh(m, (1, 2, m, 5), seed=m)
+    @pytest.mark.parametrize("m_r", [3, 4, 5, 6])
+    def test_top_gains_match_eigh(self, m_r):
+        # source antennas below, at and above m_r
+        for m in sorted({1, 2, m_r - 1, m_r, m_r + 1}):
+            g = _sides(AntennaConfig(m, m_r, m), 4000, seed=10 * m_r + m)[0]
+            self._check(g, m_r, 32 * EPS)
+
+    def test_bisection_finishes_ties(self, monkeypatch):
+        # Newton halves its distance to a double or nearly double top root
+        # per step, so such rows reach the step cap and are bisected; the
+        # random rows of a 4x4x4 block never are
+        bisected = []
+        bisect = simulate._bisect_top
+
+        def counting_bisect(a, b2):
+            bisected.append(a.shape[1])
+            return bisect(a, b2)
+        monkeypatch.setattr(simulate, "_bisect_top", counting_bisect)
+        # Wilkinson's W21+, whose top pair agrees to 7e-14, and two equal
+        # blocks [[2, 1], [1, 2]], a double top root 3
+        for a, b2 in ((np.abs(np.arange(21.0) - 10.0), np.ones(20)),
+                      (np.full(4, 2.0), np.array([1.0, 0.0, 1.0]))):
+            bisected.clear()
+            lam = simulate._top_eig(a[:, None], b2[:, None])
+            assert bisected == [1]
+            ref = np.linalg.eigvalsh(_dense(a[:, None], b2[:, None]))[0, -1]
+            assert abs(lam[0] - ref) <= 4 * len(a) * EPS * ref
+        bisected.clear()
+        for g in _sides(AntennaConfig(4, 4, 4), simulate._BLOCK, seed=3):
+            simulate._top_gains(g)
+        assert bisected == []
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_guarded_kernel_degenerate(self, m, monkeypatch):
-        # a multiple top eigenvalue leaves no adjugate column to take, so
-        # these rows must reach LAPACK; the rank-1 Gram of one source
-        # antenna has a simple top eigenvalue and needs no fallback
-        fallback = []
-        eigh = np.linalg.eigh
+        # decoupled tridiagonals: a zero or scalar T stops Newton at once
+        # (p' vanishes at the Samuelson bound, which is exact), a double top
+        # root is bisected; the top root of one source antenna's rank-1 T
+        # is simple and needs no bisection, in the closed form or whole
+        bisected = []
+        bisect = simulate._bisect_top
 
-        def counting_eigh(a):
-            fallback.append(len(a))
-            return eigh(a)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        degenerate = np.array([
-            np.zeros((m, m)),
-            2.0 * np.eye(m),
-            np.diag([5.0, 5.0, 1.0, 0.0][:m]),
-        ], dtype=complex)
-        h1, _ = ChannelStream(21).draw_block(AntennaConfig(1, m, 1), 0)
-        rank1 = _gram(h1[:500])
-        for gram, fallback_rows in ((degenerate, 3), (rank1, 0)):
-            fallback.clear()
-            lam, v = _top_eig(gram)
-            assert sum(fallback) == fallback_rows
-            assert np.all(np.isfinite(lam)) and np.all(np.isfinite(v))
-            assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0, atol=1e-15)
-            ref = eigh(gram)[0][:, -1]
-            assert np.allclose(lam, ref, rtol=1e-14, atol=0.0)
-            residual = np.linalg.norm(np.einsum("nij,nj->ni", gram, v) - lam[:, None] * v,
-                                      axis=1)
-            assert np.all(residual <= 1e-14 * lam)
+        def counting_bisect(a, b2):
+            bisected.append(a.shape[1])
+            return bisect(a, b2)
+        monkeypatch.setattr(simulate, "_bisect_top", counting_bisect)
+        a = np.array([np.zeros(m), np.full(m, 2.0), np.array([5.0, 5.0, 1.0, 0.0][:m])]).T
+        b2 = np.zeros((m - 1, 3))
+        lam = simulate._top_eig(a, b2)
+        assert bisected == [1]
+        assert list(lam[:2]) == [0.0, 2.0]
+        assert abs(lam[2] - 5.0) <= 4 * m * EPS * 5.0
+        bisected.clear()
+        self._check(_sides(AntennaConfig(1, m, 1), 500, seed=21)[0], m, 4 * m * EPS)
+        assert bisected == []
 
-    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_gains_independent_of_batch(self, m):
         # every row's gains are a function of that row alone
-        h_ar, h_br = ChannelStream(17).draw_block(AntennaConfig(m, m, m), 0)
-        full = link_gains_block(h_ar, h_br)
-        for n in (1, 1000, 16384):
-            part = link_gains_block(h_ar[:n], h_br[:n])
-            for name in ("lam_a", "lam_b", "lam_a_x", "lam_b_x"):
+        side_a, side_b = ChannelStream(17).draw_block(AntennaConfig(m, m, m), 0)
+        full = simulate.link_gains(m, side_a, side_b)
+        for n in (1000, 16384):
+            part = simulate.link_gains(m, side_a[:n], side_b[:n])
+            for name in GAINS:
                 assert np.array_equal(getattr(part, name), getattr(full, name)[:n])
+        for i in (0, 4321, 16383):
+            row = simulate.link_gains(m, side_a[i:i + 1], side_b[i:i + 1])
+            for name in GAINS:
+                assert getattr(row, name)[0] == getattr(full, name)[i]
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 4, 1)])
+    def test_gains_finite_and_bounded_as_q2_to_1(self, dims):
+        # B_10^2 scaled towards 0 decouples T's first row: q^2 goes to 1
+        # where T_00 is above the rest of T's spectrum, and 1 - q_B^2
+        # vanishes in double precision, but R_B must stay the other
+        # eigenvalues' weighted mean.  (Where q^2 goes to 0 instead it is
+        # resolved only to about eps^2 lam^2 / b_0^2; see _top_weights.)
+        ant = AntennaConfig(*dims)
+        side_a, side_b = (np.array(s[:2000]) for s in ChannelStream(5).draw_block(ant, 0))
+        for side, m in ((side_a, ant.m_a), (side_b, ant.m_b)):
+            side[:, min(ant.m_r, m + 1)] *= np.geomspace(1e-30, 1.0, 2000)
+        gains = simulate.link_gains(ant.m_r, side_a, side_b)
+        for lam, lam_x in ((gains.lam_a, gains.lam_a_x), (gains.lam_b, gains.lam_b_x)):
+            assert np.all(np.isfinite(lam)) and np.all(np.isfinite(lam_x))
+            assert np.all((0.0 <= lam_x) & (lam_x <= lam * (1.0 + 4 * EPS)))
+        lam, _, q2, rest = simulate._top_gains(side_b.T)
+        one = np.flatnonzero(q2 == 1.0)
+        assert one.size > 50
+        a, b2 = _tridiagonal(side_b.T, ant.m_r)
+        for i in sorted(set(one[:8]) | set(range(0, 2000, 250))):
+            ref_lam, ref_q2, ref_rest = tridiagonal_top_mp(a[:, i], b2[:, i])
+            assert lam[i] == pytest.approx(ref_lam, rel=4 * ant.m_r * EPS)
+            assert rest[i] == pytest.approx(ref_rest, rel=0.0, abs=32 * EPS * ref_lam)
+            if i in one:
+                assert ref_q2 == pytest.approx(1.0, rel=0.0, abs=1e-14)
 
     def test_d_factors_match_eigh_route(self, monkeypatch):
         ant = AntennaConfig(4, 4, 4)
         kernel, _ = estimate_d_factors(ant, PW, trials=40_000, seed=19)
-
-        def eigh_top(gram):
-            w, v = np.linalg.eigh(gram)
-            return w[:, -1], v[:, :, -1]
-        monkeypatch.setattr(simulate, "_top_eig", eigh_top)
+        monkeypatch.setattr(simulate, "_top_eig", lambda a, b2: _eigh_top(a, b2)[0])
         lapack, _ = estimate_d_factors(ant, PW, trials=40_000, seed=19)
         np.testing.assert_allclose(astuple(kernel), astuple(lapack), rtol=1e-12, atol=0.0)
+
+
+JOINT_LAW_TRIALS = 1 << 15
+
+
+@pytest.fixture(scope="module")
+def joint_law_samples():
+    """{dims: (tridiagonal-law gains, channel-matrix gains)}, drawn once."""
+    cache = {}
+
+    def get(dims):
+        if dims not in cache:
+            blocks = list(simulate._gain_blocks(AntennaConfig(*dims), JOINT_LAW_TRIALS, 2024))
+            ours = {k: np.concatenate([getattr(b, k) for b in blocks]) for k in GAINS}
+            cache[dims] = ours, channel_gains(*dims, JOINT_LAW_TRIALS, seed=sum(dims))
+        return cache[dims]
+    return get
+
+
+def _law_features(g: dict, pw: PowerProfile) -> dict:
+    s = simulate.LinkGains(*(g[k] for k in GAINS)).snrs(pw)
+    branches = simulate._dual_branches(s, 1.0, 1.0)
+    return {**g, "lam_a*lam_b_x": g["lam_a"] * g["lam_b_x"],
+            "lam_b*lam_a_x": g["lam_b"] * g["lam_a_x"],
+            "lam_a_x*lam_b_x": g["lam_a_x"] * g["lam_b_x"],
+            **{f"branch_{k}": x for k, x in zip(("arb1", "arb2", "bra1", "bra2"), branches)},
+            "lam_a_x/lam_a": g["lam_a_x"] / g["lam_a"],
+            "lam_b_x/lam_b": g["lam_b_x"] / g["lam_b"],
+            "product": g["lam_a_x"] / g["lam_a"] * g["lam_b_x"] / g["lam_b"]}
+
+
+class TestJointLaw:
+    """The gains from the tridiagonal law against the channel-matrix oracle,
+    at fixed seeds: 2x4x1 keeps only the leading block of a reducible T."""
+
+    DIMS = [(2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 3, 4), (3, 2, 4), (2, 4, 1)]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_means_agree(self, dims, joint_law_samples):
+        ours, oracle = (_law_features(g, power_profile(10.0, 0.5)) for g in joint_law_samples(dims))
+        for name in list(GAINS) + ["lam_a*lam_b_x", "lam_b*lam_a_x", "lam_a_x*lam_b_x",
+                                   "branch_arb1", "branch_arb2", "branch_bra1", "branch_bra2"]:
+            x, y = ours[name], oracle[name]
+            z = (x.mean() - y.mean()) / math.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
+            assert abs(z) <= 4.0, (name, z)
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_distributions_agree(self, dims, joint_law_samples):
+        ours, oracle = (_law_features(g, PW) for g in joint_law_samples(dims))
+        for name in ("lam_a", "lam_a_x", "lam_b_x", "lam_a_x/lam_a", "lam_b_x/lam_b", "product"):
+            assert stats.ks_2samp(ours[name], oracle[name]).pvalue >= 1e-3, name
 
 
 class TestLinkSnrs:
     def test_known_row(self):
         h_ar = np.array([[[1.0 + 0j, 1.0 + 0j]]])
         h_br = np.array([[[1.0 + 0j, 0.0 + 0j]]])
-        s = link_gains_block(h_ar, h_br).snrs(PW)
+        s = simulate.link_gains(1, h_ar, h_br).snrs(PW)
         assert s.g_ar[0] == pytest.approx(2.0 * PW.rho_ar, rel=1e-12)
         assert s.g_br[0] == pytest.approx(1.0 * PW.rho_br, rel=1e-12)
+        # m_r = 2, B = [[1, 0], [1, 1]] on both sides: T = [[1, 1], [1, 2]],
+        # lam = (3 + sqrt 5)/2, q^2 = 1/(1 + lam_1^2) with lam_1 = lam - 1,
+        # and the other eigenvalue det T / lam = 1/lam
+        side = np.ones((1, 3))
+        g = simulate.link_gains(2, side, side)
+        lam = (3.0 + math.sqrt(5.0)) / 2.0
+        q2 = 1.0 / (1.0 + (lam - 1.0) ** 2)
+        assert g.lam_a[0] == pytest.approx(lam, rel=1e-15)
+        assert g.lam_a_x[0] == 1.0
+        assert g.lam_b_x[0] == pytest.approx(lam * q2 + (1.0 - q2) / lam, rel=1e-15)
 
     def test_reciprocity_identity(self):
         pw = PowerProfile(100.0, 50.0, 400.0, 400.0)
-        h_ar, h_br = ChannelStream(3).draw_block(ANT, 0)
-        s = link_gains_block(h_ar[:20], h_br[:20]).snrs(pw)
+        s = next(simulate._gain_blocks(ANT, 20, 3)).snrs(pw)
         np.testing.assert_allclose(s.g_ar * pw.rho_ra, s.g_ra * pw.rho_ar, rtol=1e-12)
 
     def test_nonmatched_dominated(self):
-        # m_r = 2 takes the closed-form eigenpair, m_r = 3 the guarded kernel
+        # m_r = 2 takes the closed form, m_r = 3 the Newton kernel
         for ant in (AntennaConfig(3, 2, 2), AntennaConfig(2, 3, 3)):
-            stream = ChannelStream(11)
-            h_ar, h_br = stream.draw_block(ant, 0)
-            s = link_gains_block(h_ar[:5000], h_br[:5000]).snrs(PW)
+            s = next(simulate._gain_blocks(ant, 5000, 11)).snrs(PW)
             assert np.all(s.g_ra_x <= s.g_ra + 1e-9)
             assert np.all(s.g_rb_x <= s.g_rb + 1e-9)
 
     def test_mean_matches_eigenvalue_oracle(self):
         # top-eigenvalue mean of the square two-antenna channel is 3.5
-        ant = AntennaConfig(2, 2, 2)
-        stream = ChannelStream(13)
-        means = []
-        n = 0
-        for b in range(62):
-            h_ar, h_br = stream.draw_block(ant, b)
-            s = link_gains_block(h_ar, h_br).snrs(PW)
-            means.append(np.mean(s.g_ar) / PW.rho_ar)
-            n += h_ar.shape[0]
-            if n >= 1_000_000:
-                break
-        assert float(np.mean(means)) == pytest.approx(3.5, rel=0.005)
+        lam = np.concatenate([g.lam_a for g in
+                              simulate._gain_blocks(AntennaConfig(2, 2, 2), 1_000_000, 13)])
+        assert float(np.mean(lam)) == pytest.approx(3.5, rel=0.005)
 
 
 class TestEndToEnd:
