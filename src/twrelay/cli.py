@@ -35,8 +35,8 @@ from .errors import ConfigurationError, NumericalError
 from .highsnr import beta_closed_form, beta_numeric, gap_table, high_snr_profile, high_snr_sum_ber
 from .scenario import (SCENARIO_FIELDS, AntennaConfig, Protocol, Scenario, coefficient_set,
                        load_scenario, parse_protocol, power_profile, protocol_modulation)
-from .simulate import (_BLOCK, D_FACTOR_TRIALS, SweepPoint, _gain_blocks,
-                       estimate_d_factors, semi_analytic_sweep)
+from .simulate import (D_FACTOR_TRIALS, SweepPoint, _gain_blocks, estimate_d_factors,
+                       semi_analytic_sweep)
 from .analysis import require_analytic, sum_ber_closed_form
 
 def _write_csv(path, header: str, rows) -> None:
@@ -134,9 +134,7 @@ def cmd_sweep(args) -> int:
         blocks = _gain_blocks(ant, d_trials, sc.seed)
         if "mc" in modes:
             # the mc rows use the first sc.trials of the same draws
-            blocks = list(blocks)
-            mc_gains = [g.head(sc.trials - b * _BLOCK) for b, g in enumerate(blocks)
-                        if b * _BLOCK < sc.trials]
+            mc_gains = blocks = list(blocks)
         dfactors, _ = estimate_d_factors(ant, pw_ref, trials=d_trials, gains=blocks)
 
     rows = []

@@ -7,11 +7,11 @@ Trials are drawn from counter-partitioned Philox substreams in fixed-size
 blocks, so results depend only on (seed, trial index) and are identical no
 matter how trials are batched or distributed.  One generator,
 `_gain_blocks`, draws each block, trims it to the trial count and turns it
-into link gains; every sampler iterates it, or takes blocks that a longer
-pass over the same stream produced, trimmed with `LinkGains.head`.  A
-sweep evaluates every point of the sweep on each block's gains.  The
-protocol picks the SNR form: the exact two-branch sums for dual reception,
-the unified three-constant form otherwise.
+into link gains; every sampler iterates it, or takes the first draws of
+blocks that a pass at least as long over the same stream produced
+(`_first_draws`).  A sweep evaluates every point of the sweep on each
+block's gains.  The protocol picks the SNR form: the exact two-branch sums
+for dual reception, the unified three-constant form otherwise.
 
 The engine reads four gains per trial.  With W = H H^H the relay-side Gram
 of a side's m_r x m channel and f its top unit eigenvector (that side's
@@ -26,7 +26,8 @@ their joint law, with no channel matrix:
   Dumitriu & Edelman, "Matrix models for beta ensembles", J. Math. Phys.
   43, 2002).  With m_r > m the reduction runs out of columns after m
   steps, so rows past m are zero and T is its leading n = min(m_r, m + 1)
-  rows and columns.
+  rows and columns.  With one relay antenna T is the 1 x 1 matrix
+  B_00^2 = |h|^2 ~ Gamma(m) of the side's channel row.
 - So T_00 is W's quadratic form at a fixed unit vector, and the first
   components of T's eigenvectors are those of W's in a basis that starts
   with that vector.  The law of W is unitarily invariant and the other
@@ -48,6 +49,8 @@ their joint law, with no channel matrix:
 Each side's top eigenpair takes its route from n alone, never from a
 setting (`_top_gains`):
 
+- n = 1: lam = T_00 and q^2 = 1, so each cross gain equals the matched
+  one, bit for bit.
 - n = 2: closed forms, with R_B = det T / lam.
 - n >= 3: Newton on p and p', evaluated by T's bottom-up three-term
   recurrence, from the Samuelson upper bound, which falls monotonically
@@ -57,9 +60,6 @@ setting (`_top_gains`):
   the Sturm count.  One more pass of the recurrence at lam gives q^2 and
   R_B through the Christoffel-Darboux sum p_1 p' = sum of squares, so
   neither loses digits as q^2 -> 1.
-
-With one relay antenna the gains are |h|^2 of each side's channel row,
-drawn as complex normals, and each cross gain equals the matched one.
 """
 
 from __future__ import annotations
@@ -131,33 +131,17 @@ class ChannelStream:
         return np.random.Generator(np.random.Philox(key=self.seed, counter=[0, 0, 0, block]))
 
     def draw_block(self, ant: AntennaConfig, block: int) -> tuple[np.ndarray, np.ndarray]:
-        """The A side's and the B side's draws of one block, trial axis first.
-
-        With m_r = 1 they are the channel rows, complex arrays of shapes
-        (B, 1, m_a) and (B, 1, m_b): the stream fills the A side's real
-        parts, its imaginary parts, then the B side's, each scaled by
-        1/sqrt(2) into its complex array.
-
-        With m_r >= 2 they are the squared bidiagonal entries of each side
-        (see the module docstring), arrays of shape (B, 2 n - 1) with
-        n = min(m_r, m + 1): columns B_00^2, ..., B_(n-1,n-1)^2, then
-        B_10^2, ..., B_(n-1,n-2)^2.  The stream fills them column by column,
-        the A side first, each column with `standard_gamma` at its shape
-        (`_variate_shapes`); a column of shape 0 (B_mm with m_r > m) is all
-        zero and takes nothing from the stream."""
+        """The A side's and the B side's draws of one block, trial axis first:
+        the squared bidiagonal entries of each side (see the module
+        docstring), arrays of shape (B, 2 n - 1) with n = min(m_r, m + 1):
+        columns B_00^2, ..., B_(n-1,n-1)^2, then B_10^2, ..., B_(n-1,n-2)^2.
+        With m_r = 1 that is one Gamma(m) column per side.  The stream fills
+        them column by column, the A side first, each column with
+        `standard_gamma` at its shape (`_variate_shapes`); a column of shape
+        0 (B_mm with m_r > m) is all zero and takes nothing from the
+        stream."""
         rng = self._rng(block)
         out = []
-        if ant.m_r == 1:
-            scale = 1.0 / math.sqrt(2.0)
-            buf = np.empty(_BLOCK * max(ant.m_a, ant.m_b))
-            for m in (ant.m_a, ant.m_b):
-                h = np.empty((_BLOCK, 1, m), dtype=complex)
-                normals = buf[:h.size].reshape(h.shape)
-                for part in (h.real, h.imag):
-                    rng.standard_normal(out=normals)
-                    np.multiply(normals, scale, out=part)
-                out.append(h)
-            return tuple(out)
         for m in (ant.m_a, ant.m_b):
             shapes = _variate_shapes(ant.m_r, m)
             g = np.empty((len(shapes), _BLOCK))
@@ -276,6 +260,9 @@ def _top_gains(g: np.ndarray):
     `_top_weights`)."""
     n = (len(g) + 1) // 2
     d, e = g[:n], g[n:]
+    if n == 1:
+        # T = [B_00^2], whose one eigenvector is the first coordinate
+        return d[0], d[0], 1.0, 0.0
     if n == 2:
         # T = [[d0, b], [b, d1 + e0]], b^2 = d0 e0: lam = (a0 + a1)/2 + r with
         # h = (a0 - a1)/2 and r = sqrt(h^2 + b^2); the top eigenvector is
@@ -327,18 +314,13 @@ class LinkGains:
         )
 
 
-def link_gains(m_r: int, side_a: np.ndarray, side_b: np.ndarray) -> LinkGains:
+def link_gains(side_a: np.ndarray, side_b: np.ndarray) -> LinkGains:
     """LinkGains of the draws of `ChannelStream.draw_block` (or their first
     rows)."""
-    if m_r == 1:
-        lam_a = np.sum(np.abs(side_a[:, 0, :]) ** 2, axis=1)
-        lam_b = np.sum(np.abs(side_b[:, 0, :]) ** 2, axis=1)
-        # a single relay antenna has a scalar transmit weight, so the
-        # non-matched reception coincides with the matched one
-        return LinkGains(lam_a, lam_b, lam_a, lam_b)
     lam_a, t00, c, _ = _top_gains(side_a.T)
     lam_b, _, _, rest = _top_gains(side_b.T)
-    # rest lies in [0, lam_b] but for rounding
+    # rest lies in [0, lam_b] but for rounding; with one relay antenna c = 1
+    # and rest = 0, so lam_b_x is lam_b
     lam_b_x = lam_b * c + (1.0 - c) * np.clip(rest, 0.0, lam_b)
     # a copy, which does not keep the whole block of variates alive
     return LinkGains(lam_a, lam_b, t00.copy(), lam_b_x)
@@ -357,7 +339,24 @@ def _gain_blocks(ant: AntennaConfig, trials: int, seed: int):
     for b in range((trials + _BLOCK - 1) // _BLOCK):
         side_a, side_b = stream.draw_block(ant, b)
         n = min(_BLOCK, trials - b * _BLOCK)
-        yield link_gains(ant.m_r, side_a[:n], side_b[:n])
+        yield link_gains(side_a[:n], side_b[:n])
+
+
+def _first_draws(ant: AntennaConfig, trials: int, seed: int, gains=None):
+    """LinkGains blocks of the first `trials` draws of the seed's stream:
+    drawn by `_gain_blocks`, or, if gains is given, taken from its blocks,
+    those of a pass over the same stream that is at least that long."""
+    if gains is None:
+        yield from _gain_blocks(ant, trials, seed)
+        return
+    left = trials
+    for block in gains:
+        yield block.head(left)
+        left -= block.lam_a.size
+        if left <= 0:
+            return
+    raise ConfigurationError(f"the given gains hold {trials - left} draws, "
+                             f"fewer than trials={trials}")
 
 
 def _ratio(num, den):
@@ -371,32 +370,27 @@ def _ratio(num, den):
 
 def end_to_end_snrs(p: Protocol, s: InstantaneousSnrs,
                     w: Optional[WeightPair] = None,
-                    mode: str = "unified",
                     coeffs: Optional[CoefficientSet] = None,
                     snr_form: str = "exact"):
     """End-to-end received SNRs (g_arb, g_bra) for one protocol.
 
-    mode "unified" evaluates the three-constant form (coeffs required);
-    mode "dual_reception" evaluates the exact two-branch sums and is valid
-    only for the dual-reception protocols.  snr_form "lower" drops the unit
-    noise term from every denominator, giving the analytically tractable
-    lower-bound SNRs.
+    Given a CoefficientSet, the three-constant unified form; without one,
+    the exact two-branch sums, which only the dual-reception protocols
+    have.  snr_form "lower" drops the unit noise term from every
+    denominator, giving the analytically tractable lower-bound SNRs.
     """
     if snr_form not in ("exact", "lower"):
         raise ConfigurationError(f"snr_form must be 'exact' or 'lower', got {snr_form!r}")
     n1 = 1.0 if snr_form == "exact" else 0.0
-    if mode == "unified":
-        if coeffs is None:
-            raise ConfigurationError("unified mode requires a CoefficientSet")
+    if coeffs is not None:
         g_arb = _ratio(coeffs.a_arb * s.g_ar * s.g_rb,
                        coeffs.b_arb * s.g_ar + coeffs.c_arb * s.g_rb + n1)
         g_bra = _ratio(coeffs.a_bra * s.g_br * s.g_ra,
                        coeffs.b_bra * s.g_br + coeffs.c_bra * s.g_ra + n1)
         return g_arb, g_bra
-    if mode != "dual_reception":
-        raise ConfigurationError(f"mode must be 'unified' or 'dual_reception', got {mode!r}")
     if not p.dual_reception:
-        raise ConfigurationError(f"{p.value} has a single reception; dual_reception mode is undefined")
+        raise ConfigurationError(f"{p.value} has a single reception; its end-to-end SNRs "
+                                 f"need a CoefficientSet")
     if p is Protocol.SECOND_THREE_SLOT:
         a2 = b2 = 1.0
     else:
@@ -424,14 +418,12 @@ def _q_vec(x):
     return 0.5 * erfc(np.sqrt(x / 2.0))
 
 
-def _sampler_form(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
-                  w: Optional[WeightPair]):
-    """(mode, coeffs) of end_to_end_snrs for the samplers: the exact
-    two-branch sums for the dual-reception protocols, the unified form
-    otherwise."""
-    if p.dual_reception:
-        return "dual_reception", None
-    return "unified", coefficient_set(p, ant, pw, w)
+def _sampler_coeffs(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
+                    w: Optional[WeightPair]) -> Optional[CoefficientSet]:
+    """The CoefficientSet that the samplers pass to end_to_end_snrs: None
+    for a dual-reception protocol, whose exact two-branch sums need none,
+    the unified form's otherwise."""
+    return None if p.dual_reception else coefficient_set(p, ant, pw, w)
 
 
 def sample_end_to_end_snrs(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
@@ -439,8 +431,8 @@ def sample_end_to_end_snrs(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
                            trials: int = 100_000, seed: int = 12345):
     """Arrays of (g_arb, g_bra) over Monte-Carlo trials: the exact two-branch
     sums for the dual-reception protocols, the unified form otherwise."""
-    mode, coeffs = _sampler_form(p, ant, pw, w)
-    arb, bra = zip(*(end_to_end_snrs(p, gains.snrs(pw), w, mode, coeffs, snr_form)
+    coeffs = _sampler_coeffs(p, ant, pw, w)
+    arb, bra = zip(*(end_to_end_snrs(p, gains.snrs(pw), w, coeffs, snr_form)
                      for gains in _gain_blocks(ant, trials, seed)))
     return np.concatenate(arb), np.concatenate(bra)
 
@@ -471,20 +463,22 @@ def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
     and the block partials are combined with math.fsum, so results depend
     only on (seed, trials), not on how blocks are scheduled.
 
-    gains, if given, are the LinkGains blocks of those draws, made already
-    by the caller; by default they are drawn.
+    gains, if given, are the LinkGains blocks of a pass over the seed's
+    stream, made already by the caller; the estimates read their first
+    `trials` draws, which equal the drawn ones bit for bit, and a pass
+    shorter than `trials` is a ConfigurationError.  By default the draws
+    are made here.
     """
     _require_trials(trials)
     evals = []
     for p, pw, w, mod in points:
         if mod is None:
             mod = protocol_modulation(p)
-        evals.append((p, pw, w, *_sampler_form(p, ant, pw, w),
-                      mod.ceiling, 2.0 * mod.b))
+        evals.append((p, pw, w, _sampler_coeffs(p, ant, pw, w), mod.ceiling, 2.0 * mod.b))
     parts = [[] for _ in evals]     # per point: (sum y, sum y^2) of each block
-    for block in _gain_blocks(ant, trials, seed) if gains is None else gains:
-        for (p, pw, w, mode, coeffs, scale, two_b), part in zip(evals, parts):
-            g_arb, g_bra = end_to_end_snrs(p, block.snrs(pw), w, mode, coeffs, snr_form)
+    for block in _first_draws(ant, trials, seed, gains):
+        for (p, pw, w, coeffs, scale, two_b), part in zip(evals, parts):
+            g_arb, g_bra = end_to_end_snrs(p, block.snrs(pw), w, coeffs, snr_form)
             y = scale * (_q_vec(two_b * g_arb) + _q_vec(two_b * g_bra))
             part.append((np.sum(y), np.sum(y * y)))
     return [_mean_estimate(part, trials) for part in parts]
@@ -574,13 +568,15 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
 
     where z = x2 - (m_2 / m_1) x1 is the ratio's delta-method residual and
     p the number of controls that enter: those that the earlier ones do not
-    span in the sample, at most n - 2 (`_solve_psd`).  A ratio m_2 / m_1
-    outside (0, 1], where the plain ratio of sums always lies, is replaced
-    by that plain ratio and its delta-method SE (p = 0).  Each block
+    span in the sample, at most (n - 2) // 10, one per ten trials
+    (`_solve_psd`).  A ratio m_2 / m_1 outside (0, 1], where the plain
+    ratio of sums always lies, is replaced by that plain ratio and its
+    delta-method SE (p = 0).  Each block
     contributes the sums of x1, x2 and C - mu and of the products that
     these formulas read, each with np.sum; the block sums are combined with
-    math.fsum, so results depend only on (seed, trials).  gains, if given, replaces the draw as in
-    semi_analytic_sweep.
+    math.fsum, so results depend only on (seed, trials).  gains, if given,
+    replaces the draw as in semi_analytic_sweep: the first `trials` draws
+    of a pass at least that long (unread with one relay antenna).
     """
     _require_trials(trials)
     if ant.m_r == 1:
@@ -597,7 +593,7 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     pairs = [(i, j) for i in range(nrow) for j in range(i, nrow)
              if j >= 8 or j == i or (j == i + 1 and i % 2 == 0)]
     parts = []
-    for block in _gain_blocks(ant, trials, seed) if gains is None else gains:
+    for block in _first_draws(ant, trials, seed, gains):
         s = block.snrs(pw)
         controls = (block.lam_a_x, block.lam_b_x, np.log(block.lam_a_x),
                     np.log(block.lam_b_x), block.lam_a, block.lam_b)
@@ -616,8 +612,9 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
         cov[i][j] = cov[j][i] = (t - trials * mean[i] * mean[j]) / den
     ctrl = range(8, nrow)
     s_cc = [[cov[i][j] for j in ctrl] for i in ctrl]
-    # at most trials - 2 controls, which leaves the residual a degree of freedom
-    fitted = _solve_psd(s_cc, [[cov[i][j] for i in ctrl] for j in range(8)], trials - 2)
+    # at most one control per ten trials: more, at a few trials, fit the
+    # residual away and leave its variance far below the plain one
+    fitted = _solve_psd(s_cc, [[cov[i][j] for i in ctrl] for j in range(8)], (trials - 2) // 10)
     plain = ([[0.0] * len(ctrl)] * 8, 0)
 
     def ratio_and_se(j, beta, rank):

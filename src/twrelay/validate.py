@@ -7,7 +7,6 @@ warning) when the trial budget is too small to give them power.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,9 +21,9 @@ from .errors import ConfigurationError
 from .highsnr import eta_pair
 from .scenario import (AntennaConfig, BALANCED_WEIGHTS, CoefficientSet, PowerProfile,
                        Protocol, coefficient_set, protocol_modulation)
-from .simulate import (_BLOCK, D_FACTOR_TRIALS, SweepPoint, _gain_blocks,
-                       end_to_end_snrs, estimate_d_factors, sample_end_to_end_snrs,
-                       semi_analytic_sweep)
+from .simulate import (D_FACTOR_TRIALS, ChannelStream, SweepPoint, _gain_blocks,
+                       end_to_end_snrs, estimate_d_factors, link_gains,
+                       sample_end_to_end_snrs, semi_analytic_sweep)
 
 _MIN_STATISTICAL_TRIALS = 10_000
 
@@ -63,9 +62,9 @@ def _ks_statistic(samples: np.ndarray, cdf, grid_points: int = 1500) -> float:
 
 def _block_snrs(pw: PowerProfile, seed: int, block: int, n: int):
     """Link SNRs of the first n draws of the given block of the seed's 2x1x2
-    stream (the blocks before it are drawn and skipped)."""
-    gains = _gain_blocks(AntennaConfig(2, 1, 2), block * _BLOCK + n, seed)
-    return next(itertools.islice(gains, block, None)).snrs(pw)
+    stream."""
+    side_a, side_b = ChannelStream(seed).draw_block(AntennaConfig(2, 1, 2), block)
+    return link_gains(side_a[:n], side_b[:n]).snrs(pw)
 
 
 def check_bessel_moment_identity() -> CheckResult:
@@ -143,8 +142,8 @@ def check_unified_dual_mr1(pw: PowerProfile, seed: int) -> CheckResult:
         w = BALANCED_WEIGHTS if p.uses_weights else None
         coeffs = coefficient_set(p, ant, pw, w)
         for form in ("exact", "lower"):
-            u_arb, u_bra = end_to_end_snrs(p, s, w, "unified", coeffs, form)
-            d_arb, d_bra = end_to_end_snrs(p, s, w, "dual_reception", None, form)
+            u_arb, u_bra = end_to_end_snrs(p, s, w, coeffs, form)
+            d_arb, d_bra = end_to_end_snrs(p, s, w, snr_form=form)
             scale = np.maximum(np.maximum(u_arb, u_bra), 1.0)
             worst = max(worst,
                         float(np.max(np.abs(u_arb - d_arb) / scale)),
@@ -178,8 +177,8 @@ def check_gamma_form_dominates(pw: PowerProfile, seed: int) -> CheckResult:
     for p in Protocol:
         w = BALANCED_WEIGHTS if p.uses_weights else None
         coeffs = coefficient_set(p, ant, pw, w)
-        ex_arb, ex_bra = end_to_end_snrs(p, s, w, "unified", coeffs, "exact")
-        lo_arb, lo_bra = end_to_end_snrs(p, s, w, "unified", coeffs, "lower")
+        ex_arb, ex_bra = end_to_end_snrs(p, s, w, coeffs, "exact")
+        lo_arb, lo_bra = end_to_end_snrs(p, s, w, coeffs, "lower")
         worst = max(worst, float(np.max(ex_arb - lo_arb)), float(np.max(ex_bra - lo_bra)))
     return CheckResult("gamma_form_dominates", worst <= 0.0, worst, 0.0,
                        note="max exact-form excess over lower form")

@@ -21,18 +21,20 @@ def channel_gains(m_a: int, m_r: int, m_b: int, trials: int, seed: int) -> dict:
     scale = 1.0 / math.sqrt(2.0)
     h_ar, h_br = ((rng.standard_normal((trials, m_r, m))
                    + 1j * rng.standard_normal((trials, m_r, m))) * scale for m in (m_a, m_b))
-    lam, vec = [], []
+    gram, lam, vec = [], [], []
     for h in (h_ar, h_br):
+        gram.append(h @ h.conj().transpose(0, 2, 1))
         # eigh orders eigenvalues ascending
-        w, v = np.linalg.eigh(h @ h.conj().transpose(0, 2, 1))
+        w, v = np.linalg.eigh(gram[-1])
         lam.append(w[:, -1])
         vec.append(v[:, :, -1])
-    # H_RA f_RB = H_AR^H f_RB, an (m_a,)-vector per draw
-    proj_a = np.einsum("nra,nr->na", h_ar.conj(), vec[1])
-    proj_b = np.einsum("nrb,nr->nb", h_br.conj(), vec[0])
+
+    def cross(w, f):
+        # |H^H f|^2 = f^H W f, W = H H^H: with one relay antenna f = 1 and
+        # this is the matched gain W, bit for bit
+        return np.einsum("nr,nrs,ns->n", f.conj(), w, f).real
     return {"lam_a": lam[0], "lam_b": lam[1],
-            "lam_a_x": np.sum(np.abs(proj_a) ** 2, axis=1),
-            "lam_b_x": np.sum(np.abs(proj_b) ** 2, axis=1)}
+            "lam_a_x": cross(gram[0], vec[1]), "lam_b_x": cross(gram[1], vec[0])}
 
 
 def tridiagonal_top_mp(a, b2, dps: int = 40) -> tuple:

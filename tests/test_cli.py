@@ -121,30 +121,29 @@ class TestSweep:
             assert (mode, mean, se) == ("mc", f"{est.mean:.10e}", f"{est.std_error:.10e}")
 
     def test_single_relay_antenna_mc_rows_pinned(self, tmp_path):
-        # one relay antenna keeps the draw and arithmetic of the
-        # channel-matrix engine that preceded the tridiagonal law: its rows,
-        # byte for byte
+        # the m_r = 1 mc rows of a fixed seed, byte for byte: a change to the
+        # one-column draw, its gains or the sum-BER average shows here
         out = tmp_path / "mc.csv"
         assert main(["sweep", "--m-a", "2", "--m-r", "1", "--m-b", "2", "--mode", "mc",
                      "--rho-start", "0", "--rho-stop", "20", "--rho-step", "10",
                      "--trials", "20000", "--seed", "12345", "--out", str(out)]) == 0
         assert _read(out) == (
             "rho_ar_db,protocol,mode,sum_ber,std_error\n"
-            "0.0000,first_four_slot,mc,5.9103738417e-01,3.9013982654e-04\n"
-            "0.0000,first_three_slot,mc,6.2391741910e-01,5.5212128167e-04\n"
-            "0.0000,second_four_slot,mc,5.9103738417e-01,3.9013982654e-04\n"
-            "0.0000,second_three_slot,mc,5.6216273735e-01,6.6645605409e-04\n"
-            "0.0000,two_slot,mc,5.2701879912e-01,9.5934554569e-04\n"
-            "10.0000,first_four_slot,mc,2.6174098378e-01,7.7037348532e-04\n"
-            "10.0000,first_three_slot,mc,2.0837644544e-01,8.4999610596e-04\n"
-            "10.0000,second_four_slot,mc,2.6174098378e-01,7.7037348532e-04\n"
-            "10.0000,second_three_slot,mc,1.3364709291e-01,7.7720190246e-04\n"
-            "10.0000,two_slot,mc,6.5117011734e-02,6.3135962141e-04\n"
-            "20.0000,first_four_slot,mc,1.4690147006e-02,2.6318995545e-04\n"
-            "20.0000,first_three_slot,mc,6.9778328947e-03,1.8767096174e-04\n"
-            "20.0000,second_four_slot,mc,1.4690147006e-02,2.6318995545e-04\n"
-            "20.0000,second_three_slot,mc,2.5452393040e-03,1.2307122304e-04\n"
-            "20.0000,two_slot,mc,7.8623926686e-04,7.3539936026e-05\n"
+            "0.0000,first_four_slot,mc,5.9121863104e-01,3.9050301781e-04\n"
+            "0.0000,first_three_slot,mc,6.2417163237e-01,5.5297443462e-04\n"
+            "0.0000,second_four_slot,mc,5.9121863104e-01,3.9050301781e-04\n"
+            "0.0000,second_three_slot,mc,5.6251033046e-01,6.6764637785e-04\n"
+            "0.0000,two_slot,mc,5.2752771793e-01,9.6214739633e-04\n"
+            "10.0000,first_four_slot,mc,2.6222485855e-01,7.7429814621e-04\n"
+            "10.0000,first_three_slot,mc,2.0895830207e-01,8.5602745265e-04\n"
+            "10.0000,second_four_slot,mc,2.6222485855e-01,7.7429814621e-04\n"
+            "10.0000,second_three_slot,mc,1.3427095750e-01,7.8502788704e-04\n"
+            "10.0000,two_slot,mc,6.5790183865e-02,6.4098448082e-04\n"
+            "20.0000,first_four_slot,mc,1.5041915364e-02,2.6700949160e-04\n"
+            "20.0000,first_three_slot,mc,7.2065509553e-03,1.8751377385e-04\n"
+            "20.0000,second_four_slot,mc,1.5041915364e-02,2.6700949160e-04\n"
+            "20.0000,second_three_slot,mc,2.6314184946e-03,1.1908997818e-04\n"
+            "20.0000,two_slot,mc,7.7004364084e-04,6.6972582398e-05\n"
         )
 
     def test_mc_rows_reuse_prepass_blocks(self, tmp_path, monkeypatch, draws):

@@ -1,5 +1,5 @@
-"""Package hygiene: every name a program module imports is used there, and
-importing the package loads no heavy scipy subpackage."""
+"""Package hygiene: every name a program or test module imports is used
+there, and importing the package loads no heavy scipy subpackage."""
 
 import ast
 import subprocess
@@ -9,6 +9,7 @@ from pathlib import Path
 import twrelay
 
 MODULES = sorted(p for p in Path(twrelay.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -24,15 +25,19 @@ def _unused_imports(source: str) -> list:
                 imported[alias.asname or alias.name] = node.lineno
     loaded = {node.id for node in ast.walk(tree)
               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return sorted((line, name) for name, line in imported.items() if name not in loaded)
+    # an import whose line says "# noqa: F401" is kept on purpose
+    lines = source.splitlines()
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in loaded and "# noqa: F401" not in lines[line - 1])
 
 
 def test_no_unused_imports():
-    probe = "from __future__ import annotations\nimport math\nimport os.path\nfrom x import a, b\nb()\n"
+    probe = ("from __future__ import annotations\nimport math\nimport os.path\nfrom x import a, b\n"
+             "import sys  # noqa: F401\nb()\n")
     assert _unused_imports(probe) == [(2, "math"), (3, "os"), (4, "a")]
     # __init__.py is skipped: its imports are the package's re-exports
-    assert MODULES
-    unused = {p.name: _unused_imports(p.read_text()) for p in MODULES}
+    assert MODULES and TEST_MODULES
+    unused = {p.name: _unused_imports(p.read_text()) for p in MODULES + TEST_MODULES}
     assert {name: found for name, found in unused.items() if found} == {}
 
 

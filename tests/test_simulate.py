@@ -42,65 +42,53 @@ class TestDraws:
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4), (2, 3, 4), (2, 4, 1), (2, 1, 2)])
     def test_stream_order(self, dims):
-        # m_r >= 2: the A side's Gamma columns, then the B side's, in the
-        # order of _variate_shapes, each filled over the whole block; a
-        # shape-0 column is zero and draws nothing.  m_r = 1: A's real
-        # parts, A's imaginary parts, then B's, each scaled by 1/sqrt(2)
+        # the A side's Gamma columns, then the B side's, in the order of
+        # _variate_shapes, each filled over the whole block; a shape-0
+        # column is zero and draws nothing.  m_r = 1: one Gamma(m) column
+        # per side
         ant = AntennaConfig(*dims)
         stream = ChannelStream(12345)
         sides = stream.draw_block(ant, 3)
         rng = stream._rng(3)
         for side, m in zip(sides, (ant.m_a, ant.m_b)):
-            assert len(side) == simulate._BLOCK
-            if ant.m_r == 1:
-                shape = (simulate._BLOCK, 1, m)
-                ref = (1.0 / math.sqrt(2.0)) * (rng.standard_normal(shape)
-                                                + 1j * rng.standard_normal(shape))
-            else:
-                ref = np.stack([rng.standard_gamma(s, simulate._BLOCK)
-                                for s in simulate._variate_shapes(ant.m_r, m)], axis=1)
+            ref = np.stack([rng.standard_gamma(s, simulate._BLOCK)
+                            for s in simulate._variate_shapes(ant.m_r, m)], axis=1)
+            assert side.shape == (simulate._BLOCK, 2 * min(ant.m_r, m + 1) - 1)
             assert side.tobytes() == ref.tobytes()
 
     def test_unit_variance(self):
-        stream = ChannelStream(7)
-        sq = []
-        n = 0
-        for b in range(64):
-            h_ar, h_br = stream.draw_block(ANT, b)
-            sq.append(np.abs(h_ar) ** 2)
-            n += h_ar.size
-            if n >= 1_000_000:
-                break
-        mean = float(np.mean(np.concatenate([s.ravel() for s in sq])))
-        assert mean == pytest.approx(1.0, abs=0.005)
+        # unit-variance channel entries: B_ii^2 ~ Gamma(m - i) and
+        # B_(i+1,i)^2 ~ Gamma(m_r - 1 - i), so each column's mean is its shape
+        blocks = 64
+        n = blocks * simulate._BLOCK
+        for ant in (ANT, AntennaConfig(3, 2, 4)):
+            stream = ChannelStream(7)
+            means = sum(np.hstack(stream.draw_block(ant, b)).sum(axis=0) for b in range(blocks)) / n
+            shapes = (simulate._variate_shapes(ant.m_r, ant.m_a)
+                      + simulate._variate_shapes(ant.m_r, ant.m_b))
+            assert len(means) == len(shapes)
+            for mean, shape in zip(means, shapes):
+                assert abs(mean - shape) <= 5.0 * math.sqrt(shape / n)
 
     def test_cross_independence(self):
-        stream = ChannelStream(9)
-        a_parts, b_parts = [], []
-        n = 0
-        for b in range(64):
-            h_ar, h_br = stream.draw_block(ANT, b)
-            a_parts.append(h_ar[:, 0, 0].real)
-            b_parts.append(h_br[:, 0, 0].real)
-            n += h_ar.shape[0]
-            if n >= 1_000_000:
-                break
-        x = np.concatenate(a_parts)
-        y = np.concatenate(b_parts)
+        # the A side's and the B side's draws are uncorrelated
+        blocks = [ChannelStream(9).draw_block(ANT, b) for b in range(64)]
+        x, y = (np.concatenate([sides[k][:, 0] for sides in blocks]) for k in (0, 1))
         corr = float(np.corrcoef(x, y)[0, 1])
         assert abs(corr) < 0.005
 
     def test_single_relay_antenna_gains_pinned(self):
-        # the m_r = 1 draw and arithmetic are those of the channel-matrix
-        # engine that preceded the tridiagonal one: its gains, bit for bit
+        # the m_r = 1 gains of the seed's stream, bit for bit; each cross
+        # gain is the matched one
         digest = hashlib.sha256()
         blocks = list(simulate._gain_blocks(ANT, 20_000, 12345))
         for g in blocks:
+            assert np.array_equal(g.lam_a_x, g.lam_a) and np.array_equal(g.lam_b_x, g.lam_b)
             for name in GAINS:
                 digest.update(getattr(g, name).tobytes())
-        assert digest.hexdigest() == "8ab2b852f03176b959e540bf4bc489e7260c40ea6bc71d5ecdef046ce99046e9"
-        assert (blocks[0].lam_a[0], blocks[0].lam_b[0]) == (2.8004682720001624, 0.32448973109768836)
-        assert blocks[-1].lam_a_x[-1] == blocks[-1].lam_a[-1] == 2.164852492266928
+        assert digest.hexdigest() == "68ddb52c272ad0460cbaa7ed0466368960ed41eb5c62c71b66baf2155e2e6f6a"
+        assert (blocks[0].lam_a[0], blocks[0].lam_b[0]) == (1.3917303609898535, 2.151803918403476)
+        assert blocks[-1].lam_a[-1] == 3.5316897494957518
 
 
 def _sides(ant, rows, seed=0):
@@ -233,17 +221,17 @@ class TestTopEigenpair:
         self._check(_sides(AntennaConfig(1, m, 1), 500, seed=21)[0], m, 4 * m * EPS)
         assert bisected == []
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_gains_independent_of_batch(self, m):
         # every row's gains are a function of that row alone
         side_a, side_b = ChannelStream(17).draw_block(AntennaConfig(m, m, m), 0)
-        full = simulate.link_gains(m, side_a, side_b)
+        full = simulate.link_gains(side_a, side_b)
         for n in (1000, 16384):
-            part = simulate.link_gains(m, side_a[:n], side_b[:n])
+            part = simulate.link_gains(side_a[:n], side_b[:n])
             for name in GAINS:
                 assert np.array_equal(getattr(part, name), getattr(full, name)[:n])
         for i in (0, 4321, 16383):
-            row = simulate.link_gains(m, side_a[i:i + 1], side_b[i:i + 1])
+            row = simulate.link_gains(side_a[i:i + 1], side_b[i:i + 1])
             for name in GAINS:
                 assert getattr(row, name)[0] == getattr(full, name)[i]
 
@@ -258,7 +246,7 @@ class TestTopEigenpair:
         side_a, side_b = (np.array(s[:2000]) for s in ChannelStream(5).draw_block(ant, 0))
         for side, m in ((side_a, ant.m_a), (side_b, ant.m_b)):
             side[:, min(ant.m_r, m + 1)] *= np.geomspace(1e-30, 1.0, 2000)
-        gains = simulate.link_gains(ant.m_r, side_a, side_b)
+        gains = simulate.link_gains(side_a, side_b)
         for lam, lam_x in ((gains.lam_a, gains.lam_a_x), (gains.lam_b, gains.lam_b_x)):
             assert np.all(np.isfinite(lam)) and np.all(np.isfinite(lam_x))
             assert np.all((0.0 <= lam_x) & (lam_x <= lam * (1.0 + 4 * EPS)))
@@ -312,9 +300,10 @@ def _law_features(g: dict, pw: PowerProfile) -> dict:
 
 class TestJointLaw:
     """The gains from the tridiagonal law against the channel-matrix oracle,
-    at fixed seeds: 2x4x1 keeps only the leading block of a reducible T."""
+    at fixed seeds: 2x4x1 keeps only the leading block of a reducible T, and
+    m_r = 1 takes T = B_00^2."""
 
-    DIMS = [(2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 3, 4), (3, 2, 4), (2, 4, 1)]
+    DIMS = [(2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 3, 4), (3, 2, 4), (2, 4, 1), (2, 1, 2), (3, 1, 4)]
 
     @pytest.mark.parametrize("dims", DIMS)
     def test_means_agree(self, dims, joint_law_samples):
@@ -334,16 +323,17 @@ class TestJointLaw:
 
 class TestLinkSnrs:
     def test_known_row(self):
-        h_ar = np.array([[[1.0 + 0j, 1.0 + 0j]]])
-        h_br = np.array([[[1.0 + 0j, 0.0 + 0j]]])
-        s = simulate.link_gains(1, h_ar, h_br).snrs(PW)
-        assert s.g_ar[0] == pytest.approx(2.0 * PW.rho_ar, rel=1e-12)
-        assert s.g_br[0] == pytest.approx(1.0 * PW.rho_br, rel=1e-12)
+        # m_r = 1, channel rows [1, 1] and [1, 0], given as their squared
+        # norms |h|^2 = B_00^2
+        g = simulate.link_gains(np.array([[2.0]]), np.array([[1.0]]))
+        assert (g.lam_a[0], g.lam_b[0], g.lam_a_x[0], g.lam_b_x[0]) == (2.0, 1.0, 2.0, 1.0)
+        s = g.snrs(PW)
+        assert s.g_ar[0] == 2.0 * PW.rho_ar and s.g_br[0] == PW.rho_br
         # m_r = 2, B = [[1, 0], [1, 1]] on both sides: T = [[1, 1], [1, 2]],
         # lam = (3 + sqrt 5)/2, q^2 = 1/(1 + lam_1^2) with lam_1 = lam - 1,
         # and the other eigenvalue det T / lam = 1/lam
         side = np.ones((1, 3))
-        g = simulate.link_gains(2, side, side)
+        g = simulate.link_gains(side, side)
         lam = (3.0 + math.sqrt(5.0)) / 2.0
         q2 = 1.0 / (1.0 + (lam - 1.0) ** 2)
         assert g.lam_a[0] == pytest.approx(lam, rel=1e-15)
@@ -386,18 +376,16 @@ class TestEndToEnd:
         s = InstantaneousSnrs(*(np.float64(0.0),) * 6)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ANT, PW)
         assert end_to_end_snrs(Protocol.TWO_SLOT, s, coeffs=coeffs) == (0.0, 0.0)
-        g = end_to_end_snrs(Protocol.SECOND_THREE_SLOT, s, mode="dual_reception",
-                            snr_form="lower")
+        g = end_to_end_snrs(Protocol.SECOND_THREE_SLOT, s, snr_form="lower")
         assert g == (0.0, 0.0)
 
     def test_monotone_in_each_link(self):
         base = dict(g_ar=4.0, g_br=3.0, g_ra=5.0, g_rb=6.0, g_ra_x=2.0, g_rb_x=2.5)
         for p in Protocol:
             w = BALANCED_WEIGHTS if p.uses_weights else None
-            mode = "dual_reception" if p.dual_reception else "unified"
             coeffs = None if p.dual_reception else coefficient_set(p, ANT, PW, w)
             ref = end_to_end_snrs(p, InstantaneousSnrs(**{k: np.float64(v) for k, v in base.items()}),
-                                  w, mode, coeffs)
+                                  w, coeffs)
             for key in base:
                 bumped = dict(base)
                 bumped[key] = base[key] * 1.3
@@ -406,7 +394,7 @@ class TestEndToEnd:
                 if key == "g_ra":
                     bumped["g_ar"] = base["g_ar"] * 1.3
                 out = end_to_end_snrs(p, InstantaneousSnrs(**{k: np.float64(v) for k, v in bumped.items()}),
-                                      w, mode, coeffs)
+                                      w, coeffs)
                 # the multiple-access terms in the denominators mean only the
                 # direction carried by the bumped link must not decrease
                 if key in ("g_br", "g_ra", "g_ra_x"):
@@ -415,9 +403,10 @@ class TestEndToEnd:
                     assert out[0] >= ref[0] - 1e-12
 
     def test_dual_reception_contract(self):
+        # without coefficients, only a dual-reception protocol has SNRs
         s = InstantaneousSnrs(*(np.float64(1.0),) * 6)
         with pytest.raises(ConfigurationError):
-            end_to_end_snrs(Protocol.TWO_SLOT, s, mode="dual_reception")
+            end_to_end_snrs(Protocol.TWO_SLOT, s)
 
 
 class TestSemiAnalytic:
@@ -481,6 +470,18 @@ class TestSemiAnalytic:
             one = semi_analytic_sweep([pt], ant, **kw)[0]
             assert (est.mean, est.std_error, est.trials) == (one.mean, one.std_error, 20_000)
 
+    def test_given_gains_longer_or_shorter_pass(self):
+        # the estimates read the first `trials` draws of a longer pass, the
+        # drawn ones bit for bit; a shorter pass is an error
+        ant = AntennaConfig(2, 2, 2)
+        points = [SweepPoint(Protocol.TWO_SLOT, PW), SweepPoint(Protocol.SECOND_THREE_SLOT, PW)]
+        kw = dict(trials=20_000, seed=4)
+        drawn = semi_analytic_sweep(points, ant, **kw)
+        longer = list(simulate._gain_blocks(ant, 3 * simulate._BLOCK, 4))
+        assert semi_analytic_sweep(points, ant, **kw, gains=longer) == drawn
+        with pytest.raises(ConfigurationError):
+            semi_analytic_sweep(points, ant, **kw, gains=simulate._gain_blocks(ant, 19_999, 4))
+
 
 class TestDFactors:
     def test_single_relay_antenna_exact(self, monkeypatch):
@@ -529,14 +530,36 @@ class TestDFactors:
                                    gains=list(simulate._gain_blocks(ant, 20_000, 8)))
         assert given == drawn
 
+    def test_given_gains_longer_or_shorter_pass(self):
+        ant = AntennaConfig(2, 3, 4)
+        drawn = estimate_d_factors(ant, PW, trials=20_000, seed=8)
+        longer = list(simulate._gain_blocks(ant, 3 * simulate._BLOCK, 8))
+        assert estimate_d_factors(ant, PW, trials=20_000, seed=8, gains=longer) == drawn
+        with pytest.raises(ConfigurationError):
+            estimate_d_factors(ant, PW, trials=20_000, seed=8, gains=longer[:1])
+
     @pytest.mark.parametrize("trials", [2, 3, 7, 8])
     def test_few_trials_keep_a_degree_of_freedom(self, trials):
-        # at most trials - 2 controls enter, so the residual variance is
-        # estimated, never fitted away
+        # at most one control per ten trials enters, so the residual
+        # variance is estimated, never fitted away
         ant = AntennaConfig(2, 2, 2)
         d, se = estimate_d_factors(ant, PW, trials=trials, seed=1)
         assert all(math.isfinite(v) for v in astuple(d))
         assert all(1e-4 < v < math.inf for v in se)
+
+    @pytest.mark.parametrize("trials", [8, 11])
+    def test_few_trials_give_plain_delta_method_se(self, trials):
+        # below 12 trials no control enters: each factor and SE is the plain
+        # ratio of means and its delta-method SE over the same draws
+        ant = AntennaConfig(2, 2, 2)
+        d, se = estimate_d_factors(ant, PW, trials=trials, seed=1)
+        s = next(simulate._gain_blocks(ant, trials, 1)).snrs(PW)
+        branches = simulate._dual_branches(s, 1.0, 1.0) + simulate._dual_branches(s, 0.5, 0.5)
+        for x1, x2, dv, sv in zip(branches[::2], branches[1::2], astuple(d), se):
+            r = x2.mean() / x1.mean()
+            z = x2 - r * x1
+            assert dv == pytest.approx(1.0 + r, rel=1e-14)
+            assert sv == pytest.approx(z.std(ddof=1) / math.sqrt(trials) / x1.mean(), rel=1e-9)
 
     def test_multi_antenna_shrinks(self):
         d, _ = estimate_d_factors(AntennaConfig(2, 2, 2), PW, trials=100_000, seed=3)
