@@ -3,9 +3,10 @@ lower-bound (noise-term-dropped) SNR forms, and the sum-BER lower bound, by
 numerical integration and by the paper's termwise closed form.
 
 The distributions and the integral come from `lowerbound`: the per-link
-largest-eigenvalue CDF in its determinant form (Kang & Alouini 2003; Chiani,
-Win & Zanella 2003), the end-to-end CDF by conditioning on the far link, and
-the sum-BER as the Gaussian-weighted integral of the two direction CDFs.
+largest-eigenvalue CDF and density in their determinant form (Kang & Alouini
+2003; Chiani, Win & Zanella 2003), the end-to-end CDF by conditioning on the
+far link, and the sum-BER as the average of Q over both link gains of each
+direction, one trapezoid grid over the product of the two link densities.
 Every term there is non-negative, so nothing cancels; the trapezoid rules
 are refined until their error estimate is below 1e-13 of the value, and a
 NumericalError is raised rather than return a value they cannot back.  A
@@ -127,13 +128,13 @@ def _sum_ber_integral(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfi
                       mod: Modulation, path: str) -> float:
     """The sum-BER lower bound from the integration engine, checked to lie
     in (0, a/log2 M] within its tolerance; one debug record on the
-    "twrelay.analysis" logger gives the path, the nodes and the error
-    estimate."""
+    "twrelay.analysis" logger gives the path, the error estimate, the grid
+    points and the link-law arguments."""
     est = lowerbound.sum_ber([_direction(d, coeffs, ant, pw) for d in _DIRECTIONS],
                              mod.a, mod.b, mod.bits_per_symbol)
     _log.debug("sum-BER by the lower-bound integral (%s): %.6e, error estimate %.1e, "
-               "%d outer nodes, %d inner nodes, %d inner values settled by the link bounds",
-               path, est.value, est.error, est.outer_nodes, est.inner_nodes, est.settled)
+               "%d grid points, %d link-law arguments",
+               path, est.value, est.error, est.grid_points, est.link_args)
     ceiling = mod.ceiling
     # where every CDF is near 1 the value rounds to within the tolerance of
     # the ceiling, on either side
@@ -144,9 +145,10 @@ def _sum_ber_integral(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfi
 
 def sum_ber_quadrature(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,
                        mod: Modulation) -> float:
-    """Lower-bound sum-BER as the integral of the Gaussian tail weighted by
-    the two direction CDFs (`lowerbound.sum_ber`), refined to an estimated
-    relative error below 1e-13."""
+    """Lower-bound sum-BER as the average of Q over both link gains of each
+    direction, one trapezoid grid over the two link densities
+    (`lowerbound.sum_ber`), refined to an estimated relative error below
+    1e-13."""
     return _sum_ber_integral(coeffs, ant, pw, mod, "quadrature")
 
 
@@ -258,9 +260,9 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
     The double-precision assembly subtracts terms that sum to about the
     zero-SNR ceiling a/log2 M, so a result at or below FALLBACK_SHARE (1e-5)
     of the ceiling has lost too many digits; there the value comes from the
-    integral of non-negative terms (`lowerbound.sum_ber`: the determinant
-    form of the per-link CDF, conditioned on the far link), refined until its
-    error estimate is below 1e-13 relative, checked to lie in (0, ceiling] and
+    integral of non-negative terms (`lowerbound.sum_ber`: Q averaged over the
+    determinant-form densities of both link gains), refined until its error
+    estimate is below 1e-13 relative, checked to lie in (0, ceiling] and
     reported in one debug record on the "twrelay.analysis" logger.
     """
     value = _closed_form_f64(coeffs, ant, pw, mod)

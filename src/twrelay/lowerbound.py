@@ -42,22 +42,34 @@ or g_s <= 2 C x / A, so the link CDFs bound F on both sides:
     L = max(F_f(B x / A), F_s(C x / A)) <= F(x)
       <= min(1, F_f(2 B x / A) + F_s(2 C x / A)) = U.
 
-A value whose bounds lie within twice its absolute tolerance of each
-other is settled as their midpoint without an integral.  The sum-BER is
-pref * int_0^inf 2 e^(-b t^2) (F_arb + F_bra)(t^2) dt; its absolute
-tolerance per CDF value grows like e^(b t^2) against the weight, so the
-bounds settle both tails of the inner integrals.  Equal directions (the
-two of a symmetric network) have equal CDFs, so each distinct direction
-is integrated once and counted as often as it occurs.
+A value whose bounds meet (U == L) is settled at that value without an
+integral.
 
-Both integrals run over a logarithmic variable (ln w, ln t) with the
-trapezoid rule, whose error falls like e^(-2 pi d / h) in the step h for
-these integrands, analytic in a strip |Im| < d.  The step is halved until
-it is fine enough for the strip and the error estimate, extrapolated from
-the last two differences, plus the integrand at the cut ends (which bounds
-the neglected tails), is below the tolerance; past MAX_INTERVALS the
-engine raises NumericalError.  The inner errors enter the outer estimate.
-Rounding in the per-link determinant is not part of the estimate.
+The sum-BER of a direction is (a / log2 M) E[Q(sqrt(2 b gamma))], an
+average over the two independent link eigenvalues,
+
+    (a / (2 log2 M)) int int erfc(sqrt(b gamma)) f_s(l_s) f_f(l_f) dl_s dl_f,
+
+so one trapezoid grid in (ln l_s, ln l_f) needs each link law only at its
+own axis nodes.  Below its deep-fade eigenvalue, C / (A b rho_s) for the
+source link and B / (A b rho_f) for the far link, a gain leaves Q near
+1/2 and the integrand falls like a power of the gain; each axis starts
+well below it.  It ends at U with 1 - F(U) <= 1e-18: Q falls in each gain,
+so E[Q; l > U] <= (1 - F(U)) E[Q | l <= U], and the cut carries at most
+(1 - F(U)) / F(U) of the value.  Equal directions (the two of a symmetric
+network) are integrated once and counted as often as they occur.
+
+Every integral runs over logarithmic variables (ln w; ln l_s and ln l_f)
+with the trapezoid rule, whose error falls like e^(-2 pi d / h) in the step
+h for these integrands, analytic in a strip |Im| < d (Trefethen &
+Weideman, SIAM Review 56(3), 2014; on a product of two such laws the grid
+converges the same way).  The step is halved (on the grid both steps
+together, so only each axis's new nodes reach the link law) until it is
+fine enough for the strip and the error estimate, extrapolated from the
+last two differences, plus the integrand at the cut ends or edges (which
+bounds the neglected tails), is below the tolerance; past MAX_INTERVALS
+the engine raises NumericalError.  Rounding in the per-link determinant is
+not part of the estimate.
 """
 
 from __future__ import annotations
@@ -69,12 +81,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import erfc, gammainc, gammainccinv
 
 from .errors import NumericalError
 
 # Relative error the integrals are refined to, and the most trapezoid
-# intervals per integral before the engine gives up.
+# intervals per integral (per axis of a sum-BER grid) before the engine
+# gives up.
 REL_TOL = 1e-13
 MAX_INTERVALS = 1 << 13
 
@@ -84,25 +97,31 @@ MAX_INTERVALS = 1 << 13
 _CHUNK = 64
 _BLOCK = 4096
 
-# Both integrals decay like a power of their variable below their scale
-# and double-exponentially above it.  The substitution v = v0 + s - e^(-s)
-# (v = ln w or ln t) makes the lower tail decay double-exponentially too,
-# so _PAD e-folds below v0 cost a few nodes; the upper ends are far-link
-# gains up to _FAR_SPAN times their mean and t^2 up to _GAUSS_SPAN / b.
+# Every integrand decays like a power of its variable below its scale and
+# double-exponentially above it.  The substitution v = v0 + s - e^(-s)
+# (v = ln w or ln lambda) makes the lower tail decay double-exponentially
+# too, so _PAD e-folds below v0 cost a few nodes; the CDF integral's upper
+# end is a far-link gain of _FAR_SPAN times its mean.
 _PAD = 40.0
 _FAR_SPAN = 60.0
-_GAUSS_SPAN = 100.0
 
 # The trapezoid error of an integrand analytic in |Im v| < d falls like
-# e^(-2 pi d / h).  The inner integrand (CDF tails e^(-u), u ~ e^(+-v)) has
-# d = pi/2, the outer one (e^(-b t^2), t^2 = e^(2v)) d = pi/4; these steps
-# bring e^(-2 pi d / h) below 1e-14, and no sum is accepted on a coarser
-# step, however close its last two values (they can agree by accident).
-# The substitution narrows the strip where s < 1, so v0 sits _INNER_SHIFT
-# e-folds below where the inner integrand starts to matter.
+# e^(-2 pi d / h).  The integrands (CDF tails and Q, like e^(-u) with
+# u ~ e^(+-v)) have d = pi/2; this step brings e^(-2 pi d / h) below 1e-14,
+# and no sum is accepted on a coarser step, however close its last two
+# values (they can agree by accident).  The substitution narrows the strip
+# where s < 1, so v0 sits _INNER_SHIFT e-folds below where the CDF
+# integrand starts to matter, and _FADE_SHIFT below a link's deep-fade gain
+# on the sum-BER grid.
 _INNER_H = 0.3
-_OUTER_H = 0.15
 _INNER_SHIFT = 20.0
+_FADE_SHIFT = 4.0
+
+# The sum-BER grid ends where P(trace > lambda) <= _TAIL: the trace exceeds
+# the largest eigenvalue, so 1 - F <= _TAIL there too.  _GRID_BLOCK values
+# per block of grid rows bound the temporaries (32 kB each).
+_TAIL = 1e-18
+_GRID_BLOCK = 1 << 12
 
 
 def _gauss_legendre(n: int):
@@ -321,15 +340,14 @@ class Link(NamedTuple):
 
 
 class Estimate(NamedTuple):
-    """An integral's value, its error estimate, the trapezoid nodes it took
-    (outer, and inner summed over the outer nodes), and the inner CDF values
-    that the link bounds settled without a node."""
+    """The sum-BER, its error estimate, the points of its final trapezoid
+    grids and the arguments it passed to `link_cdf_pdf`, summed over the
+    distinct directions."""
 
     value: float
     error: float
-    outer_nodes: int
-    inner_nodes: int
-    settled: int
+    grid_points: int
+    link_args: int
 
 
 class _Trapezoid:
@@ -408,8 +426,7 @@ def _cdf_bounds(xs, src: Link, far: Link, a: float, b: float, c: float):
     return f_f, lower, np.clip(f_f2 + f_s2, lower, 1.0)
 
 
-def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float,
-               rtol: float, atol: float):
+def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float):
     """(F, error estimate, intervals) of the end-to-end CDF at xs > 0, given
     f_first = F_f(B x / A)."""
     base = far.rho * a          # w scale where the far gain reaches its mean
@@ -451,13 +468,7 @@ def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float,
             if diff is not None:
                 # the integrand at the cut ends bounds the tails beyond them
                 err = _extrapolated(last, diff) + np.where(use_q, rule.ends[1], rule.ends[0])
-                done = (err <= rtol * value + atol[rows]) & (rule.h <= _INNER_H)
-                # an integral whose last two sums are both below half the
-                # absolute tolerance needs no finer step: its error is at
-                # most its value
-                small = np.maximum(step, prev) <= 0.5 * atol[rows]
-                err = np.where(done | ~small, err, np.maximum(step, prev))
-                done |= small
+                done = (err <= REL_TOL * value) & (rule.h <= _INNER_H)
                 values[rows[done]], errors[rows[done]] = value[done], err[done]
                 nodes += int(done.sum()) * (rule.n + 1)
                 if done.all():
@@ -471,34 +482,27 @@ def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float,
         rule.refine(status)
 
 
-def e2e_cdf(xs, src: Link, far: Link, a: float, b: float, c: float,
-            rtol: float = REL_TOL, atol: float = 0.0) -> tuple:
+def e2e_cdf(xs, src: Link, far: Link, a: float, b: float, c: float) -> tuple:
     """CDF of A g_s g_f / (B g_s + C g_f) at each x in xs (array), with a
     per-point error estimate: (values, errors, inner intervals summed,
     points settled by the bounds).  Each point is refined until its
-    estimate is at most rtol times its value plus atol (a scalar, or one
-    bound per point).
+    estimate is at most REL_TOL times its value.
 
     The link bounds L <= F(x) <= U come first, for all points at once.  A
-    point where (U - L) / 2 <= atol (at atol = 0, where U == L) is settled:
-    its value is (L + U) / 2 and its error (U - L) / 2 (the distance from
-    the rounded midpoint to the farther bound), without a node.  Only the
-    other points are integrated, _CHUNK at a time."""
+    point where they meet (U == L) is settled at that value, with error 0
+    and without a node.  Only the other points are integrated, _CHUNK at a
+    time."""
     xs = np.asarray(xs, dtype=float)
-    atol = np.broadcast_to(atol, xs.shape)
     values, errors = np.zeros_like(xs), np.zeros_like(xs)
     pos = np.flatnonzero(xs > 0.0)
     f_first, lower, upper = _cdf_bounds(xs[pos], src, far, a, b, c)
-    mid = 0.5 * (lower + upper)
-    half_gap = np.maximum(mid - lower, upper - mid)
-    settled = half_gap <= atol[pos]
-    values[pos[settled]], errors[pos[settled]] = mid[settled], half_gap[settled]
+    settled = upper == lower
+    values[pos[settled]] = lower[settled]
     live, f_first = pos[~settled], f_first[~settled]
     nodes = 0
     for k in range(0, live.size, _CHUNK):
         idx = live[k:k + _CHUNK]
-        values[idx], errors[idx], n = _e2e_chunk(xs[idx], f_first[k:k + _CHUNK], src, far,
-                                                 a, b, c, rtol, atol[idx])
+        values[idx], errors[idx], n = _e2e_chunk(xs[idx], f_first[k:k + _CHUNK], src, far, a, b, c)
         nodes += n
     return values, errors, nodes, int(settled.sum())
 
@@ -514,63 +518,115 @@ class Direction(NamedTuple):
     c: float
 
 
-def sum_ber(directions, mod_a: float, mod_b: float, bits: float) -> Estimate:
-    """Sum over the directions of E[mod_a Q(sqrt(2 mod_b gamma))] / bits,
-    by the outer trapezoid rule in ln t of
-    pref int 2 e^(-b t^2) sum F(t^2) dt, pref = a sqrt(b) / (2 sqrt(pi) bits).
-    Equal directions (a symmetric network's two) have equal CDFs, so each
-    distinct direction is integrated once and counted as often as it occurs."""
-    pref = mod_a * math.sqrt(mod_b) / (2.0 * math.sqrt(math.pi) * bits)
-    distinct = Counter(directions)
-    # the CDFs rise where x reaches the smallest scale of A g_s / C or A g_f / B
-    x_scale = min(min(d.a * d.far.rho / d.b, d.a * d.src.rho / d.c) for d in directions)
-    v0 = np.array([0.5 * math.log(min(x_scale, 1.0 / mod_b)) - 1.0])
-    v1 = np.array([0.5 * math.log(_GAUSS_SPAN / mod_b)])
-    inner_nodes = settled = 0
+class _Axis:
+    """One link's axis of the sum-BER grid: n trapezoid intervals of step h
+    in s, from s = -ln(_PAD), with ln(lambda) = v0 + s - e^(-s).  v0 sits
+    _FADE_SHIFT e-folds below the deep-fade eigenvalue `fade`; the first
+    step is at most 4 _INNER_H, so that the third sum, the first that two
+    differences can vouch for, has a step of at most _INNER_H."""
 
-    def lower_bound(v, rows):
-        # the link bound L of each direction's CDF
-        t = np.exp(v)
-        x = t * t
-        cdf = sum(k * _cdf_bounds(x, *d)[1] for d, k in distinct.items())
-        return 2.0 * np.exp(-mod_b * x) * t * cdf
+    def __init__(self, link: Link, fade: float):
+        self.link = link
+        self.v0 = math.log(fade) - _FADE_SHIFT
+        v1 = math.log(gammainccinv(link.m * link.n, _TAIL))
+        self.lo = -math.log(_PAD)
+        width = max(v1 - self.v0, 0.0) + 1.0 - self.lo
+        self.n = max(2, math.ceil(width / (4.0 * _INNER_H)))
+        self.h = width / self.n
 
-    # an absolute error per CDF value, growing like e^(b t^2) against the
-    # weight, whose integral over the outer range (t < e^(v1 + 1)) and all
-    # directions is at most REL_TOL / 8 of (a coarse quadrature of) a lower
-    # bound on the sum; with the relative part the inner errors stay below
-    # 3/8 of the outer tolerance
-    low = _Trapezoid("sum-BER bound", lower_bound, v0, v1, _OUTER_H).total[0]
-    atol = REL_TOL * low / (16.0 * len(directions) * math.exp(v1[0] + 1.0))
+    def nodes(self, k):
+        """(lam, 1 + e^(-s)) at the nodes k."""
+        s = self.lo + self.h * k
+        return np.exp(self.v0 + s - np.exp(-s)), 1.0 + np.exp(-s)
 
-    def integrand(v, rows):
-        nonlocal inner_nodes, settled
-        t = np.exp(v[0])
-        x = t * t
-        cdf, err = np.zeros_like(x), np.zeros_like(x)
-        bound = atol * np.exp(np.minimum(mod_b * x, 700.0))
-        for d, k in distinct.items():
-            f, e, n, s = e2e_cdf(x, *d, rtol=REL_TOL / 4, atol=bound)
-            cdf += k * f
-            err += k * e
-            inner_nodes += n
-            settled += s
-        weight = 2.0 * np.exp(-mod_b * x) * t
-        return np.stack([weight * cdf, weight * err])[:, None, :]
 
-    rule = _Trapezoid("sum-BER integral", integrand, v0, v1, _OUTER_H)
+def _weights(axes, ks):
+    """(lam, f(lam) lam (1 + e^(-s))) at the nodes ks[i] of axes[i]; links
+    of one shape share one kernel call."""
+    lams, jacs = zip(*(ax.nodes(k) for ax, k in zip(axes, ks)))
+    src, far = (ax.link for ax in axes)
+    if _same_shape(src, far):
+        pdfs = np.split(link_cdf_pdf(np.concatenate(lams), src.m, src.n)[1], [lams[0].size])
+    else:
+        pdfs = [link_cdf_pdf(lam, ax.link.m, ax.link.n)[1] for lam, ax in zip(lams, axes)]
+    return [(lam, pdf * lam * jac) for lam, pdf, jac in zip(lams, pdfs, jacs)]
+
+
+def _grid_sum(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f) -> float:
+    """sum_ij erfc(sqrt(mod_b gamma_ij)) w_s[i] w_f[j] over the grid
+    lam_s x lam_f, with A / gamma = C / (rho_s lam_s) + B / (rho_f lam_f);
+    each block of rows is reduced as soon as it is computed."""
+    x_s = d.c / (d.src.rho * lam_s)
+    x_f = d.b / (d.far.rho * lam_f)
+    rows = max(1, _GRID_BLOCK // x_f.size)
+    total = 0.0
+    for k in range(0, x_s.size, rows):
+        q = np.add.outer(x_s[k:k + rows], x_f)
+        np.divide(d.a * mod_b, q, out=q)
+        np.sqrt(q, out=q)
+        erfc(q, out=q)
+        # numpy's pairwise sums: a BLAS product here would load BLAS pages
+        # that no other lower-bound path touches
+        q *= w_f
+        total += float(np.sum(q.sum(axis=1) * w_s[k:k + rows]))
+    return total
+
+
+def _interleave(even, odd):
+    out = np.empty(even.size + odd.size)
+    out[0::2], out[1::2] = even, odd
+    return out
+
+
+def _direction_ber(d: Direction, mod_b: float, scale: float):
+    """(value, error, grid points, link arguments) of
+    scale int int erfc(sqrt(mod_b gamma)) f_s f_f dlam_s dlam_f, the
+    trapezoid grid refined by halving both steps.  The weights are
+    f(lam) lam (1 + e^(-s)), the density in s, halved at the ends."""
+    axes = (_Axis(d.src, d.c / (d.a * mod_b * d.src.rho)),
+            _Axis(d.far, d.b / (d.a * mod_b * d.far.rho)))
+    (lam_s, w_s), (lam_f, w_f) = _weights(axes, [np.arange(ax.n + 1) for ax in axes])
+    for w in (w_s, w_f):
+        w[[0, -1]] *= 0.5
+    args = lam_s.size + lam_f.size
+    total = _grid_sum(d, mod_b, lam_s, w_s, lam_f, w_f)
     prev = diff = None
     status = ""
     while True:
-        (total,), (inner_err,) = rule.total
+        h_s, h_f = (ax.h for ax in axes)
+        value = scale * h_s * h_f * total
         if prev is not None:
-            last = abs(total - prev)
+            last = abs(value - prev)
             if diff is not None:
-                err = float(_extrapolated(last, diff)) + rule.ends[0, 0] + inner_err
-                if err <= REL_TOL * total and rule.h[0] <= _OUTER_H:
-                    return Estimate(float(pref * total), float(pref * err), rule.n + 1,
-                                    inner_nodes, settled)
-                status = f"(estimate {pref * err:.1e} of {pref * total:.6e})"
+                # the integrand along the grid's edges bounds the tails beyond them
+                ends = (h_f * _grid_sum(d, mod_b, lam_s[[0, -1]], 2.0 * w_s[[0, -1]], lam_f, w_f)
+                        + h_s * _grid_sum(d, mod_b, lam_s, w_s, lam_f[[0, -1]], 2.0 * w_f[[0, -1]]))
+                err = float(_extrapolated(last, diff)) + scale * h_s * h_f * ends
+                if err <= REL_TOL * value:
+                    return value, err, lam_s.size * lam_f.size, args
+                status = f"(estimate {err:.1e} of {value:.6e})"
             diff = last
-        prev = total
-        rule.refine(status)
+        prev = value
+        if 2 * max(ax.n for ax in axes) > MAX_INTERVALS:
+            raise NumericalError(f"sum-BER grid did not reach relative error {REL_TOL:g} within "
+                                 f"{MAX_INTERVALS} trapezoid intervals per axis {status}".rstrip())
+        for ax in axes:
+            ax.h, ax.n = ax.h / 2, ax.n * 2
+        (new_s, v_s), (new_f, v_f) = _weights(axes, [np.arange(1, ax.n, 2) for ax in axes])
+        args += new_s.size + new_f.size
+        lam_f, w_f = _interleave(lam_f, new_f), _interleave(w_f, v_f)
+        # the new rows meet every column, the old rows only the new columns
+        total += (_grid_sum(d, mod_b, new_s, v_s, lam_f, w_f)
+                  + _grid_sum(d, mod_b, lam_s, w_s, new_f, v_f))
+        lam_s, w_s = _interleave(lam_s, new_s), _interleave(w_s, v_s)
+
+
+def sum_ber(directions, mod_a: float, mod_b: float, bits: float) -> Estimate:
+    """Sum over the directions of E[mod_a Q(sqrt(2 mod_b gamma))] / bits,
+    each the trapezoid grid of (mod_a / (2 bits)) int int erfc(sqrt(mod_b
+    gamma)) f_s f_f over both link gains (module docstring).  Equal
+    directions (a symmetric network's two) are integrated once and counted
+    as often as they occur."""
+    parts = [_direction_ber(d, mod_b, count * mod_a / (2.0 * bits))
+             for d, count in Counter(directions).items()]
+    return Estimate(*(sum(column) for column in zip(*parts)))

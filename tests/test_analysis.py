@@ -23,8 +23,8 @@ from twrelay.errors import ConfigurationError, NumericalError, UnsupportedConfig
 from twrelay.highsnr import eta_pair, gap_table, high_snr_profile, high_snr_sum_ber
 from twrelay.lowerbound import REL_TOL, Direction, Estimate, _cdf_bounds
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile,
-                              Protocol, coefficient_set, modulation_constants, power_profile,
-                              protocol_modulation)
+                              Protocol, WeightPair, coefficient_set, modulation_constants,
+                              power_profile, protocol_modulation)
 from twrelay.simulate import SweepPoint, semi_analytic_sweep
 from twrelay.validate import (check_bessel_moment_identity,
                               check_construction_integral, check_ks_suite,
@@ -172,32 +172,42 @@ class TestEndToEndCdf:
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 3, 4)])
     def test_settled_values_within_their_error(self, dims):
-        # with an absolute tolerance the tails are settled by the bounds
-        # without nodes, each within its reported error of the value
-        # integrated at atol = 0
+        # where the link bounds meet (U == L) the value is settled at them,
+        # with error 0 and no node; integrating those points anyway gives
+        # the same value within the integral's own error estimate
         ant = AntennaConfig(*dims)
         pw = power_profile(20.0, 0.3)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
-        xs = np.geomspace(1e-4 * pw.rho_ar, 1e2 * pw.rho_ar, 61)
+        xs = np.geomspace(1e-4 * pw.rho_ar, 1e3 * pw.rho_ar, 61)
         d = _direction("arb", coeffs, ant, pw)
-        exact, _, exact_nodes, _ = twrelay.lowerbound.e2e_cdf(xs, *d)
-        values, errors, nodes, settled = twrelay.lowerbound.e2e_cdf(xs, *d, atol=1e-12)
-        assert np.all(np.abs(values - exact) <= errors)
-        assert np.all(errors <= REL_TOL * values + 1e-12)
-        assert settled > 0 and nodes < exact_nodes
+        values, errors, _, settled = twrelay.lowerbound.e2e_cdf(xs, *d)
+        f_first, lower, upper = _cdf_bounds(xs, *d)
+        meet = upper == lower
+        assert settled == meet.sum() > 0
+        assert np.array_equal(values[meet], lower[meet]) and not np.any(errors[meet])
+        integrated, error, _ = twrelay.lowerbound._e2e_chunk(xs[meet], f_first[meet], *d)
+        assert np.all(np.abs(integrated - values[meet]) <= error + REL_TOL * values[meet])
 
 
 class TestSumBerQuadrature:
     def test_degenerate_unit_cdf(self, monkeypatch):
-        # with both CDFs pinned to their x -> inf limit the integral
-        # collapses to the zero-SNR ceiling
+        # every link gain divided by k: as k -> inf each gain tends to 0 and
+        # the value to the zero-SNR ceiling, from below, like k^(-1/2)
+        # (erfc z = 1 - 2 z / sqrt(pi) + O(z^3)); the Richardson limit of
+        # k = 1e8 and 1e12 removes that term and leaves the ceiling
         mod = modulation_constants("mqam", 16)
         pw = PowerProfile.balanced(10.0)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ANT, pw)
-        monkeypatch.setattr(twrelay.lowerbound, "e2e_cdf",
-                            lambda xs, *args, **kw: (np.ones_like(xs), np.zeros_like(xs), 0, 0))
-        val = sum_ber_quadrature(coeffs, ANT, pw, mod)
-        assert val == pytest.approx(mod.a / mod.bits_per_symbol, rel=1e-9)
+        kernel = twrelay.lowerbound.link_cdf_pdf
+        values = []
+        for k in (1e8, 1e12):
+            def shrunk(u, m, n, k=k):
+                cdf, pdf = kernel(k * u, m, n)
+                return cdf, k * pdf
+            monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", shrunk)
+            values.append(sum_ber_quadrature(coeffs, ANT, pw, mod))
+        assert values[0] < values[1] < mod.ceiling
+        assert (100.0 * values[1] - values[0]) / 99.0 == pytest.approx(mod.ceiling, rel=1e-12)
 
     def test_monotone_in_snr(self):
         mod = protocol_modulation(Protocol.TWO_SLOT)
@@ -211,24 +221,99 @@ class TestSumBerQuadrature:
             prev = v
 
     def test_equal_directions_integrated_once(self, monkeypatch):
-        # a symmetric network's two directions are equal: one e2e_cdf call
-        # per outer level, so the calls take each outer node once
+        # a symmetric network's two directions are equal: the pair passes
+        # the link law exactly the arguments of one direction alone
         ant = AntennaConfig(2, 2, 2)
         pw = PowerProfile.balanced(30.0)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
         mod = protocol_modulation(Protocol.TWO_SLOT)
         d = _direction("arb", coeffs, ant, pw)
         assert _direction("bra", coeffs, ant, pw) == d
-        calls = []
-        e2e = twrelay.lowerbound.e2e_cdf
+        kernel = twrelay.lowerbound.link_cdf_pdf
 
-        def counting(xs, *args, **kw):
-            calls.append((xs.size, Direction(*args)))
-            return e2e(xs, *args, **kw)
-        monkeypatch.setattr(twrelay.lowerbound, "e2e_cdf", counting)
+        def arguments(directions):
+            calls = []
+
+            def recording(u, m, n):
+                calls.append((u.copy(), m, n))
+                return kernel(u, m, n)
+            monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
+            est = twrelay.lowerbound.sum_ber(directions, mod.a, mod.b, mod.bits_per_symbol)
+            return est, calls
+        one, one_calls = arguments([d])
+        pair, pair_calls = arguments([d, d])
+        assert len(pair_calls) == len(one_calls)
+        for (u, m, n), (u1, m1, n1) in zip(pair_calls, one_calls):
+            assert np.array_equal(u, u1) and (m, n) == (m1, n1)
+        assert pair.value == 2.0 * one.value and pair.link_args == one.link_args
+
+    def test_link_arguments_are_axis_nodes(self, monkeypatch):
+        # the grid passes the link law each axis node once, a few hundred
+        # arguments in all, and integrates no end-to-end CDF
+        ant = AntennaConfig(2, 2, 2)
+        pw = PowerProfile.balanced(30.0)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        kernel = twrelay.lowerbound.link_cdf_pdf
+        args = []
+
+        def recording(u, m, n):
+            args.append(u.copy())
+            return kernel(u, m, n)
+
+        def forbidden(*args, **kw):
+            raise AssertionError("end-to-end CDF used")
+        monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
+        monkeypatch.setattr(twrelay.lowerbound, "e2e_cdf", forbidden)
+        monkeypatch.setattr(twrelay.lowerbound, "_cdf_bounds", forbidden)
+        d = _direction("arb", coeffs, ant, pw)
         est = twrelay.lowerbound.sum_ber([d, d], mod.a, mod.b, mod.bits_per_symbol)
-        assert sum(n for n, _ in calls) == est.outer_nodes
-        assert all(direction == d for _, direction in calls)
+        args = np.concatenate(args)
+        assert args.size == est.link_args < 400
+        assert np.unique(args).size == args.size
+        # one grid over the two axes of the one distinct direction
+        side = args.size // 2
+        assert est.grid_points == side * side
+
+    @pytest.mark.parametrize("rho_db, ref", [(20.0, 3.0809171134038427e-01),
+                                             (40.0, 1.1719727012787257e-02)])
+    def test_4x4x4_second_four_slot_against_40_digits(self, rho_db, ref):
+        # the closed form at 40 digits (tests/mp_oracle.closed_form_mp);
+        # integrating CDF values gave 1.03e-13 and 2.0e-14 here with error
+        # estimates of 1.2e-14 and 1.2e-15
+        ant = AntennaConfig(4, 4, 4)
+        pw = power_profile(rho_db, 0.1)
+        p = Protocol.SECOND_FOUR_SLOT
+        coeffs = coefficient_set(p, ant, pw, WeightPair.from_beta_squared(0.3),
+                                 DFactors(1.7, 1.6, 1.8, 1.55))
+        value = sum_ber_quadrature(coeffs, ant, pw, protocol_modulation(p))
+        assert value == pytest.approx(ref, rel=3e-14, abs=0.0)
+
+    @pytest.mark.parametrize("dims, protocol, rho_db, d0", [
+        ((2, 1, 2), Protocol.TWO_SLOT, 20.0, 0.5),
+        ((2, 1, 3), Protocol.FIRST_FOUR_SLOT, 30.0, 0.3),
+        ((3, 3, 3), Protocol.TWO_SLOT, 20.0, 0.5),
+    ])
+    def test_matches_integral_of_the_cdfs(self, dims, protocol, rho_db, d0):
+        # the sum-BER is also pref int 2 e^(-b t^2) (F_arb + F_bra)(t^2) dt
+        # over the public end-to-end CDFs, pref = a sqrt(b) / (2 sqrt(pi)
+        # log2 M); a trapezoid rule in ln t of step 0.05 (error about
+        # e^(-2 pi (pi/4) / 0.05), far below 1e-10) from 15 e-folds below
+        # the CDFs' rise to e^(-50) of the Gaussian weight
+        ant = AntennaConfig(*dims)
+        pw = power_profile(rho_db, d0)
+        coeffs = coefficient_set(protocol, ant, pw)
+        mod = protocol_modulation(protocol)
+        x_rise = min(coeffs.a_arb * pw.rho_rb / coeffs.b_arb, coeffs.a_arb * pw.rho_ar / coeffs.c_arb,
+                     coeffs.a_bra * pw.rho_ra / coeffs.b_bra, coeffs.a_bra * pw.rho_br / coeffs.c_bra)
+        h = 0.05
+        v = np.arange(0.5 * math.log(min(x_rise, 1.0 / mod.b)) - 15.0,
+                      0.5 * math.log(50.0 / mod.b), h)
+        t = np.exp(v)
+        cdf = sum(e2e_cdf(d, t * t, coeffs, ant, pw) for d in ("arb", "bra"))
+        pref = mod.a * math.sqrt(mod.b) / (2.0 * math.sqrt(math.pi) * mod.bits_per_symbol)
+        by_cdf = pref * h * np.sum(2.0 * np.exp(-mod.b * t * t) * cdf * t)
+        assert sum_ber_quadrature(coeffs, ant, pw, mod) == pytest.approx(by_cdf, rel=1e-10)
 
     @pytest.mark.parametrize("dims, rho_db, d0", [((2, 2, 2), 30.0, 0.5), ((2, 1, 3), 20.0, 0.3),
                                                   ((4, 3, 4), 30.0, 0.5)])
@@ -361,7 +446,7 @@ class TestSumBerClosedForm:
         mod = protocol_modulation(Protocol.TWO_SLOT)
         value = bad * mod.a / mod.bits_per_symbol
         monkeypatch.setattr(twrelay.lowerbound, "sum_ber",
-                            lambda *args: Estimate(value, 0.0, 1, 1, 0))
+                            lambda *args: Estimate(value, 0.0, 1, 1))
         with pytest.raises(NumericalError):
             sum_ber_closed_form(coeffs, ant, pw, mod)
         with pytest.raises(NumericalError):
@@ -373,13 +458,16 @@ class TestSumBerClosedForm:
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
         mod = protocol_modulation(Protocol.TWO_SLOT)
         monkeypatch.setattr(twrelay.lowerbound, "MAX_INTERVALS", 32)
-        with pytest.raises(NumericalError, match="trapezoid intervals"):
+        with pytest.raises(NumericalError, match="sum-BER grid did not reach relative error "
+                                                 "1e-13 within 32 trapezoid intervals per axis"):
             sum_ber_closed_form(coeffs, ant, pw, mod)
-        with pytest.raises(NumericalError, match="trapezoid intervals"):
+        with pytest.raises(NumericalError, match="end-to-end CDF did not reach relative error "
+                                                 "1e-13 within 32 trapezoid intervals"):
             e2e_cdf("arb", pw.rho_ar, coeffs, ant, pw)
 
     def test_rescue_debug_record(self, caplog):
-        # one record per integral: path, error estimate, nodes
+        # one record per integral: path, error estimate, grid points and
+        # link-law arguments
         pw = PowerProfile.balanced(30.0)
         ant = AntennaConfig(2, 2, 2)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
@@ -392,8 +480,11 @@ class TestSumBerClosedForm:
         msg = caplog.records[0].getMessage()
         assert f"closed form at or below {FALLBACK_SHARE:g} of the ceiling" in msg
         assert f"{value:.6e}" in msg and "error estimate" in msg
-        assert "outer nodes" in msg and "inner nodes" in msg
-        assert "inner values settled by the link bounds" in msg
+        points = int(msg.split(", ")[-2].split()[0])
+        args = int(msg.split(", ")[-1].split()[0])
+        assert msg.endswith(f"{points} grid points, {args} link-law arguments")
+        assert 0 < args < 1000 and args < points
+        assert not any(word in msg for word in ("outer", "inner", "settled"))
         err = float(msg.split("error estimate ")[1].split(",")[0])
         assert 0.0 <= err <= 1e-13 * value
         # above the threshold the closed form logs nothing
