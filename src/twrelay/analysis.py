@@ -117,11 +117,12 @@ def _direction(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
 def e2e_cdf(direction: str, x: float | np.ndarray, coeffs: CoefficientSet,
             ant: AntennaConfig, pw: PowerProfile) -> float | np.ndarray:
     """CDF of the lower-bound end-to-end SNR in one direction at x (a float,
-    or an array of thresholds), refined to an estimated relative error
-    below 1e-13 (NumericalError otherwise)."""
+    or an array of thresholds of any shape, returned in that shape),
+    refined to an estimated relative error below 1e-13 (NumericalError
+    otherwise).  It is 0 at x <= 0, 1 at x = inf and NaN at NaN."""
     d = _direction(direction, coeffs, ant, pw)
-    cdf = lowerbound.e2e_cdf(np.atleast_1d(np.asarray(x, dtype=float)), *d)[0]
-    return cdf if np.ndim(x) else float(cdf[0])
+    cdf = lowerbound.e2e_cdf(x, *d)[0]
+    return cdf if cdf.ndim else float(cdf)
 
 
 def _sum_ber_integral(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,

@@ -54,22 +54,27 @@ so one trapezoid grid in (ln l_s, ln l_f) needs each link law only at its
 own axis nodes.  Below its deep-fade eigenvalue, C / (A b rho_s) for the
 source link and B / (A b rho_f) for the far link, a gain leaves Q near
 1/2 and the integrand falls like a power of the gain; each axis starts
-well below it.  It ends at U with 1 - F(U) <= 1e-18: Q falls in each gain,
-so E[Q; l > U] <= (1 - F(U)) E[Q | l <= U], and the cut carries at most
-(1 - F(U)) / F(U) of the value.  Equal directions (the two of a symmetric
+well below it, or below its own upper end where that is lower (at low SNR,
+where the deep fade lies above the whole law).  It ends at U with
+1 - F(U) <= 1e-18: Q falls in each gain, so E[Q; l > U] <= (1 - F(U))
+E[Q | l <= U], and the cut carries at most (1 - F(U)) / F(U) of the value.  Equal directions (the two of a symmetric
 network) are integrated once and counted as often as they occur.
 
 Every integral runs over logarithmic variables (ln w; ln l_s and ln l_f)
 with the trapezoid rule, whose error falls like e^(-2 pi d / h) in the step
 h for these integrands, analytic in a strip |Im| < d (Trefethen &
 Weideman, SIAM Review 56(3), 2014; on a product of two such laws the grid
-converges the same way).  The step is halved (on the grid both steps
-together, so only each axis's new nodes reach the link law) until it is
-fine enough for the strip and the error estimate, extrapolated from the
-last two differences, plus the integrand at the cut ends or edges (which
-bounds the neglected tails), is below the tolerance; past MAX_INTERVALS
-the engine raises NumericalError.  Rounding in the per-link determinant is
-not part of the estimate.
+converges the same way).  The step is halved until it is fine enough for
+the strip and the error estimate, extrapolated from the last two
+differences, plus the integrand at the cut ends or edges (which bounds the
+neglected tails), is below the tolerance; past MAX_INTERVALS the engine
+raises NumericalError.  No sum can pass that check before the third level
+and almost every one stops at the fourth, so each integral evaluates the
+nodes of its first four levels (_LEVELS) in one pass, at the fourth
+level's step, and forms the coarser sums from them; past the fourth level
+only the new nodes are evaluated (on the grid both steps halve together,
+so only each axis's new nodes reach the link law).  Rounding in the
+per-link determinant is not part of the estimate.
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ _FAR_SPAN = 60.0
 # values (they can agree by accident).  The substitution narrows the strip
 # where s < 1, so v0 sits _INNER_SHIFT e-folds below where the CDF
 # integrand starts to matter, and _FADE_SHIFT below a link's deep-fade gain
-# on the sum-BER grid.
+# (or its axis's upper end) on the sum-BER grid.
 _INNER_H = 0.3
 _INNER_SHIFT = 20.0
 _FADE_SHIFT = 4.0
@@ -122,6 +127,12 @@ _FADE_SHIFT = 4.0
 # per block of grid rows bound the temporaries (32 kB each).
 _TAIL = 1e-18
 _GRID_BLOCK = 1 << 12
+
+# Trapezoid levels (step halvings) that each integral evaluates in one
+# pass: no sum passes its check before the third level, and almost every
+# integral stops at the fourth, so the call overhead of the link law is paid
+# once per integral instead of once per level.
+_LEVELS = 4
 
 
 def _gauss_legendre(n: int):
@@ -272,7 +283,8 @@ def ccdf_expansion(m: int, n: int) -> tuple:
 
 def link_cdf_pdf(u, m: int, n: int):
     """(F, f) of the largest eigenvalue of an m x n complex Wishart matrix
-    with unit-variance entries at u >= 0 (array); f is the density in u."""
+    with unit-variance entries at u >= 0 (array, +inf allowed: F = 1,
+    f = 0); f is the density in u."""
     s, t = min(m, n), max(m, n)
     c = t - s + 1
     u = np.asarray(u, dtype=float)
@@ -309,7 +321,10 @@ def link_cdf_pdf(u, m: int, n: int):
     vec[:, :ns] = np.exp(-0.5 * us)
 
     # larger u: the entries gamma(a, u) themselves, from the top one down by
-    # gamma(a, u) = (gamma(a + 1, u) + u^a e^(-u)) / a, all terms positive
+    # gamma(a, u) = (gamma(a + 1, u) + u^a e^(-u)) / a, all terms positive.
+    # u = inf is taken at the largest double, where u^a e^(-u) underflows to
+    # 0, F rounds to 1 and f to 0 (at inf itself a ln u - u is inf - inf).
+    ub = np.minimum(ub, np.finfo(float).max)
     ln_ub = np.log(ub)
     top = c + 2 * s - 2
     e = {top: math.gamma(top) * gammainc(top, ub)}
@@ -340,14 +355,25 @@ class Link(NamedTuple):
 
 
 class Estimate(NamedTuple):
-    """The sum-BER, its error estimate, the points of its final trapezoid
-    grids and the arguments it passed to `link_cdf_pdf`, summed over the
-    distinct directions."""
+    """The sum-BER, its error estimate, the points of the finest trapezoid
+    grids it evaluated and the arguments it passed to `link_cdf_pdf`,
+    summed over the distinct directions.  Both counts include the nodes of
+    the first pass's finest level (_LEVELS) when a grid stops before it."""
 
     value: float
     error: float
     grid_points: int
     link_args: int
+
+
+def _levels(n: int) -> int:
+    """How many levels to evaluate in one pass for an integral whose first
+    sum has n intervals: _LEVELS, or as many as stay within MAX_INTERVALS
+    (at least the first)."""
+    levels = 1
+    while levels < _LEVELS and n << levels <= MAX_INTERVALS:
+        levels += 1
+    return levels
 
 
 class _Trapezoid:
@@ -359,7 +385,13 @@ class _Trapezoid:
     g(v, rows) maps abscissae
     of shape (len(rows), k) for the integrals `rows` to values of that
     shape, with any leading axes.  `ends` holds the integrands at the two
-    ends, summed."""
+    ends, summed.
+
+    The nodes of the first `_levels` levels are evaluated in one call of g,
+    at the finest of them (each step is the first divided by a power of
+    two, so every node has the abscissa it would have on its own level);
+    each level's sum is formed from them in the order refine uses, and
+    refine hands them out before it evaluates new nodes."""
 
     def __init__(self, what: str, g, v0, v1, h_max: float):
         self.what = what
@@ -368,15 +400,23 @@ class _Trapezoid:
         self.v0 = v0
         self.lo = -math.log(_PAD)
         width = np.maximum(v1 - v0, 0.0) + 1.0 - self.lo
-        n0 = max(2, math.ceil(np.min(width) / (4.0 * h_max)))
-        self.h = width / n0
-        first = self._values(np.arange(n0 + 1))
-        self.ends = first[..., 0] + first[..., -1]
-        self.total = self.h * (first.sum(-1) - 0.5 * self.ends)
-        self.n = n0
+        self.n = max(2, math.ceil(np.min(width) / (4.0 * h_max)))
+        self.h = width / self.n
+        stride = 1 << _levels(self.n) - 1
+        values = self._values(np.arange(self.n * stride + 1), self.h / stride)
+        self.ends = values[..., 0] + values[..., -1]
+        self.total = self.h * (values[..., ::stride].sum(-1) - 0.5 * self.ends)
+        # the sums of the finer levels, each from the one before and the
+        # level's odd nodes
+        self._ahead = []
+        total, h = self.total, self.h
+        while stride > 1:
+            h, stride = h / 2, stride // 2
+            total = 0.5 * total + h * values[..., stride::2 * stride].sum(-1)
+            self._ahead.append(total)
 
-    def _values(self, k):
-        s = self.lo + self.h[:, None] * k
+    def _values(self, k, h):
+        s = self.lo + h[:, None] * k
         return self.g(self.v0[:, None] + s - np.exp(-s), self.rows) * (1.0 + np.exp(-s))
 
     def refine(self, status: str = "") -> None:
@@ -386,13 +426,18 @@ class _Trapezoid:
             raise NumericalError(f"{self.what} did not reach relative error {REL_TOL:g} within "
                                  f"{MAX_INTERVALS} trapezoid intervals {status}".rstrip())
         self.h = self.h / 2
-        self.total = 0.5 * self.total + self.h * self._values(2 * np.arange(self.n) + 1).sum(-1)
+        if self._ahead:
+            self.total = self._ahead.pop(0)
+        else:
+            self.total = (0.5 * self.total
+                          + self.h * self._values(2 * np.arange(self.n) + 1, self.h).sum(-1))
         self.n *= 2
 
     def keep(self, mask) -> None:
         """Refine only the integrals where mask is true from now on."""
         self.rows, self.v0, self.h = self.rows[mask], self.v0[mask], self.h[mask]
         self.total, self.ends = self.total[..., mask], self.ends[..., mask]
+        self._ahead = [total[..., mask] for total in self._ahead]
 
 
 def _extrapolated(last, before):
@@ -427,8 +472,8 @@ def _cdf_bounds(xs, src: Link, far: Link, a: float, b: float, c: float):
 
 
 def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float):
-    """(F, error estimate, intervals) of the end-to-end CDF at xs > 0, given
-    f_first = F_f(B x / A)."""
+    """(F, error estimate, nodes of the final sums) of the end-to-end CDF
+    at xs > 0, given f_first = F_f(B x / A)."""
     base = far.rho * a          # w scale where the far gain reaches its mean
     v1 = np.log(_FAR_SPAN * base + b * xs)
     # below w ~ x^2 B C / (A rho_s) the source link saturates, F_s -> 1; the
@@ -484,16 +529,20 @@ def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float):
 
 def e2e_cdf(xs, src: Link, far: Link, a: float, b: float, c: float) -> tuple:
     """CDF of A g_s g_f / (B g_s + C g_f) at each x in xs (array), with a
-    per-point error estimate: (values, errors, inner intervals summed,
-    points settled by the bounds).  Each point is refined until its
-    estimate is at most REL_TOL times its value.
+    per-point error estimate: (values, errors, the nodes of each point's
+    final inner sum, summed, points settled by the bounds).  values and
+    errors have the shape of xs; at x <= 0 both are 0, at NaN both NaN.
+    Each point is refined until its estimate is at most REL_TOL times its
+    value.
 
     The link bounds L <= F(x) <= U come first, for all points at once.  A
     point where they meet (U == L) is settled at that value, with error 0
-    and without a node.  Only the other points are integrated, _CHUNK at a
-    time."""
-    xs = np.asarray(xs, dtype=float)
-    values, errors = np.zeros_like(xs), np.zeros_like(xs)
+    and without a node; so is x = inf, at 1.  Only the other points are
+    integrated, _CHUNK at a time."""
+    shape = np.shape(xs)
+    xs = np.asarray(xs, dtype=float).ravel()
+    values = np.where(np.isnan(xs), np.nan, 0.0)
+    errors = values.copy()
     pos = np.flatnonzero(xs > 0.0)
     f_first, lower, upper = _cdf_bounds(xs[pos], src, far, a, b, c)
     settled = upper == lower
@@ -504,7 +553,7 @@ def e2e_cdf(xs, src: Link, far: Link, a: float, b: float, c: float) -> tuple:
         idx = live[k:k + _CHUNK]
         values[idx], errors[idx], n = _e2e_chunk(xs[idx], f_first[k:k + _CHUNK], src, far, a, b, c)
         nodes += n
-    return values, errors, nodes, int(settled.sum())
+    return values.reshape(shape), errors.reshape(shape), nodes, int(settled.sum())
 
 
 class Direction(NamedTuple):
@@ -521,14 +570,18 @@ class Direction(NamedTuple):
 class _Axis:
     """One link's axis of the sum-BER grid: n trapezoid intervals of step h
     in s, from s = -ln(_PAD), with ln(lambda) = v0 + s - e^(-s).  v0 sits
-    _FADE_SHIFT e-folds below the deep-fade eigenvalue `fade`; the first
-    step is at most 4 _INNER_H, so that the third sum, the first that two
-    differences can vouch for, has a step of at most _INNER_H."""
+    _FADE_SHIFT e-folds below the deep-fade eigenvalue `fade` or the axis's
+    upper end, whichever is smaller: at low SNR the deep fade lies far above
+    the law, which would then fall in the compressed part of the map and
+    need fine steps.  The first step is at most 4 _INNER_H, so that the
+    third sum, the first that two differences can vouch for, has a step of
+    at most _INNER_H."""
 
     def __init__(self, link: Link, fade: float):
         self.link = link
-        self.v0 = math.log(fade) - _FADE_SHIFT
-        v1 = math.log(gammainccinv(link.m * link.n, _TAIL))
+        top = gammainccinv(link.m * link.n, _TAIL)
+        self.v0 = math.log(min(fade, top)) - _FADE_SHIFT
+        v1 = math.log(top)
         self.lo = -math.log(_PAD)
         width = max(v1 - self.v0, 0.0) + 1.0 - self.lo
         self.n = max(2, math.ceil(width / (4.0 * _INNER_H)))
@@ -552,14 +605,33 @@ def _weights(axes, ks):
     return [(lam, pdf * lam * jac) for lam, pdf, jac in zip(lams, pdfs, jacs)]
 
 
-def _grid_sum(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f) -> float:
-    """sum_ij erfc(sqrt(mod_b gamma_ij)) w_s[i] w_f[j] over the grid
-    lam_s x lam_f, with A / gamma = C / (rho_s lam_s) + B / (rho_f lam_f);
-    each block of rows is reduced as soon as it is computed."""
+def _weighted(row_sums, w, cols: int) -> float:
+    """sum_i row_sums[i] w[i], reduced in the blocks of rows that hold
+    _GRID_BLOCK grid values of a grid with cols columns."""
+    rows = max(1, _GRID_BLOCK // cols)
+    return sum(float(np.sum(row_sums[k:k + rows] * w[k:k + rows]))
+               for k in range(0, row_sums.size, rows))
+
+
+def _level_sums(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f, levels: int) -> list:
+    """For each of `levels` nested grids in lam_s x lam_f, coarsest first,
+    level l taking every 2^(levels - l)-th node of each axis and the last
+    level all of them: (sum_ij erfc(sqrt(mod_b gamma_ij)) w_s[i] w_f[j],
+    the same over the two end rows i with 2 w_s, and over the two end columns
+    j with 2 w_f), with A / gamma = C / (rho_s lam_s) + B / (rho_f lam_f).
+
+    One pass of erfc over the finest grid, each block of rows reduced to its
+    row sums as soon as it is computed.  Each level's total is the one the
+    grid refined level by level would have, to the bit: the total before it
+    plus its new rows over all its columns and its old rows over its new
+    columns, each reduced as `_grid_sum` reduces that part."""
     x_s = d.c / (d.src.rho * lam_s)
     x_f = d.b / (d.far.rho * lam_f)
+    strides = [1 << levels - 1 - k for k in range(levels)]
+    # row sums over each level's columns, and over the columns it adds
+    every, added = np.empty((levels, x_s.size)), np.empty((levels, x_s.size))
+    end_cols = np.empty(x_s.size)
     rows = max(1, _GRID_BLOCK // x_f.size)
-    total = 0.0
     for k in range(0, x_s.size, rows):
         q = np.add.outer(x_s[k:k + rows], x_f)
         np.divide(d.a * mod_b, q, out=q)
@@ -568,8 +640,30 @@ def _grid_sum(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f) -> float:
         # numpy's pairwise sums: a BLAS product here would load BLAS pages
         # that no other lower-bound path touches
         q *= w_f
-        total += float(np.sum(q.sum(axis=1) * w_s[k:k + rows]))
-    return total
+        for level, stride in enumerate(strides):
+            every[level, k:k + rows] = q[:, ::stride].sum(axis=1)
+            if level:
+                added[level, k:k + rows] = q[:, stride::2 * stride].sum(axis=1)
+        end_cols[k:k + rows] = q[:, 0] + q[:, -1]
+    out = []
+    for level, stride in enumerate(strides):
+        n = (x_f.size - 1) // stride            # the level's column intervals
+        r, w = every[level, ::stride], w_s[::stride]
+        if level == 0:
+            total = _weighted(r, w, n + 1)
+        else:
+            new, old = slice(stride, None, 2 * stride), slice(0, None, 2 * stride)
+            total += (_weighted(every[level, new], w_s[new], n + 1)
+                      + _weighted(added[level, old], w_s[old], n // 2))
+        out.append((total, _weighted(r[[0, -1]], 2.0 * w[[0, -1]], n + 1),
+                    _weighted(2.0 * end_cols[::stride], w, 2)))
+    return out
+
+
+def _grid_sum(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f) -> float:
+    """sum_ij erfc(sqrt(mod_b gamma_ij)) w_s[i] w_f[j] over the grid
+    lam_s x lam_f (`_level_sums` with one level)."""
+    return _level_sums(d, mod_b, lam_s, w_s, lam_f, w_f, 1)[0][0]
 
 
 def _interleave(even, odd):
@@ -582,43 +676,60 @@ def _direction_ber(d: Direction, mod_b: float, scale: float):
     """(value, error, grid points, link arguments) of
     scale int int erfc(sqrt(mod_b gamma)) f_s f_f dlam_s dlam_f, the
     trapezoid grid refined by halving both steps.  The weights are
-    f(lam) lam (1 + e^(-s)), the density in s, halved at the ends."""
+    f(lam) lam (1 + e^(-s)), the density in s, halved at the ends.
+
+    The first `_levels` levels come from one `_weights` call on both axes'
+    nodes at the finest of them and one `_level_sums` pass over its grid,
+    which yields every level's total and edge sums; past that level each
+    halving evaluates only the new nodes and the grid cells they add."""
     axes = (_Axis(d.src, d.c / (d.a * mod_b * d.src.rho)),
             _Axis(d.far, d.b / (d.a * mod_b * d.far.rho)))
+    # the axes hold the finest level evaluated
+    levels = _levels(max(ax.n for ax in axes))
+    for ax in axes:
+        ax.h, ax.n = ax.h / (1 << levels - 1), ax.n << levels - 1
     (lam_s, w_s), (lam_f, w_f) = _weights(axes, [np.arange(ax.n + 1) for ax in axes])
     for w in (w_s, w_f):
         w[[0, -1]] *= 0.5
     args = lam_s.size + lam_f.size
-    total = _grid_sum(d, mod_b, lam_s, w_s, lam_f, w_f)
+    ahead = _level_sums(d, mod_b, lam_s, w_s, lam_f, w_f, levels)
     prev = diff = None
     status = ""
     while True:
-        h_s, h_f = (ax.h for ax in axes)
+        if ahead:
+            # a level of the first pass, whose steps are the axes' times coarse
+            total, edge_s, edge_f = ahead.pop(0)
+            coarse = 1 << len(ahead)
+        else:
+            if 2 * max(ax.n for ax in axes) > MAX_INTERVALS:
+                raise NumericalError(f"sum-BER grid did not reach relative error {REL_TOL:g} "
+                                     f"within {MAX_INTERVALS} trapezoid intervals per axis "
+                                     f"{status}".rstrip())
+            for ax in axes:
+                ax.h, ax.n = ax.h / 2, ax.n * 2
+            (new_s, v_s), (new_f, v_f) = _weights(axes, [np.arange(1, ax.n, 2) for ax in axes])
+            args += new_s.size + new_f.size
+            lam_f, w_f = _interleave(lam_f, new_f), _interleave(w_f, v_f)
+            # the new rows meet every column, the old rows only the new columns
+            total += (_grid_sum(d, mod_b, new_s, v_s, lam_f, w_f)
+                      + _grid_sum(d, mod_b, lam_s, w_s, new_f, v_f))
+            lam_s, w_s = _interleave(lam_s, new_s), _interleave(w_s, v_s)
+            edge_s = _grid_sum(d, mod_b, lam_s[[0, -1]], 2.0 * w_s[[0, -1]], lam_f, w_f)
+            edge_f = _grid_sum(d, mod_b, lam_s, w_s, lam_f[[0, -1]], 2.0 * w_f[[0, -1]])
+            coarse = 1
+        h_s, h_f = (ax.h * coarse for ax in axes)
         value = scale * h_s * h_f * total
         if prev is not None:
             last = abs(value - prev)
             if diff is not None:
                 # the integrand along the grid's edges bounds the tails beyond them
-                ends = (h_f * _grid_sum(d, mod_b, lam_s[[0, -1]], 2.0 * w_s[[0, -1]], lam_f, w_f)
-                        + h_s * _grid_sum(d, mod_b, lam_s, w_s, lam_f[[0, -1]], 2.0 * w_f[[0, -1]]))
+                ends = h_f * edge_s + h_s * edge_f
                 err = float(_extrapolated(last, diff)) + scale * h_s * h_f * ends
                 if err <= REL_TOL * value:
                     return value, err, lam_s.size * lam_f.size, args
                 status = f"(estimate {err:.1e} of {value:.6e})"
             diff = last
         prev = value
-        if 2 * max(ax.n for ax in axes) > MAX_INTERVALS:
-            raise NumericalError(f"sum-BER grid did not reach relative error {REL_TOL:g} within "
-                                 f"{MAX_INTERVALS} trapezoid intervals per axis {status}".rstrip())
-        for ax in axes:
-            ax.h, ax.n = ax.h / 2, ax.n * 2
-        (new_s, v_s), (new_f, v_f) = _weights(axes, [np.arange(1, ax.n, 2) for ax in axes])
-        args += new_s.size + new_f.size
-        lam_f, w_f = _interleave(lam_f, new_f), _interleave(w_f, v_f)
-        # the new rows meet every column, the old rows only the new columns
-        total += (_grid_sum(d, mod_b, new_s, v_s, lam_f, w_f)
-                  + _grid_sum(d, mod_b, lam_s, w_s, new_f, v_f))
-        lam_s, w_s = _interleave(lam_s, new_s), _interleave(w_s, v_s)
 
 
 def sum_ber(directions, mod_a: float, mod_b: float, bits: float) -> Estimate:

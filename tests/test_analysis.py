@@ -89,6 +89,19 @@ class TestLinkLaws:
         assert np.array_equal(cdf, np.concatenate([f for f, _ in single]))
         assert np.array_equal(pdf, np.concatenate([f for _, f in single]))
 
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (2, 2), (4, 3), (4, 4)])
+    def test_infinite_argument(self, dims):
+        # F(inf) = 1 and f(inf) = 0, alone and among finite arguments, whose
+        # values the infinite ones leave as they are
+        assert link_cdf(math.inf, *dims, 1.0) == 1.0
+        assert link_pdf(math.inf, *dims, 1.0) == 0.0
+        u = np.array([0.5, math.inf, 3.0, 30.0, math.inf])
+        cdf, pdf = twrelay.lowerbound.link_cdf_pdf(u, *dims)
+        assert np.array_equal(cdf[[1, 4]], [1.0, 1.0]) and np.array_equal(pdf[[1, 4]], [0.0, 0.0])
+        finite = twrelay.lowerbound.link_cdf_pdf(u[[0, 2, 3]], *dims)
+        assert np.array_equal(cdf[[0, 2, 3]], finite[0])
+        assert np.array_equal(pdf[[0, 2, 3]], finite[1])
+
 
 class TestEndToEndCdf:
     def test_zero(self):
@@ -188,6 +201,49 @@ class TestEndToEndCdf:
         integrated, error, _ = twrelay.lowerbound._e2e_chunk(xs[meet], f_first[meet], *d)
         assert np.all(np.abs(integrated - values[meet]) <= error + REL_TOL * values[meet])
 
+    def test_infinite_nan_and_shaped_thresholds(self):
+        # inf is settled at 1 by the link bounds, NaN gives NaN, and an
+        # array of any shape gives that shape with the values of the same
+        # thresholds in one flat call
+        ant = AntennaConfig(2, 2, 2)
+        pw = PowerProfile.balanced(20.0)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        assert e2e_cdf("arb", math.inf, coeffs, ant, pw) == 1.0
+        nan = e2e_cdf("arb", math.nan, coeffs, ant, pw)
+        assert type(nan) is float and math.isnan(nan)
+        xs = pw.rho_ar * np.array([[0.01, math.inf, 0.3], [math.nan, -1.0, 2.0]])
+        vals = e2e_cdf("arb", xs, coeffs, ant, pw)
+        assert vals.shape == xs.shape
+        assert np.array_equal(vals, e2e_cdf("arb", xs.ravel(), coeffs, ant, pw).reshape(xs.shape),
+                              equal_nan=True)
+        assert vals[0, 1] == 1.0 and math.isnan(vals[1, 0]) and vals[1, 1] == 0.0
+        assert 0.0 < vals[0, 0] < vals[0, 2] < vals[1, 2] < 1.0
+        assert np.array_equal(e2e_cdf("arb", xs[:1, :1], coeffs, ant, pw),
+                              [[e2e_cdf("arb", float(xs[0, 0]), coeffs, ant, pw)]])
+
+    def test_one_kernel_batch_per_scalar_call(self, monkeypatch):
+        # the benchmark's outage curve: every inner integral stops by its
+        # fourth level, whose nodes, with those of the three coarser levels,
+        # go to the link law in one call after the bounds' call
+        ant = AntennaConfig(2, 2, 2)
+        pw = power_profile(20.0, 0.5)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        d = _direction("arb", coeffs, ant, pw)
+        kernel = twrelay.lowerbound.link_cdf_pdf
+        calls = []
+
+        def recording(u, m, n):
+            calls.append(u.size)
+            return kernel(u, m, n)
+        monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
+        integrated = 0
+        for r in 10.0 ** (-3.0 + np.arange(25) / 6.0):
+            calls.clear()
+            _, _, _, settled = twrelay.lowerbound.e2e_cdf(np.array([r * pw.rho_ar]), *d)
+            assert len(calls) == 2 - settled, r
+            integrated += 1 - settled
+        assert integrated >= 20
+
 
 class TestSumBerQuadrature:
     def test_degenerate_unit_cdf(self, monkeypatch):
@@ -274,6 +330,47 @@ class TestSumBerQuadrature:
         # one grid over the two axes of the one distinct direction
         side = args.size // 2
         assert est.grid_points == side * side
+
+    @pytest.mark.parametrize("dims, kernel_calls", [((2, 2, 2), 1), ((2, 1, 3), 2)])
+    def test_one_kernel_call_and_grid_pass_per_direction(self, monkeypatch, dims, kernel_calls):
+        # a direction that stops by the fourth level passes the link law all
+        # nodes of that level at once (one call per link shape) and sums all
+        # four levels in one pass over the grid
+        ant = AntennaConfig(*dims)
+        pw = power_profile(30.0, 0.5)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        kernel, level_sums = twrelay.lowerbound.link_cdf_pdf, twrelay.lowerbound._level_sums
+        calls, passes = [], []
+
+        def recording(u, m, n):
+            calls.append((m, n))
+            return kernel(u, m, n)
+
+        def counting(*args):
+            passes.append(args[-1])
+            return level_sums(*args)
+        monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
+        monkeypatch.setattr(twrelay.lowerbound, "_level_sums", counting)
+        d = _direction("arb", coeffs, ant, pw)
+        twrelay.lowerbound.sum_ber([d], mod.a, mod.b, mod.bits_per_symbol)
+        assert len(calls) == kernel_calls and passes == [twrelay.lowerbound._LEVELS]
+
+    @pytest.mark.parametrize("dims, ref", [((2, 1, 2), 9.999943804600575e-01),
+                                           ((4, 4, 4), 9.999859277218750e-01)])
+    def test_low_snr_axes(self, dims, ref):
+        # at -100 dB each deep fade lies far above its link law; each axis
+        # then starts below its own upper end instead (263 169 grid points
+        # when it started below the deep fade).  ref: the closed form at 40
+        # digits (tests/mp_oracle.closed_form_mp)
+        ant = AntennaConfig(*dims)
+        pw = PowerProfile.balanced(-100.0)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        est = twrelay.lowerbound.sum_ber([_direction(d, coeffs, ant, pw) for d in ("arb", "bra")],
+                                         mod.a, mod.b, mod.bits_per_symbol)
+        assert est.grid_points <= 20000
+        assert est.value == pytest.approx(ref, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("rho_db, ref", [(20.0, 3.0809171134038427e-01),
                                              (40.0, 1.1719727012787257e-02)])
@@ -594,3 +691,26 @@ class TestDistributionAgreement:
                 f_f = link_cdf_pdf_mp(x / (coeffs.c_arb * pw.rho_rb), ant.m_b, ant.m_r)[0]
                 assert got >= 0.0
                 assert got == pytest.approx(f_s + f_f * (1.0 - f_s), rel=1e-12), (dims, x)
+
+
+def test_scalar_results_are_builtin_floats():
+    # every scalar public result is a built-in float, not a numpy scalar,
+    # whose repr would not read back as a number
+    ant = AntennaConfig(2, 2, 2)
+    mod = protocol_modulation(Protocol.TWO_SLOT)
+    values = {}
+    for rho_db in (10.0, 40.0):     # the closed form above and below FALLBACK_SHARE
+        pw = PowerProfile.balanced(rho_db)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        values[f"sum_ber_quadrature {rho_db}"] = sum_ber_quadrature(coeffs, ant, pw, mod)
+        values[f"sum_ber_closed_form {rho_db}"] = sum_ber_closed_form(coeffs, ant, pw, mod)
+        for x in (0.0, 0.3 * pw.rho_ar, math.inf):
+            values[f"e2e_cdf {rho_db} {x}"] = e2e_cdf("arb", x, coeffs, ant, pw)
+            values[f"min_pair_cdf {rho_db} {x}"] = min_pair_cdf("arb", x, coeffs, ant, pw)
+        values[f"high_snr_sum_ber {rho_db}"] = high_snr_sum_ber(
+            high_snr_profile(Protocol.TWO_SLOT, ant, pw), pw.rho_ar)
+    for x in (0.0, 2.5, math.inf):
+        values[f"link_cdf {x}"] = link_cdf(x, 2, 2, 1.5)
+        values[f"link_pdf {x}"] = link_pdf(x, 2, 2, 1.5)
+    values["bessel_moment"] = bessel_moment(3.5, 2, 2.0, 1.0)
+    assert {name: type(v) for name, v in values.items() if type(v) is not float} == {}
