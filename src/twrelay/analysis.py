@@ -78,18 +78,18 @@ def _check_link(m_s: int, m_r: int, rho: float) -> None:
 def link_cdf(x: float, m_s: int, m_r: int, rho: float) -> float:
     """CDF of rho times the largest eigenvalue of an m_s x m_r Wishart
     channel at x."""
+    _check_link(m_s, m_r, rho)
     if x <= 0.0:
         return 0.0
-    _check_link(m_s, m_r, rho)
     return float(lowerbound.link_cdf_pdf(np.array([x / rho]), m_s, m_r)[0][0])
 
 
 def link_pdf(x: float, m_s: int, m_r: int, rho: float) -> float:
     """Density of rho times the largest eigenvalue of an m_s x m_r Wishart
     channel at x."""
+    _check_link(m_s, m_r, rho)
     if x < 0.0:
         return 0.0
-    _check_link(m_s, m_r, rho)
     return float(lowerbound.link_cdf_pdf(np.array([x / rho]), m_s, m_r)[1][0]) / rho
 
 

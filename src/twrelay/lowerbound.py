@@ -68,13 +68,14 @@ converges the same way).  The step is halved until it is fine enough for
 the strip and the error estimate, extrapolated from the last two
 differences, plus the integrand at the cut ends or edges (which bounds the
 neglected tails), is below the tolerance; past MAX_INTERVALS the engine
-raises NumericalError.  No sum can pass that check before the third level
-and almost every one stops at the fourth, so each integral evaluates the
-nodes of its first four levels (_LEVELS) in one pass, at the fourth
-level's step, and forms the coarser sums from them; past the fourth level
-only the new nodes are evaluated (on the grid both steps halve together,
-so only each axis's new nodes reach the link law).  Rounding in the
-per-link determinant is not part of the estimate.
+raises NumericalError.  Each level's sum is the plain sum over the nodes
+at its step of the finest level evaluated.  No sum can pass the check
+before the third level and almost every one stops at the fourth, so each
+integral first evaluates the nodes of four levels (_LEVELS) at once; a
+level past those evaluates only its new nodes (on the grid, only each
+axis's new nodes reach the link law).  Rounding in the per-link
+determinant and in the sums is not part of the estimate; the reported
+sum-BER error is at least REL_ROUNDING of the value.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ from .errors import NumericalError
 REL_TOL = 1e-13
 MAX_INTERVALS = 1 << 13
 
+# Least relative error a sum-BER estimate reports, for the rounding in the
+# link kernel and the sums that the extrapolation cannot see (at worst
+# 3.2e-15 against 100-digit closed forms); the stopping rule does not use it.
+REL_ROUNDING = 1e-14
+
 # Outer nodes whose inner integrals are evaluated together, which bounds
 # the temporaries, and arguments per block of the per-link quadrature,
 # which bounds its node buffer (at most 24 x 4096 doubles, 786 kB).
@@ -105,9 +111,10 @@ _BLOCK = 4096
 # Every integrand decays like a power of its variable below its scale and
 # double-exponentially above it.  The substitution v = v0 + s - e^(-s)
 # (v = ln w or ln lambda) makes the lower tail decay double-exponentially
-# too, so _PAD e-folds below v0 cost a few nodes; the CDF integral's upper
-# end is a far-link gain of _FAR_SPAN times its mean.
+# too, so _PAD e-folds below v0 cost a few nodes (s starts at _LO); the CDF
+# integral's upper end is a far-link gain of _FAR_SPAN times its mean.
 _PAD = 40.0
+_LO = -math.log(_PAD)
 _FAR_SPAN = 60.0
 
 # The trapezoid error of an integrand analytic in |Im v| < d falls like
@@ -355,10 +362,10 @@ class Link(NamedTuple):
 
 
 class Estimate(NamedTuple):
-    """The sum-BER, its error estimate, the points of the finest trapezoid
-    grids it evaluated and the arguments it passed to `link_cdf_pdf`,
-    summed over the distinct directions.  Both counts include the nodes of
-    the first pass's finest level (_LEVELS) when a grid stops before it."""
+    """The sum-BER, its error estimate (at least REL_ROUNDING of the
+    value), the points of the finest trapezoid grids it evaluated (the
+    first pass's when a grid stops before it) and the arguments it passed
+    to `link_cdf_pdf`, summed over the distinct directions."""
 
     value: float
     error: float
@@ -370,74 +377,82 @@ def _levels(n: int) -> int:
     """How many levels to evaluate in one pass for an integral whose first
     sum has n intervals: _LEVELS, or as many as stay within MAX_INTERVALS
     (at least the first)."""
-    levels = 1
-    while levels < _LEVELS and n << levels <= MAX_INTERVALS:
-        levels += 1
-    return levels
+    return max(1, min(_LEVELS, (MAX_INTERVALS // n).bit_length()))
 
 
-class _Trapezoid:
-    """Trapezoid sums of integrals of g over v from v0 - _PAD to v1, one
-    integral per entry of the 1-d arrays v0 and v1, in the variable s with
-    v = v0 + s - e^(-s), refined by halving the step.  The first step of
+def _interleave(even, odd):
+    # a level's nodes from the level before's and its own odd ones, along the last axis
+    return np.insert(even, np.arange(1, even.shape[-1]), odd, axis=-1)
+
+
+class _Steps:
+    """Trapezoid steps in s for integrals over v from v0 - _PAD (about) to
+    v1, with v = v0 + s - e^(-s) and s from _LO: n intervals of step h,
+    one step per integral where v0 and v1 are arrays.  The first step of
     the narrowest integral is at most 4 h_max, so that its third sum, the
-    first that two differences can vouch for, has a step of at most h_max.
-    g(v, rows) maps abscissae
-    of shape (len(rows), k) for the integrals `rows` to values of that
-    shape, with any leading axes.  `ends` holds the integrands at the two
-    ends, summed.
+    first that two differences can vouch for, has a step of at most h_max."""
 
-    The nodes of the first `_levels` levels are evaluated in one call of g,
-    at the finest of them (each step is the first divided by a power of
-    two, so every node has the abscissa it would have on its own level);
-    each level's sum is formed from them in the order refine uses, and
-    refine hands them out before it evaluates new nodes."""
-
-    def __init__(self, what: str, g, v0, v1, h_max: float):
-        self.what = what
-        self.g = g
-        self.rows = np.arange(v0.size)
+    def __init__(self, v0, v1, h_max: float):
         self.v0 = v0
-        self.lo = -math.log(_PAD)
-        width = np.maximum(v1 - v0, 0.0) + 1.0 - self.lo
+        width = np.maximum(v1 - v0, 0.0) + 1.0 - _LO
         self.n = max(2, math.ceil(np.min(width) / (4.0 * h_max)))
         self.h = width / self.n
+
+    def at(self, k, h):
+        """(v, dv/ds) at the nodes k of step h, one row per integral."""
+        s = _LO + np.asarray(h)[..., None] * k
+        return np.asarray(self.v0)[..., None] + s - np.exp(-s), 1.0 + np.exp(-s)
+
+    def halve(self, what: str, status: str) -> None:
+        """Halve the step; past MAX_INTERVALS raise NumericalError, naming
+        the integral and the caller's status (its last estimate)."""
+        if 2 * self.n > MAX_INTERVALS:
+            raise NumericalError(f"{what} did not reach relative error {REL_TOL:g} within "
+                                 f"{MAX_INTERVALS} trapezoid intervals {status}".rstrip())
+        self.h, self.n = self.h / 2, 2 * self.n
+
+
+class _Trapezoid(_Steps):
+    """Trapezoid sums of integrals of g over v from v0 - _PAD to v1, one
+    integral per entry of the 1-d arrays v0 and v1, refined by halving the
+    step.  g(v, rows) maps abscissae of shape (len(rows), k) for the
+    integrals `rows` to values of that shape, with any leading axes.
+
+    The integrand is kept at every node evaluated, and a level's sum is
+    the plain sum over the nodes at its step.  The first call of g
+    evaluates the nodes of the first `_levels` levels, at the finest of
+    them (each step is the first divided by a power of two, so every node
+    has the abscissa it would have on its own level); a level past those
+    evaluates only its odd nodes."""
+
+    def __init__(self, g, v0, v1, h_max: float):
+        super().__init__(v0, v1, h_max)
+        self.g = g
+        self.rows = np.arange(v0.size)
         stride = 1 << _levels(self.n) - 1
-        values = self._values(np.arange(self.n * stride + 1), self.h / stride)
-        self.ends = values[..., 0] + values[..., -1]
-        self.total = self.h * (values[..., ::stride].sum(-1) - 0.5 * self.ends)
-        # the sums of the finer levels, each from the one before and the
-        # level's odd nodes
-        self._ahead = []
-        total, h = self.total, self.h
-        while stride > 1:
-            h, stride = h / 2, stride // 2
-            total = 0.5 * total + h * values[..., stride::2 * stride].sum(-1)
-            self._ahead.append(total)
+        self.values = self._values(np.arange(self.n * stride + 1), self.h / stride)
 
     def _values(self, k, h):
-        s = self.lo + h[:, None] * k
-        return self.g(self.v0[:, None] + s - np.exp(-s), self.rows) * (1.0 + np.exp(-s))
+        v, dv = self.at(k, h)
+        return self.g(v, self.rows) * dv
+
+    def sums(self):
+        """(the current level's sums, the integrands at the two ends summed)."""
+        stride = (self.values.shape[-1] - 1) // self.n
+        ends = self.values[..., 0] + self.values[..., -1]
+        return self.h * (self.values[..., ::stride].sum(-1) - 0.5 * ends), ends
 
     def refine(self, status: str = "") -> None:
-        """Halve the step; past MAX_INTERVALS raise NumericalError, with the
-        caller's status (its last estimate) in the message."""
-        if 2 * self.n > MAX_INTERVALS:
-            raise NumericalError(f"{self.what} did not reach relative error {REL_TOL:g} within "
-                                 f"{MAX_INTERVALS} trapezoid intervals {status}".rstrip())
-        self.h = self.h / 2
-        if self._ahead:
-            self.total = self._ahead.pop(0)
-        else:
-            self.total = (0.5 * self.total
-                          + self.h * self._values(2 * np.arange(self.n) + 1, self.h).sum(-1))
-        self.n *= 2
+        """Move to the next level (`halve`), evaluating its odd nodes if they are new."""
+        self.halve("end-to-end CDF", status)
+        if self.n >= self.values.shape[-1]:
+            odd = self._values(2 * np.arange(self.n // 2) + 1, self.h)
+            self.values = _interleave(self.values, odd)
 
     def keep(self, mask) -> None:
         """Refine only the integrals where mask is true from now on."""
         self.rows, self.v0, self.h = self.rows[mask], self.v0[mask], self.h[mask]
-        self.total, self.ends = self.total[..., mask], self.ends[..., mask]
-        self._ahead = [total[..., mask] for total in self._ahead]
+        self.values = self.values[..., mask, :]
 
 
 def _extrapolated(last, before):
@@ -499,20 +514,21 @@ def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float):
 
     values, errors = np.empty_like(xs), np.empty_like(xs)
     nodes = 0
-    rule = _Trapezoid("end-to-end CDF", integrand, v0, v1, _INNER_H)
+    rule = _Trapezoid(integrand, v0, v1, _INNER_H)
     prev = diff = None
     status = ""
     while True:
         rows = rule.rows
-        lower_p = f_first[rows] + rule.total[0]
+        total, ends = rule.sums()
+        lower_p = f_first[rows] + total[0]
         use_q = lower_p > 0.5
-        value = np.where(use_q, 1.0 - rule.total[1], lower_p)
-        step = np.where(use_q, rule.total[1], rule.total[0])
+        value = np.where(use_q, 1.0 - total[1], lower_p)
+        step = np.where(use_q, total[1], total[0])
         if prev is not None:
             last = np.abs(step - prev)
             if diff is not None:
                 # the integrand at the cut ends bounds the tails beyond them
-                err = _extrapolated(last, diff) + np.where(use_q, rule.ends[1], rule.ends[0])
+                err = _extrapolated(last, diff) + np.where(use_q, ends[1], ends[0])
                 done = (err <= REL_TOL * value) & (rule.h <= _INNER_H)
                 values[rows[done]], errors[rows[done]] = value[done], err[done]
                 nodes += int(done.sum()) * (rule.n + 1)
@@ -567,50 +583,30 @@ class Direction(NamedTuple):
     c: float
 
 
-class _Axis:
-    """One link's axis of the sum-BER grid: n trapezoid intervals of step h
-    in s, from s = -ln(_PAD), with ln(lambda) = v0 + s - e^(-s).  v0 sits
-    _FADE_SHIFT e-folds below the deep-fade eigenvalue `fade` or the axis's
-    upper end, whichever is smaller: at low SNR the deep fade lies far above
-    the law, which would then fall in the compressed part of the map and
-    need fine steps.  The first step is at most 4 _INNER_H, so that the
-    third sum, the first that two differences can vouch for, has a step of
-    at most _INNER_H."""
+class _Axis(_Steps):
+    """One link's axis of the sum-BER grid, with ln(lambda) = v0 + s -
+    e^(-s).  v0 sits _FADE_SHIFT e-folds below the deep-fade eigenvalue
+    `fade` or the axis's upper end, whichever is smaller: at low SNR the
+    deep fade lies far above the law, which would then fall in the
+    compressed part of the map and need fine steps."""
 
     def __init__(self, link: Link, fade: float):
-        self.link = link
         top = gammainccinv(link.m * link.n, _TAIL)
-        self.v0 = math.log(min(fade, top)) - _FADE_SHIFT
-        v1 = math.log(top)
-        self.lo = -math.log(_PAD)
-        width = max(v1 - self.v0, 0.0) + 1.0 - self.lo
-        self.n = max(2, math.ceil(width / (4.0 * _INNER_H)))
-        self.h = width / self.n
-
-    def nodes(self, k):
-        """(lam, 1 + e^(-s)) at the nodes k."""
-        s = self.lo + self.h * k
-        return np.exp(self.v0 + s - np.exp(-s)), 1.0 + np.exp(-s)
+        super().__init__(math.log(min(fade, top)) - _FADE_SHIFT, math.log(top), _INNER_H)
+        self.link = link
 
 
 def _weights(axes, ks):
-    """(lam, f(lam) lam (1 + e^(-s))) at the nodes ks[i] of axes[i]; links
-    of one shape share one kernel call."""
-    lams, jacs = zip(*(ax.nodes(k) for ax, k in zip(axes, ks)))
+    """(lam, f(lam) lam (1 + e^(-s))) as rows of one array at the nodes
+    ks[i] of axes[i]; links of one shape share one kernel call."""
+    vs, jacs = zip(*(ax.at(k, ax.h) for ax, k in zip(axes, ks)))
+    lams = [np.exp(v) for v in vs]
     src, far = (ax.link for ax in axes)
     if _same_shape(src, far):
         pdfs = np.split(link_cdf_pdf(np.concatenate(lams), src.m, src.n)[1], [lams[0].size])
     else:
         pdfs = [link_cdf_pdf(lam, ax.link.m, ax.link.n)[1] for lam, ax in zip(lams, axes)]
-    return [(lam, pdf * lam * jac) for lam, pdf, jac in zip(lams, pdfs, jacs)]
-
-
-def _weighted(row_sums, w, cols: int) -> float:
-    """sum_i row_sums[i] w[i], reduced in the blocks of rows that hold
-    _GRID_BLOCK grid values of a grid with cols columns."""
-    rows = max(1, _GRID_BLOCK // cols)
-    return sum(float(np.sum(row_sums[k:k + rows] * w[k:k + rows]))
-               for k in range(0, row_sums.size, rows))
+    return [np.stack([lam, pdf * lam * jac]) for lam, pdf, jac in zip(lams, pdfs, jacs)]
 
 
 def _level_sums(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f, levels: int) -> list:
@@ -621,16 +617,12 @@ def _level_sums(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f, levels: int)
     j with 2 w_f), with A / gamma = C / (rho_s lam_s) + B / (rho_f lam_f).
 
     One pass of erfc over the finest grid, each block of rows reduced to its
-    row sums as soon as it is computed.  Each level's total is the one the
-    grid refined level by level would have, to the bit: the total before it
-    plus its new rows over all its columns and its old rows over its new
-    columns, each reduced as `_grid_sum` reduces that part."""
+    row sums over each level's columns as soon as it is computed; a level's
+    total is then the plain sum over its rows."""
     x_s = d.c / (d.src.rho * lam_s)
     x_f = d.b / (d.far.rho * lam_f)
     strides = [1 << levels - 1 - k for k in range(levels)]
-    # row sums over each level's columns, and over the columns it adds
-    every, added = np.empty((levels, x_s.size)), np.empty((levels, x_s.size))
-    end_cols = np.empty(x_s.size)
+    row_sums, end_cols = np.empty((levels, x_s.size)), np.empty(x_s.size)
     rows = max(1, _GRID_BLOCK // x_f.size)
     for k in range(0, x_s.size, rows):
         q = np.add.outer(x_s[k:k + rows], x_f)
@@ -641,34 +633,13 @@ def _level_sums(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f, levels: int)
         # that no other lower-bound path touches
         q *= w_f
         for level, stride in enumerate(strides):
-            every[level, k:k + rows] = q[:, ::stride].sum(axis=1)
-            if level:
-                added[level, k:k + rows] = q[:, stride::2 * stride].sum(axis=1)
+            row_sums[level, k:k + rows] = q[:, ::stride].sum(axis=1)
         end_cols[k:k + rows] = q[:, 0] + q[:, -1]
     out = []
-    for level, stride in enumerate(strides):
-        n = (x_f.size - 1) // stride            # the level's column intervals
-        r, w = every[level, ::stride], w_s[::stride]
-        if level == 0:
-            total = _weighted(r, w, n + 1)
-        else:
-            new, old = slice(stride, None, 2 * stride), slice(0, None, 2 * stride)
-            total += (_weighted(every[level, new], w_s[new], n + 1)
-                      + _weighted(added[level, old], w_s[old], n // 2))
-        out.append((total, _weighted(r[[0, -1]], 2.0 * w[[0, -1]], n + 1),
-                    _weighted(2.0 * end_cols[::stride], w, 2)))
-    return out
-
-
-def _grid_sum(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f) -> float:
-    """sum_ij erfc(sqrt(mod_b gamma_ij)) w_s[i] w_f[j] over the grid
-    lam_s x lam_f (`_level_sums` with one level)."""
-    return _level_sums(d, mod_b, lam_s, w_s, lam_f, w_f, 1)[0][0]
-
-
-def _interleave(even, odd):
-    out = np.empty(even.size + odd.size)
-    out[0::2], out[1::2] = even, odd
+    for r, stride in zip(row_sums, strides):
+        r, w = r[::stride], w_s[::stride]
+        out.append((float(np.sum(r * w)), float(np.sum(2.0 * r[[0, -1]] * w[[0, -1]])),
+                    float(np.sum(2.0 * end_cols[::stride] * w))))
     return out
 
 
@@ -678,46 +649,32 @@ def _direction_ber(d: Direction, mod_b: float, scale: float):
     trapezoid grid refined by halving both steps.  The weights are
     f(lam) lam (1 + e^(-s)), the density in s, halved at the ends.
 
-    The first `_levels` levels come from one `_weights` call on both axes'
-    nodes at the finest of them and one `_level_sums` pass over its grid,
-    which yields every level's total and edge sums; past that level each
-    halving evaluates only the new nodes and the grid cells they add."""
+    The axes hold the finest level evaluated, and `_level_sums` reads each
+    level's total and edge sums off that grid.  The first pass evaluates
+    the first `_levels` levels with one `_weights` call on both axes' nodes
+    at the finest of them; a level past it evaluates only the axes' new
+    nodes."""
     axes = (_Axis(d.src, d.c / (d.a * mod_b * d.src.rho)),
             _Axis(d.far, d.b / (d.a * mod_b * d.far.rho)))
-    # the axes hold the finest level evaluated
     levels = _levels(max(ax.n for ax in axes))
     for ax in axes:
         ax.h, ax.n = ax.h / (1 << levels - 1), ax.n << levels - 1
-    (lam_s, w_s), (lam_f, w_f) = _weights(axes, [np.arange(ax.n + 1) for ax in axes])
-    for w in (w_s, w_f):
-        w[[0, -1]] *= 0.5
-    args = lam_s.size + lam_f.size
-    ahead = _level_sums(d, mod_b, lam_s, w_s, lam_f, w_f, levels)
+    src, far = _weights(axes, [np.arange(ax.n + 1) for ax in axes])
+    for nodes in (src, far):
+        nodes[1, [0, -1]] *= 0.5
+    sums = _level_sums(d, mod_b, *src, *far, levels)
     prev = diff = None
     status = ""
     while True:
-        if ahead:
-            # a level of the first pass, whose steps are the axes' times coarse
-            total, edge_s, edge_f = ahead.pop(0)
-            coarse = 1 << len(ahead)
-        else:
-            if 2 * max(ax.n for ax in axes) > MAX_INTERVALS:
-                raise NumericalError(f"sum-BER grid did not reach relative error {REL_TOL:g} "
-                                     f"within {MAX_INTERVALS} trapezoid intervals per axis "
-                                     f"{status}".rstrip())
+        if not sums:
             for ax in axes:
-                ax.h, ax.n = ax.h / 2, ax.n * 2
-            (new_s, v_s), (new_f, v_f) = _weights(axes, [np.arange(1, ax.n, 2) for ax in axes])
-            args += new_s.size + new_f.size
-            lam_f, w_f = _interleave(lam_f, new_f), _interleave(w_f, v_f)
-            # the new rows meet every column, the old rows only the new columns
-            total += (_grid_sum(d, mod_b, new_s, v_s, lam_f, w_f)
-                      + _grid_sum(d, mod_b, lam_s, w_s, new_f, v_f))
-            lam_s, w_s = _interleave(lam_s, new_s), _interleave(w_s, v_s)
-            edge_s = _grid_sum(d, mod_b, lam_s[[0, -1]], 2.0 * w_s[[0, -1]], lam_f, w_f)
-            edge_f = _grid_sum(d, mod_b, lam_s, w_s, lam_f[[0, -1]], 2.0 * w_f[[0, -1]])
-            coarse = 1
-        h_s, h_f = (ax.h * coarse for ax in axes)
+                ax.halve("sum-BER grid", f"per axis {status}")
+            new_src, new_far = _weights(axes, [np.arange(1, ax.n, 2) for ax in axes])
+            src, far = _interleave(src, new_src), _interleave(far, new_far)
+            sums = _level_sums(d, mod_b, *src, *far, 1)
+        total, edge_s, edge_f = sums.pop(0)
+        # the level's steps: the axes' times the stride of its sub-grid
+        h_s, h_f = (float(ax.h) * (1 << len(sums)) for ax in axes)
         value = scale * h_s * h_f * total
         if prev is not None:
             last = abs(value - prev)
@@ -726,7 +683,9 @@ def _direction_ber(d: Direction, mod_b: float, scale: float):
                 ends = h_f * edge_s + h_s * edge_f
                 err = float(_extrapolated(last, diff)) + scale * h_s * h_f * ends
                 if err <= REL_TOL * value:
-                    return value, err, lam_s.size * lam_f.size, args
+                    # the link law saw each axis node once
+                    sizes = src.shape[1], far.shape[1]
+                    return value, max(err, REL_ROUNDING * value), math.prod(sizes), sum(sizes)
                 status = f"(estimate {err:.1e} of {value:.6e})"
             diff = last
         prev = value

@@ -44,6 +44,14 @@ class TestLinkLaws:
     def test_cdf_at_zero(self):
         assert link_cdf(0.0, 2, 1, 5.0) == 0.0
 
+    @pytest.mark.parametrize("fn, args", [(link_cdf, (0.0, 1, 2, 5.0)),
+                                          (link_cdf, (-1.0, 9, 9, -3.0)),
+                                          (link_pdf, (-1.0, 1, 2, 5.0))])
+    def test_arguments_checked_off_the_support(self, fn, args):
+        # the link is checked before x <= 0 returns 0, as at x > 0
+        with pytest.raises(ConfigurationError):
+            fn(*args)
+
     def test_erlang_two(self):
         assert link_cdf(1.0, 2, 1, 1.0) == pytest.approx(1.0 - 2.0 * math.exp(-1.0), rel=1e-12)
         assert link_cdf(1.0, 2, 1, 1.0) == pytest.approx(0.26424, abs=5e-6)
@@ -356,6 +364,32 @@ class TestSumBerQuadrature:
         twrelay.lowerbound.sum_ber([d], mod.a, mod.b, mod.bits_per_symbol)
         assert len(calls) == kernel_calls and passes == [twrelay.lowerbound._LEVELS]
 
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_levels_set_cost_not_numbers(self, monkeypatch, levels):
+        # the levels evaluated in the first pass change how many nodes one
+        # call evaluates, not the sums: each level reads its sum off the same
+        # nodes however they were evaluated
+        pw = power_profile(30.0, 0.5)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        directions = []
+        for dims in ((2, 2, 2), (2, 1, 3)):
+            ant = AntennaConfig(*dims)
+            coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+            directions.append([_direction(d, coeffs, ant, pw) for d in ("arb", "bra")])
+        ant, pw20 = AntennaConfig(2, 2, 2), PowerProfile.balanced(20.0)
+        d = _direction("arb", coefficient_set(Protocol.TWO_SLOT, ant, pw20), ant, pw20)
+        xs = pw20.rho_ar * 10.0 ** (-3.0 + np.arange(25) / 6.0)
+
+        def run():
+            return ([twrelay.lowerbound.sum_ber(ds, mod.a, mod.b, mod.bits_per_symbol).value
+                     for ds in directions], twrelay.lowerbound.e2e_cdf(xs, *d)[0])
+        default = run()
+        monkeypatch.setattr(twrelay.lowerbound, "_LEVELS", levels)
+        changed = run()
+        eps = np.finfo(float).eps
+        assert changed[0] == pytest.approx(default[0], rel=4 * eps, abs=0.0)
+        assert changed[1] == pytest.approx(default[1], rel=4 * eps, abs=0.0)
+
     @pytest.mark.parametrize("dims, ref", [((2, 1, 2), 9.999943804600575e-01),
                                            ((4, 4, 4), 9.999859277218750e-01)])
     def test_low_snr_axes(self, dims, ref):
@@ -533,6 +567,16 @@ class TestSumBerClosedForm:
             closed = sum_ber_closed_form(coeffs, ant, pw, mod)
             below = ref <= 1e-5 * mod.a / mod.bits_per_symbol
             assert closed == pytest.approx(ref, rel=1e-12 if below else 1e-9), point
+
+    def test_error_estimate_covers_stored_oracle(self):
+        # the reported error bounds the distance to the 100-digit closed form
+        # at every stored point: rounding, not the extrapolation, sets it there
+        oracle = json.loads(ORACLE_FILE.read_text())
+        for point in oracle_points():
+            coeffs, ant, pw, mod = oracle_inputs(*point)
+            directions = [_direction(d, coeffs, ant, pw) for d in ("arb", "bra")]
+            est = twrelay.lowerbound.sum_ber(directions, mod.a, mod.b, mod.bits_per_symbol)
+            assert abs(est.value - oracle[oracle_key(*point)]) <= est.error, point
 
     @pytest.mark.parametrize("bad", [-1e-20, 0.0, 2.0])
     def test_rescue_raises_rather_than_return_impossible(self, monkeypatch, bad):
