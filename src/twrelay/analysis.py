@@ -288,7 +288,6 @@ def min_pair_cdf(direction: str, x: float | np.ndarray, coeffs: CoefficientSet,
     non-negative terms only."""
     src, far, _, b, c = _direction(direction, coeffs, ant, pw)
     xs = np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), 0.0)
-    f_s = lowerbound.link_cdf_pdf(xs / (b * src.rho), src.m, src.n)[0]
-    f_f = lowerbound.link_cdf_pdf(xs / (c * far.rho), far.m, far.n)[0]
+    (f_s, _), (f_f, _) = lowerbound.link_laws((src, far), (xs / (b * src.rho), xs / (c * far.rho)))
     cdf = f_s + f_f * (1.0 - f_s)
     return cdf if np.ndim(x) else float(cdf[0])

@@ -106,7 +106,8 @@ def _add_scenario_flags(sub, fields) -> None:
 
 
 def cmd_sweep(args) -> int:
-    """Sum-BER against the A-side SNR for each protocol and mode, as CSV.
+    """Sum-BER against the per-symbol A-side SNR rho_ar (not the SNR per bit
+    of `gaps`) for each protocol and mode, as CSV.
 
     Every step writes one mc and one closed row per protocol. An asymptote
     row is written only where the power law is at or below the zero-SNR
@@ -192,6 +193,7 @@ def cmd_gaps(args) -> int:
     print(f"scenario: {ant.m_a}x{ant.m_r}x{ant.m_b}, rho_ar={sc.rho_ar_db:g} dB, "
           f"d0={sc.d0:g}, pl_exponent={sc.pl_exponent:g}")
     print(f"best protocol: {table.best.value}")
+    print("gap_db: horizontal gap at equal sum-BER on the SNR-per-bit axis rho / log2 M")
     print(f"{'protocol':<20s} {'gap_db':>10s} {'eta_sum':>12s} {'beta^2':>8s}")
     for row in table.rows:
         beta = f"{row.beta_sq:.5f}" if row.beta_sq is not None else "-"
@@ -284,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--rho-stop", type=float, required=True)
     sweep.add_argument("--rho-step", type=float, required=True)
     sweep.add_argument("--mode", choices=["mc", "closed", "asymptote", "all"], default="all",
-                       help="engine(s) to run; asymptote rows are written only where the "
-                            "power law is at or below the zero-SNR ceiling a / log2 M")
+                       help="engine(s) to run, against the per-symbol SNR rho_ar; asymptote "
+                            "rows only where the power law is at most the ceiling a / log2 M")
     sweep.add_argument("--out", help="output CSV path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -177,7 +177,8 @@ def beta_numeric(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
 def high_snr_gap(worse: HighSnrProfile, better: HighSnrProfile) -> float:
     """Rate-normalized horizontal dB gap between two asymptotes of equal
     diversity order, positive when the arguments are ordered worse-then-
-    better."""
+    better.  It is on the SNR-per-bit axis: where `worse` at rho_i equals
+    `better` at rho_j, it is 10 log10((rho_i / log2 M_i) / (rho_j / log2 M_j))."""
     if worse.d != better.d:
         raise ConfigurationError(
             f"gap undefined across diversity orders {worse.d} and {better.d}")

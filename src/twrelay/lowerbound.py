@@ -1,7 +1,8 @@
 """Double-precision engine for the lower-bound (noise-term-dropped) SNR law:
 per-link largest-eigenvalue CDF and density, the end-to-end CDF, and the
 sum-BER, each computed from non-negative terms only; and the exact forms
-of the per-link law that the high-SNR and closed-form engines use.
+of the per-link law that the high-SNR and closed-form engines use, and its
+mean, for the Monte-Carlo controls.  Other modules use only public names.
 
 Per link, the largest eigenvalue of an m x n complex Wishart matrix with
 s = min(m, n), t = max(m, n) has the determinant CDF (Kang & Alouini,
@@ -361,6 +362,35 @@ class Link(NamedTuple):
     rho: float
 
 
+def link_laws(links, args) -> tuple:
+    """((F, f) of src, (F, f) of far) for links = (src, far), each at its own
+    array args = (u_src, u_far) and in its shape.  Links of one shape share
+    one `link_cdf_pdf` call, whose values do not depend on the batch."""
+    (src, far), (u_src, u_far) = links, args
+    if sorted(src[:2]) != sorted(far[:2]):
+        return link_cdf_pdf(u_src, src.m, src.n), link_cdf_pdf(u_far, far.m, far.n)
+    cdf, pdf = link_cdf_pdf(np.concatenate([u_src.ravel(), u_far.ravel()]), src.m, src.n)
+    k = u_src.size
+    return ((cdf[:k].reshape(u_src.shape), pdf[:k].reshape(u_src.shape)),
+            (cdf[k:].reshape(u_far.shape), pdf[k:].reshape(u_far.shape)))
+
+
+@functools.cache
+def mean_largest_eigenvalue(m: int, n: int) -> float:
+    """Mean of the largest eigenvalue of an m x n complex Wishart matrix,
+    int_0^inf (1 - F(u)) du with the determinant-form F of `link_cdf_pdf`,
+    by 24-point Gauss-Legendre panels of width 4 on [0, U].  1 - F lies
+    below the Gamma(mn) tail of the trace, so the part past U is at most
+    mn Q(mn + 1, U), which U sets to 1e-17.  (The exact mean over
+    `ccdf_expansion` takes time that grows like 2^s.)"""
+    k = m * n
+    upper = gammainccinv(k + 1, 1e-17 / k)
+    x, w = _gauss_legendre(24)
+    left = np.arange(0.0, upper, 4.0)
+    cdf, _ = link_cdf_pdf((left[:, None] + 2.0 * (x + 1.0)).ravel(), m, n)
+    return math.fsum((1.0 - cdf) * np.tile(2.0 * w, left.size))
+
+
 class Estimate(NamedTuple):
     """The sum-BER, its error estimate (at least REL_ROUNDING of the
     value), the points of the finest trapezoid grids it evaluated (the
@@ -465,22 +495,12 @@ def _extrapolated(last, before):
     return last * ratio
 
 
-def _same_shape(src: Link, far: Link) -> bool:
-    # links of one shape share a kernel call (half the per-call work)
-    return sorted(src[:2]) == sorted(far[:2])
-
-
 def _cdf_bounds(xs, src: Link, far: Link, a: float, b: float, c: float):
     """(F_f(B x / A), L, U) at xs: the far link's CDF at B x / A and the
     bounds L <= F(x) <= U of the end-to-end CDF (module docstring)."""
-    u_f = b * xs / (a * far.rho)
-    u_s = c * xs / (a * src.rho)
-    if _same_shape(src, far):
-        f_f, f_f2, f_s, f_s2 = link_cdf_pdf(np.stack([u_f, 2.0 * u_f, u_s, 2.0 * u_s]),
-                                            src.m, src.n)[0]
-    else:
-        f_f, f_f2 = link_cdf_pdf(np.stack([u_f, 2.0 * u_f]), far.m, far.n)[0]
-        f_s, f_s2 = link_cdf_pdf(np.stack([u_s, 2.0 * u_s]), src.m, src.n)[0]
+    u_s, u_f = c * xs / (a * src.rho), b * xs / (a * far.rho)
+    ((f_s, f_s2), _), ((f_f, f_f2), _) = link_laws(
+        (src, far), (np.stack([u_s, 2.0 * u_s]), np.stack([u_f, 2.0 * u_f])))
     lower = np.maximum(f_f, f_s)
     # the clip keeps U >= L where rounding in the kernel would invert them
     return f_f, lower, np.clip(f_f2 + f_s2, lower, 1.0)
@@ -496,19 +516,12 @@ def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float):
     # double) and the range below its upper end
     v0 = np.clip(2.0 * np.log(xs) + math.log(b * c / (a * src.rho)) - _INNER_SHIFT,
                  -650.0, v1)
-    same_shape = _same_shape(src, far)
 
     def integrand(v, rows):
         x = xs[rows, None]
         w = np.exp(v)
         g_f = (w + b * x) / a
-        u_s, u_f = x * c * g_f / (w * src.rho), g_f / far.rho
-        if same_shape:
-            cdf, pdf = link_cdf_pdf(np.stack([u_s, u_f]), src.m, src.n)
-            f_s, dens = cdf[0], pdf[1]
-        else:
-            f_s = link_cdf_pdf(u_s, src.m, src.n)[0]
-            dens = link_cdf_pdf(u_f, far.m, far.n)[1]
+        (f_s, _), (_, dens) = link_laws((src, far), (x * c * g_f / (w * src.rho), g_f / far.rho))
         dens = dens * (w / base)
         return np.stack([f_s * dens, (1.0 - f_s) * dens])
 
@@ -598,15 +611,11 @@ class _Axis(_Steps):
 
 def _weights(axes, ks):
     """(lam, f(lam) lam (1 + e^(-s))) as rows of one array at the nodes
-    ks[i] of axes[i]; links of one shape share one kernel call."""
+    ks[i] of axes[i]."""
     vs, jacs = zip(*(ax.at(k, ax.h) for ax, k in zip(axes, ks)))
     lams = [np.exp(v) for v in vs]
-    src, far = (ax.link for ax in axes)
-    if _same_shape(src, far):
-        pdfs = np.split(link_cdf_pdf(np.concatenate(lams), src.m, src.n)[1], [lams[0].size])
-    else:
-        pdfs = [link_cdf_pdf(lam, ax.link.m, ax.link.n)[1] for lam, ax in zip(lams, axes)]
-    return [np.stack([lam, pdf * lam * jac]) for lam, pdf, jac in zip(lams, pdfs, jacs)]
+    laws = link_laws([ax.link for ax in axes], lams)
+    return [np.stack([lam, pdf * lam * jac]) for lam, (_, pdf), jac in zip(lams, laws, jacs)]
 
 
 def _level_sums(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f, levels: int) -> list:

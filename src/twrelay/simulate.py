@@ -69,11 +69,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import digamma, erfc, gammainccinv
+from scipy.special import digamma, erfc
 
 from .errors import ConfigurationError
-from .lowerbound import _gauss_legendre, link_cdf_pdf
-from .scenario import (AntennaConfig, CoefficientSet, DFactors, Modulation,
+from .lowerbound import mean_largest_eigenvalue
+from .scenario import (MR1_DFACTORS, AntennaConfig, CoefficientSet, DFactors, Modulation,
                        PowerProfile, Protocol, WeightPair, coefficient_set,
                        protocol_modulation)
 
@@ -495,20 +495,6 @@ def _mean_estimate(part, trials: int) -> BerEstimate:
     return BerEstimate(mean=mean, std_error=se, trials=trials)
 
 
-def _mean_top_eig(m: int, n: int) -> float:
-    """Mean of the largest eigenvalue of an m x n complex Wishart matrix,
-    int_0^inf (1 - F(u)) du with the determinant-form F of
-    `lowerbound.link_cdf_pdf`, by 24-point Gauss-Legendre panels of width 4
-    on [0, U].  1 - F lies below the Gamma(mn) tail of the trace, so the
-    part past U is at most mn Q(mn + 1, U), which U sets to 1e-17."""
-    k = m * n
-    upper = gammainccinv(k + 1, 1e-17 / k)
-    x, w = _gauss_legendre(24)
-    left = np.arange(0.0, upper, 4.0)
-    cdf, _ = link_cdf_pdf((left[:, None] + 2.0 * (x + 1.0)).ravel(), m, n)
-    return math.fsum((1.0 - cdf) * np.tile(2.0 * w, left.size))
-
-
 def _solve_psd(a: list, bs: list, most: int):
     """The solutions x of a x = b for each b in bs, for a symmetric positive
     semi-definite a (lists of floats), by Cholesky in Python floats, and the
@@ -558,8 +544,8 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     Gamma(m_a) and Gamma(m_b) (the beamformer of one side is independent of
     the other side's channel), so E lam_x = m and E ln lam_x = psi(m); and
     E lam_a, E lam_b is the mean of the top eigenvalue of an m_r x m_a and
-    an m_r x m_b Wishart matrix (`_mean_top_eig`).  With sample means,
-    sample covariances S and n trials,
+    an m_r x m_b Wishart matrix (`lowerbound.mean_largest_eigenvalue`).
+    With sample means, sample covariances S and n trials,
 
         m_j = mean(x_j) - beta_j' (mean(C) - mu),  beta_j = S_CC^-1 S_Cj,
         d = 1 + m_2 / m_1,
@@ -581,8 +567,8 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     _require_trials(trials)
     if ant.m_r == 1:
         # a scalar relay weight: the secondary branch equals the primary
-        return DFactors(2.0, 2.0, 2.0, 2.0), (0.0, 0.0, 0.0, 0.0)
-    top = {m: _mean_top_eig(ant.m_r, m) for m in {ant.m_a, ant.m_b}}
+        return MR1_DFACTORS, (0.0, 0.0, 0.0, 0.0)
+    top = {m: mean_largest_eigenvalue(ant.m_r, m) for m in {ant.m_a, ant.m_b}}
     mu = np.array([ant.m_a, ant.m_b, digamma(ant.m_a), digamma(ant.m_b),
                    top[ant.m_a], top[ant.m_b]])
     # rows: x1, x2 of arb and bra of the unweighted, then of the balanced

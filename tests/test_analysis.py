@@ -21,7 +21,7 @@ from twrelay.analysis import (FALLBACK_SHARE, _closed_form_f64, _direction, bess
                               sum_ber_closed_form, sum_ber_quadrature)
 from twrelay.errors import ConfigurationError, NumericalError, UnsupportedConfigError
 from twrelay.highsnr import eta_pair, gap_table, high_snr_profile, high_snr_sum_ber
-from twrelay.lowerbound import REL_TOL, Direction, Estimate, _cdf_bounds
+from twrelay.lowerbound import REL_TOL, Direction, Estimate, Link, _cdf_bounds, link_laws
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile,
                               Protocol, WeightPair, coefficient_set, modulation_constants,
                               power_profile, protocol_modulation)
@@ -109,6 +109,29 @@ class TestLinkLaws:
         finite = twrelay.lowerbound.link_cdf_pdf(u[[0, 2, 3]], *dims)
         assert np.array_equal(cdf[[0, 2, 3]], finite[0])
         assert np.array_equal(pdf[[0, 2, 3]], finite[1])
+
+    @pytest.mark.parametrize("links, kernel_calls", [(((2, 2), (2, 2)), 1),
+                                                     (((2, 1), (3, 1)), 2)])
+    def test_two_links_share_a_call_by_shape(self, monkeypatch, links, kernel_calls):
+        # each link's law at its own arguments, in their shape, bit for bit
+        # what a call of its own gives; one kernel call for links of one shape
+        src, far = (Link(m, n, 1.0) for m, n in links)
+        kernel = twrelay.lowerbound.link_cdf_pdf
+        calls = []
+
+        def recording(u, m, n):
+            calls.append((m, n))
+            return kernel(u, m, n)
+        monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
+        u = np.geomspace(1e-4, 40.0, 30)
+        for u_src, u_far in ((u, u[::-1][:17]), (u.reshape(5, 6), np.stack([u, 2.0 * u]))):
+            calls.clear()
+            got = link_laws((src, far), (u_src, u_far))
+            assert len(calls) == kernel_calls
+            for (cdf, pdf), link, args in zip(got, (src, far), (u_src, u_far)):
+                ref_cdf, ref_pdf = kernel(args, link.m, link.n)
+                assert cdf.shape == pdf.shape == args.shape
+                assert np.array_equal(cdf, ref_cdf) and np.array_equal(pdf, ref_pdf)
 
 
 class TestEndToEndCdf:
@@ -714,6 +737,20 @@ class TestDistributionAgreement:
         results = check_ks_suite(PowerProfile.balanced(30.0), trials=100_000, seed=21)
         for r in results:
             assert r.passed, r.line()
+
+    def test_min_pair_cdf_one_kernel_call(self, monkeypatch):
+        # the two links of 2x2x2 have one shape and share one call
+        ant, pw = AntennaConfig(2, 2, 2), PowerProfile.balanced(20.0)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        kernel = twrelay.lowerbound.link_cdf_pdf
+        calls = []
+
+        def recording(u, m, n):
+            calls.append(u.size)
+            return kernel(u, m, n)
+        monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
+        min_pair_cdf("arb", np.geomspace(1e-2, 1e3, 50), coeffs, ant, pw)
+        assert calls == [100]
 
     def test_min_pair_cdf_shape(self):
         pw = PowerProfile.balanced(40.0)

@@ -1,5 +1,6 @@
 """Package hygiene: every name a program or test module imports is used
-there, and importing the package loads no heavy scipy subpackage."""
+there, no program module reaches past `lowerbound`'s public names, and
+importing the package loads no heavy scipy subpackage."""
 
 import ast
 import subprocess
@@ -39,6 +40,29 @@ def test_no_unused_imports():
     assert MODULES and TEST_MODULES
     unused = {p.name: _unused_imports(p.read_text()) for p in MODULES + TEST_MODULES}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _private_lowerbound_names(source: str) -> list:
+    # underscore names imported from lowerbound, or read as its attributes
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("lowerbound"):
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "lowerbound" and node.attr.startswith("_")):
+            found.append(node.attr)
+    return sorted(found)
+
+
+def test_lowerbound_law_behind_public_names():
+    # the per-link law and its summaries live in lowerbound; other modules
+    # use only its public names
+    probe = ("from .lowerbound import _gauss_legendre, link_laws\n"
+             "from . import lowerbound\nlowerbound._norm(1, 1)\nlowerbound.link_cdf_pdf\n")
+    assert _private_lowerbound_names(probe) == ["_gauss_legendre", "_norm"]
+    private = {p.name: _private_lowerbound_names(p.read_text()) for p in MODULES}
+    assert {name: found for name, found in private.items() if found} == {}
 
 
 def test_import_loads_no_scipy_optimize_or_integrate():

@@ -15,7 +15,7 @@ from scipy import stats
 from channel_oracle import channel_gains, tridiagonal_top_mp
 from twrelay import simulate
 from twrelay.errors import ConfigurationError
-from twrelay.lowerbound import ccdf_expansion
+from twrelay.lowerbound import ccdf_expansion, mean_largest_eigenvalue
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
                               Protocol, WeightPair, coefficient_set,
                               modulation_constants, power_profile)
@@ -503,7 +503,7 @@ class TestDFactors:
         # E L = int_0^inf P(L > u) du = sum d[i, k] (k + 1) / i over the
         # Erlang tails of the exact expansion
         exact = sum(d * Fraction(k + 1, i) for (i, k), d in ccdf_expansion(m, n))
-        assert simulate._mean_top_eig(m, n) == pytest.approx(float(exact), rel=1e-13)
+        assert mean_largest_eigenvalue(m, n) == pytest.approx(float(exact), rel=1e-13)
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4)])
     def test_control_variates_beat_plain_200k(self, dims):
