@@ -58,25 +58,27 @@ source link and B / (A b rho_f) for the far link, a gain leaves Q near
 well below it, or below its own upper end where that is lower (at low SNR,
 where the deep fade lies above the whole law).  It ends at U with
 1 - F(U) <= 1e-18: Q falls in each gain, so E[Q; l > U] <= (1 - F(U))
-E[Q | l <= U], and the cut carries at most (1 - F(U)) / F(U) of the value.  Equal directions (the two of a symmetric
-network) are integrated once and counted as often as they occur.
+E[Q | l <= U], and the cut carries at most (1 - F(U)) / F(U) of the value.
+Equal directions (the two of a symmetric network) are integrated once and
+counted as often as they occur.
 
 Every integral runs over logarithmic variables (ln w; ln l_s and ln l_f)
 with the trapezoid rule, whose error falls like e^(-2 pi d / h) in the step
 h for these integrands, analytic in a strip |Im| < d (Trefethen &
 Weideman, SIAM Review 56(3), 2014; on a product of two such laws the grid
-converges the same way).  The step is halved until it is fine enough for
-the strip and the error estimate, extrapolated from the last two
-differences, plus the integrand at the cut ends or edges (which bounds the
-neglected tails), is below the tolerance; past MAX_INTERVALS the engine
-raises NumericalError.  Each level's sum is the plain sum over the nodes
-at its step of the finest level evaluated.  No sum can pass the check
-before the third level and almost every one stops at the fourth, so each
-integral first evaluates the nodes of four levels (_LEVELS) at once; a
-level past those evaluates only its new nodes (on the grid, only each
-axis's new nodes reach the link law).  Rounding in the per-link
-determinant and in the sums is not part of the estimate; the reported
-sum-BER error is at least REL_ROUNDING of the value.
+converges the same way).  Each integral keeps its integrand at the nodes
+of the finest level evaluated, and one stop rule serves them all: the sums
+of the last three levels are the plain sums over those nodes at strides 4,
+2 and 1; the error estimate, extrapolated from their two differences, plus
+the integrand at the cut ends or edges (which bounds the neglected tails),
+must be below the tolerance on a step fine enough for the strip.  Else the
+step is halved and only the new level's odd nodes are evaluated (on the
+grid, only each axis's new nodes reach the link law); past MAX_INTERVALS
+the engine raises NumericalError.  The first pass evaluates the fourth
+level (_LEVELS) at once, which almost every integral stops at; no
+integral stops before it.  Rounding in the per-link determinant and in the
+sums is not part of the estimate, so every reported error of an integral
+is at least REL_ROUNDING of its value.
 """
 
 from __future__ import annotations
@@ -98,9 +100,10 @@ from .errors import NumericalError
 REL_TOL = 1e-13
 MAX_INTERVALS = 1 << 13
 
-# Least relative error a sum-BER estimate reports, for the rounding in the
-# link kernel and the sums that the extrapolation cannot see (at worst
-# 3.2e-15 against 100-digit closed forms); the stopping rule does not use it.
+# Least relative error an integral reports (a sum-BER or an integrated
+# end-to-end CDF value), for the rounding in the link kernel and the sums
+# that the extrapolation cannot see (at worst 3.2e-15 against 100-digit
+# closed forms); the stop rule does not use it.
 REL_ROUNDING = 1e-14
 
 # Outer nodes whose inner integrals are evaluated together, which bounds
@@ -136,10 +139,11 @@ _FADE_SHIFT = 4.0
 _TAIL = 1e-18
 _GRID_BLOCK = 1 << 12
 
-# Trapezoid levels (step halvings) that each integral evaluates in one
-# pass: no sum passes its check before the third level, and almost every
-# integral stops at the fourth, so the call overhead of the link law is paid
-# once per integral instead of once per level.
+# The level (step halvings plus one) that each integral evaluates in its
+# first pass and that its first estimate is taken at: the stop rule reads
+# the sums of the last three levels, so it is at least 3, and almost every
+# integral stops at the fourth, so the call overhead of the link law is
+# paid once per integral instead of once per level.
 _LEVELS = 4
 
 
@@ -393,21 +397,14 @@ def mean_largest_eigenvalue(m: int, n: int) -> float:
 
 class Estimate(NamedTuple):
     """The sum-BER, its error estimate (at least REL_ROUNDING of the
-    value), the points of the finest trapezoid grids it evaluated (the
-    first pass's when a grid stops before it) and the arguments it passed
-    to `link_cdf_pdf`, summed over the distinct directions."""
+    value), the points of the trapezoid grids it was taken at (the finest
+    each direction evaluated) and the arguments it passed to
+    `link_cdf_pdf`, summed over the distinct directions."""
 
     value: float
     error: float
     grid_points: int
     link_args: int
-
-
-def _levels(n: int) -> int:
-    """How many levels to evaluate in one pass for an integral whose first
-    sum has n intervals: _LEVELS, or as many as stay within MAX_INTERVALS
-    (at least the first)."""
-    return max(1, min(_LEVELS, (MAX_INTERVALS // n).bit_length()))
 
 
 def _interleave(even, odd):
@@ -418,28 +415,42 @@ def _interleave(even, odd):
 class _Steps:
     """Trapezoid steps in s for integrals over v from v0 - _PAD (about) to
     v1, with v = v0 + s - e^(-s) and s from _LO: n intervals of step h,
-    one step per integral where v0 and v1 are arrays.  The first step of
-    the narrowest integral is at most 4 h_max, so that its third sum, the
-    first that two differences can vouch for, has a step of at most h_max."""
+    one step per integral where v0 and v1 are arrays, always those of the
+    finest level evaluated.  The first level's step is at most 4 h_max for
+    the narrowest integral; the steps start _LEVELS - 1 halvings below it,
+    at the level of the first estimate, whose step is then at most h_max.
+    `what` and `per` name the integral and its unit of intervals in the
+    NumericalError of `halve`."""
+
+    what = per = ""
 
     def __init__(self, v0, v1, h_max: float):
+        if _LEVELS < 3:
+            raise ValueError(f"_LEVELS must be at least 3 for the three sums read, got {_LEVELS}")
         self.v0 = v0
         width = np.maximum(v1 - v0, 0.0) + 1.0 - _LO
         self.n = max(2, math.ceil(np.min(width) / (4.0 * h_max)))
         self.h = width / self.n
+        for _ in range(_LEVELS - 1):
+            self.halve()
 
     def at(self, k, h):
         """(v, dv/ds) at the nodes k of step h, one row per integral."""
         s = _LO + np.asarray(h)[..., None] * k
         return np.asarray(self.v0)[..., None] + s - np.exp(-s), 1.0 + np.exp(-s)
 
-    def halve(self, what: str, status: str) -> None:
+    def halve(self, status: str = "") -> None:
         """Halve the step; past MAX_INTERVALS raise NumericalError, naming
         the integral and the caller's status (its last estimate)."""
         if 2 * self.n > MAX_INTERVALS:
-            raise NumericalError(f"{what} did not reach relative error {REL_TOL:g} within "
-                                 f"{MAX_INTERVALS} trapezoid intervals {status}".rstrip())
+            raise NumericalError(f"{self.what} did not reach relative error {REL_TOL:g} within "
+                                 f"{MAX_INTERVALS} trapezoid intervals{self.per} {status}".rstrip())
         self.h, self.n = self.h / 2, 2 * self.n
+
+
+# The strides, in nodes of the finest level, of the three levels whose sums
+# the stop rule reads, coarsest first.
+_STRIDES = (4, 2, 1)
 
 
 class _Trapezoid(_Steps):
@@ -448,36 +459,36 @@ class _Trapezoid(_Steps):
     step.  g(v, rows) maps abscissae of shape (len(rows), k) for the
     integrals `rows` to values of that shape, with any leading axes.
 
-    The integrand is kept at every node evaluated, and a level's sum is
-    the plain sum over the nodes at its step.  The first call of g
-    evaluates the nodes of the first `_levels` levels, at the finest of
-    them (each step is the first divided by a power of two, so every node
-    has the abscissa it would have on its own level); a level past those
-    evaluates only its odd nodes."""
+    The integrand is kept at every node of the finest level, and a coarser
+    level's sum is the plain sum over the nodes at its stride (each step is
+    the finest times a power of two, so every node has the abscissa it would
+    have on its own level).  The first call of g evaluates the finest level
+    of `_Steps`; `refine` evaluates only the next level's odd nodes."""
+
+    what = "end-to-end CDF"
 
     def __init__(self, g, v0, v1, h_max: float):
         super().__init__(v0, v1, h_max)
         self.g = g
         self.rows = np.arange(v0.size)
-        stride = 1 << _levels(self.n) - 1
-        self.values = self._values(np.arange(self.n * stride + 1), self.h / stride)
+        self.values = self._values(np.arange(self.n + 1), self.h)
 
     def _values(self, k, h):
         v, dv = self.at(k, h)
         return self.g(v, self.rows) * dv
 
     def sums(self):
-        """(the current level's sums, the integrands at the two ends summed)."""
-        stride = (self.values.shape[-1] - 1) // self.n
+        """(the sums of the last three levels, coarsest first, the
+        integrands at the two ends summed)."""
         ends = self.values[..., 0] + self.values[..., -1]
-        return self.h * (self.values[..., ::stride].sum(-1) - 0.5 * ends), ends
+        return ([self.h * stride * (self.values[..., ::stride].sum(-1) - 0.5 * ends)
+                 for stride in _STRIDES], ends)
 
-    def refine(self, status: str = "") -> None:
-        """Move to the next level (`halve`), evaluating its odd nodes if they are new."""
-        self.halve("end-to-end CDF", status)
-        if self.n >= self.values.shape[-1]:
-            odd = self._values(2 * np.arange(self.n // 2) + 1, self.h)
-            self.values = _interleave(self.values, odd)
+    def refine(self, status: str) -> None:
+        """Move to the next level (`halve`), evaluating its odd nodes."""
+        self.halve(status)
+        odd = self._values(2 * np.arange(self.n // 2) + 1, self.h)
+        self.values = _interleave(self.values, odd)
 
     def keep(self, mask) -> None:
         """Refine only the integrals where mask is true from now on."""
@@ -485,12 +496,14 @@ class _Trapezoid(_Steps):
         self.values = self.values[..., mask, :]
 
 
-def _extrapolated(last, before):
-    """Error of the finest trapezoid sum from the last two step-halving
-    differences.  For analytic integrands the error falls like e^(-k/h), so
+def _extrapolated(coarse, mid, fine):
+    """Error of the finest of three trapezoid sums at successive step
+    halvings.  For analytic integrands the error falls like e^(-k/h), so
     each difference is about the error of the coarser sum, and the error of
-    the finest is at most last^2 / before; where the differences do not yet
-    fall, it is the last difference itself."""
+    the finest is at most last^2 / before for the differences last = |fine
+    - mid| and before = |mid - coarse|; where they do not yet fall, it is
+    the last difference itself."""
+    last, before = np.abs(fine - mid), np.abs(mid - coarse)
     ratio = np.where(last < before, last / np.where(before > 0.0, before, 1.0), 1.0)
     return last * ratio
 
@@ -507,8 +520,8 @@ def _cdf_bounds(xs, src: Link, far: Link, a: float, b: float, c: float):
 
 
 def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float):
-    """(F, error estimate, nodes of the final sums) of the end-to-end CDF
-    at xs > 0, given f_first = F_f(B x / A)."""
+    """(F, error estimate, nodes of the sums each F was taken at, summed)
+    of the end-to-end CDF at xs > 0, given f_first = F_f(B x / A)."""
     base = far.rho * a          # w scale where the far gain reaches its mean
     v1 = np.log(_FAR_SPAN * base + b * xs)
     # below w ~ x^2 B C / (A rho_s) the source link saturates, F_s -> 1; the
@@ -528,41 +541,33 @@ def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float):
     values, errors = np.empty_like(xs), np.empty_like(xs)
     nodes = 0
     rule = _Trapezoid(integrand, v0, v1, _INNER_H)
-    prev = diff = None
-    status = ""
     while True:
         rows = rule.rows
-        total, ends = rule.sums()
-        lower_p = f_first[rows] + total[0]
+        sums, ends = rule.sums()
+        lower_p = f_first[rows] + sums[-1][0]
         use_q = lower_p > 0.5
-        value = np.where(use_q, 1.0 - total[1], lower_p)
-        step = np.where(use_q, total[1], total[0])
-        if prev is not None:
-            last = np.abs(step - prev)
-            if diff is not None:
-                # the integrand at the cut ends bounds the tails beyond them
-                err = _extrapolated(last, diff) + np.where(use_q, ends[1], ends[0])
-                done = (err <= REL_TOL * value) & (rule.h <= _INNER_H)
-                values[rows[done]], errors[rows[done]] = value[done], err[done]
-                nodes += int(done.sum()) * (rule.n + 1)
-                if done.all():
-                    return values, errors, nodes
-                status = (f"(estimate {np.max(err[~done]):.1e} at values up to "
-                          f"{np.max(value[~done]):.6e})")
-                rule.keep(~done)
-                last, step = last[~done], step[~done]
-            diff = last
-        prev = step
-        rule.refine(status)
+        value = np.where(use_q, 1.0 - sums[-1][1], lower_p)
+        # the integrand at the cut ends bounds the tails beyond them
+        err = (_extrapolated(*(np.where(use_q, total[1], total[0]) for total in sums))
+               + np.where(use_q, ends[1], ends[0]))
+        done = (err <= REL_TOL * value) & (rule.h <= _INNER_H)
+        values[rows[done]] = value[done]
+        errors[rows[done]] = np.maximum(err[done], REL_ROUNDING * value[done])
+        nodes += int(done.sum()) * (rule.n + 1)
+        if done.all():
+            return values, errors, nodes
+        rule.keep(~done)
+        rule.refine(f"(estimate {np.max(err[~done]):.1e} at values up to "
+                    f"{np.max(value[~done]):.6e})")
 
 
 def e2e_cdf(xs, src: Link, far: Link, a: float, b: float, c: float) -> tuple:
     """CDF of A g_s g_f / (B g_s + C g_f) at each x in xs (array), with a
-    per-point error estimate: (values, errors, the nodes of each point's
-    final inner sum, summed, points settled by the bounds).  values and
-    errors have the shape of xs; at x <= 0 both are 0, at NaN both NaN.
+    per-point error estimate: (values, errors, the nodes of the inner sum
+    each point was taken at, summed, points settled by the bounds).  values
+    and errors have the shape of xs; at x <= 0 both are 0, at NaN both NaN.
     Each point is refined until its estimate is at most REL_TOL times its
-    value.
+    value; the error reported for it is at least REL_ROUNDING of the value.
 
     The link bounds L <= F(x) <= U come first, for all points at once.  A
     point where they meet (U == L) is settled at that value, with error 0
@@ -603,6 +608,8 @@ class _Axis(_Steps):
     deep fade lies far above the law, which would then fall in the
     compressed part of the map and need fine steps."""
 
+    what, per = "sum-BER grid", " per axis"
+
     def __init__(self, link: Link, fade: float):
         top = gammainccinv(link.m * link.n, _TAIL)
         super().__init__(math.log(min(fade, top)) - _FADE_SHIFT, math.log(top), _INNER_H)
@@ -618,20 +625,19 @@ def _weights(axes, ks):
     return [np.stack([lam, pdf * lam * jac]) for lam, (_, pdf), jac in zip(lams, laws, jacs)]
 
 
-def _level_sums(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f, levels: int) -> list:
-    """For each of `levels` nested grids in lam_s x lam_f, coarsest first,
-    level l taking every 2^(levels - l)-th node of each axis and the last
-    level all of them: (sum_ij erfc(sqrt(mod_b gamma_ij)) w_s[i] w_f[j],
-    the same over the two end rows i with 2 w_s, and over the two end columns
-    j with 2 w_f), with A / gamma = C / (rho_s lam_s) + B / (rho_f lam_f).
+def _level_sums(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f):
+    """(the sums sum_ij erfc(sqrt(mod_b gamma_ij)) w_s[i] w_f[j] of the last
+    three levels, coarsest first, level l taking every _STRIDES[l]-th node of
+    each axis; the finest level's sum over its two end rows i with 2 w_s and
+    over its two end columns j with 2 w_f), with A / gamma = C / (rho_s
+    lam_s) + B / (rho_f lam_f).
 
     One pass of erfc over the finest grid, each block of rows reduced to its
     row sums over each level's columns as soon as it is computed; a level's
     total is then the plain sum over its rows."""
     x_s = d.c / (d.src.rho * lam_s)
     x_f = d.b / (d.far.rho * lam_f)
-    strides = [1 << levels - 1 - k for k in range(levels)]
-    row_sums, end_cols = np.empty((levels, x_s.size)), np.empty(x_s.size)
+    row_sums, end_cols = np.empty((len(_STRIDES), x_s.size)), np.empty(x_s.size)
     rows = max(1, _GRID_BLOCK // x_f.size)
     for k in range(0, x_s.size, rows):
         q = np.add.outer(x_s[k:k + rows], x_f)
@@ -641,15 +647,12 @@ def _level_sums(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f, levels: int)
         # numpy's pairwise sums: a BLAS product here would load BLAS pages
         # that no other lower-bound path touches
         q *= w_f
-        for level, stride in enumerate(strides):
+        for level, stride in enumerate(_STRIDES):
             row_sums[level, k:k + rows] = q[:, ::stride].sum(axis=1)
         end_cols[k:k + rows] = q[:, 0] + q[:, -1]
-    out = []
-    for r, stride in zip(row_sums, strides):
-        r, w = r[::stride], w_s[::stride]
-        out.append((float(np.sum(r * w)), float(np.sum(2.0 * r[[0, -1]] * w[[0, -1]])),
-                    float(np.sum(2.0 * end_cols[::stride] * w))))
-    return out
+    totals = [float(np.sum(r[::stride] * w_s[::stride])) for r, stride in zip(row_sums, _STRIDES)]
+    return (totals, float(np.sum(2.0 * row_sums[-1, [0, -1]] * w_s[[0, -1]])),
+            float(np.sum(2.0 * end_cols * w_s)))
 
 
 def _direction_ber(d: Direction, mod_b: float, scale: float):
@@ -658,46 +661,32 @@ def _direction_ber(d: Direction, mod_b: float, scale: float):
     trapezoid grid refined by halving both steps.  The weights are
     f(lam) lam (1 + e^(-s)), the density in s, halved at the ends.
 
-    The axes hold the finest level evaluated, and `_level_sums` reads each
-    level's total and edge sums off that grid.  The first pass evaluates
-    the first `_levels` levels with one `_weights` call on both axes' nodes
-    at the finest of them; a level past it evaluates only the axes' new
-    nodes."""
+    The axes hold the finest level evaluated, and `_level_sums` reads the
+    last three levels' totals and the finest level's edge sums off that
+    grid.  The first pass evaluates both axes' nodes with one `_weights`
+    call; each refinement evaluates only the axes' new nodes."""
     axes = (_Axis(d.src, d.c / (d.a * mod_b * d.src.rho)),
             _Axis(d.far, d.b / (d.a * mod_b * d.far.rho)))
-    levels = _levels(max(ax.n for ax in axes))
-    for ax in axes:
-        ax.h, ax.n = ax.h / (1 << levels - 1), ax.n << levels - 1
     src, far = _weights(axes, [np.arange(ax.n + 1) for ax in axes])
     for nodes in (src, far):
         nodes[1, [0, -1]] *= 0.5
-    sums = _level_sums(d, mod_b, *src, *far, levels)
-    prev = diff = None
-    status = ""
     while True:
-        if not sums:
-            for ax in axes:
-                ax.halve("sum-BER grid", f"per axis {status}")
-            new_src, new_far = _weights(axes, [np.arange(1, ax.n, 2) for ax in axes])
-            src, far = _interleave(src, new_src), _interleave(far, new_far)
-            sums = _level_sums(d, mod_b, *src, *far, 1)
-        total, edge_s, edge_f = sums.pop(0)
-        # the level's steps: the axes' times the stride of its sub-grid
-        h_s, h_f = (float(ax.h) * (1 << len(sums)) for ax in axes)
-        value = scale * h_s * h_f * total
-        if prev is not None:
-            last = abs(value - prev)
-            if diff is not None:
-                # the integrand along the grid's edges bounds the tails beyond them
-                ends = h_f * edge_s + h_s * edge_f
-                err = float(_extrapolated(last, diff)) + scale * h_s * h_f * ends
-                if err <= REL_TOL * value:
-                    # the link law saw each axis node once
-                    sizes = src.shape[1], far.shape[1]
-                    return value, max(err, REL_ROUNDING * value), math.prod(sizes), sum(sizes)
-                status = f"(estimate {err:.1e} of {value:.6e})"
-            diff = last
-        prev = value
+        totals, edge_s, edge_f = _level_sums(d, mod_b, *src, *far)
+        h_s, h_f = (float(ax.h) for ax in axes)
+        value = scale * h_s * h_f * totals[-1]
+        # a level's steps: the axes' times its stride; the integrand along
+        # the grid's edges bounds the tails beyond them
+        err = (float(_extrapolated(*(scale * (h_s * stride) * (h_f * stride) * total
+                                     for total, stride in zip(totals, _STRIDES))))
+               + scale * h_s * h_f * (h_f * edge_s + h_s * edge_f))
+        if err <= REL_TOL * value:
+            # the link law saw each axis node once
+            sizes = src.shape[1], far.shape[1]
+            return value, max(err, REL_ROUNDING * value), math.prod(sizes), sum(sizes)
+        for ax in axes:
+            ax.halve(f"(estimate {err:.1e} of {value:.6e})")
+        new_src, new_far = _weights(axes, [np.arange(1, ax.n, 2) for ax in axes])
+        src, far = _interleave(src, new_src), _interleave(far, new_far)
 
 
 def sum_ber(directions, mod_a: float, mod_b: float, bits: float) -> Estimate:

@@ -1,7 +1,8 @@
 """mpmath oracles for the analytic engine: the paper's closed-form sum-BER
-assembled at any precision, and the determinant form of the largest-
-eigenvalue CDF and density.  Test-only: the program runs in double
-precision.
+assembled at any precision, the determinant form of the largest-
+eigenvalue CDF and density, and the end-to-end CDF of one direction by
+quadrature over the exact expansions of its two link laws.  Test-only:
+the program runs in double precision.
 
 The closed form at 100 digits takes seconds to minutes per point, so the
 values that the engine tests compare against are stored in
@@ -9,11 +10,13 @@ oracle_sum_ber.json; `python tests/mp_oracle.py` regenerates them (about
 ten minutes)."""
 
 import json
+import math
 from pathlib import Path
 
 import mpmath as mp
 
 from twrelay.analysis import _DIRECTIONS, _direction, _moment_groups
+from twrelay.lowerbound import ccdf_expansion
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile, Protocol,
                               coefficient_set, parse_protocol, protocol_modulation)
 
@@ -74,6 +77,64 @@ def link_cdf_pdf_mp(u: float, m_1: int, m_2: int, dps: int = 60) -> tuple:
                 col[i, j] = u ** (t - s + i + j) * mp.exp(-u)
             dens += mp.det(col)
         return float(mp.det(g) / k), float(dens / k)
+
+
+def _link_law_mp(m: int, n: int):
+    """(F, f) of the largest eigenvalue of an m x n complex Wishart matrix
+    as functions of u at the working precision, from `ccdf_expansion`:
+    1 - F is a sum of Erlang tails, f the matching sum of Erlang densities."""
+    table = [(i, k, mp.mpf(d.numerator) / d.denominator) for (i, k), d in ccdf_expansion(m, n)]
+
+    def cdf(u):
+        return 1 - mp.fsum(d * mp.exp(-i * u) * mp.fsum((i * u) ** j / mp.factorial(j)
+                                                        for j in range(k + 1))
+                           for i, k, d in table)
+
+    def pdf(u):
+        return mp.fsum(d * i * (i * u) ** k * mp.exp(-i * u) / mp.factorial(k) for i, k, d in table)
+    return cdf, pdf
+
+
+def _e2e_cdf_at(direction, x):
+    # F = F_f(B x / A) + int_0^inf F_s(x C g_f / w) f_f(g_f) dw / A at the working precision
+    src, far, a, b, c = direction
+    x, a, b, c = mp.mpf(x), mp.mpf(a), mp.mpf(b), mp.mpf(c)
+    rho_s, rho_f = mp.mpf(src.rho), mp.mpf(far.rho)
+    cdf_s, _ = _link_law_mp(src.m, src.n)
+    cdf_f, pdf_f = _link_law_mp(far.m, far.n)
+
+    def integrand(w):
+        g_f = (w + b * x) / a
+        return cdf_s(x * c * g_f / (w * rho_s)) * pdf_f(g_f / rho_f) / (rho_f * a)
+    # below w0 the source link saturates (F_s -> 1); the far density has
+    # fallen far below rounding once g_f passes 1e3 m n rho_f
+    w0 = b * c * x * x / (a * rho_s)
+    top = 1000 * far.m * far.n * a * rho_f
+    points = [mp.mpf(0), w0 / 10000]
+    while points[-1] < top:
+        points.append(100 * points[-1])
+    return cdf_f(b * x / (a * rho_f)) + mp.quad(integrand, points + [mp.inf])
+
+
+def e2e_cdf_mp(direction, x: float, dps: int):
+    """The end-to-end CDF F(x) of one direction (a `lowerbound.Direction`)
+    to dps significant digits: the first form of the module docstring of
+    `lowerbound`, integrated by mp.quad with breakpoints at even decades of
+    B C x^2 / (A rho_s), on both link laws' exact expansions.
+
+    Each 1 - P(L > u) loses the digits of the expansion's largest
+    coefficient and of 1 / F, so the working precision carries both, and is
+    raised once more if F turns out smaller than its first guess allowed."""
+    coef = max(abs(d) for link in direction[:2] for _, d in ccdf_expansion(link.m, link.n))
+    guard = extra = 10 + math.ceil(math.log10(coef + 1))
+    while True:
+        with mp.workdps(dps + extra):
+            value = _e2e_cdf_at(direction, x)
+            lost = max(0, math.ceil(-mp.log10(value))) if value > 0 else dps
+        if extra >= guard + lost:
+            with mp.workdps(dps):
+                return +value
+        extra += lost
 
 
 # ---------------------------------------------------------------------------

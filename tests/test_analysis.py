@@ -14,7 +14,7 @@ import pytest
 from scipy import integrate
 
 import twrelay.lowerbound
-from mp_oracle import (ORACLE_DPS, ORACLE_FILE, closed_form_mp, link_cdf_pdf_mp,
+from mp_oracle import (ORACLE_DPS, ORACLE_FILE, closed_form_mp, e2e_cdf_mp, link_cdf_pdf_mp,
                        oracle_inputs, oracle_key, oracle_points)
 from twrelay.analysis import (FALLBACK_SHARE, _closed_form_f64, _direction, bessel_moment,
                               e2e_cdf, link_cdf, link_pdf, min_pair_cdf, require_analytic,
@@ -252,6 +252,35 @@ class TestEndToEndCdf:
         assert np.array_equal(e2e_cdf("arb", xs[:1, :1], coeffs, ant, pw),
                               [[e2e_cdf("arb", float(xs[0, 0]), coeffs, ant, pw)]])
 
+    @pytest.mark.parametrize("protocol, direction, grid, index, ref", [
+        (Protocol.FIRST_FOUR_SLOT, "arb", (1e-4, 50.0, 400), 223, 7.631070257678407150923e-4),
+        (Protocol.TWO_SLOT, "bra", (1e-3, 30.0, 1500), 238, 9.862147108054826671617346e-10),
+    ], ids=["first_four_slot-arb", "two_slot-bra"])
+    def test_lone_and_batch_within_error(self, protocol, direction, grid, index, ref):
+        # 2x2x2 at balanced 30 dB, one point of a threshold grid, against
+        # 40-digit references (mp_oracle.e2e_cdf_mp).  Alone, these points
+        # once stopped at the third level, 3.1e-13 and 2.9e-12 off with
+        # estimates of 8.4e-15 and 2.3e-14
+        ant, pw = AntennaConfig(2, 2, 2), PowerProfile.balanced(30.0)
+        d = _direction(direction, coefficient_set(protocol, ant, pw), ant, pw)
+        lo, hi, n = grid
+        xs = np.geomspace(lo * pw.rho_ar, hi * pw.rho_ar, n)
+        for batch, k in ((xs[index:index + 1], 0), (xs, index)):
+            values, errors, _, _ = twrelay.lowerbound.e2e_cdf(batch, *d)
+            assert abs(values[k] - ref) <= errors[k], batch.size
+
+    def test_mp_oracle_matches_single_antenna_form(self):
+        # the quadrature oracle over the link laws' exact expansions against
+        # the Bessel-K sum of one relay antenna, both directions
+        ant, pw = AntennaConfig(2, 1, 2), power_profile(20.0, 0.3)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        for direction in ("arb", "bra"):
+            d = _direction(direction, coeffs, ant, pw)
+            for r in (0.01, 0.3, 3.0):
+                x = r * pw.rho_ar
+                ref = single_antenna_e2e_cdf(direction, x, coeffs, ant, pw)
+                assert float(e2e_cdf_mp(d, x, 20)) == pytest.approx(ref, rel=1e-12), (direction, r)
+
     def test_one_kernel_batch_per_scalar_call(self, monkeypatch):
         # the benchmark's outage curve: every inner integral stops by its
         # fourth level, whose nodes, with those of the three coarser levels,
@@ -364,9 +393,9 @@ class TestSumBerQuadrature:
 
     @pytest.mark.parametrize("dims, kernel_calls", [((2, 2, 2), 1), ((2, 1, 3), 2)])
     def test_one_kernel_call_and_grid_pass_per_direction(self, monkeypatch, dims, kernel_calls):
-        # a direction that stops by the fourth level passes the link law all
-        # nodes of that level at once (one call per link shape) and sums all
-        # four levels in one pass over the grid
+        # a direction that stops at the first pass's level passes the link
+        # law all nodes of that level at once (one call per link shape) and
+        # reads its three levels' sums in one pass over the grid
         ant = AntennaConfig(*dims)
         pw = power_profile(30.0, 0.5)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
@@ -379,39 +408,50 @@ class TestSumBerQuadrature:
             return kernel(u, m, n)
 
         def counting(*args):
-            passes.append(args[-1])
+            passes.append(args)
             return level_sums(*args)
         monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
         monkeypatch.setattr(twrelay.lowerbound, "_level_sums", counting)
         d = _direction("arb", coeffs, ant, pw)
         twrelay.lowerbound.sum_ber([d], mod.a, mod.b, mod.bits_per_symbol)
-        assert len(calls) == kernel_calls and passes == [twrelay.lowerbound._LEVELS]
+        assert len(calls) == kernel_calls and len(passes) == 1
 
     @pytest.mark.parametrize("levels", [1, 2])
     def test_levels_set_cost_not_numbers(self, monkeypatch, levels):
-        # the levels evaluated in the first pass change how many nodes one
-        # call evaluates, not the sums: each level reads its sum off the same
-        # nodes however they were evaluated
-        pw = power_profile(30.0, 0.5)
-        mod = protocol_modulation(Protocol.TWO_SLOT)
-        directions = []
-        for dims in ((2, 2, 2), (2, 1, 3)):
-            ant = AntennaConfig(*dims)
-            coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
-            directions.append([_direction(d, coeffs, ant, pw) for d in ("arb", "bra")])
-        ant, pw20 = AntennaConfig(2, 2, 2), PowerProfile.balanced(20.0)
-        d = _direction("arb", coefficient_set(Protocol.TWO_SLOT, ant, pw20), ant, pw20)
-        xs = pw20.rho_ar * 10.0 ** (-3.0 + np.arange(25) / 6.0)
+        # two integrals that stop at the fifth level: a sum-BER grid (530
+        # link arguments) and an end-to-end CDF.  With
+        # _LEVELS = 5 the first pass evaluates that level at once; with
+        # `levels` fewer, each integral refines `levels` times after its
+        # first pass, one kernel call more each time, and reads its three
+        # sums off the same nodes, so it returns the same numbers
+        ant, pw = AntennaConfig(3, 3, 3), power_profile(40.0, 0.5)
+        mod = protocol_modulation(Protocol.FIRST_FOUR_SLOT)
+        d = _direction("arb", coefficient_set(Protocol.FIRST_FOUR_SLOT, ant, pw), ant, pw)
+        ant4, pw30 = AntennaConfig(4, 4, 4), power_profile(30.0, 0.5)
+        d4 = _direction("arb", coefficient_set(Protocol.TWO_SLOT, ant4, pw30), ant4, pw30)
+        xs = np.array([10.0 ** (-2.0 / 3.0) * pw30.rho_ar])
+        kernel = twrelay.lowerbound.link_cdf_pdf
+        calls = []
 
-        def run():
-            return ([twrelay.lowerbound.sum_ber(ds, mod.a, mod.b, mod.bits_per_symbol).value
-                     for ds in directions], twrelay.lowerbound.e2e_cdf(xs, *d)[0])
-        default = run()
-        monkeypatch.setattr(twrelay.lowerbound, "_LEVELS", levels)
-        changed = run()
-        eps = np.finfo(float).eps
-        assert changed[0] == pytest.approx(default[0], rel=4 * eps, abs=0.0)
-        assert changed[1] == pytest.approx(default[1], rel=4 * eps, abs=0.0)
+        def recording(u, m, n):
+            calls.append(u.size)
+            return kernel(u, m, n)
+        monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
+
+        def run(first_level):
+            monkeypatch.setattr(twrelay.lowerbound, "_LEVELS", first_level)
+            calls.clear()
+            return (twrelay.lowerbound.sum_ber([d], mod.a, mod.b, mod.bits_per_symbol),
+                    twrelay.lowerbound.e2e_cdf(xs, *d4), len(calls))
+        ber5, cdf5, calls5 = run(5)
+        assert ber5.link_args == 530
+        ber, cdf, n_calls = run(5 - levels)
+        assert ber == ber5 and n_calls == calls5 + 2 * levels
+        for a, b in zip(cdf, cdf5):
+            assert np.array_equal(a, b)
+        # the stop rule reads sums at strides 4, 2 and 1 of the finest level
+        with pytest.raises(ValueError, match="_LEVELS"):
+            run(2)
 
     @pytest.mark.parametrize("dims, ref", [((2, 1, 2), 9.999943804600575e-01),
                                            ((4, 4, 4), 9.999859277218750e-01)])
