@@ -10,8 +10,13 @@ of exactly known mean (`simulate.estimate_d_factors`): over --trials in
 kappa, whose se_* columns are the standard errors of these estimates.
 sweep, gaps and beta run that estimate here, as a pre-pass over at least
 D_FACTOR_TRIALS draws of the seed's stream, and hand the factors to the
-analytic and high-SNR engines, which draw nothing themselves; an mc sweep
-takes its leading blocks from the same pass.
+analytic and high-SNR engines, which draw nothing themselves.  The
+pre-pass draws its own blocks, unless its link gains serve more than one
+estimate: an mc sweep takes its leading blocks from the same pass, and
+beta evaluates every step on it, so there the blocks are drawn once into a
+list that each estimate reads.  Every pass draws and reduces its blocks on
+worker threads (see `simulate`), and its output does not depend on their
+number.
 
 Each command takes flags only for the scenario fields it reads (any other
 is an argparse error, exit 2), and checks its whole configuration, with
@@ -132,11 +137,11 @@ def cmd_sweep(args) -> int:
     if ant.m_r > 1 and any(p.dual_reception for p in analytic):
         pw_ref = power_profile(args.rho_stop, sc.d0, sc.pl_exponent, sc.relay_rho_db)
         d_trials = max(sc.trials, D_FACTOR_TRIALS)
-        blocks = _gain_blocks(ant, d_trials, sc.seed)
         if "mc" in modes:
             # the mc rows use the first sc.trials of the same draws
-            mc_gains = blocks = list(blocks)
-        dfactors, _ = estimate_d_factors(ant, pw_ref, trials=d_trials, gains=blocks)
+            mc_gains = list(_gain_blocks(ant, d_trials, sc.seed))
+        dfactors, _ = estimate_d_factors(ant, pw_ref, trials=d_trials, seed=sc.seed,
+                                         gains=mc_gains)
 
     rows = []
     mc_points = []      # (rho_db, SweepPoint)

@@ -5,13 +5,23 @@ factors.
 
 Trials are drawn from counter-partitioned Philox substreams in fixed-size
 blocks, so results depend only on (seed, trial index) and are identical no
-matter how trials are batched or distributed.  One generator,
-`_gain_blocks`, draws each block, trims it to the trial count and turns it
-into link gains; every sampler iterates it, or takes the first draws of
-blocks that a pass at least as long over the same stream produced
-(`_first_draws`).  A sweep evaluates every point of the sweep on each
-block's gains.  The protocol picks the SNR form: the exact two-branch sums
-for dual reception, the unified three-constant form otherwise.
+matter how trials are batched or distributed.  Every pass over the draws is
+one ordered map over its blocks, `_gain_blocks`: a task draws a block,
+trims it to the trial count, turns it into link gains and applies the
+caller's per-block reduction; or, given the blocks of a pass at least as
+long over the same stream, it only reduces their first draws.  A sweep
+evaluates every point of the sweep on each block's gains.  The protocol
+picks the SNR form: the exact two-branch sums for dual reception, the
+unified three-constant form otherwise.
+
+The tasks run on a pool of worker threads, one per CPU available to the
+process and at most one per block.  numpy, `standard_gamma` and `erfc`
+release the interpreter lock inside their loops, so blocks are drawn and
+reduced side by side.  The caller reads the results in block order and
+combines partial sums with math.fsum, so every output is the same bit for
+bit whatever the number of workers.  Each worker holds the working set of
+one block in flight, a few MB at 16 384 trials (about 5 MB at 4x4x4), on
+top of what the caller keeps.
 
 The engine reads four gains per trial.  With W = H H^H the relay-side Gram
 of a side's m_r x m channel and f its top unit eigenvector (that side's
@@ -65,6 +75,9 @@ setting (`_top_gains`):
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -331,24 +344,64 @@ def _require_trials(trials: int) -> None:
         raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
 
 
-def _gain_blocks(ant: AntennaConfig, trials: int, seed: int):
-    """LinkGains of the first `trials` draws of the seed's stream, one per
-    block, the last block trimmed to the trial count."""
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_map(task, items, blocks: int):
+    """task(item) of each of the `blocks` items, in order, each on a worker
+    thread of one pool of min(`_cpus()`, blocks) threads.  At most one task
+    per worker runs while the reader holds a result, so a result is never
+    more than workers + 1 items ahead of the reader.  An error raised by a
+    task, or by `items`, reaches the reader unchanged once the tasks before
+    it are read; then, as when the reader stops early, every task not yet
+    started is cancelled and the running ones are waited for."""
+    workers = min(_cpus(), blocks)
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(task, item))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _same(block):
+    return block
+
+
+def _gain_blocks(ant: AntennaConfig, trials: int, seed: int, gains=None, reduce=_same):
+    """reduce(LinkGains) of each block of the first `trials` draws of the
+    seed's stream, in block order, the last block trimmed to the trial count
+    (by default the LinkGains themselves).  Each block is drawn
+    (`ChannelStream.draw_block`), turned into link gains and reduced by one
+    task of `_block_map`.  If gains is given, the blocks are taken from its
+    blocks instead, those of a pass over the same stream that is at least
+    that long, and only reduced there."""
     _require_trials(trials)
+    blocks = -(-trials // _BLOCK)
+    if gains is not None:
+        return _block_map(reduce, _heads(gains, trials), blocks)
     stream = ChannelStream(seed)
-    for b in range((trials + _BLOCK - 1) // _BLOCK):
-        side_a, side_b = stream.draw_block(ant, b)
+
+    def task(b):
         n = min(_BLOCK, trials - b * _BLOCK)
-        yield link_gains(side_a[:n], side_b[:n])
+        # the variates are released once their gains are formed, before the
+        # reduction
+        return reduce(link_gains(*(side[:n] for side in stream.draw_block(ant, b))))
+    return _block_map(task, range(blocks), blocks)
 
 
-def _first_draws(ant: AntennaConfig, trials: int, seed: int, gains=None):
-    """LinkGains blocks of the first `trials` draws of the seed's stream:
-    drawn by `_gain_blocks`, or, if gains is given, taken from its blocks,
-    those of a pass over the same stream that is at least that long."""
-    if gains is None:
-        yield from _gain_blocks(ant, trials, seed)
-        return
+def _heads(gains, trials: int):
+    """The LinkGains blocks of gains, a pass at least `trials` long, trimmed
+    to its first `trials` draws."""
     left = trials
     for block in gains:
         yield block.head(left)
@@ -432,8 +485,8 @@ def sample_end_to_end_snrs(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
     """Arrays of (g_arb, g_bra) over Monte-Carlo trials: the exact two-branch
     sums for the dual-reception protocols, the unified form otherwise."""
     coeffs = _sampler_coeffs(p, ant, pw, w)
-    arb, bra = zip(*(end_to_end_snrs(p, gains.snrs(pw), w, coeffs, snr_form)
-                     for gains in _gain_blocks(ant, trials, seed)))
+    arb, bra = zip(*_gain_blocks(ant, trials, seed, reduce=lambda gains: end_to_end_snrs(
+        p, gains.snrs(pw), w, coeffs, snr_form)))
     return np.concatenate(arb), np.concatenate(bra)
 
 
@@ -459,9 +512,11 @@ def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
 
     Blocks are the outer loop: each is drawn once, and every
     point is evaluated on its power-free gains, so a point's estimate equals
-    its one-point estimate bit for bit.  Each block is reduced with np.sum
-    and the block partials are combined with math.fsum, so results depend
-    only on (seed, trials), not on how blocks are scheduled.
+    its one-point estimate bit for bit.  Each block is reduced to each
+    point's (sum y, sum y^2) with np.sum by one task on a worker thread
+    (`_gain_blocks`), and the block partials are combined in block order
+    with math.fsum, so results depend only on (seed, trials), not on how
+    blocks are scheduled or on the number of workers.
 
     gains, if given, are the LinkGains blocks of a pass over the seed's
     stream, made already by the caller; the estimates read their first
@@ -475,12 +530,16 @@ def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
         if mod is None:
             mod = protocol_modulation(p)
         evals.append((p, pw, w, _sampler_coeffs(p, ant, pw, w), mod.ceiling, 2.0 * mod.b))
-    parts = [[] for _ in evals]     # per point: (sum y, sum y^2) of each block
-    for block in _first_draws(ant, trials, seed, gains):
-        for (p, pw, w, coeffs, scale, two_b), part in zip(evals, parts):
+
+    def reduce(block):
+        # per point: (sum y, sum y^2) of the block
+        part = []
+        for p, pw, w, coeffs, scale, two_b in evals:
             g_arb, g_bra = end_to_end_snrs(p, block.snrs(pw), w, coeffs, snr_form)
             y = scale * (_q_vec(two_b * g_arb) + _q_vec(two_b * g_bra))
             part.append((np.sum(y), np.sum(y * y)))
+        return part
+    parts = zip(*_gain_blocks(ant, trials, seed, gains, reduce))
     return [_mean_estimate(part, trials) for part in parts]
 
 
@@ -559,10 +618,13 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     ratio of sums always lies, is replaced by that plain ratio and its
     delta-method SE (p = 0).  Each block
     contributes the sums of x1, x2 and C - mu and of the products that
-    these formulas read, each with np.sum; the block sums are combined with
-    math.fsum, so results depend only on (seed, trials).  gains, if given,
-    replaces the draw as in semi_analytic_sweep: the first `trials` draws
-    of a pass at least that long (unread with one relay antenna).
+    these formulas read, each with np.sum, from one task on a worker thread
+    (`_gain_blocks`); the block sums are combined in block order with
+    math.fsum, so results depend only on (seed, trials), not on the number
+    of workers.  gains, if given, replaces the draw as in
+    semi_analytic_sweep: the first `trials` draws of a pass at least that
+    long (unread with one relay antenna).  Give it a list of blocks made
+    already; a lazy `_gain_blocks` pass would run its pool under this one.
     """
     _require_trials(trials)
     if ant.m_r == 1:
@@ -578,19 +640,19 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     nrow = len(mu) + 8
     pairs = [(i, j) for i in range(nrow) for j in range(i, nrow)
              if j >= 8 or j == i or (j == i + 1 and i % 2 == 0)]
-    parts = []
-    for block in _first_draws(ant, trials, seed, gains):
+
+    def reduce(block):
         s = block.snrs(pw)
         controls = (block.lam_a_x, block.lam_b_x, np.log(block.lam_a_x),
                     np.log(block.lam_b_x), block.lam_a, block.lam_b)
-        # released before the next block is drawn, which sets the peak
-        # memory of a pass
+        # released before the rows are formed, which sets the peak memory
+        # of a task
         del block
         rows = (_dual_branches(s, 1.0, 1.0) + _dual_branches(s, 0.5, 0.5)
                 + tuple(c - m for c, m in zip(controls, mu)))
         del s, controls
-        parts.append([np.sum(v) for v in rows] + [np.sum(rows[i] * rows[j]) for i, j in pairs])
-    totals = [math.fsum(col) for col in zip(*parts)]
+        return [np.sum(v) for v in rows] + [np.sum(rows[i] * rows[j]) for i, j in pairs]
+    totals = [math.fsum(col) for col in zip(*_gain_blocks(ant, trials, seed, gains, reduce))]
     mean = [t / trials for t in totals[:nrow]]
     den = max(trials - 1, 1)
     cov = [[0.0] * nrow for _ in range(nrow)]

@@ -5,6 +5,8 @@ and sweep batching, and the dual-reception factors."""
 
 import hashlib
 import math
+import threading
+import time
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -574,3 +576,92 @@ class TestDFactors:
                 (d1.d_arb_3, d1.d_bra_3, d1.d_arb_4, d1.d_bra_4),
                 (d2.d_arb_3, d2.d_bra_3, d2.d_arb_4, d2.d_bra_4), se1, se2):
             assert abs(a - b) <= 3.0 * math.hypot(sa, sb)
+
+
+# a trimmed last block, and fewer trials than one block
+POOL_TRIALS = (3 * simulate._BLOCK + 123, 5000)
+
+
+def _with_workers(monkeypatch, n, fn):
+    monkeypatch.setattr(simulate, "_cpus", lambda: n)
+    return fn()
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("trials", POOL_TRIALS)
+    def test_outputs_independent_of_worker_count(self, monkeypatch, trials):
+        # the blocks of a pass are drawn and reduced on the pool's threads;
+        # every output is the one-worker output bit for bit
+        ant, pw = AntennaConfig(3, 2, 4), power_profile(10.0, 0.3)
+        points = [SweepPoint(p, pw, BALANCED_WEIGHTS if p.uses_weights else None)
+                  for p in Protocol]
+        draw_block = ChannelStream.draw_block
+
+        def slow_first(stream, ant, block):
+            # the first block finishes last, so results read in completion
+            # order would differ
+            if block == 0:
+                time.sleep(0.02)
+            return draw_block(stream, ant, block)
+        monkeypatch.setattr(ChannelStream, "draw_block", slow_first)
+
+        def outputs():
+            gains = [astuple(g) for g in simulate._gain_blocks(ant, trials, 21)]
+            return (gains, estimate_d_factors(ant, pw, trials=trials, seed=21),
+                    semi_analytic_sweep(points, ant, trials=trials, seed=21),
+                    semi_analytic_sweep(points[:1], ANT, trials=trials, seed=21),
+                    sample_end_to_end_snrs(Protocol.SECOND_THREE_SLOT, ant, pw,
+                                           trials=trials, seed=21))
+        one = _with_workers(monkeypatch, 1, outputs)
+        for n in (2, 3):
+            other = _with_workers(monkeypatch, n, outputs)
+            for a, b in zip(one[0], other[0]):
+                for x, y in zip(a, b):
+                    assert x.tobytes() == y.tobytes()
+            assert other[1:4] == one[1:4]
+            for x, y in zip(one[4], other[4]):
+                assert x.tobytes() == y.tobytes()
+
+    def test_reads_at_most_workers_plus_one_blocks_ahead(self, monkeypatch):
+        workers = 3
+        monkeypatch.setattr(simulate, "_cpus", lambda: workers)
+        draws = []
+        draw_block = ChannelStream.draw_block
+        monkeypatch.setattr(ChannelStream, "draw_block",
+                            lambda self, *a: draws.append(a) or draw_block(self, *a))
+        ant = AntennaConfig(2, 2, 2)
+        read = 0
+        for _ in simulate._gain_blocks(ant, 10 * simulate._BLOCK, 13):
+            read += 1
+            time.sleep(0.01)    # a slow reader, which the workers could outrun
+            assert len(draws) - read <= workers + 1
+        assert read == len(draws) == 10
+        draws.clear()
+        next(simulate._gain_blocks(ant, 1_000_000, 13))
+        assert len(draws) <= workers + 1
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_task_error_reaches_the_caller(self, monkeypatch, workers):
+        # the error raised by the task of block 2 is the one the caller
+        # sees; no task is left running or queued once it is raised
+        monkeypatch.setattr(simulate, "_cpus", lambda: workers)
+        error = RuntimeError("block 2")
+        started, finished = [], []
+        draw_block = ChannelStream.draw_block
+
+        def failing_draw(stream, ant, block):
+            started.append(block)
+            try:
+                if block == 2:
+                    raise error
+                return draw_block(stream, ant, block)
+            finally:
+                finished.append(block)
+        monkeypatch.setattr(ChannelStream, "draw_block", failing_draw)
+        threads = set(threading.enumerate())
+        with pytest.raises(RuntimeError) as info:
+            estimate_d_factors(AntennaConfig(2, 2, 2), PW, trials=8 * simulate._BLOCK, seed=3)
+        assert info.value is error
+        assert set(threading.enumerate()) == threads
+        assert sorted(started) == sorted(finished)
+        assert len(started) <= 3 + workers
