@@ -101,17 +101,19 @@ def _direction(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
                pw: PowerProfile) -> lowerbound.Direction:
     """One direction's lower-bound SNR A g_s g_f / (B g_s + C g_f): the
     source link, whose gain enters the first hop, the far link from the
-    relay to the destination, and the direction's (A, B, C)."""
+    relay to the destination, and the scales k_s = C / (A rho_s), k_f =
+    B / (A rho_f); the one map from coefficients and link SNRs to them."""
     require_analytic(ant)
     if direction == "arb":
-        return lowerbound.Direction(lowerbound.Link(ant.m_a, ant.m_r, pw.rho_ar),
-                                    lowerbound.Link(ant.m_b, ant.m_r, pw.rho_rb),
-                                    coeffs.a_arb, coeffs.b_arb, coeffs.c_arb)
-    if direction == "bra":
-        return lowerbound.Direction(lowerbound.Link(ant.m_b, ant.m_r, pw.rho_br),
-                                    lowerbound.Link(ant.m_a, ant.m_r, pw.rho_ra),
-                                    coeffs.a_bra, coeffs.b_bra, coeffs.c_bra)
-    raise ConfigurationError(f"direction must be 'arb' or 'bra', got {direction!r}")
+        (m_s, rho_s), (m_f, rho_f) = (ant.m_a, pw.rho_ar), (ant.m_b, pw.rho_rb)
+        a, b, c = coeffs.a_arb, coeffs.b_arb, coeffs.c_arb
+    elif direction == "bra":
+        (m_s, rho_s), (m_f, rho_f) = (ant.m_b, pw.rho_br), (ant.m_a, pw.rho_ra)
+        a, b, c = coeffs.a_bra, coeffs.b_bra, coeffs.c_bra
+    else:
+        raise ConfigurationError(f"direction must be 'arb' or 'bra', got {direction!r}")
+    return lowerbound.Direction(lowerbound.Link(m_s, ant.m_r), lowerbound.Link(m_f, ant.m_r),
+                                c / (a * rho_s), b / (a * rho_f))
 
 
 def e2e_cdf(direction: str, x: float | np.ndarray, coeffs: CoefficientSet,
@@ -188,8 +190,8 @@ class _MomentGroup(NamedTuple):
 
     The moment depends only on (n, i, s = k + j, nu = |p - k + 1|): alpha
     and beta come from (n, i), mu = s + 3/2.  The group's coefficient is
-    sum over (e, r) in `powers` of r * X^(e/2) * Y^(s + 1 - e/2) / A^(s + 1),
-    with X = C n / rho_src, Y = B i / rho_rel and r an exact rational.
+    sum over (e, r) in `powers` of r * X^(e/2) * Y^(s + 1 - e/2), with
+    X = n k_s, Y = i k_f (the direction's scales) and r an exact rational.
     """
 
     n: int
@@ -236,9 +238,9 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> float:
                - math.log(mod.bits_per_symbol))
     terms = [mod.ceiling]
     for direction in _DIRECTIONS:
-        src, far, a, b, c = _direction(direction, coeffs, ant, pw)
+        src, far, k_s, k_f = _direction(direction, coeffs, ant, pw)
         for g in _moment_groups(src.m, far.m, ant.m_r):
-            x, y = c * g.n / src.rho, b * g.i / far.rho
+            x, y = g.n * k_s, g.i * k_f
             ln_x, ln_y = math.log(x), math.log(y)
             # the group's coefficient, scaled by its largest part
             ln_parts = [math.log(abs(r)) + 0.5 * e * ln_x + (g.s + 1 - 0.5 * e) * ln_y
@@ -247,9 +249,8 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> float:
             coef = math.fsum(math.copysign(math.exp(ln - top), r)
                              for ln, (_, r) in zip(ln_parts, g.powers))
             # the moment integrates x^(s + 1/2) exp(-(b + rate) x) K_nu(beta x)
-            ln_moment = _ln_bessel_moment(g.s + 1.5, g.nu, mod.b + (x + y) / a,
-                                          2.0 * math.sqrt(x * y) / a)
-            terms.append(-coef * math.exp(ln_pref + top - (g.s + 1) * math.log(a) + ln_moment))
+            ln_moment = _ln_bessel_moment(g.s + 1.5, g.nu, mod.b + x + y, 2.0 * math.sqrt(x * y))
+            terms.append(-coef * math.exp(ln_pref + top + ln_moment))
     return math.fsum(terms)
 
 
@@ -281,13 +282,14 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
 
 def min_pair_cdf(direction: str, x: float | np.ndarray, coeffs: CoefficientSet,
                  ant: AntennaConfig, pw: PowerProfile) -> float | np.ndarray:
-    """CDF of min(B g_src, C g_far) at x (a float, or an array of
-    thresholds), the high-SNR surrogate for the lower-bound SNR scaled by
-    A / (B C).  The links are independent, so it is F_s + F_f (1 - F_s)
-    with the determinant-form link CDFs F_s of B g_src and F_f of C g_far:
-    non-negative terms only."""
-    src, far, _, b, c = _direction(direction, coeffs, ant, pw)
+    """CDF of m = min(lambda_s / k_s, lambda_f / k_f) at x (a float, or an
+    array of thresholds), the high-SNR surrogate for the lower-bound SNR
+    gamma, 1 / gamma = k_s / lambda_s + k_f / lambda_f, with m / 2 <= gamma
+    <= m.  The links are independent, so it is F_s + F_f (1 - F_s) with the
+    determinant-form link CDFs F_s at k_s x and F_f at k_f x: non-negative
+    terms only."""
+    src, far, k_s, k_f = _direction(direction, coeffs, ant, pw)
     xs = np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), 0.0)
-    (f_s, _), (f_f, _) = lowerbound.link_laws((src, far), (xs / (b * src.rho), xs / (c * far.rho)))
+    (f_s, _), (f_f, _) = lowerbound.link_laws((src, far), (k_s * xs, k_f * xs))
     cdf = f_s + f_f * (1.0 - f_s)
     return cdf if np.ndim(x) else float(cdf[0])

@@ -63,21 +63,21 @@ def eta_pair(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile) -> tu
     nonzero derivative at the origin, normalized by Gamma of the diversity
     order d = m_r min(m_a, m_b).  Only the links with m n = d contribute
     (the slower-decaying link dominates; both do when the source antenna
-    counts tie), each d c (rho_ar k / (A rho_link))^d, where F(u) = c u^d
-    + ... is the link CDF (`lowerbound.leading_coefficient`), k = C for the
-    source link and B for the far link."""
+    counts tie), each d c (k rho_ar)^d, where F(u) = c u^d + ... is the
+    link CDF (`lowerbound.leading_coefficient`) and k the link's scale in
+    1 / gamma = k_s / lambda_s + k_f / lambda_f (`analysis._direction`)."""
     m = min(ant.m_a, ant.m_b)
     d = m * ant.m_r
     weight = _link_weight(m, ant.m_r)   # every link with m n = d is m x m_r
     rho_ar = pw.rho_ar
     out = []
     for direction in _DIRECTIONS:
-        src, far, a, b, c = _direction(direction, coeffs, ant, pw)
+        src, far, k_s, k_f = _direction(direction, coeffs, ant, pw)
         total = 0.0
         if src.m * src.n == d:
-            total += (c * rho_ar / (a * src.rho)) ** d
+            total += (k_s * rho_ar) ** d
         if far.m * far.n == d:
-            total += (b * rho_ar / (a * far.rho)) ** d
+            total += (k_f * rho_ar) ** d
         if not total > 0.0:
             raise ConfigurationError(
                 f"direction weight of {direction} must be positive, got {total!r}")
@@ -132,7 +132,10 @@ def beta_numeric(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
                  dfactors: Optional[DFactors] = None) -> WeightPair:
     """Relay weights minimizing the power-law asymptote, by golden section
     on eta_arb + eta_bra over beta^2 in [1e-9, 1 - 1e-9] down to a width
-    of 1e-8 (41 evaluations).
+    of 1e-8 (41 evaluations).  beta^2 is resolved to 1e-8 and its digits
+    past that are rounding noise: at balanced powers the minimum is 1/2, and
+    the result is 0.5 or 0.5 + 4.4e-9 as the objective's last bit falls.
+    The `beta` CSV and the mc rows of weighted protocols carry those digits.
 
     The asymptote is eta_arb + eta_bra times a positive factor of the
     modulation, d and rho_ar alone (`high_snr_sum_ber`), so the modulation

@@ -29,19 +29,22 @@ polynomials orthogonal under y^(t-s) is near-diagonal instead.  Against
 1.2e-13 (4 x 4, just above u = 4, where the monomial basis takes over) and
 1.1e-14 (4 x 3).
 
-End to end, gamma = A g_s g_f / (B g_s + C g_f) with independent link gains;
-conditioning on the far link, with g_f = (w + B x) / A,
+End to end, gamma = A g_s g_f / (B g_s + C g_f) with independent link
+gains g = rho lambda (rho the link's SNR, lambda its largest eigenvalue),
+so 1 / gamma = k_s / lambda_s + k_f / lambda_f with k_s = C / (A rho_s),
+k_f = B / (A rho_f): a `Direction` is two link shapes and these two scales.
+Conditioning on the far link, with lambda_f = w + k_f x,
 
-    F(x) = F_f(B x / A) + int_0^inf F_s(x C g_f / w) f_f(g_f) dw / A,
-    1 - F(x) = int_0^inf (1 - F_s(x C g_f / w)) f_f(g_f) dw / A;
+    F(x) = F_f(k_f x) + int_0^inf F_s(k_s x lambda_f / w) f_f(lambda_f) dw,
+    1 - F(x) = int_0^inf (1 - F_s(k_s x lambda_f / w)) f_f(lambda_f) dw;
 
 the first form serves F <= 1/2, the second the rest, so neither cancels
-and F stays in [0, 1].  Since 1/gamma = B / (A g_f) + C / (A g_s), gamma <= x
-holds where g_f <= B x / A or g_s <= C x / A, and requires g_f <= 2 B x / A
-or g_s <= 2 C x / A, so the link CDFs bound F on both sides:
+and F stays in [0, 1].  gamma <= x holds where lambda_f <= k_f x or
+lambda_s <= k_s x, and requires lambda_f <= 2 k_f x or lambda_s <= 2 k_s x,
+so the link CDFs bound F on both sides:
 
-    L = max(F_f(B x / A), F_s(C x / A)) <= F(x)
-      <= min(1, F_f(2 B x / A) + F_s(2 C x / A)) = U.
+    L = max(F_f(k_f x), F_s(k_s x)) <= F(x)
+      <= min(1, F_f(2 k_f x) + F_s(2 k_s x)) = U.
 
 A value whose bounds meet (U == L) is settled at that value without an
 integral.
@@ -52,9 +55,9 @@ average over the two independent link eigenvalues,
     (a / (2 log2 M)) int int erfc(sqrt(b gamma)) f_s(l_s) f_f(l_f) dl_s dl_f,
 
 so one trapezoid grid in (ln l_s, ln l_f) needs each link law only at its
-own axis nodes.  Below its deep-fade eigenvalue, C / (A b rho_s) for the
-source link and B / (A b rho_f) for the far link, a gain leaves Q near
-1/2 and the integrand falls like a power of the gain; each axis starts
+own axis nodes.  Below its deep-fade eigenvalue, k_s / b for the source
+link and k_f / b for the far link, an eigenvalue leaves Q near 1/2 and
+the integrand falls like a power of it; each axis starts
 well below it, or below its own upper end where that is lower (at low SNR,
 where the deep fade lies above the whole law).  It ends at U with
 1 - F(U) <= 1e-18: Q falls in each gain, so E[Q; l > U] <= (1 - F(U))
@@ -116,7 +119,7 @@ _BLOCK = 4096
 # double-exponentially above it.  The substitution v = v0 + s - e^(-s)
 # (v = ln w or ln lambda) makes the lower tail decay double-exponentially
 # too, so _PAD e-folds below v0 cost a few nodes (s starts at _LO); the CDF
-# integral's upper end is a far-link gain of _FAR_SPAN times its mean.
+# integral's upper end is a far-link eigenvalue of _FAR_SPAN.
 _PAD = 40.0
 _LO = -math.log(_PAD)
 _FAR_SPAN = 60.0
@@ -358,12 +361,11 @@ def link_cdf_pdf(u, m: int, n: int):
 
 
 class Link(NamedTuple):
-    """One hop: the antenna counts of its channel matrix and its average
-    SNR rho; the link gain is rho times the largest eigenvalue."""
+    """One hop's shape: the antenna counts of its channel matrix, whose
+    largest eigenvalue is the link's gain without its SNR rho."""
 
     m: int
     n: int
-    rho: float
 
 
 def link_laws(links, args) -> tuple:
@@ -371,7 +373,7 @@ def link_laws(links, args) -> tuple:
     array args = (u_src, u_far) and in its shape.  Links of one shape share
     one `link_cdf_pdf` call, whose values do not depend on the batch."""
     (src, far), (u_src, u_far) = links, args
-    if sorted(src[:2]) != sorted(far[:2]):
+    if sorted(src) != sorted(far):
         return link_cdf_pdf(u_src, src.m, src.n), link_cdf_pdf(u_far, far.m, far.n)
     cdf, pdf = link_cdf_pdf(np.concatenate([u_src.ravel(), u_far.ravel()]), src.m, src.n)
     k = u_src.size
@@ -508,35 +510,31 @@ def _extrapolated(coarse, mid, fine):
     return last * ratio
 
 
-def _cdf_bounds(xs, src: Link, far: Link, a: float, b: float, c: float):
-    """(F_f(B x / A), L, U) at xs: the far link's CDF at B x / A and the
-    bounds L <= F(x) <= U of the end-to-end CDF (module docstring)."""
-    u_s, u_f = c * xs / (a * src.rho), b * xs / (a * far.rho)
+def _cdf_bounds(xs, src: Link, far: Link, k_s: float, k_f: float):
+    """(F_f(k_f x), L, U) at xs: the far link's CDF at k_f x and the bounds
+    L <= F(x) <= U of the end-to-end CDF (module docstring)."""
     ((f_s, f_s2), _), ((f_f, f_f2), _) = link_laws(
-        (src, far), (np.stack([u_s, 2.0 * u_s]), np.stack([u_f, 2.0 * u_f])))
+        (src, far), (k_s * np.stack([xs, 2.0 * xs]), k_f * np.stack([xs, 2.0 * xs])))
     lower = np.maximum(f_f, f_s)
     # the clip keeps U >= L where rounding in the kernel would invert them
     return f_f, lower, np.clip(f_f2 + f_s2, lower, 1.0)
 
 
-def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float):
+def _e2e_chunk(xs, f_first, src: Link, far: Link, k_s: float, k_f: float):
     """(F, error estimate, nodes of the sums each F was taken at, summed)
-    of the end-to-end CDF at xs > 0, given f_first = F_f(B x / A)."""
-    base = far.rho * a          # w scale where the far gain reaches its mean
-    v1 = np.log(_FAR_SPAN * base + b * xs)
-    # below w ~ x^2 B C / (A rho_s) the source link saturates, F_s -> 1; the
-    # clip keeps w = e^v normal (what lies below is below the smallest
-    # double) and the range below its upper end
-    v0 = np.clip(2.0 * np.log(xs) + math.log(b * c / (a * src.rho)) - _INNER_SHIFT,
-                 -650.0, v1)
+    of the end-to-end CDF at xs > 0, given f_first = F_f(k_f x)."""
+    v1 = np.log(_FAR_SPAN + k_f * xs)
+    # below w ~ k_s k_f x^2 the source link saturates, F_s -> 1; the clip
+    # keeps w = e^v normal (what lies below is below the smallest double)
+    # and the range below its upper end
+    v0 = np.clip(2.0 * np.log(xs) + math.log(k_s * k_f) - _INNER_SHIFT, -650.0, v1)
 
     def integrand(v, rows):
         x = xs[rows, None]
         w = np.exp(v)
-        g_f = (w + b * x) / a
-        (f_s, _), (_, dens) = link_laws((src, far), (x * c * g_f / (w * src.rho), g_f / far.rho))
-        dens = dens * (w / base)
-        return np.stack([f_s * dens, (1.0 - f_s) * dens])
+        lam_f = w + k_f * x
+        (f_s, _), (_, dens) = link_laws((src, far), (k_s * x * lam_f / w, lam_f))
+        return np.stack([f_s, 1.0 - f_s]) * (dens * w)
 
     values, errors = np.empty_like(xs), np.empty_like(xs)
     nodes = 0
@@ -561,13 +559,14 @@ def _e2e_chunk(xs, f_first, src: Link, far: Link, a: float, b: float, c: float):
                     f"{np.max(value[~done]):.6e})")
 
 
-def e2e_cdf(xs, src: Link, far: Link, a: float, b: float, c: float) -> tuple:
-    """CDF of A g_s g_f / (B g_s + C g_f) at each x in xs (array), with a
-    per-point error estimate: (values, errors, the nodes of the inner sum
-    each point was taken at, summed, points settled by the bounds).  values
-    and errors have the shape of xs; at x <= 0 both are 0, at NaN both NaN.
-    Each point is refined until its estimate is at most REL_TOL times its
-    value; the error reported for it is at least REL_ROUNDING of the value.
+def e2e_cdf(xs, src: Link, far: Link, k_s: float, k_f: float) -> tuple:
+    """CDF of gamma, 1 / gamma = k_s / lambda_s + k_f / lambda_f, at each x
+    in xs (array), with a per-point error estimate: (values, errors, the
+    nodes of the inner sum each point was taken at, summed, points settled
+    by the bounds).  values and errors have the shape of xs; at x <= 0 both
+    are 0, at NaN both NaN.  Each point is refined until its estimate is at
+    most REL_TOL times its value; the error reported for it is at least
+    REL_ROUNDING of the value.
 
     The link bounds L <= F(x) <= U come first, for all points at once.  A
     point where they meet (U == L) is settled at that value, with error 0
@@ -578,27 +577,26 @@ def e2e_cdf(xs, src: Link, far: Link, a: float, b: float, c: float) -> tuple:
     values = np.where(np.isnan(xs), np.nan, 0.0)
     errors = values.copy()
     pos = np.flatnonzero(xs > 0.0)
-    f_first, lower, upper = _cdf_bounds(xs[pos], src, far, a, b, c)
+    f_first, lower, upper = _cdf_bounds(xs[pos], src, far, k_s, k_f)
     settled = upper == lower
     values[pos[settled]] = lower[settled]
     live, f_first = pos[~settled], f_first[~settled]
     nodes = 0
     for k in range(0, live.size, _CHUNK):
         idx = live[k:k + _CHUNK]
-        values[idx], errors[idx], n = _e2e_chunk(xs[idx], f_first[k:k + _CHUNK], src, far, a, b, c)
+        values[idx], errors[idx], n = _e2e_chunk(xs[idx], f_first[k:k + _CHUNK], src, far, k_s, k_f)
         nodes += n
     return values.reshape(shape), errors.reshape(shape), nodes, int(settled.sum())
 
 
 class Direction(NamedTuple):
-    """One direction's end-to-end SNR: source and far links and the
-    constants (A, B, C) of A g_s g_f / (B g_s + C g_f)."""
+    """One direction's end-to-end SNR: source and far links and the scales
+    of 1 / gamma = k_s / lambda_s + k_f / lambda_f (module docstring)."""
 
     src: Link
     far: Link
-    a: float
-    b: float
-    c: float
+    k_s: float
+    k_f: float
 
 
 class _Axis(_Steps):
@@ -629,19 +627,18 @@ def _level_sums(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f):
     """(the sums sum_ij erfc(sqrt(mod_b gamma_ij)) w_s[i] w_f[j] of the last
     three levels, coarsest first, level l taking every _STRIDES[l]-th node of
     each axis; the finest level's sum over its two end rows i with 2 w_s and
-    over its two end columns j with 2 w_f), with A / gamma = C / (rho_s
-    lam_s) + B / (rho_f lam_f).
+    over its two end columns j with 2 w_f), with 1 / gamma = k_s / lam_s +
+    k_f / lam_f.
 
     One pass of erfc over the finest grid, each block of rows reduced to its
     row sums over each level's columns as soon as it is computed; a level's
     total is then the plain sum over its rows."""
-    x_s = d.c / (d.src.rho * lam_s)
-    x_f = d.b / (d.far.rho * lam_f)
+    x_s, x_f = d.k_s / lam_s, d.k_f / lam_f
     row_sums, end_cols = np.empty((len(_STRIDES), x_s.size)), np.empty(x_s.size)
     rows = max(1, _GRID_BLOCK // x_f.size)
     for k in range(0, x_s.size, rows):
         q = np.add.outer(x_s[k:k + rows], x_f)
-        np.divide(d.a * mod_b, q, out=q)
+        np.divide(mod_b, q, out=q)
         np.sqrt(q, out=q)
         erfc(q, out=q)
         # numpy's pairwise sums: a BLAS product here would load BLAS pages
@@ -665,8 +662,7 @@ def _direction_ber(d: Direction, mod_b: float, scale: float):
     last three levels' totals and the finest level's edge sums off that
     grid.  The first pass evaluates both axes' nodes with one `_weights`
     call; each refinement evaluates only the axes' new nodes."""
-    axes = (_Axis(d.src, d.c / (d.a * mod_b * d.src.rho)),
-            _Axis(d.far, d.b / (d.a * mod_b * d.far.rho)))
+    axes = (_Axis(d.src, d.k_s / mod_b), _Axis(d.far, d.k_f / mod_b))
     src, far = _weights(axes, [np.arange(ax.n + 1) for ax in axes])
     for nodes in (src, far):
         nodes[1, [0, -1]] *= 0.5

@@ -93,19 +93,18 @@ def single_antenna_e2e_cdf(direction: str, x: float, coeffs: CoefficientSet,
         raise ConfigurationError("the single-antenna CDF requires m_r == 1")
     if x <= 0.0:
         return 0.0
-    src, far, a, b, c = _direction(direction, coeffs, ant, pw)
-    m_src, m_far, rho_src, rho_rel = src.m, far.m, src.rho, far.rho
-    rate = (c / rho_src + b / rho_rel) / a
-    bessel_arg = (2.0 * x / a) * math.sqrt(b * c / (rho_src * rho_rel))
+    src, far, k_s, k_f = _direction(direction, coeffs, ant, pw)
+    m_src, m_far = src.m, far.m
+    rate = k_s + k_f
+    bessel_arg = 2.0 * x * math.sqrt(k_s * k_f)
     tail_terms = []
     for p in range(0, m_src):
         for k in range(0, m_far + p):
             ln_mag = (math.log(2.0)
                       + math.log(math.comb(m_far + p - 1, k))
                       - math.lgamma(p + 1.0) - math.lgamma(float(m_far))
-                      + 0.5 * (2 * m_far + p - k - 1) * (math.log(b) - math.log(rho_rel))
-                      + 0.5 * (k + p + 1) * (math.log(c) - math.log(rho_src))
-                      - (m_far + p) * math.log(a)
+                      + 0.5 * (2 * m_far + p - k - 1) * math.log(k_f)
+                      + 0.5 * (k + p + 1) * math.log(k_s)
                       + (m_far + p) * math.log(x))
             tail_terms.append(math.exp(ln_mag - rate * x) * kv(abs(k - p + 1), bessel_arg))
     return 1.0 - math.fsum(tail_terms)
@@ -247,9 +246,9 @@ def check_min_approx_ks(trials: int, seed: int) -> CheckResult:
     ant = AntennaConfig(2, 1, 2)
     pw = PowerProfile.balanced(40.0)
     coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
-    snrs = (gains.snrs(pw) for gains in _gain_blocks(ant, min(trials, 100_000), seed))
-    vals = np.concatenate([np.minimum(coeffs.b_arb * s.g_ar, coeffs.c_arb * s.g_rb)
-                           for s in snrs])
+    _, _, k_s, k_f = _direction("arb", coeffs, ant, pw)
+    vals = np.concatenate([np.minimum(gains.lam_a / k_s, gains.lam_b / k_f)
+                           for gains in _gain_blocks(ant, min(trials, 100_000), seed)])
     ks = _ks_statistic(vals, lambda xs: min_pair_cdf("arb", xs, coeffs, ant, pw))
     return CheckResult("min_of_links_ks", ks <= 0.01, ks, 0.01)
 

@@ -44,17 +44,13 @@ def closed_form_mp(coeffs, ant, pw, mod, dps: int) -> float:
 
         total = mp.mpf(mod.a) / mp.mpf(mod.bits_per_symbol)
         for direction in _DIRECTIONS:
-            src, far, a, b, c = _direction(direction, coeffs, ant, pw)
-            a = mp.mpf(a)
+            src, far, k_s, k_f = _direction(direction, coeffs, ant, pw)
             for g in _moment_groups(src.m, far.m, ant.m_r):
-                x = mp.mpf(c) * g.n / mp.mpf(src.rho)
-                y = mp.mpf(b) * g.i / mp.mpf(far.rho)
+                x, y = g.n * mp.mpf(k_s), g.i * mp.mpf(k_f)
                 sx, sy = mp.sqrt(x), mp.sqrt(y)
                 coef = mp.fsum(mp.mpf(r.numerator) / r.denominator
                                * sx ** e * sy ** (2 * g.s + 2 - e) for e, r in g.powers)
-                coef /= a ** (g.s + 1)
-                total -= pref * coef * moment(g.s + 1 + half, g.nu, mod.b + (x + y) / a,
-                                              2 * sx * sy / a)
+                total -= pref * coef * moment(g.s + 1 + half, g.nu, mod.b + x + y, 2 * sx * sy)
         return float(total)
 
 
@@ -96,31 +92,31 @@ def _link_law_mp(m: int, n: int):
 
 
 def _e2e_cdf_at(direction, x):
-    # F = F_f(B x / A) + int_0^inf F_s(x C g_f / w) f_f(g_f) dw / A at the working precision
-    src, far, a, b, c = direction
-    x, a, b, c = mp.mpf(x), mp.mpf(a), mp.mpf(b), mp.mpf(c)
-    rho_s, rho_f = mp.mpf(src.rho), mp.mpf(far.rho)
+    # F = F_f(k_f x) + int_0^inf F_s(k_s x lambda_f / w) f_f(lambda_f) dw,
+    # lambda_f = w + k_f x, at the working precision
+    src, far, k_s, k_f = direction
+    x, k_s, k_f = mp.mpf(x), mp.mpf(k_s), mp.mpf(k_f)
     cdf_s, _ = _link_law_mp(src.m, src.n)
     cdf_f, pdf_f = _link_law_mp(far.m, far.n)
 
     def integrand(w):
-        g_f = (w + b * x) / a
-        return cdf_s(x * c * g_f / (w * rho_s)) * pdf_f(g_f / rho_f) / (rho_f * a)
+        lam_f = w + k_f * x
+        return cdf_s(k_s * x * lam_f / w) * pdf_f(lam_f)
     # below w0 the source link saturates (F_s -> 1); the far density has
-    # fallen far below rounding once g_f passes 1e3 m n rho_f
-    w0 = b * c * x * x / (a * rho_s)
-    top = 1000 * far.m * far.n * a * rho_f
+    # fallen far below rounding once lambda_f passes 1e3 m n
+    w0 = k_s * k_f * x * x
+    top = 1000 * far.m * far.n
     points = [mp.mpf(0), w0 / 10000]
     while points[-1] < top:
         points.append(100 * points[-1])
-    return cdf_f(b * x / (a * rho_f)) + mp.quad(integrand, points + [mp.inf])
+    return cdf_f(k_f * x) + mp.quad(integrand, points + [mp.inf])
 
 
 def e2e_cdf_mp(direction, x: float, dps: int):
     """The end-to-end CDF F(x) of one direction (a `lowerbound.Direction`)
     to dps significant digits: the first form of the module docstring of
     `lowerbound`, integrated by mp.quad with breakpoints at even decades of
-    B C x^2 / (A rho_s), on both link laws' exact expansions.
+    k_s k_f x^2, on both link laws' exact expansions.
 
     Each 1 - P(L > u) loses the digits of the expansion's largest
     coefficient and of 1 / F, so the working precision carries both, and is

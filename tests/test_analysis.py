@@ -115,7 +115,7 @@ class TestLinkLaws:
     def test_two_links_share_a_call_by_shape(self, monkeypatch, links, kernel_calls):
         # each link's law at its own arguments, in their shape, bit for bit
         # what a call of its own gives; one kernel call for links of one shape
-        src, far = (Link(m, n, 1.0) for m, n in links)
+        src, far = (Link(m, n) for m, n in links)
         kernel = twrelay.lowerbound.link_cdf_pdf
         calls = []
 
@@ -268,6 +268,39 @@ class TestEndToEndCdf:
         for batch, k in ((xs[index:index + 1], 0), (xs, index)):
             values, errors, _, _ = twrelay.lowerbound.e2e_cdf(batch, *d)
             assert abs(values[k] - ref) <= errors[k], batch.size
+
+    @pytest.mark.parametrize("dims", [(2, 1, 3), (3, 2, 4)])
+    def test_direction_mapping_at_unbalanced_powers(self, dims):
+        # both directions against the construction integral written from the
+        # raw (A, B, C) and link SNRs as the paper defines each direction:
+        # A -> R -> B hears A at rho_ar and the relay at rho_rb, B -> R -> A
+        # hears B at rho_br and the relay at rho_ra.  The relay off the
+        # midpoint and at its own SNR makes every rho differ, so a swapped
+        # rho, constant or antenna count in either direction shows.
+        # 1 - F(x) = int (1 - F_s(x C g_f / w)) f_f(g_f) dw / A with
+        # g_f = (w + B x) / A, breakpoints around the source link's
+        # saturation near w = B C x^2 / (A rho_s)
+        ant = AntennaConfig(*dims)
+        pw = power_profile(20.0, 0.3, relay_rho_db=15.0)
+        coeffs = coefficient_set(Protocol.FIRST_THREE_SLOT, ant, pw,
+                                 WeightPair.from_beta_squared(0.3))
+        paper = {"arb": (ant.m_a, pw.rho_ar, ant.m_b, pw.rho_rb,
+                         coeffs.a_arb, coeffs.b_arb, coeffs.c_arb),
+                 "bra": (ant.m_b, pw.rho_br, ant.m_a, pw.rho_ra,
+                         coeffs.a_bra, coeffs.b_bra, coeffs.c_bra)}
+        for direction, (m_s, rho_s, m_f, rho_f, a, b, c) in paper.items():
+            for x in pw.rho_ar * np.array([0.003, 0.01, 0.03, 0.1, 0.3, 1.0]):
+                def integrand(w):
+                    g_f = (w + b * x) / a
+                    return ((1.0 - link_cdf(x * c * g_f / w, m_s, ant.m_r, rho_s))
+                            * link_pdf(g_f, m_f, ant.m_r, rho_f) / a)
+                upper = 100.0 * a * rho_f + 10.0 * b * x
+                w_sat = b * c * x * x / (a * rho_s)
+                points = [w_sat * 10.0 ** k for k in (-4, -2, 0, 2, 4) if w_sat * 10.0 ** k < upper]
+                tail, _ = integrate.quad(integrand, 0.0, upper, points=points,
+                                         epsabs=1e-12, epsrel=1e-10, limit=400)
+                got = e2e_cdf(direction, float(x), coeffs, ant, pw)
+                assert got == pytest.approx(1.0 - tail, rel=0.0, abs=1e-9), (direction, x)
 
     def test_mp_oracle_matches_single_antenna_form(self):
         # the quadrature oracle over the link laws' exact expansions against
@@ -512,14 +545,14 @@ class TestSumBerQuadrature:
     @pytest.mark.parametrize("dims, rho_db, d0", [((2, 2, 2), 30.0, 0.5), ((2, 1, 3), 20.0, 0.3),
                                                   ((4, 3, 4), 30.0, 0.5)])
     def test_equal_directions_match_mirrored(self, dims, rho_db, d0):
-        # mirror(d) swaps the links and B with C: the same law, integrated
-        # by conditioning on the other link, and so twice
+        # mirror(d) swaps the links and their scales: the same law,
+        # integrated by conditioning on the other link, and so twice
         ant = AntennaConfig(*dims)
         pw = power_profile(rho_db, d0)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
         mod = protocol_modulation(Protocol.TWO_SLOT)
         d = _direction("arb", coeffs, ant, pw)
-        mirror = Direction(d.far, d.src, d.a, d.c, d.b)
+        mirror = Direction(d.far, d.src, d.k_f, d.k_s)
         once = twrelay.lowerbound.sum_ber([d, d], mod.a, mod.b, mod.bits_per_symbol)
         twice = twrelay.lowerbound.sum_ber([d, mirror], mod.a, mod.b, mod.bits_per_symbol)
         assert once.value == pytest.approx(twice.value, rel=2 * REL_TOL, abs=0.0)
@@ -801,15 +834,18 @@ class TestDistributionAgreement:
         assert vals[-1] == pytest.approx(1.0, abs=1e-8)
         assert np.array_equal(min_pair_cdf("arb", grid, coeffs, ANT, pw), vals)
         # non-negative and the law of the minimum of the two independent
-        # links, 1 - (1 - F_s)(1 - F_f), with 60-digit link CDFs; the
-        # termwise table sum gave -2e-17 at 3x3x3 where the value is 1e-31
+        # links, 1 - (1 - F_s)(1 - F_f) at k_s x and k_f x, with 60-digit
+        # link CDFs; the termwise table sum gave -2e-17 at 3x3x3 where the
+        # value is 1e-31
         for dims in ((2, 1, 2), (2, 2, 2), (3, 3, 3), (4, 3, 4), (4, 4, 4)):
             ant = AntennaConfig(*dims)
             coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+            k_s = coeffs.c_arb / (coeffs.a_arb * pw.rho_ar)
+            k_f = coeffs.b_arb / (coeffs.a_arb * pw.rho_rb)
             for x in np.geomspace(1e-3 * pw.rho_ar, 30 * pw.rho_ar, 13):
                 got = min_pair_cdf("arb", float(x), coeffs, ant, pw)
-                f_s = link_cdf_pdf_mp(x / (coeffs.b_arb * pw.rho_ar), ant.m_a, ant.m_r)[0]
-                f_f = link_cdf_pdf_mp(x / (coeffs.c_arb * pw.rho_rb), ant.m_b, ant.m_r)[0]
+                f_s = link_cdf_pdf_mp(k_s * x, ant.m_a, ant.m_r)[0]
+                f_f = link_cdf_pdf_mp(k_f * x, ant.m_b, ant.m_r)[0]
                 assert got >= 0.0
                 assert got == pytest.approx(f_s + f_f * (1.0 - f_s), rel=1e-12), (dims, x)
 

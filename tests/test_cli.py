@@ -141,7 +141,7 @@ class TestSweep:
             "10.0000,second_three_slot,mc,1.3427095750e-01,7.8502788704e-04\n"
             "10.0000,two_slot,mc,6.5790183865e-02,6.4098448082e-04\n"
             "20.0000,first_four_slot,mc,1.5041915364e-02,2.6700949160e-04\n"
-            "20.0000,first_three_slot,mc,7.2065509553e-03,1.8751377385e-04\n"
+            "20.0000,first_three_slot,mc,7.2065509567e-03,1.8751377386e-04\n"
             "20.0000,second_four_slot,mc,1.5041915364e-02,2.6700949160e-04\n"
             "20.0000,second_three_slot,mc,2.6314184946e-03,1.1908997818e-04\n"
             "20.0000,two_slot,mc,7.7004364084e-04,6.6972582398e-05\n"

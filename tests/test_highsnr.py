@@ -304,6 +304,28 @@ class TestGapTable:
         ranked = sorted(tab.rows, key=lambda r: r.gap_db)
         assert ranked[1].protocol is Protocol.TWO_SLOT
 
+    @pytest.mark.parametrize("dims, d0, best, runner_up, margin_db", [
+        ((2, 1, 2), 0.1, Protocol.SECOND_FOUR_SLOT, Protocol.FIRST_THREE_SLOT, 1.21),
+        ((2, 1, 2), 0.2, Protocol.SECOND_FOUR_SLOT, Protocol.FIRST_THREE_SLOT, 1.08),
+        ((2, 1, 2), 0.3, Protocol.SECOND_FOUR_SLOT, Protocol.TWO_SLOT, 0.61),
+        ((2, 1, 2), 0.4, Protocol.TWO_SLOT, Protocol.SECOND_THREE_SLOT, 0.39),
+        ((2, 1, 2), 0.5, Protocol.TWO_SLOT, Protocol.SECOND_THREE_SLOT, 0.66),
+        ((3, 1, 3), 0.1, Protocol.SECOND_FOUR_SLOT, Protocol.FIRST_THREE_SLOT, 1.13),
+        ((3, 1, 3), 0.2, Protocol.SECOND_FOUR_SLOT, Protocol.FIRST_THREE_SLOT, 1.02),
+        ((3, 1, 3), 0.3, Protocol.SECOND_FOUR_SLOT, Protocol.FIRST_THREE_SLOT, 0.77),
+        ((3, 1, 3), 0.4, Protocol.TWO_SLOT, Protocol.SECOND_THREE_SLOT, 0.46),
+        ((3, 1, 3), 0.5, Protocol.TWO_SLOT, Protocol.SECOND_THREE_SLOT, 0.66),
+    ])
+    def test_single_relay_antenna_map_at_30db(self, dims, d0, best, runner_up, margin_db):
+        # the paper's first claim where no Monte Carlo runs (m_r = 1 needs no
+        # d-factors): the four-slot protocol wins once the relay sits off the
+        # midpoint (path-loss exponent 3), two-slot at and near it; winner,
+        # runner-up and its margin on the SNR-per-bit axis, to 0.01 dB
+        tab = gap_table(AntennaConfig(*dims), power_profile(30.0, d0))
+        ranked = sorted(tab.rows, key=lambda r: r.gap_db)
+        assert (tab.best, ranked[1].protocol) == (best, runner_up)
+        assert ranked[1].gap_db == pytest.approx(margin_db, abs=0.01)
+
     def test_dual_reception_needs_dfactors(self):
         # the engine draws nothing: at m_r = 2 the caller supplies the factors
         with pytest.raises(ConfigurationError, match="dual-reception factors"):

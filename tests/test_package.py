@@ -1,6 +1,7 @@
 """Package hygiene: every name a program or test module imports is used
-there, no program module reaches past `lowerbound`'s public names, and
-importing the package loads no heavy scipy subpackage."""
+there, no program module reaches past `lowerbound`'s public names, only
+`analysis` builds a `lowerbound.Direction`, and importing the package loads
+no heavy scipy subpackage."""
 
 import ast
 import subprocess
@@ -63,6 +64,44 @@ def test_lowerbound_law_behind_public_names():
     assert _private_lowerbound_names(probe) == ["_gauss_legendre", "_norm"]
     private = {p.name: _private_lowerbound_names(p.read_text()) for p in MODULES}
     assert {name: found for name, found in private.items() if found} == {}
+
+
+def _direction_constructions(source: str) -> list:
+    # calls of lowerbound's Direction or Link: by a name imported from
+    # lowerbound (under any alias) or as lowerbound's attributes
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("lowerbound")
+                for alias in node.names}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = imported.get(func.id)
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id == "lowerbound"):
+            name = func.attr
+        else:
+            continue
+        if name in ("Direction", "Link"):
+            found.append(name)
+    return sorted(found)
+
+
+def test_one_map_to_direction_scales():
+    # a direction's law is two link shapes and two scales, k_s = C / (A rho_s)
+    # and k_f = B / (A rho_f); analysis._direction is the one place that
+    # builds them from a coefficient set and link SNRs, so no other program
+    # module constructs a lowerbound.Direction or Link
+    probe = ("from .lowerbound import Direction as D, Link\nfrom . import lowerbound\n"
+             "D(Link(2, 1), lowerbound.Link(2, 1), 1.0, 2.0)\nLink._fields\nDirection(1)\n")
+    assert _direction_constructions(probe) == ["Direction", "Link", "Link"]
+    built = {p.name: _direction_constructions(p.read_text()) for p in MODULES}
+    assert built.pop("analysis.py") == ["Direction", "Link", "Link"]
+    built.pop("lowerbound.py")
+    assert {name: found for name, found in built.items() if found} == {}
 
 
 def test_import_loads_no_scipy_optimize_or_integrate():
