@@ -21,9 +21,15 @@ the same determinant; each summand is a Bessel moment (Gradshteyn & Ryzhik
 that share a moment are grouped (`_moment_groups`), the rational parts of
 their coefficients summed exactly, and each distinct moment evaluated once,
 in the log domain because the terms span hundreds of orders of magnitude at
-high SNR.  The final subtraction from the zero-SNR ceiling a/log2(M) loses
-about log10(ceiling / sum-BER) digits, so below 1e-5 of the ceiling the
-sum-BER comes from the integral instead.
+high SNR.  The cached groups also hold each rational's ln|r| and sign as
+floats, so the double-precision assembly converts no rational per call; it
+takes a direction's 2F1 values from one `hyp2f1` array call through
+`_ln_bessel_moment`, the one statement of the moment formula, which
+`bessel_moment` uses too, and assembles equal directions (a symmetric
+network's two) once, counting their terms twice.  The final subtraction
+from the zero-SNR ceiling a/log2(M) loses about log10(ceiling / sum-BER)
+digits, so below 1e-5 of the ceiling the sum-BER comes from the integral
+instead.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -159,30 +166,36 @@ def sum_ber_quadrature(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProf
 # Sum-BER lower bound: termwise closed form
 # ---------------------------------------------------------------------------
 
-def bessel_moment(mu: float, nu: int, alpha: float, beta: float) -> float:
+def bessel_moment(mu: float, nu: float, alpha: float, beta: float) -> float:
     """The weighted Bessel moment
     int_0^inf x^(mu-1) exp(-alpha x) K_nu(beta x) dx
-    for 0 < beta < alpha and mu > |nu|, evaluated through its Gamma and
-    Gauss-hypergeometric closed form (Gradshteyn & Ryzhik 6.621.3)."""
-    nu = abs(int(nu))
+    for 0 < beta < alpha and mu > |nu|, nu real, evaluated through its
+    Gamma and Gauss-hypergeometric closed form (Gradshteyn & Ryzhik
+    6.621.3)."""
+    nu = abs(float(nu))
     if not 0.0 < beta < alpha:
         raise ConfigurationError(f"bessel_moment requires 0 < beta < alpha, got {beta}, {alpha}")
     if not mu - nu > 0.0:
         raise ConfigurationError(f"bessel_moment requires mu > |nu|, got mu={mu}, nu={nu}")
-    return math.exp(_ln_bessel_moment(mu, nu, alpha, beta))
+    return math.exp(_ln_bessel_moment([mu], [nu], [alpha], [beta])[0])
 
 
-def _ln_bessel_moment(mu: float, nu: int, alpha: float, beta: float) -> float:
+def _ln_bessel_moment(mu, nu, alpha, beta) -> list:
+    """ln of the Bessel moment of each entry of the equal-length sequences
+    mu, nu (nu >= 0), alpha and beta, with one `hyp2f1` call over all of
+    them."""
     # G&R 6.621.3 has F(mu+nu, nu+1/2; mu+1/2; z) with z = (alpha-beta)/(alpha+beta).
     # At high SNR z comes within 1/rho of the singular point z = 1, where F
     # grows like (1-z)^(-2 nu) and rounding z alone costs digits.  The Pfaff
     # transformation moves the argument to z/(z-1) = -(alpha-beta)/(2 beta),
     # computed from alpha and beta directly.
-    hyp = hyp2f1(0.5 - nu, 0.5 + nu, mu + 0.5, -(alpha - beta) / (2.0 * beta))
-    return (0.5 * math.log(math.pi) - 0.5 * math.log(2.0 * beta)
-            - (mu - 0.5) * math.log(alpha + beta)
-            + math.lgamma(mu + nu) + math.lgamma(mu - nu) - math.lgamma(mu + 0.5)
-            + math.log(hyp))
+    hyp = hyp2f1([0.5 - v for v in nu], [0.5 + v for v in nu], [m + 0.5 for m in mu],
+                 [-(a - b) / (2.0 * b) for a, b in zip(alpha, beta)])
+    return [0.5 * math.log(math.pi) - 0.5 * math.log(2.0 * b)
+            - (m - 0.5) * math.log(a + b)
+            + math.lgamma(m + v) + math.lgamma(m - v) - math.lgamma(m + 0.5)
+            + math.log(h)
+            for m, v, a, b, h in zip(mu, nu, alpha, beta, hyp)]
 
 
 class _MomentGroup(NamedTuple):
@@ -192,6 +205,9 @@ class _MomentGroup(NamedTuple):
     and beta come from (n, i), mu = s + 3/2.  The group's coefficient is
     sum over (e, r) in `powers` of r * X^(e/2) * Y^(s + 1 - e/2), with
     X = n k_s, Y = i k_f (the direction's scales) and r an exact rational.
+    The double-precision assembly reads r only as ln_r, the floats ln|r|,
+    and sign, the floats +-1.0 of its sign, one each per power in the order
+    of `powers`, converted from the rationals once per table.
     """
 
     n: int
@@ -199,6 +215,8 @@ class _MomentGroup(NamedTuple):
     s: int
     nu: int
     powers: tuple
+    ln_r: tuple
+    sign: tuple
 
 
 def _general_terms(m_src: int, m_far: int, m_r: int):
@@ -228,7 +246,9 @@ def _moment_groups(m_src: int, m_far: int, m_r: int) -> tuple:
     for key, powers in sorted(groups.items()):
         nonzero = tuple((e, r) for e, r in sorted(powers.items()) if r != 0)
         if nonzero:
-            out.append(_MomentGroup(*key, nonzero))
+            out.append(_MomentGroup(*key, nonzero,
+                                    tuple(math.log(abs(r)) for _, r in nonzero),
+                                    tuple(math.copysign(1.0, r) for _, r in nonzero)))
     return tuple(out)
 
 
@@ -237,20 +257,26 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> float:
                - math.log(2.0) - 0.5 * math.log(math.pi)
                - math.log(mod.bits_per_symbol))
     terms = [mod.ceiling]
-    for direction in _DIRECTIONS:
-        src, far, k_s, k_f = _direction(direction, coeffs, ant, pw)
+    # equal directions (a symmetric network's two) are assembled once; fsum
+    # takes each of their terms as often as the direction occurs
+    directions = Counter(_direction(d, coeffs, ant, pw) for d in _DIRECTIONS)
+    for (src, far, k_s, k_f), count in directions.items():
+        tops, coefs, moments = [], [], []
         for g in _moment_groups(src.m, far.m, ant.m_r):
             x, y = g.n * k_s, g.i * k_f
             ln_x, ln_y = math.log(x), math.log(y)
             # the group's coefficient, scaled by its largest part
-            ln_parts = [math.log(abs(r)) + 0.5 * e * ln_x + (g.s + 1 - 0.5 * e) * ln_y
-                        for e, r in g.powers]
+            ln_parts = [ln_r + 0.5 * e * ln_x + (g.s + 1 - 0.5 * e) * ln_y
+                        for (e, _), ln_r in zip(g.powers, g.ln_r)]
             top = max(ln_parts)
-            coef = math.fsum(math.copysign(math.exp(ln - top), r)
-                             for ln, (_, r) in zip(ln_parts, g.powers))
+            tops.append(top)
+            coefs.append(math.fsum(math.copysign(math.exp(ln - top), sign)
+                                   for ln, sign in zip(ln_parts, g.sign)))
             # the moment integrates x^(s + 1/2) exp(-(b + rate) x) K_nu(beta x)
-            ln_moment = _ln_bessel_moment(g.s + 1.5, g.nu, mod.b + x + y, 2.0 * math.sqrt(x * y))
-            terms.append(-coef * math.exp(ln_pref + top + ln_moment))
+            moments.append((g.s + 1.5, g.nu, mod.b + x + y, 2.0 * math.sqrt(x * y)))
+        ln_moments = _ln_bessel_moment(*zip(*moments))
+        terms += [-coef * math.exp(ln_pref + top + ln_moment)
+                  for coef, top, ln_moment in zip(coefs, tops, ln_moments)] * count
     return math.fsum(terms)
 
 

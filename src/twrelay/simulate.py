@@ -21,7 +21,12 @@ reduced side by side.  The caller reads the results in block order and
 combines partial sums with math.fsum, so every output is the same bit for
 bit whatever the number of workers.  Each worker holds the working set of
 one block in flight, a few MB at 16 384 trials (about 5 MB at 4x4x4), on
-top of what the caller keeps.
+top of what the caller keeps.  A task of `estimate_d_factors` writes its
+block's fourteen rows, and each of their 81 products in turn, into one
+scratch array instead of a new array apiece: glibc hands a freed 128 KiB
+block array back to the kernel once enough of them lie free, the next one
+is faulted back in page by page, and the worker threads then contend on
+the process's page tables.
 
 The engine reads four gains per trial.  With W = H H^H the relay-side Gram
 of a side's m_r x m channel and f its top unit eigenvector (that side's
@@ -412,11 +417,15 @@ def _heads(gains, trials: int):
                              f"fewer than trials={trials}")
 
 
-def _ratio(num, den):
-    # 0/0 -> 0 covers the all-zero-channel corner in the lower-bound form
+def _ratio(num, den, out=None):
+    # 0/0 -> 0 covers the all-zero-channel corner in the lower-bound form;
+    # out, if given, is an array of the broadcast shape that receives it
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
-    out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+    if out is None:
+        out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+    else:
+        out.fill(0.0)
     np.divide(num, den, out=out, where=den > 0)
     return out
 
@@ -454,17 +463,16 @@ def end_to_end_snrs(p: Protocol, s: InstantaneousSnrs,
     return arb1 + arb2, bra1 + bra2
 
 
-def _dual_branches(s: InstantaneousSnrs, a2, b2, n1: float = 1.0):
+def _dual_branches(s: InstantaneousSnrs, a2, b2, n1: float = 1.0, out=(None,) * 4):
     """Primary (matched) and secondary (non-matched) branch SNRs per
     direction of a dual-reception protocol with squared relay weights a2 and
     b2: (arb1, arb2, bra1, bra2).  n1 is the unit noise term of each
-    denominator, 0 for the lower-bound form."""
+    denominator, 0 for the lower-bound form.  out, if given, is four arrays
+    of the draws' shape that receive them."""
     base = a2 * s.g_ar + b2 * s.g_br
-    arb1 = _ratio(a2 * s.g_ar * (s.g_rb / 2), base + s.g_rb / 2 + n1)
-    arb2 = _ratio(a2 * s.g_ar * (s.g_rb_x / 2), base + s.g_rb_x / 2 + n1)
-    bra1 = _ratio(b2 * s.g_br * (s.g_ra / 2), base + s.g_ra / 2 + n1)
-    bra2 = _ratio(b2 * s.g_br * (s.g_ra_x / 2), base + s.g_ra_x / 2 + n1)
-    return arb1, arb2, bra1, bra2
+    return tuple(_ratio(w2 * g_src * (g_far / 2), base + g_far / 2 + n1, row)
+                 for w2, g_src, g_far, row in zip((a2, a2, b2, b2), (s.g_ar, s.g_ar, s.g_br, s.g_br),
+                                                  (s.g_rb, s.g_rb_x, s.g_ra, s.g_ra_x), out))
 
 
 def _q_vec(x):
@@ -616,14 +624,16 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     span in the sample, at most (n - 2) // 10, one per ten trials
     (`_solve_psd`).  A ratio m_2 / m_1 outside (0, 1], where the plain
     ratio of sums always lies, is replaced by that plain ratio and its
-    delta-method SE (p = 0).  Each block
-    contributes the sums of x1, x2 and C - mu and of the products that
-    these formulas read, each with np.sum, from one task on a worker thread
-    (`_gain_blocks`); the block sums are combined in block order with
-    math.fsum, so results depend only on (seed, trials), not on the number
-    of workers.  gains, if given, replaces the draw as in
-    semi_analytic_sweep: the first `trials` draws of a pass at least that
-    long (unread with one relay antenna).  Give it a list of blocks made
+    delta-method SE (p = 0).  Each block contributes the sums of x1, x2 and
+    C - mu and of the products that these formulas read, from one task on
+    a worker thread (`_gain_blocks`); the block sums are combined in block
+    order with math.fsum, so results depend only on (seed, trials), not on
+    the number of workers.  The task writes the rows x1, x2 and C - mu into
+    one scratch array and each product in turn into one more row of it,
+    and sums each row pairwise with np.add.reduce, as np.sum does: no new
+    array per product (the module docstring says why).  gains, if given,
+    replaces the draw as in semi_analytic_sweep: the first `trials` draws
+    of a pass at least that long (unread with one relay antenna).  Give it a list of blocks made
     already; a lazy `_gain_blocks` pass would run its pool under this one.
     """
     _require_trials(trials)
@@ -642,16 +652,26 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
              if j >= 8 or j == i or (j == i + 1 and i % 2 == 0)]
 
     def reduce(block):
+        # one scratch array per task: the rows, then one row for each
+        # product in turn, summed pairwise by np.add.reduce as np.sum does
+        rows = np.empty((nrow + 1, block.lam_a.size))
         s = block.snrs(pw)
-        controls = (block.lam_a_x, block.lam_b_x, np.log(block.lam_a_x),
-                    np.log(block.lam_b_x), block.lam_a, block.lam_b)
-        # released before the rows are formed, which sets the peak memory
-        # of a task
+        _dual_branches(s, 1.0, 1.0, out=rows[0:4])
+        _dual_branches(s, 0.5, 0.5, out=rows[4:8])
+        del s
+        ctrl = rows[8:nrow]
+        ctrl[0], ctrl[1], ctrl[4], ctrl[5] = block.lam_a_x, block.lam_b_x, block.lam_a, block.lam_b
+        np.log(block.lam_a_x, out=ctrl[2])
+        np.log(block.lam_b_x, out=ctrl[3])
+        ctrl -= mu[:, None]
+        # the gains are released before the products, as the SNRs were
         del block
-        rows = (_dual_branches(s, 1.0, 1.0) + _dual_branches(s, 0.5, 0.5)
-                + tuple(c - m for c, m in zip(controls, mu)))
-        del s, controls
-        return [np.sum(v) for v in rows] + [np.sum(rows[i] * rows[j]) for i, j in pairs]
+        sums = [np.add.reduce(row) for row in rows[:nrow]]
+        prod = rows[nrow]
+        for i, j in pairs:
+            np.multiply(rows[i], rows[j], out=prod)
+            sums.append(np.add.reduce(prod))
+        return sums
     totals = [math.fsum(col) for col in zip(*_gain_blocks(ant, trials, seed, gains, reduce))]
     mean = [t / trials for t in totals[:nrow]]
     den = max(trials - 1, 1)

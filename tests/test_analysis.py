@@ -581,6 +581,13 @@ class TestBesselMoment:
                 ref = float(_moment_oracle(mu, nu, alpha, beta))
                 assert bessel_moment(mu, nu, alpha, beta) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("nu", [1.5, 0.3, 2.75])
+    def test_real_order(self, nu):
+        # G&R 6.621.3 holds for real nu with mu > |nu|; an order truncated to
+        # an integer gives the nu = 1 value, 0.130226, at nu = 1.5 (0.232095)
+        ref = float(_moment_oracle(3.5, nu, 2.0, 1.0))
+        assert bessel_moment(3.5, nu, 2.0, 1.0) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
     def test_domain(self):
         with pytest.raises(ConfigurationError):
             bessel_moment(2.5, 1, 1.0, 1.0)
@@ -589,6 +596,33 @@ class TestBesselMoment:
 
 
 class TestSumBerClosedForm:
+    # float.hex of the double-precision assembly: balanced two_slot at 5 dB
+    # (equal directions) and second_four_slot at 20 dB, d0 = 0.3, beta^2 =
+    # 0.4, DFactors(1.7, 1.6, 1.8, 1.55) take the closed form in every
+    # shape; balanced two_slot at 20 dB is the raw assembly, cancelled to
+    # within 1e-6 (2x2x2) to 1e-13 of the ceiling, where a change in the
+    # order of its floating-point operations moves the last bits
+    PINNED = {
+        (2, 2, 2): ("0x1.849d6f6cc1c06p-4", "0x1.8bb74ab288fc0p-4", "0x1.889b340a17c8ap-20"),
+        (3, 3, 3): ("0x1.15e71e6f9ceaep-6", "0x1.5c9f4d2f860ebp-5", "0x1.a46217b32ec00p-40"),
+        (4, 3, 4): ("0x1.e06c84aa03454p-8", "0x1.d8b7d2a52eb35p-6", "-0x1.6be155dc1924ep-44"),
+        (4, 4, 4): ("0x1.7b1511dab34aep-9", "0x1.353f480b32711p-6", "0x1.df32716b5ea1cp-42"),
+    }
+
+    @pytest.mark.parametrize("dims", sorted(PINNED))
+    def test_assembly_bits_pinned(self, dims):
+        ant = AntennaConfig(*dims)
+        values = []
+        for p, pw, w, dfactors in ((Protocol.TWO_SLOT, PowerProfile.balanced(5.0), None, None),
+                                   (Protocol.SECOND_FOUR_SLOT, power_profile(20.0, 0.3),
+                                    WeightPair.from_beta_squared(0.4), DFactors(1.7, 1.6, 1.8, 1.55))):
+            coeffs = coefficient_set(p, ant, pw, w, dfactors)
+            values.append(sum_ber_closed_form(coeffs, ant, pw, protocol_modulation(p)))
+        pw = PowerProfile.balanced(20.0)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        values.append(_closed_form_f64(coeffs, ant, pw, protocol_modulation(Protocol.TWO_SLOT)))
+        assert tuple(v.hex() for v in values) == self.PINNED[dims]
+
     def test_matches_quadrature(self):
         for p in (Protocol.TWO_SLOT, Protocol.SECOND_FOUR_SLOT):
             mod = protocol_modulation(p)

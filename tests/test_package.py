@@ -1,7 +1,7 @@
 """Package hygiene: every name a program or test module imports is used
 there, no program module reaches past `lowerbound`'s public names, only
-`analysis` builds a `lowerbound.Direction`, and importing the package loads
-no heavy scipy subpackage."""
+`analysis` builds a `lowerbound.Direction`, one function calls `hyp2f1`,
+and importing the package loads no heavy scipy subpackage."""
 
 import ast
 import subprocess
@@ -102,6 +102,42 @@ def test_one_map_to_direction_scales():
     assert built.pop("analysis.py") == ["Direction", "Link", "Link"]
     built.pop("lowerbound.py")
     assert {name: found for name, found in built.items() if found} == {}
+
+
+def _hyp2f1_callers(source: str) -> list:
+    # the innermost function around each call of hyp2f1, by a name imported
+    # under any alias or as an attribute; "<module>" outside any function
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name == "hyp2f1"}
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if ((isinstance(func, ast.Name) and func.id in names)
+                        or (isinstance(func, ast.Attribute) and func.attr == "hyp2f1")):
+                    found.append(owner)
+            visit(child, owner)
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_one_statement_of_the_bessel_moment():
+    # the Bessel moment's Gamma-2F1 form (G&R 6.621.3) is written once:
+    # bessel_moment and the closed form's batched assembly both reach it
+    # through the one hyp2f1 call in _ln_bessel_moment
+    probe = ("from scipy.special import hyp2f1 as F\nimport scipy.special as sp\n"
+             "def a():\n    def b():\n        return F(1, 1, 1, 0)\n"
+             "    return sp.hyp2f1(1, 1, 1, 0)\nF(0, 0, 0, 0)\n")
+    assert _hyp2f1_callers(probe) == ["<module>", "a", "b"]
+    callers = {p.name: _hyp2f1_callers(p.read_text()) for p in MODULES}
+    assert {name: found for name, found in callers.items() if found} == {
+        "analysis.py": ["_ln_bessel_moment"]}
 
 
 def test_import_loads_no_scipy_optimize_or_integrate():

@@ -525,6 +525,23 @@ class TestDFactors:
         for cv, ref in zip(se, plain):
             assert 0.0 < cv <= ref
 
+    @pytest.mark.parametrize("dims, trials, pinned", [
+        ((2, 2, 2), 100_000, ("0x1.9d2320bf05d46p+0", "0x1.9d341d8b01284p+0", "0x1.a4cec643de78cp+0",
+                              "0x1.a4dfc189465e4p+0", "0x1.b57a9a8cc4826p-13", "0x1.b5ae53c4187f5p-13",
+                              "0x1.cb69c7a902d39p-13", "0x1.cc2e131aab3ecp-13")),
+        ((3, 2, 4), 20_000, ("0x1.b1a337c658bc1p+0", "0x1.a7d2380020378p+0", "0x1.b9c72a5e343eep+0",
+                             "0x1.af050fab517f2p+0", "0x1.747c9b31386d6p-12", "0x1.652baf78f4ef2p-12",
+                             "0x1.833297361f0bbp-12", "0x1.7cce045060631p-12")),
+    ])
+    def test_bits_pinned(self, dims, trials, pinned):
+        # float.hex of the factors and standard errors: 2x2x2 at 100 000
+        # draws is the pre-pass of a sweep to 60 dB, and both passes end in
+        # a trimmed block; the block sums are summed pairwise in one order,
+        # so a change to the reduction that reorders them moves these bits
+        d, se = estimate_d_factors(AntennaConfig(*dims), power_profile(60.0, 0.5),
+                                   trials=trials, seed=7)
+        assert tuple(v.hex() for v in astuple(d) + se) == pinned
+
     def test_given_gains_equal_drawn(self):
         ant = AntennaConfig(2, 3, 4)
         drawn = estimate_d_factors(ant, PW, trials=20_000, seed=8)
