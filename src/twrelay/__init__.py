@@ -8,9 +8,8 @@ from .scenario import (AntennaConfig, CoefficientSet, DFactors, Modulation,
                        PowerProfile, Protocol, Scenario, WeightPair,
                        coefficient_set, load_scenario, modulation_constants,
                        parse_protocol, power_profile, protocol_modulation)
-from .simulate import (BerEstimate, ChannelStream, InstantaneousSnrs, SweepPoint,
-                       end_to_end_snrs, estimate_d_factors, sample_end_to_end_snrs,
-                       semi_analytic_sweep)
+from .simulate import (BerEstimate, ChannelStream, LinkGains, SweepPoint, end_to_end_snrs,
+                       estimate_d_factors, sample_end_to_end_snrs, semi_analytic_sweep)
 from .analysis import (bessel_moment, e2e_cdf, link_cdf, link_pdf,
                        sum_ber_closed_form, sum_ber_quadrature)
 from .highsnr import (GapRow, GapTable, HighSnrProfile, beta_closed_form, beta_numeric,

@@ -18,7 +18,7 @@ With diversity order d and the direction weights eta_arb, eta_bra of
 so the relay weights that minimise it minimise eta_arb + eta_bra, whatever
 the modulation.  That sum is convex in beta^2, and `beta_numeric` finds
 its minimum by a hand-written golden section; scipy.optimize is not
-imported, because its import alone costs more than half that of this
+imported, because its import alone adds about two fifths to that of this
 package."""
 
 from __future__ import annotations
@@ -150,8 +150,8 @@ def beta_numeric(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
     grid finds the minimum, also where it lies at an end of the interval.
 
     Hand-written rather than `scipy.optimize.minimize_scalar`: importing
-    scipy.optimize adds about 0.3 s to the 0.55 s import of this package
-    (2-vCPU x86_64, three fresh processes).
+    scipy.optimize adds 0.19-0.20 s to the 0.44-0.50 s import of twrelay
+    and twrelay.cli (2-vCPU x86_64, three fresh processes).
     """
     if not p.uses_weights:
         raise ConfigurationError(f"{p.value} has no relay weights")

@@ -11,8 +11,9 @@ trims it to the trial count, turns it into link gains and applies the
 caller's per-block reduction; or, given the blocks of a pass at least as
 long over the same stream, it only reduces their first draws.  A sweep
 evaluates every point of the sweep on each block's gains.  The protocol
-picks the SNR form: the exact two-branch sums for dual reception, the
-unified three-constant form otherwise.
+picks the SNR form, the exact two-branch sums for dual reception and the
+unified three-constant form otherwise; both read the gains, each link's
+average SNR folded into their scalar constants.
 
 The tasks run on a pool of worker threads, one per CPU available to the
 process and at most one per block.  numpy, `standard_gamma` and `erfc`
@@ -105,19 +106,6 @@ D_FACTOR_TRIALS = 1 << 15
 # random draw takes at most about 13 from the Samuelson bound, a near-tie
 # about one more per halving of its gap
 _NEWTON_MAX = 32
-
-
-@dataclass(frozen=True)
-class InstantaneousSnrs:
-    """Per-realization link SNRs.  The x-suffixed entries use the opposite
-    direction's transmit beamformer (non-matched reception)."""
-
-    g_ar: np.ndarray
-    g_br: np.ndarray
-    g_ra: np.ndarray
-    g_rb: np.ndarray
-    g_ra_x: np.ndarray
-    g_rb_x: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -309,8 +297,9 @@ def _top_gains(g: np.ndarray):
 class LinkGains:
     """Power-free link gains of a batch of draws: the top Gram eigenvalues
     of each side, lam_a and lam_b, and the cross gains lam_a_x and lam_b_x,
-    received through the opposite side's matched beamformer.  Every link
-    SNR is one of them scaled by a link's average SNR."""
+    received through the opposite side's matched beamformer.  A link SNR
+    is one of them times that link's average SNR: g_ar = rho_ar lam_a,
+    g_ra_x = rho_ra lam_a_x, and so on."""
 
     lam_a: np.ndarray
     lam_b: np.ndarray
@@ -320,16 +309,6 @@ class LinkGains:
     def head(self, n: int) -> "LinkGains":
         """The gains of the first n draws."""
         return LinkGains(self.lam_a[:n], self.lam_b[:n], self.lam_a_x[:n], self.lam_b_x[:n])
-
-    def snrs(self, pw: PowerProfile) -> InstantaneousSnrs:
-        return InstantaneousSnrs(
-            g_ar=pw.rho_ar * self.lam_a,
-            g_br=pw.rho_br * self.lam_b,
-            g_ra=pw.rho_ra * self.lam_a,
-            g_rb=pw.rho_rb * self.lam_b,
-            g_ra_x=pw.rho_ra * self.lam_a_x,
-            g_rb_x=pw.rho_rb * self.lam_b_x,
-        )
 
 
 def link_gains(side_a: np.ndarray, side_b: np.ndarray) -> LinkGains:
@@ -430,26 +409,27 @@ def _ratio(num, den, out=None):
     return out
 
 
-def end_to_end_snrs(p: Protocol, s: InstantaneousSnrs,
+def end_to_end_snrs(p: Protocol, gains: LinkGains, pw: PowerProfile,
                     w: Optional[WeightPair] = None,
                     coeffs: Optional[CoefficientSet] = None,
                     snr_form: str = "exact"):
-    """End-to-end received SNRs (g_arb, g_bra) for one protocol.
+    """End-to-end received SNRs (g_arb, g_bra) for one protocol at the
+    LinkGains of a batch of draws and the average link SNRs pw.
 
     Given a CoefficientSet, the three-constant unified form; without one,
     the exact two-branch sums, which only the dual-reception protocols
-    have.  snr_form "lower" drops the unit noise term from every
-    denominator, giving the analytically tractable lower-bound SNRs.
+    have.  Each link's rho enters the form's scalar constants.  snr_form
+    "lower" drops the unit noise term from every denominator, giving the
+    analytically tractable lower-bound SNRs.
     """
     if snr_form not in ("exact", "lower"):
         raise ConfigurationError(f"snr_form must be 'exact' or 'lower', got {snr_form!r}")
     n1 = 1.0 if snr_form == "exact" else 0.0
     if coeffs is not None:
-        g_arb = _ratio(coeffs.a_arb * s.g_ar * s.g_rb,
-                       coeffs.b_arb * s.g_ar + coeffs.c_arb * s.g_rb + n1)
-        g_bra = _ratio(coeffs.a_bra * s.g_br * s.g_ra,
-                       coeffs.b_bra * s.g_br + coeffs.c_bra * s.g_ra + n1)
-        return g_arb, g_bra
+        return (_unified(coeffs.a_arb, coeffs.b_arb, coeffs.c_arb, pw.rho_ar, pw.rho_rb,
+                         gains.lam_a, gains.lam_b, n1),
+                _unified(coeffs.a_bra, coeffs.b_bra, coeffs.c_bra, pw.rho_br, pw.rho_ra,
+                         gains.lam_b, gains.lam_a, n1))
     if not p.dual_reception:
         raise ConfigurationError(f"{p.value} has a single reception; its end-to-end SNRs "
                                  f"need a CoefficientSet")
@@ -459,20 +439,35 @@ def end_to_end_snrs(p: Protocol, s: InstantaneousSnrs,
         if w is None:
             raise ConfigurationError(f"{p.value} requires a WeightPair")
         a2, b2 = w.alpha ** 2, w.beta ** 2
-    arb1, arb2, bra1, bra2 = _dual_branches(s, a2, b2, n1)
+    arb1, arb2, bra1, bra2 = _dual_branches(gains, pw, a2, b2, n1)
     return arb1 + arb2, bra1 + bra2
 
 
-def _dual_branches(s: InstantaneousSnrs, a2, b2, n1: float = 1.0, out=(None,) * 4):
+def _unified(a, b, c, rho_s, rho_f, lam_s, lam_f, n1: float):
+    """One direction's unified form A g_s g_f / (B g_s + C g_f + n1) at the
+    source link SNR g_s = rho_s lam_s and the forward one g_f = rho_f lam_f,
+    evaluated as (A rho_s rho_f) (lam_s lam_f) / ((B rho_s) lam_s +
+    (C rho_f) lam_f + n1)."""
+    return _ratio(a * rho_s * rho_f * (lam_s * lam_f), b * rho_s * lam_s + c * rho_f * lam_f + n1)
+
+
+def _dual_branches(gains: LinkGains, pw: PowerProfile, a2, b2, n1: float = 1.0,
+                   out=(None,) * 4):
     """Primary (matched) and secondary (non-matched) branch SNRs per
     direction of a dual-reception protocol with squared relay weights a2 and
-    b2: (arb1, arb2, bra1, bra2).  n1 is the unit noise term of each
+    b2, (arb1, arb2, bra1, bra2): w2 g_src (g_far/2) / (a2 g_ar + b2 g_br +
+    g_far/2 + n1) with w2 g_src = a2 g_ar, a2 g_ar, b2 g_br, b2 g_br and
+    g_far = g_rb, g_rb_x, g_ra, g_ra_x.  The gains are scaled by a2 rho_ar,
+    b2 rho_br and rho/2, so with a2 and b2 powers of two the values are
+    those on g = rho lam bit for bit.  n1 is the unit noise term of each
     denominator, 0 for the lower-bound form.  out, if given, is four arrays
     of the draws' shape that receive them."""
-    base = a2 * s.g_ar + b2 * s.g_br
-    return tuple(_ratio(w2 * g_src * (g_far / 2), base + g_far / 2 + n1, row)
-                 for w2, g_src, g_far, row in zip((a2, a2, b2, b2), (s.g_ar, s.g_ar, s.g_br, s.g_br),
-                                                  (s.g_rb, s.g_rb_x, s.g_ra, s.g_ra_x), out))
+    src_a, src_b = a2 * pw.rho_ar * gains.lam_a, b2 * pw.rho_br * gains.lam_b
+    half_rb, half_ra = 0.5 * pw.rho_rb, 0.5 * pw.rho_ra
+    base = src_a + src_b
+    return tuple(_ratio(src * far, base + far + n1, row) for src, far, row in zip(
+        (src_a, src_a, src_b, src_b), (half_rb * gains.lam_b, half_rb * gains.lam_b_x,
+                                       half_ra * gains.lam_a, half_ra * gains.lam_a_x), out))
 
 
 def _q_vec(x):
@@ -494,7 +489,7 @@ def sample_end_to_end_snrs(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
     sums for the dual-reception protocols, the unified form otherwise."""
     coeffs = _sampler_coeffs(p, ant, pw, w)
     arb, bra = zip(*_gain_blocks(ant, trials, seed, reduce=lambda gains: end_to_end_snrs(
-        p, gains.snrs(pw), w, coeffs, snr_form)))
+        p, gains, pw, w, coeffs, snr_form)))
     return np.concatenate(arb), np.concatenate(bra)
 
 
@@ -543,7 +538,7 @@ def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
         # per point: (sum y, sum y^2) of the block
         part = []
         for p, pw, w, coeffs, scale, two_b in evals:
-            g_arb, g_bra = end_to_end_snrs(p, block.snrs(pw), w, coeffs, snr_form)
+            g_arb, g_bra = end_to_end_snrs(p, block, pw, w, coeffs, snr_form)
             y = scale * (_q_vec(two_b * g_arb) + _q_vec(two_b * g_bra))
             part.append((np.sum(y), np.sum(y * y)))
         return part
@@ -655,16 +650,14 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
         # one scratch array per task: the rows, then one row for each
         # product in turn, summed pairwise by np.add.reduce as np.sum does
         rows = np.empty((nrow + 1, block.lam_a.size))
-        s = block.snrs(pw)
-        _dual_branches(s, 1.0, 1.0, out=rows[0:4])
-        _dual_branches(s, 0.5, 0.5, out=rows[4:8])
-        del s
+        _dual_branches(block, pw, 1.0, 1.0, out=rows[0:4])
+        _dual_branches(block, pw, 0.5, 0.5, out=rows[4:8])
         ctrl = rows[8:nrow]
         ctrl[0], ctrl[1], ctrl[4], ctrl[5] = block.lam_a_x, block.lam_b_x, block.lam_a, block.lam_b
         np.log(block.lam_a_x, out=ctrl[2])
         np.log(block.lam_b_x, out=ctrl[3])
         ctrl -= mu[:, None]
-        # the gains are released before the products, as the SNRs were
+        # the gains are released before the products
         del block
         sums = [np.add.reduce(row) for row in rows[:nrow]]
         prod = rows[nrow]

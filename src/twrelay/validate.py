@@ -26,6 +26,7 @@ from .simulate import (D_FACTOR_TRIALS, ChannelStream, SweepPoint, _gain_blocks,
                        sample_end_to_end_snrs, semi_analytic_sweep)
 
 _MIN_STATISTICAL_TRIALS = 10_000
+_KS_GRID_POINTS = 1500     # points of the log grid on which _ks_statistic tabulates a CDF
 
 
 @dataclass
@@ -43,16 +44,16 @@ class CheckResult:
         return f"{status:4s}  {self.name:38s} measured={self.measured:.3e} threshold={self.threshold:.3e}{extra}"
 
 
-def _ks_statistic(samples: np.ndarray, cdf, grid_points: int = 1500) -> float:
+def _ks_statistic(samples: np.ndarray, cdf) -> float:
     """Two-sided KS distance of samples against a smooth CDF, given as a
     function of an array of thresholds.
 
-    The CDF is tabulated on a log grid spanning the samples and linearly
-    interpolated; the interpolation error is orders of magnitude below the
-    thresholds used here."""
+    The CDF is tabulated on a log grid of _KS_GRID_POINTS spanning the
+    samples and linearly interpolated; the interpolation error is orders of
+    magnitude below the thresholds used here."""
     xs = np.sort(samples)
     n = xs.size
-    grid = np.geomspace(max(xs[0], 1e-300), xs[-1], grid_points)
+    grid = np.geomspace(max(xs[0], 1e-300), xs[-1], _KS_GRID_POINTS)
     table = cdf(grid)
     F = np.interp(xs, grid, table)
     lo = np.arange(0, n) / n
@@ -60,11 +61,11 @@ def _ks_statistic(samples: np.ndarray, cdf, grid_points: int = 1500) -> float:
     return float(max(np.max(np.abs(F - lo)), np.max(np.abs(F - hi))))
 
 
-def _block_snrs(pw: PowerProfile, seed: int, block: int, n: int):
-    """Link SNRs of the first n draws of the given block of the seed's 2x1x2
+def _block_gains(seed: int, block: int, n: int):
+    """LinkGains of the first n draws of the given block of the seed's 2x1x2
     stream."""
     side_a, side_b = ChannelStream(seed).draw_block(AntennaConfig(2, 1, 2), block)
-    return link_gains(side_a[:n], side_b[:n]).snrs(pw)
+    return link_gains(side_a[:n], side_b[:n])
 
 
 def check_bessel_moment_identity() -> CheckResult:
@@ -135,14 +136,14 @@ def check_mr1_reduction(pw: PowerProfile) -> CheckResult:
 
 def check_unified_dual_mr1(pw: PowerProfile, seed: int) -> CheckResult:
     ant = AntennaConfig(2, 1, 2)
-    s = _block_snrs(pw, seed, 0, 2000)
+    g = _block_gains(seed, 0, 2000)
     worst = 0.0
     for p in (Protocol.SECOND_THREE_SLOT, Protocol.SECOND_FOUR_SLOT):
         w = BALANCED_WEIGHTS if p.uses_weights else None
         coeffs = coefficient_set(p, ant, pw, w)
         for form in ("exact", "lower"):
-            u_arb, u_bra = end_to_end_snrs(p, s, w, coeffs, form)
-            d_arb, d_bra = end_to_end_snrs(p, s, w, snr_form=form)
+            u_arb, u_bra = end_to_end_snrs(p, g, pw, w, coeffs, form)
+            d_arb, d_bra = end_to_end_snrs(p, g, pw, w, snr_form=form)
             scale = np.maximum(np.maximum(u_arb, u_bra), 1.0)
             worst = max(worst,
                         float(np.max(np.abs(u_arb - d_arb) / scale)),
@@ -171,13 +172,13 @@ def check_lower_bound_ordering(pw: PowerProfile, trials: int, seed: int) -> Chec
 
 def check_gamma_form_dominates(pw: PowerProfile, seed: int) -> CheckResult:
     ant = AntennaConfig(2, 1, 2)
-    s = _block_snrs(pw, seed, 1, 4000)
+    g = _block_gains(seed, 1, 4000)
     worst = 0.0
     for p in Protocol:
         w = BALANCED_WEIGHTS if p.uses_weights else None
         coeffs = coefficient_set(p, ant, pw, w)
-        ex_arb, ex_bra = end_to_end_snrs(p, s, w, coeffs, "exact")
-        lo_arb, lo_bra = end_to_end_snrs(p, s, w, coeffs, "lower")
+        ex_arb, ex_bra = end_to_end_snrs(p, g, pw, w, coeffs, "exact")
+        lo_arb, lo_bra = end_to_end_snrs(p, g, pw, w, coeffs, "lower")
         worst = max(worst, float(np.max(ex_arb - lo_arb)), float(np.max(ex_bra - lo_bra)))
     return CheckResult("gamma_form_dominates", worst <= 0.0, worst, 0.0,
                        note="max exact-form excess over lower form")
@@ -186,9 +187,9 @@ def check_gamma_form_dominates(pw: PowerProfile, seed: int) -> CheckResult:
 def check_harmonic_mean_sandwich(pw: PowerProfile, seed: int) -> CheckResult:
     ant = AntennaConfig(2, 1, 2)
     coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
-    s = _block_snrs(pw, seed, 2, 4000)
-    u = coeffs.b_arb * s.g_ar
-    v = coeffs.c_arb * s.g_rb
+    g = _block_gains(seed, 2, 4000)
+    u = coeffs.b_arb * pw.rho_ar * g.lam_a
+    v = coeffs.c_arb * pw.rho_rb * g.lam_b
     w = u * v / (u + v)
     m = np.minimum(u, v)
     ok = np.all(w >= 0.5 * m - 1e-9 * m) and np.all(w <= m * (1 + 1e-12))

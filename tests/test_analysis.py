@@ -587,6 +587,15 @@ class TestBesselMoment:
         # an integer gives the nu = 1 value, 0.130226, at nu = 1.5 (0.232095)
         ref = float(_moment_oracle(3.5, nu, 2.0, 1.0))
         assert bessel_moment(3.5, nu, 2.0, 1.0) == pytest.approx(ref, rel=1e-14, abs=0.0)
+        # over test_matches_mpmath's grid scipy's hyp2f1 loses digits at some
+        # real orders: nu = 2.75 is 1.7e-12 off at 1 - z = 0.01
+        for one_minus_z in (0.9, 0.5, 0.1, 1e-2, 1e-4, 1e-6, 1e-8):
+            z = 1.0 - one_minus_z
+            for mu in (nu + 0.5, nu + 2.5, nu + 8.5):
+                for alpha in (0.37, 1.0, 2.9):
+                    beta = alpha * (1.0 - z) / (1.0 + z)
+                    ref = float(_moment_oracle(mu, nu, alpha, beta))
+                    assert bessel_moment(mu, nu, alpha, beta) == pytest.approx(ref, rel=5e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ConfigurationError):

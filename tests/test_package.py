@@ -141,10 +141,10 @@ def test_one_statement_of_the_bessel_moment():
 
 
 def test_import_loads_no_scipy_optimize_or_integrate():
-    # importing scipy.optimize alone takes over half as long as importing
-    # the package; the high-SNR weights use a hand-written golden section,
-    # and the CLI imports validate, the one user of scipy.integrate, only
-    # for the validate command
+    # importing scipy.optimize alone adds about two fifths to the import
+    # time of the package; the high-SNR weights use a hand-written golden
+    # section, and the CLI imports validate, the one user of
+    # scipy.integrate, only for the validate command
     src = str(Path(twrelay.__file__).parent.parent)
     for module in ("twrelay", "twrelay.cli"):
         probe = (f"import sys, {module}; print(sorted(m for m in ('scipy.optimize', "

@@ -18,12 +18,12 @@ from channel_oracle import channel_gains, tridiagonal_top_mp
 from twrelay import simulate
 from twrelay.errors import ConfigurationError
 from twrelay.lowerbound import ccdf_expansion, mean_largest_eigenvalue
-from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, PowerProfile,
+from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile,
                               Protocol, WeightPair, coefficient_set,
                               modulation_constants, power_profile)
-from twrelay.simulate import (ChannelStream, InstantaneousSnrs, SweepPoint,
-                              end_to_end_snrs, estimate_d_factors,
-                              sample_end_to_end_snrs, semi_analytic_sweep)
+from twrelay.simulate import (ChannelStream, LinkGains, SweepPoint, end_to_end_snrs,
+                              estimate_d_factors, sample_end_to_end_snrs,
+                              semi_analytic_sweep)
 
 ANT = AntennaConfig(2, 1, 2)
 PW = PowerProfile.balanced(20.0)
@@ -289,8 +289,7 @@ def joint_law_samples():
 
 
 def _law_features(g: dict, pw: PowerProfile) -> dict:
-    s = simulate.LinkGains(*(g[k] for k in GAINS)).snrs(pw)
-    branches = simulate._dual_branches(s, 1.0, 1.0)
+    branches = simulate._dual_branches(LinkGains(*(g[k] for k in GAINS)), pw, 1.0, 1.0)
     return {**g, "lam_a*lam_b_x": g["lam_a"] * g["lam_b_x"],
             "lam_b*lam_a_x": g["lam_b"] * g["lam_a_x"],
             "lam_a_x*lam_b_x": g["lam_a_x"] * g["lam_b_x"],
@@ -329,8 +328,6 @@ class TestLinkSnrs:
         # norms |h|^2 = B_00^2
         g = simulate.link_gains(np.array([[2.0]]), np.array([[1.0]]))
         assert (g.lam_a[0], g.lam_b[0], g.lam_a_x[0], g.lam_b_x[0]) == (2.0, 1.0, 2.0, 1.0)
-        s = g.snrs(PW)
-        assert s.g_ar[0] == 2.0 * PW.rho_ar and s.g_br[0] == PW.rho_br
         # m_r = 2, B = [[1, 0], [1, 1]] on both sides: T = [[1, 1], [1, 2]],
         # lam = (3 + sqrt 5)/2, q^2 = 1/(1 + lam_1^2) with lam_1 = lam - 1,
         # and the other eigenvalue det T / lam = 1/lam
@@ -342,17 +339,12 @@ class TestLinkSnrs:
         assert g.lam_a_x[0] == 1.0
         assert g.lam_b_x[0] == pytest.approx(lam * q2 + (1.0 - q2) / lam, rel=1e-15)
 
-    def test_reciprocity_identity(self):
-        pw = PowerProfile(100.0, 50.0, 400.0, 400.0)
-        s = next(simulate._gain_blocks(ANT, 20, 3)).snrs(pw)
-        np.testing.assert_allclose(s.g_ar * pw.rho_ra, s.g_ra * pw.rho_ar, rtol=1e-12)
-
     def test_nonmatched_dominated(self):
         # m_r = 2 takes the closed form, m_r = 3 the Newton kernel
         for ant in (AntennaConfig(3, 2, 2), AntennaConfig(2, 3, 3)):
-            s = next(simulate._gain_blocks(ant, 5000, 11)).snrs(PW)
-            assert np.all(s.g_ra_x <= s.g_ra + 1e-9)
-            assert np.all(s.g_rb_x <= s.g_rb + 1e-9)
+            g = next(simulate._gain_blocks(ant, 5000, 11))
+            assert np.all(g.lam_a_x <= g.lam_a * (1.0 + 4 * EPS))
+            assert np.all(g.lam_b_x <= g.lam_b * (1.0 + 4 * EPS))
 
     def test_mean_matches_eigenvalue_oracle(self):
         # top-eigenvalue mean of the square two-antenna channel is 3.5
@@ -361,54 +353,92 @@ class TestLinkSnrs:
         assert float(np.mean(lam)) == pytest.approx(3.5, rel=0.005)
 
 
+def _gains(lam_a, lam_b, lam_a_x, lam_b_x):
+    return LinkGains(*(np.float64(v) for v in (lam_a, lam_b, lam_a_x, lam_b_x)))
+
+
 class TestEndToEnd:
     def test_two_slot_example(self):
-        s = InstantaneousSnrs(*(np.float64(10.0),) * 6)
-        coeffs = coefficient_set(Protocol.TWO_SLOT, ANT, PowerProfile.balanced(0.0))
-        g_arb, g_bra = end_to_end_snrs(Protocol.TWO_SLOT, s, coeffs=coeffs)
+        # every link SNR 10 at unit average SNRs
+        pw = PowerProfile.balanced(0.0)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ANT, pw)
+        g_arb, g_bra = end_to_end_snrs(Protocol.TWO_SLOT, _gains(10.0, 10.0, 10.0, 10.0),
+                                       pw, coeffs=coeffs)
         assert float(g_bra) == pytest.approx(100.0 / 31.0, rel=1e-12)
 
     def test_first_four_slot_example(self):
-        s = InstantaneousSnrs(*(np.float64(10.0),) * 6)
-        coeffs = coefficient_set(Protocol.FIRST_FOUR_SLOT, ANT, PowerProfile.balanced(0.0))
-        g_arb, g_bra = end_to_end_snrs(Protocol.FIRST_FOUR_SLOT, s, coeffs=coeffs)
+        pw = PowerProfile.balanced(0.0)
+        coeffs = coefficient_set(Protocol.FIRST_FOUR_SLOT, ANT, pw)
+        g_arb, g_bra = end_to_end_snrs(Protocol.FIRST_FOUR_SLOT, _gains(10.0, 10.0, 10.0, 10.0),
+                                       pw, coeffs=coeffs)
         assert float(g_bra) == pytest.approx(3.125, rel=1e-12)
 
     def test_zero_channel(self):
-        s = InstantaneousSnrs(*(np.float64(0.0),) * 6)
+        g = _gains(0.0, 0.0, 0.0, 0.0)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ANT, PW)
-        assert end_to_end_snrs(Protocol.TWO_SLOT, s, coeffs=coeffs) == (0.0, 0.0)
-        g = end_to_end_snrs(Protocol.SECOND_THREE_SLOT, s, snr_form="lower")
-        assert g == (0.0, 0.0)
+        assert end_to_end_snrs(Protocol.TWO_SLOT, g, PW, coeffs=coeffs) == (0.0, 0.0)
+        assert end_to_end_snrs(Protocol.TWO_SLOT, g, PW, coeffs=coeffs, snr_form="lower") == (0.0, 0.0)
+        assert end_to_end_snrs(Protocol.SECOND_THREE_SLOT, g, PW, snr_form="lower") == (0.0, 0.0)
 
     def test_monotone_in_each_link(self):
-        base = dict(g_ar=4.0, g_br=3.0, g_ra=5.0, g_rb=6.0, g_ra_x=2.0, g_rb_x=2.5)
+        # the multiple-access terms in the denominators mean only the
+        # directions carried by the bumped gain must increase: each
+        # matched gain is its side's source link and, in the unified form,
+        # the other direction's forward link; a cross gain is a
+        # dual-reception direction's non-matched forward link
+        pw = PowerProfile(30.0, 20.0, 50.0, 50.0)
+        base = dict(lam_a=0.2, lam_b=0.15, lam_a_x=0.04, lam_b_x=0.05)
         for p in Protocol:
             w = BALANCED_WEIGHTS if p.uses_weights else None
-            coeffs = None if p.dual_reception else coefficient_set(p, ANT, PW, w)
-            ref = end_to_end_snrs(p, InstantaneousSnrs(**{k: np.float64(v) for k, v in base.items()}),
-                                  w, coeffs)
-            for key in base:
-                bumped = dict(base)
-                bumped[key] = base[key] * 1.3
-                if key == "g_ar":
-                    bumped["g_ra"] = base["g_ra"] * 1.3   # reciprocity ties these
-                if key == "g_ra":
-                    bumped["g_ar"] = base["g_ar"] * 1.3
-                out = end_to_end_snrs(p, InstantaneousSnrs(**{k: np.float64(v) for k, v in bumped.items()}),
-                                      w, coeffs)
-                # the multiple-access terms in the denominators mean only the
-                # direction carried by the bumped link must not decrease
-                if key in ("g_br", "g_ra", "g_ra_x"):
-                    assert out[1] >= ref[1] - 1e-12
-                if key in ("g_ar", "g_rb", "g_rb_x"):
-                    assert out[0] >= ref[0] - 1e-12
+            coeffs = None if p.dual_reception else coefficient_set(p, ANT, pw, w)
+            carried = ({"lam_a": (0,), "lam_b": (1,), "lam_a_x": (1,), "lam_b_x": (0,)}
+                       if coeffs is None else {"lam_a": (0, 1), "lam_b": (0, 1)})
+            ref = end_to_end_snrs(p, _gains(**base), pw, w, coeffs)
+            for key, directions in carried.items():
+                out = end_to_end_snrs(p, _gains(**{**base, key: base[key] * 1.3}), pw, w, coeffs)
+                for d in directions:
+                    assert out[d] > ref[d], (p, key, d)
+            for key in base.keys() - carried.keys():
+                # the unified form reads no cross gain
+                out = end_to_end_snrs(p, _gains(**{**base, key: base[key] * 1.3}), pw, w, coeffs)
+                assert out == ref
 
     def test_dual_reception_contract(self):
         # without coefficients, only a dual-reception protocol has SNRs
-        s = InstantaneousSnrs(*(np.float64(1.0),) * 6)
         with pytest.raises(ConfigurationError):
-            end_to_end_snrs(Protocol.TWO_SLOT, s)
+            end_to_end_snrs(Protocol.TWO_SLOT, _gains(1.0, 1.0, 1.0, 1.0), PW)
+
+    @pytest.mark.parametrize("snr_form", ["exact", "lower"])
+    def test_forms_match_link_snr_formulas(self, snr_form):
+        # both forms against their textbook statements on the link SNRs
+        # g = rho lam, at random average SNRs and weights
+        rng = np.random.default_rng(2718)
+        ant = AntennaConfig(3, 2, 4)
+        g = next(simulate._gain_blocks(ant, 2000, 5))
+        n1 = 1.0 if snr_form == "exact" else 0.0
+        for _ in range(8):
+            rho_ar, rho_br, rho_r = 10.0 ** rng.uniform(-1.0, 6.0, 3)
+            pw = PowerProfile(rho_ar, rho_br, rho_r, rho_r)
+            w = WeightPair.from_beta_squared(rng.uniform(0.05, 0.95))
+            g_ar, g_br = rho_ar * g.lam_a, rho_br * g.lam_b
+            g_ra, g_rb, g_ra_x, g_rb_x = (rho_r * lam for lam in (g.lam_a, g.lam_b, g.lam_a_x,
+                                                                  g.lam_b_x))
+            for p in Protocol:
+                wp = w if p.uses_weights else None
+                c = coefficient_set(p, ant, pw, wp, DFactors(1.7, 1.6, 1.8, 1.55))
+                got = end_to_end_snrs(p, g, pw, wp, c, snr_form)
+                ref = (c.a_arb * g_ar * g_rb / (c.b_arb * g_ar + c.c_arb * g_rb + n1),
+                       c.a_bra * g_br * g_ra / (c.b_bra * g_br + c.c_bra * g_ra + n1))
+                for x, y in zip(got, ref):
+                    np.testing.assert_allclose(x, y, rtol=1e-14, atol=0.0)
+                if not p.dual_reception:
+                    continue
+                a2, b2 = (1.0, 1.0) if wp is None else (wp.alpha ** 2, wp.beta ** 2)
+                den = a2 * g_ar + b2 * g_br + n1
+                ref = (sum(a2 * g_ar * (f / 2) / (den + f / 2) for f in (g_rb, g_rb_x)),
+                       sum(b2 * g_br * (f / 2) / (den + f / 2) for f in (g_ra, g_ra_x)))
+                for x, y in zip(end_to_end_snrs(p, g, pw, wp, snr_form=snr_form), ref):
+                    np.testing.assert_allclose(x, y, rtol=1e-14, atol=0.0)
 
 
 class TestSemiAnalytic:
@@ -515,8 +545,8 @@ class TestDFactors:
         pw = power_profile(10.0, 0.5)
         blocks = list(simulate._gain_blocks(ant, 200_000, 5))
         branches = [np.concatenate(x) for x in zip(*(
-            simulate._dual_branches(b.snrs(pw), 1.0, 1.0)
-            + simulate._dual_branches(b.snrs(pw), 0.5, 0.5) for b in blocks))]
+            simulate._dual_branches(b, pw, 1.0, 1.0)
+            + simulate._dual_branches(b, pw, 0.5, 0.5) for b in blocks))]
         plain = []
         for x1, x2 in zip(branches[::2], branches[1::2]):
             z = x2 - (x2.mean() / x1.mean()) * x1
@@ -572,8 +602,8 @@ class TestDFactors:
         # ratio of means and its delta-method SE over the same draws
         ant = AntennaConfig(2, 2, 2)
         d, se = estimate_d_factors(ant, PW, trials=trials, seed=1)
-        s = next(simulate._gain_blocks(ant, trials, 1)).snrs(PW)
-        branches = simulate._dual_branches(s, 1.0, 1.0) + simulate._dual_branches(s, 0.5, 0.5)
+        g = next(simulate._gain_blocks(ant, trials, 1))
+        branches = simulate._dual_branches(g, PW, 1.0, 1.0) + simulate._dual_branches(g, PW, 0.5, 0.5)
         for x1, x2, dv, sv in zip(branches[::2], branches[1::2], astuple(d), se):
             r = x2.mean() / x1.mean()
             z = x2 - r * x1
