@@ -104,23 +104,38 @@ def link_pdf(x: float, m_s: int, m_r: int, rho: float) -> float:
 # End-to-end lower-bound SNR CDF and the sum-BER integral
 # ---------------------------------------------------------------------------
 
-def _direction(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
-               pw: PowerProfile) -> lowerbound.Direction:
-    """One direction's lower-bound SNR A g_s g_f / (B g_s + C g_f): the
-    source link, whose gain enters the first hop, the far link from the
-    relay to the destination, and the scales k_s = C / (A rho_s), k_f =
-    B / (A rho_f); the one map from coefficients and link SNRs to them."""
+def _links(direction: str, ant: AntennaConfig, pw: PowerProfile) -> tuple:
+    """One direction's source link, whose gain enters the first hop, and far
+    link, from the relay to the destination, each with its average SNR:
+    (src, rho_s, far, rho_f)."""
     require_analytic(ant)
     if direction == "arb":
         (m_s, rho_s), (m_f, rho_f) = (ant.m_a, pw.rho_ar), (ant.m_b, pw.rho_rb)
-        a, b, c = coeffs.a_arb, coeffs.b_arb, coeffs.c_arb
     elif direction == "bra":
         (m_s, rho_s), (m_f, rho_f) = (ant.m_b, pw.rho_br), (ant.m_a, pw.rho_ra)
-        a, b, c = coeffs.a_bra, coeffs.b_bra, coeffs.c_bra
     else:
         raise ConfigurationError(f"direction must be 'arb' or 'bra', got {direction!r}")
-    return lowerbound.Direction(lowerbound.Link(m_s, ant.m_r), lowerbound.Link(m_f, ant.m_r),
-                                c / (a * rho_s), b / (a * rho_f))
+    return lowerbound.Link(m_s, ant.m_r), rho_s, lowerbound.Link(m_f, ant.m_r), rho_f
+
+
+def _scales(a: float, b: float, c: float, rho_s: float, rho_f: float) -> tuple:
+    """The scales (k_s, k_f) = (C / (A rho_s), B / (A rho_f)) of the
+    lower-bound SNR A g_s g_f / (B g_s + C g_f), 1 / gamma = k_s / lambda_s
+    + k_f / lambda_f: the one map from a direction's constants and link SNRs
+    to them."""
+    return c / (a * rho_s), b / (a * rho_f)
+
+
+def _direction(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
+               pw: PowerProfile) -> lowerbound.Direction:
+    """One direction's lower-bound SNR A g_s g_f / (B g_s + C g_f): its links
+    (`_links`) and scales (`_scales`)."""
+    src, rho_s, far, rho_f = _links(direction, ant, pw)
+    if direction == "arb":
+        a, b, c = coeffs.a_arb, coeffs.b_arb, coeffs.c_arb
+    else:
+        a, b, c = coeffs.a_bra, coeffs.b_bra, coeffs.c_bra
+    return lowerbound.Direction(src, far, *_scales(a, b, c, rho_s, rho_f))
 
 
 def e2e_cdf(direction: str, x: float | np.ndarray, coeffs: CoefficientSet,
@@ -266,9 +281,14 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> float:
     directions = Counter(_direction(d, coeffs, ant, pw) for d in _DIRECTIONS)
     for (src, far, k_s, k_f), count in directions.items():
         tops, coefs, moments = [], [], []
+        # ln x, ln y and the moment's two rates, once per distinct (n, i)
+        at_ni = {}
         for g in _moment_groups(src.m, far.m, ant.m_r):
-            x, y = g.n * k_s, g.i * k_f
-            ln_x, ln_y = math.log(x), math.log(y)
+            if (g.n, g.i) not in at_ni:
+                x, y = g.n * k_s, g.i * k_f
+                at_ni[g.n, g.i] = (math.log(x), math.log(y),
+                                   mod.b + x + y, 2.0 * math.sqrt(x * y))
+            ln_x, ln_y, rate, beta = at_ni[g.n, g.i]
             # the group's coefficient, scaled by its largest part
             ln_parts = [ln_r + 0.5 * e * ln_x + (g.s + 1 - 0.5 * e) * ln_y
                         for (e, _), ln_r in zip(g.powers, g.ln_r)]
@@ -277,7 +297,7 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> float:
             coefs.append(math.fsum(math.copysign(math.exp(ln - top), sign)
                                    for ln, sign in zip(ln_parts, g.sign)))
             # the moment integrates x^(s + 1/2) exp(-(b + rate) x) K_nu(beta x)
-            moments.append((g.s + 1.5, g.nu, mod.b + x + y, 2.0 * math.sqrt(x * y)))
+            moments.append((g.s + 1.5, g.nu, rate, beta))
         ln_moments = _ln_bessel_moment(*zip(*moments))
         terms += [-coef * math.exp(ln_pref + top + ln_moment)
                   for coef, top, ln_moment in zip(coefs, tops, ln_moments)] * count

@@ -276,7 +276,11 @@ def cmd_validate(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every `main` call of one process, as in tests or a
+    notebook, shares it."""
     ap = argparse.ArgumentParser(prog="twrelay",
                                  description="Two-way relay beamforming performance toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -19,7 +19,16 @@ so the relay weights that minimise it minimise eta_arb + eta_bra, whatever
 the modulation.  That sum is convex in beta^2, and `beta_numeric` finds
 its minimum by a hand-written golden section; scipy.optimize is not
 imported, because its import alone adds about two fifths to that of this
-package."""
+package.  The search checks its arguments and fixes everything but the
+weight once per call: the dual-reception factors, both directions' links
+and the diversity order.  A step then evaluates only the formulas that
+depend on beta^2: the six unified constants (`scenario._unified_constants`),
+the two directions' scales (`analysis._scales`) and their eta terms
+(`_eta`), the same helpers that `coefficient_set`, `analysis._direction`
+and `eta_pair` call, so its value is theirs bit for bit.  A step costs
+2-4 us on 2-vCPU x86_64, and a search takes 41.  An average of eta over
+the link shapes would enter at the same place, as per-call constants that
+every step reads."""
 
 from __future__ import annotations
 
@@ -28,12 +37,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .analysis import _DIRECTIONS, _direction
+from .analysis import _DIRECTIONS, _direction, _links, _scales
 from .errors import ConfigurationError
 from .lowerbound import leading_coefficient
 from .scenario import (AntennaConfig, CoefficientSet, DFactors, Modulation,
-                       PowerProfile, Protocol, WeightPair, coefficient_set,
-                       protocol_modulation)
+                       PowerProfile, Protocol, WeightPair, _dual_factors, _unified_constants,
+                       coefficient_set, protocol_modulation)
 
 
 @dataclass(frozen=True)
@@ -66,23 +75,31 @@ def eta_pair(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile) -> tu
     counts tie), each d c (k rho_ar)^d, where F(u) = c u^d + ... is the
     link CDF (`lowerbound.leading_coefficient`) and k the link's scale in
     1 / gamma = k_s / lambda_s + k_f / lambda_f (`analysis._direction`)."""
+    d, weight = _order(ant)
+    return tuple(_eta(direction, *_direction(direction, coeffs, ant, pw), pw.rho_ar, d, weight)
+                 for direction in _DIRECTIONS)
+
+
+def _order(ant: AntennaConfig) -> tuple[int, float]:
+    """The diversity order d = m_r min(m_a, m_b), and the weight m n c of
+    every link with m n = d, each of which is m x m_r."""
     m = min(ant.m_a, ant.m_b)
-    d = m * ant.m_r
-    weight = _link_weight(m, ant.m_r)   # every link with m n = d is m x m_r
-    rho_ar = pw.rho_ar
-    out = []
-    for direction in _DIRECTIONS:
-        src, far, k_s, k_f = _direction(direction, coeffs, ant, pw)
-        total = 0.0
-        if src.m * src.n == d:
-            total += (k_s * rho_ar) ** d
-        if far.m * far.n == d:
-            total += (k_f * rho_ar) ** d
-        if not total > 0.0:
-            raise ConfigurationError(
-                f"direction weight of {direction} must be positive, got {total!r}")
-        out.append(weight * total)
-    return out[0], out[1]
+    return m * ant.m_r, _link_weight(m, ant.m_r)
+
+
+def _eta(direction: str, src, far, k_s: float, k_f: float, rho_ar: float,
+         d: int, weight: float) -> float:
+    """One direction's weight of `eta_pair` from its links, its scales and
+    the network's `_order`."""
+    total = 0.0
+    if src.m * src.n == d:
+        total += (k_s * rho_ar) ** d
+    if far.m * far.n == d:
+        total += (k_f * rho_ar) ** d
+    if not total > 0.0:
+        raise ConfigurationError(
+            f"direction weight of {direction} must be positive, got {total!r}")
+    return weight * total
 
 
 def high_snr_profile(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
@@ -91,7 +108,7 @@ def high_snr_profile(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
     """Asymptote parameters for one protocol under its rate-normalized modulation."""
     coeffs = coefficient_set(p, ant, pw, w, dfactors)
     eta_arb, eta_bra = eta_pair(coeffs, ant, pw)
-    d = ant.m_r * min(ant.m_a, ant.m_b)
+    d, _ = _order(ant)
     return HighSnrProfile(d=d, eta_arb=eta_arb, eta_bra=eta_bra, mod=protocol_modulation(p))
 
 
@@ -152,13 +169,32 @@ def beta_numeric(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
     Hand-written rather than `scipy.optimize.minimize_scalar`: importing
     scipy.optimize adds 0.19-0.20 s to the 0.44-0.50 s import of twrelay
     and twrelay.cli (2-vCPU x86_64, three fresh processes).
+
+    Everything but the weight is fixed per call and checked before the
+    first step, with the errors of `coefficient_set` and `eta_pair`: the
+    dual-reception factors (`scenario._dual_factors`), both directions'
+    links with their average SNRs (`analysis._links`, which also checks the
+    antennas) and the diversity order with its link weight (`_order`).  A
+    step at x computes a^2 = sqrt(1 - x)^2 and b^2 = sqrt(x)^2 as
+    `WeightPair.from_beta_squared` and `coefficient_set` do, the six
+    unified constants, the two directions' scales and the two eta terms,
+    and nothing else: 2-4 us on 2-vCPU x86_64, about 0.1 ms a call.
     """
     if not p.uses_weights:
         raise ConfigurationError(f"{p.value} has no relay weights")
+    dual = _dual_factors(p, ant, dfactors)
+    (src_a, rho_ar, far_a, rho_rb), (src_b, rho_br, far_b, rho_ra) = (
+        _links(direction, ant, pw) for direction in _DIRECTIONS)
+    d, weight = _order(ant)
 
     def objective(beta_sq: float) -> float:
-        w = WeightPair.from_beta_squared(beta_sq)
-        return sum(eta_pair(coefficient_set(p, ant, pw, w, dfactors), ant, pw))
+        # eta_arb + eta_bra of coefficient_set at WeightPair.from_beta_squared(beta_sq)
+        a_arb, b_arb, c_arb, a_bra, b_bra, c_bra = _unified_constants(
+            p, pw, math.sqrt(1.0 - beta_sq) ** 2, math.sqrt(beta_sq) ** 2, dual)
+        k_arb = _scales(a_arb, b_arb, c_arb, rho_ar, rho_rb)
+        k_bra = _scales(a_bra, b_bra, c_bra, rho_br, rho_ra)
+        return (_eta("arb", src_a, far_a, *k_arb, rho_ar, d, weight)
+                + _eta("bra", src_b, far_b, *k_bra, rho_ar, d, weight))
 
     lo, hi = 1e-9, 1.0 - 1e-9   # an endpoint weight zeroes out one direction
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

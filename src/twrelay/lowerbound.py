@@ -397,6 +397,13 @@ def mean_largest_eigenvalue(m: int, n: int) -> float:
     return math.fsum((1.0 - cdf) * np.tile(2.0 * w, left.size))
 
 
+@functools.cache
+def _trace_tail(k: int) -> float:
+    """The point past which a Gamma(k) trace has probability _TAIL: the
+    upper end of an axis of the sum-BER grid for a link with m n = k."""
+    return gammainccinv(k, _TAIL)
+
+
 class Estimate(NamedTuple):
     """The sum-BER, its error estimate (at least REL_ROUNDING of the
     value), the points of the trapezoid grids it was taken at (the finest
@@ -609,7 +616,7 @@ class _Axis(_Steps):
     what, per = "sum-BER grid", " per axis"
 
     def __init__(self, link: Link, fade: float):
-        top = gammainccinv(link.m * link.n, _TAIL)
+        top = _trace_tail(link.m * link.n)
         super().__init__(math.log(min(fade, top)) - _FADE_SHIFT, math.log(top), _INNER_H)
         self.link = link
 

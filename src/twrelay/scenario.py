@@ -5,6 +5,7 @@ end-to-end SNR form."""
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,9 +179,11 @@ def modulation_constants(family: str, m: int = 2) -> Modulation:
     raise ConfigurationError(f"unknown modulation family {family!r}; expected bpsk, mpsk, or mqam")
 
 
+@functools.cache
 def protocol_modulation(p: Protocol) -> Modulation:
     """Rate-normalized constellation per protocol: QPSK for two slots,
-    8-QAM for three, 16-QAM for four."""
+    8-QAM for three, 16-QAM for four.  Built once per process and protocol
+    (a Modulation is frozen), since the sweeps ask for it at every point."""
     return {
         2: modulation_constants("mpsk", 4),
         3: modulation_constants("mqam", 8),
@@ -233,31 +236,49 @@ def coefficient_set(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
     relay antenna (with one relay antenna they degenerate to 2 and the
     single-antenna constants are exact).
     """
+    a2 = b2 = None
     if p.uses_weights:
         if w is None:
             raise ConfigurationError(f"{p.value} requires a WeightPair")
         a2, b2 = w.alpha ** 2, w.beta ** 2
-    ra = pw.rho_ar / pw.rho_ra   # A-side source-to-relay power ratio
-    rb = pw.rho_br / pw.rho_rb
+    return CoefficientSet(*_unified_constants(p, pw, a2, b2, _dual_factors(p, ant, d)))
 
-    if p is Protocol.TWO_SLOT:
-        return CoefficientSet(1.0, 1.0, 1.0 + rb, 1.0, 1.0, 1.0 + ra)
-    if p is Protocol.FIRST_THREE_SLOT:
-        return CoefficientSet(a2, a2, 1.0 + b2 * rb, b2, b2, 1.0 + a2 * ra)
-    if p is Protocol.FIRST_FOUR_SLOT:
-        return CoefficientSet(0.5, 1.0, 0.5, 0.5, 1.0, 0.5)
 
+def _dual_factors(p: Protocol, ant: AntennaConfig, d: Optional[DFactors]) -> Optional[DFactors]:
+    """The dual-reception factors that `_unified_constants` reads for p: d as
+    given for a protocol with a single reception (unread), MR1_DFACTORS with
+    one relay antenna, and d otherwise, which must then be given."""
+    if not p.dual_reception:
+        return d
     if ant.m_r == 1:
-        d = MR1_DFACTORS
-    elif d is None:
+        return MR1_DFACTORS
+    if d is None:
         raise ConfigurationError(
             f"{p.value} with {ant.m_r} relay antennas requires dual-reception factors")
+    return d
+
+
+def _unified_constants(p: Protocol, pw: PowerProfile, a2: Optional[float], b2: Optional[float],
+                      d: Optional[DFactors]) -> tuple:
+    """The six constants of `CoefficientSet`, in its field order, of protocol
+    p at the squared relay weights a2 = alpha^2 and b2 = beta^2 (read by the
+    weighted protocols only) and the dual-reception factors d of
+    `_dual_factors` (read by the dual-reception protocols only).  Nothing is
+    validated here: `coefficient_set` checks its arguments, and
+    `highsnr.beta_numeric` checks its own once per call and then reads this
+    at every step of its search."""
+    ra = pw.rho_ar / pw.rho_ra   # A-side source-to-relay power ratio
+    rb = pw.rho_br / pw.rho_rb
+    if p is Protocol.TWO_SLOT:
+        return 1.0, 1.0, 1.0 + rb, 1.0, 1.0, 1.0 + ra
+    if p is Protocol.FIRST_THREE_SLOT:
+        return a2, a2, 1.0 + b2 * rb, b2, b2, 1.0 + a2 * ra
+    if p is Protocol.FIRST_FOUR_SLOT:
+        return 0.5, 1.0, 0.5, 0.5, 1.0, 0.5
     if p is Protocol.SECOND_THREE_SLOT:
-        return CoefficientSet(d.d_arb_3 / 2.0, 1.0, 0.5 + rb,
-                              d.d_bra_3 / 2.0, 1.0, 0.5 + ra)
+        return d.d_arb_3 / 2.0, 1.0, 0.5 + rb, d.d_bra_3 / 2.0, 1.0, 0.5 + ra
     if p is Protocol.SECOND_FOUR_SLOT:
-        return CoefficientSet(a2 * d.d_arb_4 / 2.0, a2, 0.5 + b2 * rb,
-                              b2 * d.d_bra_4 / 2.0, b2, 0.5 + a2 * ra)
+        return a2 * d.d_arb_4 / 2.0, a2, 0.5 + b2 * rb, b2 * d.d_bra_4 / 2.0, b2, 0.5 + a2 * ra
     raise ConfigurationError(f"unhandled protocol {p!r}")
 
 

@@ -396,13 +396,15 @@ def _heads(gains, trials: int):
                              f"fewer than trials={trials}")
 
 
-def _ratio(num, den, out=None):
-    # 0/0 -> 0 covers the all-zero-channel corner in the lower-bound form;
-    # out, if given, is an array of the broadcast shape that receives it
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
+def _ratio(num, den, n1: float, out=None):
+    """num / den, into out if given (an array of the broadcast shape).  With
+    the unit noise term (n1 = 1) every denominator is at least 1; without
+    it, 0/0 -> 0 covers the all-zero-channel corner of the lower-bound
+    form."""
+    if n1:
+        return np.divide(num, den, out=out)
     if out is None:
-        out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+        out = np.zeros(np.broadcast_shapes(np.shape(num), np.shape(den)))
     else:
         out.fill(0.0)
     np.divide(num, den, out=out, where=den > 0)
@@ -448,7 +450,8 @@ def _unified(a, b, c, rho_s, rho_f, lam_s, lam_f, n1: float):
     source link SNR g_s = rho_s lam_s and the forward one g_f = rho_f lam_f,
     evaluated as (A rho_s rho_f) (lam_s lam_f) / ((B rho_s) lam_s +
     (C rho_f) lam_f + n1)."""
-    return _ratio(a * rho_s * rho_f * (lam_s * lam_f), b * rho_s * lam_s + c * rho_f * lam_f + n1)
+    return _ratio(a * rho_s * rho_f * (lam_s * lam_f),
+                  b * rho_s * lam_s + c * rho_f * lam_f + n1, n1)
 
 
 def _dual_branches(gains: LinkGains, pw: PowerProfile, a2, b2, n1: float = 1.0,
@@ -465,13 +468,14 @@ def _dual_branches(gains: LinkGains, pw: PowerProfile, a2, b2, n1: float = 1.0,
     src_a, src_b = a2 * pw.rho_ar * gains.lam_a, b2 * pw.rho_br * gains.lam_b
     half_rb, half_ra = 0.5 * pw.rho_rb, 0.5 * pw.rho_ra
     base = src_a + src_b
-    return tuple(_ratio(src * far, base + far + n1, row) for src, far, row in zip(
+    return tuple(_ratio(src * far, base + far + n1, n1, row) for src, far, row in zip(
         (src_a, src_a, src_b, src_b), (half_rb * gains.lam_b, half_rb * gains.lam_b_x,
                                        half_ra * gains.lam_a, half_ra * gains.lam_a_x), out))
 
 
-def _q_vec(x):
-    return 0.5 * erfc(np.sqrt(x / 2.0))
+def _q_sqrt2(x):
+    """Q(sqrt(2 x)) = erfc(sqrt(x)) / 2."""
+    return 0.5 * erfc(np.sqrt(x))
 
 
 def _sampler_coeffs(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
@@ -516,9 +520,10 @@ def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
     Blocks are the outer loop: each is drawn once, and every
     point is evaluated on its power-free gains, so a point's estimate equals
     its one-point estimate bit for bit.  Each block is reduced to each
-    point's (sum y, sum y^2) with np.sum by one task on a worker thread
+    point's (sum y, sum (y/s)^2, s) with np.sum, s the smallest power of two
+    above the block's largest y, by one task on a worker thread
     (`_gain_blocks`), and the block partials are combined in block order
-    with math.fsum, so results depend only on (seed, trials), not on how
+    with math.fsum (`_mean_estimate`), so results depend only on (seed, trials), not on how
     blocks are scheduled or on the number of workers.
 
     gains, if given, are the LinkGains blocks of a pass over the seed's
@@ -532,26 +537,35 @@ def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
     for p, pw, w, mod in points:
         if mod is None:
             mod = protocol_modulation(p)
-        evals.append((p, pw, w, _sampler_coeffs(p, ant, pw, w), mod.ceiling, 2.0 * mod.b))
+        evals.append((p, pw, w, _sampler_coeffs(p, ant, pw, w), mod.ceiling, mod.b))
 
     def reduce(block):
-        # per point: (sum y, sum y^2) of the block
+        # per point: (sum y, sum (y/s)^2, s) of the block
         part = []
-        for p, pw, w, coeffs, scale, two_b in evals:
+        for p, pw, w, coeffs, scale, b in evals:
             g_arb, g_bra = end_to_end_snrs(p, block, pw, w, coeffs, snr_form)
-            y = scale * (_q_vec(two_b * g_arb) + _q_vec(two_b * g_bra))
-            part.append((np.sum(y), np.sum(y * y)))
+            y = scale * (_q_sqrt2(b * g_arb) + _q_sqrt2(b * g_bra))
+            s = math.ldexp(1.0, math.frexp(np.max(y))[1])
+            z = y / s
+            part.append((np.sum(y), np.sum(np.square(z, out=z)), s))
         return part
     parts = zip(*_gain_blocks(ant, trials, seed, gains, reduce))
     return [_mean_estimate(part, trials) for part in parts]
 
 
 def _mean_estimate(part, trials: int) -> BerEstimate:
-    mean = math.fsum(s for s, _ in part) / trials
+    """The mean and its standard error from the blocks' (sum y, sum (y/s)^2,
+    s).  The sums of squares are taken to the largest s and the variance is
+    formed there, so a mean far below 1e-154, whose plain y^2 underflow,
+    keeps its standard error; every factor is a power of two, so elsewhere
+    the result is that of the plain sums bit for bit."""
+    mean = math.fsum(s for s, _, _ in part) / trials
     if trials > 1:
-        total_sq = math.fsum(sq for _, sq in part)
-        var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-        se = math.sqrt(var / trials)
+        top = max(s for _, _, s in part)
+        total_sq = math.fsum(sq * (s / top) ** 2 for _, sq, s in part)
+        scaled = mean / top
+        var = max(0.0, (total_sq - trials * scaled * scaled) / (trials - 1))
+        se = top * math.sqrt(var / trials)
     else:
         se = 0.0
     return BerEstimate(mean=mean, std_error=se, trials=trials)

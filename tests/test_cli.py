@@ -468,3 +468,23 @@ class TestEntryPoint:
                               env={**os.environ, "PYTHONPATH": "src"})
         assert proc.returncode == 0
         assert "best protocol: two_slot" in proc.stdout
+
+    def test_calls_in_one_process_print_what_fresh_processes_print(self, capsys):
+        # the parser is built once per process; calls that share it print,
+        # each, what the command prints in a process of its own
+        calls = [
+            ["sweep", "--m-a", "2", "--m-r", "2", "--m-b", "2", "--rho-start", "0",
+             "--rho-stop", "20", "--rho-step", "10", "--trials", "3000", "--seed", "5"],
+            ["gaps", "--m-a", "3", "--m-r", "2", "--m-b", "4", "--d0", "0.3"],
+            ["sweep", "--m-a", "2", "--m-r", "1", "--m-b", "3", "--rho-start", "5",
+             "--rho-stop", "15", "--rho-step", "5", "--mode", "mc",
+             "--protocols", "two_slot,second_four_slot", "--beta", "0.6", "--trials", "2000"],
+        ]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        for argv in calls:
+            assert main(argv) == 0
+            proc = subprocess.run([sys.executable, "-m", "twrelay.cli", *argv],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src})
+            assert proc.returncode == 0
+            assert capsys.readouterr().out == proc.stdout, argv

@@ -7,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twrelay.errors import ConfigurationError
+from twrelay import highsnr
+from twrelay.errors import ConfigurationError, UnsupportedConfigError
 from twrelay.lowerbound import ccdf_expansion
 from twrelay.highsnr import (beta_closed_form, beta_numeric, eta_pair, gap_table,
                              high_snr_gap, high_snr_profile, high_snr_sum_ber)
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile,
-                              Protocol, WeightPair, coefficient_set,
+                              Protocol, WeightPair, _unified_constants, coefficient_set,
                               power_profile, protocol_modulation)
 
 UNBALANCED = power_profile(40.0, 0.3, 3.0, relay_rho_db=40.0)
@@ -243,6 +244,66 @@ class TestBetaNumeric:
             assert abs(w.beta ** 2 - xs[grid.argmin()]) <= xs[1] - xs[0], p
             second = grid[:-2] - 2.0 * grid[1:-1] + grid[2:]
             assert (second >= 0.0).all(), p
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 2, 4), (4, 3, 3),
+                                      (4, 4, 4)])
+    def test_equals_golden_section_over_public_objective(self, dims):
+        # the search evaluates the eta sum from per-call constants; it must
+        # give, bit for bit, the golden section over eta_pair of
+        # coefficient_set at WeightPair.from_beta_squared.  Each weighted
+        # protocol runs with d-factors; second_four_slot also runs without
+        # them where it needs none (m_r = 1)
+        ant = AntennaConfig(*dims)
+        cases = [(p, DFactors(1.31, 1.47, 1.62, 1.77))
+                 for p in (Protocol.FIRST_THREE_SLOT, Protocol.SECOND_FOUR_SLOT)]
+        if ant.m_r == 1:
+            cases.append((Protocol.SECOND_FOUR_SLOT, None))
+        for db in (-10.0, 0.0, 17.3, 30.0, 60.0):
+            for d0 in (0.1, 0.3, 0.5, 0.77):
+                pw = power_profile(db, d0)
+                for p, dfactors in cases:
+                    def objective(x):
+                        w = WeightPair.from_beta_squared(x)
+                        return sum(eta_pair(coefficient_set(p, ant, pw, w, dfactors), ant, pw))
+
+                    lo, hi = 1e-9, 1.0 - 1e-9
+                    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+                    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+                    fc, fd = objective(c), objective(d)
+                    while hi - lo > 1e-8:
+                        if fc < fd:
+                            hi, d, fd = d, c, fc
+                            c = hi - invphi * (hi - lo)
+                            fc = objective(c)
+                        else:
+                            lo, c, fc = c, d, fd
+                            d = lo + invphi * (hi - lo)
+                            fd = objective(d)
+                    expected = WeightPair.from_beta_squared(0.5 * (lo + hi))
+                    assert beta_numeric(p, ant, pw, dfactors) == expected, (p, db, d0, dfactors)
+
+    def test_checks_before_first_step(self, monkeypatch):
+        # the errors of coefficient_set and eta_pair, raised before any step
+        steps = []
+        monkeypatch.setattr(highsnr, "_unified_constants",
+                            lambda *args: steps.append(args) or _unified_constants(*args))
+        pw = PowerProfile.balanced(20.0)
+        with pytest.raises(ConfigurationError, match="requires dual-reception factors"):
+            beta_numeric(Protocol.SECOND_FOUR_SLOT, AntennaConfig(2, 2, 2), pw)
+        with pytest.raises(UnsupportedConfigError, match="dimensions up to"):
+            beta_numeric(Protocol.FIRST_THREE_SLOT, AntennaConfig(5, 1, 5), pw)
+        with pytest.raises(ConfigurationError, match="swap the dimensions"):
+            beta_numeric(Protocol.FIRST_THREE_SLOT, AntennaConfig(1, 2, 2), pw,
+                         DFactors(1.5, 1.5, 1.5, 1.5))
+        # the d-factors are checked first, as coefficient_set checks them
+        # before eta_pair reads the antennas
+        with pytest.raises(ConfigurationError, match="requires dual-reception factors"):
+            beta_numeric(Protocol.SECOND_FOUR_SLOT, AntennaConfig(5, 2, 5), pw)
+        with pytest.raises(ConfigurationError, match="has no relay weights"):
+            beta_numeric(Protocol.TWO_SLOT, AntennaConfig(2, 1, 2), pw)
+        assert steps == []
+        beta_numeric(Protocol.FIRST_THREE_SLOT, AntennaConfig(2, 1, 2), pw)
+        assert len(steps) == 41
 
 
 class TestGap:

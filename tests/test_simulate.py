@@ -441,6 +441,48 @@ class TestEndToEnd:
                     np.testing.assert_allclose(x, y, rtol=1e-14, atol=0.0)
 
 
+    def test_exact_form_equals_masked_division(self):
+        # every exact-form denominator holds the unit noise term, so the
+        # unmasked division equals the one that maps 0/0 to 0, bit for bit,
+        # also where gains are zero
+        rng = np.random.default_rng(31)
+        g = next(simulate._gain_blocks(AntennaConfig(2, 2, 2), 4000, 3))
+        lams = [lam.copy() for lam in astuple(g)]
+        for lam in lams:
+            lam[rng.random(lam.size) < 0.2] = 0.0
+        lams[0][:50] = lams[1][:50] = lams[2][:50] = lams[3][:50] = 0.0
+        g = LinkGains(*lams)
+
+        def masked(num, den):
+            out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+            np.divide(num, den, out=out, where=den > 0)
+            return out
+        w = WeightPair.from_beta_squared(0.3)
+        dfactors = DFactors(1.7, 1.6, 1.8, 1.55)
+        for pw in (PowerProfile(30.0, 20.0, 50.0, 50.0), PowerProfile.balanced(-10.0),
+                   power_profile(60.0, 0.2)):
+            for p in Protocol:
+                wp = w if p.uses_weights else None
+                c = coefficient_set(p, AntennaConfig(2, 2, 2), pw, wp, dfactors)
+                ref = (masked(c.a_arb * pw.rho_ar * pw.rho_rb * (g.lam_a * g.lam_b),
+                              c.b_arb * pw.rho_ar * g.lam_a + c.c_arb * pw.rho_rb * g.lam_b + 1.0),
+                       masked(c.a_bra * pw.rho_br * pw.rho_ra * (g.lam_b * g.lam_a),
+                              c.b_bra * pw.rho_br * g.lam_b + c.c_bra * pw.rho_ra * g.lam_a + 1.0))
+                for x, y in zip(end_to_end_snrs(p, g, pw, wp, c), ref):
+                    assert np.array_equal(x, y), p
+                if not p.dual_reception:
+                    continue
+                a2, b2 = (1.0, 1.0) if wp is None else (wp.alpha ** 2, wp.beta ** 2)
+                src_a, src_b = a2 * pw.rho_ar * g.lam_a, b2 * pw.rho_br * g.lam_b
+                base = src_a + src_b
+                branches = [masked(src * far, base + far + 1.0) for src, far in (
+                    (src_a, 0.5 * pw.rho_rb * g.lam_b), (src_a, 0.5 * pw.rho_rb * g.lam_b_x),
+                    (src_b, 0.5 * pw.rho_ra * g.lam_a), (src_b, 0.5 * pw.rho_ra * g.lam_a_x))]
+                ref = branches[0] + branches[1], branches[2] + branches[3]
+                for x, y in zip(end_to_end_snrs(p, g, pw, wp), ref):
+                    assert np.array_equal(x, y), p
+
+
 class TestSemiAnalytic:
     def test_determinism(self):
         kw = dict(trials=30_000, seed=123)
@@ -476,6 +518,32 @@ class TestSemiAnalytic:
                                  snr_form="lower")[0]
         assert lo.std_error / lo.mean < 0.15
         assert hi.mean / lo.mean == pytest.approx(100.0, rel=0.25)
+
+    @pytest.mark.parametrize("snr_form", ["exact", "lower"])
+    def test_standard_error_of_a_tiny_mean(self, snr_form):
+        # at 4x4x4 and 30 dB the mean, about 1.8e-218, rests on a few deep
+        # fades; unscaled, every y^2 underflows and the standard error read 0
+        est = semi_analytic_sweep([SweepPoint(Protocol.TWO_SLOT, power_profile(30.0, 0.5))],
+                                  AntennaConfig(4, 4, 4), trials=40_000, seed=7,
+                                  snr_form=snr_form)[0]
+        assert 0.0 < est.mean < 1e-200
+        assert 0.0 < est.std_error < math.inf
+
+    def test_scaled_squares_keep_plain_estimate(self):
+        # block sums of (y/s)^2 with s a power of two give, where no y^2
+        # underflows, the standard error of the plain sums of y^2 bit for bit
+        rng = np.random.default_rng(8)
+        for lo_exp in (-3.0, -40.0, -150.0):
+            blocks = [10.0 ** rng.uniform(lo_exp, lo_exp + k, 1000) for k in (0.5, 3.0, 1.0)]
+            trials = sum(y.size for y in blocks)
+            parts = []
+            for y in blocks:
+                s = math.ldexp(1.0, math.frexp(np.max(y))[1])
+                parts.append((np.sum(y), np.sum((y / s) ** 2), s))
+            mean = math.fsum(np.sum(y) for y in blocks) / trials
+            var = (math.fsum(np.sum(y * y) for y in blocks) - trials * mean * mean) / (trials - 1)
+            est = simulate._mean_estimate(parts, trials)
+            assert (est.mean, est.std_error) == (mean, math.sqrt(var / trials))
 
     def test_trials_contract(self):
         with pytest.raises(ConfigurationError):
