@@ -276,11 +276,15 @@ def cmd_validate(args) -> int:
     return code
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, so every `main` call of one process, as in tests or a
-    notebook, shares it."""
+    """The command-line parser, built once per process (`_parser`): parsing
+    leaves it unchanged, so every `main` call of one process, as in tests
+    or a notebook, shares it."""
+    return _parser()
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="twrelay",
                                  description="Two-way relay beamforming performance toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

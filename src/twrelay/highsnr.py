@@ -32,7 +32,6 @@ every step reads."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -60,13 +59,6 @@ class HighSnrProfile:
         return self.eta_arb + self.eta_bra
 
 
-@functools.cache
-def _link_weight(m: int, n: int) -> float:
-    # m n c: the (mn - 1)-th derivative at 0 of the density of an m x n
-    # link's largest eigenvalue, over (mn - 1)!
-    return float(m * n * leading_coefficient(m, n))
-
-
 def eta_pair(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile) -> tuple[float, float]:
     """Direction weights of the asymptote: the end-to-end density's first
     nonzero derivative at the origin, normalized by Gamma of the diversity
@@ -82,9 +74,10 @@ def eta_pair(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile) -> tu
 
 def _order(ant: AntennaConfig) -> tuple[int, float]:
     """The diversity order d = m_r min(m_a, m_b), and the weight m n c of
-    every link with m n = d, each of which is m x m_r."""
+    every link with m n = d (each m x m_r): the (mn - 1)-th derivative at 0
+    of its largest eigenvalue's density, over (mn - 1)!."""
     m = min(ant.m_a, ant.m_b)
-    return m * ant.m_r, _link_weight(m, ant.m_r)
+    return m * ant.m_r, float(m * ant.m_r * leading_coefficient(m, ant.m_r))
 
 
 def _eta(direction: str, src, far, k_s: float, k_f: float, rho_ar: float,

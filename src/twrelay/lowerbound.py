@@ -39,15 +39,7 @@ Conditioning on the far link, with lambda_f = w + k_f x,
     1 - F(x) = int_0^inf (1 - F_s(k_s x lambda_f / w)) f_f(lambda_f) dw;
 
 the first form serves F <= 1/2, the second the rest, so neither cancels
-and F stays in [0, 1].  gamma <= x holds where lambda_f <= k_f x or
-lambda_s <= k_s x, and requires lambda_f <= 2 k_f x or lambda_s <= 2 k_s x,
-so the link CDFs bound F on both sides:
-
-    L = max(F_f(k_f x), F_s(k_s x)) <= F(x)
-      <= min(1, F_f(2 k_f x) + F_s(2 k_s x)) = U.
-
-A value whose bounds meet (U == L) is settled at that value without an
-integral.
+and F stays in [0, 1].
 
 The sum-BER of a direction is (a / log2 M) E[Q(sqrt(2 b gamma))], an
 average over the two independent link eigenvalues,
@@ -123,6 +115,10 @@ _BLOCK = 4096
 _PAD = 40.0
 _LO = -math.log(_PAD)
 _FAR_SPAN = 60.0
+
+# A link argument where the link CDF is 1 and its density 0 in double (from
+# about 2e3 on), and the CDF integrand's products stay finite.
+_SATURATED = 1e150
 
 # The trapezoid error of an integrand analytic in |Im v| < d falls like
 # e^(-2 pi d / h).  The integrands (CDF tails and Q, like e^(-u) with
@@ -226,12 +222,15 @@ def _norm(s: int, t: int) -> int:
     return math.prod(math.factorial(t - k) * math.factorial(s - k) for k in range(1, s + 1))
 
 
-@functools.cache
 def leading_coefficient(m: int, n: int) -> Fraction:
     """The exact c in F(u) = c u^(st) + O(u^(st+1)) of the largest
     eigenvalue of an m x n complex Wishart matrix, s = min(m, n),
     t = max(m, n): the Cauchy determinant det[1 / a_ij] over K."""
-    s, t = min(m, n), max(m, n)
+    return _leading_coefficient(min(m, n), max(m, n))
+
+
+@functools.cache
+def _leading_coefficient(s: int, t: int) -> Fraction:
     vandermonde = math.prod((j - i) ** 2 for j in range(s) for i in range(j))
     return Fraction(vandermonde,
                     _norm(s, t) * math.prod(t - s + i + j + 1 for i in range(s) for j in range(s)))
@@ -246,7 +245,6 @@ def _poly_mul(p: dict, q: dict) -> dict:
     return out
 
 
-@functools.cache
 def ccdf_expansion(m: int, n: int) -> tuple:
     """The exact expansion of the largest eigenvalue L of an m x n complex
     Wishart matrix, s = min(m, n), t = max(m, n),
@@ -262,8 +260,11 @@ def ccdf_expansion(m: int, n: int) -> tuple:
     coefficient of e^(-i u) u^k, the tail sums are
     S_k = sum_(k' >= k) d[i, k'] = -c_ik k! / (K i^k), and
     d[i, k] = S_k - S_(k+1)."""
-    s, t = min(m, n), max(m, n)
+    return _ccdf_expansion(min(m, n), max(m, n))
 
+
+@functools.cache
+def _ccdf_expansion(s: int, t: int) -> tuple:
     def gamma(a):
         f = math.factorial(a - 1)
         poly = {(1, j): -(f // math.factorial(j)) for j in range(a)}
@@ -381,19 +382,26 @@ def link_laws(links, args) -> tuple:
             (cdf[k:].reshape(u_far.shape), pdf[k:].reshape(u_far.shape)))
 
 
-@functools.cache
 def mean_largest_eigenvalue(m: int, n: int) -> float:
     """Mean of the largest eigenvalue of an m x n complex Wishart matrix,
     int_0^inf (1 - F(u)) du with the determinant-form F of `link_cdf_pdf`,
     by 24-point Gauss-Legendre panels of width 4 on [0, U].  1 - F lies
     below the Gamma(mn) tail of the trace, so the part past U is at most
     mn Q(mn + 1, U), which U sets to 1e-17.  (The exact mean over
-    `ccdf_expansion` takes time that grows like 2^s.)"""
-    k = m * n
+    `ccdf_expansion` takes time that grows like 2^s.)  The kernel is sized
+    for 4 antennas a side, where the error is below 1e-13; beyond, it is
+    1.8e-14 at 5 x 5, 2.7e-15 at 6 x 3, 2.5e-13 at 6 x 6, 1.5e-13 at 8 x 4,
+    1.4e-12 at 7 x 7 and 5.1e-12 at 8 x 8."""
+    return _mean_largest_eigenvalue(min(m, n), max(m, n))
+
+
+@functools.cache
+def _mean_largest_eigenvalue(s: int, t: int) -> float:
+    k = s * t
     upper = gammainccinv(k + 1, 1e-17 / k)
     x, w = _gauss_legendre(24)
     left = np.arange(0.0, upper, 4.0)
-    cdf, _ = link_cdf_pdf((left[:, None] + 2.0 * (x + 1.0)).ravel(), m, n)
+    cdf, _ = link_cdf_pdf((left[:, None] + 2.0 * (x + 1.0)).ravel(), s, t)
     return math.fsum((1.0 - cdf) * np.tile(2.0 * w, left.size))
 
 
@@ -517,19 +525,10 @@ def _extrapolated(coarse, mid, fine):
     return last * ratio
 
 
-def _cdf_bounds(xs, src: Link, far: Link, k_s: float, k_f: float):
-    """(F_f(k_f x), L, U) at xs: the far link's CDF at k_f x and the bounds
-    L <= F(x) <= U of the end-to-end CDF (module docstring)."""
-    ((f_s, f_s2), _), ((f_f, f_f2), _) = link_laws(
-        (src, far), (k_s * np.stack([xs, 2.0 * xs]), k_f * np.stack([xs, 2.0 * xs])))
-    lower = np.maximum(f_f, f_s)
-    # the clip keeps U >= L where rounding in the kernel would invert them
-    return f_f, lower, np.clip(f_f2 + f_s2, lower, 1.0)
-
-
-def _e2e_chunk(xs, f_first, src: Link, far: Link, k_s: float, k_f: float):
+def _e2e_chunk(xs, src: Link, far: Link, k_s: float, k_f: float):
     """(F, error estimate, nodes of the sums each F was taken at, summed)
-    of the end-to-end CDF at xs > 0, given f_first = F_f(k_f x)."""
+    of the end-to-end CDF at 0 < xs < inf."""
+    f_first, _ = link_cdf_pdf(k_f * xs, far.m, far.n)
     v1 = np.log(_FAR_SPAN + k_f * xs)
     # below w ~ k_s k_f x^2 the source link saturates, F_s -> 1; the clip
     # keeps w = e^v normal (what lies below is below the smallest double)
@@ -569,31 +568,29 @@ def _e2e_chunk(xs, f_first, src: Link, far: Link, k_s: float, k_f: float):
 def e2e_cdf(xs, src: Link, far: Link, k_s: float, k_f: float) -> tuple:
     """CDF of gamma, 1 / gamma = k_s / lambda_s + k_f / lambda_f, at each x
     in xs (array), with a per-point error estimate: (values, errors, the
-    nodes of the inner sum each point was taken at, summed, points settled
-    by the bounds).  values and errors have the shape of xs; at x <= 0 both
-    are 0, at NaN both NaN.  Each point is refined until its estimate is at
-    most REL_TOL times its value; the error reported for it is at least
-    REL_ROUNDING of the value.
-
-    The link bounds L <= F(x) <= U come first, for all points at once.  A
-    point where they meet (U == L) is settled at that value, with error 0
-    and without a node; so is x = inf, at 1.  Only the other points are
-    integrated, _CHUNK at a time."""
+    nodes of the inner sum each point was taken at, summed).  values and
+    errors have the shape of xs; at x <= 0 both are 0, at x = inf the value
+    is 1 with error 0, at NaN both are NaN.  Every other point is
+    integrated, _CHUNK at a time, until every estimate of the chunk is at
+    most REL_TOL of its value, and reports at least REL_ROUNDING of it.
+    A chunk's integrals start from the step count of its narrowest one, so
+    a value depends on its batch and its estimate may miss (ROADMAP item
+    13): 2x2x2 `arb` `two_slot` at 0 dB, d0 = 0.3, x = 3.4e-3 rho_ar is
+    8e-16 off a 30-digit reference alone, but 4.3e-13 off with an estimate
+    of 3.4e-14 among 80 thresholds from 1e-5 to 1e3 rho_ar."""
     shape = np.shape(xs)
     xs = np.asarray(xs, dtype=float).ravel()
-    values = np.where(np.isnan(xs), np.nan, 0.0)
-    errors = values.copy()
-    pos = np.flatnonzero(xs > 0.0)
-    f_first, lower, upper = _cdf_bounds(xs[pos], src, far, k_s, k_f)
-    settled = upper == lower
-    values[pos[settled]] = lower[settled]
-    live, f_first = pos[~settled], f_first[~settled]
+    values = np.where(np.isnan(xs), np.nan, np.where(xs == np.inf, 1.0, 0.0))
+    errors = np.where(np.isnan(xs), np.nan, 0.0)
+    live = np.flatnonzero((xs > 0.0) & (xs < np.inf))
+    # a threshold past _SATURATED on either link is taken there: F = 1 at both
+    x_live = np.minimum(xs[live], _SATURATED / max(k_s, k_f))
     nodes = 0
     for k in range(0, live.size, _CHUNK):
         idx = live[k:k + _CHUNK]
-        values[idx], errors[idx], n = _e2e_chunk(xs[idx], f_first[k:k + _CHUNK], src, far, k_s, k_f)
+        values[idx], errors[idx], n = _e2e_chunk(x_live[k:k + _CHUNK], src, far, k_s, k_f)
         nodes += n
-    return values.reshape(shape), errors.reshape(shape), nodes, int(settled.sum())
+    return values.reshape(shape), errors.reshape(shape), nodes
 
 
 class Direction(NamedTuple):

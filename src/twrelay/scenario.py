@@ -5,7 +5,6 @@ end-to-end SNR form."""
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -179,16 +178,17 @@ def modulation_constants(family: str, m: int = 2) -> Modulation:
     raise ConfigurationError(f"unknown modulation family {family!r}; expected bpsk, mpsk, or mqam")
 
 
-@functools.cache
+# The constellation of each slot count, built at import: a Modulation is
+# frozen, and the sweeps ask for it at every point.
+_SLOT_MODULATION = {2: modulation_constants("mpsk", 4),
+                    3: modulation_constants("mqam", 8),
+                    4: modulation_constants("mqam", 16)}
+
+
 def protocol_modulation(p: Protocol) -> Modulation:
     """Rate-normalized constellation per protocol: QPSK for two slots,
-    8-QAM for three, 16-QAM for four.  Built once per process and protocol
-    (a Modulation is frozen), since the sweeps ask for it at every point."""
-    return {
-        2: modulation_constants("mpsk", 4),
-        3: modulation_constants("mqam", 8),
-        4: modulation_constants("mqam", 16),
-    }[p.slot_count]
+    8-QAM for three, 16-QAM for four."""
+    return _SLOT_MODULATION[p.slot_count]
 
 
 @dataclass(frozen=True)

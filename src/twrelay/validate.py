@@ -20,7 +20,7 @@ from .analysis import (FALLBACK_SHARE, _closed_form_f64, _direction, bessel_mome
 from .errors import ConfigurationError
 from .highsnr import eta_pair
 from .scenario import (AntennaConfig, BALANCED_WEIGHTS, CoefficientSet, PowerProfile,
-                       Protocol, coefficient_set, protocol_modulation)
+                       Protocol, coefficient_set, power_profile, protocol_modulation)
 from .simulate import (D_FACTOR_TRIALS, ChannelStream, SweepPoint, _gain_blocks,
                        end_to_end_snrs, estimate_d_factors, link_gains,
                        sample_end_to_end_snrs, semi_analytic_sweep)
@@ -185,17 +185,26 @@ def check_gamma_form_dominates(pw: PowerProfile, seed: int) -> CheckResult:
 
 
 def check_harmonic_mean_sandwich(pw: PowerProfile, seed: int) -> CheckResult:
+    """gamma of `end_to_end_snrs` (lower form) has 1 / gamma = k_s / lambda_s
+    + k_f / lambda_f with the scales of `_direction`, so m / 2 <= gamma <= m
+    for m = min(lambda_s / k_s, lambda_f / k_f): single-reception protocols
+    (balanced weights), both directions, at pw and at an unbalanced one."""
     ant = AntennaConfig(2, 1, 2)
-    coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
     g = _block_gains(seed, 2, 4000)
-    u = coeffs.b_arb * pw.rho_ar * g.lam_a
-    v = coeffs.c_arb * pw.rho_rb * g.lam_b
-    w = u * v / (u + v)
-    m = np.minimum(u, v)
-    ok = np.all(w >= 0.5 * m - 1e-9 * m) and np.all(w <= m * (1 + 1e-12))
-    margin = float(np.min(w / m))
-    return CheckResult("harmonic_mean_sandwich", bool(ok), margin, 0.5,
-                       note="min of w/min(u,v), must stay in [1/2, 1]")
+    links = {"arb": (g.lam_a, g.lam_b), "bra": (g.lam_b, g.lam_a)}    # (source, far) gains
+    ratios = []
+    for profile in (pw, power_profile(30.0, 0.3, relay_rho_db=25.0)):
+        for p in (Protocol.TWO_SLOT, Protocol.FIRST_THREE_SLOT, Protocol.FIRST_FOUR_SLOT):
+            w = BALANCED_WEIGHTS if p.uses_weights else None
+            coeffs = coefficient_set(p, ant, profile, w)
+            for direction, gamma in zip(links, end_to_end_snrs(p, g, profile, w, coeffs, "lower")):
+                _, _, k_s, k_f = _direction(direction, coeffs, ant, profile)
+                lam_s, lam_f = links[direction]
+                ratios.append(gamma / np.minimum(lam_s / k_s, lam_f / k_f))
+    ratio = np.concatenate(ratios)
+    low, high = float(ratio.min()), float(ratio.max())
+    return CheckResult("harmonic_mean_sandwich", low >= 0.5 - 1e-9 and high <= 1.0 + 1e-12,
+                       low, 0.5, note=f"gamma/m up to {high:.5f}, must stay in [1/2, 1]")
 
 
 def _ks_case(p: Protocol, ant: AntennaConfig, pw: PowerProfile, trials, seed,

@@ -21,7 +21,8 @@ from twrelay.analysis import (FALLBACK_SHARE, _closed_form_f64, _direction, bess
                               sum_ber_closed_form, sum_ber_quadrature)
 from twrelay.errors import ConfigurationError, NumericalError, UnsupportedConfigError
 from twrelay.highsnr import eta_pair, gap_table, high_snr_profile, high_snr_sum_ber
-from twrelay.lowerbound import REL_TOL, Direction, Estimate, Link, _cdf_bounds, link_laws
+from twrelay.lowerbound import (REL_ROUNDING, REL_TOL, Direction, Estimate, Link, link_cdf_pdf,
+                                link_laws)
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile,
                               Protocol, WeightPair, coefficient_set, modulation_constants,
                               power_profile, protocol_modulation)
@@ -38,6 +39,16 @@ ANT = AntennaConfig(2, 1, 2)
 # is at most 3 times its shape's figure
 KERNEL_REL = {(2, 2): 6e-15, (3, 3): 7e-15, (4, 3): 1.5e-14, (4, 4): 3e-13, (2, 1): 6e-15,
               (4, 1): 5e-15}
+
+
+def _link_bounds(xs, d: Direction):
+    """(L, U) with L <= F(x) <= U for the end-to-end CDF of d: gamma <= x
+    holds where lambda_f <= k_f x or lambda_s <= k_s x, and requires
+    lambda_f <= 2 k_f x or lambda_s <= 2 k_s x, so
+    L = max(F_f(k_f x), F_s(k_s x)) and U = min(1, F_f(2 k_f x) + F_s(2 k_s x))."""
+    f_s, f_s2 = (link_cdf_pdf(k * d.k_s * xs, d.src.m, d.src.n)[0] for k in (1.0, 2.0))
+    f_f, f_f2 = (link_cdf_pdf(k * d.k_f * xs, d.far.m, d.far.n)[0] for k in (1.0, 2.0))
+    return np.maximum(f_f, f_s), np.minimum(1.0, f_f2 + f_s2)
 
 
 class TestLinkLaws:
@@ -158,6 +169,23 @@ class TestEndToEndCdf:
         value = e2e_cdf("arb", 1e-300, coeffs, ant, pw)
         assert math.isfinite(value) and 0.0 <= value <= 1e-200
 
+    @pytest.mark.parametrize("rho_db", [60.0, 0.0, -20.0])
+    @pytest.mark.parametrize("dims", [(2, 1, 2), (4, 4, 4), (3, 2, 4)])
+    def test_extreme_thresholds(self, dims, rho_db):
+        # a subnormal and a tiny threshold give 0; thresholds far past both
+        # links' saturation, up to the largest double, give 1 with no
+        # overflow on the way (the suite turns RuntimeWarning into errors).
+        # Unclamped, the source link's argument k_s x lambda_f / w would
+        # overflow from x ~ 1e206 on at 60 dB, the far link's nodes
+        # w ~ k_f x near x = 1.7e308 at 0 dB, and k_f x itself at -20 dB
+        ant = AntennaConfig(*dims)
+        pw = power_profile(rho_db, 0.3)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        xs = [1e-310, 1e-300, 1e200 * pw.rho_ar, 1e300, 1.7e308, math.inf]
+        want = [0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+        assert [e2e_cdf("bra", x, coeffs, ant, pw) for x in xs] == want
+        assert e2e_cdf("bra", np.array(xs), coeffs, ant, pw).tolist() == want
+
     def test_antenna_precondition_names_remedy(self):
         pw = PowerProfile.balanced(10.0)
         bad = AntennaConfig(1, 2, 2)
@@ -199,43 +227,42 @@ class TestEndToEndCdf:
     @pytest.mark.parametrize("rho_db", [20.0, 40.0])
     @pytest.mark.parametrize("dims", [(2, 1, 2), (2, 2, 2), (3, 3, 3), (4, 3, 4)])
     def test_link_bounds(self, dims, rho_db):
-        # L = max(F_f(B x / A), F_s(C x / A)) <= F(x) <= U = F_f(2 B x / A) +
-        # F_s(2 C x / A), each value within its own error estimate; the relay
-        # off the midpoint gives the two directions different links
+        # L <= F(x) <= U (_link_bounds), each value within its own error
+        # estimate; the relay off the midpoint gives the two directions
+        # different links
         ant = AntennaConfig(*dims)
         pw = power_profile(rho_db, 0.3)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
         xs = np.geomspace(1e-4 * pw.rho_ar, 1e2 * pw.rho_ar, 61)
         for direction in ("arb", "bra"):
             d = _direction(direction, coeffs, ant, pw)
-            values, errors, _, _ = twrelay.lowerbound.e2e_cdf(xs, *d)
-            _, lower, upper = _cdf_bounds(xs, *d)
+            values, errors, _ = twrelay.lowerbound.e2e_cdf(xs, *d)
+            lower, upper = _link_bounds(xs, d)
             assert np.all(lower <= values + errors), direction
             assert np.all(values - errors <= upper), direction
             assert np.any(upper - lower > 0.1), direction
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 3, 4)])
     def test_settled_values_within_their_error(self, dims):
-        # where the link bounds meet (U == L) the value is settled at them,
-        # with error 0 and no node; integrating those points anyway gives
-        # the same value within the integral's own error estimate
+        # every threshold is integrated, also where the link bounds meet
+        # (U == L) and fix the value: each value reports an error of at
+        # least REL_ROUNDING of itself, and where the bounds meet it lies
+        # within that error of them
         ant = AntennaConfig(*dims)
         pw = power_profile(20.0, 0.3)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
         xs = np.geomspace(1e-4 * pw.rho_ar, 1e3 * pw.rho_ar, 61)
         d = _direction("arb", coeffs, ant, pw)
-        values, errors, _, settled = twrelay.lowerbound.e2e_cdf(xs, *d)
-        f_first, lower, upper = _cdf_bounds(xs, *d)
+        values, errors, nodes = twrelay.lowerbound.e2e_cdf(xs, *d)
+        lower, upper = _link_bounds(xs, d)
         meet = upper == lower
-        assert settled == meet.sum() > 0
-        assert np.array_equal(values[meet], lower[meet]) and not np.any(errors[meet])
-        integrated, error, _ = twrelay.lowerbound._e2e_chunk(xs[meet], f_first[meet], *d)
-        assert np.all(np.abs(integrated - values[meet]) <= error + REL_TOL * values[meet])
+        assert meet.any() and nodes > 0
+        assert np.all(errors >= REL_ROUNDING * values)
+        assert np.all(np.abs(values[meet] - lower[meet]) <= errors[meet])
 
     def test_infinite_nan_and_shaped_thresholds(self):
-        # inf is settled at 1 by the link bounds, NaN gives NaN, and an
-        # array of any shape gives that shape with the values of the same
-        # thresholds in one flat call
+        # inf gives 1, NaN gives NaN, and an array of any shape gives that
+        # shape with the values of the same thresholds in one flat call
         ant = AntennaConfig(2, 2, 2)
         pw = PowerProfile.balanced(20.0)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
@@ -266,7 +293,7 @@ class TestEndToEndCdf:
         lo, hi, n = grid
         xs = np.geomspace(lo * pw.rho_ar, hi * pw.rho_ar, n)
         for batch, k in ((xs[index:index + 1], 0), (xs, index)):
-            values, errors, _, _ = twrelay.lowerbound.e2e_cdf(batch, *d)
+            values, errors, _ = twrelay.lowerbound.e2e_cdf(batch, *d)
             assert abs(values[k] - ref) <= errors[k], batch.size
 
     @pytest.mark.parametrize("dims", [(2, 1, 3), (3, 2, 4)])
@@ -317,7 +344,7 @@ class TestEndToEndCdf:
     def test_one_kernel_batch_per_scalar_call(self, monkeypatch):
         # the benchmark's outage curve: every inner integral stops by its
         # fourth level, whose nodes, with those of the three coarser levels,
-        # go to the link law in one call after the bounds' call
+        # go to the link law in one call after the call for F_f(k_f x)
         ant = AntennaConfig(2, 2, 2)
         pw = power_profile(20.0, 0.5)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
@@ -329,13 +356,10 @@ class TestEndToEndCdf:
             calls.append(u.size)
             return kernel(u, m, n)
         monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
-        integrated = 0
         for r in 10.0 ** (-3.0 + np.arange(25) / 6.0):
             calls.clear()
-            _, _, _, settled = twrelay.lowerbound.e2e_cdf(np.array([r * pw.rho_ar]), *d)
-            assert len(calls) == 2 - settled, r
-            integrated += 1 - settled
-        assert integrated >= 20
+            twrelay.lowerbound.e2e_cdf(np.array([r * pw.rho_ar]), *d)
+            assert len(calls) == 2 and calls[0] == 1, r
 
 
 class TestSumBerQuadrature:
@@ -414,7 +438,6 @@ class TestSumBerQuadrature:
             raise AssertionError("end-to-end CDF used")
         monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
         monkeypatch.setattr(twrelay.lowerbound, "e2e_cdf", forbidden)
-        monkeypatch.setattr(twrelay.lowerbound, "_cdf_bounds", forbidden)
         d = _direction("arb", coeffs, ant, pw)
         est = twrelay.lowerbound.sum_ber([d, d], mod.a, mod.b, mod.bits_per_symbol)
         args = np.concatenate(args)

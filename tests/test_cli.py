@@ -336,6 +336,20 @@ class TestValidate:
         res = validate.check_lower_bound_ordering(PowerProfile.balanced(10.0), 100_000, seed)
         assert not res.passed, res.line()
 
+    def test_sandwich_catches_a_scaled_snr_map(self, monkeypatch):
+        # the check holds the Monte-Carlo SNR map to the analytic scales: a
+        # B -> R -> A SNR 3 times too high leaves [m / 2, m]
+        snrs = validate.end_to_end_snrs
+
+        def scaled(*args):
+            arb, bra = snrs(*args)
+            return arb, 3.0 * bra
+        pw = PowerProfile.balanced(30.0)
+        assert validate.check_harmonic_mean_sandwich(pw, 12345).passed
+        monkeypatch.setattr(validate, "end_to_end_snrs", scaled)
+        res = validate.check_harmonic_mean_sandwich(pw, 12345)
+        assert not res.passed, res.line()
+
     def test_top_seed_keeps_its_sub_streams(self, capsys):
         # the checks' own streams wrap around the Philox key range, so the
         # largest seed runs every check

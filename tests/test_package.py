@@ -1,9 +1,12 @@
 """Package hygiene: every name a program or test module imports is used
-there, no program module reaches past `lowerbound`'s public names, only
+there, every public function a program module defines is a plain function,
+no program module reaches past `lowerbound`'s public names, only
 `analysis` builds a `lowerbound.Direction`, one function calls `hyp2f1`,
 and importing the package loads no heavy scipy subpackage."""
 
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +44,30 @@ def test_no_unused_imports():
     assert MODULES and TEST_MODULES
     unused = {p.name: _unused_imports(p.read_text()) for p in MODULES + TEST_MODULES}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _wrapped_public_functions(source: str, namespace: dict) -> list:
+    # public functions defined at the top of source whose name in the
+    # module's namespace is not a plain function (a cache or other wrapper)
+    defined = [node.name for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("_")]
+    return sorted(name for name in defined if not inspect.isfunction(namespace[name]))
+
+
+def test_public_functions_are_plain():
+    # a tracer or profiler that wraps a package's functions finds them by
+    # inspect.isfunction, so a public function keeps any cache behind a
+    # private helper
+    probe = ("import functools\n@functools.cache\ndef a():\n    pass\n"
+             "def b():\n    return _c()\n@functools.cache\ndef _c():\n    pass\n"
+             "class D:\n    @functools.cache\n    def e(self):\n        pass\n")
+    namespace = {}
+    exec(probe, namespace)
+    assert _wrapped_public_functions(probe, namespace) == ["a"]
+    wrapped = {p.name: _wrapped_public_functions(
+        p.read_text(), vars(importlib.import_module(f"twrelay.{p.stem}"))) for p in MODULES}
+    assert {name: found for name, found in wrapped.items() if found} == {}
 
 
 def _private_lowerbound_names(source: str) -> list:

@@ -16,6 +16,7 @@ from scipy import stats
 
 from channel_oracle import channel_gains, tridiagonal_top_mp
 from twrelay import simulate
+from twrelay.analysis import MAX_TABLE_DIM
 from twrelay.errors import ConfigurationError
 from twrelay.lowerbound import ccdf_expansion, mean_largest_eigenvalue
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile,
@@ -597,13 +598,17 @@ class TestDFactors:
         estimate_d_factors(AntennaConfig(2, 2, 2), PW, trials=20_000, seed=3)
         assert len(draws) == 2
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 5) for n in range(1, 5)]
+                             + [(5, 5), (6, 3), (6, 6), (8, 4)])
     def test_top_eig_mean_matches_expansion(self, m, n):
         # E L = int_0^inf P(L > u) du = sum d[i, k] (k + 1) / i over the
-        # Erlang tails of the exact expansion
+        # Erlang tails of the exact expansion.  The link kernel is sized for
+        # MAX_TABLE_DIM antennas a side; past it (the Monte-Carlo controls of
+        # larger relays) the measured errors are 1.8e-14, 2.7e-15, 2.5e-13
+        # and 1.5e-13 for these four shapes
         exact = sum(d * Fraction(k + 1, i) for (i, k), d in ccdf_expansion(m, n))
-        assert mean_largest_eigenvalue(m, n) == pytest.approx(float(exact), rel=1e-13)
+        rel = 1e-13 if max(m, n) <= MAX_TABLE_DIM else 1e-11
+        assert mean_largest_eigenvalue(m, n) == pytest.approx(float(exact), rel=rel)
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4)])
     def test_control_variates_beat_plain_200k(self, dims):
