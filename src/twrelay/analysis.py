@@ -144,9 +144,7 @@ def e2e_cdf(direction: str, x: float | np.ndarray, coeffs: CoefficientSet,
     or an array of thresholds of any shape, returned in that shape),
     refined until its estimated relative error is below 1e-13
     (NumericalError otherwise).  It is 0 at x <= 0, 1 at x = inf and NaN
-    at NaN.  An array's values depend on its other thresholds and may miss
-    their estimate, by up to 4.3e-13 against 3.4e-14 as measured
-    (`lowerbound.e2e_cdf`)."""
+    at NaN.  Each value is the one its threshold gives alone, bit for bit."""
     d = _direction(direction, coeffs, ant, pw)
     cdf = lowerbound.e2e_cdf(x, *d)[0]
     return cdf if cdf.ndim else float(cdf)

@@ -41,7 +41,7 @@ from .highsnr import beta_closed_form, beta_numeric, gap_table, high_snr_profile
 from .scenario import (SCENARIO_FIELDS, AntennaConfig, Protocol, Scenario, coefficient_set,
                        load_scenario, parse_protocol, power_profile, protocol_modulation)
 from .simulate import (D_FACTOR_TRIALS, SweepPoint, _gain_blocks, estimate_d_factors,
-                       semi_analytic_sweep)
+                       require_seed, require_trials, semi_analytic_sweep)
 from .analysis import require_analytic, sum_ber_closed_form
 
 def _write_csv(path, header: str, rows) -> None:
@@ -61,6 +61,8 @@ def _fmt(x) -> str:
 
 def _grid(start: float, stop: float, step: float, flag: str) -> list:
     """start, start + step, ... up to stop; empty when stop < start."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigurationError(f"grid start, stop and {flag} must be finite")
     if step <= 0:
         raise ConfigurationError(f"{flag} must be positive")
     return [start + i * step for i in range(int(math.floor((stop - start) / step + 1e-9)) + 1)]
@@ -89,6 +91,9 @@ def _scenario_from_args(args) -> Scenario:
             val = _env_seed()
         if val is not None:
             setattr(sc, key, val)
+    # checked here, since not every command draws
+    require_trials(sc.trials)
+    require_seed(sc.seed)
     return sc
 
 

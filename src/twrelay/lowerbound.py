@@ -66,7 +66,8 @@ of the finest level evaluated, and one stop rule serves them all: the sums
 of the last three levels are the plain sums over those nodes at strides 4,
 2 and 1; the error estimate, extrapolated from their two differences, plus
 the integrand at the cut ends or edges (which bounds the neglected tails),
-must be below the tolerance on a step fine enough for the strip.  Else the
+must be below the tolerance.  Each integral's steps follow from its own
+range alone, fine enough for the strip at its first estimate.  Else the
 step is halved and only the new level's odd nodes are evaluated (on the
 grid, only each axis's new nodes reach the link law); past MAX_INTERVALS
 the engine raises NumericalError.  The first pass evaluates the fourth
@@ -123,11 +124,11 @@ _SATURATED = 1e150
 # The trapezoid error of an integrand analytic in |Im v| < d falls like
 # e^(-2 pi d / h).  The integrands (CDF tails and Q, like e^(-u) with
 # u ~ e^(+-v)) have d = pi/2; this step brings e^(-2 pi d / h) below 1e-14,
-# and no sum is accepted on a coarser step, however close its last two
-# values (they can agree by accident).  The substitution narrows the strip
-# where s < 1, so v0 sits _INNER_SHIFT e-folds below where the CDF
-# integrand starts to matter, and _FADE_SHIFT below a link's deep-fade gain
-# (or its axis's upper end) on the sum-BER grid.
+# and each integral's first estimate is on half of it or less (`_Steps`),
+# never on a coarser step, where its last two values can agree by accident.
+# The substitution narrows the strip where s < 1, so v0 sits _INNER_SHIFT
+# e-folds below where the CDF integrand starts to matter, and _FADE_SHIFT
+# below a link's deep-fade gain (or its axis's upper end) on the sum-BER grid.
 _INNER_H = 0.3
 _INNER_SHIFT = 20.0
 _FADE_SHIFT = 4.0
@@ -432,24 +433,28 @@ def _interleave(even, odd):
 class _Steps:
     """Trapezoid steps in s for integrals over v from v0 - _PAD (about) to
     v1, with v = v0 + s - e^(-s) and s from _LO: n intervals of step h,
-    one step per integral where v0 and v1 are arrays, always those of the
-    finest level evaluated.  The first level's step is at most 4 h_max for
-    the narrowest integral; the steps start _LEVELS - 1 halvings below it,
-    at the level of the first estimate, whose step is then at most h_max.
-    `what` and `per` name the integral and its unit of intervals in the
-    NumericalError of `halve`."""
+    one step per integral where v0 and the widths are arrays, always those
+    of the finest level evaluated.  n starts at the `first_count` that the
+    integrals share, so the first level's step is at most 4 h_max for each;
+    the steps start _LEVELS - 1 halvings below it, at the first estimate,
+    whose step is then at most h_max / 2.  `what` and `per` name the
+    integral and its unit of intervals in the NumericalError of `halve`."""
 
     what = per = ""
 
-    def __init__(self, v0, v1, h_max: float):
+    def __init__(self, v0, width, n: int):
         if _LEVELS < 3:
             raise ValueError(f"_LEVELS must be at least 3 for the three sums read, got {_LEVELS}")
-        self.v0 = v0
-        width = np.maximum(v1 - v0, 0.0) + 1.0 - _LO
-        self.n = max(2, math.ceil(np.min(width) / (4.0 * h_max)))
+        self.v0, self.n = v0, int(n)
         self.h = width / self.n
         for _ in range(_LEVELS - 1):
             self.halve()
+
+    @staticmethod
+    def first_count(v0, v1, h_max: float):
+        """(width in s, least n >= 2 of step <= 4 h_max) of each integral."""
+        width = np.maximum(v1 - v0, 0.0) + 1.0 - _LO
+        return width, np.maximum(2.0, np.ceil(width / (4.0 * h_max)))
 
     def at(self, k, h):
         """(v, dv/ds) at the nodes k of step h, one row per integral."""
@@ -472,8 +477,8 @@ _STRIDES = (4, 2, 1)
 
 class _Trapezoid(_Steps):
     """Trapezoid sums of integrals of g over v from v0 - _PAD to v1, one
-    integral per entry of the 1-d arrays v0 and v1, refined by halving the
-    step.  g(v, rows) maps abscissae of shape (len(rows), k) for the
+    per entry of the 1-d arrays v0 and width (`_Steps`), refined by halving
+    the step.  g(v, rows) maps abscissae of shape (len(rows), k) for the
     integrals `rows` to values of that shape, with any leading axes.
 
     The integrand is kept at every node of the finest level, and a coarser
@@ -484,8 +489,8 @@ class _Trapezoid(_Steps):
 
     what = "end-to-end CDF"
 
-    def __init__(self, g, v0, v1, h_max: float):
-        super().__init__(v0, v1, h_max)
+    def __init__(self, g, v0, width, n: int):
+        super().__init__(v0, width, n)
         self.g = g
         self.rows = np.arange(v0.size)
         self.values = self._values(np.arange(self.n + 1), self.h)
@@ -525,16 +530,10 @@ def _extrapolated(coarse, mid, fine):
     return last * ratio
 
 
-def _e2e_chunk(xs, src: Link, far: Link, k_s: float, k_f: float):
+def _e2e_chunk(xs, f_first, v0, width, n: int, src: Link, far: Link, k_s: float, k_f: float):
     """(F, error estimate, nodes of the sums each F was taken at, summed)
-    of the end-to-end CDF at 0 < xs < inf."""
-    f_first, _ = link_cdf_pdf(k_f * xs, far.m, far.n)
-    v1 = np.log(_FAR_SPAN + k_f * xs)
-    # below w ~ k_s k_f x^2 the source link saturates, F_s -> 1; the clip
-    # keeps w = e^v normal (what lies below is below the smallest double)
-    # and the range below its upper end
-    v0 = np.clip(2.0 * np.log(xs) + math.log(k_s * k_f) - _INNER_SHIFT, -650.0, v1)
-
+    of the end-to-end CDF at 0 < xs < inf from f_first = F_f(k_f x) and the
+    inner integrals' `_Steps` (v0, width, n)."""
     def integrand(v, rows):
         x = xs[rows, None]
         w = np.exp(v)
@@ -544,7 +543,7 @@ def _e2e_chunk(xs, src: Link, far: Link, k_s: float, k_f: float):
 
     values, errors = np.empty_like(xs), np.empty_like(xs)
     nodes = 0
-    rule = _Trapezoid(integrand, v0, v1, _INNER_H)
+    rule = _Trapezoid(integrand, v0, width, n)
     while True:
         rows = rule.rows
         sums, ends = rule.sums()
@@ -554,7 +553,7 @@ def _e2e_chunk(xs, src: Link, far: Link, k_s: float, k_f: float):
         # the integrand at the cut ends bounds the tails beyond them
         err = (_extrapolated(*(np.where(use_q, total[1], total[0]) for total in sums))
                + np.where(use_q, ends[1], ends[0]))
-        done = (err <= REL_TOL * value) & (rule.h <= _INNER_H)
+        done = err <= REL_TOL * value
         values[rows[done]] = value[done]
         errors[rows[done]] = np.maximum(err[done], REL_ROUNDING * value[done])
         nodes += int(done.sum()) * (rule.n + 1)
@@ -571,25 +570,32 @@ def e2e_cdf(xs, src: Link, far: Link, k_s: float, k_f: float) -> tuple:
     nodes of the inner sum each point was taken at, summed).  values and
     errors have the shape of xs; at x <= 0 both are 0, at x = inf the value
     is 1 with error 0, at NaN both are NaN.  Every other point is
-    integrated, _CHUNK at a time, until every estimate of the chunk is at
-    most REL_TOL of its value, and reports at least REL_ROUNDING of it.
-    A chunk's integrals start from the step count of its narrowest one, so
-    a value depends on its batch and its estimate may miss (ROADMAP item
-    13): 2x2x2 `arb` `two_slot` at 0 dB, d0 = 0.3, x = 3.4e-3 rho_ar is
-    8e-16 off a 30-digit reference alone, but 4.3e-13 off with an estimate
-    of 3.4e-14 among 80 thresholds from 1e-5 to 1e3 rho_ar."""
+    integrated on steps from its own range until its estimate is at most
+    REL_TOL of its value, and reports at least REL_ROUNDING of it, so its
+    value, error and nodes are those of a call of its own; points of one
+    first step count (`_Steps`) are integrated _CHUNK at a time."""
     shape = np.shape(xs)
     xs = np.asarray(xs, dtype=float).ravel()
-    values = np.where(np.isnan(xs), np.nan, np.where(xs == np.inf, 1.0, 0.0))
     errors = np.where(np.isnan(xs), np.nan, 0.0)
+    values = np.where(xs == np.inf, 1.0, errors)
     live = np.flatnonzero((xs > 0.0) & (xs < np.inf))
     # a threshold past _SATURATED on either link is taken there: F = 1 at both
-    x_live = np.minimum(xs[live], _SATURATED / max(k_s, k_f))
+    x = np.minimum(xs[live], _SATURATED / max(k_s, k_f))
+    f_first, _ = link_cdf_pdf(k_f * x, far.m, far.n)
+    v1 = np.log(_FAR_SPAN + k_f * x)
+    # below w ~ k_s k_f x^2 the source link saturates, F_s -> 1; the clip
+    # keeps w = e^v normal (what lies below is below the smallest double)
+    # and the range below its upper end
+    v0 = np.clip(2.0 * np.log(x) + math.log(k_s * k_f) - _INNER_SHIFT, -650.0, v1)
+    width, counts = _Steps.first_count(v0, v1, _INNER_H)
     nodes = 0
-    for k in range(0, live.size, _CHUNK):
-        idx = live[k:k + _CHUNK]
-        values[idx], errors[idx], n = _e2e_chunk(x_live[k:k + _CHUNK], src, far, k_s, k_f)
-        nodes += n
+    for n in sorted(set(counts.tolist())):
+        group = np.flatnonzero(counts == n)
+        for k in range(0, group.size, _CHUNK):
+            rows = group[k:k + _CHUNK]
+            values[live[rows]], errors[live[rows]], used = _e2e_chunk(
+                *(a[rows] for a in (x, f_first, v0, width)), n, src, far, k_s, k_f)
+            nodes += used
     return values.reshape(shape), errors.reshape(shape), nodes
 
 
@@ -614,7 +620,8 @@ class _Axis(_Steps):
 
     def __init__(self, link: Link, fade: float):
         top = _trace_tail(link.m * link.n)
-        super().__init__(math.log(min(fade, top)) - _FADE_SHIFT, math.log(top), _INNER_H)
+        v0 = math.log(min(fade, top)) - _FADE_SHIFT
+        super().__init__(v0, *self.first_count(v0, math.log(top), _INNER_H))
         self.link = link
 
 

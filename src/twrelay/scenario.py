@@ -76,8 +76,8 @@ class PowerProfile:
     def __post_init__(self):
         for name in ("rho_ar", "rho_br", "rho_ra", "rho_rb"):
             v = getattr(self, name)
-            if not v > 0.0:
-                raise ConfigurationError(f"{name} must be positive, got {v!r}")
+            if not 0.0 < v < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {v!r}")
         if abs(self.rho_ra - self.rho_rb) > 1e-9 * max(self.rho_ra, self.rho_rb):
             raise ConfigurationError("relay transmit SNRs toward A and B must be equal")
 
@@ -88,7 +88,11 @@ class PowerProfile:
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    """10^(x_db / 10), inf where that overflows (a `PowerProfile` refuses it)."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def power_profile(rho_ar_db: float, d0: float, pl_exponent: float = 3.0,
@@ -349,6 +353,4 @@ def load_scenario(path) -> Scenario:
     sc.antennas
     sc.powers
     sc.weights()
-    if sc.trials < 1:
-        raise ConfigurationError(f"{path}: trials must be >= 1")
     return sc

@@ -130,8 +130,7 @@ class ChannelStream:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        if not 0 <= self.seed < 1 << 128:     # a Philox key
-            raise ConfigurationError(f"seed must be in [0, 2**128), got {seed!r}")
+        require_seed(self.seed)
 
     def _rng(self, block: int) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.seed, counter=[0, 0, 0, block]))
@@ -323,9 +322,16 @@ def link_gains(side_a: np.ndarray, side_b: np.ndarray) -> LinkGains:
     return LinkGains(lam_a, lam_b, t00.copy(), lam_b_x)
 
 
-def _require_trials(trials: int) -> None:
+def require_trials(trials: int) -> None:
+    """A Monte-Carlo pass draws at least one trial."""
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
+
+
+def require_seed(seed: int) -> None:
+    """A seed keys a Philox stream: [0, 2**128)."""
+    if not 0 <= seed < 1 << 128:
+        raise ConfigurationError(f"seed must be in [0, 2**128), got {seed!r}")
 
 
 def _cpus() -> int:
@@ -369,7 +375,7 @@ def _gain_blocks(ant: AntennaConfig, trials: int, seed: int, gains=None, reduce=
     task of `_block_map`.  If gains is given, the blocks are taken from its
     blocks instead, those of a pass over the same stream that is at least
     that long, and only reduced there."""
-    _require_trials(trials)
+    require_trials(trials)
     blocks = -(-trials // _BLOCK)
     if gains is not None:
         return _block_map(reduce, _heads(gains, trials), blocks)
@@ -532,7 +538,6 @@ def semi_analytic_sweep(points, ant: AntennaConfig, trials: int = 100_000,
     shorter than `trials` is a ConfigurationError.  By default the draws
     are made here.
     """
-    _require_trials(trials)
     evals = []
     for p, pw, w, mod in points:
         if mod is None:
@@ -645,7 +650,7 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     of a pass at least that long (unread with one relay antenna).  Give it a list of blocks made
     already; a lazy `_gain_blocks` pass would run its pool under this one.
     """
-    _require_trials(trials)
+    require_trials(trials)
     if ant.m_r == 1:
         # a scalar relay weight: the secondary branch equals the primary
         return MR1_DFACTORS, (0.0, 0.0, 0.0, 0.0)

@@ -217,9 +217,8 @@ class TestEndToEndCdf:
         scalars = [e2e_cdf("arb", float(x), coeffs, ant, pw) for x in np.sort(grid)]
         assert all(type(v) is float for v in scalars)
         vals = e2e_cdf("arb", np.sort(grid), coeffs, ant, pw)
-        # the array form is the scalar form, element by element, within the
-        # engine's tolerance (points are refined together in chunks)
-        np.testing.assert_allclose(vals, scalars, rtol=twrelay.lowerbound.REL_TOL, atol=0.0)
+        # the array form is the scalar form, element by element, bit for bit
+        assert vals.tolist() == scalars
         for v in (np.array(scalars), vals):
             assert np.all((v >= 0.0) & (v <= 1.0))
             assert np.all(np.diff(v) >= 0.0)
@@ -260,6 +259,26 @@ class TestEndToEndCdf:
         assert np.all(errors >= REL_ROUNDING * values)
         assert np.all(np.abs(values[meet] - lower[meet]) <= errors[meet])
 
+    @pytest.mark.parametrize("dims", [(2, 1, 2), (2, 2, 2), (3, 3, 3), (4, 3, 4)])
+    def test_values_independent_of_batch(self, dims):
+        # one call over thresholds from deep outage to saturation, more than
+        # a chunk of them, gives each the value and error of a call of its
+        # own, bit for bit, and the nodes of those calls summed; the relay
+        # off the midpoint gives the two directions different links
+        ant = AntennaConfig(*dims)
+        for rho_db in (0.0, 40.0):
+            pw = power_profile(rho_db, 0.3)
+            coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+            xs = np.geomspace(1e-5 * pw.rho_ar, 1e3 * pw.rho_ar, 80)
+            for direction in ("arb", "bra"):
+                d = _direction(direction, coeffs, ant, pw)
+                values, errors, nodes = twrelay.lowerbound.e2e_cdf(xs, *d)
+                single = [twrelay.lowerbound.e2e_cdf(xs[k:k + 1], *d) for k in range(xs.size)]
+                case = (rho_db, direction)
+                assert np.array_equal(values, np.concatenate([v for v, _, _ in single])), case
+                assert np.array_equal(errors, np.concatenate([e for _, e, _ in single])), case
+                assert nodes == sum(n for _, _, n in single), case
+
     def test_infinite_nan_and_shaped_thresholds(self):
         # inf gives 1, NaN gives NaN, and an array of any shape gives that
         # shape with the values of the same thresholds in one flat call
@@ -279,16 +298,23 @@ class TestEndToEndCdf:
         assert np.array_equal(e2e_cdf("arb", xs[:1, :1], coeffs, ant, pw),
                               [[e2e_cdf("arb", float(xs[0, 0]), coeffs, ant, pw)]])
 
-    @pytest.mark.parametrize("protocol, direction, grid, index, ref", [
-        (Protocol.FIRST_FOUR_SLOT, "arb", (1e-4, 50.0, 400), 223, 7.631070257678407150923e-4),
-        (Protocol.TWO_SLOT, "bra", (1e-3, 30.0, 1500), 238, 9.862147108054826671617346e-10),
-    ], ids=["first_four_slot-arb", "two_slot-bra"])
-    def test_lone_and_batch_within_error(self, protocol, direction, grid, index, ref):
-        # 2x2x2 at balanced 30 dB, one point of a threshold grid, against
-        # 40-digit references (mp_oracle.e2e_cdf_mp).  Alone, these points
+    @pytest.mark.parametrize("protocol, direction, rho_db, d0, grid, index, ref", [
+        (Protocol.FIRST_FOUR_SLOT, "arb", 30.0, 0.5, (1e-4, 50.0, 400), 223,
+         7.631070257678407150923e-4),
+        (Protocol.TWO_SLOT, "bra", 30.0, 0.5, (1e-3, 30.0, 1500), 238,
+         9.862147108054826671617346e-10),
+        (Protocol.TWO_SLOT, "arb", 0.0, 0.3, (1e-5, 1e3, 80), 25,
+         2.63046775881563946818029777155e-11),
+    ], ids=["first_four_slot-arb", "two_slot-bra", "two_slot-arb-0dB-d0.3"])
+    def test_lone_and_batch_within_error(self, protocol, direction, rho_db, d0, grid, index,
+                                         ref):
+        # 2x2x2, one point of a threshold grid, against 40- and 30-digit
+        # references (mp_oracle.e2e_cdf_mp).  Alone, the first two points
         # once stopped at the third level, 3.1e-13 and 2.9e-12 off with
-        # estimates of 8.4e-15 and 2.3e-14
-        ant, pw = AntennaConfig(2, 2, 2), PowerProfile.balanced(30.0)
+        # estimates of 8.4e-15 and 2.3e-14; the third was 4.3e-13 off with
+        # an estimate of 3.4e-14 in its batch, while 8e-16 off alone, when
+        # a batch took its first step count from its narrowest integral
+        ant, pw = AntennaConfig(2, 2, 2), power_profile(rho_db, d0)
         d = _direction(direction, coefficient_set(protocol, ant, pw), ant, pw)
         lo, hi, n = grid
         xs = np.geomspace(lo * pw.rho_ar, hi * pw.rho_ar, n)
@@ -360,6 +386,28 @@ class TestEndToEndCdf:
             calls.clear()
             twrelay.lowerbound.e2e_cdf(np.array([r * pw.rho_ar]), *d)
             assert len(calls) == 2 and calls[0] == 1, r
+
+    def test_far_link_cdf_in_the_first_kernel_call(self, monkeypatch):
+        # an array call takes F_f(k_f x) of all its live thresholds (not 0,
+        # negative, inf or NaN) from its first kernel call, on the far link
+        # alone, before any inner integral
+        ant = AntennaConfig(4, 3, 4)
+        pw = power_profile(20.0, 0.3)
+        d = _direction("bra", coefficient_set(Protocol.TWO_SLOT, ant, pw), ant, pw)
+        kernel = twrelay.lowerbound.link_cdf_pdf
+        calls = []
+
+        def recording(u, m, n):
+            calls.append((np.array(u), (m, n)))
+            return kernel(u, m, n)
+        monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
+        xs = pw.rho_ar * np.geomspace(1e-5, 1e3, 200)
+        xs[[3, 50, 120, 199]] = [0.0, -1.0, math.inf, math.nan]
+        twrelay.lowerbound.e2e_cdf(xs, *d)
+        live = np.isfinite(xs) & (xs > 0.0)
+        first, shape = calls[0]
+        assert shape == (d.far.m, d.far.n)
+        assert np.array_equal(first, d.k_f * xs[live])
 
 
 class TestSumBerQuadrature:

@@ -462,6 +462,52 @@ class TestCommandInputs:
         assert "configuration error" in capsys.readouterr().err
         assert draws == []
 
+    @pytest.mark.parametrize("argv, env_seed", [
+        # trial budgets below 1 and seeds outside Philox's key range, also
+        # where the command draws nothing, from a flag, the environment or
+        # a scenario file ("{file}" holds trials = 0)
+        (["gaps", "--seed", "-1"], None),
+        (["gaps", "--seed", str(2 ** 128)], None),
+        (["kappa", "--m-r-list", "1", "--seed", "-1"], None),
+        (["gaps"], "-3"),
+        (["gaps", "--m-r", "2", "--trials", "0"], None),
+        (["sweep", "--mode", "closed", "--rho-start", "0", "--rho-stop", "0", "--rho-step", "1",
+          "--trials", "-5"], None),
+        (["validate", "--trials", "0"], None),
+        (["gaps", "{file}"], None),
+        # dB inputs whose SNR is not a positive finite double, and grids
+        # with a bound that is not finite
+        (["gaps", "--rho-ar-db", "1e6"], None),
+        (["gaps", "--rho-ar-db", "inf"], None),
+        (["gaps", "--relay-rho-db", "nan"], None),
+        (["sweep", "--mode", "closed", "--rho-start", "0", "--rho-stop", "inf",
+          "--rho-step", "10"], None),
+        (["sweep", "--mode", "closed", "--rho-start", "0", "--rho-stop", "10",
+          "--rho-step", "nan"], None),
+        (["beta", "--protocol", "first_three_slot", "--sweep", "rho", "--start", "inf",
+          "--stop", "inf", "--step", "1"], None),
+    ])
+    def test_input_out_of_range(self, argv, env_seed, tmp_path, monkeypatch, capsys, draws):
+        # each exits 2 with a configuration error, before any draw
+        zero_trials = tmp_path / "zero_trials.scenario"
+        zero_trials.write_text(SCENARIO.replace("trials = 4000", "trials = 0"))
+        if env_seed is None:
+            monkeypatch.delenv("TWRELAY_SEED", raising=False)
+        else:
+            monkeypatch.setenv("TWRELAY_SEED", env_seed)
+        assert main([arg.replace("{file}", str(zero_trials)) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert draws == []
+
+    def test_flags_checked_after_the_file(self, tmp_path, capsys):
+        # the budget and seed are checked once the flags have overridden
+        # the scenario file's
+        f = tmp_path / "zero_trials.scenario"
+        f.write_text(SCENARIO.replace("trials = 4000", "trials = 0")
+                     .replace("seed = 99", "seed = -1"))
+        assert main(["gaps", str(f), "--trials", "5", "--seed", "3"]) == 0
+        assert "best protocol" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [
         ["--m-a", "1", "--m-r", "2", "--m-b", "2", "--beta", "0.6"],
         ["--m-a", "6", "--m-r", "5", "--m-b", "6", "--protocols", "two_slot"],
