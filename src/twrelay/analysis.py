@@ -287,8 +287,12 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> float:
         for g in _moment_groups(src.m, far.m, ant.m_r):
             if (g.n, g.i) not in at_ni:
                 x, y = g.n * k_s, g.i * k_f
-                at_ni[g.n, g.i] = (math.log(x), math.log(y),
-                                   mod.b + x + y, 2.0 * math.sqrt(x * y))
+                beta = 2.0 * math.sqrt(x * y)
+                if not beta:
+                    # x y is below the smallest double (at thousands of dB)
+                    raise NumericalError("closed-form assembly cannot run at this SNR: a Bessel "
+                                         "moment's beta = 2 sqrt(x y) underflows to 0")
+                at_ni[g.n, g.i] = (math.log(x), math.log(y), mod.b + x + y, beta)
             ln_x, ln_y, rate, beta = at_ni[g.n, g.i]
             # the group's coefficient, scaled by its largest part
             ln_parts = [ln_r + 0.5 * e * ln_x + (g.s + 1 - 0.5 * e) * ln_y
@@ -302,6 +306,9 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> float:
         ln_moments = _ln_bessel_moment(*zip(*moments))
         terms += [-coef * math.exp(ln_pref + top + ln_moment)
                   for coef, top, ln_moment in zip(coefs, tops, ln_moments)] * count
+    # at extreme SNR 2F1 overflows, and terms of both signs can be infinite
+    if not all(map(math.isfinite, terms)):
+        raise NumericalError("closed-form assembly produced a non-finite value")
     return math.fsum(terms)
 
 
@@ -319,8 +326,6 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
     reported in one debug record on the "twrelay.analysis" logger.
     """
     value = _closed_form_f64(coeffs, ant, pw, mod)
-    if not math.isfinite(value):
-        raise NumericalError("closed-form assembly produced a non-finite value")
     if value <= mod.ceiling * FALLBACK_SHARE:
         return _sum_ber_integral(coeffs, ant, pw, mod,
                                  f"closed form at or below {FALLBACK_SHARE:g} of the ceiling")

@@ -91,7 +91,11 @@ def _scenario_from_args(args) -> Scenario:
             val = _env_seed()
         if val is not None:
             setattr(sc, key, val)
-    # checked here, since not every command draws
+    # checked once the flags have overridden the file's values, here since
+    # not every command draws or reads the geometry
+    sc.antennas
+    sc.powers
+    sc.weights()
     require_trials(sc.trials)
     require_seed(sc.seed)
     return sc

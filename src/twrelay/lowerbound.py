@@ -27,7 +27,10 @@ is as ill-conditioned as the Hilbert matrix; the Gram matrix of the Jacobi
 polynomials orthogonal under y^(t-s) is near-diagonal instead.  Against
 60-digit references for u in [1e-6, 30] the relative error is at most
 1.2e-13 (4 x 4, just above u = 4, where the monomial basis takes over) and
-1.1e-14 (4 x 3).
+1.1e-14 (4 x 3).  A call pays only for the side of the switch its
+arguments lie on: on a 2-vCPU x86_64 host one argument costs about 25-30 us
+at 2 x 2 and 35-65 us at 3 x 3 and 4 x 4, and 200 arguments on both sides
+about 60 us at 2 x 2 (`link_cdf_pdf`).
 
 End to end, gamma = A g_s g_f / (B g_s + C g_f) with independent link
 gains g = rho lambda (rho the link's SNR, lambda its largest eigenvalue),
@@ -121,6 +124,9 @@ _FAR_SPAN = 60.0
 # about 2e3 on), and the CDF integrand's products stay finite.
 _SATURATED = 1e150
 
+# The largest double, where `link_cdf_pdf` takes u = inf.
+_HUGE = np.finfo(float).max
+
 # The trapezoid error of an integrand analytic in |Im v| < d falls like
 # e^(-2 pi d / h).  The integrands (CDF tails and Q, like e^(-u) with
 # u ~ e^(+-v)) have d = pi/2; this step brings e^(-2 pi d / h) below 1e-14,
@@ -197,23 +203,69 @@ def _jacobi_gram(s: int, c: int):
     return limit, y, pairs, prods, lead
 
 
+class _Shape(NamedTuple):
+    """The constants of `link_cdf_pdf` for s = min, t = max: c = t - s + 1
+    and the lower Gram entries `pairs` (i, j); below the basis switch
+    `limit`, the Jacobi quadrature of `_jacobi_gram` (its nodes negated, as
+    a column) and the determinant's scale lead K; at and above it, the
+    scale K, the top order of the Gamma recurrence with Gamma(top) and the
+    orders c..top-1 below it (a column), each pair's order less c (i + j)
+    and the powers i + (c - 1) / 2 of u in the vector w (a column)."""
+
+    c: int
+    pairs: list
+    limit: float
+    neg_y: np.ndarray
+    prods: np.ndarray
+    small_norm: float
+    norm: float
+    top: int
+    gamma_top: float
+    below_top: np.ndarray
+    orders: np.ndarray
+    powers: np.ndarray
+
+
+@functools.cache
+def _shape(s: int, t: int) -> _Shape:
+    c = t - s + 1
+    limit, y, pairs, prods, lead = _jacobi_gram(s, c)
+    top = c + 2 * s - 2
+    return _Shape(c, pairs, limit, -y[:, None], prods, float(lead * _norm(s, t)),
+                  float(_norm(s, t)), top, math.gamma(top), np.arange(c, top)[:, None],
+                  np.array([i + j for i, j in pairs]),
+                  np.array([i + 0.5 * (c - 1) for i in range(s)])[:, None])
+
+
 def _det_and_quad(entry: dict, q: list):
     """det(M) and q' M^-1 q for the positive-definite matrices M with lower
     entries entry[i, j] (arrays), from the Cholesky factor: det is the
-    product of the squared pivots, the form a sum of squares."""
+    product of the squared pivots, the form a sum of squares.  Each inner
+    product is summed over k in order and then subtracted."""
     s = len(q)
-    low = {}
-    det = 1.0
+    low, z = {}, []
     for j in range(s):
-        pivot = entry[j, j] - sum(low[j, k] ** 2 for k in range(j))
-        low[j, j] = np.sqrt(pivot)
-        det = det * pivot
-        for i in range(j + 1, s):
-            low[i, j] = (entry[i, j] - sum(low[i, k] * low[j, k] for k in range(j))) / low[j, j]
-    quad, z = 0.0, []
+        for i in range(j, s):
+            value = entry[i, j]
+            if j:
+                dot = low[i, 0] * low[j, 0]
+                for k in range(1, j):
+                    dot += low[i, k] * low[j, k]
+                value = value - dot
+            if i > j:
+                low[i, j] = value / low[j, j]
+                continue
+            det = det * value if j else value
+            low[j, j] = np.sqrt(value)
     for i in range(s):
-        z.append((q[i] - sum(low[i, k] * z[k] for k in range(i))) / low[i, i])
-        quad = quad + z[i] ** 2
+        value = q[i]
+        if i:
+            dot = low[i, 0] * z[0]
+            for k in range(1, i):
+                dot += low[i, k] * z[k]
+            value = value - dot
+        z.append(value / low[i, i])
+        quad = quad + z[i] * z[i] if i else z[i] * z[i]
     return det, quad
 
 
@@ -300,66 +352,90 @@ def _ccdf_expansion(s: int, t: int) -> tuple:
 
 def link_cdf_pdf(u, m: int, n: int):
     """(F, f) of the largest eigenvalue of an m x n complex Wishart matrix
-    with unit-variance entries at u >= 0 (array, +inf allowed: F = 1,
-    f = 0); f is the density in u."""
+    with unit-variance entries at u >= 0 (array of any shape, +inf allowed:
+    F = 1, f = 0; NaN gives NaN); f is the density in u.
+
+    The arguments below the basis switch (u = 1 up to 2 x 2, u = 4 beyond)
+    and those above it take separate routes into one Cholesky pass, and a
+    call pays nothing for a range it has no argument in: no quadrature, no
+    Gamma recurrence and no mask or scatter.  On a 2-vCPU x86_64 host
+    (least of interleaved repetitions) a call of one argument takes 26 us
+    below the switch and 31 us above it at 2 x 2, 36-48 us at 3 x 3 and
+    51-67 us at 4 x 4; one of 2 arguments, one on each side, 45 us, of 200
+    about 60 us and of 446 about 73 us at 2 x 2."""
     s, t = min(m, n), max(m, n)
-    c = t - s + 1
+    shape = _shape(s, t)
+    c, pairs = shape.c, shape.pairs
     u = np.asarray(u, dtype=float)
-    k_norm = _norm(s, t)
-    cdf, pdf = np.empty_like(u), np.empty_like(u)
+    flat = u.ravel()
+    small = flat < shape.limit
+    ns = int(np.count_nonzero(small))
+    nb = flat.size - ns
+    # where each range's values go: its arguments' places in a call that
+    # has both, else the whole output
+    at_small, at_big = (small, ~small) if ns and nb else (slice(None), slice(None))
+    us, ub = flat[at_small], flat[at_big]
+    # entry-major: row k holds Gram entry pairs[k], small u in the first ns
+    # columns and larger u after them, so that one Cholesky serves both
+    entries = np.empty((len(pairs), flat.size))
+    vec = np.empty((s, flat.size))
     # Jacobi's formula: d/du gamma(a_ij, u) = e^(-u) u^(c-1) u^i u^j is rank
     # one, so f = F e^(-u) u^(c-1) w' G^-1 w with w_i = u^i, G = [gamma(a_ij, u)]
 
-    # small u: G = u^(c+i+j) H_ij with the moment matrix H of y^(c-1)
-    # e^(-u y) on [0, 1], near the Hilbert matrix and as ill-conditioned.
-    # In the basis of the Jacobi polynomials P_i = sum_k C_ik y^k, orthogonal
-    # under y^(c-1), its Gram matrix C H C' is near-diagonal, det H is its
-    # det over prod C_ii^2, and w' G^-1 w = u^-c (C 1)' (C H C')^-1 (C 1)
-    # with (C 1)_i = P_i(1) = 1.
-    limit, y, pairs, prods, lead = _jacobi_gram(s, c)
-    small = u < limit
-    us, ub = u[small], u[~small]
-    ns = us.size
-    # entry-major: row k holds Gram entry pairs[k], small u in the first ns
-    # columns and larger u after them, so that one Cholesky serves both
-    entries = np.empty((len(pairs), u.size))
-    vec = np.empty((s, u.size))
-    # The node values e^(-u y_q) fill a (nodes x arguments) buffer, and the
-    # contraction sums each argument's nodes in node order.  The block is a
-    # view of a buffer at least 2 columns wide, so that a lone argument is
-    # a strided operand too: on a contiguous one, einsum takes a dot-product
-    # path with other rounding, and a call's values would depend on its batch.
-    nodes = np.empty((y.size, max(2, min(_BLOCK, ns))))
-    for k in range(0, ns, _BLOCK):
-        block = nodes[:, :min(_BLOCK, ns - k)]
-        np.multiply.outer(-y, us[k:k + _BLOCK], out=block)
-        np.exp(block, out=block)
-        entries[:, k:k + block.shape[1]] = np.einsum("qn,qk->kn", block, prods)
-    vec[:, :ns] = np.exp(-0.5 * us)
+    if ns:
+        # small u: G = u^(c+i+j) H_ij with the moment matrix H of y^(c-1)
+        # e^(-u y) on [0, 1], near the Hilbert matrix and as ill-conditioned.
+        # In the basis of the Jacobi polynomials P_i = sum_k C_ik y^k,
+        # orthogonal under y^(c-1), its Gram matrix C H C' is near-diagonal,
+        # det H is its det over prod C_ii^2, and w' G^-1 w = u^-c (C 1)'
+        # (C H C')^-1 (C 1) with (C 1)_i = P_i(1) = 1.
+        # The node values e^(-u y_q) fill a (nodes x arguments) buffer, and
+        # the contraction sums each argument's nodes in node order.  The
+        # block is a view of a buffer at least 2 columns wide, so that a lone
+        # argument is a strided operand too: on a contiguous one, einsum
+        # takes a dot-product path with other rounding, and a call's values
+        # would depend on its batch.
+        nodes = np.empty((shape.neg_y.size, max(2, min(_BLOCK, ns))))
+        for k in range(0, ns, _BLOCK):
+            block = nodes[:, :min(_BLOCK, ns - k)]
+            np.multiply(shape.neg_y, us[k:k + _BLOCK], out=block)
+            np.exp(block, out=block)
+            np.einsum("qn,qk->kn", block, shape.prods, out=entries[:, k:k + block.shape[1]])
+        vec[:, :ns] = np.exp(-0.5 * us)
 
-    # larger u: the entries gamma(a, u) themselves, from the top one down by
-    # gamma(a, u) = (gamma(a + 1, u) + u^a e^(-u)) / a, all terms positive.
-    # u = inf is taken at the largest double, where u^a e^(-u) underflows to
-    # 0, F rounds to 1 and f to 0 (at inf itself a ln u - u is inf - inf).
-    ub = np.minimum(ub, np.finfo(float).max)
-    ln_ub = np.log(ub)
-    top = c + 2 * s - 2
-    e = {top: math.gamma(top) * gammainc(top, ub)}
-    for a in range(top - 1, c - 1, -1):
-        e[a] = (np.exp(a * ln_ub - ub) + e[a + 1]) / a
-    for k, (i, j) in enumerate(pairs):
-        entries[k, ns:] = e[c + i + j]
-    for i in range(s):
-        vec[i, ns:] = np.exp((i + 0.5 * (c - 1)) * ln_ub - 0.5 * ub)
+    if nb:
+        # larger u: the entries gamma(a, u) themselves, from the top one down
+        # by gamma(a, u) = (gamma(a + 1, u) + u^a e^(-u)) / a, all terms
+        # positive.  u = inf is taken at the largest double, where u^a e^(-u)
+        # underflows to 0, F rounds to 1 and f to 0 (at inf itself a ln u - u
+        # is inf - inf).
+        ub = np.minimum(ub, _HUGE)
+        ln_ub = np.log(ub)
+        # gamma(a, u) in row a - c: the terms u^a e^(-u) of every a < top
+        # at once, then the recurrence in place
+        gam = np.empty((shape.top - c + 1, nb))
+        np.multiply(shape.gamma_top, gammainc(shape.top, ub), out=gam[-1])
+        if shape.top > c:
+            terms = np.multiply(shape.below_top, ln_ub, out=gam[:-1])
+            terms -= ub
+            np.exp(terms, out=terms)
+        for a in range(shape.top - 1, c - 1, -1):
+            gam[a - c] += gam[a - c + 1]
+            gam[a - c] /= a
+        entries[:, ns:] = gam[shape.orders]
+        vec[:, ns:] = np.exp(shape.powers * ln_ub - 0.5 * ub)
 
     det, quad = _det_and_quad(dict(zip(pairs, entries)), list(vec))
-    det[:ns] /= lead * k_norm
-    det[ns:] /= k_norm
-    cdf[small] = det[:ns] * us ** (s * t)
-    pdf[small] = det[:ns] * us ** (s * t - 1) * quad[:ns]
-    cdf[~small] = det[ns:]
-    pdf[~small] = det[ns:] * quad[ns:]
-    return np.minimum(cdf, 1.0), pdf
+    cdf, pdf = np.empty_like(flat), np.empty_like(flat)
+    if ns:
+        det_s = det[:ns] / shape.small_norm
+        cdf[at_small] = det_s * us ** (s * t)
+        pdf[at_small] = det_s * us ** (s * t - 1) * quad[:ns]
+    if nb:
+        det_b = det[ns:] / shape.norm
+        cdf[at_big] = det_b
+        pdf[at_big] = det_b * quad[ns:]
+    return np.minimum(cdf, 1.0).reshape(u.shape), pdf.reshape(u.shape)
 
 
 class Link(NamedTuple):
@@ -377,7 +453,7 @@ def link_laws(links, args) -> tuple:
     (src, far), (u_src, u_far) = links, args
     if sorted(src) != sorted(far):
         return link_cdf_pdf(u_src, src.m, src.n), link_cdf_pdf(u_far, far.m, far.n)
-    cdf, pdf = link_cdf_pdf(np.concatenate([u_src.ravel(), u_far.ravel()]), src.m, src.n)
+    cdf, pdf = link_cdf_pdf(np.concatenate((u_src, u_far), axis=None), src.m, src.n)
     k = u_src.size
     return ((cdf[:k].reshape(u_src.shape), pdf[:k].reshape(u_src.shape)),
             (cdf[k:].reshape(u_far.shape), pdf[k:].reshape(u_far.shape)))
@@ -432,42 +508,47 @@ def _interleave(even, odd):
 
 class _Steps:
     """Trapezoid steps in s for integrals over v from v0 - _PAD (about) to
-    v1, with v = v0 + s - e^(-s) and s from _LO: n intervals of step h,
-    one step per integral where v0 and the widths are arrays, always those
-    of the finest level evaluated.  n starts at the `first_count` that the
-    integrals share, so the first level's step is at most 4 h_max for each;
-    the steps start _LEVELS - 1 halvings below it, at the first estimate,
-    whose step is then at most h_max / 2.  `what` and `per` name the
-    integral and its unit of intervals in the NumericalError of `halve`."""
+    v1, with v = v0 + s - e^(-s) and s from _LO: n intervals of step h =
+    width / n, one step per integral where v0 and the widths are arrays,
+    always those of the finest level evaluated.  n starts at the
+    `first_count` that the integrals share, so the first level's step is at
+    most 4 h_max for each; the steps start _LEVELS - 1 halvings below it, at
+    the first estimate, whose step is then at most h_max / 2.  `what` and
+    `per` name the integral and its unit of intervals in the NumericalError
+    of `halve`."""
 
     what = per = ""
 
     def __init__(self, v0, width, n: int):
         if _LEVELS < 3:
             raise ValueError(f"_LEVELS must be at least 3 for the three sums read, got {_LEVELS}")
-        self.v0, self.n = v0, int(n)
-        self.h = width / self.n
-        for _ in range(_LEVELS - 1):
-            self.halve()
+        self.v0, self.width, self.n = v0, width, int(n)
+        self.halve(times=_LEVELS - 1)
 
     @staticmethod
     def first_count(v0, v1, h_max: float):
-        """(width in s, least n >= 2 of step <= 4 h_max) of each integral."""
-        width = np.maximum(v1 - v0, 0.0) + 1.0 - _LO
+        """(width in s, least n >= 2 of step <= 4 h_max) of each integral,
+        for v0 <= v1."""
+        width = v1 - v0 + 1.0 - _LO
         return width, np.maximum(2.0, np.ceil(width / (4.0 * h_max)))
 
-    def at(self, k, h):
-        """(v, dv/ds) at the nodes k of step h, one row per integral."""
-        s = _LO + np.asarray(h)[..., None] * k
-        return np.asarray(self.v0)[..., None] + s - np.exp(-s), 1.0 + np.exp(-s)
+    def at(self, k):
+        """(v, dv/ds) at the nodes k of the current step, one row per
+        integral (v0 a column where there are several)."""
+        s = _LO + np.multiply.outer(self.h, k)
+        decay = np.exp(-s)
+        return self.v0 + s - decay, 1.0 + decay
 
-    def halve(self, status: str = "") -> None:
-        """Halve the step; past MAX_INTERVALS raise NumericalError, naming
-        the integral and the caller's status (its last estimate)."""
-        if 2 * self.n > MAX_INTERVALS:
+    def halve(self, status: str = "", times: int = 1) -> None:
+        """Halve the step `times` times; past MAX_INTERVALS raise
+        NumericalError, naming the integral and the caller's status (its
+        last estimate)."""
+        n = self.n << times
+        if n > MAX_INTERVALS:
             raise NumericalError(f"{self.what} did not reach relative error {REL_TOL:g} within "
                                  f"{MAX_INTERVALS} trapezoid intervals{self.per} {status}".rstrip())
-        self.h, self.n = self.h / 2, 2 * self.n
+        # a power of two apart, width / n is the old step halved, bit for bit
+        self.n, self.h = n, self.width / n
 
 
 # The strides, in nodes of the finest level, of the three levels whose sums
@@ -476,10 +557,11 @@ _STRIDES = (4, 2, 1)
 
 
 class _Trapezoid(_Steps):
-    """Trapezoid sums of integrals of g over v from v0 - _PAD to v1, one
-    per entry of the 1-d arrays v0 and width (`_Steps`), refined by halving
-    the step.  g(v, rows) maps abscissae of shape (len(rows), k) for the
-    integrals `rows` to values of that shape, with any leading axes.
+    """Trapezoid sums of integrals of g over v from v0 - _PAD to v1, for the
+    integrals `rows` with the column v0 and the 1-d array width (`_Steps`),
+    refined by halving the step.  g(v, rows) maps abscissae of shape
+    (len(rows), k) for the integrals `rows` to values of that shape, with
+    any leading axes.
 
     The integrand is kept at every node of the finest level, and a coarser
     level's sum is the plain sum over the nodes at its stride (each step is
@@ -489,32 +571,41 @@ class _Trapezoid(_Steps):
 
     what = "end-to-end CDF"
 
-    def __init__(self, g, v0, width, n: int):
+    def __init__(self, g, rows, v0, width, n: int):
         super().__init__(v0, width, n)
-        self.g = g
-        self.rows = np.arange(v0.size)
-        self.values = self._values(np.arange(self.n + 1), self.h)
+        self.g, self.rows = g, rows
+        self.values = self._values(np.arange(self.n + 1))
 
-    def _values(self, k, h):
-        v, dv = self.at(k, h)
-        return self.g(v, self.rows) * dv
+    def _values(self, k):
+        v, dv = self.at(k)
+        values = self.g(v, self.rows)
+        values *= dv
+        return values
 
     def sums(self):
-        """(the sums of the last three levels, coarsest first, the
-        integrands at the two ends summed)."""
-        ends = self.values[..., 0] + self.values[..., -1]
-        return ([self.h * stride * (self.values[..., ::stride].sum(-1) - 0.5 * ends)
-                 for stride in _STRIDES], ends)
+        """The sums of the last three levels, coarsest first, and the
+        integrands at the two ends summed, stacked on a new first axis."""
+        values = self.values
+        out = np.empty((len(_STRIDES) + 1,) + values.shape[:-1])
+        ends = np.add(values[..., 0], values[..., -1], out=out[-1])
+        for total, stride in zip(out, _STRIDES):
+            np.add.reduce(values[..., ::stride], axis=-1, out=total)
+        levels = out[:-1]
+        levels -= 0.5 * ends
+        # each level's step, the finest times its stride
+        levels *= np.multiply.outer(_STRIDES, self.h)[:, None]
+        return out
 
     def refine(self, status: str) -> None:
         """Move to the next level (`halve`), evaluating its odd nodes."""
         self.halve(status)
-        odd = self._values(2 * np.arange(self.n // 2) + 1, self.h)
+        odd = self._values(2 * np.arange(self.n // 2) + 1)
         self.values = _interleave(self.values, odd)
 
     def keep(self, mask) -> None:
         """Refine only the integrals where mask is true from now on."""
-        self.rows, self.v0, self.h = self.rows[mask], self.v0[mask], self.h[mask]
+        self.rows, self.v0 = self.rows[mask], self.v0[mask]
+        self.width, self.h = self.width[mask], self.h[mask]
         self.values = self.values[..., mask, :]
 
 
@@ -526,39 +617,48 @@ def _extrapolated(coarse, mid, fine):
     - mid| and before = |mid - coarse|; where they do not yet fall, it is
     the last difference itself."""
     last, before = np.abs(fine - mid), np.abs(mid - coarse)
-    ratio = np.where(last < before, last / np.where(before > 0.0, before, 1.0), 1.0)
+    ratio = np.divide(last, before, out=np.ones_like(last), where=last < before)
     return last * ratio
 
 
-def _e2e_chunk(xs, f_first, v0, width, n: int, src: Link, far: Link, k_s: float, k_f: float):
-    """(F, error estimate, nodes of the sums each F was taken at, summed)
-    of the end-to-end CDF at 0 < xs < inf from f_first = F_f(k_f x) and the
-    inner integrals' `_Steps` (v0, width, n)."""
-    def integrand(v, rows):
-        x = xs[rows, None]
-        w = np.exp(v)
-        lam_f = w + k_f * x
-        (f_s, _), (_, dens) = link_laws((src, far), (k_s * x * lam_f / w, lam_f))
-        return np.stack([f_s, 1.0 - f_s]) * (dens * w)
+def _e2e_chunk(rows, n: int, links, scaled, f_first, v0, width, out) -> int:
+    """Integrate the end-to-end CDF at the live thresholds `rows`, each x
+    given by scaled = (k_s x, k_f x) and f_first = F_f(k_f x), on the inner
+    integrals' `_Steps` (v0, width, n); write each F and its error
+    estimate into out = (values, errors) at its row, and return the nodes
+    of the sums they were taken at, summed."""
+    s_x, f_x = scaled
 
-    values, errors = np.empty_like(xs), np.empty_like(xs)
+    def integrand(v, rows):
+        w = np.exp(v)
+        lam_f = w + f_x[rows, None]
+        (f_s, _), (_, dens) = link_laws(links, (s_x[rows, None] * lam_f / w, lam_f))
+        weight = dens * w
+        both = np.empty((2,) + f_s.shape)
+        np.multiply(f_s, weight, out=both[0])
+        np.multiply(1.0 - f_s, weight, out=both[1])
+        return both
+
     nodes = 0
-    rule = _Trapezoid(integrand, v0, width, n)
+    rule = _Trapezoid(integrand, rows, v0[rows, None], width[rows], n)
     while True:
         rows = rule.rows
-        sums, ends = rule.sums()
-        lower_p = f_first[rows] + sums[-1][0]
+        totals = rule.sums()
+        lower_p = f_first[rows] + totals[-2, 0]
         use_q = lower_p > 0.5
-        value = np.where(use_q, 1.0 - sums[-1][1], lower_p)
+        # the F or the 1 - F form of each threshold, for every sum at once
+        coarse, mid, fine, ends = np.where(use_q, totals[:, 1], totals[:, 0])
+        value = np.where(use_q, 1.0 - fine, lower_p)
         # the integrand at the cut ends bounds the tails beyond them
-        err = (_extrapolated(*(np.where(use_q, total[1], total[0]) for total in sums))
-               + np.where(use_q, ends[1], ends[0]))
+        err = _extrapolated(coarse, mid, fine) + ends
+        # every row's estimate is written; a row that goes on is rewritten
+        out[0][rows] = value
+        out[1][rows] = np.maximum(err, REL_ROUNDING * value)
         done = err <= REL_TOL * value
-        values[rows[done]] = value[done]
-        errors[rows[done]] = np.maximum(err[done], REL_ROUNDING * value[done])
-        nodes += int(done.sum()) * (rule.n + 1)
-        if done.all():
-            return values, errors, nodes
+        count = np.count_nonzero(done)
+        nodes += count * (rule.n + 1)
+        if count == done.size:
+            return nodes
         rule.keep(~done)
         rule.refine(f"(estimate {np.max(err[~done]):.1e} at values up to "
                     f"{np.max(value[~done]):.6e})")
@@ -581,21 +681,22 @@ def e2e_cdf(xs, src: Link, far: Link, k_s: float, k_f: float) -> tuple:
     live = np.flatnonzero((xs > 0.0) & (xs < np.inf))
     # a threshold past _SATURATED on either link is taken there: F = 1 at both
     x = np.minimum(xs[live], _SATURATED / max(k_s, k_f))
-    f_first, _ = link_cdf_pdf(k_f * x, far.m, far.n)
-    v1 = np.log(_FAR_SPAN + k_f * x)
-    # below w ~ k_s k_f x^2 the source link saturates, F_s -> 1; the clip
-    # keeps w = e^v normal (what lies below is below the smallest double)
+    s_x, f_x = k_s * x, k_f * x
+    f_first, _ = link_cdf_pdf(f_x, far.m, far.n)
+    v1 = np.log(_FAR_SPAN + f_x)
+    # below w ~ k_s k_f x^2 the source link saturates, F_s -> 1; the bounds
+    # keep w = e^v normal (what lies below is below the smallest double)
     # and the range below its upper end
-    v0 = np.clip(2.0 * np.log(x) + math.log(k_s * k_f) - _INNER_SHIFT, -650.0, v1)
+    v0 = np.minimum(np.maximum(2.0 * np.log(x) + math.log(k_s * k_f) - _INNER_SHIFT, -650.0), v1)
     width, counts = _Steps.first_count(v0, v1, _INNER_H)
+    out = np.empty((2, live.size))
     nodes = 0
     for n in sorted(set(counts.tolist())):
         group = np.flatnonzero(counts == n)
         for k in range(0, group.size, _CHUNK):
-            rows = group[k:k + _CHUNK]
-            values[live[rows]], errors[live[rows]], used = _e2e_chunk(
-                *(a[rows] for a in (x, f_first, v0, width)), n, src, far, k_s, k_f)
-            nodes += used
+            nodes += _e2e_chunk(group[k:k + _CHUNK], n, (src, far), (s_x, f_x), f_first, v0, width,
+                                out)
+    values[live], errors[live] = out
     return values.reshape(shape), errors.reshape(shape), nodes
 
 
@@ -628,7 +729,7 @@ class _Axis(_Steps):
 def _weights(axes, ks):
     """(lam, f(lam) lam (1 + e^(-s))) as rows of one array at the nodes
     ks[i] of axes[i]."""
-    vs, jacs = zip(*(ax.at(k, ax.h) for ax, k in zip(axes, ks)))
+    vs, jacs = zip(*(ax.at(k) for ax, k in zip(axes, ks)))
     lams = [np.exp(v) for v in vs]
     laws = link_laws([ax.link for ax in axes], lams)
     return [np.stack([lam, pdf * lam * jac]) for lam, (_, pdf), jac in zip(lams, laws, jacs)]

@@ -329,7 +329,10 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse a flat key = value scenario file.  Unknown keys are errors."""
+    """Parse a flat key = value scenario file.  Unknown keys and values
+    that do not parse are errors; the geometry, antennas and weight are
+    checked where they are read (`Scenario.antennas`, `powers`, `weights`),
+    so that values given later can override the file's."""
     text = Path(path).read_text()
     sc = Scenario()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -349,8 +352,4 @@ def load_scenario(path) -> Scenario:
             raise
         except ValueError:
             raise ConfigurationError(f"{path}:{lineno}: cannot parse value {value!r} for {key}") from None
-    # trip the validators
-    sc.antennas
-    sc.powers
-    sc.weights()
     return sc

@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -107,6 +108,47 @@ class TestLinkLaws:
         single = [twrelay.lowerbound.link_cdf_pdf(u[k:k + 1], *dims) for k in range(u.size)]
         assert np.array_equal(cdf, np.concatenate([f for f, _ in single]))
         assert np.array_equal(pdf, np.concatenate([f for _, f in single]))
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (4, 1), (1, 3), (3, 2), (3, 3), (4, 3),
+                                      (4, 4)])
+    def test_edge_layouts(self, dims):
+        # no argument gives two empty arrays; a 2-d array keeps its shape
+        # and the values of its raveled call; NaN gives NaN without a
+        # warning, alone and among arguments on both sides of the switch
+        for cdf, pdf in (link_cdf_pdf(np.array([]), *dims), link_cdf_pdf([], *dims)):
+            assert cdf.shape == pdf.shape == (0,)
+        u = np.geomspace(1e-3, 50.0, 12).reshape(3, 4)
+        cdf, pdf = link_cdf_pdf(u, *dims)
+        flat = link_cdf_pdf(u.ravel(), *dims)
+        assert cdf.shape == pdf.shape == (3, 4)
+        assert np.array_equal(cdf.ravel(), flat[0]) and np.array_equal(pdf.ravel(), flat[1])
+        u = np.array([0.5, math.nan, 30.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lone = link_cdf_pdf(u[1:2], *dims)
+            cdf, pdf = link_cdf_pdf(u, *dims)
+        assert np.isnan(lone).all() and np.isnan(cdf[1]) and np.isnan(pdf[1])
+        finite = link_cdf_pdf(u[[0, 2]], *dims)
+        assert np.array_equal(cdf[[0, 2]], finite[0]) and np.array_equal(pdf[[0, 2]], finite[1])
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (4, 1), (1, 3), (3, 2), (3, 3), (4, 3),
+                                      (4, 4)])
+    def test_one_sided_batches_independent_of_batch(self, dims):
+        # a call longer than a quadrature block with every argument below
+        # the basis switch (u = 1 up to 2 x 2, u = 4 beyond), from 0, or
+        # every one above it, up to inf, gives each argument the bits of a
+        # call of its own
+        limit = 1.0 if min(dims) <= 2 else 4.0
+        size = twrelay.lowerbound._BLOCK + 5
+        below = np.geomspace(1e-6, limit, size, endpoint=False)
+        below[0] = 0.0
+        above = np.geomspace(limit, 1e3, size)
+        above[-1] = math.inf
+        for u in (below, above):
+            cdf, pdf = link_cdf_pdf(u, *dims)
+            single = [link_cdf_pdf(u[k:k + 1], *dims) for k in range(u.size)]
+            assert np.array_equal(cdf, np.concatenate([f for f, _ in single]))
+            assert np.array_equal(pdf, np.concatenate([f for _, f in single]))
 
     @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (2, 2), (4, 3), (4, 4)])
     def test_infinite_argument(self, dims):

@@ -499,14 +499,30 @@ class TestCommandInputs:
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert draws == []
 
+    @pytest.mark.parametrize("ant, rho_db", [
+        (["2", "1", "2"], "300"), (["2", "1", "2"], "1000"), (["2", "1", "2"], "2000"),
+        (["2", "1", "2"], "3080"), (["2", "2", "2"], "200"),
+    ], ids=["2x1x2-300dB", "2x1x2-1000dB", "2x1x2-2000dB", "2x1x2-3080dB", "2x2x2-200dB"])
+    def test_closed_form_at_extreme_snr(self, ant, rho_db, capsys):
+        # where the double-precision assembly cannot run (2F1 overflows, or
+        # a Bessel moment's beta underflows to 0), a numerical failure, not
+        # a traceback
+        argv = ["sweep", "--m-a", ant[0], "--m-r", ant[1], "--m-b", ant[2], "--mode", "closed",
+                "--protocols", "two_slot", "--rho-start", rho_db, "--rho-stop", rho_db,
+                "--rho-step", "1"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: closed-form assembly ")
+
     def test_flags_checked_after_the_file(self, tmp_path, capsys):
-        # the budget and seed are checked once the flags have overridden
-        # the scenario file's
-        f = tmp_path / "zero_trials.scenario"
+        # the budget, the seed and the geometry are checked once the flags
+        # have overridden the scenario file's
+        f = tmp_path / "out_of_range.scenario"
         f.write_text(SCENARIO.replace("trials = 4000", "trials = 0")
-                     .replace("seed = 99", "seed = -1"))
-        assert main(["gaps", str(f), "--trials", "5", "--seed", "3"]) == 0
+                     .replace("seed = 99", "seed = -1").replace("d0 = 0.5", "d0 = 2"))
+        assert main(["gaps", str(f), "--trials", "5", "--seed", "3", "--d0", "0.5"]) == 0
         assert "best protocol" in capsys.readouterr().out
+        assert main(["gaps", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     @pytest.mark.parametrize("argv", [
         ["--m-a", "1", "--m-r", "2", "--m-b", "2", "--beta", "0.6"],
