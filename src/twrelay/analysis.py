@@ -1,4 +1,4 @@
-"""Exact-analysis engine: per-link and end-to-end SNR distributions for the
+"""Exact-analysis engine: the end-to-end SNR distribution of the
 lower-bound (noise-term-dropped) SNR forms, and the sum-BER lower bound, by
 numerical integration and by the paper's termwise closed form.
 
@@ -24,12 +24,12 @@ in the log domain because the terms span hundreds of orders of magnitude at
 high SNR.  The cached groups also hold each rational's ln|r| and sign as
 floats, so the double-precision assembly converts no rational per call; it
 takes a direction's 2F1 values from one `hyp2f1` array call through
-`_ln_bessel_moment`, the one statement of the moment formula, which
-`bessel_moment` uses too, and assembles equal directions (a symmetric
-network's two) once, counting their terms twice.  The final subtraction
-from the zero-SNR ceiling a/log2(M) loses about log10(ceiling / sum-BER)
-digits, so below 1e-5 of the ceiling the sum-BER comes from the integral
-instead.
+`_ln_bessel_moment`, the one statement of the moment formula, and
+assembles equal directions (a symmetric network's two) once, counting their
+terms twice.  The final subtraction from the zero-SNR ceiling a/log2(M)
+loses about log10(ceiling / sum-BER) digits, so below 1e-5 of the ceiling,
+and wherever the assembly cannot run at all, the sum-BER comes from the
+integral instead.
 """
 
 from __future__ import annotations
@@ -57,47 +57,17 @@ FALLBACK_SHARE = 1e-5
 _log = logging.getLogger(__name__)
 
 
-def _require_link(m_s: int, m_r: int) -> None:
-    if m_s < m_r:
-        raise ConfigurationError(f"link laws take m_s >= m_r; swap the dimensions (got {m_s}x{m_r})")
-    if not (1 <= m_r and m_s <= MAX_TABLE_DIM):
-        raise UnsupportedConfigError(f"link laws cover dimensions up to {MAX_TABLE_DIM}, got {m_s}x{m_r}")
-
-
 def require_analytic(ant: AntennaConfig) -> None:
     """The antenna counts that the analytic and high-SNR engines serve: m_r
     to MAX_TABLE_DIM at each source (ConfigurationError below m_r, naming the
     swap; UnsupportedConfigError above the limit).  Monte Carlo takes any."""
     for m_s in (ant.m_a, ant.m_b):
-        _require_link(m_s, ant.m_r)
-
-
-# ---------------------------------------------------------------------------
-# Per-link largest-eigenvalue distributions
-# ---------------------------------------------------------------------------
-
-def _check_link(m_s: int, m_r: int, rho: float) -> None:
-    _require_link(m_s, m_r)
-    if rho <= 0.0:
-        raise ConfigurationError(f"rho must be positive, got {rho!r}")
-
-
-def link_cdf(x: float, m_s: int, m_r: int, rho: float) -> float:
-    """CDF of rho times the largest eigenvalue of an m_s x m_r Wishart
-    channel at x."""
-    _check_link(m_s, m_r, rho)
-    if x <= 0.0:
-        return 0.0
-    return float(lowerbound.link_cdf_pdf(np.array([x / rho]), m_s, m_r)[0][0])
-
-
-def link_pdf(x: float, m_s: int, m_r: int, rho: float) -> float:
-    """Density of rho times the largest eigenvalue of an m_s x m_r Wishart
-    channel at x."""
-    _check_link(m_s, m_r, rho)
-    if x < 0.0:
-        return 0.0
-    return float(lowerbound.link_cdf_pdf(np.array([x / rho]), m_s, m_r)[1][0]) / rho
+        if m_s < ant.m_r:
+            raise ConfigurationError(f"link laws take m_s >= m_r; swap the dimensions "
+                                     f"(got {m_s}x{ant.m_r})")
+        if not (1 <= ant.m_r and m_s <= MAX_TABLE_DIM):
+            raise UnsupportedConfigError(f"link laws cover dimensions up to {MAX_TABLE_DIM}, "
+                                         f"got {m_s}x{ant.m_r}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,28 +152,16 @@ def sum_ber_quadrature(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProf
 # Sum-BER lower bound: termwise closed form
 # ---------------------------------------------------------------------------
 
-def bessel_moment(mu: float, nu: float, alpha: float, beta: float) -> float:
-    """The weighted Bessel moment
-    int_0^inf x^(mu-1) exp(-alpha x) K_nu(beta x) dx
-    for 0 < beta < alpha and mu > |nu|, nu real, evaluated through its
-    Gamma and Gauss-hypergeometric closed form (Gradshteyn & Ryzhik
-    6.621.3).  Against a 50-digit mpmath oracle, over mu up to |nu| + 8.5
-    and 1 - z from 0.9 to 1e-8 (z = (alpha - beta)/(alpha + beta)), it is
-    within 1.3e-13 relative at the integer orders nu <= 17 of the closed
-    form; scipy's `hyp2f1` loses more at some real orders: 1.7e-12 at
-    nu = 2.75, 1 - z = 0.01, mu = 11.25, alpha = 0.37."""
-    nu = abs(float(nu))
-    if not 0.0 < beta < alpha:
-        raise ConfigurationError(f"bessel_moment requires 0 < beta < alpha, got {beta}, {alpha}")
-    if not mu - nu > 0.0:
-        raise ConfigurationError(f"bessel_moment requires mu > |nu|, got mu={mu}, nu={nu}")
-    return math.exp(_ln_bessel_moment([mu], [nu], [alpha], [beta])[0])
-
-
 def _ln_bessel_moment(mu, nu, alpha, beta) -> list:
-    """ln of the Bessel moment of each entry of the equal-length sequences
-    mu, nu (nu >= 0), alpha and beta, with one `hyp2f1` call over all of
-    them."""
+    """ln of the weighted Bessel moment
+    int_0^inf x^(mu-1) exp(-alpha x) K_nu(beta x) dx, 0 < beta < alpha and
+    mu > nu, of each entry of the equal-length sequences mu, nu, alpha and
+    beta, through its Gamma and Gauss-hypergeometric closed form (Gradshteyn
+    & Ryzhik 6.621.3), with one `hyp2f1` call over all of them.  The closed
+    form's orders nu are integers; at those up to 17, against a 50-digit
+    mpmath oracle over mu up to nu + 8.5 and 1 - z from 0.9 to 1e-8
+    (z = (alpha - beta)/(alpha + beta)), the moment is within 1.3e-13
+    relative."""
     # G&R 6.621.3 has F(mu+nu, nu+1/2; mu+1/2; z) with z = (alpha-beta)/(alpha+beta).
     # At high SNR z comes within 1/rho of the singular point z = 1, where F
     # grows like (1-z)^(-2 nu) and rounding z alone costs digits.  The Pfaff
@@ -319,33 +277,20 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
 
     The double-precision assembly subtracts terms that sum to about the
     zero-SNR ceiling a/log2 M, so a result at or below FALLBACK_SHARE (1e-5)
-    of the ceiling has lost too many digits; there the value comes from the
+    of the ceiling has lost too many digits; at extreme SNR (from about
+    140 dB at 2x1x2) a 2F1 overflows or a moment's beta underflows, and the
+    assembly cannot run at all.  In both cases the value comes from the
     integral of non-negative terms (`lowerbound.sum_ber`: Q averaged over the
     determinant-form densities of both link gains), refined until its error
     estimate is below 1e-13 relative, checked to lie in (0, ceiling] and
     reported in one debug record on the "twrelay.analysis" logger.
     """
-    value = _closed_form_f64(coeffs, ant, pw, mod)
+    try:
+        value = _closed_form_f64(coeffs, ant, pw, mod)
+    except NumericalError as exc:
+        return _sum_ber_integral(coeffs, ant, pw, mod, f"closed form cannot run: {exc}")
     if value <= mod.ceiling * FALLBACK_SHARE:
         return _sum_ber_integral(coeffs, ant, pw, mod,
                                  f"closed form at or below {FALLBACK_SHARE:g} of the ceiling")
     return value
 
-
-# ---------------------------------------------------------------------------
-# High-SNR min-of-links distribution (approximation diagnostics)
-# ---------------------------------------------------------------------------
-
-def min_pair_cdf(direction: str, x: float | np.ndarray, coeffs: CoefficientSet,
-                 ant: AntennaConfig, pw: PowerProfile) -> float | np.ndarray:
-    """CDF of m = min(lambda_s / k_s, lambda_f / k_f) at x (a float, or an
-    array of thresholds), the high-SNR surrogate for the lower-bound SNR
-    gamma, 1 / gamma = k_s / lambda_s + k_f / lambda_f, with m / 2 <= gamma
-    <= m.  The links are independent, so it is F_s + F_f (1 - F_s) with the
-    determinant-form link CDFs F_s at k_s x and F_f at k_f x: non-negative
-    terms only."""
-    src, far, k_s, k_f = _direction(direction, coeffs, ant, pw)
-    xs = np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), 0.0)
-    (f_s, _), (f_f, _) = lowerbound.link_laws((src, far), (k_s * xs, k_f * xs))
-    cdf = f_s + f_f * (1.0 - f_s)
-    return cdf if np.ndim(x) else float(cdf[0])

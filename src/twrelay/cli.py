@@ -16,7 +16,8 @@ estimate: an mc sweep takes its leading blocks from the same pass, and
 beta evaluates every step on it, so there the blocks are drawn once into a
 list that each estimate reads.  Every pass draws and reduces its blocks on
 worker threads (see `simulate`), and its output does not depend on their
-number.
+number.  Where the estimate overflows (from about 1500 dB) or the Wishart
+mean leaves its kernel's range, the command exits 3.
 
 Each command takes flags only for the scenario fields it reads (any other
 is an argparse error, exit 2), and checks its whole configuration, with
@@ -43,6 +44,7 @@ from .scenario import (SCENARIO_FIELDS, AntennaConfig, Protocol, Scenario, coeff
 from .simulate import (D_FACTOR_TRIALS, SweepPoint, _gain_blocks, estimate_d_factors,
                        require_seed, require_trials, semi_analytic_sweep)
 from .analysis import require_analytic, sum_ber_closed_form
+from .validate import run_validation
 
 def _write_csv(path, header: str, rows) -> None:
     text = header + "\n" + "".join(line + "\n" for line in rows)
@@ -270,8 +272,6 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # imported here: validate loads scipy.integrate, which no other command needs
-    from .validate import run_validation
     sc = _scenario_from_args(args)
     results, code = run_validation(trials=sc.trials, seed=sc.seed)
     for r in results:

@@ -468,7 +468,9 @@ def mean_largest_eigenvalue(m: int, n: int) -> float:
     `ccdf_expansion` takes time that grows like 2^s.)  The kernel is sized
     for 4 antennas a side, where the error is below 1e-13; beyond, it is
     1.8e-14 at 5 x 5, 2.7e-15 at 6 x 3, 2.5e-13 at 6 x 6, 1.5e-13 at 8 x 4,
-    1.4e-12 at 7 x 7 and 5.1e-12 at 8 x 8."""
+    1.4e-12 at 7 x 7 and 5.1e-12 at 8 x 8.  Where a Cholesky pivot rounds
+    below 0 or K leaves the double range (14 x 14, and 10 x 20 already) it
+    raises NumericalError."""
     return _mean_largest_eigenvalue(min(m, n), max(m, n))
 
 
@@ -478,8 +480,17 @@ def _mean_largest_eigenvalue(s: int, t: int) -> float:
     upper = gammainccinv(k + 1, 1e-17 / k)
     x, w = _gauss_legendre(24)
     left = np.arange(0.0, upper, 4.0)
-    cdf, _ = link_cdf_pdf((left[:, None] + 2.0 * (x + 1.0)).ravel(), s, t)
-    return math.fsum((1.0 - cdf) * np.tile(2.0 * w, left.size))
+    try:
+        # a negative pivot's square root is NaN, reported below
+        with np.errstate(invalid="ignore"):
+            cdf, _ = link_cdf_pdf((left[:, None] + 2.0 * (x + 1.0)).ravel(), s, t)
+    except OverflowError:   # K, an integer, is too large for a double
+        cdf = math.nan
+    mean = math.fsum((1.0 - cdf) * np.tile(2.0 * w, left.size))
+    if not math.isfinite(mean):
+        raise NumericalError(f"the mean largest eigenvalue of a {s} x {t} Wishart matrix is "
+                             f"out of the kernel's double-precision range")
+    return mean
 
 
 @functools.cache
@@ -776,6 +787,11 @@ def _direction_ber(d: Direction, mod_b: float, scale: float):
     call; each refinement evaluates only the axes' new nodes."""
     axes = (_Axis(d.src, d.k_s / mod_b), _Axis(d.far, d.k_f / mod_b))
     src, far = _weights(axes, [np.arange(ax.n + 1) for ax in axes])
+    # the lowest node lies about 1e-21 below the deep fade k / mod_b, and
+    # from about 3030 dB it underflows to 0, which the grid divides by
+    if not (src[0, 0] > 0.0 and far[0, 0] > 0.0):
+        raise NumericalError("sum-BER grid cannot run at this SNR: its lowest eigenvalue node "
+                             "underflows to 0")
     for nodes in (src, far):
         nodes[1, [0, -1]] *= 0.5
     while True:

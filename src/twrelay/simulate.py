@@ -90,7 +90,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import digamma, erfc
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .lowerbound import mean_largest_eigenvalue
 from .scenario import (MR1_DFACTORS, AntennaConfig, CoefficientSet, DFactors, Modulation,
                        PowerProfile, Protocol, WeightPair, coefficient_set,
@@ -649,6 +649,8 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     replaces the draw as in semi_analytic_sweep: the first `trials` draws
     of a pass at least that long (unread with one relay antenna).  Give it a list of blocks made
     already; a lazy `_gain_blocks` pass would run its pool under this one.
+    Where a sum overflows (from about 1500 dB), or the Wishart mean cannot
+    be formed, it raises NumericalError.
     """
     require_trials(trials)
     if ant.m_r == 1:
@@ -667,24 +669,34 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
 
     def reduce(block):
         # one scratch array per task: the rows, then one row for each
-        # product in turn, summed pairwise by np.add.reduce as np.sum does
-        rows = np.empty((nrow + 1, block.lam_a.size))
-        _dual_branches(block, pw, 1.0, 1.0, out=rows[0:4])
-        _dual_branches(block, pw, 0.5, 0.5, out=rows[4:8])
-        ctrl = rows[8:nrow]
-        ctrl[0], ctrl[1], ctrl[4], ctrl[5] = block.lam_a_x, block.lam_b_x, block.lam_a, block.lam_b
-        np.log(block.lam_a_x, out=ctrl[2])
-        np.log(block.lam_b_x, out=ctrl[3])
-        ctrl -= mu[:, None]
-        # the gains are released before the products
-        del block
-        sums = [np.add.reduce(row) for row in rows[:nrow]]
-        prod = rows[nrow]
-        for i, j in pairs:
-            np.multiply(rows[i], rows[j], out=prod)
-            sums.append(np.add.reduce(prod))
-        return sums
-    totals = [math.fsum(col) for col in zip(*_gain_blocks(ant, trials, seed, gains, reduce))]
+        # product in turn, summed pairwise by np.add.reduce as np.sum does;
+        # a sum that overflows (from about 1500 dB) is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.empty((nrow + 1, block.lam_a.size))
+            _dual_branches(block, pw, 1.0, 1.0, out=rows[0:4])
+            _dual_branches(block, pw, 0.5, 0.5, out=rows[4:8])
+            ctrl = rows[8:nrow]
+            ctrl[0], ctrl[1], ctrl[4], ctrl[5] = block.lam_a_x, block.lam_b_x, block.lam_a, block.lam_b
+            np.log(block.lam_a_x, out=ctrl[2])
+            np.log(block.lam_b_x, out=ctrl[3])
+            ctrl -= mu[:, None]
+            # the gains are released before the products
+            del block
+            sums = [np.add.reduce(row) for row in rows[:nrow]]
+            prod = rows[nrow]
+            for i, j in pairs:
+                np.multiply(rows[i], rows[j], out=prod)
+                sums.append(np.add.reduce(prod))
+            return sums
+    # drawn before the try: too short a `gains` raises a ConfigurationError, a ValueError
+    blocks = list(_gain_blocks(ant, trials, seed, gains, reduce))
+    try:
+        totals = [math.fsum(col) for col in zip(*blocks)]
+    except (OverflowError, ValueError):     # a total past the largest double, or inf - inf
+        totals = [math.nan]
+    if not all(map(math.isfinite, totals)):
+        raise NumericalError("the dual-reception factors cannot be estimated at this SNR: the "
+                             "branch SNRs or their squares pass the largest double")
     mean = [t / trials for t in totals[:nrow]]
     den = max(trials - 1, 1)
     cov = [[0.0] * nrow for _ in range(nrow)]

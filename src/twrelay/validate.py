@@ -1,5 +1,11 @@
-"""Invariant checks wired into the validate command: identity suites,
-reduction consistency, distribution agreement, ordering, and slope checks.
+"""Invariant checks wired into the validate command, each holding one
+engine against another or against an independent form of the same law:
+the single-antenna reductions, the orderings of the SNR forms, the shape of
+the end-to-end CDF, the closed form against the integral, the high-SNR
+slopes, Monte-Carlo draws against the end-to-end CDF (KS) and the closed
+form below the exact-form Monte-Carlo mean.  Identities that the test
+suite holds more tightly, such as the Bessel moment against mpmath, are
+not repeated here.
 
 Each check returns a CheckResult; statistical checks are skipped (with a
 warning) when the trial budget is too small to give them power.
@@ -11,17 +17,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import kv
 
-from .analysis import (FALLBACK_SHARE, _closed_form_f64, _direction, bessel_moment,
-                       e2e_cdf, link_cdf, link_pdf, min_pair_cdf, sum_ber_closed_form,
-                       sum_ber_quadrature)
+from .analysis import (FALLBACK_SHARE, _closed_form_f64, _direction, e2e_cdf,
+                       sum_ber_closed_form, sum_ber_quadrature)
 from .errors import ConfigurationError
 from .highsnr import eta_pair
 from .scenario import (AntennaConfig, BALANCED_WEIGHTS, CoefficientSet, PowerProfile,
                        Protocol, coefficient_set, power_profile, protocol_modulation)
-from .simulate import (D_FACTOR_TRIALS, ChannelStream, SweepPoint, _gain_blocks,
+from .simulate import (D_FACTOR_TRIALS, ChannelStream, SweepPoint,
                        end_to_end_snrs, estimate_d_factors, link_gains,
                        sample_end_to_end_snrs, semi_analytic_sweep)
 
@@ -66,22 +70,6 @@ def _block_gains(seed: int, block: int, n: int):
     stream."""
     side_a, side_b = ChannelStream(seed).draw_block(AntennaConfig(2, 1, 2), block)
     return link_gains(side_a[:n], side_b[:n])
-
-
-def check_bessel_moment_identity() -> CheckResult:
-    worst = 0.0
-    for mu in (2.5, 3.5, 5.5):
-        for nu in (0, 1, 2):
-            for alpha in (1.0, 3.0):
-                for frac in (0.2, 0.9):
-                    beta = frac * alpha
-                    val, err = integrate.quad(
-                        lambda x: x ** (mu - 1.0) * math.exp(-alpha * x)
-                        * kv(nu, beta * x),
-                        0.0, 800.0 / alpha, epsabs=1e-14, epsrel=1e-11, limit=500)
-                    closed = bessel_moment(mu, nu, alpha, beta)
-                    worst = max(worst, abs(val - closed) / closed)
-    return CheckResult("bessel_moment_identity", worst <= 1e-7, worst, 1e-7)
 
 
 def single_antenna_e2e_cdf(direction: str, x: float, coeffs: CoefficientSet,
@@ -249,20 +237,6 @@ def check_ks_suite(pw: PowerProfile, trials: int, seed: int) -> list:
     return results
 
 
-def check_min_approx_ks(trials: int, seed: int) -> CheckResult:
-    if trials < _MIN_STATISTICAL_TRIALS:
-        return CheckResult("min_of_links_ks", True, 0.0, 0.0,
-                           note="underpowered at this trial budget", skipped=True)
-    ant = AntennaConfig(2, 1, 2)
-    pw = PowerProfile.balanced(40.0)
-    coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
-    _, _, k_s, k_f = _direction("arb", coeffs, ant, pw)
-    vals = np.concatenate([np.minimum(gains.lam_a / k_s, gains.lam_b / k_f)
-                           for gains in _gain_blocks(ant, min(trials, 100_000), seed)])
-    ks = _ks_statistic(vals, lambda xs: min_pair_cdf("arb", xs, coeffs, ant, pw))
-    return CheckResult("min_of_links_ks", ks <= 0.01, ks, 0.01)
-
-
 def check_slopes() -> list:
     results = []
     cases = [
@@ -308,34 +282,6 @@ def check_closed_vs_quadrature() -> CheckResult:
                        note=f"{compared} points above the fallback threshold")
 
 
-def check_construction_integral(pw: PowerProfile) -> CheckResult:
-    """One-dimensional integral form of the end-to-end CDF built directly
-    from the per-link CDF/PDF, against the expanded closed form."""
-    worst = 0.0
-    for ant in (AntennaConfig(2, 1, 2), AntennaConfig(2, 2, 2)):
-        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
-        m_src, m_far = ant.m_a, ant.m_b
-        a, b, c = coeffs.a_arb, coeffs.b_arb, coeffs.c_arb
-
-        def cdf_oracle(x: float) -> float:
-            def integrand(w: float) -> float:
-                ccdf = 1.0 - link_cdf(c * x * (w + b * x) / (a * w), m_src, ant.m_r, pw.rho_ar)
-                dens = link_pdf((w + b * x) / a, m_far, ant.m_r, pw.rho_rb)
-                return ccdf * dens / a
-            # finite upper limit keeps the adaptive rule anchored to the
-            # integrand's true scale (mass sits near w ~ a*rho)
-            upper = 60.0 * a * pw.rho_rb + 10.0 * b * x
-            val, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-12,
-                                    epsrel=1e-10, limit=400)
-            return 1.0 - val
-
-        for x in np.geomspace(0.05 * pw.rho_ar, 5.0 * pw.rho_ar, 10):
-            direct = cdf_oracle(float(x))
-            expanded = e2e_cdf("arb", float(x), coeffs, ant, pw)
-            worst = max(worst, abs(direct - expanded))
-    return CheckResult("construction_integral", worst <= 1e-6, worst, 1e-6)
-
-
 def check_monotonicity(pw: PowerProfile) -> CheckResult:
     ant = AntennaConfig(2, 1, 2)
     worst = 0.0
@@ -353,17 +299,14 @@ def check_monotonicity(pw: PowerProfile) -> CheckResult:
 def run_validation(trials: int = 100_000, seed: int = 12345) -> tuple[list, int]:
     """Run the full invariant suite; returns (results, exit_code)."""
     pw = PowerProfile.balanced(30.0)
-    results = [check_bessel_moment_identity(),
-               check_mr1_reduction(pw),
+    results = [check_mr1_reduction(pw),
                check_unified_dual_mr1(pw, seed),
                check_gamma_form_dominates(pw, seed),
                check_harmonic_mean_sandwich(pw, seed),
                check_monotonicity(pw),
-               check_construction_integral(pw),
                check_closed_vs_quadrature()]
     results.extend(check_slopes())
     results.extend(check_ks_suite(pw, trials, seed))
-    results.append(check_min_approx_ks(trials, seed))
     # at 10 dB Monte Carlo resolves the exact form's mean; at 30 dB rare deep
     # fades carry it, and the z-score of the skewed sample misfires at some seeds
     results.append(check_lower_bound_ordering(PowerProfile.balanced(10.0), trials, seed))

@@ -155,9 +155,9 @@ def _hyp2f1_callers(source: str) -> list:
 
 
 def test_one_statement_of_the_bessel_moment():
-    # the Bessel moment's Gamma-2F1 form (G&R 6.621.3) is written once:
-    # bessel_moment and the closed form's batched assembly both reach it
-    # through the one hyp2f1 call in _ln_bessel_moment
+    # the Bessel moment's Gamma-2F1 form (G&R 6.621.3) is written once: the
+    # closed form's batched assembly reaches it through the one hyp2f1 call
+    # in _ln_bessel_moment
     probe = ("from scipy.special import hyp2f1 as F\nimport scipy.special as sp\n"
              "def a():\n    def b():\n        return F(1, 1, 1, 0)\n"
              "    return sp.hyp2f1(1, 1, 1, 0)\nF(0, 0, 0, 0)\n")
@@ -170,10 +170,9 @@ def test_one_statement_of_the_bessel_moment():
 def test_import_loads_no_scipy_optimize_or_integrate():
     # importing scipy.optimize alone adds about two fifths to the import
     # time of the package; the high-SNR weights use a hand-written golden
-    # section, and the CLI imports validate, the one user of
-    # scipy.integrate, only for the validate command
+    # section, and no module integrates with scipy
     src = str(Path(twrelay.__file__).parent.parent)
-    for module in ("twrelay", "twrelay.cli"):
+    for module in ("twrelay", "twrelay.cli", "twrelay.validate"):
         probe = (f"import sys, {module}; print(sorted(m for m in ('scipy.optimize', "
                  "'scipy.integrate') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
