@@ -26,10 +26,13 @@ floats, so the double-precision assembly converts no rational per call; it
 takes a direction's 2F1 values from one `hyp2f1` array call through
 `_ln_bessel_moment`, the one statement of the moment formula, and
 assembles equal directions (a symmetric network's two) once, counting their
-terms twice.  The final subtraction from the zero-SNR ceiling a/log2(M)
-loses about log10(ceiling / sum-BER) digits, so below 1e-5 of the ceiling,
-and wherever the assembly cannot run at all, the sum-BER comes from the
-integral instead.
+terms twice.  Its terms, the zero-SNR ceiling a/log2(M) among them, cancel
+down to the sum-BER, so its rounding error follows their absolute sum: it
+is at most c eps sum|terms| with c = 32 (27.0 at worst, measured over every
+configuration up to 4 antennas).  Where that bound exceeds 1e-13 of the
+value, or the assembly cannot run, the integral gives the sum-BER, and the
+assembly's time is lost: at 4x4x4 about 4 ms a call, against 0.4-1.8 ms for
+the grid (2-vCPU x86_64).
 """
 
 from __future__ import annotations
@@ -51,9 +54,6 @@ _DIRECTIONS = ("arb", "bra")
 # the most antennas at any node that the link laws and the closed form are
 # tested for
 MAX_TABLE_DIM = 4
-# share of the zero-SNR ceiling a/log2 M at or below which the closed form
-# has lost too many digits and sum_ber_closed_form takes the integral
-FALLBACK_SHARE = 1e-5
 _log = logging.getLogger(__name__)
 
 
@@ -230,7 +230,7 @@ def _moment_groups(m_src: int, m_far: int, m_r: int) -> tuple:
     return tuple(out)
 
 
-def _closed_form_f64(coeffs, ant, pw, mod) -> float:
+def _closed_form_f64(coeffs, ant, pw, mod) -> tuple:
     ln_pref = (math.log(mod.a) + 0.5 * math.log(mod.b)
                - math.log(2.0) - 0.5 * math.log(math.pi)
                - math.log(mod.bits_per_symbol))
@@ -267,7 +267,19 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> float:
     # at extreme SNR 2F1 overflows, and terms of both signs can be infinite
     if not all(map(math.isfinite, terms)):
         raise NumericalError("closed-form assembly produced a non-finite value")
-    return math.fsum(terms)
+    # the value and its rounding bound c eps sum|terms|, c = 32: fsum rounds
+    # once, and each term carries a few ulps of its size from exp, log and 2F1
+    return math.fsum(terms), 32.0 * math.ulp(1.0) * math.fsum(map(abs, terms))
+
+
+def _closed_form(coeffs, ant, pw, mod) -> float:
+    """The assembly's value where its rounding bound is at most REL_TOL of
+    it, which no value <= 0 meets; NumericalError elsewhere."""
+    value, bound = _closed_form_f64(coeffs, ant, pw, mod)
+    if bound <= lowerbound.REL_TOL * value:
+        return value
+    raise NumericalError(f"its rounding bound {bound:.1e} exceeds {lowerbound.REL_TOL:g} "
+                         f"of its value {value:.6e}")
 
 
 def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,
@@ -276,21 +288,19 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
     hypergeometric moment per distinct (n, i, s, nu) group of summands.
 
     The double-precision assembly subtracts terms that sum to about the
-    zero-SNR ceiling a/log2 M, so a result at or below FALLBACK_SHARE (1e-5)
-    of the ceiling has lost too many digits; at extreme SNR (from about
-    140 dB at 2x1x2) a 2F1 overflows or a moment's beta underflows, and the
-    assembly cannot run at all.  In both cases the value comes from the
-    integral of non-negative terms (`lowerbound.sum_ber`: Q averaged over the
-    determinant-form densities of both link gains), refined until its error
-    estimate is below 1e-13 relative, checked to lie in (0, ceiling] and
-    reported in one debug record on the "twrelay.analysis" logger.
+    zero-SNR ceiling a/log2 M, and bounds its rounding error by c eps
+    sum|terms|, c = 32 (worst measured 27.0); at extreme SNR (from about
+    140 dB at 2x1x2) a 2F1 overflows or a moment's beta underflows.  Where
+    that bound exceeds 1e-13 of the value, or the assembly cannot run, the
+    value comes from the integral of non-negative terms (`lowerbound.sum_ber`:
+    Q averaged over the determinant-form densities of both link gains),
+    refined until its error estimate is below 1e-13 relative, checked to lie
+    in (0, ceiling] and reported, with the bound, in one debug record on the
+    "twrelay.analysis" logger; the assembly's time (at 4x4x4 about 4 ms) is
+    then spent for nothing.
     """
     try:
-        value = _closed_form_f64(coeffs, ant, pw, mod)
+        return _closed_form(coeffs, ant, pw, mod)
     except NumericalError as exc:
-        return _sum_ber_integral(coeffs, ant, pw, mod, f"closed form cannot run: {exc}")
-    if value <= mod.ceiling * FALLBACK_SHARE:
-        return _sum_ber_integral(coeffs, ant, pw, mod,
-                                 f"closed form at or below {FALLBACK_SHARE:g} of the ceiling")
-    return value
+        return _sum_ber_integral(coeffs, ant, pw, mod, f"closed form not kept: {exc}")
 

@@ -16,8 +16,9 @@ estimate: an mc sweep takes its leading blocks from the same pass, and
 beta evaluates every step on it, so there the blocks are drawn once into a
 list that each estimate reads.  Every pass draws and reduces its blocks on
 worker threads (see `simulate`), and its output does not depend on their
-number.  Where the estimate overflows (from about 1500 dB) or the Wishart
-mean leaves its kernel's range, the command exits 3.
+number.  Where the estimate overflows (from about 1500 dB) the command
+exits 3; past the Wishart kernel's range (14 antennas a side) the estimate
+leaves out its two top-eigenvalue controls.
 
 Each command takes flags only for the scenario fields it reads (any other
 is an argparse error, exit 2), and checks its whole configuration, with
@@ -125,10 +126,12 @@ def cmd_sweep(args) -> int:
     """Sum-BER against the per-symbol A-side SNR rho_ar (not the SNR per bit
     of `gaps`) for each protocol and mode, as CSV.
 
-    Every step writes one mc and one closed row per protocol. An asymptote
-    row is written only where the power law is at or below the zero-SNR
-    ceiling a / log2 M; the others are left out, and their count is reported
-    on stderr so that a CSV on stdout stays clean.
+    Every step writes one mc and one closed row per protocol. A closed row
+    is the paper's closed form where its rounding bound meets 1e-13 of the
+    value, and the lower-bound integral otherwise (`sum_ber_closed_form`).
+    An asymptote row is written only where the power law is at or below the
+    zero-SNR ceiling a / log2 M; the others are left out, and their count is
+    reported on stderr so that a CSV on stdout stays clean.
     """
     sc = _scenario_from_args(args)
     rho_grid = _grid(args.rho_start, args.rho_stop, args.rho_step, "--rho-step")
@@ -308,8 +311,10 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--rho-stop", type=float, required=True)
     sweep.add_argument("--rho-step", type=float, required=True)
     sweep.add_argument("--mode", choices=["mc", "closed", "asymptote", "all"], default="all",
-                       help="engine(s) to run, against the per-symbol SNR rho_ar; asymptote "
-                            "rows only where the power law is at most the ceiling a / log2 M")
+                       help="engine(s) to run, against the per-symbol SNR rho_ar; closed rows "
+                            "are the paper's closed form where its rounding bound meets 1e-13, "
+                            "the integral otherwise; asymptote rows only where the power law "
+                            "is at most the ceiling a / log2 M")
     sweep.add_argument("--out", help="output CSV path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
 

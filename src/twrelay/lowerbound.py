@@ -58,7 +58,8 @@ where the deep fade lies above the whole law).  It ends at U with
 1 - F(U) <= 1e-18: Q falls in each gain, so E[Q; l > U] <= (1 - F(U))
 E[Q | l <= U], and the cut carries at most (1 - F(U)) / F(U) of the value.
 Equal directions (the two of a symmetric network) are integrated once and
-counted as often as they occur.
+counted as often as they occur.  A sum-BER below the smallest normal double
+raises NumericalError: its digits, and its error estimate, are lost.
 
 Every integral runs over logarithmic variables (ln w; ln l_s and ln l_f)
 with the trapezoid rule, whose error falls like e^(-2 pi d / h) in the step
@@ -124,8 +125,10 @@ _FAR_SPAN = 60.0
 # about 2e3 on), and the CDF integrand's products stay finite.
 _SATURATED = 1e150
 
-# The largest double, where `link_cdf_pdf` takes u = inf.
+# The largest double, where `link_cdf_pdf` takes u = inf, and the smallest
+# normal one.
 _HUGE = np.finfo(float).max
+_TINY = float(np.finfo(float).smallest_normal)
 
 # The trapezoid error of an integrand analytic in |Im v| < d falls like
 # e^(-2 pi d / h).  The integrands (CDF tails and Q, like e^(-u) with
@@ -818,7 +821,12 @@ def sum_ber(directions, mod_a: float, mod_b: float, bits: float) -> Estimate:
     each the trapezoid grid of (mod_a / (2 bits)) int int erfc(sqrt(mod_b
     gamma)) f_s f_f over both link gains (module docstring).  Equal
     directions (a symmetric network's two) are integrated once and counted
-    as often as they occur."""
+    as often as they occur.  A total below the smallest normal double raises
+    NumericalError."""
     parts = [_direction_ber(d, mod_b, count * mod_a / (2.0 * bits))
              for d, count in Counter(directions).items()]
-    return Estimate(*(sum(column) for column in zip(*parts)))
+    total = Estimate(*(sum(column) for column in zip(*parts)))
+    if not total.value >= _TINY:
+        raise NumericalError(f"the sum-BER lies below the smallest normal double ({_TINY:.1e}): "
+                             f"the grid gave {total.value!r}")
+    return total

@@ -649,16 +649,22 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     replaces the draw as in semi_analytic_sweep: the first `trials` draws
     of a pass at least that long (unread with one relay antenna).  Give it a list of blocks made
     already; a lazy `_gain_blocks` pass would run its pool under this one.
-    Where a sum overflows (from about 1500 dB), or the Wishart mean cannot
-    be formed, it raises NumericalError.
+    Where the Wishart mean cannot be formed (14 antennas a side) the two
+    top-eigenvalue controls are left out; the four Gamma controls keep
+    their exact means at any size.  Where a sum overflows (from about
+    1500 dB) it raises NumericalError.
     """
     require_trials(trials)
     if ant.m_r == 1:
         # a scalar relay weight: the secondary branch equals the primary
         return MR1_DFACTORS, (0.0, 0.0, 0.0, 0.0)
-    top = {m: mean_largest_eigenvalue(ant.m_r, m) for m in {ant.m_a, ant.m_b}}
-    mu = np.array([ant.m_a, ant.m_b, digamma(ant.m_a), digamma(ant.m_b),
-                   top[ant.m_a], top[ant.m_b]])
+    try:
+        top = [mean_largest_eigenvalue(ant.m_r, m) for m in (ant.m_a, ant.m_b)]
+    except NumericalError:
+        # past the Wishart kernel's range the two top-eigenvalue controls
+        # are zero rows, which _solve_psd leaves out
+        top = None
+    mu = np.array([ant.m_a, ant.m_b, digamma(ant.m_a), digamma(ant.m_b), *(top or (0.0, 0.0))])
     # rows: x1, x2 of arb and bra of the unweighted, then of the balanced
     # weighted protocol, then C - mu; per block, the sums of the rows and of
     # the products that the estimate reads: each x with C, C with C, and
@@ -676,7 +682,8 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
             _dual_branches(block, pw, 1.0, 1.0, out=rows[0:4])
             _dual_branches(block, pw, 0.5, 0.5, out=rows[4:8])
             ctrl = rows[8:nrow]
-            ctrl[0], ctrl[1], ctrl[4], ctrl[5] = block.lam_a_x, block.lam_b_x, block.lam_a, block.lam_b
+            ctrl[0], ctrl[1] = block.lam_a_x, block.lam_b_x
+            ctrl[4], ctrl[5] = (block.lam_a, block.lam_b) if top else (0.0, 0.0)
             np.log(block.lam_a_x, out=ctrl[2])
             np.log(block.lam_b_x, out=ctrl[3])
             ctrl -= mu[:, None]

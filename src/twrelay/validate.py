@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kv
 
-from .analysis import (FALLBACK_SHARE, _closed_form_f64, _direction, e2e_cdf,
-                       sum_ber_closed_form, sum_ber_quadrature)
+from .analysis import (_closed_form_f64, _direction, e2e_cdf, sum_ber_closed_form,
+                       sum_ber_quadrature)
 from .errors import ConfigurationError
 from .highsnr import eta_pair
+from .lowerbound import REL_TOL
 from .scenario import (AntennaConfig, BALANCED_WEIGHTS, CoefficientSet, PowerProfile,
                        Protocol, coefficient_set, power_profile, protocol_modulation)
 from .simulate import (D_FACTOR_TRIALS, ChannelStream, SweepPoint,
@@ -258,28 +259,26 @@ def check_slopes() -> list:
 
 
 def check_closed_vs_quadrature() -> CheckResult:
-    """The double-precision closed form against the integral, at the points
-    where the closed form keeps its own value (above FALLBACK_SHARE of the
-    ceiling; at or below it sum_ber_closed_form takes the integral itself)."""
-    worst, compared = 0.0, 0
+    """The double-precision closed form against the integral at every case
+    point, each engine at its own error estimate: |closed - integral| at most
+    the closed form's rounding bound plus REL_TOL of the integral."""
+    worst = 0.0
     cases = [(AntennaConfig(2, 1, 2), (Protocol.TWO_SLOT, Protocol.SECOND_THREE_SLOT,
                                        Protocol.FIRST_FOUR_SLOT), (10.0, 17.5, 25.0, 32.5, 40.0)),
              (AntennaConfig(2, 2, 2), (Protocol.TWO_SLOT, Protocol.FIRST_FOUR_SLOT),
-              (10.0, 15.0, 20.0))]
+              (10.0, 15.0, 20.0)),
+             (AntennaConfig(4, 3, 4), (Protocol.TWO_SLOT,), (10.0,))]
     for ant, protocols, grid in cases:
         for p in protocols:
             mod = protocol_modulation(p)
             for rho_db in grid:
                 pw = PowerProfile.balanced(rho_db)
                 coeffs = coefficient_set(p, ant, pw)
-                c = _closed_form_f64(coeffs, ant, pw, mod)
-                if c <= mod.ceiling * FALLBACK_SHARE:
-                    continue
+                c, bound = _closed_form_f64(coeffs, ant, pw, mod)
                 q = sum_ber_quadrature(coeffs, ant, pw, mod)
-                worst = max(worst, abs(c - q) / q)
-                compared += 1
-    return CheckResult("closed_vs_quadrature", compared > 0 and worst <= 1e-9, worst, 1e-9,
-                       note=f"{compared} points above the fallback threshold")
+                worst = max(worst, abs(c - q) / (bound + REL_TOL * q))
+    return CheckResult("closed_vs_quadrature", worst <= 1.0, worst, 1.0,
+                       note="|closed - integral| over closed-form bound + 1e-13 integral")
 
 
 def check_monotonicity(pw: PowerProfile) -> CheckResult:

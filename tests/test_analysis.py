@@ -17,8 +17,8 @@ from scipy import integrate
 import twrelay.lowerbound
 from mp_oracle import (ORACLE_DPS, ORACLE_FILE, closed_form_mp, e2e_cdf_mp, link_cdf_pdf_mp,
                        oracle_inputs, oracle_key, oracle_points)
-from twrelay.analysis import (FALLBACK_SHARE, _closed_form_f64, _direction, _ln_bessel_moment,
-                              e2e_cdf, require_analytic, sum_ber_closed_form, sum_ber_quadrature)
+from twrelay.analysis import (_closed_form_f64, _direction, _ln_bessel_moment, e2e_cdf,
+                              require_analytic, sum_ber_closed_form, sum_ber_quadrature)
 from twrelay.errors import ConfigurationError, NumericalError, UnsupportedConfigError
 from twrelay.highsnr import eta_pair, gap_table, high_snr_profile, high_snr_sum_ber
 from twrelay.lowerbound import (REL_ROUNDING, REL_TOL, Direction, Estimate, Link, link_cdf_pdf,
@@ -685,12 +685,12 @@ class TestBesselMoment:
 
 
 class TestSumBerClosedForm:
-    # float.hex of the double-precision assembly: balanced two_slot at 5 dB
-    # (equal directions) and second_four_slot at 20 dB, d0 = 0.3, beta^2 =
-    # 0.4, DFactors(1.7, 1.6, 1.8, 1.55) take the closed form in every
-    # shape; balanced two_slot at 20 dB is the raw assembly, cancelled to
-    # within 1e-6 (2x2x2) to 1e-13 of the ceiling, where a change in the
-    # order of its floating-point operations moves the last bits
+    # float.hex of the double-precision assembly's value: balanced two_slot
+    # at 5 dB (equal directions), second_four_slot at 20 dB, d0 = 0.3, beta^2
+    # = 0.4, DFactors(1.7, 1.6, 1.8, 1.55), and balanced two_slot at 20 dB,
+    # cancelled to within 1e-6 (2x2x2) to 1e-13 of the ceiling, where a
+    # change in the order of its floating-point operations moves the last
+    # bits
     PINNED = {
         (2, 2, 2): ("0x1.849d6f6cc1c06p-4", "0x1.8bb74ab288fc0p-4", "0x1.889b340a17c8ap-20"),
         (3, 3, 3): ("0x1.15e71e6f9ceaep-6", "0x1.5c9f4d2f860ebp-5", "0x1.a46217b32ec00p-40"),
@@ -704,12 +704,10 @@ class TestSumBerClosedForm:
         values = []
         for p, pw, w, dfactors in ((Protocol.TWO_SLOT, PowerProfile.balanced(5.0), None, None),
                                    (Protocol.SECOND_FOUR_SLOT, power_profile(20.0, 0.3),
-                                    WeightPair.from_beta_squared(0.4), DFactors(1.7, 1.6, 1.8, 1.55))):
+                                    WeightPair.from_beta_squared(0.4), DFactors(1.7, 1.6, 1.8, 1.55)),
+                                   (Protocol.TWO_SLOT, PowerProfile.balanced(20.0), None, None)):
             coeffs = coefficient_set(p, ant, pw, w, dfactors)
-            values.append(sum_ber_closed_form(coeffs, ant, pw, protocol_modulation(p)))
-        pw = PowerProfile.balanced(20.0)
-        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
-        values.append(_closed_form_f64(coeffs, ant, pw, protocol_modulation(Protocol.TWO_SLOT)))
+            values.append(_closed_form_f64(coeffs, ant, pw, protocol_modulation(p))[0])
         assert tuple(v.hex() for v in values) == self.PINNED[dims]
 
     def test_matches_quadrature(self):
@@ -724,13 +722,15 @@ class TestSumBerClosedForm:
                 assert c == pytest.approx(q, rel=1e-6)
 
     def test_precision_paths_agree(self):
-        # the double-precision assembly above the fallback threshold
-        pw = PowerProfile.balanced(20.0)
-        for ant in (ANT, AntennaConfig(2, 2, 2)):
+        # the double-precision assembly within its own rounding bound of the
+        # closed form at 40 digits, where its value is kept (2x1x2 at 10 dB)
+        # and where the bound sends it to the grid
+        for ant, rho_db in ((ANT, 10.0), (ANT, 20.0), (AntennaConfig(2, 2, 2), 20.0)):
+            pw = PowerProfile.balanced(rho_db)
             coeffs = coefficient_set(Protocol.FIRST_FOUR_SLOT, ant, pw)
             mod = protocol_modulation(Protocol.FIRST_FOUR_SLOT)
-            f64 = _closed_form_f64(coeffs, ant, pw, mod)
-            assert f64 == pytest.approx(closed_form_mp(coeffs, ant, pw, mod, dps=40), rel=1e-9)
+            f64, bound = _closed_form_f64(coeffs, ant, pw, mod)
+            assert abs(f64 - closed_form_mp(coeffs, ant, pw, mod, dps=40)) <= bound
 
     def test_lower_bounds_simulation(self):
         p = Protocol.SECOND_THREE_SLOT
@@ -752,7 +752,8 @@ class TestSumBerClosedForm:
         asym = high_snr_sum_ber(prof, pw.rho_ar)
         assert closed / asym == pytest.approx(1.0, abs=0.01)
 
-    # Below 1e-5 of the ceiling the closed form is rescued by the integral.
+    # Where the closed form's rounding bound exceeds 1e-13 of its value the
+    # integral gives the sum-BER.
     @pytest.mark.parametrize("dims,rho_db,protocol", [
         ((2, 2, 2), 30.0, Protocol.TWO_SLOT),
         ((2, 2, 2), 60.0, Protocol.TWO_SLOT),
@@ -783,9 +784,7 @@ class TestSumBerClosedForm:
             coeffs, ant, pw, mod = oracle_inputs(*point)
             ref = oracle[oracle_key(*point)]
             assert sum_ber_quadrature(coeffs, ant, pw, mod) == pytest.approx(ref, rel=1e-12), point
-            closed = sum_ber_closed_form(coeffs, ant, pw, mod)
-            below = ref <= 1e-5 * mod.a / mod.bits_per_symbol
-            assert closed == pytest.approx(ref, rel=1e-12 if below else 1e-9), point
+            assert sum_ber_closed_form(coeffs, ant, pw, mod) == pytest.approx(ref, rel=1e-12), point
 
     def test_error_estimate_covers_stored_oracle(self):
         # the reported error bounds the distance to the 100-digit closed form
@@ -838,7 +837,9 @@ class TestSumBerClosedForm:
         sum_ber_closed_form(coeffs, ant, pw, mod)
         assert len(caplog.records) == 1
         msg = caplog.records[0].getMessage()
-        assert f"closed form at or below {FALLBACK_SHARE:g} of the ceiling" in msg
+        assert "closed form not kept: its rounding bound " in msg
+        bound = float(msg.split("its rounding bound ")[1].split()[0])
+        assert bound > REL_TOL * value
         assert f"{value:.6e}" in msg and "error estimate" in msg
         points = int(msg.split(", ")[-2].split()[0])
         args = int(msg.split(", ")[-1].split()[0])
@@ -847,8 +848,8 @@ class TestSumBerClosedForm:
         assert not any(word in msg for word in ("outer", "inner", "settled"))
         err = float(msg.split("error estimate ")[1].split(",")[0])
         assert 0.0 <= err <= 1e-13 * value
-        # above the threshold the closed form logs nothing
-        pw = PowerProfile.balanced(10.0)
+        # where its bound meets REL_TOL the closed form logs nothing
+        pw = PowerProfile.balanced(-10.0)
         sum_ber_closed_form(coefficient_set(Protocol.TWO_SLOT, ant, pw), ant, pw, mod)
         assert len(caplog.records) == 1
 
@@ -922,6 +923,33 @@ class TestSumBerClosedForm:
         assert closed > 0.0
         assert 0.9 < closed / asym <= 1.0
 
+    def test_supported_range(self):
+        # a fixed subsample of the supported range: every protocol from -20
+        # to 60 dB in steps of 20, at d0 = 0.1 and 0.9, with fixed weights
+        # and d-factors.  The public value is within 2e-13 of the grid, the
+        # raw assembly within its own bound plus the grid's tolerance, and
+        # every value in (0, ceiling] and not rising with SNR
+        dfactors, weights = DFactors(1.6, 1.6, 1.7, 1.7), WeightPair.from_beta_squared(0.4)
+        for dims in ((1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 2, 4), (4, 3, 4), (4, 4, 4)):
+            ant = AntennaConfig(*dims)
+            for p in Protocol:
+                mod = protocol_modulation(p)
+                for d0 in (0.1, 0.9):
+                    previous = mod.ceiling
+                    for rho_db in range(-20, 61, 20):
+                        pw = power_profile(float(rho_db), d0)
+                        coeffs = coefficient_set(p, ant, pw, weights if p.uses_weights else None,
+                                                 dfactors if p.dual_reception and ant.m_r > 1
+                                                 else None)
+                        case = (dims, p.value, d0, rho_db)
+                        grid = sum_ber_quadrature(coeffs, ant, pw, mod)
+                        value = sum_ber_closed_form(coeffs, ant, pw, mod)
+                        assert value == pytest.approx(grid, rel=2e-13, abs=0.0), case
+                        assert 0.0 < value <= previous, case
+                        previous = value
+                        raw, bound = _closed_form_f64(coeffs, ant, pw, mod)
+                        assert abs(raw - grid) <= bound + REL_TOL * grid, case
+
 
 
 class TestDistributionAgreement:
@@ -937,7 +965,7 @@ def test_scalar_results_are_builtin_floats():
     ant = AntennaConfig(2, 2, 2)
     mod = protocol_modulation(Protocol.TWO_SLOT)
     values = {}
-    for rho_db in (10.0, 40.0):     # the closed form above and below FALLBACK_SHARE
+    for rho_db in (-10.0, 40.0):    # the closed form kept, and the integral
         pw = PowerProfile.balanced(rho_db)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
         values[f"sum_ber_quadrature {rho_db}"] = sum_ber_quadrature(coeffs, ant, pw, mod)

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twrelay import cli, simulate, validate
+from twrelay import cli, lowerbound, simulate, validate
 from twrelay.cli import main
 from twrelay.scenario import (AntennaConfig, PowerProfile, Protocol, parse_protocol,
                               power_profile, protocol_modulation)
@@ -509,20 +509,32 @@ class TestCommandInputs:
     @pytest.mark.parametrize("ant, rho_db, outcome", [
         (["2", "1", "2"], "300", "7.5000000000e-60"),
         (["2", "1", "2"], "1000", "7.5000000000e-200"),
-        (["2", "1", "2"], "2000", "numerical failure: sum-BER integral gave 0.0 "),
+        (["2", "1", "2"], "1500", "7.5000000000e-300"),
+        (["2", "1", "2"], "2000", "numerical failure: the sum-BER lies below the smallest normal "
+                                  "double (2.2e-308): the grid gave 0.0"),
         (["2", "1", "2"], "3080", "numerical failure: sum-BER grid cannot run at this SNR"),
         (["2", "2", "2"], "200", "1.4875000000e-78"),
-    ], ids=["2x1x2-300dB", "2x1x2-1000dB", "2x1x2-2000dB", "2x1x2-3080dB", "2x2x2-200dB"])
-    def test_closed_form_at_extreme_snr(self, ant, rho_db, outcome, capsys):
+    ], ids=["2x1x2-300dB", "2x1x2-1000dB", "2x1x2-1500dB", "2x1x2-2000dB", "2x1x2-3080dB",
+            "2x2x2-200dB"])
+    def test_closed_form_at_extreme_snr(self, ant, rho_db, outcome, monkeypatch, capsys):
         # where the double-precision assembly cannot run (2F1 overflows, or
-        # a Bessel moment's beta underflows to 0) the grid answers; where
-        # the grid's value underflows to 0, or its lowest node does, a
+        # a Bessel moment's beta underflows to 0) the grid answers, from its
+        # first pass (one link-law call); where the grid's value lies below
+        # the smallest normal double, or its lowest node underflows to 0, a
         # numerical failure, neither a traceback nor a RuntimeWarning
         argv = ["sweep", "--m-a", ant[0], "--m-r", ant[1], "--m-b", ant[2], "--mode", "closed",
                 "--protocols", "two_slot", "--rho-start", rho_db, "--rho-stop", rho_db,
                 "--rho-step", "1"]
+        calls = Counter()
+        kernel = lowerbound.link_cdf_pdf
+
+        def counting_kernel(*args):
+            calls["link_cdf_pdf"] += 1
+            return kernel(*args)
+        monkeypatch.setattr(lowerbound, "link_cdf_pdf", counting_kernel)
         code = main(argv)
         out, err = capsys.readouterr()
+        assert calls == {"link_cdf_pdf": 1}
         if outcome.startswith("numerical failure"):
             assert code == 3 and err.startswith(outcome)
         else:
@@ -532,17 +544,23 @@ class TestCommandInputs:
         ["sweep", "--m-a", "2", "--m-r", "2", "--m-b", "2", "--mode", "closed",
          "--rho-start", "2000", "--rho-stop", "2000", "--rho-step", "1"],
         ["kappa", "--m-a", "2", "--m-b", "2", "--rho-ar-db", "2000", "--m-r-list", "2"],
-        ["kappa", "--m-a", "16", "--m-b", "16", "--m-r-list", "16"],
-    ], ids=["sweep-2x2x2-2000dB", "kappa-2x2x2-2000dB", "kappa-16x16x16"])
+    ], ids=["sweep-2x2x2-2000dB", "kappa-2x2x2-2000dB"])
     def test_d_factor_failure_is_numerical(self, argv, capsys):
-        # the branch SNRs' squares overflow at 2000 dB, and the Wishart
-        # kernel's mean at 16 x 16 takes the root of a negative pivot: a
-        # numerical failure, not a configuration error, and no
-        # RuntimeWarning (an error under this suite's warning filter)
+        # the branch SNRs' squares overflow at 2000 dB: a numerical failure,
+        # not a configuration error, and no RuntimeWarning (an error under
+        # this suite's warning filter)
         assert main([*argv, "--trials", "2000"]) == 3
-        assert capsys.readouterr().err.startswith(
-            "numerical failure: the " + ("mean largest eigenvalue" if "16" in argv
-                                         else "dual-reception factors"))
+        assert capsys.readouterr().err.startswith("numerical failure: the dual-reception factors")
+
+    def test_d_factors_past_the_wishart_kernel_range(self, capsys):
+        # at 16 x 16 the Wishart kernel's mean takes the root of a negative
+        # pivot: the estimate leaves out the two top-eigenvalue controls and
+        # keeps the four Gamma ones
+        assert main(["kappa", "--m-a", "16", "--m-b", "16", "--m-r-list", "16",
+                     "--trials", "2000"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        d, se = [float(v) for v in row[1:5]], [float(v) for v in row[5:]]
+        assert row[0] == "16" and all(1.3 < v < 1.45 for v in d) and all(0 < v < 1e-3 for v in se)
 
     def test_flags_checked_after_the_file(self, tmp_path, capsys):
         # the budget, the seed and the geometry are checked once the flags
