@@ -30,9 +30,21 @@ terms twice.  Its terms, the zero-SNR ceiling a/log2(M) among them, cancel
 down to the sum-BER, so its rounding error follows their absolute sum: it
 is at most c eps sum|terms| with c = 32 (27.0 at worst, measured over every
 configuration up to 4 antennas).  Where that bound exceeds 1e-13 of the
-value, or the assembly cannot run, the integral gives the sum-BER, and the
-assembly's time is lost: at 4x4x4 about 4 ms a call, against 0.4-1.8 ms for
-the grid (2-vCPU x86_64).
+value, or the assembly cannot run, the integral gives the sum-BER.
+
+A kept assembly is therefore at least c eps ceiling / 1e-13, about 0.071 of
+the ceiling.  Before it runs, `lowerbound.sum_ber_bound` bounds the sum-BER
+from the link scales alone (Chernoff's Q(x) <= e^(-x^2/2) / 2, the smaller
+of the two link terms, and the largest eigenvalue at least the trace over
+min(m, n)), and where that bound lies below 0.071 of the ceiling the grid
+answers at once, with the value the assembly's rejection would give.  Over
+4050 points (every configuration up to 4 antennas, all five protocols, -20
+to 60 dB in steps of 10 and d0 = 0.1, 0.5 and 0.9) the rule skipped 1545
+assemblies, none of which would have been kept, and the grid lay at most
+0.88 of the bound.  At 4x4x4, where no assembly is kept, it skips 56 of the
+135; the others (up to 10-20 dB at d0 = 0.5, 30-40 dB at d0 = 0.1 and 0.9)
+still cost about 4 ms a call against 0.4-1.8 ms for the grid (2-vCPU
+x86_64).
 """
 
 from __future__ import annotations
@@ -54,6 +66,16 @@ _DIRECTIONS = ("arb", "bra")
 # the most antennas at any node that the link laws and the closed form are
 # tested for
 MAX_TABLE_DIM = 4
+# The double-precision assembly's rounding bound is _ROUNDING_C eps sum|terms|
+# (eps = 2^-52; at worst 27.0 eps sum|terms|, measured over every
+# configuration up to 4 antennas).  The zero-SNR ceiling a/log2 M is one of
+# the terms, so the bound is at least _ROUNDING_C eps ceiling.  A kept value
+# v has bound <= REL_TOL v, and v <= V + bound for the sum-BER V, so V >=
+# bound (1 - REL_TOL) / REL_TOL >= _KEPT_SHARE ceiling (0.071 of it): where
+# `lowerbound.sum_ber_bound`, which is at least V, lies below that, no
+# assembly can be kept.
+_ROUNDING_C = 32.0
+_KEPT_SHARE = _ROUNDING_C * math.ulp(1.0) * (1.0 - lowerbound.REL_TOL) / lowerbound.REL_TOL
 _log = logging.getLogger(__name__)
 
 
@@ -120,14 +142,17 @@ def e2e_cdf(direction: str, x: float | np.ndarray, coeffs: CoefficientSet,
     return cdf if cdf.ndim else float(cdf)
 
 
-def _sum_ber_integral(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,
-                      mod: Modulation, path: str) -> float:
-    """The sum-BER lower bound from the integration engine, checked to lie
-    in (0, a/log2 M] within its tolerance; one debug record on the
-    "twrelay.analysis" logger gives the path, the error estimate, the grid
-    points and the link-law arguments."""
-    est = lowerbound.sum_ber([_direction(d, coeffs, ant, pw) for d in _DIRECTIONS],
-                             mod.a, mod.b, mod.bits_per_symbol)
+def _directions(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile) -> list:
+    """Both directions' lower-bound SNRs (`_direction`), arb first."""
+    return [_direction(d, coeffs, ant, pw) for d in _DIRECTIONS]
+
+
+def _sum_ber_integral(directions: list, mod: Modulation, path: str) -> float:
+    """The sum-BER lower bound of both directions from the integration
+    engine, checked to lie in (0, a/log2 M] within its tolerance; one debug
+    record on the "twrelay.analysis" logger gives the path, the error
+    estimate, the grid points and the link-law arguments."""
+    est = lowerbound.sum_ber(directions, mod.a, mod.b, mod.bits_per_symbol)
     _log.debug("sum-BER by the lower-bound integral (%s): %.6e, error estimate %.1e, "
                "%d grid points, %d link-law arguments",
                path, est.value, est.error, est.grid_points, est.link_args)
@@ -145,7 +170,7 @@ def sum_ber_quadrature(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProf
     direction, one trapezoid grid over the two link densities
     (`lowerbound.sum_ber`), refined to an estimated relative error below
     1e-13."""
-    return _sum_ber_integral(coeffs, ant, pw, mod, "quadrature")
+    return _sum_ber_integral(_directions(coeffs, ant, pw), mod, "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +262,7 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> tuple:
     terms = [mod.ceiling]
     # equal directions (a symmetric network's two) are assembled once; fsum
     # takes each of their terms as often as the direction occurs
-    directions = Counter(_direction(d, coeffs, ant, pw) for d in _DIRECTIONS)
+    directions = Counter(_directions(coeffs, ant, pw))
     for (src, far, k_s, k_f), count in directions.items():
         tops, coefs, moments = [], [], []
         # ln x, ln y and the moment's two rates, once per distinct (n, i)
@@ -267,9 +292,10 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> tuple:
     # at extreme SNR 2F1 overflows, and terms of both signs can be infinite
     if not all(map(math.isfinite, terms)):
         raise NumericalError("closed-form assembly produced a non-finite value")
-    # the value and its rounding bound c eps sum|terms|, c = 32: fsum rounds
-    # once, and each term carries a few ulps of its size from exp, log and 2F1
-    return math.fsum(terms), 32.0 * math.ulp(1.0) * math.fsum(map(abs, terms))
+    # the value and its rounding bound c eps sum|terms|, c = _ROUNDING_C: fsum
+    # rounds once, and each term carries a few ulps of its size from exp, log
+    # and 2F1
+    return math.fsum(terms), _ROUNDING_C * math.ulp(1.0) * math.fsum(map(abs, terms))
 
 
 def _closed_form(coeffs, ant, pw, mod) -> float:
@@ -295,12 +321,24 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
     value comes from the integral of non-negative terms (`lowerbound.sum_ber`:
     Q averaged over the determinant-form densities of both link gains),
     refined until its error estimate is below 1e-13 relative, checked to lie
-    in (0, ceiling] and reported, with the bound, in one debug record on the
-    "twrelay.analysis" logger; the assembly's time (at 4x4x4 about 4 ms) is
-    then spent for nothing.
+    in (0, ceiling] and reported, with the reason, in one debug record on the
+    "twrelay.analysis" logger.
+
+    The ceiling is one of the terms, so a kept value is at least c eps
+    ceiling / 1e-13.  Where `lowerbound.sum_ber_bound` (the Chernoff bound
+    on Q, over the link scales alone) lies below that, times (1 - 1e-13),
+    about 0.071 of the ceiling, no assembly within its rounding bound of the
+    sum-BER can be kept: the integral answers without it, with the same
+    value.  That skipped 1545 of 4050 scan points (module docstring), each
+    one an assembly that would have been discarded.
     """
+    directions = _directions(coeffs, ant, pw)
+    bound = lowerbound.sum_ber_bound(directions, mod.a, mod.b, mod.bits_per_symbol)
+    if bound < _KEPT_SHARE * mod.ceiling:
+        return _sum_ber_integral(directions, mod, f"closed form not kept: the sum-BER's bound "
+                                 f"{bound:.1e} lies below {_KEPT_SHARE:.3f} of the ceiling")
     try:
         return _closed_form(coeffs, ant, pw, mod)
     except NumericalError as exc:
-        return _sum_ber_integral(coeffs, ant, pw, mod, f"closed form not kept: {exc}")
+        return _sum_ber_integral(directions, mod, f"closed form not kept: {exc}")
 

@@ -59,7 +59,9 @@ where the deep fade lies above the whole law).  It ends at U with
 E[Q | l <= U], and the cut carries at most (1 - F(U)) / F(U) of the value.
 Equal directions (the two of a symmetric network) are integrated once and
 counted as often as they occur.  A sum-BER below the smallest normal double
-raises NumericalError: its digits, and its error estimate, are lost.
+raises NumericalError: its digits, and its error estimate, are lost.  Where
+a Chernoff bound from the link scales alone (`sum_ber_bound`) already lies
+below it, no grid is built.
 
 Every integral runs over logarithmic variables (ln w; ln l_s and ln l_f)
 with the trapezoid rule, whose error falls like e^(-2 pi d / h) in the step
@@ -637,16 +639,27 @@ def _extrapolated(coarse, mid, fine):
 
 def _e2e_chunk(rows, n: int, links, scaled, f_first, v0, width, out) -> int:
     """Integrate the end-to-end CDF at the live thresholds `rows`, each x
-    given by scaled = (k_s x, k_f x) and f_first = F_f(k_f x), on the inner
-    integrals' `_Steps` (v0, width, n); write each F and its error
-    estimate into out = (values, errors) at its row, and return the nodes
-    of the sums they were taken at, summed."""
+    given by scaled = (k_s x, k_f x), on the inner integrals' `_Steps` (v0,
+    width, n); write F_f(k_f x) into f_first and each F and its error
+    estimate into out = (values, errors), at its row, and return the nodes
+    of the sums they were taken at, summed.
+
+    The first call of the integrand appends the rows' k_f x to the far
+    link's arguments of its one `link_laws` call, so the chunk's first
+    kernel call also gives F_f(k_f x), the first term of each F."""
     s_x, f_x = scaled
+    first = True
 
     def integrand(v, rows):
+        nonlocal first
         w = np.exp(v)
         lam_f = w + f_x[rows, None]
-        (f_s, _), (_, dens) = link_laws(links, (s_x[rows, None] * lam_f / w, lam_f))
+        u_far = np.concatenate((lam_f, f_x[rows]), axis=None) if first else lam_f
+        (f_s, _), (cdf_f, dens) = link_laws(links, (s_x[rows, None] * lam_f / w, u_far))
+        if first:
+            first = False
+            f_first[rows] = cdf_f[lam_f.size:]
+            dens = dens[:lam_f.size].reshape(lam_f.shape)
         weight = dens * w
         both = np.empty((2,) + f_s.shape)
         np.multiply(f_s, weight, out=both[0])
@@ -687,7 +700,10 @@ def e2e_cdf(xs, src: Link, far: Link, k_s: float, k_f: float) -> tuple:
     integrated on steps from its own range until its estimate is at most
     REL_TOL of its value, and reports at least REL_ROUNDING of it, so its
     value, error and nodes are those of a call of its own; points of one
-    first step count (`_Steps`) are integrated _CHUNK at a time."""
+    first step count (`_Steps`) are integrated _CHUNK at a time.  Each
+    chunk's first kernel call also takes F_f(k_f x) of its points
+    (`_e2e_chunk`), so a point whose inner integral stops at its first
+    estimate, as almost every one does, costs one kernel call."""
     shape = np.shape(xs)
     xs = np.asarray(xs, dtype=float).ravel()
     errors = np.where(np.isnan(xs), np.nan, 0.0)
@@ -696,14 +712,13 @@ def e2e_cdf(xs, src: Link, far: Link, k_s: float, k_f: float) -> tuple:
     # a threshold past _SATURATED on either link is taken there: F = 1 at both
     x = np.minimum(xs[live], _SATURATED / max(k_s, k_f))
     s_x, f_x = k_s * x, k_f * x
-    f_first, _ = link_cdf_pdf(f_x, far.m, far.n)
     v1 = np.log(_FAR_SPAN + f_x)
     # below w ~ k_s k_f x^2 the source link saturates, F_s -> 1; the bounds
     # keep w = e^v normal (what lies below is below the smallest double)
     # and the range below its upper end
     v0 = np.minimum(np.maximum(2.0 * np.log(x) + math.log(k_s * k_f) - _INNER_SHIFT, -650.0), v1)
     width, counts = _Steps.first_count(v0, v1, _INNER_H)
-    out = np.empty((2, live.size))
+    out, f_first = np.empty((2, live.size)), np.empty(live.size)
     nodes = 0
     for n in sorted(set(counts.tolist())):
         group = np.flatnonzero(counts == n)
@@ -816,13 +831,39 @@ def _direction_ber(d: Direction, mod_b: float, scale: float):
         src, far = _interleave(src, new_src), _interleave(far, new_far)
 
 
+def sum_ber_bound(directions, mod_a: float, mod_b: float, bits: float) -> float:
+    """An upper bound on `sum_ber`'s total from the directions' link shapes
+    and scales alone, with no kernel call:
+
+        (mod_a / (2 bits)) sum_directions sum_links (1 + mod_b / (2 k s))^(-m n),
+
+    k the link's scale and s = min(m, n).  It rests on Q(x) <= e^(-x^2/2) / 2
+    (Chernoff); on gamma >= min(lambda_s / k_s, lambda_f / k_f) / 2, so that
+    e^(-mod_b gamma) is at most the sum over the links of
+    e^(-mod_b lambda / (2 k)); and on lambda >= tr / s, whose trace tr ~
+    Gamma(m n) has the Laplace transform that gives each term.  A scale that
+    underflows to 0 gives its term 0."""
+    total = 0.0
+    for d in directions:
+        for link, k in ((d.src, d.k_s), (d.far, d.k_f)):
+            t = 2.0 * k * min(link)
+            total += (t / (t + mod_b)) ** (link.m * link.n)
+    return mod_a / (2.0 * bits) * total
+
+
 def sum_ber(directions, mod_a: float, mod_b: float, bits: float) -> Estimate:
     """Sum over the directions of E[mod_a Q(sqrt(2 mod_b gamma))] / bits,
     each the trapezoid grid of (mod_a / (2 bits)) int int erfc(sqrt(mod_b
     gamma)) f_s f_f over both link gains (module docstring).  Equal
     directions (a symmetric network's two) are integrated once and counted
     as often as they occur.  A total below the smallest normal double raises
-    NumericalError."""
+    NumericalError, before any grid where `sum_ber_bound` already lies below
+    it (at 2x1x2 from about 1550 dB, where a grid's first pass would take
+    0.1 s or more)."""
+    bound = sum_ber_bound(directions, mod_a, mod_b, bits)
+    if not bound >= _TINY:
+        raise NumericalError(f"the sum-BER lies below the smallest normal double ({_TINY:.1e}): "
+                             f"its bound from the link scales is {bound!r}")
     parts = [_direction_ber(d, mod_b, count * mod_a / (2.0 * bits))
              for d, count in Counter(directions).items()]
     total = Estimate(*(sum(column) for column in zip(*parts)))

@@ -17,12 +17,13 @@ from scipy import integrate
 import twrelay.lowerbound
 from mp_oracle import (ORACLE_DPS, ORACLE_FILE, closed_form_mp, e2e_cdf_mp, link_cdf_pdf_mp,
                        oracle_inputs, oracle_key, oracle_points)
-from twrelay.analysis import (_closed_form_f64, _direction, _ln_bessel_moment, e2e_cdf,
-                              require_analytic, sum_ber_closed_form, sum_ber_quadrature)
+from twrelay.analysis import (_KEPT_SHARE, _closed_form, _closed_form_f64, _direction, _directions,
+                              _ln_bessel_moment, e2e_cdf, require_analytic, sum_ber_closed_form,
+                              sum_ber_quadrature)
 from twrelay.errors import ConfigurationError, NumericalError, UnsupportedConfigError
 from twrelay.highsnr import eta_pair, gap_table, high_snr_profile, high_snr_sum_ber
 from twrelay.lowerbound import (REL_ROUNDING, REL_TOL, Direction, Estimate, Link, link_cdf_pdf,
-                                link_laws)
+                                link_laws, sum_ber_bound)
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile,
                               Protocol, WeightPair, coefficient_set, modulation_constants,
                               power_profile, protocol_modulation)
@@ -400,7 +401,8 @@ class TestEndToEndCdf:
     def test_one_kernel_batch_per_scalar_call(self, monkeypatch):
         # the benchmark's outage curve: every inner integral stops by its
         # fourth level, whose nodes, with those of the three coarser levels,
-        # go to the link law in one call after the call for F_f(k_f x)
+        # go to the link law in one call, whose far-link arguments end with
+        # k_f x for F_f(k_f x)
         ant = AntennaConfig(2, 2, 2)
         pw = power_profile(20.0, 0.5)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
@@ -409,35 +411,53 @@ class TestEndToEndCdf:
         calls = []
 
         def recording(u, m, n):
-            calls.append(u.size)
+            calls.append(np.array(u))
             return kernel(u, m, n)
         monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
         for r in 10.0 ** (-3.0 + np.arange(25) / 6.0):
+            x = r * pw.rho_ar
             calls.clear()
-            twrelay.lowerbound.e2e_cdf(np.array([r * pw.rho_ar]), *d)
-            assert len(calls) == 2 and calls[0] == 1, r
+            twrelay.lowerbound.e2e_cdf(np.array([x]), *d)
+            assert len(calls) == 1 and calls[0][-1] == d.k_f * x, r
 
     def test_far_link_cdf_in_the_first_kernel_call(self, monkeypatch):
-        # an array call takes F_f(k_f x) of all its live thresholds (not 0,
-        # negative, inf or NaN) from its first kernel call, on the far link
-        # alone, before any inner integral
+        # an array call takes F_f(k_f x) of each chunk's live thresholds (not
+        # 0, negative, inf or NaN) from the chunk's first kernel call, after
+        # its rows' far-link nodes; no kernel call is on the far link alone
         ant = AntennaConfig(4, 3, 4)
         pw = power_profile(20.0, 0.3)
         d = _direction("bra", coefficient_set(Protocol.TWO_SLOT, ant, pw), ant, pw)
         kernel = twrelay.lowerbound.link_cdf_pdf
-        calls = []
+        laws, kernel_sizes = [], []
 
-        def recording(u, m, n):
-            calls.append((np.array(u), (m, n)))
+        def recording_laws(links, args):
+            laws.append(tuple(np.array(u) for u in args))
+            return link_laws(links, args)
+
+        def recording_kernel(u, m, n):
+            kernel_sizes.append(np.size(u))
             return kernel(u, m, n)
-        monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording)
+        monkeypatch.setattr(twrelay.lowerbound, "link_laws", recording_laws)
+        monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", recording_kernel)
         xs = pw.rho_ar * np.geomspace(1e-5, 1e3, 200)
         xs[[3, 50, 120, 199]] = [0.0, -1.0, math.inf, math.nan]
         twrelay.lowerbound.e2e_cdf(xs, *d)
         live = np.isfinite(xs) & (xs > 0.0)
-        first, shape = calls[0]
-        assert shape == (d.far.m, d.far.n)
-        assert np.array_equal(first, d.k_f * xs[live])
+        # both links have one shape: one kernel call per link-law call
+        assert d.src == d.far
+        assert kernel_sizes == [u_s.size + u_f.size for u_s, u_f in laws]
+        tails = []
+        for u_s, u_f in laws:
+            if u_f.shape == u_s.shape:
+                continue
+            # a chunk's first call: each row's far nodes w + k_f x, then k_f x
+            rows = u_s.shape[0]
+            assert u_f.size == u_s.size + rows
+            tail, nodes = u_f[u_s.size:], u_f[:u_s.size].reshape(u_s.shape)
+            assert np.all(nodes >= tail[:, None]) and np.all(nodes[:, -1] > tail)
+            tails.append(tail)
+        assert laws[0][1].shape != laws[0][0].shape
+        assert np.array_equal(np.sort(np.concatenate(tails)), np.sort(d.k_f * xs[live]))
 
 
 class TestSumBerQuadrature:
@@ -824,10 +844,23 @@ class TestSumBerClosedForm:
                                                  "1e-13 within 32 trapezoid intervals"):
             e2e_cdf("arb", pw.rho_ar, coeffs, ant, pw)
 
+    def test_bound_below_the_smallest_normal_double(self, monkeypatch):
+        # a scale that underflows to 0 gives its link's term 0, and a bound
+        # below the smallest normal double fails before any grid
+        calls = []
+        monkeypatch.setattr(twrelay.lowerbound, "link_cdf_pdf", lambda *args: calls.append(args))
+        for k in (0.0, 5e-324, 1e-200):
+            d = Direction(Link(2, 1), Link(2, 2), k, k)
+            assert sum_ber_bound([d, d], 3.0, 0.1, 2.0) == 0.0
+            with pytest.raises(NumericalError, match="its bound from the link scales is 0.0"):
+                twrelay.lowerbound.sum_ber([d, d], 3.0, 0.1, 2.0)
+        assert calls == []
+
     def test_rescue_debug_record(self, caplog):
         # one record per integral: path, error estimate, grid points and
-        # link-law arguments
-        pw = PowerProfile.balanced(30.0)
+        # link-law arguments; at 10 dB the assembly runs, and its rounding
+        # bound sends the value to the grid
+        pw = PowerProfile.balanced(10.0)
         ant = AntennaConfig(2, 2, 2)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
         mod = protocol_modulation(Protocol.TWO_SLOT)
@@ -848,10 +881,19 @@ class TestSumBerClosedForm:
         assert not any(word in msg for word in ("outer", "inner", "settled"))
         err = float(msg.split("error estimate ")[1].split(",")[0])
         assert 0.0 <= err <= 1e-13 * value
+        # at 30 dB the sum-BER's bound rules the assembly out before it runs
+        pw = PowerProfile.balanced(30.0)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        value = sum_ber_closed_form(coeffs, ant, pw, mod)
+        assert len(caplog.records) == 2
+        msg = caplog.records[1].getMessage()
+        upper = sum_ber_bound(_directions(coeffs, ant, pw), mod.a, mod.b, mod.bits_per_symbol)
+        assert f"closed form not kept: the sum-BER's bound {upper:.1e} lies below 0.071 " in msg
+        assert value <= upper < _KEPT_SHARE * mod.ceiling
         # where its bound meets REL_TOL the closed form logs nothing
         pw = PowerProfile.balanced(-10.0)
         sum_ber_closed_form(coefficient_set(Protocol.TWO_SLOT, ant, pw), ant, pw, mod)
-        assert len(caplog.records) == 1
+        assert len(caplog.records) == 2
 
     def test_no_mpmath_at_run_time(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "mpmath", None)
@@ -868,18 +910,23 @@ class TestSumBerClosedForm:
     def test_tables_serve_only_the_closed_form(self, monkeypatch):
         # the exact Wishart expansion feeds the paper's closed form alone;
         # the link laws, the integrals and the high-SNR weights come from
-        # the determinant form in floating point or its Cauchy coefficient
+        # the determinant form in floating point or its Cauchy coefficient.
+        # At 10 dB the assembly runs; at 30 dB the sum-BER's bound rules it
+        # out, and the closed form reads no table
         ant = AntennaConfig(2, 2, 2)
-        pw = PowerProfile.balanced(20.0)
+        pw = PowerProfile.balanced(10.0)
         dfactors = DFactors(1.6, 1.6, 1.7, 1.7)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
         mod = protocol_modulation(Protocol.TWO_SLOT)
+        pw_skip = PowerProfile.balanced(30.0)
+        coeffs_skip = coefficient_set(Protocol.TWO_SLOT, ant, pw_skip)
 
         def values():
             return (eta_pair(coeffs, ant, pw),
                     gap_table(ant, pw, dfactors=dfactors),
                     e2e_cdf("arb", 0.3 * pw.rho_ar, coeffs, ant, pw),
-                    sum_ber_quadrature(coeffs, ant, pw, mod))
+                    sum_ber_quadrature(coeffs, ant, pw, mod),
+                    sum_ber_quadrature(coeffs_skip, ant, pw_skip, mod))
 
         before = values()
 
@@ -891,6 +938,7 @@ class TestSumBerClosedForm:
                 monkeypatch.setattr(module, "ccdf_expansion", no_tables)
         assert values() == before
         twrelay.analysis._moment_groups.cache_clear()
+        assert sum_ber_closed_form(coeffs_skip, ant, pw_skip, mod) == before[-1]
         with pytest.raises(AssertionError, match="eigenvalue table read"):
             sum_ber_closed_form(coeffs, ant, pw, mod)
 
@@ -930,6 +978,7 @@ class TestSumBerClosedForm:
         # raw assembly within its own bound plus the grid's tolerance, and
         # every value in (0, ceiling] and not rising with SNR
         dfactors, weights = DFactors(1.6, 1.6, 1.7, 1.7), WeightPair.from_beta_squared(0.4)
+        skips = 0
         for dims in ((1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 2, 4), (4, 3, 4), (4, 4, 4)):
             ant = AntennaConfig(*dims)
             for p in Protocol:
@@ -949,6 +998,39 @@ class TestSumBerClosedForm:
                         previous = value
                         raw, bound = _closed_form_f64(coeffs, ant, pw, mod)
                         assert abs(raw - grid) <= bound + REL_TOL * grid, case
+                        # the sum-BER's bound lies above the grid, and where
+                        # it rules the assembly out, the assembly is not kept
+                        upper = sum_ber_bound(_directions(coeffs, ant, pw), mod.a, mod.b,
+                                              mod.bits_per_symbol)
+                        assert upper >= grid, case
+                        if upper < _KEPT_SHARE * mod.ceiling:
+                            skips += 1
+                            with pytest.raises(NumericalError, match="its rounding bound"):
+                                _closed_form(coeffs, ant, pw, mod)
+        # the bound rules out the assembly at 97 of the subsample's 300 points
+        assert skips == 97
+
+    def test_no_assembly_where_the_bound_rules_it_out(self, monkeypatch):
+        # at 4x4x4 from 30 dB every protocol's sum-BER bound lies below the
+        # least value a kept assembly can have: the assembly never runs, and
+        # the value is the grid's
+        ant = AntennaConfig(4, 4, 4)
+        assembly = twrelay.analysis._closed_form_f64
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return assembly(*args)
+        monkeypatch.setattr(twrelay.analysis, "_closed_form_f64", counting)
+        for rho_db in (30.0, 60.0):
+            pw = PowerProfile.balanced(rho_db)
+            for p in Protocol:
+                coeffs = coefficient_set(p, ant, pw, BALANCED_WEIGHTS if p.uses_weights else None,
+                                         DFactors(1.6, 1.6, 1.7, 1.7) if p.dual_reception else None)
+                mod = protocol_modulation(p)
+                value = sum_ber_closed_form(coeffs, ant, pw, mod)
+                assert value == sum_ber_quadrature(coeffs, ant, pw, mod), (rho_db, p)
+        assert calls == []
 
 
 

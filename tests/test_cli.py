@@ -506,22 +506,24 @@ class TestCommandInputs:
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert draws == []
 
-    @pytest.mark.parametrize("ant, rho_db, outcome", [
-        (["2", "1", "2"], "300", "7.5000000000e-60"),
-        (["2", "1", "2"], "1000", "7.5000000000e-200"),
-        (["2", "1", "2"], "1500", "7.5000000000e-300"),
+    @pytest.mark.parametrize("ant, rho_db, outcome, kernel_calls", [
+        (["2", "1", "2"], "300", "7.5000000000e-60", 1),
+        (["2", "1", "2"], "1000", "7.5000000000e-200", 1),
+        (["2", "1", "2"], "1500", "7.5000000000e-300", 1),
         (["2", "1", "2"], "2000", "numerical failure: the sum-BER lies below the smallest normal "
-                                  "double (2.2e-308): the grid gave 0.0"),
-        (["2", "1", "2"], "3080", "numerical failure: sum-BER grid cannot run at this SNR"),
-        (["2", "2", "2"], "200", "1.4875000000e-78"),
+                                  "double (2.2e-308): its bound from the link scales is 0.0", 0),
+        (["2", "1", "2"], "3080", "numerical failure: the sum-BER lies below the smallest normal "
+                                  "double (2.2e-308): its bound from the link scales is 0.0", 0),
+        (["2", "2", "2"], "200", "1.4875000000e-78", 1),
     ], ids=["2x1x2-300dB", "2x1x2-1000dB", "2x1x2-1500dB", "2x1x2-2000dB", "2x1x2-3080dB",
             "2x2x2-200dB"])
-    def test_closed_form_at_extreme_snr(self, ant, rho_db, outcome, monkeypatch, capsys):
-        # where the double-precision assembly cannot run (2F1 overflows, or
-        # a Bessel moment's beta underflows to 0) the grid answers, from its
-        # first pass (one link-law call); where the grid's value lies below
-        # the smallest normal double, or its lowest node underflows to 0, a
-        # numerical failure, neither a traceback nor a RuntimeWarning
+    def test_closed_form_at_extreme_snr(self, ant, rho_db, outcome, kernel_calls, monkeypatch,
+                                        capsys):
+        # where the sum-BER's bound rules out the double-precision assembly
+        # the grid answers, from its first pass (one link-law call); where
+        # that bound already lies below the smallest normal double, a
+        # numerical failure before any grid (no link-law call), neither a
+        # traceback nor a RuntimeWarning
         argv = ["sweep", "--m-a", ant[0], "--m-r", ant[1], "--m-b", ant[2], "--mode", "closed",
                 "--protocols", "two_slot", "--rho-start", rho_db, "--rho-stop", rho_db,
                 "--rho-step", "1"]
@@ -534,7 +536,7 @@ class TestCommandInputs:
         monkeypatch.setattr(lowerbound, "link_cdf_pdf", counting_kernel)
         code = main(argv)
         out, err = capsys.readouterr()
-        assert calls == {"link_cdf_pdf": 1}
+        assert calls["link_cdf_pdf"] == kernel_calls
         if outcome.startswith("numerical failure"):
             assert code == 3 and err.startswith(outcome)
         else:
