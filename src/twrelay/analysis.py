@@ -14,6 +14,13 @@ symmetric network (the same antennas at both sources, equal link SNRs and
 equal constants in both directions) has two equal directions, and its
 sum-BER integrates one of them.
 
+Each direction's end-to-end SNR law A g_s g_f / (B g_s + C g_f + 1) is
+stated once, by `direction_scales`: on the power-free link gains lambda it
+is 1 / gamma = k_s / lambda_s + k_f / lambda_f + kappa / (lambda_s
+lambda_f), with the noise scale kappa = 1 / (A rho_s rho_f).  The lower
+form drops kappa.  The engines here and `highsnr` read (k_s, k_f) through
+`_direction`; Monte Carlo (`simulate.end_to_end_snrs`) reads all three.
+
 The closed form runs over the product of the two links' exact
 largest-eigenvalue expansions, which `lowerbound.ccdf_expansion` reads off
 the same determinant; each summand is a Bessel moment (Gradshteyn & Ryzhik
@@ -96,38 +103,67 @@ def require_analytic(ant: AntennaConfig) -> None:
 # End-to-end lower-bound SNR CDF and the sum-BER integral
 # ---------------------------------------------------------------------------
 
-def _links(direction: str, ant: AntennaConfig, pw: PowerProfile) -> tuple:
+def _links(direction: str, ant: AntennaConfig) -> tuple:
     """One direction's source link, whose gain enters the first hop, and far
-    link, from the relay to the destination, each with its average SNR:
-    (src, rho_s, far, rho_f)."""
+    link, from the relay to the destination: (src, far)."""
     require_analytic(ant)
     if direction == "arb":
-        (m_s, rho_s), (m_f, rho_f) = (ant.m_a, pw.rho_ar), (ant.m_b, pw.rho_rb)
+        m_s, m_f = ant.m_a, ant.m_b
     elif direction == "bra":
-        (m_s, rho_s), (m_f, rho_f) = (ant.m_b, pw.rho_br), (ant.m_a, pw.rho_ra)
+        m_s, m_f = ant.m_b, ant.m_a
     else:
         raise ConfigurationError(f"direction must be 'arb' or 'bra', got {direction!r}")
-    return lowerbound.Link(m_s, ant.m_r), rho_s, lowerbound.Link(m_f, ant.m_r), rho_f
+    return lowerbound.Link(m_s, ant.m_r), lowerbound.Link(m_f, ant.m_r)
 
 
-def _scales(a: float, b: float, c: float, rho_s: float, rho_f: float) -> tuple:
-    """The scales (k_s, k_f) = (C / (A rho_s), B / (A rho_f)) of the
-    lower-bound SNR A g_s g_f / (B g_s + C g_f), 1 / gamma = k_s / lambda_s
-    + k_f / lambda_f: the one map from a direction's constants and link SNRs
-    to them."""
-    return c / (a * rho_s), b / (a * rho_f)
+def direction_scales(coeffs: CoefficientSet, pw: PowerProfile) -> tuple:
+    """Each direction's (k_s, k_f, kappa), arb first: the one statement of
+    the end-to-end SNR law A g_s g_f / (B g_s + C g_f + 1) on the power-free
+    link gains lambda (g_s = rho_s lambda_s at the source link, g_f = rho_f
+    lambda_f at the far one),
+
+        1 / gamma = k_s / lambda_s + k_f / lambda_f + kappa / (lambda_s lambda_f),
+
+    k_s = C / (A rho_s), k_f = B / (A rho_f) and kappa = 1 / (A rho_s rho_f),
+    the noise scale.  The lower form drops kappa, which leaves the harmonic
+    mean bound (Hasna & Alouini 2003): m / 2 <= gamma <= m for m =
+    min(lambda_s / k_s, lambda_f / k_f).  The analytic engines read k_s and
+    k_f (`_direction`), Monte Carlo all three; no antenna count is checked,
+    since Monte Carlo takes any.  A scale whose divisor is 0 is infinite: a
+    zero relay weight (A = 0, at beta = 0 or 1 for the weighted protocols)
+    makes all three so, and gamma = 0 at every draw; an underflow at an
+    extreme SNR makes the scales it divides infinite."""
+    return _scales(pw, coeffs.a_arb, coeffs.b_arb, coeffs.c_arb,
+                   coeffs.a_bra, coeffs.b_bra, coeffs.c_bra)
+
+
+def _scales(pw: PowerProfile, a_arb, b_arb, c_arb, a_bra, b_bra, c_bra) -> tuple:
+    """`direction_scales` of the six constants in `CoefficientSet`'s field
+    order, as `scenario._unified_constants` gives them, which
+    `highsnr.beta_numeric` evaluates at each step without building a
+    CoefficientSet."""
+    return ((_per(c_arb, a_arb * pw.rho_ar), _per(b_arb, a_arb * pw.rho_rb),
+             _per(1.0, a_arb * pw.rho_ar * pw.rho_rb)),
+            (_per(c_bra, a_bra * pw.rho_br), _per(b_bra, a_bra * pw.rho_ra),
+             _per(1.0, a_bra * pw.rho_br * pw.rho_ra)))
+
+
+def _per(x: float, y: float) -> float:
+    """x / y, inf where the divisor y is 0 (also for x = 0: k_f at B = A = 0)."""
+    return x / y if y else math.inf
 
 
 def _direction(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
                pw: PowerProfile) -> lowerbound.Direction:
     """One direction's lower-bound SNR A g_s g_f / (B g_s + C g_f): its links
-    (`_links`) and scales (`_scales`)."""
-    src, rho_s, far, rho_f = _links(direction, ant, pw)
-    if direction == "arb":
-        a, b, c = coeffs.a_arb, coeffs.b_arb, coeffs.c_arb
-    else:
-        a, b, c = coeffs.a_bra, coeffs.b_bra, coeffs.c_bra
-    return lowerbound.Direction(src, far, *_scales(a, b, c, rho_s, rho_f))
+    (`_links`) and finite scales k_s, k_f (`direction_scales`)."""
+    src, far = _links(direction, ant)
+    k_s, k_f, _ = direction_scales(coeffs, pw)[_DIRECTIONS.index(direction)]
+    if math.isinf(k_s) or math.isinf(k_f):
+        raise ConfigurationError(f"the {direction} direction's scales are k_s = {k_s:g}, k_f = "
+                                 f"{k_f:g}: its SNR is 0 at every draw (a zero relay weight, or "
+                                 f"an extreme SNR), which only Monte Carlo (--mode mc) takes")
+    return lowerbound.Direction(src, far, k_s, k_f)
 
 
 def e2e_cdf(direction: str, x: float | np.ndarray, coeffs: CoefficientSet,
@@ -255,19 +291,20 @@ def _moment_groups(m_src: int, m_far: int, m_r: int) -> tuple:
     return tuple(out)
 
 
-def _closed_form_f64(coeffs, ant, pw, mod) -> tuple:
+def _closed_form_f64(directions: list, mod: Modulation) -> tuple:
+    """The double-precision assembly over the directions (`_directions`)
+    and its rounding bound: (value, bound)."""
     ln_pref = (math.log(mod.a) + 0.5 * math.log(mod.b)
                - math.log(2.0) - 0.5 * math.log(math.pi)
                - math.log(mod.bits_per_symbol))
     terms = [mod.ceiling]
     # equal directions (a symmetric network's two) are assembled once; fsum
     # takes each of their terms as often as the direction occurs
-    directions = Counter(_directions(coeffs, ant, pw))
-    for (src, far, k_s, k_f), count in directions.items():
+    for (src, far, k_s, k_f), count in Counter(directions).items():
         tops, coefs, moments = [], [], []
         # ln x, ln y and the moment's two rates, once per distinct (n, i)
         at_ni = {}
-        for g in _moment_groups(src.m, far.m, ant.m_r):
+        for g in _moment_groups(src.m, far.m, src.n):
             if (g.n, g.i) not in at_ni:
                 x, y = g.n * k_s, g.i * k_f
                 beta = 2.0 * math.sqrt(x * y)
@@ -298,10 +335,10 @@ def _closed_form_f64(coeffs, ant, pw, mod) -> tuple:
     return math.fsum(terms), _ROUNDING_C * math.ulp(1.0) * math.fsum(map(abs, terms))
 
 
-def _closed_form(coeffs, ant, pw, mod) -> float:
+def _closed_form(directions: list, mod: Modulation) -> float:
     """The assembly's value where its rounding bound is at most REL_TOL of
     it, which no value <= 0 meets; NumericalError elsewhere."""
-    value, bound = _closed_form_f64(coeffs, ant, pw, mod)
+    value, bound = _closed_form_f64(directions, mod)
     if bound <= lowerbound.REL_TOL * value:
         return value
     raise NumericalError(f"its rounding bound {bound:.1e} exceeds {lowerbound.REL_TOL:g} "
@@ -338,7 +375,7 @@ def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerPro
         return _sum_ber_integral(directions, mod, f"closed form not kept: the sum-BER's bound "
                                  f"{bound:.1e} lies below {_KEPT_SHARE:.3f} of the ceiling")
     try:
-        return _closed_form(coeffs, ant, pw, mod)
+        return _closed_form(directions, mod)
     except NumericalError as exc:
         return _sum_ber_integral(directions, mod, f"closed form not kept: {exc}")
 

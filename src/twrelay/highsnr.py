@@ -166,28 +166,25 @@ def beta_numeric(p: Protocol, ant: AntennaConfig, pw: PowerProfile,
     Everything but the weight is fixed per call and checked before the
     first step, with the errors of `coefficient_set` and `eta_pair`: the
     dual-reception factors (`scenario._dual_factors`), both directions'
-    links with their average SNRs (`analysis._links`, which also checks the
-    antennas) and the diversity order with its link weight (`_order`).  A
-    step at x computes a^2 = sqrt(1 - x)^2 and b^2 = sqrt(x)^2 as
-    `WeightPair.from_beta_squared` and `coefficient_set` do, the six
-    unified constants, the two directions' scales and the two eta terms,
-    and nothing else: 2-4 us on 2-vCPU x86_64, about 0.1 ms a call.
+    links (`analysis._links`, which also checks the antennas) and the
+    diversity order with its link weight (`_order`).  A step at x computes
+    a^2 = sqrt(1 - x)^2 and b^2 = sqrt(x)^2 as `WeightPair.from_beta_squared`
+    and `coefficient_set` do, the six unified constants, the two directions'
+    scales (`analysis._scales`) and the two eta terms, and nothing else:
+    2-4 us on 2-vCPU x86_64, about 0.1 ms a call.
     """
     if not p.uses_weights:
         raise ConfigurationError(f"{p.value} has no relay weights")
     dual = _dual_factors(p, ant, dfactors)
-    (src_a, rho_ar, far_a, rho_rb), (src_b, rho_br, far_b, rho_ra) = (
-        _links(direction, ant, pw) for direction in _DIRECTIONS)
+    (src_a, far_a), (src_b, far_b) = (_links(direction, ant) for direction in _DIRECTIONS)
     d, weight = _order(ant)
 
     def objective(beta_sq: float) -> float:
         # eta_arb + eta_bra of coefficient_set at WeightPair.from_beta_squared(beta_sq)
-        a_arb, b_arb, c_arb, a_bra, b_bra, c_bra = _unified_constants(
-            p, pw, math.sqrt(1.0 - beta_sq) ** 2, math.sqrt(beta_sq) ** 2, dual)
-        k_arb = _scales(a_arb, b_arb, c_arb, rho_ar, rho_rb)
-        k_bra = _scales(a_bra, b_bra, c_bra, rho_br, rho_ra)
-        return (_eta("arb", src_a, far_a, *k_arb, rho_ar, d, weight)
-                + _eta("bra", src_b, far_b, *k_bra, rho_ar, d, weight))
+        (ks_a, kf_a, _), (ks_b, kf_b, _) = _scales(pw, *_unified_constants(
+            p, pw, math.sqrt(1.0 - beta_sq) ** 2, math.sqrt(beta_sq) ** 2, dual))
+        return (_eta("arb", src_a, far_a, ks_a, kf_a, pw.rho_ar, d, weight)
+                + _eta("bra", src_b, far_b, ks_b, kf_b, pw.rho_ar, d, weight))
 
     lo, hi = 1e-9, 1.0 - 1e-9   # an endpoint weight zeroes out one direction
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -12,8 +12,10 @@ caller's per-block reduction; or, given the blocks of a pass at least as
 long over the same stream, it only reduces their first draws.  A sweep
 evaluates every point of the sweep on each block's gains.  The protocol
 picks the SNR form, the exact two-branch sums for dual reception and the
-unified three-constant form otherwise; both read the gains, each link's
-average SNR folded into their scalar constants.
+unified form otherwise.  The unified form is the analytic engines' law,
+read from `analysis.direction_scales` and not restated here: 1 / gamma =
+k_s / lambda_s + k_f / lambda_f + n1 kappa / (lambda_s lambda_f), n1 = 1
+for the exact form and 0 for the lower one.
 
 The tasks run on a pool of worker threads, one per CPU available to the
 process and at most one per block.  numpy, `standard_gamma` and `erfc`
@@ -90,6 +92,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import digamma, erfc
 
+from .analysis import direction_scales
 from .errors import ConfigurationError, NumericalError
 from .lowerbound import mean_largest_eigenvalue
 from .scenario import (MR1_DFACTORS, AntennaConfig, CoefficientSet, DFactors, Modulation,
@@ -323,9 +326,10 @@ def link_gains(side_a: np.ndarray, side_b: np.ndarray) -> LinkGains:
 
 
 def require_trials(trials: int) -> None:
-    """A Monte-Carlo pass draws at least one trial."""
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials!r}")
+    """A Monte-Carlo pass draws at least two trials, the fewest that give
+    a standard error."""
+    if trials < 2:
+        raise ConfigurationError(f"trials must be >= 2, got {trials!r}")
 
 
 def require_seed(seed: int) -> None:
@@ -404,9 +408,8 @@ def _heads(gains, trials: int):
 
 def _ratio(num, den, n1: float, out=None):
     """num / den, into out if given (an array of the broadcast shape).  With
-    the unit noise term (n1 = 1) every denominator is at least 1; without
-    it, 0/0 -> 0 covers the all-zero-channel corner of the lower-bound
-    form."""
+    the noise term (n1 = 1) every denominator is positive; without it,
+    0/0 -> 0 covers the all-zero-channel corner of the lower-bound form."""
     if n1:
         return np.divide(num, den, out=out)
     if out is None:
@@ -424,20 +427,24 @@ def end_to_end_snrs(p: Protocol, gains: LinkGains, pw: PowerProfile,
     """End-to-end received SNRs (g_arb, g_bra) for one protocol at the
     LinkGains of a batch of draws and the average link SNRs pw.
 
-    Given a CoefficientSet, the three-constant unified form; without one,
-    the exact two-branch sums, which only the dual-reception protocols
-    have.  Each link's rho enters the form's scalar constants.  snr_form
-    "lower" drops the unit noise term from every denominator, giving the
-    analytically tractable lower-bound SNRs.
+    Given a CoefficientSet, the unified form, the analytic engines' law
+    with its noise term: lambda_s lambda_f / (k_f lambda_s + k_s lambda_f
+    + n1 kappa) with each direction's (k_s, k_f, kappa) of
+    `analysis.direction_scales`.  Without one, the exact two-branch sums,
+    which only the dual-reception protocols have.  snr_form "lower" drops
+    the noise term from every denominator (n1 = 0), giving the analytically
+    tractable lower-bound SNRs; the shared sum makes them at least the
+    exact ones, draw by draw.
     """
     if snr_form not in ("exact", "lower"):
         raise ConfigurationError(f"snr_form must be 'exact' or 'lower', got {snr_form!r}")
     n1 = 1.0 if snr_form == "exact" else 0.0
     if coeffs is not None:
-        return (_unified(coeffs.a_arb, coeffs.b_arb, coeffs.c_arb, pw.rho_ar, pw.rho_rb,
-                         gains.lam_a, gains.lam_b, n1),
-                _unified(coeffs.a_bra, coeffs.b_bra, coeffs.c_bra, pw.rho_br, pw.rho_ra,
-                         gains.lam_b, gains.lam_a, n1))
+        # n1 = 0 drops kappa rather than scale it: 0 times an infinite kappa is nan
+        return tuple(_ratio(lam_s * lam_f, k_f * lam_s + k_s * lam_f + (kappa if n1 else 0.0), n1)
+                     for (k_s, k_f, kappa), lam_s, lam_f in zip(
+                         direction_scales(coeffs, pw), (gains.lam_a, gains.lam_b),
+                         (gains.lam_b, gains.lam_a)))
     if not p.dual_reception:
         raise ConfigurationError(f"{p.value} has a single reception; its end-to-end SNRs "
                                  f"need a CoefficientSet")
@@ -449,15 +456,6 @@ def end_to_end_snrs(p: Protocol, gains: LinkGains, pw: PowerProfile,
         a2, b2 = w.alpha ** 2, w.beta ** 2
     arb1, arb2, bra1, bra2 = _dual_branches(gains, pw, a2, b2, n1)
     return arb1 + arb2, bra1 + bra2
-
-
-def _unified(a, b, c, rho_s, rho_f, lam_s, lam_f, n1: float):
-    """One direction's unified form A g_s g_f / (B g_s + C g_f + n1) at the
-    source link SNR g_s = rho_s lam_s and the forward one g_f = rho_f lam_f,
-    evaluated as (A rho_s rho_f) (lam_s lam_f) / ((B rho_s) lam_s +
-    (C rho_f) lam_f + n1)."""
-    return _ratio(a * rho_s * rho_f * (lam_s * lam_f),
-                  b * rho_s * lam_s + c * rho_f * lam_f + n1, n1)
 
 
 def _dual_branches(gains: LinkGains, pw: PowerProfile, a2, b2, n1: float = 1.0,
@@ -565,15 +563,11 @@ def _mean_estimate(part, trials: int) -> BerEstimate:
     keeps its standard error; every factor is a power of two, so elsewhere
     the result is that of the plain sums bit for bit."""
     mean = math.fsum(s for s, _, _ in part) / trials
-    if trials > 1:
-        top = max(s for _, _, s in part)
-        total_sq = math.fsum(sq * (s / top) ** 2 for _, sq, s in part)
-        scaled = mean / top
-        var = max(0.0, (total_sq - trials * scaled * scaled) / (trials - 1))
-        se = top * math.sqrt(var / trials)
-    else:
-        se = 0.0
-    return BerEstimate(mean=mean, std_error=se, trials=trials)
+    top = max(s for _, _, s in part)
+    total_sq = math.fsum(sq * (s / top) ** 2 for _, sq, s in part)
+    scaled = mean / top
+    var = max(0.0, (total_sq - trials * scaled * scaled) / (trials - 1))
+    return BerEstimate(mean=mean, std_error=top * math.sqrt(var / trials), trials=trials)
 
 
 def _solve_psd(a: list, bs: list, most: int):
@@ -705,10 +699,9 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
         raise NumericalError("the dual-reception factors cannot be estimated at this SNR: the "
                              "branch SNRs or their squares pass the largest double")
     mean = [t / trials for t in totals[:nrow]]
-    den = max(trials - 1, 1)
     cov = [[0.0] * nrow for _ in range(nrow)]
     for (i, j), t in zip(pairs, totals[nrow:]):
-        cov[i][j] = cov[j][i] = (t - trials * mean[i] * mean[j]) / den
+        cov[i][j] = cov[j][i] = (t - trials * mean[i] * mean[j]) / (trials - 1)
     ctrl = range(8, nrow)
     s_cc = [[cov[i][j] for j in ctrl] for i in ctrl]
     # at most one control per ten trials: more, at a few trials, fit the
@@ -724,7 +717,7 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
         s_zz = cov[j + 1][j + 1] - 2.0 * r * cov[j][j + 1] + r * r * cov[j][j]
         explained = math.fsum((cov[i][j + 1] - r * cov[i][j]) * (b2 - r * b1)
                               for i, b1, b2 in zip(ctrl, beta[j], beta[j + 1]))
-        var = max(0.0, s_zz - explained) * den / max(trials - 1 - rank, 1)
+        var = max(0.0, s_zz - explained) * (trials - 1) / (trials - 1 - rank)
         return r, math.sqrt(var / trials) / abs(m_1)
 
     def estimate(j):

@@ -1,11 +1,19 @@
 """Invariant checks wired into the validate command, each holding one
 engine against another or against an independent form of the same law:
-the single-antenna reductions, the orderings of the SNR forms, the shape of
-the end-to-end CDF, the closed form against the integral, the high-SNR
-slopes, Monte-Carlo draws against the end-to-end CDF (KS) and the closed
-form below the exact-form Monte-Carlo mean.  Identities that the test
-suite holds more tightly, such as the Bessel moment against mpmath, are
-not repeated here.
+the single-antenna reductions, the unified SNR form against the
+dual-reception sums, the shape of the end-to-end CDF, the closed form
+against the integral, the high-SNR slopes, Monte-Carlo draws against the
+end-to-end CDF (KS) and the closed form below the exact-form Monte-Carlo
+mean.  Identities that the test suite holds more tightly, such as the
+Bessel moment against mpmath, are not repeated here.
+
+The order of the unified SNR forms is not checked either.  Monte Carlo
+reads the analytic engines' scales and noise term
+(`analysis.direction_scales`) rather than a second statement of the law,
+so the exact form lies at or below the lower one, and the lower form in
+the harmonic-mean sandwich m / 2 <= gamma <= m, by construction; the two
+checks that held one statement against the other went with the second,
+and a test holds the one left to its formula.
 
 Each check returns a CheckResult; statistical checks are skipped (with a
 warning) when the trial budget is too small to give them power.
@@ -19,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kv
 
-from .analysis import (_closed_form_f64, _direction, e2e_cdf, sum_ber_closed_form,
-                       sum_ber_quadrature)
+from .analysis import (_closed_form_f64, _direction, _directions, e2e_cdf,
+                       sum_ber_closed_form, sum_ber_quadrature)
 from .errors import ConfigurationError
 from .highsnr import eta_pair
 from .lowerbound import REL_TOL
 from .scenario import (AntennaConfig, BALANCED_WEIGHTS, CoefficientSet, PowerProfile,
-                       Protocol, coefficient_set, power_profile, protocol_modulation)
+                       Protocol, coefficient_set, protocol_modulation)
 from .simulate import (D_FACTOR_TRIALS, ChannelStream, SweepPoint,
                        end_to_end_snrs, estimate_d_factors, link_gains,
                        sample_end_to_end_snrs, semi_analytic_sweep)
@@ -159,43 +167,6 @@ def check_lower_bound_ordering(pw: PowerProfile, trials: int, seed: int) -> Chec
                        note="z-score of closed form above exact-form estimate")
 
 
-def check_gamma_form_dominates(pw: PowerProfile, seed: int) -> CheckResult:
-    ant = AntennaConfig(2, 1, 2)
-    g = _block_gains(seed, 1, 4000)
-    worst = 0.0
-    for p in Protocol:
-        w = BALANCED_WEIGHTS if p.uses_weights else None
-        coeffs = coefficient_set(p, ant, pw, w)
-        ex_arb, ex_bra = end_to_end_snrs(p, g, pw, w, coeffs, "exact")
-        lo_arb, lo_bra = end_to_end_snrs(p, g, pw, w, coeffs, "lower")
-        worst = max(worst, float(np.max(ex_arb - lo_arb)), float(np.max(ex_bra - lo_bra)))
-    return CheckResult("gamma_form_dominates", worst <= 0.0, worst, 0.0,
-                       note="max exact-form excess over lower form")
-
-
-def check_harmonic_mean_sandwich(pw: PowerProfile, seed: int) -> CheckResult:
-    """gamma of `end_to_end_snrs` (lower form) has 1 / gamma = k_s / lambda_s
-    + k_f / lambda_f with the scales of `_direction`, so m / 2 <= gamma <= m
-    for m = min(lambda_s / k_s, lambda_f / k_f): single-reception protocols
-    (balanced weights), both directions, at pw and at an unbalanced one."""
-    ant = AntennaConfig(2, 1, 2)
-    g = _block_gains(seed, 2, 4000)
-    links = {"arb": (g.lam_a, g.lam_b), "bra": (g.lam_b, g.lam_a)}    # (source, far) gains
-    ratios = []
-    for profile in (pw, power_profile(30.0, 0.3, relay_rho_db=25.0)):
-        for p in (Protocol.TWO_SLOT, Protocol.FIRST_THREE_SLOT, Protocol.FIRST_FOUR_SLOT):
-            w = BALANCED_WEIGHTS if p.uses_weights else None
-            coeffs = coefficient_set(p, ant, profile, w)
-            for direction, gamma in zip(links, end_to_end_snrs(p, g, profile, w, coeffs, "lower")):
-                _, _, k_s, k_f = _direction(direction, coeffs, ant, profile)
-                lam_s, lam_f = links[direction]
-                ratios.append(gamma / np.minimum(lam_s / k_s, lam_f / k_f))
-    ratio = np.concatenate(ratios)
-    low, high = float(ratio.min()), float(ratio.max())
-    return CheckResult("harmonic_mean_sandwich", low >= 0.5 - 1e-9 and high <= 1.0 + 1e-12,
-                       low, 0.5, note=f"gamma/m up to {high:.5f}, must stay in [1/2, 1]")
-
-
 def _ks_case(p: Protocol, ant: AntennaConfig, pw: PowerProfile, trials, seed,
              dfactors=None) -> float:
     w = BALANCED_WEIGHTS if p.uses_weights else None
@@ -274,7 +245,7 @@ def check_closed_vs_quadrature() -> CheckResult:
             for rho_db in grid:
                 pw = PowerProfile.balanced(rho_db)
                 coeffs = coefficient_set(p, ant, pw)
-                c, bound = _closed_form_f64(coeffs, ant, pw, mod)
+                c, bound = _closed_form_f64(_directions(coeffs, ant, pw), mod)
                 q = sum_ber_quadrature(coeffs, ant, pw, mod)
                 worst = max(worst, abs(c - q) / (bound + REL_TOL * q))
     return CheckResult("closed_vs_quadrature", worst <= 1.0, worst, 1.0,
@@ -300,8 +271,6 @@ def run_validation(trials: int = 100_000, seed: int = 12345) -> tuple[list, int]
     pw = PowerProfile.balanced(30.0)
     results = [check_mr1_reduction(pw),
                check_unified_dual_mr1(pw, seed),
-               check_gamma_form_dominates(pw, seed),
-               check_harmonic_mean_sandwich(pw, seed),
                check_monotonicity(pw),
                check_closed_vs_quadrature()]
     results.extend(check_slopes())

@@ -727,7 +727,8 @@ class TestSumBerClosedForm:
                                     WeightPair.from_beta_squared(0.4), DFactors(1.7, 1.6, 1.8, 1.55)),
                                    (Protocol.TWO_SLOT, PowerProfile.balanced(20.0), None, None)):
             coeffs = coefficient_set(p, ant, pw, w, dfactors)
-            values.append(_closed_form_f64(coeffs, ant, pw, protocol_modulation(p))[0])
+            values.append(_closed_form_f64(_directions(coeffs, ant, pw),
+                                           protocol_modulation(p))[0])
         assert tuple(v.hex() for v in values) == self.PINNED[dims]
 
     def test_matches_quadrature(self):
@@ -749,7 +750,7 @@ class TestSumBerClosedForm:
             pw = PowerProfile.balanced(rho_db)
             coeffs = coefficient_set(Protocol.FIRST_FOUR_SLOT, ant, pw)
             mod = protocol_modulation(Protocol.FIRST_FOUR_SLOT)
-            f64, bound = _closed_form_f64(coeffs, ant, pw, mod)
+            f64, bound = _closed_form_f64(_directions(coeffs, ant, pw), mod)
             assert abs(f64 - closed_form_mp(coeffs, ant, pw, mod, dps=40)) <= bound
 
     def test_lower_bounds_simulation(self):
@@ -996,17 +997,17 @@ class TestSumBerClosedForm:
                         assert value == pytest.approx(grid, rel=2e-13, abs=0.0), case
                         assert 0.0 < value <= previous, case
                         previous = value
-                        raw, bound = _closed_form_f64(coeffs, ant, pw, mod)
+                        directions = _directions(coeffs, ant, pw)
+                        raw, bound = _closed_form_f64(directions, mod)
                         assert abs(raw - grid) <= bound + REL_TOL * grid, case
                         # the sum-BER's bound lies above the grid, and where
                         # it rules the assembly out, the assembly is not kept
-                        upper = sum_ber_bound(_directions(coeffs, ant, pw), mod.a, mod.b,
-                                              mod.bits_per_symbol)
+                        upper = sum_ber_bound(directions, mod.a, mod.b, mod.bits_per_symbol)
                         assert upper >= grid, case
                         if upper < _KEPT_SHARE * mod.ceiling:
                             skips += 1
                             with pytest.raises(NumericalError, match="its rounding bound"):
-                                _closed_form(coeffs, ant, pw, mod)
+                                _closed_form(directions, mod)
         # the bound rules out the assembly at 97 of the subsample's 300 points
         assert skips == 97
 

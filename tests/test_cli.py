@@ -322,10 +322,10 @@ class TestValidate:
         monkeypatch.delenv("TWRELAY_SEED", raising=False)
         assert main(["validate"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[-1] == "12 passed, 0 failed, 0 skipped"
+        assert out[-1] == "10 passed, 0 failed, 0 skipped"
         assert [line.split()[1] for line in out[:-1]] == [
-            "mr1_reduction", "unified_dual_agreement_mr1", "gamma_form_dominates",
-            "harmonic_mean_sandwich", "e2e_cdf_shape", "closed_vs_quadrature", "slope_2x1x2",
+            "mr1_reduction", "unified_dual_agreement_mr1", "e2e_cdf_shape",
+            "closed_vs_quadrature", "slope_2x1x2",
             "slope_2x2x2_first_four_slot", "ks_all_protocols_2x1x2", "ks_first_four_slot_2x2x2",
             "ks_second_three_slot_2x2x2", "lower_bound_ordering"]
 
@@ -333,7 +333,7 @@ class TestValidate:
         # at 30 dB the ordering check's z-score misfired at seed 13; at
         # 10 dB Monte Carlo resolves the mean
         assert main(["validate", "--seed", "13"]) == 0
-        assert "12 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+        assert "10 passed, 0 failed, 0 skipped" in capsys.readouterr().out
 
     @pytest.mark.parametrize("seed", [1, 13, 12345])
     def test_ordering_catches_a_raised_closed_form(self, monkeypatch, seed):
@@ -341,20 +341,6 @@ class TestValidate:
         closed = validate.sum_ber_closed_form
         monkeypatch.setattr(validate, "sum_ber_closed_form", lambda *a: 1.05 * closed(*a))
         res = validate.check_lower_bound_ordering(PowerProfile.balanced(10.0), 100_000, seed)
-        assert not res.passed, res.line()
-
-    def test_sandwich_catches_a_scaled_snr_map(self, monkeypatch):
-        # the check holds the Monte-Carlo SNR map to the analytic scales: a
-        # B -> R -> A SNR 3 times too high leaves [m / 2, m]
-        snrs = validate.end_to_end_snrs
-
-        def scaled(*args):
-            arb, bra = snrs(*args)
-            return arb, 3.0 * bra
-        pw = PowerProfile.balanced(30.0)
-        assert validate.check_harmonic_mean_sandwich(pw, 12345).passed
-        monkeypatch.setattr(validate, "end_to_end_snrs", scaled)
-        res = validate.check_harmonic_mean_sandwich(pw, 12345)
         assert not res.passed, res.line()
 
     def test_top_seed_keeps_its_sub_streams(self, capsys):
@@ -365,7 +351,7 @@ class TestValidate:
         assert code != 2
         assert "configuration error" not in captured.err
         assert ", 0 skipped" in captured.out
-        assert sum(line.startswith(("PASS", "FAIL")) for line in captured.out.splitlines()) == 12
+        assert sum(line.startswith(("PASS", "FAIL")) for line in captured.out.splitlines()) == 10
 
     def test_perturbed_cdf_fails_ks(self, scenario_file, capsys, monkeypatch):
         # the CDF under test off by the term that an expansion coefficient
@@ -463,9 +449,24 @@ class TestCommandInputs:
         ["gaps", "--m-a", "5", "--m-r", "2", "--m-b", "5"],
         ["kappa", "--m-r-list", "2,0"],
         ["kappa", "--m-r-list", "2,x"],
+        # one trial gives no standard error
+        ["sweep", "--m-r", "2", "--mode", "all", "--protocols", "second_four_slot",
+         *SWEEP_ARGS, "--trials", "1"],
+        ["gaps", "--m-r", "2", "--trials", "1"],
+        ["beta", "--m-r", "2", "--protocol", "second_four_slot", "--sweep", "rho",
+         "--start", "10", "--stop", "30", "--step", "10", "--trials", "1"],
+        ["kappa", "--m-a", "2", "--m-b", "2", "--m-r-list", "2", "--trials", "1"],
+        ["validate", "--trials", "1"],
+        # a zero weight silences a direction, which the analytic engines refuse
+        ["sweep", "--mode", "closed", "--protocols", "first_three_slot", "--beta", "0",
+         *SWEEP_ARGS],
+        ["sweep", "--mode", "asymptote", "--protocols", "first_three_slot", "--beta", "1",
+         *SWEEP_ARGS],
     ])
     def test_configuration_error_before_any_draw(self, argv, capsys, draws):
-        assert main(argv + ["--trials", "1000"]) == 2
+        # a budget of 1000 trials unless the case gives its own, which comes
+        # later on the command line and so wins
+        assert main([argv[0], "--trials", "1000", *argv[1:]]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert draws == []
 
@@ -574,6 +575,20 @@ class TestCommandInputs:
         assert "best protocol" in capsys.readouterr().out
         assert main(["gaps", str(f)]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize("beta", ["0", "1"])
+    def test_mc_sweep_at_a_zero_weight(self, beta, capsys):
+        # beta = 0 (1) silences the bra (arb) direction of the weighted
+        # protocols: its SNR is 0 at every draw and its BER half the
+        # ceiling, so each first_three_slot row lies above half the ceiling
+        assert main(["sweep", "--m-a", "2", "--m-r", "2", "--m-b", "2", "--beta", beta,
+                     "--protocols", "first_three_slot,second_four_slot", *SWEEP_ARGS,
+                     "--mode", "mc", "--trials", "1000"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["first_three_slot", "second_four_slot"]
+        ceiling = protocol_modulation(Protocol.FIRST_THREE_SLOT).ceiling
+        assert 0.5 * ceiling < float(rows[0][3]) < ceiling
+        assert all(0.0 < float(row[4]) < 1e-2 for row in rows)
 
     @pytest.mark.parametrize("argv", [
         ["--m-a", "1", "--m-r", "2", "--m-b", "2", "--beta", "0.6"],

@@ -1,8 +1,9 @@
 """Package hygiene: every name a program or test module imports is used
 there, every public function a program module defines is a plain function,
 no program module reaches past `lowerbound`'s public names, only
-`analysis` builds a `lowerbound.Direction`, one function calls `hyp2f1`,
-and importing the package loads no heavy scipy subpackage."""
+`analysis` builds a `lowerbound.Direction` or reads the unified SNR
+constants, one function calls `hyp2f1`, and importing the package loads no
+heavy scipy subpackage."""
 
 import ast
 import importlib
@@ -129,6 +130,28 @@ def test_one_map_to_direction_scales():
     assert built.pop("analysis.py") == ["Direction", "Link", "Link"]
     built.pop("lowerbound.py")
     assert {name: found for name, found in built.items() if found} == {}
+
+
+UNIFIED_CONSTANTS = ("a_arb", "b_arb", "c_arb", "a_bra", "b_bra", "c_bra")
+
+
+def _unified_constant_reads(source: str) -> list:
+    # the CoefficientSet fields read as an attribute of any object
+    return sorted(node.attr for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in UNIFIED_CONSTANTS)
+
+
+def test_one_reader_of_the_unified_constants():
+    # each direction's end-to-end SNR law is stated once, by
+    # analysis.direction_scales, which alone turns the constants A, B, C into
+    # scales; validate reads them for its single-antenna eta oracle and its
+    # CDF threshold, and no other program module reads them
+    probe = "c.a_arb + coeffs.c_bra\nx.a_arbx\na_bra = 1\n"
+    assert _unified_constant_reads(probe) == ["a_arb", "c_bra"]
+    reads = {p.name: _unified_constant_reads(p.read_text()) for p in MODULES}
+    assert reads.pop("analysis.py")
+    assert reads.pop("validate.py")
+    assert {name: found for name, found in reads.items() if found} == {}
 
 
 def _hyp2f1_callers(source: str) -> list:

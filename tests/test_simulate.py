@@ -16,7 +16,7 @@ from scipy import stats
 
 from channel_oracle import channel_gains, tridiagonal_top_mp
 from twrelay import simulate
-from twrelay.analysis import MAX_TABLE_DIM
+from twrelay.analysis import MAX_TABLE_DIM, direction_scales
 from twrelay.errors import ConfigurationError
 from twrelay.lowerbound import ccdf_expansion, mean_largest_eigenvalue
 from twrelay.scenario import (AntennaConfig, BALANCED_WEIGHTS, DFactors, PowerProfile,
@@ -442,10 +442,78 @@ class TestEndToEnd:
                     np.testing.assert_allclose(x, y, rtol=1e-14, atol=0.0)
 
 
+    def test_unified_form_is_the_analytic_law(self):
+        # the unified form is the law of analysis.direction_scales, 1 / gamma
+        # = k_s / lam_s + k_f / lam_f + n1 kappa / (lam_s lam_f), in either
+        # form, to 4 ulp of that law formed in long double (in double its
+        # own rounding reaches 5 ulp of it); the exact form lies at or below
+        # the lower one, draw by draw, and the lower one in the harmonic-mean
+        # sandwich m / 2 <= gamma <= m, m = min(lam_s / k_s, lam_f / k_f), to
+        # rounding
+        rng = np.random.default_rng(1618)
+        ant = AntennaConfig(3, 2, 4)
+        g = next(simulate._gain_blocks(ant, 4000, 6))
+        for _ in range(8):
+            rho_ar, rho_br, rho_r = 10.0 ** rng.uniform(-1.0, 6.0, 3)
+            pw = PowerProfile(rho_ar, rho_br, rho_r, rho_r)
+            w = WeightPair.from_beta_squared(rng.uniform(0.05, 0.95))
+            for p in Protocol:
+                wp = w if p.uses_weights else None
+                c = coefficient_set(p, ant, pw, wp, DFactors(1.7, 1.6, 1.8, 1.55))
+                exact = end_to_end_snrs(p, g, pw, wp, c, "exact")
+                lower = end_to_end_snrs(p, g, pw, wp, c, "lower")
+                for (k_s, k_f, kappa), lam_s, lam_f, ex, lo in zip(
+                        direction_scales(c, pw), (g.lam_a, g.lam_b), (g.lam_b, g.lam_a),
+                        exact, lower):
+                    ls, lf, ks, kf = (np.longdouble(v) for v in (lam_s, lam_f, k_s, k_f))
+                    for n1, gamma in ((1, ex), (0, lo)):
+                        ref = 1 / (ks / ls + kf / lf + n1 * np.longdouble(kappa) / (ls * lf))
+                        np.testing.assert_array_max_ulp(gamma, ref.astype(float), maxulp=4)
+                    assert np.all(ex <= lo), p
+                    m = np.minimum(lam_s / k_s, lam_f / k_f)
+                    assert np.all(lo >= 0.5 * m * (1.0 - 4 * EPS)), p
+                    assert np.all(lo <= m * (1.0 + 4 * EPS)), p
+
+    @pytest.mark.parametrize("beta_sq", [0.0, 1.0])
+    def test_zero_weight_silences_a_direction(self, beta_sq):
+        # a zero relay weight (A = 0) makes all three of the silenced
+        # direction's scales infinite: its SNR is 0 at every draw in both
+        # forms, with no division error and no nan, and the other direction
+        # keeps a positive, finite SNR
+        ant = AntennaConfig(2, 2, 2)
+        g = next(simulate._gain_blocks(ant, 2000, 5))
+        w = WeightPair.from_beta_squared(beta_sq)
+        silent = 1 if beta_sq == 0.0 else 0     # beta = 0 silences bra, alpha = 0 arb
+        for p in (Protocol.FIRST_THREE_SLOT, Protocol.SECOND_FOUR_SLOT):
+            c = coefficient_set(p, ant, PW, w, DFactors(1.7, 1.6, 1.8, 1.55))
+            assert direction_scales(c, PW)[silent] == (math.inf,) * 3
+            for form in ("exact", "lower"):
+                snrs = end_to_end_snrs(p, g, PW, w, c, form)
+                assert np.all(snrs[silent] == 0.0), (p, form)
+                assert np.all(np.isfinite(snrs[1 - silent]) & (snrs[1 - silent] > 0.0)), (p, form)
+
+    def test_noise_scale_underflow(self):
+        # at -1700 dB, A rho_s rho_f underflows to 0 and kappa is infinite:
+        # the exact form is 0 at every draw, and the lower form, which drops
+        # kappa, keeps the harmonic-mean law on the finite k_s, k_f
+        pw = PowerProfile.balanced(-1700.0)
+        g = next(simulate._gain_blocks(ANT, 2000, 5))
+        for p in (Protocol.TWO_SLOT, Protocol.FIRST_FOUR_SLOT):
+            c = coefficient_set(p, ANT, pw)
+            exact = end_to_end_snrs(p, g, pw, coeffs=c)
+            lower = end_to_end_snrs(p, g, pw, coeffs=c, snr_form="lower")
+            for (k_s, k_f, kappa), lam_s, lam_f, ex, lo in zip(
+                    direction_scales(c, pw), (g.lam_a, g.lam_b), (g.lam_b, g.lam_a),
+                    exact, lower):
+                assert kappa == math.inf and math.isfinite(k_s) and math.isfinite(k_f), p
+                assert np.all(ex == 0.0), p
+                m = np.minimum(lam_s / k_s, lam_f / k_f)
+                assert np.all((lo >= 0.5 * m * (1.0 - 4 * EPS)) & (lo <= m * (1.0 + 4 * EPS))), p
+
     def test_exact_form_equals_masked_division(self):
-        # every exact-form denominator holds the unit noise term, so the
-        # unmasked division equals the one that maps 0/0 to 0, bit for bit,
-        # also where gains are zero
+        # every exact-form denominator holds the noise term kappa > 0, so
+        # the unmasked division equals the one that maps 0/0 to 0, bit for
+        # bit, also where gains are zero
         rng = np.random.default_rng(31)
         g = next(simulate._gain_blocks(AntennaConfig(2, 2, 2), 4000, 3))
         lams = [lam.copy() for lam in astuple(g)]
@@ -465,10 +533,9 @@ class TestEndToEnd:
             for p in Protocol:
                 wp = w if p.uses_weights else None
                 c = coefficient_set(p, AntennaConfig(2, 2, 2), pw, wp, dfactors)
-                ref = (masked(c.a_arb * pw.rho_ar * pw.rho_rb * (g.lam_a * g.lam_b),
-                              c.b_arb * pw.rho_ar * g.lam_a + c.c_arb * pw.rho_rb * g.lam_b + 1.0),
-                       masked(c.a_bra * pw.rho_br * pw.rho_ra * (g.lam_b * g.lam_a),
-                              c.b_bra * pw.rho_br * g.lam_b + c.c_bra * pw.rho_ra * g.lam_a + 1.0))
+                ref = tuple(masked(lam_s * lam_f, k_f * lam_s + k_s * lam_f + kappa)
+                            for (k_s, k_f, kappa), lam_s, lam_f in zip(
+                                direction_scales(c, pw), (g.lam_a, g.lam_b), (g.lam_b, g.lam_a)))
                 for x, y in zip(end_to_end_snrs(p, g, pw, wp, c), ref):
                     assert np.array_equal(x, y), p
                 if not p.dual_reception:
