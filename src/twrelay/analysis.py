@@ -1,6 +1,7 @@
 """Exact-analysis engine: the end-to-end SNR distribution of the
-lower-bound (noise-term-dropped) SNR forms, and the sum-BER lower bound, by
-numerical integration and by the paper's termwise closed form.
+lower-bound (noise-term-dropped) SNR forms, and the sum-BER lower bound,
+by numerical integration; and the paper's termwise closed form of that
+bound, which `validate` checks against the integral.
 
 The distributions and the integral come from `lowerbound`: the per-link
 largest-eigenvalue CDF and density in their determinant form (Kang & Alouini
@@ -21,37 +22,22 @@ lambda_f), with the noise scale kappa = 1 / (A rho_s rho_f).  The lower
 form drops kappa.  The engines here and `highsnr` read (k_s, k_f) through
 `_direction`; Monte Carlo (`simulate.end_to_end_snrs`) reads all three.
 
-The closed form runs over the product of the two links' exact
-largest-eigenvalue expansions, which `lowerbound.ccdf_expansion` reads off
-the same determinant; each summand is a Bessel moment (Gradshteyn & Ryzhik
-6.621.3) with scipy's `hyp2f1` and the math module's `lgamma`.  Summands
-that share a moment are grouped (`_moment_groups`), the rational parts of
-their coefficients summed exactly, and each distinct moment evaluated once,
-in the log domain because the terms span hundreds of orders of magnitude at
-high SNR.  The cached groups also hold each rational's ln|r| and sign as
-floats, so the double-precision assembly converts no rational per call; it
-takes a direction's 2F1 values from one `hyp2f1` array call through
-`_ln_bessel_moment`, the one statement of the moment formula, and
-assembles equal directions (a symmetric network's two) once, counting their
-terms twice.  Its terms, the zero-SNR ceiling a/log2(M) among them, cancel
-down to the sum-BER, so its rounding error follows their absolute sum: it
-is at most c eps sum|terms| with c = 32 (27.0 at worst, measured over every
-configuration up to 4 antennas).  Where that bound exceeds 1e-13 of the
-value, or the assembly cannot run, the integral gives the sum-BER.
-
-A kept assembly is therefore at least c eps ceiling / 1e-13, about 0.071 of
-the ceiling.  Before it runs, `lowerbound.sum_ber_bound` bounds the sum-BER
-from the link scales alone (Chernoff's Q(x) <= e^(-x^2/2) / 2, the smaller
-of the two link terms, and the largest eigenvalue at least the trace over
-min(m, n)), and where that bound lies below 0.071 of the ceiling the grid
-answers at once, with the value the assembly's rejection would give.  Over
-4050 points (every configuration up to 4 antennas, all five protocols, -20
-to 60 dB in steps of 10 and d0 = 0.1, 0.5 and 0.9) the rule skipped 1545
-assemblies, none of which would have been kept, and the grid lay at most
-0.88 of the bound.  At 4x4x4, where no assembly is kept, it skips 56 of the
-135; the others (up to 10-20 dB at d0 = 0.5, 30-40 dB at d0 = 0.1 and 0.9)
-still cost about 4 ms a call against 0.4-1.8 ms for the grid (2-vCPU
-x86_64).
+The closed form (`_closed_form_f64`) runs over the product of the two
+links' exact largest-eigenvalue expansions, which `lowerbound.ccdf_expansion`
+reads off the same determinant; each summand is a Bessel moment
+(Gradshteyn & Ryzhik 6.621.3) with scipy's `hyp2f1` and the math module's
+`lgamma`.  Summands that share a moment are grouped (`_moment_groups`), the
+rational parts of their coefficients summed exactly, and each distinct
+moment evaluated once, in the log domain because the terms span hundreds of
+orders of magnitude at high SNR.  The cached groups also hold each
+rational's ln|r| and sign as floats, so the double-precision assembly
+converts no rational per call; it takes a direction's 2F1 values from one
+`hyp2f1` array call through `_ln_bessel_moment`, the one statement of the
+moment formula, and assembles equal directions (a symmetric network's two)
+once, counting their terms twice.  Its terms, the zero-SNR ceiling
+a/log2(M) among them, cancel down to the sum-BER, so its rounding error
+follows their absolute sum: it is at most c eps sum|terms| with c = 32
+(27.0 at worst, measured over every configuration up to 4 antennas).
 """
 
 from __future__ import annotations
@@ -75,14 +61,8 @@ _DIRECTIONS = ("arb", "bra")
 MAX_TABLE_DIM = 4
 # The double-precision assembly's rounding bound is _ROUNDING_C eps sum|terms|
 # (eps = 2^-52; at worst 27.0 eps sum|terms|, measured over every
-# configuration up to 4 antennas).  The zero-SNR ceiling a/log2 M is one of
-# the terms, so the bound is at least _ROUNDING_C eps ceiling.  A kept value
-# v has bound <= REL_TOL v, and v <= V + bound for the sum-BER V, so V >=
-# bound (1 - REL_TOL) / REL_TOL >= _KEPT_SHARE ceiling (0.071 of it): where
-# `lowerbound.sum_ber_bound`, which is at least V, lies below that, no
-# assembly can be kept.
+# configuration up to 4 antennas).
 _ROUNDING_C = 32.0
-_KEPT_SHARE = _ROUNDING_C * math.ulp(1.0) * (1.0 - lowerbound.REL_TOL) / lowerbound.REL_TOL
 _log = logging.getLogger(__name__)
 
 
@@ -162,7 +142,8 @@ def _direction(direction: str, coeffs: CoefficientSet, ant: AntennaConfig,
     if math.isinf(k_s) or math.isinf(k_f):
         raise ConfigurationError(f"the {direction} direction's scales are k_s = {k_s:g}, k_f = "
                                  f"{k_f:g}: its SNR is 0 at every draw (a zero relay weight, or "
-                                 f"an extreme SNR), which only Monte Carlo (--mode mc) takes")
+                                 f"an extreme SNR), which has no end-to-end CDF or power law "
+                                 f"(--mode mc and closed take it)")
     return lowerbound.Direction(src, far, k_s, k_f)
 
 
@@ -183,30 +164,35 @@ def _directions(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile) ->
     return [_direction(d, coeffs, ant, pw) for d in _DIRECTIONS]
 
 
-def _sum_ber_integral(directions: list, mod: Modulation, path: str) -> float:
-    """The sum-BER lower bound of both directions from the integration
-    engine, checked to lie in (0, a/log2 M] within its tolerance; one debug
-    record on the "twrelay.analysis" logger gives the path, the error
-    estimate, the grid points and the link-law arguments."""
-    est = lowerbound.sum_ber(directions, mod.a, mod.b, mod.bits_per_symbol)
-    _log.debug("sum-BER by the lower-bound integral (%s): %.6e, error estimate %.1e, "
-               "%d grid points, %d link-law arguments",
-               path, est.value, est.error, est.grid_points, est.link_args)
-    ceiling = mod.ceiling
-    # where every CDF is near 1 the value rounds to within the tolerance of
-    # the ceiling, on either side
-    if not 0.0 < est.value <= ceiling * (1.0 + lowerbound.REL_TOL):
-        raise NumericalError(f"sum-BER integral gave {est.value!r} outside (0, {ceiling!r}]")
-    return min(est.value, ceiling)
-
-
 def sum_ber_quadrature(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,
                        mod: Modulation) -> float:
     """Lower-bound sum-BER as the average of Q over both link gains of each
     direction, one trapezoid grid over the two link densities
     (`lowerbound.sum_ber`), refined to an estimated relative error below
-    1e-13."""
-    return _sum_ber_integral(_directions(coeffs, ant, pw), mod, "quadrature")
+    1e-13 and checked to lie in (0, a/log2 M]; one debug record on the
+    "twrelay.analysis" logger gives the grid's value, error estimate, grid
+    points and link-law arguments.  A direction with an infinite scale (a
+    zero relay weight, at beta = 0 or 1 for the weighted protocols, or an
+    underflow at an extreme SNR) has gamma = 0 at every draw, and adds its
+    exact (a / log2 M) Q(0), half the ceiling."""
+    require_analytic(ant)
+    live = [d for d, (k_s, k_f, _) in zip(_DIRECTIONS, direction_scales(coeffs, pw))
+            if not (math.isinf(k_s) or math.isinf(k_f))]
+    ceiling = mod.ceiling
+    silenced = 0.5 * ceiling * (len(_DIRECTIONS) - len(live))
+    if not live:
+        return silenced
+    est = lowerbound.sum_ber([_direction(d, coeffs, ant, pw) for d in live],
+                             mod.a, mod.b, mod.bits_per_symbol)
+    _log.debug("sum-BER by the lower-bound integral: %.6e, error estimate %.1e, "
+               "%d grid points, %d link-law arguments",
+               est.value, est.error, est.grid_points, est.link_args)
+    value = silenced + est.value
+    # where every CDF is near 1 the value rounds to within the tolerance of
+    # the ceiling, on either side
+    if not 0.0 < value <= ceiling * (1.0 + lowerbound.REL_TOL):
+        raise NumericalError(f"sum-BER integral gave {value!r} outside (0, {ceiling!r}]")
+    return min(value, ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +278,10 @@ def _moment_groups(m_src: int, m_far: int, m_r: int) -> tuple:
 
 
 def _closed_form_f64(directions: list, mod: Modulation) -> tuple:
-    """The double-precision assembly over the directions (`_directions`)
-    and its rounding bound: (value, bound)."""
+    """The paper's closed form of the sum-BER lower bound, assembled in
+    double precision over the directions (`_directions`), and its rounding
+    bound: (value, bound).  `validate.check_closed_vs_quadrature` holds it to
+    `sum_ber_quadrature`."""
     ln_pref = (math.log(mod.a) + 0.5 * math.log(mod.b)
                - math.log(2.0) - 0.5 * math.log(math.pi)
                - math.log(mod.bits_per_symbol))
@@ -333,49 +321,3 @@ def _closed_form_f64(directions: list, mod: Modulation) -> tuple:
     # rounds once, and each term carries a few ulps of its size from exp, log
     # and 2F1
     return math.fsum(terms), _ROUNDING_C * math.ulp(1.0) * math.fsum(map(abs, terms))
-
-
-def _closed_form(directions: list, mod: Modulation) -> float:
-    """The assembly's value where its rounding bound is at most REL_TOL of
-    it, which no value <= 0 meets; NumericalError elsewhere."""
-    value, bound = _closed_form_f64(directions, mod)
-    if bound <= lowerbound.REL_TOL * value:
-        return value
-    raise NumericalError(f"its rounding bound {bound:.1e} exceeds {lowerbound.REL_TOL:g} "
-                         f"of its value {value:.6e}")
-
-
-def sum_ber_closed_form(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProfile,
-                        mod: Modulation) -> float:
-    """Lower-bound sum-BER assembled from one Gamma-function and Gauss
-    hypergeometric moment per distinct (n, i, s, nu) group of summands.
-
-    The double-precision assembly subtracts terms that sum to about the
-    zero-SNR ceiling a/log2 M, and bounds its rounding error by c eps
-    sum|terms|, c = 32 (worst measured 27.0); at extreme SNR (from about
-    140 dB at 2x1x2) a 2F1 overflows or a moment's beta underflows.  Where
-    that bound exceeds 1e-13 of the value, or the assembly cannot run, the
-    value comes from the integral of non-negative terms (`lowerbound.sum_ber`:
-    Q averaged over the determinant-form densities of both link gains),
-    refined until its error estimate is below 1e-13 relative, checked to lie
-    in (0, ceiling] and reported, with the reason, in one debug record on the
-    "twrelay.analysis" logger.
-
-    The ceiling is one of the terms, so a kept value is at least c eps
-    ceiling / 1e-13.  Where `lowerbound.sum_ber_bound` (the Chernoff bound
-    on Q, over the link scales alone) lies below that, times (1 - 1e-13),
-    about 0.071 of the ceiling, no assembly within its rounding bound of the
-    sum-BER can be kept: the integral answers without it, with the same
-    value.  That skipped 1545 of 4050 scan points (module docstring), each
-    one an assembly that would have been discarded.
-    """
-    directions = _directions(coeffs, ant, pw)
-    bound = lowerbound.sum_ber_bound(directions, mod.a, mod.b, mod.bits_per_symbol)
-    if bound < _KEPT_SHARE * mod.ceiling:
-        return _sum_ber_integral(directions, mod, f"closed form not kept: the sum-BER's bound "
-                                 f"{bound:.1e} lies below {_KEPT_SHARE:.3f} of the ceiling")
-    try:
-        return _closed_form(directions, mod)
-    except NumericalError as exc:
-        return _sum_ber_integral(directions, mod, f"closed form not kept: {exc}")
-

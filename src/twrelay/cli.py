@@ -44,7 +44,7 @@ from .scenario import (SCENARIO_FIELDS, AntennaConfig, Protocol, Scenario, coeff
                        load_scenario, parse_protocol, power_profile, protocol_modulation)
 from .simulate import (D_FACTOR_TRIALS, SweepPoint, _gain_blocks, estimate_d_factors,
                        require_seed, require_trials, semi_analytic_sweep)
-from .analysis import require_analytic, sum_ber_closed_form
+from .analysis import require_analytic, sum_ber_quadrature
 from .validate import run_validation
 
 def _write_csv(path, header: str, rows) -> None:
@@ -127,11 +127,16 @@ def cmd_sweep(args) -> int:
     of `gaps`) for each protocol and mode, as CSV.
 
     Every step writes one mc and one closed row per protocol. A closed row
-    is the paper's closed form where its rounding bound meets 1e-13 of the
-    value, and the lower-bound integral otherwise (`sum_ber_closed_form`).
-    An asymptote row is written only where the power law is at or below the
-    zero-SNR ceiling a / log2 M; the others are left out, and their count is
-    reported on stderr so that a CSV on stdout stays clean.
+    is the lower-bound integral (`sum_ber_quadrature`); `validate` checks the
+    paper's closed form against it. An asymptote row is written only where
+    the power law is at or below the zero-SNR ceiling a / log2 M; the others
+    are left out, and their count is reported on stderr so that a CSV on
+    stdout stays clean.
+
+    A zero relay weight (--beta 0 or 1 for the weighted protocols) silences
+    one direction: mc and closed rows give it its SNR of 0, while the
+    asymptote, which has no power law there, exits 2, and so does --mode
+    all.
     """
     sc = _scenario_from_args(args)
     rho_grid = _grid(args.rho_start, args.rho_stop, args.rho_step, "--rho-step")
@@ -172,7 +177,7 @@ def cmd_sweep(args) -> int:
                     mc_points.append((rho_db, SweepPoint(p, pw, w, mod)))
                 elif mode == "closed":
                     coeffs = coefficient_set(p, ant, pw, w, dfactors)
-                    val = sum_ber_closed_form(coeffs, ant, pw, mod)
+                    val = sum_ber_quadrature(coeffs, ant, pw, mod)
                     rows.append((rho_db, p.value, mode, val, None))
                 else:   # asymptote
                     prof = high_snr_profile(p, ant, pw, w, dfactors)
@@ -312,9 +317,9 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--rho-step", type=float, required=True)
     sweep.add_argument("--mode", choices=["mc", "closed", "asymptote", "all"], default="all",
                        help="engine(s) to run, against the per-symbol SNR rho_ar; closed rows "
-                            "are the paper's closed form where its rounding bound meets 1e-13, "
-                            "the integral otherwise; asymptote rows only where the power law "
-                            "is at most the ceiling a / log2 M")
+                            "are the lower-bound integral, against which validate checks the "
+                            "paper's closed form; asymptote rows only where the power law is "
+                            "at most the ceiling a / log2 M")
     sweep.add_argument("--out", help="output CSV path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
 

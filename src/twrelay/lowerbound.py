@@ -60,7 +60,7 @@ E[Q | l <= U], and the cut carries at most (1 - F(U)) / F(U) of the value.
 Equal directions (the two of a symmetric network) are integrated once and
 counted as often as they occur.  A sum-BER below the smallest normal double
 raises NumericalError: its digits, and its error estimate, are lost.  Where
-a Chernoff bound from the link scales alone (`sum_ber_bound`) already lies
+a Chernoff bound from the link scales alone (`_sum_ber_bound`) already lies
 below it, no grid is built.
 
 Every integral runs over logarithmic variables (ln w; ln l_s and ln l_f)
@@ -831,7 +831,7 @@ def _direction_ber(d: Direction, mod_b: float, scale: float):
         src, far = _interleave(src, new_src), _interleave(far, new_far)
 
 
-def sum_ber_bound(directions, mod_a: float, mod_b: float, bits: float) -> float:
+def _sum_ber_bound(directions, mod_a: float, mod_b: float, bits: float) -> float:
     """An upper bound on `sum_ber`'s total from the directions' link shapes
     and scales alone, with no kernel call:
 
@@ -857,10 +857,10 @@ def sum_ber(directions, mod_a: float, mod_b: float, bits: float) -> Estimate:
     gamma)) f_s f_f over both link gains (module docstring).  Equal
     directions (a symmetric network's two) are integrated once and counted
     as often as they occur.  A total below the smallest normal double raises
-    NumericalError, before any grid where `sum_ber_bound` already lies below
+    NumericalError, before any grid where `_sum_ber_bound` already lies below
     it (at 2x1x2 from about 1550 dB, where a grid's first pass would take
     0.1 s or more)."""
-    bound = sum_ber_bound(directions, mod_a, mod_b, bits)
+    bound = _sum_ber_bound(directions, mod_a, mod_b, bits)
     if not bound >= _TINY:
         raise NumericalError(f"the sum-BER lies below the smallest normal double ({_TINY:.1e}): "
                              f"its bound from the link scales is {bound!r}")

@@ -3,7 +3,7 @@ engine against another or against an independent form of the same law:
 the single-antenna reductions, the unified SNR form against the
 dual-reception sums, the shape of the end-to-end CDF, the closed form
 against the integral, the high-SNR slopes, Monte-Carlo draws against the
-end-to-end CDF (KS) and the closed form below the exact-form Monte-Carlo
+end-to-end CDF (KS) and the lower bound below the exact-form Monte-Carlo
 mean.  Identities that the test suite holds more tightly, such as the
 Bessel moment against mpmath, are not repeated here.
 
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kv
 
-from .analysis import (_closed_form_f64, _direction, _directions, e2e_cdf,
-                       sum_ber_closed_form, sum_ber_quadrature)
+from .analysis import _closed_form_f64, _direction, _directions, e2e_cdf, sum_ber_quadrature
 from .errors import ConfigurationError
 from .highsnr import eta_pair
 from .lowerbound import REL_TOL
@@ -159,12 +158,12 @@ def check_lower_bound_ordering(pw: PowerProfile, trials: int, seed: int) -> Chec
     worst_margin = -math.inf
     for (p, _, w, _), exact in zip(points, estimates):
         coeffs = coefficient_set(p, ant, pw, w)
-        closed = sum_ber_closed_form(coeffs, ant, pw, protocol_modulation(p))
-        # the closed form bounds the exact-metric estimate from below
-        margin = (closed - exact.mean) / max(exact.std_error, 1e-300)
+        lower = sum_ber_quadrature(coeffs, ant, pw, protocol_modulation(p))
+        # the lower bound lies below the exact-metric estimate
+        margin = (lower - exact.mean) / max(exact.std_error, 1e-300)
         worst_margin = max(worst_margin, margin)
     return CheckResult("lower_bound_ordering", worst_margin <= 3.0, worst_margin, 3.0,
-                       note="z-score of closed form above exact-form estimate")
+                       note="z-score of lower bound above exact-form estimate")
 
 
 def _ks_case(p: Protocol, ant: AntennaConfig, pw: PowerProfile, trials, seed,
@@ -222,7 +221,7 @@ def check_slopes() -> list:
         for rho_db in (50.0, 60.0):
             pw = PowerProfile.balanced(rho_db)
             coeffs = coefficient_set(p, ant, pw, w)
-            vals.append(sum_ber_closed_form(coeffs, ant, pw, mod))
+            vals.append(sum_ber_quadrature(coeffs, ant, pw, mod))
         slope = (math.log10(vals[1]) - math.log10(vals[0])) / 1.0
         results.append(CheckResult(name, abs(slope - target) <= tol, slope, target,
                                    note=f"tolerance +-{tol}"))
@@ -230,9 +229,10 @@ def check_slopes() -> list:
 
 
 def check_closed_vs_quadrature() -> CheckResult:
-    """The double-precision closed form against the integral at every case
-    point, each engine at its own error estimate: |closed - integral| at most
-    the closed form's rounding bound plus REL_TOL of the integral."""
+    """The paper's closed form, assembled in double precision, against the
+    integral that `sweep`'s closed rows give, at every case point, each at
+    its own error estimate: |closed - integral| at most the closed form's
+    rounding bound plus REL_TOL of the integral."""
     worst = 0.0
     cases = [(AntennaConfig(2, 1, 2), (Protocol.TWO_SLOT, Protocol.SECOND_THREE_SLOT,
                                        Protocol.FIRST_FOUR_SLOT), (10.0, 17.5, 25.0, 32.5, 40.0)),

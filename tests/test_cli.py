@@ -9,10 +9,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twrelay import cli, lowerbound, simulate, validate
+from twrelay import analysis, cli, lowerbound, simulate, validate
 from twrelay.cli import main
-from twrelay.scenario import (AntennaConfig, PowerProfile, Protocol, parse_protocol,
-                              power_profile, protocol_modulation)
+from twrelay.scenario import (AntennaConfig, PowerProfile, Protocol, Scenario, coefficient_set,
+                              parse_protocol, power_profile, protocol_modulation)
 from twrelay.simulate import ChannelStream, SweepPoint, semi_analytic_sweep
 
 SCENARIO = (
@@ -166,6 +166,50 @@ class TestSweep:
         assert main(args + ["--out", str(unshared)]) == 0
         assert len(calls) == prepass + 2
         assert _read(shared) == _read(unshared)
+
+    @pytest.mark.parametrize("dims", ["2x1x2", "2x2x2", "3x3x3", "4x4x4"])
+    def test_closed_rows_run_no_assembly(self, dims, monkeypatch, capsys):
+        # a closed row is the lower-bound integral: the paper's assembly and
+        # its moment tables (the exact Wishart expansion) serve validate alone
+        def no_assembly(*args):
+            raise AssertionError("closed-form assembly or its tables used")
+
+        monkeypatch.setattr(analysis, "_closed_form_f64", no_assembly)
+        monkeypatch.setattr(analysis, "_moment_groups", no_assembly)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("twrelay") and hasattr(module, "ccdf_expansion"):
+                monkeypatch.setattr(module, "ccdf_expansion", no_assembly)
+        m_a, m_r, m_b = dims.split("x")
+        assert main(["sweep", "--m-a", m_a, "--m-r", m_r, "--m-b", m_b, "--mode", "closed",
+                     "--rho-start", "0", "--rho-stop", "60", "--rho-step", "10",
+                     "--trials", "1000"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 7 * len(Protocol)
+
+    @pytest.mark.parametrize("beta", ["0", "1"])
+    def test_closed_sweep_at_a_zero_weight(self, beta, capsys):
+        # beta = 0 (1) silences the bra (arb) direction of first_three_slot:
+        # its BER is (a / log2 M) Q(0), half the ceiling, and the other
+        # direction's is its lower-bound integral
+        args = ["sweep", "--m-a", "2", "--m-r", "2", "--m-b", "2", "--beta", beta,
+                "--protocols", "first_three_slot", "--rho-start", "0", "--rho-stop", "10",
+                "--rho-step", "10", "--trials", "20000"]
+        assert main([*args, "--mode", "closed"]) == 0
+        closed = capsys.readouterr().out.splitlines()[1:]
+        assert main([*args, "--mode", "mc"]) == 0
+        mc = capsys.readouterr().out.splitlines()[1:]
+        sc = Scenario(m_a=2, m_r=2, m_b=2, beta=float(beta))
+        p = Protocol.FIRST_THREE_SLOT
+        mod = protocol_modulation(p)
+        live = "arb" if beta == "0" else "bra"
+        assert len(closed) == len(mc) == 2
+        for rho_db, row, mc_row in zip((0.0, 10.0), closed, mc):
+            pw = power_profile(rho_db, sc.d0, sc.pl_exponent)
+            coeffs = coefficient_set(p, sc.antennas, pw, sc.weights())
+            other = lowerbound.sum_ber([analysis._direction(live, coeffs, sc.antennas, pw)],
+                                       mod.a, mod.b, mod.bits_per_symbol).value
+            assert row == f"{rho_db:.4f},first_three_slot,closed,{0.5 * mod.ceiling + other:.10e},"
+            _, _, _, mean, se = mc_row.split(",")
+            assert float(row.split(",")[3]) <= float(mean) + 3.0 * float(se)
 
     def test_config_error_exit(self, scenario_file, tmp_path, capsys):
         code = main(["sweep", scenario_file, "--rho-start", "0", "--rho-stop", "10",
@@ -337,9 +381,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("seed", [1, 13, 12345])
     def test_ordering_catches_a_raised_closed_form(self, monkeypatch, seed):
-        # a closed form 5% too high lies above the exact form's estimate
-        closed = validate.sum_ber_closed_form
-        monkeypatch.setattr(validate, "sum_ber_closed_form", lambda *a: 1.05 * closed(*a))
+        # a lower bound 5% too high lies above the exact form's estimate
+        lower = validate.sum_ber_quadrature
+        monkeypatch.setattr(validate, "sum_ber_quadrature", lambda *a: 1.05 * lower(*a))
         res = validate.check_lower_bound_ordering(PowerProfile.balanced(10.0), 100_000, seed)
         assert not res.passed, res.line()
 
@@ -457,8 +501,8 @@ class TestCommandInputs:
          "--start", "10", "--stop", "30", "--step", "10", "--trials", "1"],
         ["kappa", "--m-a", "2", "--m-b", "2", "--m-r-list", "2", "--trials", "1"],
         ["validate", "--trials", "1"],
-        # a zero weight silences a direction, which the analytic engines refuse
-        ["sweep", "--mode", "closed", "--protocols", "first_three_slot", "--beta", "0",
+        # a zero weight silences a direction, which has no power law
+        ["sweep", "--mode", "all", "--protocols", "first_three_slot", "--beta", "0",
          *SWEEP_ARGS],
         ["sweep", "--mode", "asymptote", "--protocols", "first_three_slot", "--beta", "1",
          *SWEEP_ARGS],

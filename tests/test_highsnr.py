@@ -126,17 +126,17 @@ class TestAsymptote:
         assert prof.eta_arb == prof.eta_bra
 
     def test_matches_closed_form_at_40db(self):
-        from twrelay.analysis import sum_ber_closed_form
+        from twrelay.analysis import sum_ber_quadrature
         ant = AntennaConfig(2, 1, 2)
         pw = PowerProfile.balanced(40.0)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
         mod = protocol_modulation(Protocol.TWO_SLOT)
-        closed = sum_ber_closed_form(coeffs, ant, pw, mod)
+        lower = sum_ber_quadrature(coeffs, ant, pw, mod)
         prof = high_snr_profile(Protocol.TWO_SLOT, ant, pw)
-        assert high_snr_sum_ber(prof, pw.rho_ar) == pytest.approx(closed, rel=0.05)
+        assert high_snr_sum_ber(prof, pw.rho_ar) == pytest.approx(lower, rel=0.05)
 
     def test_tightness_monotone(self):
-        from twrelay.analysis import sum_ber_closed_form
+        from twrelay.analysis import sum_ber_quadrature
         ant = AntennaConfig(2, 1, 2)
         for p in Protocol:
             w = BALANCED_WEIGHTS if p.uses_weights else None
@@ -145,9 +145,9 @@ class TestAsymptote:
             for rho_db in (40.0, 50.0, 60.0, 70.0):
                 pw = PowerProfile.balanced(rho_db)
                 coeffs = coefficient_set(p, ant, pw, w)
-                closed = sum_ber_closed_form(coeffs, ant, pw, mod)
+                lower = sum_ber_quadrature(coeffs, ant, pw, mod)
                 prof = high_snr_profile(p, ant, pw, w)
-                ratios.append(closed / high_snr_sum_ber(prof, pw.rho_ar))
+                ratios.append(lower / high_snr_sum_ber(prof, pw.rho_ar))
             devs = [abs(r - 1.0) for r in ratios]
             assert all(b < a for a, b in zip(devs, devs[1:])), (p, ratios)
 

@@ -2,8 +2,9 @@
 there, every public function a program module defines is a plain function,
 no program module reaches past `lowerbound`'s public names, only
 `analysis` builds a `lowerbound.Direction` or reads the unified SNR
-constants, one function calls `hyp2f1`, and importing the package loads no
-heavy scipy subpackage."""
+constants, only `validate` reads the closed form's assembly, one function
+calls `hyp2f1`, and importing the package loads no heavy scipy
+subpackage."""
 
 import ast
 import importlib
@@ -152,6 +153,31 @@ def test_one_reader_of_the_unified_constants():
     assert reads.pop("analysis.py")
     assert reads.pop("validate.py")
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def _reads_of(source: str, name: str) -> int:
+    # the places that read name: an import of it, a load of it, or an
+    # attribute of that name; its definition is not a read
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            count += sum(alias.name == name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            count += node.id == name and isinstance(node.ctx, ast.Load)
+        elif isinstance(node, ast.Attribute):
+            count += node.attr == name
+    return count
+
+
+def test_one_reader_of_the_closed_form_assembly():
+    # the paper's closed form, assembled in double precision, is validate's
+    # reference for the lower-bound integral: no command's value comes from
+    # it, so no other program module reads it
+    probe = ("from .analysis import _closed_form_f64 as f\nanalysis._closed_form_f64(1)\n"
+             "def _closed_form_f64():\n    pass\n_closed_form_f64()\n")
+    assert _reads_of(probe, "_closed_form_f64") == 3
+    readers = {p.name: _reads_of(p.read_text(), "_closed_form_f64") for p in MODULES}
+    assert sorted(name for name, count in readers.items() if count) == ["validate.py"]
 
 
 def _hyp2f1_callers(source: str) -> list:
