@@ -170,11 +170,12 @@ def sum_ber_quadrature(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProf
     direction, one trapezoid grid over the two link densities
     (`lowerbound.sum_ber`), refined to an estimated relative error below
     1e-13 and checked to lie in (0, a/log2 M]; one debug record on the
-    "twrelay.analysis" logger gives the grid's value, error estimate, grid
-    points and link-law arguments.  A direction with an infinite scale (a
-    zero relay weight, at beta = 0 or 1 for the weighted protocols, or an
+    "twrelay.analysis" logger gives the value, error estimate, grid points
+    and link-law arguments.  A direction with an infinite scale (a zero
+    relay weight, at beta = 0 or 1 for the weighted protocols, or an
     underflow at an extreme SNR) has gamma = 0 at every draw, and adds its
-    exact (a / log2 M) Q(0), half the ceiling."""
+    exact (a / log2 M) Q(0), half the ceiling, to which the smallest-double
+    floor of `lowerbound.sum_ber` applies with the rest."""
     require_analytic(ant)
     live = [d for d, (k_s, k_f, _) in zip(_DIRECTIONS, direction_scales(coeffs, pw))
             if not (math.isinf(k_s) or math.isinf(k_f))]
@@ -183,16 +184,15 @@ def sum_ber_quadrature(coeffs: CoefficientSet, ant: AntennaConfig, pw: PowerProf
     if not live:
         return silenced
     est = lowerbound.sum_ber([_direction(d, coeffs, ant, pw) for d in live],
-                             mod.a, mod.b, mod.bits_per_symbol)
+                             mod.a, mod.b, mod.bits_per_symbol, silenced)
     _log.debug("sum-BER by the lower-bound integral: %.6e, error estimate %.1e, "
                "%d grid points, %d link-law arguments",
                est.value, est.error, est.grid_points, est.link_args)
-    value = silenced + est.value
     # where every CDF is near 1 the value rounds to within the tolerance of
     # the ceiling, on either side
-    if not 0.0 < value <= ceiling * (1.0 + lowerbound.REL_TOL):
-        raise NumericalError(f"sum-BER integral gave {value!r} outside (0, {ceiling!r}]")
-    return min(value, ceiling)
+    if not 0.0 < est.value <= ceiling * (1.0 + lowerbound.REL_TOL):
+        raise NumericalError(f"sum-BER integral gave {est.value!r} outside (0, {ceiling!r}]")
+    return min(est.value, ceiling)
 
 
 # ---------------------------------------------------------------------------

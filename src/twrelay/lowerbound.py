@@ -63,24 +63,44 @@ raises NumericalError: its digits, and its error estimate, are lost.  Where
 a Chernoff bound from the link scales alone (`_sum_ber_bound`) already lies
 below it, no grid is built.
 
+Every axis of the grid takes one ladder of steps in the substitution's
+variable s (below): 1 at the coarsest level, 1/8 at the first estimate and
+halved on each refinement, with as many steps as its own range needs.  With
+v0 = ln(min(fade, top)) - F, F = _FADE_SHIFT, and the lattice nodes
+s_i = _LO + i h, each axis has b k / lambda_i = e^F rho phi_i, phi_i =
+exp(e^(-s_i) - s_i) and rho = max(1, fade / top), so
+
+    b gamma_ij = e^(-F) / (rho_s phi_i + rho_f phi_j).
+
+Where both deep fades lie below their axes' tops (rho_s = rho_f = 1: on
+every link measured from 30 dB up, and from 0 dB with the relay midway, d0
+= 0.5) the erfc factor depends only on the level and the node indices, not
+on the scales, the modulation, the link shapes or the SNR: each level's
+matrix is built once per process on first use, at most _KERNEL_NODES a
+side, and a grid reads its leading block, so a grid call is a weighted
+contraction with no erfc.  There the link law takes lambda_i = min(fade,
+top) e^(-F) / phi_i with the same phi_i, so that both see one node
+(`_Axis.at`).  At low SNR, or past that size, the same formula is evaluated
+per call.
+
 Every integral runs over logarithmic variables (ln w; ln l_s and ln l_f)
 with the trapezoid rule, whose error falls like e^(-2 pi d / h) in the step
-h for these integrands, analytic in a strip |Im| < d (Trefethen &
-Weideman, SIAM Review 56(3), 2014; on a product of two such laws the grid
-converges the same way).  Each integral keeps its integrand at the nodes
-of the finest level evaluated, and one stop rule serves them all: the sums
-of the last three levels are the plain sums over those nodes at strides 4,
-2 and 1; the error estimate, extrapolated from their two differences, plus
-the integrand at the cut ends or edges (which bounds the neglected tails),
-must be below the tolerance.  Each integral's steps follow from its own
-range alone, fine enough for the strip at its first estimate.  Else the
-step is halved and only the new level's odd nodes are evaluated (on the
-grid, only each axis's new nodes reach the link law); past MAX_INTERVALS
-the engine raises NumericalError.  The first pass evaluates the fourth
-level (_LEVELS) at once, which almost every integral stops at; no
-integral stops before it.  Rounding in the per-link determinant and in the
-sums is not part of the estimate, so every reported error of an integral
-is at least REL_ROUNDING of its value.
+h for these integrands, analytic in a strip |Im| < d (Trefethen & Weideman,
+SIAM Review 56(3), 2014; on a product of two such laws the grid converges
+the same way).  Each integral keeps its integrand at the nodes of the
+finest level evaluated, and one stop rule serves them all: the sums of the
+last three levels are the plain sums over those nodes at strides 4, 2 and
+1; the error estimate, extrapolated from their two differences, plus the
+integrand at the cut ends or edges (which bounds the neglected tails), must
+be below the tolerance.  Each integral's steps follow from its own range
+alone (on the grid, from the ladder above), fine enough for the strip at
+its first estimate.  Else the step is halved and only the new level's odd
+nodes are evaluated (on the grid, only each axis's new nodes reach the link
+law); past MAX_INTERVALS the engine raises NumericalError.  The first pass
+evaluates the fourth level (_LEVELS) at once, which almost every integral
+stops at; no integral stops before it.  Rounding in the per-link
+determinant and in the sums is not part of the estimate, so every reported
+error of an integral is at least REL_ROUNDING of its value.
 """
 
 from __future__ import annotations
@@ -134,21 +154,34 @@ _TINY = float(np.finfo(float).smallest_normal)
 
 # The trapezoid error of an integrand analytic in |Im v| < d falls like
 # e^(-2 pi d / h).  The integrands (CDF tails and Q, like e^(-u) with
-# u ~ e^(+-v)) have d = pi/2; this step brings e^(-2 pi d / h) below 1e-14,
-# and each integral's first estimate is on half of it or less (`_Steps`),
-# never on a coarser step, where its last two values can agree by accident.
-# The substitution narrows the strip where s < 1, so v0 sits _INNER_SHIFT
-# e-folds below where the CDF integrand starts to matter, and _FADE_SHIFT
-# below a link's deep-fade gain (or its axis's upper end) on the sum-BER grid.
+# u ~ e^(+-v)) have d = pi/2; on the end-to-end CDF's inner integrals this
+# step brings e^(-2 pi d / h) below 1e-14, and each integral's first
+# estimate is on half of it or less (`_Steps`), never on a coarser step,
+# where its last two values can agree by accident.  (The sum-BER grid's
+# axes take the fixed ladder of `_Axis` instead.)  The substitution narrows
+# the strip where s < 1, so v0 sits _INNER_SHIFT e-folds below where the
+# CDF integrand starts to matter, and _FADE_SHIFT below a link's deep-fade
+# gain (or its axis's upper end) on the sum-BER grid.
 _INNER_H = 0.3
 _INNER_SHIFT = 20.0
 _FADE_SHIFT = 4.0
 
 # The sum-BER grid ends where P(trace > lambda) <= _TAIL: the trace exceeds
-# the largest eigenvalue, so 1 - F <= _TAIL there too.  _GRID_BLOCK values
-# per block of grid rows bound the temporaries (32 kB each).
+# the largest eigenvalue, so 1 - F <= _TAIL there too.  Where `_level_sums`
+# evaluates the erfc factor per call, _GRID_BLOCK values per block of grid
+# rows bound its temporaries (32 kB each); a grid that reads the cached
+# factor takes one temporary of its size, at most that of a cached matrix.
 _TAIL = 1e-18
 _GRID_BLOCK = 1 << 12
+
+# The sum-BER grid's erfc factor at rho_s = rho_f = 1 (`_kernel`) depends on
+# the level and the node indices alone; each level's matrix is built on its
+# first use and rebuilt, in steps of 64 nodes, when a longer axis needs it,
+# up to _KERNEL_NODES nodes a side (2 MiB).  Every axis spans at least 9
+# unit intervals, so at level l it has at least 9 2^(l-1) + 1 nodes: only
+# levels 3 to 6 fit, and the matrices never take more than 8 MiB.
+_KERNEL_NODES = 512
+_kernels = {}
 
 # The level (step halvings plus one) that each integral evaluates in its
 # first pass and that its first estimate is taken at: the stop rule reads
@@ -506,9 +539,9 @@ def _trace_tail(k: int) -> float:
 
 
 class Estimate(NamedTuple):
-    """The sum-BER, its error estimate (at least REL_ROUNDING of the
-    value), the points of the trapezoid grids it was taken at (the finest
-    each direction evaluated) and the arguments it passed to
+    """The sum-BER, its error estimate (at least REL_ROUNDING of each
+    grid's value), the points of the trapezoid grids it was taken at (the
+    finest each direction evaluated) and the arguments it passed to
     `link_cdf_pdf`, summed over the distinct directions."""
 
     value: float
@@ -744,53 +777,112 @@ class _Axis(_Steps):
     e^(-s).  v0 sits _FADE_SHIFT e-folds below the deep-fade eigenvalue
     `fade` or the axis's upper end, whichever is smaller: at low SNR the
     deep fade lies far above the law, which would then fall in the
-    compressed part of the map and need fine steps."""
+    compressed part of the map and need fine steps.  rho = max(1, fade /
+    top) is the deep fade's ratio to the point v0 sits below.
+
+    Every axis takes one ladder of steps: whole intervals of 1 at the
+    coarsest level, enough of them to cover its range, so its nodes are the
+    lattice s = _LO + i 2^(1-l) at every level l."""
 
     what, per = "sum-BER grid", " per axis"
 
     def __init__(self, link: Link, fade: float):
         top = _trace_tail(link.m * link.n)
         v0 = math.log(min(fade, top)) - _FADE_SHIFT
-        super().__init__(v0, *self.first_count(v0, math.log(top), _INNER_H))
-        self.link = link
+        n = math.ceil(math.log(top) - v0 + 1.0 - _LO)
+        super().__init__(v0, float(n), n)
+        self.link, self.rho = link, max(1.0, fade / top)
+        self.base = min(fade, top) * math.exp(-_FADE_SHIFT)
+
+    def at(self, k):
+        """(lambda, dv/ds) at the nodes k.  At rho = 1, lambda = base / phi
+        takes the `_phi` of the cached erfc factor, so that the factor and
+        the link law see one lambda: e^v carries the rounding of v0 (about
+        eps |v0|, |v0| up to 30 at 60 dB), an offset common to every node
+        that b gamma, tens where a 4 x 4 grid's value lies, multiplies (at
+        4x4x4 30 dB it moved a value 2e-14 off its 100-digit closed form,
+        twice its error estimate).  At rho > 1, v0 lies within 0.3 of 0, so
+        e^v has no such offset, and at the low-SNR points measured it came
+        closer to the closed form than base / phi."""
+        if self.rho > 1.0:
+            v, dv = super().at(k)
+            return np.exp(v), dv
+        return self.base / _phi(self.h, k), 1.0 + np.exp(-(_LO + np.multiply.outer(self.h, k)))
 
 
 def _weights(axes, ks):
     """(lam, f(lam) lam (1 + e^(-s))) as rows of one array at the nodes
     ks[i] of axes[i]."""
-    vs, jacs = zip(*(ax.at(k) for ax, k in zip(axes, ks)))
-    lams = [np.exp(v) for v in vs]
+    lams, jacs = zip(*(ax.at(k) for ax, k in zip(axes, ks)))
     laws = link_laws([ax.link for ax in axes], lams)
     return [np.stack([lam, pdf * lam * jac]) for lam, (_, pdf), jac in zip(lams, laws, jacs)]
 
 
-def _level_sums(d: Direction, mod_b: float, lam_s, w_s, lam_f, w_f):
+def _phi(h: float, k, rho: float = 1.0):
+    """rho e^(e^(-s) - s) at the lattice nodes s = _LO + k h (k an array)."""
+    s = _LO + np.multiply.outer(h, k)
+    return rho * np.exp(np.exp(-s) - s)
+
+
+def _kernel(phi_s, phi_f, out=None):
+    """erfc(sqrt(b gamma)) at the grid nodes (i, j) of axes with the `_phi`
+    values phi_s and phi_f, into out if given: with lambda = min(fade, top)
+    e^(-_FADE_SHIFT) / phi on each axis, b gamma = e^(-_FADE_SHIFT) /
+    (phi_s[i] + phi_f[j]), whatever the scales, the modulation and the link
+    shapes."""
+    q = np.add.outer(phi_s, phi_f, out=out)
+    np.divide(math.exp(-_FADE_SHIFT), q, out=q)
+    np.sqrt(q, out=q)
+    return erfc(q, out=q)
+
+
+def _cached_kernel(h: float, nodes: int):
+    """The `_kernel` matrix at rho = 1 on the level of step h, at least
+    `nodes` <= _KERNEL_NODES a side; each entry is the same at any size."""
+    kernel = _kernels.get(h)
+    if kernel is None or len(kernel) < nodes:
+        phi = _phi(h, np.arange(min(_KERNEL_NODES, -(-nodes // 64) * 64)))
+        kernel = _kernels[h] = _kernel(phi, phi)
+    return kernel
+
+
+def _level_sums(axes, w_s, w_f):
     """(the sums sum_ij erfc(sqrt(mod_b gamma_ij)) w_s[i] w_f[j] of the last
     three levels, coarsest first, level l taking every _STRIDES[l]-th node of
     each axis; the finest level's sum over its two end rows i with 2 w_s and
-    over its two end columns j with 2 w_f), with 1 / gamma = k_s / lam_s +
-    k_f / lam_f.
+    over its two end columns j with 2 w_f) on the grid of the two axes.
 
-    One pass of erfc over the finest grid, each block of rows reduced to its
-    row sums over each level's columns as soon as it is computed; a level's
-    total is then the plain sum over its rows."""
-    x_s, x_f = d.k_s / lam_s, d.k_f / lam_f
-    row_sums, end_cols = np.empty((len(_STRIDES), x_s.size)), np.empty(x_s.size)
-    rows = max(1, _GRID_BLOCK // x_f.size)
-    for k in range(0, x_s.size, rows):
-        q = np.add.outer(x_s[k:k + rows], x_f)
-        np.divide(mod_b, q, out=q)
-        np.sqrt(q, out=q)
-        erfc(q, out=q)
-        # numpy's pairwise sums: a BLAS product here would load BLAS pages
-        # that no other lower-bound path touches
-        q *= w_f
-        for level, stride in enumerate(_STRIDES):
-            row_sums[level, k:k + rows] = q[:, ::stride].sum(axis=1)
-        end_cols[k:k + rows] = q[:, 0] + q[:, -1]
-    totals = [float(np.sum(r[::stride] * w_s[::stride])) for r, stride in zip(row_sums, _STRIDES)]
-    return (totals, float(np.sum(2.0 * row_sums[-1, [0, -1]] * w_s[[0, -1]])),
-            float(np.sum(2.0 * end_cols * w_s)))
+    Where both axes have rho = 1 and fit, the erfc factor is the leading
+    block of the level's cached matrix (`_cached_kernel`), taken whole;
+    else it is evaluated here, _GRID_BLOCK values at a time.  Each block of
+    rows times w_f is reduced to its row sums at each level's stride, and a
+    level's total is the plain sum of its rows' sums times w_s.  These are
+    numpy's pairwise sums, not a BLAS product: each row's rounding error
+    grows like log n instead of n, and is the same on every host."""
+    n_s, n_f = w_s.size, w_f.size
+    if axes[0].rho == axes[1].rho == 1.0 and max(n_s, n_f) <= _KERNEL_NODES:
+        blocks = [np.multiply(_cached_kernel(axes[0].h, max(n_s, n_f))[:n_s, :n_f], w_f)]
+    else:
+        phi_s, phi_f = (_phi(ax.h, np.arange(ax.n + 1), ax.rho) for ax in axes)
+        # blocks start at multiples of 4, so each holds its own rows of every level
+        rows = max(4, _GRID_BLOCK // n_f // 4 * 4)
+
+        def evaluated():
+            for k in range(0, n_s, rows):
+                q = _kernel(phi_s[k:k + rows], phi_f)
+                q *= w_f
+                yield q
+        blocks = evaluated()
+    row_sums, end_cols = ([], [], []), []
+    for q in blocks:
+        for sums, stride in zip(row_sums, _STRIDES):
+            sums.append(q[::stride, ::stride].sum(axis=1))
+        end_cols.append(q[:, 0] + q[:, -1])
+    row_sums = [np.concatenate(sums) for sums in row_sums]
+    totals = [float(np.sum(r * w_s[::stride])) for r, stride in zip(row_sums, _STRIDES)]
+    fine = row_sums[-1]
+    return (totals, 2.0 * float(fine[0] * w_s[0] + fine[-1] * w_s[-1]),
+            2.0 * float(np.sum(np.concatenate(end_cols) * w_s)))
 
 
 def _direction_ber(d: Direction, mod_b: float, scale: float):
@@ -806,21 +898,23 @@ def _direction_ber(d: Direction, mod_b: float, scale: float):
     axes = (_Axis(d.src, d.k_s / mod_b), _Axis(d.far, d.k_f / mod_b))
     src, far = _weights(axes, [np.arange(ax.n + 1) for ax in axes])
     # the lowest node lies about 1e-21 below the deep fade k / mod_b, and
-    # from about 3030 dB it underflows to 0, which the grid divides by
+    # from about 3030 dB it underflows to 0, where the link law's arguments
+    # no longer follow the lattice that the erfc factor is taken on
     if not (src[0, 0] > 0.0 and far[0, 0] > 0.0):
         raise NumericalError("sum-BER grid cannot run at this SNR: its lowest eigenvalue node "
                              "underflows to 0")
     for nodes in (src, far):
         nodes[1, [0, -1]] *= 0.5
     while True:
-        totals, edge_s, edge_f = _level_sums(d, mod_b, *src, *far)
-        h_s, h_f = (float(ax.h) for ax in axes)
-        value = scale * h_s * h_f * totals[-1]
-        # a level's steps: the axes' times its stride; the integrand along
-        # the grid's edges bounds the tails beyond them
-        err = (float(_extrapolated(*(scale * (h_s * stride) * (h_f * stride) * total
+        totals, edge_s, edge_f = _level_sums(axes, src[1], far[1])
+        # both axes are on the ladder's step h; a level's step is h times
+        # its stride, and the integrand along the grid's edges bounds the
+        # tails beyond them
+        h = axes[0].h
+        value = scale * h * h * totals[-1]
+        err = (float(_extrapolated(*(scale * (h * stride) ** 2 * total
                                      for total, stride in zip(totals, _STRIDES))))
-               + scale * h_s * h_f * (h_f * edge_s + h_s * edge_f))
+               + scale * h ** 3 * (edge_s + edge_f))
         if err <= REL_TOL * value:
             # the link law saw each axis node once
             sizes = src.shape[1], far.shape[1]
@@ -851,22 +945,29 @@ def _sum_ber_bound(directions, mod_a: float, mod_b: float, bits: float) -> float
     return mod_a / (2.0 * bits) * total
 
 
-def sum_ber(directions, mod_a: float, mod_b: float, bits: float) -> Estimate:
+def sum_ber(directions, mod_a: float, mod_b: float, bits: float,
+            silenced: float = 0.0) -> Estimate:
     """Sum over the directions of E[mod_a Q(sqrt(2 mod_b gamma))] / bits,
     each the trapezoid grid of (mod_a / (2 bits)) int int erfc(sqrt(mod_b
-    gamma)) f_s f_f over both link gains (module docstring).  Equal
-    directions (a symmetric network's two) are integrated once and counted
-    as often as they occur.  A total below the smallest normal double raises
-    NumericalError, before any grid where `_sum_ber_bound` already lies below
-    it (at 2x1x2 from about 1550 dB, where a grid's first pass would take
-    0.1 s or more)."""
+    gamma)) f_s f_f over both link gains (module docstring), plus
+    `silenced`, an exact part of the total that no grid carries (a silenced
+    direction's (mod_a / bits) Q(0)).  Equal directions (a symmetric
+    network's two) are integrated once and counted as often as they occur.
+    A total below the smallest normal double raises NumericalError, before
+    any grid where `_sum_ber_bound` and `silenced` already lie below it (at
+    2x1x2 from about 1550 dB, where a grid's first pass would take 0.1 s or
+    more).  Where only the bound lies below it, the grids' part cannot move
+    the total: it is `silenced`, with the bound as its error and no grid."""
     bound = _sum_ber_bound(directions, mod_a, mod_b, bits)
+    if bound < _TINY <= silenced:
+        return Estimate(silenced, bound, 0, 0)
     if not bound >= _TINY:
         raise NumericalError(f"the sum-BER lies below the smallest normal double ({_TINY:.1e}): "
                              f"its bound from the link scales is {bound!r}")
     parts = [_direction_ber(d, mod_b, count * mod_a / (2.0 * bits))
              for d, count in Counter(directions).items()]
     total = Estimate(*(sum(column) for column in zip(*parts)))
+    total = total._replace(value=silenced + total.value)
     if not total.value >= _TINY:
         raise NumericalError(f"the sum-BER lies below the smallest normal double ({_TINY:.1e}): "
                              f"the grid gave {total.value!r}")

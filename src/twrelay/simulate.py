@@ -25,11 +25,11 @@ combines partial sums with math.fsum, so every output is the same bit for
 bit whatever the number of workers.  Each worker holds the working set of
 one block in flight, a few MB at 16 384 trials (about 5 MB at 4x4x4), on
 top of what the caller keeps.  A task of `estimate_d_factors` writes its
-block's fourteen rows, and each of their 81 products in turn, into one
-scratch array instead of a new array apiece: glibc hands a freed 128 KiB
-block array back to the kernel once enough of them lie free, the next one
-is faulted back in page by page, and the worker threads then contend on
-the process's page tables.
+block's fourteen rows and a row of ones into one array and reads every sum
+it needs off their Gram matrix, one BLAS product, with no array per sum or
+product: glibc hands a freed 128 KiB block array back to the kernel once
+enough of them lie free, the next one is faulted back in page by page, and
+the worker threads then contend on the process's page tables.
 
 The engine reads four gains per trial.  With W = H H^H the relay-side Gram
 of a side's m_r x m channel and f its top unit eigenvector (that side's
@@ -636,12 +636,15 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
     C - mu and of the products that these formulas read, from one task on
     a worker thread (`_gain_blocks`); the block sums are combined in block
     order with math.fsum, so results depend only on (seed, trials), not on
-    the number of workers.  The task writes the rows x1, x2 and C - mu into
-    one scratch array and each product in turn into one more row of it,
-    and sums each row pairwise with np.add.reduce, as np.sum does: no new
-    array per product (the module docstring says why).  gains, if given,
-    replaces the draw as in semi_analytic_sweep: the first `trials` draws
-    of a pass at least that long (unread with one relay antenna).  Give it a list of blocks made
+    the number of workers.  The task writes the rows x1, x2 and C - mu and
+    a row of ones into one array (the module docstring says why one) and
+    takes its Gram matrix, rows @ rows.T, in one BLAS product: each row's
+    sum is its entry against the ones, each product's sum another entry.
+    Each entry lies within the dot product's rounding bound n eps
+    sum |x_i x_j|, and with OpenBLAS its bits were the same at 1, 2 and 4
+    BLAS threads.  gains, if given, replaces the draw as in
+    semi_analytic_sweep: the first `trials` draws of a pass at least that
+    long (unread with one relay antenna).  Give it a list of blocks made
     already; a lazy `_gain_blocks` pass would run its pool under this one.
     Where the Wishart mean cannot be formed (14 antennas a side) the two
     top-eigenvalue controls are left out; the four Gamma controls keep
@@ -668,9 +671,9 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
              if j >= 8 or j == i or (j == i + 1 and i % 2 == 0)]
 
     def reduce(block):
-        # one scratch array per task: the rows, then one row for each
-        # product in turn, summed pairwise by np.add.reduce as np.sum does;
-        # a sum that overflows (from about 1500 dB) is reported below
+        # one array per task: the rows and a row of ones, whose Gram matrix
+        # holds every sum and product sum; a sum that overflows (from about
+        # 1500 dB) is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             rows = np.empty((nrow + 1, block.lam_a.size))
             _dual_branches(block, pw, 1.0, 1.0, out=rows[0:4])
@@ -681,14 +684,11 @@ def estimate_d_factors(ant: AntennaConfig, pw: PowerProfile, trials: int = 1_000
             np.log(block.lam_a_x, out=ctrl[2])
             np.log(block.lam_b_x, out=ctrl[3])
             ctrl -= mu[:, None]
-            # the gains are released before the products
+            rows[nrow] = 1.0
+            # the gains are released before the product
             del block
-            sums = [np.add.reduce(row) for row in rows[:nrow]]
-            prod = rows[nrow]
-            for i, j in pairs:
-                np.multiply(rows[i], rows[j], out=prod)
-                sums.append(np.add.reduce(prod))
-            return sums
+            gram = (rows @ rows.T).tolist()
+            return [gram[i][nrow] for i in range(nrow)] + [gram[i][j] for i, j in pairs]
     # drawn before the try: too short a `gains` raises a ConfigurationError, a ValueError
     blocks = list(_gain_blocks(ant, trials, seed, gains, reduce))
     try:

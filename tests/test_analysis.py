@@ -13,6 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import erfc
 
 import twrelay.lowerbound
 from mp_oracle import (ORACLE_DPS, ORACLE_FILE, closed_form_mp, e2e_cdf_mp, link_cdf_pdf_mp,
@@ -519,9 +520,10 @@ class TestSumBerQuadrature:
 
     def test_link_arguments_are_axis_nodes(self, monkeypatch):
         # the grid passes the link law each axis node once, a few hundred
-        # arguments in all, and integrates no end-to-end CDF
-        ant = AntennaConfig(2, 2, 2)
-        pw = PowerProfile.balanced(30.0)
+        # arguments in all, and integrates no end-to-end CDF; links of two
+        # shapes give axes of two lengths and an n_s x n_f grid
+        ant = AntennaConfig(2, 2, 3)
+        pw = PowerProfile.balanced(20.0)
         coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
         mod = protocol_modulation(Protocol.TWO_SLOT)
         kernel = twrelay.lowerbound.link_cdf_pdf
@@ -537,12 +539,12 @@ class TestSumBerQuadrature:
         monkeypatch.setattr(twrelay.lowerbound, "e2e_cdf", forbidden)
         d = _direction("arb", coeffs, ant, pw)
         est = twrelay.lowerbound.sum_ber([d, d], mod.a, mod.b, mod.bits_per_symbol)
+        # one grid over the two axes of the one distinct direction
+        n_s, n_f = (u.size for u in args)
+        assert n_s != n_f and est.grid_points == n_s * n_f
         args = np.concatenate(args)
         assert args.size == est.link_args < 400
         assert np.unique(args).size == args.size
-        # one grid over the two axes of the one distinct direction
-        side = args.size // 2
-        assert est.grid_points == side * side
 
     @pytest.mark.parametrize("dims, kernel_calls", [((2, 2, 2), 1), ((2, 1, 3), 2)])
     def test_one_kernel_call_and_grid_pass_per_direction(self, monkeypatch, dims, kernel_calls):
@@ -571,15 +573,15 @@ class TestSumBerQuadrature:
 
     @pytest.mark.parametrize("levels", [1, 2])
     def test_levels_set_cost_not_numbers(self, monkeypatch, levels):
-        # two integrals that stop at the fifth level: a sum-BER grid (530
+        # two integrals that stop at the fifth level: a sum-BER grid (546
         # link arguments) and an end-to-end CDF.  With
         # _LEVELS = 5 the first pass evaluates that level at once; with
         # `levels` fewer, each integral refines `levels` times after its
         # first pass, one kernel call more each time, and reads its three
         # sums off the same nodes, so it returns the same numbers
-        ant, pw = AntennaConfig(3, 3, 3), power_profile(40.0, 0.5)
-        mod = protocol_modulation(Protocol.FIRST_FOUR_SLOT)
-        d = _direction("arb", coefficient_set(Protocol.FIRST_FOUR_SLOT, ant, pw), ant, pw)
+        ant, pw = AntennaConfig(4, 4, 4), power_profile(20.0, 0.5)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        d = _direction("arb", coefficient_set(Protocol.TWO_SLOT, ant, pw), ant, pw)
         ant4, pw30 = AntennaConfig(4, 4, 4), power_profile(30.0, 0.5)
         d4 = _direction("arb", coefficient_set(Protocol.TWO_SLOT, ant4, pw30), ant4, pw30)
         xs = np.array([10.0 ** (-2.0 / 3.0) * pw30.rho_ar])
@@ -597,7 +599,7 @@ class TestSumBerQuadrature:
             return (twrelay.lowerbound.sum_ber([d], mod.a, mod.b, mod.bits_per_symbol),
                     twrelay.lowerbound.e2e_cdf(xs, *d4), len(calls))
         ber5, cdf5, calls5 = run(5)
-        assert ber5.link_args == 530
+        assert ber5.link_args == 546
         ber, cdf, n_calls = run(5 - levels)
         assert ber == ber5 and n_calls == calls5 + 2 * levels
         for a, b in zip(cdf, cdf5):
@@ -686,6 +688,104 @@ def _moment_oracle(mu, nu, alpha, beta):
         return (mp.sqrt(mp.pi) * (2 * beta) ** nu / (alpha + beta) ** (mu + nu)
                 * mp.gamma(mu + nu) * mp.gamma(mu - nu) / mp.gamma(mu + 0.5)
                 * mp.hyp2f1(mu + nu, nu + 0.5, mu + 0.5, z))
+
+
+class TestSharedErfcKernel:
+    """The sum-BER grid's erfc factor on the fixed step ladder depends only
+    on the level and the node indices where both deep fades lie below their
+    axes' tops (rho = 1), and is cached per level."""
+
+    @staticmethod
+    def _old_way(axes, k_s, k_f, b):
+        # erfc(sqrt(b gamma)) from the eigenvalue nodes, as the grid formed
+        # it before the kernel was shared
+        lam_s, lam_f = (ax.at(np.arange(ax.n + 1))[0] for ax in axes)
+        return erfc(np.sqrt(b / np.add.outer(k_s / lam_s, k_f / lam_f)))
+
+    def test_kernel_is_universal(self, monkeypatch):
+        # random link shapes up to 4x4, scales and every protocol's b, both
+        # fades below their tops: the old formula at the axes' nodes matches
+        # the cached entries within a few units in the last place of 1, the
+        # kernel's top (it rounds b gamma afresh, which erfc's slope
+        # amplifies: 1.5 eps at most over 200 such directions)
+        lb = twrelay.lowerbound
+        monkeypatch.setattr(lb, "_kernels", {})
+        rng = np.random.default_rng(38)
+        bs = sorted({protocol_modulation(p).b for p in Protocol})
+        eps = np.finfo(float).eps
+        for _ in range(12):
+            src, far = (Link(*map(int, rng.integers(1, 5, size=2))) for _ in range(2))
+            b = float(rng.choice(bs))
+            k_s, k_f = (b * lb._trace_tail(link.m * link.n) * 10.0 ** -rng.uniform(0.1, 6.0)
+                        for link in (src, far))
+            axes = (lb._Axis(src, k_s / b), lb._Axis(far, k_f / b))
+            assert axes[0].rho == axes[1].rho == 1.0 and axes[0].h == axes[1].h == 0.125
+            old = self._old_way(axes, k_s, k_f, b)
+            cached = lb._cached_kernel(axes[0].h, max(old.shape))[:old.shape[0], :old.shape[1]]
+            assert np.max(np.abs(old - cached)) <= 4.0 * eps
+        # the leading block of a larger matrix is a smaller one, bit for bit
+        small = lb._cached_kernel(0.0625, 64).copy()
+        large = lb._cached_kernel(0.0625, lb._KERNEL_NODES)
+        assert small.shape == (64, 64) and large.shape[0] == lb._KERNEL_NODES
+        assert np.array_equal(large[:64, :64], small)
+
+    def test_cold_warm_and_uncached_agree(self, monkeypatch):
+        # a sum-BER is the same bit for bit with a cold cache, a warm one
+        # grown larger by an earlier call, and no cache at all (the kernel
+        # evaluated per call by the same formula)
+        lb = twrelay.lowerbound
+        ant, pw = AntennaConfig(3, 2, 4), power_profile(10.0, 0.3)
+        p = Protocol.FIRST_FOUR_SLOT
+        coeffs = coefficient_set(p, ant, pw, BALANCED_WEIGHTS, DFactors(1.6, 1.6, 1.7, 1.7))
+        mod = protocol_modulation(p)
+        directions = _directions(coeffs, ant, pw)
+        big = _directions(coefficient_set(Protocol.TWO_SLOT, AntennaConfig(4, 4, 4),
+                                          power_profile(60.0, 0.5)),
+                          AntennaConfig(4, 4, 4), power_profile(60.0, 0.5))
+
+        def value():
+            return lb.sum_ber(directions, mod.a, mod.b, mod.bits_per_symbol)
+        monkeypatch.setattr(lb, "_kernels", {})
+        cold = value()
+        cold_nodes = len(lb._kernels[0.125])
+        lb.sum_ber(big, 0.5, 0.5, 1.0)
+        assert len(lb._kernels[0.125]) > cold_nodes
+        warm = value()
+        monkeypatch.setattr(lb, "_KERNEL_NODES", 0)
+        uncached = value()
+        assert cold == warm == uncached
+
+    def test_link_law_and_factor_share_each_node(self):
+        # 4x4x4 at 30 dB, where the value lies at b gamma of tens: a node
+        # lambda = e^v would carry the rounding of v0 (about -8.7) into
+        # every node that the cached factor does not see, which moved this
+        # value 2.2e-14 off the closed form, twice its error estimate.
+        # ref: the closed form at 100 digits (tests/mp_oracle.closed_form_mp)
+        ant, pw = AntennaConfig(4, 4, 4), power_profile(30.0, 0.5)
+        p = Protocol.SECOND_THREE_SLOT
+        coeffs = coefficient_set(p, ant, pw, WeightPair.from_beta_squared(0.4),
+                                 DFactors(1.6, 1.6, 1.7, 1.7))
+        mod = protocol_modulation(p)
+        est = twrelay.lowerbound.sum_ber(_directions(coeffs, ant, pw), mod.a, mod.b,
+                                         mod.bits_per_symbol)
+        assert abs(est.value - 3.0476088335409264e-30) <= est.error
+
+    def test_low_snr_axes_evaluate_per_call(self, monkeypatch):
+        # at -100 dB the deep fades lie above the tops (rho > 1): the same
+        # formula at rho_s phi_s + rho_f phi_f matches the old way, and
+        # nothing is cached
+        lb = twrelay.lowerbound
+        monkeypatch.setattr(lb, "_kernels", {})
+        ant, pw = AntennaConfig(2, 2, 2), PowerProfile.balanced(-100.0)
+        mod = protocol_modulation(Protocol.TWO_SLOT)
+        d = _direction("arb", coefficient_set(Protocol.TWO_SLOT, ant, pw), ant, pw)
+        axes = (lb._Axis(d.src, d.k_s / mod.b), lb._Axis(d.far, d.k_f / mod.b))
+        assert min(ax.rho for ax in axes) > 1e8
+        per_call = lb._kernel(*(lb._phi(ax.h, np.arange(ax.n + 1), ax.rho) for ax in axes))
+        old = self._old_way(axes, d.k_s, d.k_f, mod.b)
+        assert np.max(np.abs(old - per_call)) <= 4.0 * np.finfo(float).eps
+        lb.sum_ber([d], mod.a, mod.b, mod.bits_per_symbol)
+        assert lb._kernels == {}
 
 
 class TestBesselMoment:

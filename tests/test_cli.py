@@ -211,6 +211,23 @@ class TestSweep:
             _, _, _, mean, se = mc_row.split(",")
             assert float(row.split(",")[3]) <= float(mean) + 3.0 * float(se)
 
+    @pytest.mark.parametrize("rho_db", ["1560", "2000"])
+    def test_silenced_direction_past_the_double_floor(self, rho_db, monkeypatch, capsys):
+        # beta = 0 silences bra; arb's sum-BER lies below the smallest normal
+        # double, which leaves the row at bra's half ceiling, as at 1500 dB,
+        # with no grid built (no link-law call): the floor applies to the
+        # row's total, not to the live direction alone
+        args = ["sweep", "--m-a", "2", "--m-r", "1", "--m-b", "2", "--mode", "closed",
+                "--protocols", "first_three_slot", "--beta", "0", "--rho-step", "1"]
+        assert main([*args, "--rho-start", "1500", "--rho-stop", "1500"]) == 0
+        at_1500 = capsys.readouterr().out.splitlines()[1].split(",")[3]
+        assert at_1500 == "4.3096440627e-01"
+        calls = []
+        monkeypatch.setattr(lowerbound, "link_cdf_pdf", lambda *a: calls.append(a))
+        assert main([*args, "--rho-start", rho_db, "--rho-stop", rho_db]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == f"{rho_db}.0000,first_three_slot,closed,{at_1500}," and calls == []
+
     def test_config_error_exit(self, scenario_file, tmp_path, capsys):
         code = main(["sweep", scenario_file, "--rho-start", "0", "--rho-stop", "10",
                      "--rho-step", "-1"])

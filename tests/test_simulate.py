@@ -5,6 +5,9 @@ and sweep batching, and the dual-reception factors."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import astuple
@@ -13,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import digamma
 
 from channel_oracle import channel_gains, tridiagonal_top_mp
 from twrelay import simulate
@@ -697,20 +701,75 @@ class TestDFactors:
 
     @pytest.mark.parametrize("dims, trials, pinned", [
         ((2, 2, 2), 100_000, ("0x1.9d2320bf05d46p+0", "0x1.9d341d8b01284p+0", "0x1.a4cec643de78cp+0",
-                              "0x1.a4dfc189465e4p+0", "0x1.b57a9a8cc4826p-13", "0x1.b5ae53c4187f5p-13",
-                              "0x1.cb69c7a902d39p-13", "0x1.cc2e131aab3ecp-13")),
-        ((3, 2, 4), 20_000, ("0x1.b1a337c658bc1p+0", "0x1.a7d2380020378p+0", "0x1.b9c72a5e343eep+0",
-                             "0x1.af050fab517f2p+0", "0x1.747c9b31386d6p-12", "0x1.652baf78f4ef2p-12",
-                             "0x1.833297361f0bbp-12", "0x1.7cce045060631p-12")),
+                              "0x1.a4dfc189465e4p+0", "0x1.b57a9a8cc47fap-13", "0x1.b5ae53c41884cp-13",
+                              "0x1.cb69c7a902d8dp-13", "0x1.cc2e131aab491p-13")),
+        ((3, 2, 4), 20_000, ("0x1.b1a337c658bc0p+0", "0x1.a7d2380020378p+0", "0x1.b9c72a5e343eep+0",
+                             "0x1.af050fab517f1p+0", "0x1.747c9b313859dp-12", "0x1.652baf78f503dp-12",
+                             "0x1.833297361f06fp-12", "0x1.7cce045060614p-12")),
     ])
     def test_bits_pinned(self, dims, trials, pinned):
         # float.hex of the factors and standard errors: 2x2x2 at 100 000
         # draws is the pre-pass of a sweep to 60 dB, and both passes end in
-        # a trimmed block; the block sums are summed pairwise in one order,
-        # so a change to the reduction that reorders them moves these bits
+        # a trimmed block; each block's sums are one Gram product, combined
+        # in block order, so a change to the reduction that reorders them
+        # moves these bits
         d, se = estimate_d_factors(AntennaConfig(*dims), power_profile(60.0, 0.5),
                                    trials=trials, seed=7)
         assert tuple(v.hex() for v in astuple(d) + se) == pinned
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4)])
+    def test_gram_within_the_dot_product_bound(self, dims, monkeypatch):
+        # each block's sums are one Gram product of its rows and a row of
+        # ones: each entry lies within n eps sum |x_i x_j| of the exactly
+        # rounded sum (math.fsum), the dot product's rounding bound
+        ant, pw = AntennaConfig(*dims), power_profile(10.0, 0.5)
+        real = simulate._gain_blocks
+        seen = []
+
+        def spying(ant, trials, seed, gains=None, reduce=simulate._same):
+            def recording(block):
+                sums = reduce(block)
+                seen.append((block, sums))
+                return sums
+            return real(ant, trials, seed, gains, recording)
+        monkeypatch.setattr(simulate, "_gain_blocks", spying)
+        estimate_d_factors(ant, pw, trials=simulate._BLOCK, seed=11)
+        [(block, sums)] = seen
+        # the rows of estimate_d_factors: x1, x2 of both protocols at both
+        # weights, then the controls less their means
+        mu = [ant.m_a, ant.m_b, digamma(ant.m_a), digamma(ant.m_b),
+              mean_largest_eigenvalue(ant.m_r, ant.m_a), mean_largest_eigenvalue(ant.m_r, ant.m_b)]
+        ctrl = [block.lam_a_x, block.lam_b_x, np.log(block.lam_a_x), np.log(block.lam_b_x),
+                block.lam_a, block.lam_b]
+        rows = (list(simulate._dual_branches(block, pw, 1.0, 1.0))
+                + list(simulate._dual_branches(block, pw, 0.5, 0.5))
+                + [c - m for c, m in zip(ctrl, mu)])
+        nrow, n = len(rows), rows[0].size
+        pairs = [(i, j) for i in range(nrow) for j in range(i, nrow)
+                 if j >= 8 or j == i or (j == i + 1 and i % 2 == 0)]
+        ones = np.ones(n)
+        assert len(sums) == nrow + len(pairs)
+        eps = np.finfo(float).eps
+        for got, (i, j) in zip(sums, [(i, None) for i in range(nrow)] + pairs):
+            prod = rows[i] * (ones if j is None else rows[j])
+            assert abs(got - math.fsum(prod)) <= n * eps * math.fsum(np.abs(prod))
+
+    def test_gram_bits_do_not_depend_on_blas_threads(self):
+        # float.hex of the factors and standard errors in processes whose
+        # BLAS runs one and two threads
+        probe = ("from dataclasses import astuple\n"
+                 "from twrelay.scenario import AntennaConfig, power_profile\n"
+                 "from twrelay.simulate import estimate_d_factors\n"
+                 "for dims in ((2, 2, 2), (4, 4, 4)):\n"
+                 "    d, se = estimate_d_factors(AntennaConfig(*dims), power_profile(30.0, 0.5),\n"
+                 "                               trials=40_000, seed=9)\n"
+                 "    print(*(v.hex() for v in astuple(d) + se))\n")
+        src = os.path.dirname(os.path.dirname(simulate.__file__))
+        outs = [subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                               check=True, env={**os.environ, "PYTHONPATH": src,
+                                                "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2")]
+        assert outs[0] == outs[1] and len(outs[0].split()) == 16
 
     def test_given_gains_equal_drawn(self):
         ant = AntennaConfig(2, 3, 4)
