@@ -62,13 +62,21 @@ def _fmt(x) -> str:
     return f"{x:.10e}"
 
 
+# The most points a swept grid may have.
+_MAX_GRID_POINTS = 10 ** 6
+
+
 def _grid(start: float, stop: float, step: float, flag: str) -> list:
-    """start, start + step, ... up to stop; empty when stop < start."""
+    """start, start + step, ... up to stop, 1 to _MAX_GRID_POINTS points."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise ConfigurationError(f"grid start, stop and {flag} must be finite")
     if step <= 0:
         raise ConfigurationError(f"{flag} must be positive")
-    return [start + i * step for i in range(int(math.floor((stop - start) / step + 1e-9)) + 1)]
+    last = (stop - start) / step + 1e-9     # the last point's index, inf where the span overflows
+    if not 0 <= last < _MAX_GRID_POINTS:
+        raise ConfigurationError(f"the grid from {start:g} to {stop:g} in steps of {step:g} must "
+                                 f"have 1 to {_MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(last) + 1)]
 
 
 def _parse_protocols(arg, fallback) -> list:
@@ -142,8 +150,6 @@ def cmd_sweep(args) -> int:
     rho_grid = _grid(args.rho_start, args.rho_stop, args.rho_step, "--rho-step")
     protocols = _parse_protocols(args.protocols, sc.protocol)
     modes = ["mc", "closed", "asymptote"] if args.mode == "all" else [args.mode]
-    if not rho_grid:
-        raise ConfigurationError("empty sweep range")
     ant = sc.antennas
     weights = sc.weights()
     # the protocols that reach the analytic engines (in mc rows, for beta_numeric)

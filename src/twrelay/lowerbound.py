@@ -92,9 +92,10 @@ finest level evaluated, and one stop rule serves them all: the sums of the
 last three levels are the plain sums over those nodes at strides 4, 2 and
 1; the error estimate, extrapolated from their two differences, plus the
 integrand at the cut ends or edges (which bounds the neglected tails), must
-be below the tolerance.  Each integral's steps follow from its own range
-alone (on the grid, from the ladder above), fine enough for the strip at
-its first estimate.  Else the step is halved and only the new level's odd
+be below the tolerance.  Every integral steps on the ladder above (the
+end-to-end CDF's inner integrals from a coarse step of 1.2), with as many
+coarse intervals as its own range needs, fine enough for the strip at its
+first estimate.  Else the step is halved and only the new level's odd
 nodes are evaluated (on the grid, only each axis's new nodes reach the link
 law); past MAX_INTERVALS the engine raises NumericalError.  The first pass
 evaluates the fourth level (_LEVELS) at once, which almost every integral
@@ -153,16 +154,15 @@ _HUGE = np.finfo(float).max
 _TINY = float(np.finfo(float).smallest_normal)
 
 # The trapezoid error of an integrand analytic in |Im v| < d falls like
-# e^(-2 pi d / h).  The integrands (CDF tails and Q, like e^(-u) with
-# u ~ e^(+-v)) have d = pi/2; on the end-to-end CDF's inner integrals this
-# step brings e^(-2 pi d / h) below 1e-14, and each integral's first
-# estimate is on half of it or less (`_Steps`), never on a coarser step,
-# where its last two values can agree by accident.  (The sum-BER grid's
-# axes take the fixed ladder of `_Axis` instead.)  The substitution narrows
-# the strip where s < 1, so v0 sits _INNER_SHIFT e-folds below where the
-# CDF integrand starts to matter, and _FADE_SHIFT below a link's deep-fade
-# gain (or its axis's upper end) on the sum-BER grid.
-_INNER_H = 0.3
+# e^(-2 pi d / h); the integrands (CDF tails and Q, like e^(-u) with u ~
+# e^(+-v)) have d = pi/2.  On the ladder of `_Steps` from the coarse step
+# _INNER_UNIT, the end-to-end CDF's third level (0.3) brings that below
+# 1e-14, and each first estimate is on the fourth (0.15), never on a
+# coarser step, where its last two values can agree by accident.  The
+# substitution narrows the strip where s < 1, so v0 sits _INNER_SHIFT
+# e-folds below where the CDF integrand starts to matter, and _FADE_SHIFT
+# below a link's deep-fade gain (or its axis's upper end) on the sum-BER grid.
+_INNER_UNIT = 1.2
 _INNER_SHIFT = 20.0
 _FADE_SHIFT = 4.0
 
@@ -555,36 +555,31 @@ def _interleave(even, odd):
     return np.insert(even, np.arange(1, even.shape[-1]), odd, axis=-1)
 
 
+def _lattice(h: float, k):
+    """The ladder's nodes s = _LO + h k on the level of step h (k an array)."""
+    return _LO + h * k
+
+
 class _Steps:
-    """Trapezoid steps in s for integrals over v from v0 - _PAD (about) to
-    v1, with v = v0 + s - e^(-s) and s from _LO: n intervals of step h =
-    width / n, one step per integral where v0 and the widths are arrays,
-    always those of the finest level evaluated.  n starts at the
-    `first_count` that the integrals share, so the first level's step is at
-    most 4 h_max for each; the steps start _LEVELS - 1 halvings below it, at
-    the first estimate, whose step is then at most h_max / 2.  `what` and
-    `per` name the integral and its unit of intervals in the NumericalError
-    of `halve`."""
+    """The ladder of trapezoid steps in s, v = v0 + s - e^(-s) from s = _LO
+    (v from about v0 - _PAD): n intervals of step h at the nodes `_lattice`
+    of the finest level evaluated, from n coarse intervals of step `unit`
+    halved _LEVELS - 1 times for the first estimate.  Integrals that share
+    the steps (v0 a column) share every node.  `what` and `per` name the
+    integral and its unit of intervals in the NumericalError of `halve`."""
 
     what = per = ""
 
-    def __init__(self, v0, width, n: int):
+    def __init__(self, v0, n: int, unit: float):
         if _LEVELS < 3:
             raise ValueError(f"_LEVELS must be at least 3 for the three sums read, got {_LEVELS}")
-        self.v0, self.width, self.n = v0, width, int(n)
+        self.v0, self.n, self.h = v0, int(n), unit
         self.halve(times=_LEVELS - 1)
-
-    @staticmethod
-    def first_count(v0, v1, h_max: float):
-        """(width in s, least n >= 2 of step <= 4 h_max) of each integral,
-        for v0 <= v1."""
-        width = v1 - v0 + 1.0 - _LO
-        return width, np.maximum(2.0, np.ceil(width / (4.0 * h_max)))
 
     def at(self, k):
         """(v, dv/ds) at the nodes k of the current step, one row per
-        integral (v0 a column where there are several)."""
-        s = _LO + np.multiply.outer(self.h, k)
+        integral where v0 is a column."""
+        s = _lattice(self.h, k)
         decay = np.exp(-s)
         return self.v0 + s - decay, 1.0 + decay
 
@@ -596,8 +591,8 @@ class _Steps:
         if n > MAX_INTERVALS:
             raise NumericalError(f"{self.what} did not reach relative error {REL_TOL:g} within "
                                  f"{MAX_INTERVALS} trapezoid intervals{self.per} {status}".rstrip())
-        # a power of two apart, width / n is the old step halved, bit for bit
-        self.n, self.h = n, self.width / n
+        # divided by a power of two, h k keeps every coarser node bit for bit
+        self.n, self.h = n, self.h / (1 << times)
 
 
 # The strides, in nodes of the finest level, of the three levels whose sums
@@ -606,11 +601,10 @@ _STRIDES = (4, 2, 1)
 
 
 class _Trapezoid(_Steps):
-    """Trapezoid sums of integrals of g over v from v0 - _PAD to v1, for the
-    integrals `rows` with the column v0 and the 1-d array width (`_Steps`),
-    refined by halving the step.  g(v, rows) maps abscissae of shape
-    (len(rows), k) for the integrals `rows` to values of that shape, with
-    any leading axes.
+    """Trapezoid sums of the end-to-end CDF's inner integrals of g for the
+    integrals `rows` with the column v0, on the ladder of `_Steps` from n
+    coarse intervals of _INNER_UNIT.  g(v, rows) maps abscissae of shape
+    (len(rows), k) to values of that shape, with any leading axes.
 
     The integrand is kept at every node of the finest level, and a coarser
     level's sum is the plain sum over the nodes at its stride (each step is
@@ -620,8 +614,8 @@ class _Trapezoid(_Steps):
 
     what = "end-to-end CDF"
 
-    def __init__(self, g, rows, v0, width, n: int):
-        super().__init__(v0, width, n)
+    def __init__(self, g, rows, v0, n: int):
+        super().__init__(v0, n, _INNER_UNIT)
         self.g, self.rows = g, rows
         self.values = self._values(np.arange(self.n + 1))
 
@@ -639,10 +633,9 @@ class _Trapezoid(_Steps):
         ends = np.add(values[..., 0], values[..., -1], out=out[-1])
         for total, stride in zip(out, _STRIDES):
             np.add.reduce(values[..., ::stride], axis=-1, out=total)
-        levels = out[:-1]
-        levels -= 0.5 * ends
-        # each level's step, the finest times its stride
-        levels *= np.multiply.outer(_STRIDES, self.h)[:, None]
+            total -= 0.5 * ends
+            # each level's step, the finest times its stride
+            total *= stride * self.h
         return out
 
     def refine(self, status: str) -> None:
@@ -654,7 +647,6 @@ class _Trapezoid(_Steps):
     def keep(self, mask) -> None:
         """Refine only the integrals where mask is true from now on."""
         self.rows, self.v0 = self.rows[mask], self.v0[mask]
-        self.width, self.h = self.width[mask], self.h[mask]
         self.values = self.values[..., mask, :]
 
 
@@ -670,10 +662,10 @@ def _extrapolated(coarse, mid, fine):
     return last * ratio
 
 
-def _e2e_chunk(rows, n: int, links, scaled, f_first, v0, width, out) -> int:
+def _e2e_chunk(rows, n: int, links, scaled, f_first, v0, out) -> int:
     """Integrate the end-to-end CDF at the live thresholds `rows`, each x
-    given by scaled = (k_s x, k_f x), on the inner integrals' `_Steps` (v0,
-    width, n); write F_f(k_f x) into f_first and each F and its error
+    given by scaled = (k_s x, k_f x), on the inner integrals' `_Trapezoid`
+    (v0, n); write F_f(k_f x) into f_first and each F and its error
     estimate into out = (values, errors), at its row, and return the nodes
     of the sums they were taken at, summed.
 
@@ -700,7 +692,7 @@ def _e2e_chunk(rows, n: int, links, scaled, f_first, v0, width, out) -> int:
         return both
 
     nodes = 0
-    rule = _Trapezoid(integrand, rows, v0[rows, None], width[rows], n)
+    rule = _Trapezoid(integrand, rows, v0[rows, None], n)
     while True:
         rows = rule.rows
         totals = rule.sums()
@@ -730,13 +722,13 @@ def e2e_cdf(xs, src: Link, far: Link, k_s: float, k_f: float) -> tuple:
     nodes of the inner sum each point was taken at, summed).  values and
     errors have the shape of xs; at x <= 0 both are 0, at x = inf the value
     is 1 with error 0, at NaN both are NaN.  Every other point is
-    integrated on steps from its own range until its estimate is at most
-    REL_TOL of its value, and reports at least REL_ROUNDING of it, so its
-    value, error and nodes are those of a call of its own; points of one
-    first step count (`_Steps`) are integrated _CHUNK at a time.  Each
-    chunk's first kernel call also takes F_f(k_f x) of its points
-    (`_e2e_chunk`), so a point whose inner integral stops at its first
-    estimate, as almost every one does, costs one kernel call."""
+    integrated on the coarse intervals its own range needs (`_Trapezoid`)
+    until its estimate is at most REL_TOL of its value, and reports at
+    least REL_ROUNDING of it, so its value, error and nodes are those of a
+    call of its own; points of one interval count are integrated _CHUNK at
+    a time.  Each chunk's first kernel call also takes F_f(k_f x) of its
+    points (`_e2e_chunk`), so a point whose inner integral stops at its
+    first estimate, as almost every one does, costs one kernel call."""
     shape = np.shape(xs)
     xs = np.asarray(xs, dtype=float).ravel()
     errors = np.where(np.isnan(xs), np.nan, 0.0)
@@ -750,14 +742,14 @@ def e2e_cdf(xs, src: Link, far: Link, k_s: float, k_f: float) -> tuple:
     # keep w = e^v normal (what lies below is below the smallest double)
     # and the range below its upper end
     v0 = np.minimum(np.maximum(2.0 * np.log(x) + math.log(k_s * k_f) - _INNER_SHIFT, -650.0), v1)
-    width, counts = _Steps.first_count(v0, v1, _INNER_H)
+    # coarse intervals from s = _LO to past v = v1 + 1 (at least 4: 1 - _LO > 4.6)
+    counts = np.ceil((v1 - v0 + 1.0 - _LO) / _INNER_UNIT)
     out, f_first = np.empty((2, live.size)), np.empty(live.size)
     nodes = 0
     for n in sorted(set(counts.tolist())):
         group = np.flatnonzero(counts == n)
         for k in range(0, group.size, _CHUNK):
-            nodes += _e2e_chunk(group[k:k + _CHUNK], n, (src, far), (s_x, f_x), f_first, v0, width,
-                                out)
+            nodes += _e2e_chunk(group[k:k + _CHUNK], n, (src, far), (s_x, f_x), f_first, v0, out)
     values[live], errors[live] = out
     return values.reshape(shape), errors.reshape(shape), nodes
 
@@ -780,9 +772,9 @@ class _Axis(_Steps):
     compressed part of the map and need fine steps.  rho = max(1, fade /
     top) is the deep fade's ratio to the point v0 sits below.
 
-    Every axis takes one ladder of steps: whole intervals of 1 at the
-    coarsest level, enough of them to cover its range, so its nodes are the
-    lattice s = _LO + i 2^(1-l) at every level l."""
+    Every axis takes the ladder of `_Steps` from whole intervals of 1 at
+    the coarsest level, enough of them to cover its range, so its nodes are
+    the lattice s = _LO + i 2^(1-l) at every level l."""
 
     what, per = "sum-BER grid", " per axis"
 
@@ -790,7 +782,7 @@ class _Axis(_Steps):
         top = _trace_tail(link.m * link.n)
         v0 = math.log(min(fade, top)) - _FADE_SHIFT
         n = math.ceil(math.log(top) - v0 + 1.0 - _LO)
-        super().__init__(v0, float(n), n)
+        super().__init__(v0, n, 1.0)
         self.link, self.rho = link, max(1.0, fade / top)
         self.base = min(fade, top) * math.exp(-_FADE_SHIFT)
 
@@ -804,10 +796,10 @@ class _Axis(_Steps):
         twice its error estimate).  At rho > 1, v0 lies within 0.3 of 0, so
         e^v has no such offset, and at the low-SNR points measured it came
         closer to the closed form than base / phi."""
+        v, dv = super().at(k)
         if self.rho > 1.0:
-            v, dv = super().at(k)
             return np.exp(v), dv
-        return self.base / _phi(self.h, k), 1.0 + np.exp(-(_LO + np.multiply.outer(self.h, k)))
+        return self.base / _phi(self.h, k), dv
 
 
 def _weights(axes, ks):
@@ -819,8 +811,8 @@ def _weights(axes, ks):
 
 
 def _phi(h: float, k, rho: float = 1.0):
-    """rho e^(e^(-s) - s) at the lattice nodes s = _LO + k h (k an array)."""
-    s = _LO + np.multiply.outer(h, k)
+    """rho e^(e^(-s) - s) at the nodes s = `_lattice`(h, k) (k an array)."""
+    s = _lattice(h, k)
     return rho * np.exp(np.exp(-s) - s)
 
 

@@ -459,6 +459,58 @@ class TestEndToEndCdf:
         assert laws[0][1].shape != laws[0][0].shape
         assert np.array_equal(np.sort(np.concatenate(tails)), np.sort(d.k_f * xs[live]))
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 3, 4)])
+    def test_inner_nodes_on_the_ladder(self, monkeypatch, dims):
+        # every inner integral's first pass is the ladder's fourth level from a
+        # coarse step of 1.2: the far-link nodes w + k_f x have ln w = v0 + s -
+        # e^(-s) at s = _LO + 0.15 i, i = 0 ... 8 n, with n = ceil(width / 1.2)
+        # coarse intervals over its width in s, alone and in a batch
+        lb = twrelay.lowerbound
+        ant = AntennaConfig(*dims)
+        pw = power_profile(20.0, 0.5)
+        d = _direction("arb", coefficient_set(Protocol.TWO_SLOT, ant, pw), ant, pw)
+        first_calls = []
+
+        def recording(links, args):
+            u_src, u_far = args
+            # a chunk's first call: each row's far nodes, then the rows' k_f x
+            if u_far.size > u_src.size:
+                first_calls.append((u_src.shape, np.array(u_far)))
+            return link_laws(links, args)
+        monkeypatch.setattr(lb, "link_laws", recording)
+        for xs in (pw.rho_ar * np.array([0.1]), pw.rho_ar * np.geomspace(1e-5, 1e3, 40)):
+            first_calls.clear()
+            lb.e2e_cdf(xs, *d)
+            seen = []
+            for (rows, count), u_far in first_calls:
+                nodes = u_far[:rows * count].reshape(rows, count)
+                for far_nodes, tail in zip(nodes, u_far[rows * count:]):
+                    (i,) = np.flatnonzero(d.k_f * xs == tail)
+                    x = xs[i]
+                    v1 = math.log(lb._FAR_SPAN + d.k_f * x)
+                    v0 = min(max(2.0 * math.log(x) + math.log(d.k_s * d.k_f) - lb._INNER_SHIFT,
+                                 -650.0), v1)
+                    n = math.ceil((v1 - v0 + 1.0 - lb._LO) / 1.2)
+                    s = lb._LO + 0.15 * np.arange(8 * n + 1)
+                    assert count == 8 * n + 1, (dims, x)
+                    np.testing.assert_allclose(far_nodes, np.exp(v0 + s - np.exp(-s)) + tail,
+                                               rtol=1e-13, atol=0.0)
+                    seen.append(i)
+            assert sorted(seen) == list(range(xs.size))
+
+    def test_benchmark_curves_node_count(self):
+        # the cost of the benchmark's outage curves: 75 lone thresholds,
+        # r = 10^(-3 + k/6) of rho_ar, at 2x1x2, 2x2x2 and 3x3x3
+        nodes = 0
+        for dims in ((2, 1, 2), (2, 2, 2), (3, 3, 3)):
+            ant = AntennaConfig(*dims)
+            pw = power_profile(20.0, 0.5)
+            d = _direction("arb", coefficient_set(Protocol.TWO_SLOT, ant, pw), ant, pw)
+            for k in range(25):
+                x = np.array([10.0 ** (-3.0 + k / 6.0) * pw.rho_ar])
+                nodes += twrelay.lowerbound.e2e_cdf(x, *d)[2]
+        assert nodes == 16731
+
 
 class TestSumBerQuadrature:
     def test_degenerate_unit_cdf(self, monkeypatch):

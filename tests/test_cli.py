@@ -11,6 +11,7 @@ import pytest
 
 from twrelay import analysis, cli, lowerbound, simulate, validate
 from twrelay.cli import main
+from twrelay.errors import ConfigurationError
 from twrelay.scenario import (AntennaConfig, PowerProfile, Protocol, Scenario, coefficient_set,
                               parse_protocol, power_profile, protocol_modulation)
 from twrelay.simulate import ChannelStream, SweepPoint, semi_analytic_sweep
@@ -567,6 +568,33 @@ class TestCommandInputs:
         assert main([arg.replace("{file}", str(zero_trials)) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert draws == []
+
+    @pytest.mark.parametrize("argv", [
+        ["beta", "--protocol", "second_four_slot", "--m-r", "2", "--sweep", "rho",
+         "--start", "30", "--stop", "0", "--step", "5"],
+        ["sweep", "--m-r", "2", "--mode", "closed", "--rho-start", "30", "--rho-stop", "0",
+         "--rho-step", "5"],
+        # a span that overflows to inf, and a step that would list 1e301 points
+        ["sweep", "--m-r", "2", "--rho-start=-1e308", "--rho-stop=1e308", "--rho-step=1"],
+        ["sweep", "--m-r", "2", "--mode", "closed", "--rho-start", "0", "--rho-stop", "10",
+         "--rho-step", "1e-300"],
+    ], ids=["beta-empty", "sweep-empty", "sweep-overflow", "sweep-tiny-step"])
+    def test_grid_refused_before_the_d_factor_pass(self, argv, monkeypatch, capsys):
+        # an empty grid, or one of more than _MAX_GRID_POINTS points, exits 2
+        # before the dual-reception factors' pass draws its gains
+        def unreachable(*args):
+            raise AssertionError("the d-factor pass was reached")
+        monkeypatch.setattr(cli, "_gain_blocks", unreachable)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "must have 1 to 1000000 points" in err
+
+    def test_grid_point_limit(self, monkeypatch):
+        # the limit counts the points, both ends included
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 3)
+        assert cli._grid(0.0, 2.0, 1.0, "--step") == [0.0, 1.0, 2.0]
+        with pytest.raises(ConfigurationError, match="must have 1 to 3 points"):
+            cli._grid(0.0, 3.0, 1.0, "--step")
 
     @pytest.mark.parametrize("ant, rho_db, outcome, kernel_calls", [
         (["2", "1", "2"], "300", "7.5000000000e-60", 1),

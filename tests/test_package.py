@@ -3,8 +3,8 @@ there, every public function a program module defines is a plain function,
 no program module reaches past `lowerbound`'s public names, only
 `analysis` builds a `lowerbound.Direction` or reads the unified SNR
 constants, only `validate` reads the closed form's assembly, one function
-calls `hyp2f1`, and importing the package loads no heavy scipy
-subpackage."""
+calls `hyp2f1`, one writes the trapezoid ladder's nodes, and importing the
+package loads no heavy scipy subpackage."""
 
 import ast
 import importlib
@@ -214,6 +214,42 @@ def test_one_statement_of_the_bessel_moment():
     callers = {p.name: _hyp2f1_callers(p.read_text()) for p in MODULES}
     assert {name: found for name, found in callers.items() if found} == {
         "analysis.py": ["_ln_bessel_moment"]}
+
+
+def _lattice_sums(source: str) -> list:
+    # the innermost function around each sum of _LO and a product, h * k or
+    # np.multiply.outer(h, k), on either side; "<module>" outside any function
+    def product(node):
+        return ((isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult))
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "outer"))
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Add):
+                sides = (child.left, child.right)
+                if any(isinstance(lo, ast.Name) and lo.id == "_LO" and product(step)
+                       for lo, step in (sides, sides[::-1])):
+                    found.append(owner)
+            visit(child, owner)
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_one_statement_of_the_ladder_lattice():
+    # the trapezoid nodes s = _LO + h k of both lower-bound integrals, the
+    # sum-BER grid's axes and the end-to-end CDF's inner integrals, and of
+    # the grid's erfc factor are written once, in lowerbound._lattice
+    probe = ("def a():\n    return _LO + h * k\n"
+             "def b():\n    return np.multiply.outer(h, k) + _LO\n"
+             "_LO + 1.0 - w\n_LO - h * k\nx = k * h + _LO\n")
+    assert _lattice_sums(probe) == ["<module>", "a", "b"]
+    source = (Path(twrelay.__file__).parent / "lowerbound.py").read_text()
+    assert _lattice_sums(source) == ["_lattice"]
 
 
 def test_import_loads_no_scipy_optimize_or_integrate():
