@@ -80,9 +80,18 @@ def _grid(start: float, stop: float, step: float, flag: str) -> list:
 
 
 def _parse_protocols(arg, fallback) -> list:
-    if arg:
-        return [parse_protocol(tok) for tok in arg.split(",") if tok.strip()]
-    return list(Protocol) if fallback is None else [fallback]
+    """The protocols named in the comma-separated arg, at least one and each
+    once; where arg is None (no --protocols), fallback, or every protocol
+    where that is None too."""
+    if arg is None:
+        return list(Protocol) if fallback is None else [fallback]
+    protocols = [parse_protocol(tok) for tok in arg.split(",") if tok.strip()]
+    if not protocols:
+        raise ConfigurationError(f"--protocols names no protocol: {arg!r}")
+    twice = sorted({p.value for p in protocols if protocols.count(p) > 1})
+    if twice:
+        raise ConfigurationError(f"--protocols names {', '.join(twice)} more than once")
+    return protocols
 
 
 _FLAG_HELP = {"seed": "random seed (default: $TWRELAY_SEED, else the scenario's)",

@@ -88,20 +88,21 @@ with the trapezoid rule, whose error falls like e^(-2 pi d / h) in the step
 h for these integrands, analytic in a strip |Im| < d (Trefethen & Weideman,
 SIAM Review 56(3), 2014; on a product of two such laws the grid converges
 the same way).  Each integral keeps its integrand at the nodes of the
-finest level evaluated, and one stop rule serves them all: the sums of the
-last three levels are the plain sums over those nodes at strides 4, 2 and
-1; the error estimate, extrapolated from their two differences, plus the
-integrand at the cut ends or edges (which bounds the neglected tails), must
-be below the tolerance.  Every integral steps on the ladder above (the
-end-to-end CDF's inner integrals from a coarse step of 1.2), with as many
-coarse intervals as its own range needs, fine enough for the strip at its
-first estimate.  Else the step is halved and only the new level's odd
-nodes are evaluated (on the grid, only each axis's new nodes reach the link
-law); past MAX_INTERVALS the engine raises NumericalError.  The first pass
-evaluates the fourth level (_LEVELS) at once, which almost every integral
-stops at; no integral stops before it.  Rounding in the per-link
-determinant and in the sums is not part of the estimate, so every reported
-error of an integral is at least REL_ROUNDING of its value.
+finest level evaluated, and the sums of its last three levels are the
+plain sums over those nodes at strides 4, 2 and 1.  One stop rule serves
+them all (`_settle`): the error estimate, extrapolated from the sums' two
+differences, plus the integrand at the cut ends or edges (which bounds the
+neglected tails), must be at most REL_TOL of the value.  Every integral
+steps on the ladder above (the end-to-end CDF's inner integrals from a
+coarse step of 1.2), with as many coarse intervals as its own range needs,
+fine enough for the strip at its first estimate.  Else the step is halved
+and only the new level's odd nodes are evaluated (on the grid, only each
+axis's new nodes reach the link law); past MAX_INTERVALS the engine raises
+NumericalError.  The first pass evaluates the fourth level (_LEVELS) at
+once, which almost every integral stops at; no integral stops before it.
+Rounding in the per-link
+determinant and in the sums is not part of the estimate, so the same rule
+reports every error of an integral as at least REL_ROUNDING of its value.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ MAX_INTERVALS = 1 << 13
 # Least relative error an integral reports (a sum-BER or an integrated
 # end-to-end CDF value), for the rounding in the link kernel and the sums
 # that the extrapolation cannot see (at worst 3.2e-15 against 100-digit
-# closed forms); the stop rule does not use it.
+# closed forms); the stop rule (`_settle`) floors its report there, and
+# does not stop on it.
 REL_ROUNDING = 1e-14
 
 # Outer nodes whose inner integrals are evaluated together, which bounds
@@ -565,15 +567,15 @@ class _Steps:
     (v from about v0 - _PAD): n intervals of step h at the nodes `_lattice`
     of the finest level evaluated, from n coarse intervals of step `unit`
     halved _LEVELS - 1 times for the first estimate.  Integrals that share
-    the steps (v0 a column) share every node.  `what` and `per` name the
-    integral and its unit of intervals in the NumericalError of `halve`."""
+    the steps (v0 a column) share every node.  The arguments `what` and
+    `per` name the integral and its unit of intervals in the NumericalError
+    of `halve`."""
 
-    what = per = ""
-
-    def __init__(self, v0, n: int, unit: float):
+    def __init__(self, v0, n: int, unit: float, what: str, per: str = ""):
         if _LEVELS < 3:
             raise ValueError(f"_LEVELS must be at least 3 for the three sums read, got {_LEVELS}")
         self.v0, self.n, self.h = v0, int(n), unit
+        self.what, self.per = what, per
         self.halve(times=_LEVELS - 1)
 
     def at(self, k):
@@ -600,120 +602,82 @@ class _Steps:
 _STRIDES = (4, 2, 1)
 
 
-class _Trapezoid(_Steps):
-    """Trapezoid sums of the end-to-end CDF's inner integrals of g for the
-    integrals `rows` with the column v0, on the ladder of `_Steps` from n
-    coarse intervals of _INNER_UNIT.  g(v, rows) maps abscissae of shape
-    (len(rows), k) to values of that shape, with any leading axes.
-
-    The integrand is kept at every node of the finest level, and a coarser
-    level's sum is the plain sum over the nodes at its stride (each step is
-    the finest times a power of two, so every node has the abscissa it would
-    have on its own level).  The first call of g evaluates the finest level
-    of `_Steps`; `refine` evaluates only the next level's odd nodes."""
-
-    what = "end-to-end CDF"
-
-    def __init__(self, g, rows, v0, n: int):
-        super().__init__(v0, n, _INNER_UNIT)
-        self.g, self.rows = g, rows
-        self.values = self._values(np.arange(self.n + 1))
-
-    def _values(self, k):
-        v, dv = self.at(k)
-        values = self.g(v, self.rows)
-        values *= dv
-        return values
-
-    def sums(self):
-        """The sums of the last three levels, coarsest first, and the
-        integrands at the two ends summed, stacked on a new first axis."""
-        values = self.values
-        out = np.empty((len(_STRIDES) + 1,) + values.shape[:-1])
-        ends = np.add(values[..., 0], values[..., -1], out=out[-1])
-        for total, stride in zip(out, _STRIDES):
-            np.add.reduce(values[..., ::stride], axis=-1, out=total)
-            total -= 0.5 * ends
-            # each level's step, the finest times its stride
-            total *= stride * self.h
-        return out
-
-    def refine(self, status: str) -> None:
-        """Move to the next level (`halve`), evaluating its odd nodes."""
-        self.halve(status)
-        odd = self._values(2 * np.arange(self.n // 2) + 1)
-        self.values = _interleave(self.values, odd)
-
-    def keep(self, mask) -> None:
-        """Refine only the integrals where mask is true from now on."""
-        self.rows, self.v0 = self.rows[mask], self.v0[mask]
-        self.values = self.values[..., mask, :]
-
-
-def _extrapolated(coarse, mid, fine):
-    """Error of the finest of three trapezoid sums at successive step
-    halvings.  For analytic integrands the error falls like e^(-k/h), so
-    each difference is about the error of the coarser sum, and the error of
-    the finest is at most last^2 / before for the differences last = |fine
-    - mid| and before = |mid - coarse|; where they do not yet fall, it is
-    the last difference itself."""
+def _settle(coarse, mid, fine, edges, value):
+    """The stop rule of every integral: (its reported error, whether it
+    stops) from the sums of its last three levels, coarsest first, the
+    integrand at its cut ends or edges, which bounds the tails beyond them,
+    and its value.  For analytic integrands the error falls like e^(-k/h),
+    so each difference of the sums is about the error of the coarser one,
+    and the error of the finest is at most last^2 / before for the
+    differences last = |fine - mid| and before = |mid - coarse|; where they
+    do not yet fall, it is the last difference itself.  That plus the edges
+    must be at most REL_TOL of the value; the error reported is at least
+    REL_ROUNDING of it, for the rounding the differences cannot see."""
     last, before = np.abs(fine - mid), np.abs(mid - coarse)
     ratio = np.divide(last, before, out=np.ones_like(last), where=last < before)
-    return last * ratio
+    err = last * ratio + edges
+    return np.maximum(err, REL_ROUNDING * value), err <= REL_TOL * value
 
 
 def _e2e_chunk(rows, n: int, links, scaled, f_first, v0, out) -> int:
     """Integrate the end-to-end CDF at the live thresholds `rows`, each x
-    given by scaled = (k_s x, k_f x), on the inner integrals' `_Trapezoid`
-    (v0, n); write F_f(k_f x) into f_first and each F and its error
-    estimate into out = (values, errors), at its row, and return the nodes
-    of the sums they were taken at, summed.
+    given by scaled = (k_s x, k_f x), on the ladder of `_Steps` from n
+    coarse intervals of _INNER_UNIT (v0[rows] a column); write F_f(k_f x)
+    into f_first and each F and its error into out = (values, errors), at
+    its row, and return the nodes of the sums they were taken at, summed.
 
-    The first call of the integrand appends the rows' k_f x to the far
-    link's arguments of its one `link_laws` call, so the chunk's first
-    kernel call also gives F_f(k_f x), the first term of each F."""
+    The integrand of both forms, F_s and 1 - F_s times the far link's
+    density in s, is kept at every node of the finest level, and a coarser
+    level's sum is the plain sum over the nodes at its stride (each step is
+    the finest times a power of two, so every node has the abscissa it would
+    have on its own level).  The first pass evaluates the fourth level, and
+    its kernel call takes the rows' k_f x with the far link's arguments, so
+    that it also gives F_f(k_f x), the first term of each F; a refinement
+    evaluates only the new level's odd nodes, of the rows that go on."""
     s_x, f_x = scaled
-    first = True
+    steps = _Steps(v0[rows, None], n, _INNER_UNIT, "end-to-end CDF")
 
-    def integrand(v, rows):
-        nonlocal first
+    def integrand(k, first=False):
+        # at the nodes k of the rows still live (rows is rebound below)
+        v, dv = steps.at(k)
         w = np.exp(v)
         lam_f = w + f_x[rows, None]
         u_far = np.concatenate((lam_f, f_x[rows]), axis=None) if first else lam_f
         (f_s, _), (cdf_f, dens) = link_laws(links, (s_x[rows, None] * lam_f / w, u_far))
         if first:
-            first = False
             f_first[rows] = cdf_f[lam_f.size:]
             dens = dens[:lam_f.size].reshape(lam_f.shape)
         weight = dens * w
         both = np.empty((2,) + f_s.shape)
         np.multiply(f_s, weight, out=both[0])
         np.multiply(1.0 - f_s, weight, out=both[1])
+        both *= dv
         return both
 
+    values = integrand(np.arange(steps.n + 1), first=True)
     nodes = 0
-    rule = _Trapezoid(integrand, rows, v0[rows, None], n)
     while True:
-        rows = rule.rows
-        totals = rule.sums()
+        # each level's sum, ends halved, times its step, the finest times its
+        # stride; then the integrand at the two cut ends, summed
+        ends = values[..., 0] + values[..., -1]
+        totals = np.array([(np.add.reduce(values[..., ::stride], axis=-1) - 0.5 * ends)
+                           * (stride * steps.h) for stride in _STRIDES] + [ends])
         lower_p = f_first[rows] + totals[-2, 0]
         use_q = lower_p > 0.5
         # the F or the 1 - F form of each threshold, for every sum at once
         coarse, mid, fine, ends = np.where(use_q, totals[:, 1], totals[:, 0])
         value = np.where(use_q, 1.0 - fine, lower_p)
-        # the integrand at the cut ends bounds the tails beyond them
-        err = _extrapolated(coarse, mid, fine) + ends
+        err, done = _settle(coarse, mid, fine, ends, value)
         # every row's estimate is written; a row that goes on is rewritten
-        out[0][rows] = value
-        out[1][rows] = np.maximum(err, REL_ROUNDING * value)
-        done = err <= REL_TOL * value
+        out[0][rows], out[1][rows] = value, err
         count = np.count_nonzero(done)
-        nodes += count * (rule.n + 1)
+        nodes += count * (steps.n + 1)
         if count == done.size:
             return nodes
-        rule.keep(~done)
-        rule.refine(f"(estimate {np.max(err[~done]):.1e} at values up to "
-                    f"{np.max(value[~done]):.6e})")
+        status = f"(estimate {np.max(err[~done]):.1e} at values up to {np.max(value[~done]):.6e})"
+        rows, steps.v0, values = rows[~done], steps.v0[~done], values[:, ~done]
+        steps.halve(status)
+        values = _interleave(values, integrand(np.arange(1, steps.n, 2)))
 
 
 def e2e_cdf(xs, src: Link, far: Link, k_s: float, k_f: float) -> tuple:
@@ -722,13 +686,14 @@ def e2e_cdf(xs, src: Link, far: Link, k_s: float, k_f: float) -> tuple:
     nodes of the inner sum each point was taken at, summed).  values and
     errors have the shape of xs; at x <= 0 both are 0, at x = inf the value
     is 1 with error 0, at NaN both are NaN.  Every other point is
-    integrated on the coarse intervals its own range needs (`_Trapezoid`)
-    until its estimate is at most REL_TOL of its value, and reports at
-    least REL_ROUNDING of it, so its value, error and nodes are those of a
-    call of its own; points of one interval count are integrated _CHUNK at
-    a time.  Each chunk's first kernel call also takes F_f(k_f x) of its
-    points (`_e2e_chunk`), so a point whose inner integral stops at its
-    first estimate, as almost every one does, costs one kernel call."""
+    integrated on the coarse intervals its own range needs, on the ladder
+    of `_Steps`, until `_settle` stops it (its estimate at most REL_TOL of
+    its value; it reports at least REL_ROUNDING of it), so its value, error
+    and nodes are those of a call of its own; points of one interval count
+    are integrated _CHUNK at a time.  Each chunk's first kernel call also
+    takes F_f(k_f x) of its points (`_e2e_chunk`), so a point whose inner
+    integral stops at its first estimate, as almost every one does, costs
+    one kernel call."""
     shape = np.shape(xs)
     xs = np.asarray(xs, dtype=float).ravel()
     errors = np.where(np.isnan(xs), np.nan, 0.0)
@@ -776,13 +741,11 @@ class _Axis(_Steps):
     the coarsest level, enough of them to cover its range, so its nodes are
     the lattice s = _LO + i 2^(1-l) at every level l."""
 
-    what, per = "sum-BER grid", " per axis"
-
     def __init__(self, link: Link, fade: float):
         top = _trace_tail(link.m * link.n)
         v0 = math.log(min(fade, top)) - _FADE_SHIFT
         n = math.ceil(math.log(top) - v0 + 1.0 - _LO)
-        super().__init__(v0, n, 1.0)
+        super().__init__(v0, n, 1.0, "sum-BER grid", " per axis")
         self.link, self.rho = link, max(1.0, fade / top)
         self.base = min(fade, top) * math.exp(-_FADE_SHIFT)
 
@@ -904,13 +867,13 @@ def _direction_ber(d: Direction, mod_b: float, scale: float):
         # tails beyond them
         h = axes[0].h
         value = scale * h * h * totals[-1]
-        err = (float(_extrapolated(*(scale * (h * stride) ** 2 * total
-                                     for total, stride in zip(totals, _STRIDES))))
-               + scale * h ** 3 * (edge_s + edge_f))
-        if err <= REL_TOL * value:
+        err, done = _settle(*(scale * (h * stride) ** 2 * total
+                              for total, stride in zip(totals, _STRIDES)),
+                            scale * h ** 3 * (edge_s + edge_f), value)
+        if done:
             # the link law saw each axis node once
             sizes = src.shape[1], far.shape[1]
-            return value, max(err, REL_ROUNDING * value), math.prod(sizes), sum(sizes)
+            return value, float(err), math.prod(sizes), sum(sizes)
         for ax in axes:
             ax.halve(f"(estimate {err:.1e} of {value:.6e})")
         new_src, new_far = _weights(axes, [np.arange(1, ax.n, 2) for ax in axes])

@@ -33,9 +33,8 @@ from .highsnr import eta_pair
 from .lowerbound import REL_TOL
 from .scenario import (AntennaConfig, BALANCED_WEIGHTS, CoefficientSet, PowerProfile,
                        Protocol, coefficient_set, protocol_modulation)
-from .simulate import (D_FACTOR_TRIALS, ChannelStream, SweepPoint,
-                       end_to_end_snrs, estimate_d_factors, link_gains,
-                       sample_end_to_end_snrs, semi_analytic_sweep)
+from .simulate import (D_FACTOR_TRIALS, SweepPoint, _gain_blocks, end_to_end_snrs,
+                       estimate_d_factors, sample_end_to_end_snrs, semi_analytic_sweep)
 
 _MIN_STATISTICAL_TRIALS = 10_000
 _KS_GRID_POINTS = 1500     # points of the log grid on which _ks_statistic tabulates a CDF
@@ -71,13 +70,6 @@ def _ks_statistic(samples: np.ndarray, cdf) -> float:
     lo = np.arange(0, n) / n
     hi = np.arange(1, n + 1) / n
     return float(max(np.max(np.abs(F - lo)), np.max(np.abs(F - hi))))
-
-
-def _block_gains(seed: int, block: int, n: int):
-    """LinkGains of the first n draws of the given block of the seed's 2x1x2
-    stream."""
-    side_a, side_b = ChannelStream(seed).draw_block(AntennaConfig(2, 1, 2), block)
-    return link_gains(side_a[:n], side_b[:n])
 
 
 def single_antenna_e2e_cdf(direction: str, x: float, coeffs: CoefficientSet,
@@ -132,7 +124,7 @@ def check_mr1_reduction(pw: PowerProfile) -> CheckResult:
 
 def check_unified_dual_mr1(pw: PowerProfile, seed: int) -> CheckResult:
     ant = AntennaConfig(2, 1, 2)
-    g = _block_gains(seed, 0, 2000)
+    g = next(_gain_blocks(ant, 2000, seed))
     worst = 0.0
     for p in (Protocol.SECOND_THREE_SLOT, Protocol.SECOND_FOUR_SLOT):
         w = BALANCED_WEIGHTS if p.uses_weights else None

@@ -511,6 +511,28 @@ class TestEndToEndCdf:
                 nodes += twrelay.lowerbound.e2e_cdf(x, *d)[2]
         assert nodes == 16731
 
+    @pytest.mark.parametrize("cap, status", [
+        (207, ""),
+        (208, " (estimate 5.2e-28 at values up to 1.000591e-15)"),
+    ], ids=["first-pass", "refinement"])
+    def test_interval_cap(self, monkeypatch, cap, status):
+        # at 4x4x4 the threshold x = 10^(-2/3) rho_ar takes 26 coarse
+        # intervals, 208 in its first pass, and refines once: a cap below the
+        # first pass raises as its ladder is built, one at it on the
+        # refinement, with the last estimate; twice that cap lets it settle
+        ant = AntennaConfig(4, 4, 4)
+        pw = power_profile(30.0, 0.5)
+        coeffs = coefficient_set(Protocol.TWO_SLOT, ant, pw)
+        x = 10.0 ** (-2.0 / 3.0) * pw.rho_ar
+        settled = e2e_cdf("arb", x, coeffs, ant, pw)
+        monkeypatch.setattr(twrelay.lowerbound, "MAX_INTERVALS", cap)
+        with pytest.raises(NumericalError) as info:
+            e2e_cdf("arb", x, coeffs, ant, pw)
+        assert str(info.value) == ("end-to-end CDF did not reach relative error 1e-13 within "
+                                   f"{cap} trapezoid intervals{status}")
+        monkeypatch.setattr(twrelay.lowerbound, "MAX_INTERVALS", 416)
+        assert e2e_cdf("arb", x, coeffs, ant, pw) == settled
+
 
 class TestSumBerQuadrature:
     def test_degenerate_unit_cdf(self, monkeypatch):

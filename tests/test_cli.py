@@ -582,9 +582,11 @@ class TestCommandInputs:
     def test_grid_refused_before_the_d_factor_pass(self, argv, monkeypatch, capsys):
         # an empty grid, or one of more than _MAX_GRID_POINTS points, exits 2
         # before the dual-reception factors' pass draws its gains
-        def unreachable(*args):
+        def unreachable(*args, **kwargs):
             raise AssertionError("the d-factor pass was reached")
+        # the mc rows' pass draws through cli's name, the estimate's own through simulate's
         monkeypatch.setattr(cli, "_gain_blocks", unreachable)
+        monkeypatch.setattr(simulate, "_gain_blocks", unreachable)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "must have 1 to 1000000 points" in err
@@ -595,6 +597,27 @@ class TestCommandInputs:
         assert cli._grid(0.0, 2.0, 1.0, "--step") == [0.0, 1.0, 2.0]
         with pytest.raises(ConfigurationError, match="must have 1 to 3 points"):
             cli._grid(0.0, 3.0, 1.0, "--step")
+
+    @pytest.mark.parametrize("protocols, message", [
+        ("", "--protocols names no protocol: ''"),
+        (",", "--protocols names no protocol: ','"),
+        (" ", "--protocols names no protocol: ' '"),
+        ("second_three_slot,two_slot,Second-Three-Slot",
+         "--protocols names second_three_slot more than once"),
+    ], ids=["empty", "comma", "blank", "twice"])
+    def test_protocols_refused_before_the_d_factor_pass(self, protocols, message, monkeypatch,
+                                                        capsys):
+        # a protocol list that names none, or one protocol twice, exits 2
+        # before the dual-reception factors' pass draws its gains
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the d-factor pass was reached")
+        # the mc rows' pass draws through cli's name, the estimate's own through simulate's
+        monkeypatch.setattr(cli, "_gain_blocks", unreachable)
+        monkeypatch.setattr(simulate, "_gain_blocks", unreachable)
+        argv = ["sweep", "--m-r", "2", "--rho-start", "10", "--rho-stop", "10", "--rho-step",
+                "10", "--protocols", protocols, "--mode", "closed"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize("ant, rho_db, outcome, kernel_calls", [
         (["2", "1", "2"], "300", "7.5000000000e-60", 1),

@@ -3,8 +3,9 @@ there, every public function a program module defines is a plain function,
 no program module reaches past `lowerbound`'s public names, only
 `analysis` builds a `lowerbound.Direction` or reads the unified SNR
 constants, only `validate` reads the closed form's assembly, one function
-calls `hyp2f1`, one writes the trapezoid ladder's nodes, and importing the
-package loads no heavy scipy subpackage."""
+calls `hyp2f1`, one writes the trapezoid ladder's nodes, one states the
+integrals' stop rule, and importing the package loads no heavy scipy
+subpackage."""
 
 import ast
 import importlib
@@ -180,12 +181,9 @@ def test_one_reader_of_the_closed_form_assembly():
     assert sorted(name for name, count in readers.items() if count) == ["validate.py"]
 
 
-def _hyp2f1_callers(source: str) -> list:
-    # the innermost function around each call of hyp2f1, by a name imported
-    # under any alias or as an attribute; "<module>" outside any function
-    tree = ast.parse(source)
-    names = {alias.asname or alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name == "hyp2f1"}
+def _owners(source: str, match) -> list:
+    # the innermost function around each node for which match(node) holds,
+    # "<module>" outside any function
     found = []
 
     def visit(node, owner):
@@ -193,14 +191,26 @@ def _hyp2f1_callers(source: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if ((isinstance(func, ast.Name) and func.id in names)
-                        or (isinstance(func, ast.Attribute) and func.attr == "hyp2f1")):
-                    found.append(owner)
+            if match(child):
+                found.append(owner)
             visit(child, owner)
-    visit(tree, "<module>")
+    visit(ast.parse(source), "<module>")
     return sorted(found)
+
+
+def _hyp2f1_callers(source: str) -> list:
+    # the functions around each call of hyp2f1, by a name imported under any
+    # alias or as an attribute
+    names = {alias.asname or alias.name for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name == "hyp2f1"}
+
+    def call(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return ((isinstance(func, ast.Name) and func.id in names)
+                or (isinstance(func, ast.Attribute) and func.attr == "hyp2f1"))
+    return _owners(source, call)
 
 
 def test_one_statement_of_the_bessel_moment():
@@ -217,27 +227,20 @@ def test_one_statement_of_the_bessel_moment():
 
 
 def _lattice_sums(source: str) -> list:
-    # the innermost function around each sum of _LO and a product, h * k or
-    # np.multiply.outer(h, k), on either side; "<module>" outside any function
+    # the functions around each sum of _LO and a product, h * k or
+    # np.multiply.outer(h, k), on either side
     def product(node):
         return ((isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult))
                 or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "outer"))
-    found = []
 
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Add):
-                sides = (child.left, child.right)
-                if any(isinstance(lo, ast.Name) and lo.id == "_LO" and product(step)
-                       for lo, step in (sides, sides[::-1])):
-                    found.append(owner)
-            visit(child, owner)
-    visit(ast.parse(source), "<module>")
-    return sorted(found)
+    def lattice_sum(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+            return False
+        sides = (node.left, node.right)
+        return any(isinstance(lo, ast.Name) and lo.id == "_LO" and product(step)
+                   for lo, step in (sides, sides[::-1]))
+    return _owners(source, lattice_sum)
 
 
 def test_one_statement_of_the_ladder_lattice():
@@ -250,6 +253,32 @@ def test_one_statement_of_the_ladder_lattice():
     assert _lattice_sums(probe) == ["<module>", "a", "b"]
     source = (Path(twrelay.__file__).parent / "lowerbound.py").read_text()
     assert _lattice_sums(source) == ["_lattice"]
+
+
+def _stop_rule_reads(source: str) -> tuple:
+    # (the functions around each read of REL_ROUNDING, those around each
+    # comparison that involves REL_TOL)
+    def named(node, name):
+        return isinstance(node, ast.Name) and node.id == name
+
+    rounding = _owners(source, lambda node: named(node, "REL_ROUNDING")
+                       and isinstance(node.ctx, ast.Load))
+    tol = _owners(source, lambda node: isinstance(node, ast.Compare)
+                  and any(named(inner, "REL_TOL") for inner in ast.walk(node)))
+    return rounding, tol
+
+
+def test_one_statement_of_the_stop_rule():
+    # both lower-bound integrals, the sum-BER grid and the end-to-end CDF's
+    # inner integrals, stop and floor their reported error by one rule,
+    # lowerbound._settle: no other function compares against REL_TOL or
+    # reads REL_ROUNDING (an error message may still name REL_TOL)
+    probe = ("REL_ROUNDING = 1e-14\ndef a():\n    return max(e, REL_ROUNDING * v), e <= REL_TOL * v\n"
+             "def b():\n    return f'{REL_TOL:g}', REL_TOL > 0 if x else 0\n"
+             "def c():\n    return REL_ROUNDING\n")
+    assert _stop_rule_reads(probe) == (["a", "c"], ["a", "b"])
+    source = (Path(twrelay.__file__).parent / "lowerbound.py").read_text()
+    assert _stop_rule_reads(source) == (["_settle"], ["_settle"])
 
 
 def test_import_loads_no_scipy_optimize_or_integrate():
